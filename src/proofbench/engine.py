@@ -80,7 +80,6 @@ class BudgetReport:
 
 @dataclass(frozen=True)
 class _Entry:
-    order: int
     recipe: tuple
     hyp_deps: frozenset[str]
 
@@ -89,7 +88,8 @@ class ClosureState:
     """Derived formulas with reconstructible justifications.
 
     Iteration over :attr:`formulas` follows derivation order, which is
-    deterministic for a fixed input.
+    deterministic for a fixed input: the entries dict is kept in insertion
+    order.
     """
 
     def __init__(
@@ -114,7 +114,7 @@ class ClosureState:
 
     @property
     def formulas(self) -> list[Formula]:
-        return sorted(self._entries, key=lambda f: self._entries[f].order)
+        return list(self._entries)
 
     def hyp_deps(self, f: Formula) -> frozenset[str]:
         return self._entries[f].hyp_deps
@@ -255,6 +255,7 @@ class _Saturation:
         self.pool = frozenset(
             assemble_pool(tuple(f for _, f in hypotheses), axioms, goal)
         )
+        self.sorted_pool = sorted_pool(self.pool)
         self.entries: dict[Formula, _Entry] = {}
         self.frontier: deque[Formula] = deque()
         self.steps = 0
@@ -267,7 +268,7 @@ class _Saturation:
         self.pool_and_by_side: dict[Formula, list[And]] = {}
         self.pool_or_by_side: dict[Formula, list[Or]] = {}
         self.pool_all_by_body: dict[Formula, list[Forall]] = {}
-        for f in sorted_pool(self.pool):
+        for f in self.sorted_pool:
             if isinstance(f, Implies):
                 self.pool_imp_by_right.setdefault(f.right, []).append(f)
                 self.pool_imp_by_left.setdefault(f.left, []).append(f)
@@ -298,7 +299,7 @@ class _Saturation:
             if self.spent():
                 return False
             self.steps += 1
-        self.entries[f] = _Entry(len(self.entries), recipe, deps)
+        self.entries[f] = _Entry(recipe, deps)
         self.frontier.append(f)
         neg = Not(f)
         if neg in self.entries and self.contradiction is None:
@@ -311,7 +312,7 @@ class _Saturation:
         for name, f in self.hypotheses:
             # (a1): the base set is in the closure at any budget
             self.add(f, ("hyp", name), frozenset((name,)), free=True)
-        for f in sorted_pool(self.pool):
+        for f in self.sorted_pool:
             if self.spent():
                 break
             for r in self.axioms:

@@ -285,6 +285,9 @@ class ProofBuilder:
         self._index_of[formula] = idx
         return idx
 
+    def __len__(self) -> int:
+        return len(self._steps)
+
     def idx_of(self, formula: Formula) -> int | None:
         return self._index_of.get(formula)
 

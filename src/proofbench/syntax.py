@@ -1,9 +1,12 @@
 """First-order term and formula trees, and the operations the checker needs.
 
 Variables are positive integers rendered as ``x1, x2, ...``; a symbol table
-fixes the constants and the function/predicate arities.  All nodes are frozen
-dataclasses, so formulas hash and compare structurally and can key dicts and
-sets throughout the rest of the package.
+fixes the constants and the function/predicate arities.  All nodes are frozen,
+slotted dataclasses that compare structurally and store their hash, computed
+once at construction from the class and the fields.  Children already hold
+their hashes, so building a node costs O(arity) and hashing it O(1), however
+deep or shared the tree; formulas key dicts and sets throughout the rest of
+the package.
 
 Substitution is capture-checked: substituting a term with a variable that
 would fall under a binder raises :class:`CaptureError` instead of silently
@@ -12,7 +15,7 @@ renaming.  Callers that want to know in advance can ask :func:`free_for`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Iterator
 
@@ -57,26 +60,62 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
+_setattr = object.__setattr__
+
+
+class _Node:
+    """Kernel node mixin: ``__hash__`` returns the hash each ``__post_init__`` stores."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: str hashes differ between processes
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _node(cls):
+    """A frozen dataclass that keeps :class:`_Node`'s stored hash.
+
+    Classes list their own ``__slots__``: ``dataclass(slots=True)`` rebuilds
+    the class, after which its frozen ``__setattr__`` raises ``TypeError``,
+    not ``FrozenInstanceError``, for names that are not fields.
+    """
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _Node.__hash__
+    return cls
+
+
+@_node
+class Var(_Node, Term):
+    __slots__ = ("id",)
+
     id: int
 
     def __post_init__(self) -> None:
         if not (isinstance(self.id, int) and self.id >= 1):
             raise ValueError(f"variable id must be a positive int, got {self.id!r}")
+        _setattr(self, "_hash", hash((Var, self.id)))
 
 
-@dataclass(frozen=True)
-class Const(Term):
+@_node
+class Const(_Node, Term):
+    __slots__ = ("name",)
+
     name: str
 
     def __post_init__(self) -> None:
         if self.name not in ARITHMETIC.constants:
             raise ValueError(f"unknown constant {self.name!r}")
+        _setattr(self, "_hash", hash((Const, self.name)))
 
 
-@dataclass(frozen=True)
-class App(Term):
+@_node
+class App(_Node, Term):
+    __slots__ = ("func", "args")
+
     func: str
     args: tuple[Term, ...]
 
@@ -90,10 +129,13 @@ class App(Term):
             )
         if not all(isinstance(a, Term) for a in self.args):
             raise TypeError("App arguments must be terms")
+        _setattr(self, "_hash", hash((App, self.func, self.args)))
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
+@_node
+class Atom(_Node, Formula):
+    __slots__ = ("pred", "args")
+
     pred: str
     args: tuple[Term, ...]
 
@@ -107,35 +149,61 @@ class Atom(Formula):
             )
         if not all(isinstance(a, Term) for a in self.args):
             raise TypeError("Atom arguments must be terms")
+        _setattr(self, "_hash", hash((Atom, self.pred, self.args)))
 
 
-@dataclass(frozen=True)
-class Not(Formula):
+@_node
+class Not(_Node, Formula):
+    __slots__ = ("body",)
+
     body: Formula
 
+    def __post_init__(self) -> None:
+        _setattr(self, "_hash", hash((Not, self.body)))
 
-@dataclass(frozen=True)
-class Implies(Formula):
+
+@_node
+class Implies(_Node, Formula):
+    __slots__ = ("left", "right")
+
     left: Formula
     right: Formula
 
+    def __post_init__(self) -> None:
+        _setattr(self, "_hash", hash((Implies, self.left, self.right)))
 
-@dataclass(frozen=True)
-class And(Formula):
+
+@_node
+class And(_Node, Formula):
+    __slots__ = ("left", "right")
+
     left: Formula
     right: Formula
 
+    def __post_init__(self) -> None:
+        _setattr(self, "_hash", hash((And, self.left, self.right)))
 
-@dataclass(frozen=True)
-class Or(Formula):
+
+@_node
+class Or(_Node, Formula):
+    __slots__ = ("left", "right")
+
     left: Formula
     right: Formula
 
+    def __post_init__(self) -> None:
+        _setattr(self, "_hash", hash((Or, self.left, self.right)))
 
-@dataclass(frozen=True)
-class Iff(Formula):
+
+@_node
+class Iff(_Node, Formula):
+    __slots__ = ("left", "right")
+
     left: Formula
     right: Formula
+
+    def __post_init__(self) -> None:
+        _setattr(self, "_hash", hash((Iff, self.left, self.right)))
 
 
 def _check_binder(var: int | str) -> None:
@@ -147,22 +215,28 @@ def _check_binder(var: int | str) -> None:
         raise ValueError(f"binder variable must be an id or metavariable name, got {var!r}")
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
+@_node
+class Forall(_Node, Formula):
+    __slots__ = ("var", "body")
+
     var: int | str
     body: Formula
 
     def __post_init__(self) -> None:
         _check_binder(self.var)
+        _setattr(self, "_hash", hash((Forall, self.var, self.body)))
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
+@_node
+class Exists(_Node, Formula):
+    __slots__ = ("var", "body")
+
     var: int | str
     body: Formula
 
     def __post_init__(self) -> None:
         _check_binder(self.var)
+        _setattr(self, "_hash", hash((Exists, self.var, self.body)))
 
 
 _BINARY = (Implies, And, Or, Iff)

@@ -328,9 +328,9 @@ def conclude(b: ProofBuilder, idx: int) -> int:
     when that happens, a short identity detour restates it at the end.
     """
     f = b.formula(idx)
-    steps = b.proof().steps
-    if steps and steps[-1].formula == f:
-        return len(steps)
+    last = len(b)
+    if last and b.formula(last) == f:
+        return last
     ident = derive_identity(b, f)
     return b.restate(idx, ident)
 

@@ -3,6 +3,7 @@
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +225,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "proofbench", "eval", "--bound", "3", "1 = 1"],
         capture_output=True,
         text=True,
+        cwd=Path(__file__).resolve().parents[1] / "src",  # `-m` imports the checkout's package
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"

@@ -1,17 +1,23 @@
-"""Formula/term core: free variables, substitution, closure."""
+"""Formula/term core: node hashing, free variables, substitution, closure."""
+
+import pickle
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
 
 from proofbench.syntax import (
+    And,
     App,
     Atom,
     CaptureError,
     Const,
     Exists,
     Forall,
+    Iff,
     Implies,
     Not,
+    Or,
     Var,
     connective_depth,
     free_for,
@@ -132,3 +138,66 @@ def test_bad_binder_rejected():
         Forall(0, EQ11)
     with pytest.raises(ValueError):
         Forall(-2, EQ11)
+
+
+def _rebuild(node):
+    """A copy of a term or formula built field by field, sharing no node."""
+    if isinstance(node, tuple):
+        return tuple(_rebuild(x) for x in node)
+    if not hasattr(node, "__dataclass_fields__"):
+        return node
+    return type(node)(*(_rebuild(getattr(node, f.name)) for f in fields(node)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas())
+def test_rebuilt_node_is_equal_with_the_same_hash(f):
+    for copy in (_rebuild(f), pickle.loads(pickle.dumps(f))):
+        assert copy == f
+        assert hash(copy) == hash(f)
+
+
+NODE_CASES = [
+    (X1, ("id",), "Var(id=1)"),
+    (Const("0"), ("name",), "Const(name='0')"),
+    (App("S", (X1,)), ("func", "args"), "App(func='S', args=(Var(id=1),))"),
+    (EQ11, ("pred", "args"), "Atom(pred='=', args=(Var(id=1), Var(id=1)))"),
+    (Not(EQ11), ("body",), f"Not(body={EQ11!r})"),
+    (Implies(EQ11, LT12), ("left", "right"), f"Implies(left={EQ11!r}, right={LT12!r})"),
+    (And(EQ11, LT12), ("left", "right"), f"And(left={EQ11!r}, right={LT12!r})"),
+    (Or(EQ11, LT12), ("left", "right"), f"Or(left={EQ11!r}, right={LT12!r})"),
+    (Iff(EQ11, LT12), ("left", "right"), f"Iff(left={EQ11!r}, right={LT12!r})"),
+    (Forall(1, EQ11), ("var", "body"), f"Forall(var=1, body={EQ11!r})"),
+    (Exists(1, EQ11), ("var", "body"), f"Exists(var=1, body={EQ11!r})"),
+]
+
+
+@pytest.mark.parametrize(
+    "node, names, text", NODE_CASES, ids=[type(c[0]).__name__ for c in NODE_CASES]
+)
+def test_node_fields_repr_and_frozenness(node, names, text):
+    assert tuple(f.name for f in fields(node)) == names
+    assert repr(node) == text
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, getattr(node, name))
+    with pytest.raises(FrozenInstanceError):
+        node.extra = 1
+
+
+def test_binary_connectives_hash_apart():
+    assert len({hash(c(EQ11, LT12)) for c in (Implies, And, Or, Iff)}) == 4
+
+
+def test_hash_of_a_deep_shared_dag():
+    f = EQ11
+    for _ in range(200):
+        f = Implies(f, f)
+    assert hash(f) == hash(Implies(f.left, f.right))
+
+
+def test_hash_of_a_deep_negation_chain():
+    f = EQ11
+    for _ in range(5000):
+        f = Not(f)
+    assert isinstance(hash(f), int)
