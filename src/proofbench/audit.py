@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import Budget, BudgetReport, assemble_pool, bounded_closure, prove, sorted_pool
+from .engine import Budget, BudgetReport, bounded_closure, pool_for, prove
 from .parser import ParseError, render
 from .parser import parse as parse_formula
 from .proofs import Ax, Proof, check_proof, parse_proof_script, render_proof_script
@@ -181,14 +181,10 @@ def _semantic_premises(
     derivation from this context can draw on, so a valuation satisfying all
     of them bounds what is derivable.
     """
-    pool = assemble_pool(tuple(f for _, f in hyps), axioms, goal)
     premises = [f for _, f in hyps]
+    pool = pool_for(tuple(premises), axioms, goal)
     seen = set(premises)
-    for f in sorted_pool(pool):
-        if f not in seen and any(r.contains(f) for r in axioms):
-            premises.append(f)
-            seen.add(f)
-    return premises
+    return premises + [f for f, _ in pool.axioms if f not in seen]
 
 
 def refutation_valuation(
@@ -388,9 +384,6 @@ def run_audit(
 
 
 # -- claim scripts ------------------------------------------------------
-
-_DEFAULT_BINDINGS = ("delta", "alpha_prime")
-
 
 def _base_bindings() -> dict[str, Formula]:
     return {

@@ -353,6 +353,9 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     except AuditError as e:
         print(f"error: {e}", file=err)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: input nests too deeply", file=err)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

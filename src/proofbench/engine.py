@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .proofs import Proof, ProofBuilder
 from .schemata import NAMED_FORMULA_NAMES, AxiomSetRecognizer, named_formula
@@ -61,7 +62,6 @@ class Budget:
 
     max_steps: int = 10**6
     max_depth: int = 40
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if self.max_steps < 1 or self.max_depth < 1:
@@ -76,6 +76,28 @@ class BudgetReport:
     max_steps: int
     max_depth: int
     fixpoint: bool
+
+
+# recipe kind -> kernel template, called with the builder, the derived formula,
+# the recipe's arguments and the step indexes of the formulas emitted so far
+_EMIT = {
+    "hyp": lambda b, g, a, done: b.add_hyp(a[0]),
+    "axiom": lambda b, g, a, done: b.add_axiom_named(g, a[0]),
+    "mp": lambda b, g, a, done: b.add_mp(done[a[0]], done[a[1]]),
+    "notimp_l": lambda b, g, a, done: derive_notimp_left(b, done[a[0]]),
+    "notimp_r": lambda b, g, a, done: derive_notimp_right(b, done[a[0]]),
+    "dnelim": lambda b, g, a, done: derive_dnelim(b, done[a[0]]),
+    "dnintro": lambda b, g, a, done: derive_dnintro(b, done[a[0]]),
+    "andel1": lambda b, g, a, done: derive_andel(b, done[a[0]], 1),
+    "andel2": lambda b, g, a, done: derive_andel(b, done[a[0]], 2),
+    "andintro": lambda b, g, a, done: derive_andintro(b, done[a[0]], done[a[1]]),
+    "orin_l": lambda b, g, a, done: derive_orin(b, done[a[0]], g.right, "left"),
+    "orin_r": lambda b, g, a, done: derive_orin(b, done[a[0]], g.left, "right"),
+    "imp_from_cons": lambda b, g, a, done: derive_imp_from_cons(b, done[a[0]], g.left),
+    "imp_from_neg": lambda b, g, a, done: derive_imp_from_neg(b, done[a[0]], g.right),
+    "explosion": lambda b, g, a, done: derive_explosion(b, done[a[0]], done[a[1]], g),
+    "gen": lambda b, g, a, done: b.add_gen(done[a[0]], a[1]),
+}
 
 
 @dataclass(frozen=True)
@@ -143,57 +165,8 @@ class ClosureState:
                     if p not in done:
                         stack.append((p, False))
                 continue
-            done[g] = self._emit_one(b, g, entry, done)
+            done[g] = _EMIT[entry.recipe[0]](b, g, entry.recipe[1:], done)
         return done[f]
-
-    def _emit_one(
-        self, b: ProofBuilder, g: Formula, entry: _Entry, done: dict[Formula, int]
-    ) -> int:
-        kind = entry.recipe[0]
-        args = entry.recipe[1:]
-        if kind == "hyp":
-            return b.add_hyp(args[0])
-        if kind == "axiom":
-            return b.add_axiom_named(g, args[0])
-        if kind == "mp":
-            return b.add_mp(done[args[0]], done[args[1]])
-        if kind == "notimp_l":
-            return derive_notimp_left(b, done[args[0]])
-        if kind == "notimp_r":
-            return derive_notimp_right(b, done[args[0]])
-        if kind == "dnelim":
-            return derive_dnelim(b, done[args[0]])
-        if kind == "dnintro":
-            return derive_dnintro(b, done[args[0]])
-        if kind == "andel1":
-            return derive_andel(b, done[args[0]], 1)
-        if kind == "andel2":
-            return derive_andel(b, done[args[0]], 2)
-        if kind == "andintro":
-            return derive_andintro(b, done[args[0]], done[args[1]])
-        if kind == "orin_l":
-            assert isinstance(g, Or)
-            return derive_orin(b, done[args[0]], g.right, "left")
-        if kind == "orin_r":
-            assert isinstance(g, Or)
-            return derive_orin(b, done[args[0]], g.left, "right")
-        if kind == "imp_from_cons":
-            assert isinstance(g, Implies)
-            return derive_imp_from_cons(b, done[args[0]], g.left)
-        if kind == "imp_from_neg":
-            return derive_imp_from_neg(b, done[args[0]], g.right)
-        if kind == "explosion":
-            return derive_explosion(b, done[args[0]], done[args[1]], g)
-        if kind == "gen":
-            return b.add_gen(done[args[0]], args[1])
-        raise AssertionError(f"unknown recipe {kind!r}")
-
-    def dump(self) -> str:
-        """One formula per line, prefixed by its 1-based derivation index."""
-        from .parser import render
-
-        lines = [f"{i}\t{render(f)}" for i, f in enumerate(self.formulas, start=1)]
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _named_hyps(X) -> tuple[tuple[str, Formula], ...]:
@@ -238,6 +211,60 @@ def assemble_pool(
     return tuple(pool)
 
 
+class Pool:
+    """The instantiation pool of one (hypotheses, axioms, goal) context.
+
+    Holds the member set, the indexes the closure's pool-gated introductions
+    look up, and the recognized axiom-set members, each paired with the name
+    of the first recognizer that contains it.  Index lists and axiom members
+    follow the render order of :func:`sorted_pool`, which decides the
+    proofs.  Read-only once built.
+    """
+
+    def __init__(
+        self,
+        hyp_formulas: tuple[Formula, ...],
+        axioms: tuple[AxiomSetRecognizer, ...],
+        goal: Formula | None,
+    ) -> None:
+        self.members = frozenset(assemble_pool(hyp_formulas, axioms, goal))
+        self.imp_by_right: dict[Formula, list[Implies]] = {}
+        self.imp_by_left: dict[Formula, list[Implies]] = {}
+        self.and_by_side: dict[Formula, list[And]] = {}
+        self.or_by_side: dict[Formula, list[Or]] = {}
+        self.all_by_body: dict[Formula, list[Forall]] = {}
+        axiom_members: list[tuple[Formula, str]] = []
+        for f in sorted_pool(self.members):
+            if isinstance(f, Implies):
+                self.imp_by_right.setdefault(f.right, []).append(f)
+                self.imp_by_left.setdefault(f.left, []).append(f)
+            elif isinstance(f, And):
+                self.and_by_side.setdefault(f.left, []).append(f)
+                if f.right != f.left:
+                    self.and_by_side.setdefault(f.right, []).append(f)
+            elif isinstance(f, Or):
+                self.or_by_side.setdefault(f.left, []).append(f)
+                if f.right != f.left:
+                    self.or_by_side.setdefault(f.right, []).append(f)
+            elif isinstance(f, Forall) and isinstance(f.var, int):
+                self.all_by_body.setdefault(f.body, []).append(f)
+            name = next((r.name for r in axioms if r.contains(f)), None)
+            if name is not None:
+                axiom_members.append((f, name))
+        self.axioms = tuple(axiom_members)
+
+
+@lru_cache(maxsize=1)
+def pool_for(
+    hyp_formulas: tuple[Formula, ...],
+    axioms: tuple[AxiomSetRecognizer, ...],
+    goal: Formula | None,
+) -> Pool:
+    """The :class:`Pool` of a context.  The last one built is kept, so the
+    refutation premises and the first closure of a claim share it."""
+    return Pool(hyp_formulas, axioms, goal)
+
+
 class _Saturation:
     """One forward-closure run.  Mutable; produces a ClosureState."""
 
@@ -252,41 +279,20 @@ class _Saturation:
         self.axioms = axioms
         self.budget = budget
         self.goal = goal
-        self.pool = frozenset(
-            assemble_pool(tuple(f for _, f in hypotheses), axioms, goal)
-        )
-        self.sorted_pool = sorted_pool(self.pool)
+        self.pool = pool_for(tuple(f for _, f in hypotheses), axioms, goal)
+        self.hyps_by_name = dict(hypotheses)
         self.entries: dict[Formula, _Entry] = {}
         self.frontier: deque[Formula] = deque()
         self.steps = 0
         self.contradiction: tuple[Formula, Formula] | None = None
-        # indexes over derived formulas
+        # derived implications, by antecedent
         self.majors_by_left: dict[Formula, list[Formula]] = {}
-        # indexes over the pool
-        self.pool_imp_by_right: dict[Formula, list[Implies]] = {}
-        self.pool_imp_by_left: dict[Formula, list[Implies]] = {}
-        self.pool_and_by_side: dict[Formula, list[And]] = {}
-        self.pool_or_by_side: dict[Formula, list[Or]] = {}
-        self.pool_all_by_body: dict[Formula, list[Forall]] = {}
-        for f in self.sorted_pool:
-            if isinstance(f, Implies):
-                self.pool_imp_by_right.setdefault(f.right, []).append(f)
-                self.pool_imp_by_left.setdefault(f.left, []).append(f)
-            elif isinstance(f, And):
-                self.pool_and_by_side.setdefault(f.left, []).append(f)
-                if f.right != f.left:
-                    self.pool_and_by_side.setdefault(f.right, []).append(f)
-            elif isinstance(f, Or):
-                self.pool_or_by_side.setdefault(f.left, []).append(f)
-                if f.right != f.left:
-                    self.pool_or_by_side.setdefault(f.right, []).append(f)
-            elif isinstance(f, Forall) and isinstance(f.var, int):
-                self.pool_all_by_body.setdefault(f.body, []).append(f)
 
     def allowed(self, f: Formula) -> bool:
         if connective_depth(f) > self.budget.max_depth:
             return False
-        return f in self.pool or (isinstance(f, Not) and f.body in self.pool)
+        members = self.pool.members
+        return f in members or (isinstance(f, Not) and f.body in members)
 
     def spent(self) -> bool:
         return self.steps >= self.budget.max_steps
@@ -312,13 +318,10 @@ class _Saturation:
         for name, f in self.hypotheses:
             # (a1): the base set is in the closure at any budget
             self.add(f, ("hyp", name), frozenset((name,)), free=True)
-        for f in self.sorted_pool:
+        for f, name in self.pool.axioms:
             if self.spent():
                 break
-            for r in self.axioms:
-                if r.contains(f):
-                    self.add(f, ("axiom", r.name), frozenset())
-                    break
+            self.add(f, ("axiom", name), frozenset())
         while self.frontier and not self.spent():
             f = self.frontier.popleft()
             self.expand(f)
@@ -372,12 +375,13 @@ class _Saturation:
         dn = Not(Not(f))
         if self.allowed(dn):
             self.add(dn, ("dnintro", f), deps)
-        for imp in self.pool_imp_by_right.get(f, ()):
+        pool = self.pool
+        for imp in pool.imp_by_right.get(f, ()):
             self.add(imp, ("imp_from_cons", f), deps)
         if isinstance(f, Not):
-            for imp in self.pool_imp_by_left.get(f.body, ()):
+            for imp in pool.imp_by_left.get(f.body, ()):
                 self.add(imp, ("imp_from_neg", f), deps)
-        for conj in self.pool_and_by_side.get(f, ()):
+        for conj in pool.and_by_side.get(f, ()):
             other = conj.right if conj.left == f else conj.left
             if other in self.entries:
                 left, right = conj.left, conj.right
@@ -386,12 +390,11 @@ class _Saturation:
                     ("andintro", left, right),
                     self.entries[left].hyp_deps | self.entries[right].hyp_deps,
                 )
-        for disj in self.pool_or_by_side.get(f, ()):
+        for disj in pool.or_by_side.get(f, ()):
             recipe = ("orin_l", f) if disj.left == f else ("orin_r", f)
             self.add(disj, recipe, deps)
-        for quant in self.pool_all_by_body.get(f, ()):
-            by_name = dict(self.hypotheses)
-            if any(quant.var in free_vars(by_name[n]) for n in deps):
+        for quant in pool.all_by_body.get(f, ()):
+            if any(quant.var in free_vars(self.hyps_by_name[n]) for n in deps):
                 continue
             self.add(quant, ("gen", f, quant.var), deps)
 

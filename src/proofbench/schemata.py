@@ -559,7 +559,6 @@ class AxiomSetRecognizer:
     name: str
     contains: Callable[[Formula], bool]
     finite_core: tuple[Formula, ...] = ()
-    includes_logic: bool = False
     diagnose: Callable[[Formula], str] | None = None
     generate_for: Callable[[Formula], tuple[Formula, ...]] | None = None
 
@@ -651,13 +650,9 @@ def axiom_set(name: str, *, beta0_conjuncts: Iterable[Formula] | None = None) ->
     ``L11``, ``LT1``, ``PrefixedL2r``, ``NPsi3dot``, ``NPsi3ddot``.
     """
     if name == "L12":
-        return AxiomSetRecognizer(
-            "L12", is_logic_instance, includes_logic=True, diagnose=logic_diagnose
-        )
+        return AxiomSetRecognizer("L12", is_logic_instance, diagnose=logic_diagnose)
     if name == "L2r":
-        return AxiomSetRecognizer(
-            "L2r", _is_closure_of_logic_instance, includes_logic=True
-        )
+        return AxiomSetRecognizer("L2r", _is_closure_of_logic_instance)
     if name == "Xp":
         return AxiomSetRecognizer(
             "Xp", _psi_member, finite_core=tuple(PSI_AXIOMS.values())
@@ -678,7 +673,6 @@ def axiom_set(name: str, *, beta0_conjuncts: Iterable[Formula] | None = None) ->
         return AxiomSetRecognizer(
             "L11",
             _l11_member,
-            includes_logic=True,
             generate_for=lambda f: (
                 (_prefix_l11(f),)
                 if _is_closure_of_logic_instance(f) and not is_logic_instance(f)
@@ -701,7 +695,6 @@ def axiom_set(name: str, *, beta0_conjuncts: Iterable[Formula] | None = None) ->
         return AxiomSetRecognizer(
             "LT1",
             lt1_member,
-            includes_logic=True,
             generate_for=lambda f: (
                 (Implies(beta0, f),)
                 if _is_closure_of_logic_instance(f) and not is_logic_instance(f)

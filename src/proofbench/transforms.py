@@ -246,24 +246,6 @@ def derive_orin(b: ProofBuilder, i: int, other: Formula, side: str) -> int:
     return b.add_mp(i, b.add_axiom(inst))
 
 
-def derive_orelim(b: ProofBuilder, d: int, i: int, j: int) -> int:
-    """From ``d``: A \\/ D, ``i``: A -> C, ``j``: D -> C, derive C."""
-    fd, fi, fj = b.formula(d), b.formula(i), b.formula(j)
-    if not (
-        isinstance(fd, Or)
-        and isinstance(fi, Implies)
-        and isinstance(fj, Implies)
-        and fi.left == fd.left
-        and fj.left == fd.right
-        and fi.right == fj.right
-    ):
-        raise TransformError("case split needs A \\/ D, A -> C, D -> C")
-    s1 = b.add_axiom(phi10_instance(fd.left, fi.right, fd.right))
-    s2 = b.add_mp(i, s1)
-    s3 = b.add_mp(j, s2)
-    return b.add_mp(d, s3)
-
-
 def derive_notand(b: ProofBuilder, i: int, other: Formula, which: int) -> int:
     """From step ``i``: ~A, derive ~(A /\\ other) (``which=1``) or ~(other /\\ A)."""
     ni = b.formula(i)

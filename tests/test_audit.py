@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from proofbench import audit, engine
 from proofbench.audit import (
     CLAIM_SHAPES,
     AuditClaim,
@@ -14,6 +15,7 @@ from proofbench.audit import (
     recheck_report,
     render_report_text,
     run_audit,
+    run_claim,
     write_report,
 )
 from proofbench.engine import Budget
@@ -194,6 +196,26 @@ def test_hypothesis_members_never_refuted():
     )
     rep = run_audit("guard-script", [claim], Budget(max_steps=2000))
     assert rep.verdicts[0].status == "VERIFIED"
+
+
+def test_membership_claim_builds_its_pool_once(monkeypatch):
+    # refutation premises and the first proof-search closure share one pool
+    hyps = (("h1", parse("(1 < 1) -> (1 = 1)")), ("h2", parse("1 < 1")))
+    goal = parse("1 = 1")
+    claim = AuditClaim("mp", "membership", ("L12",), hyps, goal)
+    calls = []
+    real = engine.assemble_pool
+
+    def counting(hyp_formulas, axioms, g):
+        calls.append((hyp_formulas, g))
+        return real(hyp_formulas, axioms, g)
+
+    for module in (engine, audit):  # every module that binds the name
+        if getattr(module, "assemble_pool", None) is real:
+            monkeypatch.setattr(module, "assemble_pool", counting)
+    verdict = run_claim(claim, Budget(max_steps=2000))
+    assert verdict.status == "VERIFIED"
+    assert calls.count((tuple(f for _, f in hyps), goal)) == 1
 
 
 def test_theorem_51_report_states_counts_only(reports):

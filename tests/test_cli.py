@@ -150,6 +150,14 @@ def test_taut_parse_error(tmp_path):
     assert "bad formula" in err
 
 
+def test_deep_input_is_usage_error(tmp_path):
+    f = tmp_path / "deep.txt"
+    f.write_text("~" * 3000 + "(1 = 1)\n")
+    code, _, err = run_cli("taut", str(f))
+    assert code == 2
+    assert "error: input nests too deeply" in err
+
+
 def test_eval_verb():
     code, out, _ = run_cli("eval", "--bound", "5", "(Ax1)(x1 < 1)")
     assert code == 0
