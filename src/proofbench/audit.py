@@ -63,15 +63,7 @@ from .schemata import (
     axiom_set,
     named_formula,
 )
-from .semantics import (
-    FALSE,
-    MAX_SKELETON_ATOMS,
-    SkeletonLimitError,
-    arith_counterexample,
-    eval_arith,
-    eval_skeleton,
-    skeletonize_all,
-)
+from .semantics import FALSE, SkeletonLimitError, arith_counterexample, eval_arith, lowest_row
 from .syntax import Forall, Formula, Implies, Not
 
 VERIFIED = "VERIFIED"
@@ -199,31 +191,10 @@ def refutation_valuation(
     Returns None when no such valuation exists (or the sweep would be wider
     than the atom cap allows).
     """
-    formulas = list(premises) + ([goal] if goal is not None else [])
-    roots, atoms = skeletonize_all(formulas)
-    goal_root = roots.pop() if goal is not None else None
-    forced = 0
-    free_positions = []
-    for i, a in enumerate(atoms):
-        if derivable_outright(a, axioms):
-            forced |= 1 << i
-        else:
-            free_positions.append(i)
-    if len(free_positions) > MAX_SKELETON_ATOMS:
-        raise SkeletonLimitError(
-            f"{len(free_positions)} free skeleton atoms exceed the cap of "
-            f"{MAX_SKELETON_ATOMS}"
-        )
-    for mask in range(1 << len(free_positions)):
-        bits = forced
-        for j, pos in enumerate(free_positions):
-            if mask >> j & 1:
-                bits |= 1 << pos
-        if not all(eval_skeleton(r, bits) for r in roots):
-            continue
-        if goal_root is None or not eval_skeleton(goal_root, bits):
-            return tuple((a, bool(bits >> i & 1)) for i, a in enumerate(atoms))
-    return None
+    try:
+        return lowest_row(premises, goal, pinned=lambda a: derivable_outright(a, axioms))
+    except SkeletonLimitError:
+        return None
 
 
 # -- judging ------------------------------------------------------------
@@ -537,11 +508,6 @@ def _detail_files(verdict: AuditVerdict) -> list[tuple[str, str]]:
     return out
 
 
-def _primary_detail_path(verdict: AuditVerdict) -> str:
-    files = _detail_files(verdict)
-    return files[0][0] if files else "-"
-
-
 def render_report_text(report: AuditReport) -> str:
     """The human-readable report body (the content of report.txt)."""
     counts = report.counts
@@ -582,15 +548,13 @@ def write_report(report: AuditReport, directory: str | Path) -> Path:
     (root / "details").mkdir(parents=True, exist_ok=True)
     (root / "report.txt").write_text(render_report_text(report))
 
-    tsv = [
-        f"{v.claim.claim_id}\t{v.status}\t{v.steps}\t{_primary_detail_path(v)}"
-        for v in report.verdicts
-    ]
-    (root / "report.tsv").write_text("\n".join(tsv) + "\n")
-
+    tsv = []
     for v in report.verdicts:
-        for rel, content in _detail_files(v):
+        files = _detail_files(v)
+        tsv.append(f"{v.claim.claim_id}\t{v.status}\t{v.steps}\t{files[0][0]}")
+        for rel, content in files:
             (root / rel).write_text(content)
+    (root / "report.tsv").write_text("\n".join(tsv) + "\n")
     return root
 
 
@@ -626,6 +590,8 @@ def recheck_report(directory: str | Path) -> list[str]:
                 goal = parse_formula(first[len("# goal ") :])
             except ParseError as exc:
                 problems.append(f"{proof_path.name}: bad goal line: {exc}")
+            except RecursionError:
+                problems.append(f"{proof_path.name}: bad goal line: nests too deeply")
         try:
             proof = parse_proof_script(text)
         except Exception as exc:  # noqa: BLE001 - report, not crash

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .syntax import (
     And,
@@ -45,99 +45,78 @@ class SkeletonLimitError(ValueError):
 
 
 @dataclass(frozen=True)
-class SkAtom:
-    index: int
-
-
-@dataclass(frozen=True)
-class SkNot:
-    body: object
-
-
-@dataclass(frozen=True)
-class SkImp:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SkAnd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SkOr:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SkIff:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
 class Skeleton:
     """A propositional shape plus the subformulas its atoms stand for."""
 
-    root: object
+    root: Callable[[int], bool]
     atoms: tuple[Formula, ...]
 
 
-def _skeletonize(f: Formula, table: dict[Formula, int], atoms: list[Formula]):
+def _true(bits: int) -> bool:
+    return True
+
+
+def _bit(i: int) -> Callable[[int], bool]:
+    return lambda bits: bits >> i & 1 == 1
+
+
+def _skeletonize(
+    f: Formula,
+    leaves: dict[Formula, Callable[[int], bool]],
+    free: list[Formula],
+    pinned: Callable[[Formula], bool] | None = None,
+) -> Callable[[int], bool]:
+    """The skeleton of ``f`` compiled to a closure ``bits -> bool``.
+
+    ``leaves`` maps each atom met so far, in first-occurrence order, to its
+    closure.  An atom for which ``pinned`` holds is the constant true; any
+    other atom reads bit ``i`` of the row, where it is ``free[i]``.
+    """
     if isinstance(f, (Atom, Forall, Exists)):
-        idx = table.get(f)
-        if idx is None:
-            idx = len(atoms)
-            table[f] = idx
-            atoms.append(f)
-        return SkAtom(idx)
+        leaf = leaves.get(f)
+        if leaf is None:
+            if pinned is not None and pinned(f):
+                leaf = _true
+            else:
+                leaf = _bit(len(free))
+                free.append(f)
+            leaves[f] = leaf
+        return leaf
     if isinstance(f, Not):
-        return SkNot(_skeletonize(f.body, table, atoms))
+        body = _skeletonize(f.body, leaves, free, pinned)
+        return lambda bits: not body(bits)
+    if not isinstance(f, (Implies, And, Or, Iff)):
+        raise TypeError(f"not a formula: {f!r}")
+    left = _skeletonize(f.left, leaves, free, pinned)
+    right = _skeletonize(f.right, leaves, free, pinned)
     if isinstance(f, Implies):
-        return SkImp(_skeletonize(f.left, table, atoms), _skeletonize(f.right, table, atoms))
+        return lambda bits: not left(bits) or right(bits)
     if isinstance(f, And):
-        return SkAnd(_skeletonize(f.left, table, atoms), _skeletonize(f.right, table, atoms))
+        return lambda bits: left(bits) and right(bits)
     if isinstance(f, Or):
-        return SkOr(_skeletonize(f.left, table, atoms), _skeletonize(f.right, table, atoms))
-    if isinstance(f, Iff):
-        return SkIff(_skeletonize(f.left, table, atoms), _skeletonize(f.right, table, atoms))
-    raise TypeError(f"not a formula: {f!r}")
+        return lambda bits: left(bits) or right(bits)
+    return lambda bits: left(bits) == right(bits)
 
 
 def skeletonize(f: Formula) -> Skeleton:
     """The skeleton of a single formula."""
-    table: dict[Formula, int] = {}
-    atoms: list[Formula] = []
-    root = _skeletonize(f, table, atoms)
-    return Skeleton(root, tuple(atoms))
+    roots, atoms = skeletonize_all([f])
+    return Skeleton(roots[0], atoms)
 
 
-def skeletonize_all(formulas: Sequence[Formula]) -> tuple[list[object], tuple[Formula, ...]]:
+def skeletonize_all(
+    formulas: Sequence[Formula],
+) -> tuple[list[Callable[[int], bool]], tuple[Formula, ...]]:
     """Skeletons over one shared atom table, so valuations line up."""
-    table: dict[Formula, int] = {}
-    atoms: list[Formula] = []
-    roots = [_skeletonize(f, table, atoms) for f in formulas]
-    return roots, tuple(atoms)
+    leaves: dict[Formula, Callable[[int], bool]] = {}
+    free: list[Formula] = []
+    roots = [_skeletonize(f, leaves, free) for f in formulas]
+    return roots, tuple(leaves)
 
 
-def eval_skeleton(root: object, bits: int) -> bool:
+def eval_skeleton(root: Callable[[int], bool], bits: int) -> bool:
     """Evaluate under the valuation encoded as a bit mask (atom i = bit i)."""
-    if isinstance(root, SkAtom):
-        return bool(bits >> root.index & 1)
-    if isinstance(root, SkNot):
-        return not eval_skeleton(root.body, bits)
-    if isinstance(root, SkImp):
-        return (not eval_skeleton(root.left, bits)) or eval_skeleton(root.right, bits)
-    if isinstance(root, SkAnd):
-        return eval_skeleton(root.left, bits) and eval_skeleton(root.right, bits)
-    if isinstance(root, SkOr):
-        return eval_skeleton(root.left, bits) or eval_skeleton(root.right, bits)
-    if isinstance(root, SkIff):
-        return eval_skeleton(root.left, bits) == eval_skeleton(root.right, bits)
-    raise TypeError(f"not a skeleton node: {root!r}")
+    return root(bits)
 
 
 def _check_width(n: int) -> None:
@@ -145,21 +124,40 @@ def _check_width(n: int) -> None:
         raise SkeletonLimitError(f"{n} skeleton atoms exceed the sweep cap of {MAX_SKELETON_ATOMS}")
 
 
+def lowest_row(
+    premises: Sequence[Formula],
+    goal: Formula | None = None,
+    pinned: Callable[[Formula], bool] | None = None,
+) -> tuple[tuple[Formula, bool], ...] | None:
+    """The first valuation, rows ascending, making every premise true and ``goal`` false.
+
+    With ``goal`` None only the premises constrain the row.  Atoms for which
+    ``pinned`` holds are true on every row and take no bit, so only the free
+    atoms count against ``MAX_SKELETON_ATOMS``; free atom ``i``, in
+    first-occurrence order over premises then goal, is true on a row when
+    bit ``i`` is set.  Returns (atom, truth) pairs in first-occurrence order,
+    or None when no row qualifies.
+    """
+    leaves: dict[Formula, Callable[[int], bool]] = {}
+    free: list[Formula] = []
+    roots = [_skeletonize(f, leaves, free, pinned) for f in premises]
+    goal_root = None if goal is None else _skeletonize(goal, leaves, free, pinned)
+    _check_width(len(free))
+    for bits in range(1 << len(free)):
+        if all(r(bits) for r in roots) and (goal_root is None or not goal_root(bits)):
+            return tuple((a, leaf(bits)) for a, leaf in leaves.items())
+    return None
+
+
 def is_tautology(f: Formula) -> bool:
     """Whether the skeleton of ``f`` is true under every valuation."""
-    sk = skeletonize(f)
-    _check_width(len(sk.atoms))
-    return all(eval_skeleton(sk.root, bits) for bits in range(1 << len(sk.atoms)))
+    return lowest_row((), f) is None
 
 
 def falsifying_valuation(f: Formula) -> dict[Formula, bool] | None:
     """A valuation (atom formula -> truth) making ``f`` false, if one exists."""
-    sk = skeletonize(f)
-    _check_width(len(sk.atoms))
-    for bits in range(1 << len(sk.atoms)):
-        if not eval_skeleton(sk.root, bits):
-            return {a: bool(bits >> i & 1) for i, a in enumerate(sk.atoms)}
-    return None
+    row = lowest_row((), f)
+    return None if row is None else dict(row)
 
 
 def skeleton_entails(
@@ -170,25 +168,14 @@ def skeleton_entails(
     Returns ``(True, None)`` when every valuation satisfying all premises
     satisfies the conclusion, else ``(False, countermodel)``.
     """
-    roots, atoms = skeletonize_all([*premises, conclusion])
-    _check_width(len(atoms))
-    *prem_roots, goal_root = roots
-    for bits in range(1 << len(atoms)):
-        if all(eval_skeleton(r, bits) for r in prem_roots) and not eval_skeleton(
-            goal_root, bits
-        ):
-            return False, {a: bool(bits >> i & 1) for i, a in enumerate(atoms)}
-    return True, None
+    row = lowest_row(premises, conclusion)
+    return (True, None) if row is None else (False, dict(row))
 
 
 def satisfying_valuation(premises: Sequence[Formula]) -> dict[Formula, bool] | None:
     """A valuation making every premise true, if one exists."""
-    roots, atoms = skeletonize_all(list(premises))
-    _check_width(len(atoms))
-    for bits in range(1 << len(atoms)):
-        if all(eval_skeleton(r, bits) for r in roots):
-            return {a: bool(bits >> i & 1) for i, a in enumerate(atoms)}
-    return None
+    row = lowest_row(premises)
+    return None if row is None else dict(row)
 
 
 # -- bounded arithmetic -------------------------------------------------

@@ -1,6 +1,7 @@
 """Audit claims, verdict classification, report round trips, script grammar."""
 
 import hashlib
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from proofbench.audit import (
     derivable_outright,
     load_script,
     recheck_report,
+    refutation_valuation,
     render_report_text,
     run_audit,
     run_claim,
@@ -24,7 +26,7 @@ from proofbench.proofs import check_proof
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.scripts import builtin_claims, builtin_scripts
 from proofbench.semantics import eval_skeleton, skeletonize_all
-from proofbench.syntax import Implies, Not, universal_closure
+from proofbench.syntax import Implies, Not, Or, universal_closure
 
 PSI1 = PSI_AXIOMS["psi1"]
 PSI7 = PSI_AXIOMS["psi7"]
@@ -265,6 +267,17 @@ def test_recheck_flags_conclusion_mismatch(tmp_path, reports):
     assert recheck_report(d)
 
 
+def test_recheck_flags_deep_goal_line(tmp_path, reports):
+    d = tmp_path / "deep-goal"
+    write_report(reports["lemma-4.2"], d)
+    victim = d / "details" / "s15-m01.proof"
+    lines = victim.read_text().splitlines()
+    lines[0] = "# goal " + "~" * 3000 + "(1 = 1)"
+    victim.write_text("\n".join(lines) + "\n")
+    problems = recheck_report(d)
+    assert any("s15-m01.proof: bad goal line" in p for p in problems), problems
+
+
 def test_machine_report_format(tmp_path, reports):
     d = tmp_path / "fmt"
     write_report(reports["lemma-4.2"], d)
@@ -342,6 +355,30 @@ def test_claim_validation():
         AuditClaim("x", "membership", ("NoSuchSet",), (), PSI1, "")
     with pytest.raises(AuditError):
         AuditClaim("x", "membership", ("L12",), (), None, "")
+
+
+def _closed_atoms(n):
+    """``n`` distinct closed atoms S(0) = 0, S(S(0)) = 0, ..."""
+    return [parse("S(" * k + "0" + ")" * k + " = 0") for k in range(1, n + 1)]
+
+
+def test_refutation_valuation_caps_free_atoms_only():
+    # 22 atoms, 20 free: the two axiom atoms are pinned true and take no bit
+    psi7 = PSI_AXIOMS["psi7"]
+    free = _closed_atoms(20)
+    premises = [PSI1, Implies(psi7, free[0])]
+    val = refutation_valuation(premises, reduce(Or, free[1:]), (axiom_set("Xp"),))
+    # the lowest row sets only bit 0, the first free atom, which psi7 forces
+    assert val == ((PSI1, True), (psi7, True), (free[0], True)) + tuple(
+        (a, False) for a in free[1:]
+    )
+
+
+def test_wide_claim_goes_to_proof_search():
+    # 21 free atoms exceed the sweep cap: no refutation, and no crash
+    claim = AuditClaim("wide", "membership", ("L12",), (), reduce(Or, _closed_atoms(21)))
+    verdict = run_claim(claim, Budget(max_steps=2000))
+    assert verdict.status == "UNRESOLVED"
 
 
 def test_derivable_outright():

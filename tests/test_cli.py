@@ -208,6 +208,16 @@ def test_audit_script_file(tmp_path):
     assert "r1\tREFUTED" in out
 
 
+def test_audit_wide_claim_exits_zero(tmp_path):
+    # a goal over 21 distinct atoms is too wide to refute; proof search decides
+    goal = " \\/ ".join("S(" * k + "0" + ")" * k + " = 0" for k in range(1, 22))
+    script = tmp_path / "wide.txt"
+    script.write_text(f"claim w1 | hyps L12 | goal {goal}\n")
+    code, out, _ = run_cli("audit", str(script), "--deterministic", "--max-steps", "2000")
+    assert code == 0
+    assert "w1\tUNRESOLVED" in out
+
+
 def test_audit_bad_script_file(tmp_path):
     script = tmp_path / "bad.audit"
     script.write_text("claim c1 | hyps NoSuchThing | goal psi1\n")

@@ -77,6 +77,36 @@ def atom_universe_of(f):
     return atoms
 
 
+def first_occurrence_atoms(formulas):
+    """Skeleton atoms in first-occurrence order, found without the oracle."""
+    seen = {}
+
+    def walk(f):
+        if isinstance(f, Not):
+            walk(f.body)
+        elif isinstance(f, (And, Or, Implies, Iff)):
+            walk(f.left)
+            walk(f.right)
+        else:
+            seen.setdefault(f, None)
+
+    for f in formulas:
+        walk(f)
+    return tuple(seen)
+
+
+def brute_lowest_row(premises, goal=None):
+    """The lowest row (atom k = bit k) making the premises true and the goal false."""
+    atoms = first_occurrence_atoms([*premises] + ([goal] if goal is not None else []))
+    for bits in range(1 << len(atoms)):
+        valuation = {a: bool(bits >> k & 1) for k, a in enumerate(atoms)}
+        if all(brute_eval(p, valuation) for p in premises) and (
+            goal is None or not brute_eval(goal, valuation)
+        ):
+            return valuation
+    return None
+
+
 # ---------------------------------------------------------------------------
 # tautology oracle
 
@@ -126,6 +156,13 @@ def test_oracle_agrees_with_brute_force_sample():
     corpus = [f for layer in levels for f in layer]
     for f in rng.sample(corpus, 400):
         assert is_tautology(f) == brute_is_tautology(f, atom_universe_of(f))
+        # the countermodels are the lowest rows, which REFUTED artifacts record
+        assert falsifying_valuation(f) == brute_lowest_row([], f)
+    for _ in range(200):
+        premises, goal = rng.sample(corpus, 2), rng.choice(corpus)
+        row = brute_lowest_row(premises, goal)
+        assert skeleton_entails(premises, goal) == (row is None, row)
+        assert satisfying_valuation(premises) == brute_lowest_row(premises)
 
 
 def test_satisfying_valuation():
