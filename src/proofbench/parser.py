@@ -1,26 +1,38 @@
 """Concrete syntax: parse and render formulas and terms.
 
-Grammar (loosest to tightest):
+One operator table, ``_INFIX``, drives both directions. Binding power,
+loosest first:
 
-    implication   ->   right-associative
-    equivalence   <->  left-associative
-    disjunction   \\/   left-associative
-    conjunction   /\\   left-associative
-    prefixes      ~F, (Ax1)F, (Ex1)F
-    atoms         t = t, t < t, parenthesized formulas
+    1   ->                    right-associative
+    2   <->                   left-associative
+    3   \\/                    left-associative
+    4   /\\                    left-associative
+    5   ~F, (Ax1)F, (Ex1)F    prefixes (``_PREFIX``)
+    6   =, <                  non-associative
+    7   +                     left-associative
+    8   *                     left-associative
 
-Terms: ``+`` and ``*`` are left-associative with ``*`` binding tighter; ``S``
-is applied as ``S(t)``; variables are ``x1, x2, ...``; constants ``0``/``1``.
-``#`` starts a comment running to end of line.
+The operands of the connectives and prefixes are formulas; the operands of
+``=``, ``<``, ``+`` and ``*`` are terms. The primaries are ``(...)``,
+``S(t)``, the variables ``x1, x2, ...`` (ids start at 1) and the constants
+``0`` and ``1``. ``#`` starts a comment running to end of line.
 
-:func:`render` produces the minimal-paren form that :func:`parse` reads back
-to an equal tree.
+:func:`parse` is a single-pass precedence climber (Pratt, *Top Down Operator
+Precedence*, 1973): one loop reads a primary or prefix, then every infix
+operator that binds at least as tightly as its caller asked for. A
+parenthesized group may hold a term or a formula; its sort is checked only
+where an operator or the caller uses it, so ``(`` never backtracks.
+
+:func:`render` reads the same table and produces a form that :func:`parse`
+reads back to an equal tree. It drops every parenthesis the table makes
+redundant except around an atom under a prefix or on the right of ``/\\``,
+which it keeps: ``0 = 0 /\\ (1 = 1)``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .syntax import (
     And,
@@ -47,289 +59,213 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+class _Op(NamedTuple):
+    glyph: str
+    power: int  # binding power: higher binds tighter
+    right: bool  # right-associative
+    sort: type  # the sort of both operands
+    build: Callable
+
+
+_PREFIX = 5  # ~F, (Ax1)F, (Ex1)F: the body takes =, <, + and *, and stops at /\
+
+# token kind -> operator; '=' and '<' chain into a formula operand, which
+# their sort rejects, so they need no associativity of their own
+_INFIX = {
+    "imp": _Op("->", 1, True, Formula, Implies),
+    "iff": _Op("<->", 2, False, Formula, Iff),
+    "or": _Op("\\/", 3, False, Formula, Or),
+    "and": _Op("/\\", 4, False, Formula, And),
+    "eq": _Op("=", 6, False, Term, lambda a, b: Atom("=", (a, b))),
+    "lt": _Op("<", 6, False, Term, lambda a, b: Atom("<", (a, b))),
+    "plus": _Op("+", 7, False, Term, lambda a, b: App("+", (a, b))),
+    "star": _Op("*", 8, False, Term, lambda a, b: App("*", (a, b))),
+}
+
+_BINDERS = {"A": Forall, "E": Exists}
+
+# whitespace and comments are skipped before each token; ``bad`` takes any
+# other character, and ``end`` matches once, at the end of the input
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<var>x[0-9]+)
-  | (?P<const>[01])
-  | (?P<name>[SAE])
-  | (?P<iff><->)
-  | (?P<imp>->)
-  | (?P<and>/\\)
-  | (?P<or>\\/)
-  | (?P<not>~)
-  | (?P<lpar>\()
-  | (?P<rpar>\))
-  | (?P<plus>\+)
-  | (?P<star>\*)
-  | (?P<eq>=)
-  | (?P<lt><)
-  | (?P<comma>,)
+    (?:\s+|\#[^\n]*)*
+    (?:
+      (?P<var>x[0-9]+)
+    | (?P<const>[01])
+    | (?P<name>[SAE])
+    | (?P<iff><->)
+    | (?P<imp>->)
+    | (?P<and>/\\)
+    | (?P<or>\\/)
+    | (?P<not>~)
+    | (?P<lpar>\()
+    | (?P<rpar>\))
+    | (?P<plus>\+)
+    | (?P<star>\*)
+    | (?P<eq>=)
+    | (?P<lt><)
+    | (?P<end>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+def _unexpected(tok: tuple[str, str, int], wanted: str) -> ParseError:
+    kind, text, pos = tok
+    if kind == "bad":
+        return ParseError(f"unexpected character {text!r}", pos)
+    got = "end of input" if kind == "end" else repr(text)
+    return ParseError(f"expected {wanted}, got {got}", pos)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup or ""
-        if kind != "ws":
-            out.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    return out
+def _sorted(node, sort: type, pos: int, who: str):
+    if not isinstance(node, sort):
+        raise ParseError(f"{who} needs a {sort.__name__.lower()}", pos)
+    return node
+
+
+def _var(text: str, pos: int) -> Var:
+    try:
+        return Var(int(text[1:]))
+    except ValueError:  # x0, or more digits than int() reads
+        raise ParseError(f"bad variable {text[:12]!r}: ids start at x1", pos) from None
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], length: int) -> None:
-        self.toks = tokens
-        self.pos = 0
-        self.length = length
+    __slots__ = ("toks", "i")
 
-    # -- token helpers -------------------------------------------------
+    def __init__(self, text: str) -> None:
+        # (kind, text, pos) triples; the last is always the end match
+        self.toks = [
+            (m.lastgroup, m.group(m.lastindex), m.start(m.lastindex))
+            for m in _TOKEN_RE.finditer(text)
+        ]
+        self.i = 0
 
-    def _peek(self, ahead: int = 0) -> _Token | None:
-        i = self.pos + ahead
-        return self.toks[i] if i < len(self.toks) else None
+    def expect(self, kind: str, wanted: str) -> None:
+        tok = self.toks[self.i]
+        if tok[0] != kind:
+            raise _unexpected(tok, wanted)
+        self.i += 1
 
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        self.pos += 1
-        return tok
+    def expr(self, min_power: int) -> Formula | Term:
+        """The expression at the cursor, up to the first operator looser than ``min_power``."""
+        toks = self.toks
+        kind, text, pos = toks[self.i]
+        self.i += 1
+        if kind == "var":
+            left = _var(text, pos)
+        elif kind == "const":
+            left = Const(text)
+        elif kind == "not":
+            left = Not(_sorted(self.expr(_PREFIX), Formula, pos, "~"))
+        elif kind == "name" and text == "S":
+            self.expect("lpar", "'(' after S")
+            arg = _sorted(self.expr(0), Term, pos, "S")
+            self.expect("rpar", "')'")
+            left = App("S", (arg,))
+        elif kind == "lpar":
+            # the name test first: the end match keeps the next two in range
+            binder = _BINDERS.get(toks[self.i][1])
+            if binder and toks[self.i + 1][0] == "var" and toks[self.i + 2][0] == "rpar":
+                var = _var(*toks[self.i + 1][1:])
+                self.i += 3
+                body = _sorted(self.expr(_PREFIX), Formula, pos, "a quantifier")
+                left = binder(var.id, body)
+            else:
+                left = self.expr(0)
+                self.expect("rpar", "')'")
+        else:
+            raise _unexpected((kind, text, pos), "a term or a formula")
+        while True:
+            kind, _, pos = toks[self.i]
+            op = _INFIX.get(kind)
+            if op is None or op.power < min_power:
+                return left
+            self.i += 1
+            _sorted(left, op.sort, pos, op.glyph)
+            # a right-associative operator takes its own kind on the right
+            right = self.expr(op.power + (not op.right))
+            left = op.build(left, _sorted(right, op.sort, pos, op.glyph))
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
-        if tok is None or tok.kind != kind:
-            at = tok.pos if tok else self.length
-            got = repr(tok.text) if tok else "end of input"
-            raise ParseError(f"expected {what}, got {got}", at)
-        self.pos += 1
-        return tok
 
-    def _here(self) -> int:
-        tok = self._peek()
-        return tok.pos if tok else self.length
-
-    # -- formulas ------------------------------------------------------
-
-    def formula(self) -> Formula:
-        left = self.equivalence()
-        tok = self._peek()
-        if tok and tok.kind == "imp":
-            self._next()
-            right = self.formula()  # right-associative
-            return Implies(left, right)
-        return left
-
-    def equivalence(self) -> Formula:
-        left = self.disjunction()
-        while (tok := self._peek()) and tok.kind == "iff":
-            self._next()
-            left = Iff(left, self.disjunction())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while (tok := self._peek()) and tok.kind == "or":
-            self._next()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while (tok := self._peek()) and tok.kind == "and":
-            self._next()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        if tok.kind == "not":
-            self._next()
-            return Not(self.unary())
-        if tok.kind == "lpar" and self._is_quantifier():
-            self._next()  # (
-            q = self._next()  # A or E
-            v = self._next()  # var
-            self._expect("rpar", "')'")
-            body = self.unary()
-            var_id = int(v.text[1:])
-            return Forall(var_id, body) if q.text == "A" else Exists(var_id, body)
-        return self.atom_or_group()
-
-    def _is_quantifier(self) -> bool:
-        q = self._peek(1)
-        v = self._peek(2)
-        r = self._peek(3)
-        return (
-            q is not None
-            and q.kind == "name"
-            and q.text in ("A", "E")
-            and v is not None
-            and v.kind == "var"
-            and r is not None
-            and r.kind == "rpar"
-        )
-
-    def atom_or_group(self) -> Formula:
-        start = self.pos
-        try:
-            return self._atom()
-        except ParseError:
-            self.pos = start
-        self._expect("lpar", "'('")
-        inner = self.formula()
-        self._expect("rpar", "')'")
-        return inner
-
-    def _atom(self) -> Formula:
-        left = self.term()
-        tok = self._peek()
-        if tok is None or tok.kind not in ("eq", "lt"):
-            raise ParseError("expected '=' or '<'", self._here())
-        self._next()
-        right = self.term()
-        return Atom("=" if tok.kind == "eq" else "<", (left, right))
-
-    # -- terms ---------------------------------------------------------
-
-    def term(self) -> Term:
-        left = self.product()
-        while (tok := self._peek()) and tok.kind == "plus":
-            self._next()
-            left = App("+", (left, self.product()))
-        return left
-
-    def product(self) -> Term:
-        left = self.term_primary()
-        while (tok := self._peek()) and tok.kind == "star":
-            self._next()
-            left = App("*", (left, self.term_primary()))
-        return left
-
-    def term_primary(self) -> Term:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("expected a term", self.length)
-        if tok.kind == "var":
-            self._next()
-            return Var(int(tok.text[1:]))
-        if tok.kind == "const":
-            self._next()
-            return Const(tok.text)
-        if tok.kind == "name" and tok.text == "S":
-            self._next()
-            self._expect("lpar", "'(' after S")
-            inner = self.term()
-            self._expect("rpar", "')'")
-            return App("S", (inner,))
-        if tok.kind == "lpar":
-            self._next()
-            inner = self.term()
-            self._expect("rpar", "')'")
-            return inner
-        raise ParseError(f"expected a term, got {tok.text!r}", tok.pos)
+def _parse(text: str, sort: type):
+    p = _Parser(text)
+    node = p.expr(0)
+    if p.toks[p.i][0] != "end":
+        raise _unexpected(p.toks[p.i], "end of input")
+    return _sorted(node, sort, 0, "the input")
 
 
 def parse(text: str) -> Formula:
     """Parse ``text`` as a formula; raises :class:`ParseError` on junk."""
-    p = _Parser(_tokenize(text), len(text))
-    f = p.formula()
-    tok = p._peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return f
+    return _parse(text, Formula)
 
 
 def parse_term(text: str) -> Term:
     """Parse ``text`` as a term."""
-    p = _Parser(_tokenize(text), len(text))
-    t = p.term()
-    tok = p._peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return t
+    return _parse(text, Term)
 
 
 # -- rendering ---------------------------------------------------------
 
-_PREC_IMP = 0
-_PREC_IFF = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
+# render's view of the table, keyed by connective class or by the Atom.pred
+# or App.func symbol: (" glyph ", power, left operand ctx, right operand ctx).
+# The operand on the associative side may bind as loosely as the operator.
+_BY_NODE = {
+    op.glyph if op.sort is Term else op.build: (
+        f" {op.glyph} ",
+        op.power,
+        op.power + op.right,
+        op.power + (not op.right),
+    )
+    for op in _INFIX.values()
+}
 
 
-def render_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"x{t.id}"
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, App):
+def _term(t: Term, ctx: int) -> str:
+    kind = type(t)
+    if kind is App:
         if t.func == "S":
-            return f"S({render_term(t.args[0])})"
-        if t.func == "+":
-            left = render_term(t.args[0])
-            right_raw = t.args[1]
-            right = render_term(right_raw)
-            # + is left-associative; a + on the right needs parens
-            if isinstance(right_raw, App) and right_raw.func == "+":
-                right = f"({right})"
-            return f"{left} + {right}"
-        if t.func == "*":
-            lraw, rraw = t.args
-            left = render_term(lraw)
-            if isinstance(lraw, App) and lraw.func == "+":
-                left = f"({left})"
-            right = render_term(rraw)
-            if isinstance(rraw, App) and rraw.func in ("+", "*"):
-                right = f"({right})"
-            return f"{left} * {right}"
+            return f"S({_term(t.args[0], 0)})"
+        glyph, power, left_ctx, right_ctx = _BY_NODE[t.func]
+        s = _term(t.args[0], left_ctx) + glyph + _term(t.args[1], right_ctx)
+        return f"({s})" if ctx > power else s
+    if kind is Var:
+        return f"x{t.id}"
+    if kind is Const:
+        return t.name
     raise TypeError(f"not a term: {t!r}")
 
 
+def render_term(t: Term) -> str:
+    return _term(t, 0)
+
+
 def _render(f: Formula, ctx: int) -> str:
-    if isinstance(f, Atom):
-        op = " = " if f.pred == "=" else " < "
-        s = render_term(f.args[0]) + op + render_term(f.args[1])
-        # under a prefix (~ or a quantifier) an atom needs parens to read back
-        return f"({s})" if ctx >= _PREC_UNARY else s
-    if isinstance(f, Not):
-        return "~" + _render(f.body, _PREC_UNARY)
-    if isinstance(f, Forall):
-        return f"(Ax{f.var})" + _render(f.body, _PREC_UNARY)
-    if isinstance(f, Exists):
-        return f"(Ex{f.var})" + _render(f.body, _PREC_UNARY)
-    if isinstance(f, Implies):
-        s = _render(f.left, _PREC_IFF) + " -> " + _render(f.right, _PREC_IMP)
-        return f"({s})" if ctx > _PREC_IMP else s
-    if isinstance(f, Iff):
-        s = _render(f.left, _PREC_IFF) + " <-> " + _render(f.right, _PREC_OR)
-        return f"({s})" if ctx > _PREC_IFF else s
-    if isinstance(f, Or):
-        s = _render(f.left, _PREC_OR) + " \\/ " + _render(f.right, _PREC_AND)
-        return f"({s})" if ctx > _PREC_OR else s
-    if isinstance(f, And):
-        s = _render(f.left, _PREC_AND) + " /\\ " + _render(f.right, _PREC_UNARY)
-        return f"({s})" if ctx > _PREC_AND else s
+    kind = type(f)
+    op = _BY_NODE.get(kind)
+    if op is not None:
+        glyph, power, left_ctx, right_ctx = op
+        s = _render(f.left, left_ctx) + glyph + _render(f.right, right_ctx)
+        return f"({s})" if ctx > power else s
+    if kind is Atom:
+        glyph, _, left_ctx, right_ctx = _BY_NODE[f.pred]
+        s = _term(f.args[0], left_ctx) + glyph + _term(f.args[1], right_ctx)
+        # parenthesized where a prefix's body goes, although parse needs no
+        # parens there: render is the search pool's sort key, so its bytes stay
+        return f"({s})" if ctx >= _PREFIX else s
+    if kind is Not:
+        return "~" + _render(f.body, _PREFIX)
+    if kind is Forall:
+        return f"(Ax{f.var})" + _render(f.body, _PREFIX)
+    if kind is Exists:
+        return f"(Ex{f.var})" + _render(f.body, _PREFIX)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def render(f: Formula) -> str:
-    """Minimal-paren concrete syntax; ``parse(render(f)) == f``."""
-    return _render(f, _PREC_IMP)
+    """Concrete syntax that reads back: ``parse(render(f)) == f``."""
+    return _render(f, 0)

@@ -184,6 +184,19 @@ class ScriptError(ValueError):
         self.line = line
 
 
+def _number(s: str) -> int | None:
+    """``s`` as a decimal number, or None if int() cannot read it.
+
+    ASCII digits only: ``str.isdigit`` also accepts digits such as '²'.
+    """
+    if s.isascii() and s.isdigit():
+        try:
+            return int(s)
+        except ValueError:  # more digits than int() reads
+            pass
+    return None
+
+
 def parse_proof_script(text: str) -> Proof:
     hyps: list[tuple[str, Formula]] = []
     steps: list[ProofStep] = []
@@ -208,9 +221,9 @@ def parse_proof_script(text: str) -> Proof:
             raise ScriptError("expected '<n>. <formula> ; <justification>'", lineno)
         head = head.strip()
         num, dot, ftext = head.partition(".")
-        if not dot or not num.strip().isdigit():
+        index = _number(num.strip())
+        if not dot or index is None:
             raise ScriptError("step must start with '<n>.'", lineno)
-        index = int(num.strip())
         try:
             formula = parse(ftext.strip())
         except ParseError as e:
@@ -218,23 +231,21 @@ def parse_proof_script(text: str) -> Proof:
         jparts = just_text.split()
         if not jparts:
             raise ScriptError("missing justification", lineno)
-        kind = jparts[0]
-        just: Justification
-        if kind == "hyp" and len(jparts) == 2:
-            just = Hyp(jparts[1])
-        elif kind == "axiom" and len(jparts) == 2:
-            just = Ax(jparts[1])
-        elif kind == "mp" and len(jparts) == 3 and all(p.isdigit() for p in jparts[1:]):
-            just = Mp(int(jparts[1]), int(jparts[2]))
-        elif (
-            kind == "gen"
-            and len(jparts) == 3
-            and jparts[1].isdigit()
-            and jparts[2].startswith("x")
-            and jparts[2][1:].isdigit()
-        ):
-            just = Gen(int(jparts[1]), int(jparts[2][1:]))
-        else:
+        kind, args = jparts[0], jparts[1:]
+        just: Justification | None = None
+        if kind == "hyp" and len(args) == 1:
+            just = Hyp(args[0])
+        elif kind == "axiom" and len(args) == 1:
+            just = Ax(args[0])
+        elif kind == "mp" and len(args) == 2:
+            i, j = _number(args[0]), _number(args[1])
+            if i is not None and j is not None:
+                just = Mp(i, j)
+        elif kind == "gen" and len(args) == 2 and args[1].startswith("x"):
+            i, var = _number(args[0]), _number(args[1][1:])
+            if i is not None and var:  # variable ids start at 1
+                just = Gen(i, var)
+        if just is None:
             raise ScriptError(f"bad justification {just_text.strip()!r}", lineno)
         steps.append(ProofStep(index, formula, just))
     return Proof(tuple(hyps), tuple(steps))

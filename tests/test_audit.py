@@ -21,7 +21,7 @@ from proofbench.audit import (
     write_report,
 )
 from proofbench.engine import Budget
-from proofbench.parser import parse
+from proofbench.parser import parse, render
 from proofbench.proofs import check_proof
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.scripts import builtin_claims, builtin_scripts
@@ -276,6 +276,25 @@ def test_recheck_flags_deep_goal_line(tmp_path, reports):
     victim.write_text("\n".join(lines) + "\n")
     problems = recheck_report(d)
     assert any("s15-m01.proof: bad goal line" in p for p in problems), problems
+
+
+def test_report_formula_lines_are_render_fixed_points(tmp_path, reports):
+    # recheck_report parses these lines back; render must reproduce each one
+    texts = []
+    for sid, report in reports.items():
+        d = tmp_path / sid
+        write_report(report, d)
+        for proof_file in (d / "details").glob("*.proof"):
+            for line in proof_file.read_text().splitlines():
+                if line.startswith("# goal "):
+                    texts.append(line[len("# goal ") :])
+                elif line.startswith("hyp "):
+                    texts.append(line.split(None, 2)[2])
+                elif line and not line.startswith("#"):
+                    texts.append(line.partition(";")[0].partition(".")[2].strip())
+    assert len(texts) > 1000
+    for text in texts:
+        assert render(parse(text)) == text
 
 
 def test_machine_report_format(tmp_path, reports):

@@ -158,6 +158,30 @@ def test_deep_input_is_usage_error(tmp_path):
     assert "error: input nests too deeply" in err
 
 
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        ("taut", "x0 = 1\n"),
+        ("check", "hyp h1 x0 = 1\n1. x0 = 1 ; hyp h1\n"),
+        ("check", "\u00b2. 1 = 1 ; axiom L12\n"),
+        ("check", "hyp h1 1 = 1\n1. 1 = 1 ; hyp h1\n2. (Ax1)(1 = 1) ; gen 1 x0\n"),
+        ("audit", "claim c1 | hyps L12 | goal x0 = 1\n"),
+    ],
+)
+def test_bad_input_file_is_usage_error(tmp_path, verb, text):
+    f = tmp_path / "input.txt"
+    f.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(verb, str(f))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_eval_bad_variable_id_is_usage_error():
+    code, _, err = run_cli("eval", "--bound", "3", "x0 = 1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_eval_verb():
     code, out, _ = run_cli("eval", "--bound", "5", "(Ax1)(x1 < 1)")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofbench.parser import ParseError, parse, parse_term, render, render_term
 from proofbench.syntax import (
@@ -74,6 +75,8 @@ def test_term_round_trip(t):
         "(Ax1)",
         "0 = 0 @@ 1 = 1",
         "",
+        "x0 = 1",
+        "(Ax0)(1 = 1)",
     ],
 )
 def test_parse_errors(text):
@@ -89,3 +92,65 @@ def test_parse_error_reports_position():
 
 def test_whitespace_insensitive():
     assert parse("0=0->1=1") == parse("0 = 0  ->  1 = 1")
+
+
+def test_bad_variable_id_error_points_at_the_token():
+    with pytest.raises(ParseError) as e:
+        parse(r"1 = 1 /\ (Ex0)(1 = 1)")
+    assert e.value.pos == 11
+
+
+# The grammar, pinned: each accepted text with its tree, each rejected text.
+_X1, _X2, _X3 = Var(1), Var(2), Var(3)
+_ZERO, _ONE = Const("0"), Const("1")
+
+
+def _eq(a, b):
+    return Atom("=", (a, b))
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("((x1)) = x2", _eq(_X1, _X2)),
+        (r"~x1 = x2 /\ 0 = 0", And(Not(_eq(_X1, _X2)), _eq(_ZERO, _ZERO))),
+        ("(x1 + 1) * x2 = x2", _eq(App("*", (App("+", (_X1, _ONE)), _X2)), _X2)),
+        ("S(x1 + 1) = S(x2)", _eq(App("S", (App("+", (_X1, _ONE)),)), App("S", (_X2,)))),
+        (
+            "0 = 0 -> 0 = 1 <-> 1 = 1",
+            Implies(_eq(_ZERO, _ZERO), Iff(_eq(_ZERO, _ONE), _eq(_ONE, _ONE))),
+        ),
+        ("x1 + x2 * x3 = x1", _eq(App("+", (_X1, App("*", (_X2, _X3)))), _X1)),
+    ],
+)
+def test_grammar_accepts(text, tree):
+    assert parse(text) == tree
+
+
+@pytest.mark.parametrize(
+    "text", ["x1 = x2 = x3", "x1 + (x2 = x3)", "S x1 = 1", "(A x1)", "1 , 1"]
+)
+def test_grammar_rejects(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+_TOKENS = [
+    "x0", "x1", "x2", "0", "1", "S", "A", "E", "<->", "->", "/\\", "\\/",
+    "~", "(", ")", "+", "*", "=", "<", ",",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=16), st.sampled_from(["", " "]))
+def test_token_strings_parse_or_raise_parse_error(tokens, sep):
+    text = sep.join(tokens)
+    for entry in (parse, parse_term):
+        try:
+            entry(text)
+        except ParseError:
+            pass
+
+
+def test_deep_parentheses_parse():
+    assert parse("(" * 300 + "1 = 1" + ")" * 300) == _eq(_ONE, _ONE)

@@ -163,6 +163,22 @@ def test_script_errors_carry_line_numbers():
         parse_proof_script("1. ((( ; axiom L12\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "\u00b2. 1 = 1 ; axiom L12",
+        "3. 1 = 1 ; mp 1 \u00b2",
+        "3. (Ax1)(1 = 1) ; gen \u00b2 x1",
+        "3. (Ax1)(1 = 1) ; gen 1 x\u00b2",
+        "3. (Ax1)(1 = 1) ; gen 1 x0",
+        pytest.param("1" * 5000 + ". 1 = 1 ; axiom L12", id="5000-digit-step"),
+    ],
+)
+def test_bad_script_numbers_are_script_errors(line):
+    with pytest.raises(ScriptError):
+        parse_proof_script(line + "\n")
+
+
 def test_builder_formula_lookup():
     b = ProofBuilder((("h", PSI7),))
     i = b.add_hyp("h")
