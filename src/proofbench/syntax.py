@@ -1,12 +1,14 @@
 """First-order term and formula trees, and the operations the checker needs.
 
-Variables are positive integers rendered as ``x1, x2, ...``; a symbol table
-fixes the constants and the function/predicate arities.  All nodes are frozen,
-slotted dataclasses that compare structurally and store their hash, computed
-once at construction from the class and the fields.  Children already hold
-their hashes, so building a node costs O(arity) and hashing it O(1), however
-deep or shared the tree; formulas key dicts and sets throughout the rest of
-the package.
+Variables are positive integers rendered as ``x1, x2, ...``; the constants
+:data:`CONSTANTS`, :data:`FUNCTIONS` and :data:`PREDICATES` fix the language.
+Nodes are frozen, slotted dataclasses, hash-consed (Filliâtre & Conchon,
+*Type-Safe Modular Hash-Consing*, 2006) through a weak table: there is one
+object per distinct term or formula, so ``==`` is ``is``, and each node
+stores its hash, computed once from the class and the fields.  Building a
+node costs O(arity), and hashing or comparing it O(1), however deep or
+shared the tree; formulas key dicts and sets throughout the rest of the
+package.
 
 Substitution is capture-checked: substituting a term with a variable that
 would fall under a binder raises :class:`CaptureError` instead of silently
@@ -15,7 +17,9 @@ renaming.  Callers that want to know in advance can ask :func:`free_for`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import threading
+import weakref
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator
 
@@ -24,28 +28,11 @@ class CaptureError(ValueError):
     """Raised when a substitution would capture a variable under a binder."""
 
 
-@dataclass(frozen=True)
-class SymbolTable:
-    """Constants plus function and predicate arities for a first-order language."""
-
-    constants: frozenset[str]
-    functions: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
-    predicates: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
-
-
 #: The arithmetic language used throughout: constants 0 and 1, binary + and *,
 #: unary successor S, and binary predicates = and <.
-ARITHMETIC = SymbolTable(
-    constants=frozenset({"0", "1"}),
-    functions=MappingProxyType({"+": 2, "*": 2, "S": 1}),
-    predicates=MappingProxyType({"=": 2, "<": 2}),
-)
+CONSTANTS = frozenset({"0", "1"})
+FUNCTIONS = MappingProxyType({"+": 2, "*": 2, "S": 1})
+PREDICATES = MappingProxyType({"=": 2, "<": 2})
 
 
 class Term:
@@ -62,30 +49,59 @@ class Formula:
 
 _setattr = object.__setattr__
 
+#: ``(class, *fields)`` -> the one live node with that class and those fields
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+#: held from a miss to the store, so that two threads cannot both build a key
+_BUILD = threading.RLock()
+
 
 class _Node:
-    """Kernel node mixin: ``__hash__`` returns the hash each ``__post_init__`` stores."""
+    """Kernel node mixin: one live object per class and fields.
 
-    __slots__ = ("_hash",)
+    ``cls(*fields)`` runs ``cls._check(*fields)`` and then returns the node
+    keyed ``(cls, *fields)``, building it and storing the key's hash only on
+    a miss.  The fields are the class's ``__slots__``, in order.
+    """
+
+    __slots__ = ("_hash", "__weakref__")
+
+    def __new__(cls, *args, **kwargs):
+        names = cls.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args) :] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}")
+        cls._check(*args)
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            with _BUILD:
+                node = _TABLE.get(key)
+                if node is None:
+                    node = object.__new__(cls)
+                    for name, value in zip(names, args):
+                        _setattr(node, name, value)
+                    _setattr(node, "_hash", hash(key))
+                    _TABLE[key] = node
+        return node
+
+    @staticmethod
+    def _check(*fields) -> None:
+        """Raise on fields that the node may not have; connectives take any."""
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # rebuild through the constructor: str hashes differ between processes
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-def _node(cls):
-    """A frozen dataclass that keeps :class:`_Node`'s stored hash.
-
-    Classes list their own ``__slots__``: ``dataclass(slots=True)`` rebuilds
-    the class, after which its frozen ``__setattr__`` raises ``TypeError``,
-    not ``FrozenInstanceError``, for names that are not fields.
-    """
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = _Node.__hash__
-    return cls
+#: Frozen dataclass over the class's own ``__slots__`` that keeps ``_Node``'s
+#: constructor, stored hash and identity equality.  ``dataclass(slots=True)``
+#: would rebuild the class, after which its frozen ``__setattr__`` raises
+#: ``TypeError``, not ``FrozenInstanceError``, for names that are not fields.
+_node = dataclass(frozen=True, eq=False, init=False)
 
 
 @_node
@@ -94,10 +110,11 @@ class Var(_Node, Term):
 
     id: int
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.id, int) and self.id >= 1):
-            raise ValueError(f"variable id must be a positive int, got {self.id!r}")
-        _setattr(self, "_hash", hash((Var, self.id)))
+    @staticmethod
+    def _check(id) -> None:
+        # exactly int: True == 1, so a bool id would stand in for x1 on a hit
+        if not (type(id) is int and id >= 1):
+            raise ValueError(f"variable id must be a positive int, got {id!r}")
 
 
 @_node
@@ -106,10 +123,10 @@ class Const(_Node, Term):
 
     name: str
 
-    def __post_init__(self) -> None:
-        if self.name not in ARITHMETIC.constants:
-            raise ValueError(f"unknown constant {self.name!r}")
-        _setattr(self, "_hash", hash((Const, self.name)))
+    @staticmethod
+    def _check(name) -> None:
+        if name not in CONSTANTS:
+            raise ValueError(f"unknown constant {name!r}")
 
 
 @_node
@@ -119,17 +136,17 @@ class App(_Node, Term):
     func: str
     args: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        arity = ARITHMETIC.functions.get(self.func)
+    @staticmethod
+    def _check(func, args) -> None:
+        arity = FUNCTIONS.get(func)
         if arity is None:
-            raise ValueError(f"unknown function symbol {self.func!r}")
-        if len(self.args) != arity:
+            raise ValueError(f"unknown function symbol {func!r}")
+        if len(args) != arity:
             raise ValueError(
-                f"function {self.func!r} expects {arity} argument(s), got {len(self.args)}"
+                f"function {func!r} expects {arity} argument(s), got {len(args)}"
             )
-        if not all(isinstance(a, Term) for a in self.args):
+        if not all(isinstance(a, Term) for a in args):
             raise TypeError("App arguments must be terms")
-        _setattr(self, "_hash", hash((App, self.func, self.args)))
 
 
 @_node
@@ -139,17 +156,17 @@ class Atom(_Node, Formula):
     pred: str
     args: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        arity = ARITHMETIC.predicates.get(self.pred)
+    @staticmethod
+    def _check(pred, args) -> None:
+        arity = PREDICATES.get(pred)
         if arity is None:
-            raise ValueError(f"unknown predicate symbol {self.pred!r}")
-        if len(self.args) != arity:
+            raise ValueError(f"unknown predicate symbol {pred!r}")
+        if len(args) != arity:
             raise ValueError(
-                f"predicate {self.pred!r} expects {arity} argument(s), got {len(self.args)}"
+                f"predicate {pred!r} expects {arity} argument(s), got {len(args)}"
             )
-        if not all(isinstance(a, Term) for a in self.args):
+        if not all(isinstance(a, Term) for a in args):
             raise TypeError("Atom arguments must be terms")
-        _setattr(self, "_hash", hash((Atom, self.pred, self.args)))
 
 
 @_node
@@ -157,9 +174,6 @@ class Not(_Node, Formula):
     __slots__ = ("body",)
 
     body: Formula
-
-    def __post_init__(self) -> None:
-        _setattr(self, "_hash", hash((Not, self.body)))
 
 
 @_node
@@ -169,9 +183,6 @@ class Implies(_Node, Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self) -> None:
-        _setattr(self, "_hash", hash((Implies, self.left, self.right)))
-
 
 @_node
 class And(_Node, Formula):
@@ -179,9 +190,6 @@ class And(_Node, Formula):
 
     left: Formula
     right: Formula
-
-    def __post_init__(self) -> None:
-        _setattr(self, "_hash", hash((And, self.left, self.right)))
 
 
 @_node
@@ -191,9 +199,6 @@ class Or(_Node, Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self) -> None:
-        _setattr(self, "_hash", hash((Or, self.left, self.right)))
-
 
 @_node
 class Iff(_Node, Formula):
@@ -202,13 +207,10 @@ class Iff(_Node, Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self) -> None:
-        _setattr(self, "_hash", hash((Iff, self.left, self.right)))
 
-
-def _check_binder(var: int | str) -> None:
-    # int: a concrete variable id; str: a schema-template metavariable slot
-    if isinstance(var, int):
+def _check_binder(var: int | str, body: Formula) -> None:
+    # int (exactly, as for Var): a concrete variable id; str: a template metavariable slot
+    if type(var) is int:
         if var < 1:
             raise ValueError(f"binder variable id must be positive, got {var!r}")
     elif not (isinstance(var, str) and var):
@@ -222,9 +224,7 @@ class Forall(_Node, Formula):
     var: int | str
     body: Formula
 
-    def __post_init__(self) -> None:
-        _check_binder(self.var)
-        _setattr(self, "_hash", hash((Forall, self.var, self.body)))
+    _check = staticmethod(_check_binder)
 
 
 @_node
@@ -234,9 +234,7 @@ class Exists(_Node, Formula):
     var: int | str
     body: Formula
 
-    def __post_init__(self) -> None:
-        _check_binder(self.var)
-        _setattr(self, "_hash", hash((Exists, self.var, self.body)))
+    _check = staticmethod(_check_binder)
 
 
 _BINARY = (Implies, And, Or, Iff)

@@ -1,6 +1,7 @@
 """Command-line surface: verbs, exit codes, output formats."""
 
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -260,6 +261,28 @@ def test_audit_report_directory(tmp_path):
     assert (d / "details").is_dir()
     assert out == (d / "report.txt").read_text()
     assert "report written" in err
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_deterministic_report_does_not_depend_on_the_hash_seed(tmp_path):
+    trees = []
+    for seed in ("0", "1"):
+        report = tmp_path / f"seed{seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "proofbench", "audit", "lemma-4.4", "--deterministic",
+             "--report", str(report)],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parents[1] / "src",  # `-m` imports the checkout's package
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        trees.append((_tree(report), proc.stdout.replace(str(report), "REPORT")))
+    assert trees[0][0]
+    assert trees[0] == trees[1]
 
 
 def test_module_entry_point():

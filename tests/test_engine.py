@@ -12,7 +12,7 @@ from proofbench.engine import (
 from proofbench.parser import parse
 from proofbench.proofs import check_proof, render_proof_script
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
-from proofbench.syntax import Implies, Not
+from proofbench.syntax import App, Atom, Const, Implies, Not
 
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
@@ -159,3 +159,22 @@ def test_budget_validation():
         Budget(max_steps=0)
     with pytest.raises(ValueError):
         Budget(max_steps=-5)
+
+
+def _numeral_atom(i):
+    """``S^i(0) = S^i(0)``, built from scratch on every call."""
+    t = Const("0")
+    for _ in range(i):
+        t = App("S", (t,))
+    return Atom("=", (t, t))
+
+
+def test_closure_over_a_chain_of_deep_numeral_atoms():
+    # each atom is built twice, once per hypothesis it occurs in
+    n = 400
+    hyps = [_numeral_atom(0)]
+    hyps += [Implies(_numeral_atom(i), _numeral_atom(i + 1)) for i in range(n - 1)]
+    state = bounded_closure(hyps, (), Budget(max_steps=10 * n))
+    last = _numeral_atom(n - 1)
+    assert last in state
+    assert state.proof_of(last).steps[-1].formula == last

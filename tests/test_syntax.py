@@ -1,6 +1,11 @@
 """Formula/term core: node hashing, free variables, substitution, closure."""
 
+import copy
+import gc
 import pickle
+import sys
+import threading
+import weakref
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -152,9 +157,10 @@ def _rebuild(node):
 @settings(max_examples=150, deadline=None)
 @given(formulas())
 def test_rebuilt_node_is_equal_with_the_same_hash(f):
-    for copy in (_rebuild(f), pickle.loads(pickle.dumps(f))):
-        assert copy == f
-        assert hash(copy) == hash(f)
+    for twin in (_rebuild(f), pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert twin is f
+        assert twin == f
+        assert hash(twin) == hash(f)
 
 
 NODE_CASES = [
@@ -185,6 +191,69 @@ def test_node_fields_repr_and_frozenness(node, names, text):
         node.extra = 1
 
 
+@pytest.mark.parametrize(
+    "node", [c[0] for c in NODE_CASES], ids=[type(c[0]).__name__ for c in NODE_CASES]
+)
+def test_constructor_forms_give_the_one_node(node):
+    cls, values = type(node), [getattr(node, f.name) for f in fields(node)]
+    assert cls(*values) is node
+    assert cls(**{f.name: v for f, v in zip(fields(node), values)}) is node
+    assert cls(*values[:1], **{f.name: v for f, v in zip(fields(node)[1:], values[1:])}) is node
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)
+
+
+def test_kernel_classes_compare_by_identity():
+    for cls in {type(c[0]) for c in NODE_CASES}:
+        assert cls.__eq__ is object.__eq__
+        assert type(cls) is type
+
+
+def test_validation_runs_on_a_table_hit():
+    assert Var(1) is X1
+    with pytest.raises(ValueError):
+        Var(1.0)
+    with pytest.raises(ValueError):
+        Forall(1.0, EQ11)
+    with pytest.raises(ValueError):
+        Var(True)
+    with pytest.raises(ValueError):
+        Forall(True, EQ11)
+
+
+def test_an_unreferenced_node_leaves_the_table():
+    ref = weakref.ref(Not(Not(Atom("<", (Const("1"), App("S", (Const("0"),)))))))
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_building_the_same_formulas_share_each_node():
+    # a thread switch between a lookup and the store must not leave two nodes
+    def build(first_id, out):
+        for k in range(first_id, first_id + 200):
+            out.append(Implies(Atom("<", (Var(k), Const("0"))), Not(Atom("=", (Var(k), Var(k))))))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for first_id in range(10_000, 12_000, 200):  # ids no other test builds
+            results = [[] for _ in range(4)]
+            threads = [threading.Thread(target=build, args=(first_id, r)) for r in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            for nodes in zip(*results, strict=True):
+                assert all(n is nodes[0] for n in nodes)
+    finally:
+        sys.setswitchinterval(old)
+
+
 def test_binary_connectives_hash_apart():
     assert len({hash(c(EQ11, LT12)) for c in (Implies, And, Or, Iff)}) == 4
 
@@ -196,8 +265,17 @@ def test_hash_of_a_deep_shared_dag():
     assert hash(f) == hash(Implies(f.left, f.right))
 
 
-def test_hash_of_a_deep_negation_chain():
-    f = EQ11
-    for _ in range(5000):
+def _negations(n):
+    f = Atom("=", (Var(1), Var(1)))
+    for _ in range(n):
         f = Not(f)
-    assert isinstance(hash(f), int)
+    return f
+
+
+def test_hash_of_a_deep_negation_chain():
+    assert isinstance(hash(_negations(5000)), int)
+
+
+def test_dict_lookup_of_a_rebuilt_deep_negation_chain():
+    table = {_negations(5000): "found"}
+    assert table[_negations(5000)] == "found"
