@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .engine import Budget, BudgetReport, bounded_closure, pool_for, prove
@@ -325,16 +325,7 @@ def run_claim(claim: AuditClaim, budget: Budget | None = None) -> AuditVerdict:
         verdict = _judge_collapse(claim, budget)
     else:
         verdict = _judge_sanity(claim)
-    wall = time.perf_counter() - start
-    return AuditVerdict(
-        verdict.claim,
-        verdict.status,
-        proofs=verdict.proofs,
-        valuation=verdict.valuation,
-        steps=verdict.steps,
-        wall_time=wall,
-        detail=verdict.detail,
-    )
+    return replace(verdict, wall_time=time.perf_counter() - start)
 
 
 def run_audit(
@@ -590,8 +581,6 @@ def recheck_report(directory: str | Path) -> list[str]:
                 goal = parse_formula(first[len("# goal ") :])
             except ParseError as exc:
                 problems.append(f"{proof_path.name}: bad goal line: {exc}")
-            except RecursionError:
-                problems.append(f"{proof_path.name}: bad goal line: nests too deeply")
         try:
             proof = parse_proof_script(text)
         except Exception as exc:  # noqa: BLE001 - report, not crash

@@ -21,12 +21,13 @@ The operands of the connectives and prefixes are formulas; the operands of
 Precedence*, 1973): one loop reads a primary or prefix, then every infix
 operator that binds at least as tightly as its caller asked for. A
 parenthesized group may hold a term or a formula; its sort is checked only
-where an operator or the caller uses it, so ``(`` never backtracks.
+where an operator or the caller uses it, so ``(`` never backtracks. Text
+that nests more than :data:`MAX_NESTING` deep is a :class:`ParseError`.
 
 :func:`render` reads the same table and produces a form that :func:`parse`
-reads back to an equal tree. It drops every parenthesis the table makes
-redundant except around an atom under a prefix or on the right of ``/\\``,
-which it keeps: ``0 = 0 /\\ (1 = 1)``.
+reads back to an equal tree, within :data:`MAX_NESTING`. It drops every
+parenthesis the table makes redundant except around an atom under a prefix
+or on the right of ``/\\``, which it keeps: ``0 = 0 /\\ (1 = 1)``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ from .syntax import (
     Term,
     Var,
 )
+
+#: The most open prefixes, parentheses, ``S(`` and right operands, and the
+#: greatest tree height counting term levels, that parsed text may have. The
+#: kernel walkers recurse up to twice per level, below Python's default limit of 1000.
+MAX_NESTING = 400
 
 
 class ParseError(ValueError):
@@ -126,6 +132,10 @@ def _sorted(node, sort: type, pos: int, who: str):
     return node
 
 
+def _too_deep(pos: int) -> ParseError:
+    return ParseError(f"input nests more than {MAX_NESTING} deep", pos)
+
+
 def _var(text: str, pos: int) -> Var:
     try:
         return Var(int(text[1:]))
@@ -134,7 +144,7 @@ def _var(text: str, pos: int) -> Var:
 
 
 class _Parser:
-    __slots__ = ("toks", "i")
+    __slots__ = ("toks", "i", "depth", "height")
 
     def __init__(self, text: str) -> None:
         # (kind, text, pos) triples; the last is always the end match
@@ -143,6 +153,7 @@ class _Parser:
             for m in _TOKEN_RE.finditer(text)
         ]
         self.i = 0
+        self.depth = 0  # open expr frames
 
     def expect(self, kind: str, wanted: str) -> None:
         tok = self.toks[self.i]
@@ -151,21 +162,28 @@ class _Parser:
         self.i += 1
 
     def expr(self, min_power: int) -> Formula | Term:
-        """The expression at the cursor, up to the first operator looser than ``min_power``."""
+        """The expression at the cursor, up to the first operator looser than
+        ``min_power``; leaves its height, counting term levels, in ``self.height``."""
         toks = self.toks
         kind, text, pos = toks[self.i]
         self.i += 1
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _too_deep(pos)
+        self.height = 0  # a prefix or S adds one to its operand's height
         if kind == "var":
             left = _var(text, pos)
         elif kind == "const":
             left = Const(text)
         elif kind == "not":
             left = Not(_sorted(self.expr(_PREFIX), Formula, pos, "~"))
+            self.height += 1
         elif kind == "name" and text == "S":
             self.expect("lpar", "'(' after S")
             arg = _sorted(self.expr(0), Term, pos, "S")
             self.expect("rpar", "')'")
             left = App("S", (arg,))
+            self.height += 1
         elif kind == "lpar":
             # the name test first: the end match keeps the next two in range
             binder = _BINDERS.get(toks[self.i][1])
@@ -174,21 +192,28 @@ class _Parser:
                 self.i += 3
                 body = _sorted(self.expr(_PREFIX), Formula, pos, "a quantifier")
                 left = binder(var.id, body)
+                self.height += 1
             else:
                 left = self.expr(0)
                 self.expect("rpar", "')'")
         else:
             raise _unexpected((kind, text, pos), "a term or a formula")
+        height = self.height
         while True:
             kind, _, pos = toks[self.i]
+            if height > MAX_NESTING:
+                raise _too_deep(pos)
             op = _INFIX.get(kind)
             if op is None or op.power < min_power:
+                self.depth -= 1
+                self.height = height
                 return left
             self.i += 1
             _sorted(left, op.sort, pos, op.glyph)
             # a right-associative operator takes its own kind on the right
             right = self.expr(op.power + (not op.right))
             left = op.build(left, _sorted(right, op.sort, pos, op.glyph))
+            height = max(height, self.height) + 1
 
 
 def _parse(text: str, sort: type):
@@ -225,13 +250,20 @@ _BY_NODE = {
 }
 
 
+def _store(node, text: str) -> str:
+    # a node's text without context, filled on first render; two threads may
+    # both fill it, with the same string
+    object.__setattr__(node, "_text", text)
+    return text
+
+
 def _term(t: Term, ctx: int) -> str:
     kind = type(t)
     if kind is App:
         if t.func == "S":
-            return f"S({_term(t.args[0], 0)})"
+            return t._text or _store(t, f"S({_term(t.args[0], 0)})")
         glyph, power, left_ctx, right_ctx = _BY_NODE[t.func]
-        s = _term(t.args[0], left_ctx) + glyph + _term(t.args[1], right_ctx)
+        s = t._text or _store(t, _term(t.args[0], left_ctx) + glyph + _term(t.args[1], right_ctx))
         return f"({s})" if ctx > power else s
     if kind is Var:
         return f"x{t.id}"
@@ -249,20 +281,20 @@ def _render(f: Formula, ctx: int) -> str:
     op = _BY_NODE.get(kind)
     if op is not None:
         glyph, power, left_ctx, right_ctx = op
-        s = _render(f.left, left_ctx) + glyph + _render(f.right, right_ctx)
+        s = f._text or _store(f, _render(f.left, left_ctx) + glyph + _render(f.right, right_ctx))
         return f"({s})" if ctx > power else s
     if kind is Atom:
         glyph, _, left_ctx, right_ctx = _BY_NODE[f.pred]
-        s = _term(f.args[0], left_ctx) + glyph + _term(f.args[1], right_ctx)
+        s = f._text or _store(f, _term(f.args[0], left_ctx) + glyph + _term(f.args[1], right_ctx))
         # parenthesized where a prefix's body goes, although parse needs no
         # parens there: render is the search pool's sort key, so its bytes stay
         return f"({s})" if ctx >= _PREFIX else s
     if kind is Not:
-        return "~" + _render(f.body, _PREFIX)
+        return f._text or _store(f, "~" + _render(f.body, _PREFIX))
     if kind is Forall:
-        return f"(Ax{f.var})" + _render(f.body, _PREFIX)
+        return f._text or _store(f, f"(Ax{f.var})" + _render(f.body, _PREFIX))
     if kind is Exists:
-        return f"(Ex{f.var})" + _render(f.body, _PREFIX)
+        return f._text or _store(f, f"(Ex{f.var})" + _render(f.body, _PREFIX))
     raise TypeError(f"not a formula: {f!r}")
 
 

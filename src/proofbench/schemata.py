@@ -299,40 +299,30 @@ def _infer_term(base: Formula, x: int, result: Formula) -> Term | None:
     re-checks the full substitution, so a wrong local guess just fails later.
     """
 
-    def terms(b: Formula, r: Formula, bound: frozenset[int]) -> Term | None:
-        if isinstance(b, Atom) and isinstance(r, Atom):
-            for tb, tr in zip(b.args, r.args):
-                got = term_diff(tb, tr, bound)
-                if got is not None:
-                    return got
+    def diff(b: Formula | Term, r: Formula | Term) -> Term | None:
+        # only where x is free in b, so that every x reached is a free occurrence
+        if x not in b._free:
             return None
-        if isinstance(b, Not) and isinstance(r, Not):
-            return terms(b.body, r.body, bound)
-        if isinstance(b, (Implies, And, Or, Iff)) and type(b) is type(r):
-            got = terms(b.left, r.left, bound)
+        if isinstance(b, Var):
+            return r
+        if type(b) is not type(r) or (isinstance(b, App) and b.func != r.func):
+            return None
+        if isinstance(b, (Not, Forall, Exists)):
+            return diff(b.body, r.body)
+        if isinstance(b, (Atom, App)):
+            pairs = zip(b.args, r.args)
+        else:
+            pairs = ((b.left, r.left), (b.right, r.right))
+        for pb, pr in pairs:
+            got = diff(pb, pr)
             if got is not None:
                 return got
-            return terms(b.right, r.right, bound)
-        if isinstance(b, (Forall, Exists)) and type(b) is type(r):
-            return terms(b.body, r.body, bound | {b.var})
-        return None
-
-    def term_diff(tb: Term, tr: Term, bound: frozenset[int]) -> Term | None:
-        if isinstance(tb, Var):
-            if tb.id == x and x not in bound:
-                return tr
-            return None
-        if isinstance(tb, App) and isinstance(tr, App) and tb.func == tr.func:
-            for a, b2 in zip(tb.args, tr.args):
-                got = term_diff(a, b2, bound)
-                if got is not None:
-                    return got
         return None
 
     if x not in free_vars(base):
         # substitution is vacuous; any term works, x itself is the canonical pick
         return Var(x) if base == result else None
-    return terms(base, result, frozenset())
+    return diff(base, result)
 
 
 def check_side_condition(cond: tuple[str, ...], binding: Binding) -> bool:

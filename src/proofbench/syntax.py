@@ -4,11 +4,11 @@ Variables are positive integers rendered as ``x1, x2, ...``; the constants
 :data:`CONSTANTS`, :data:`FUNCTIONS` and :data:`PREDICATES` fix the language.
 Nodes are frozen, slotted dataclasses, hash-consed (Filliâtre & Conchon,
 *Type-Safe Modular Hash-Consing*, 2006) through a weak table: there is one
-object per distinct term or formula, so ``==`` is ``is``, and each node
-stores its hash, computed once from the class and the fields.  Building a
-node costs O(arity), and hashing or comparing it O(1), however deep or
-shared the tree; formulas key dicts and sets throughout the rest of the
-package.
+object per distinct term or formula, so ``==`` is ``is``.  Building a node
+costs O(arity): it stores its hash, free variable ids and depth, computed from
+the fields' own, and its text once rendered.  Hashing, comparing and
+:func:`free_vars` or :func:`connective_depth` then cost O(1) however deep or
+shared the tree; formulas key dicts and sets throughout the rest of the package.
 
 Substitution is capture-checked: substituting a term with a variable that
 would fall under a binder raises :class:`CaptureError` instead of silently
@@ -39,12 +39,16 @@ class Term:
     """Base class for term nodes."""
 
     __slots__ = ()
+    _free: tuple[int, ...] = ()  # for a schema metavariable; nodes store their own
+    _depth = 0
 
 
 class Formula:
     """Base class for formula nodes."""
 
     __slots__ = ()
+    _free: tuple[int, ...] = ()
+    _depth = 0
 
 
 _setattr = object.__setattr__
@@ -53,17 +57,32 @@ _setattr = object.__setattr__
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 #: held from a miss to the store, so that two threads cannot both build a key
 _BUILD = threading.RLock()
+#: what every node stores besides its fields
+_STORED = ("_hash", "_free", "_depth", "_text")
+
+
+def _merge(operands) -> tuple[tuple[int, ...], int]:
+    """The operands' free variable ids, merged, and one level above the deepest."""
+    free, depth = (), 0
+    for g in operands:
+        gfree = g._free
+        if gfree and gfree != free:
+            free = tuple(sorted({*free, *gfree})) if free else gfree
+        if g._depth >= depth:
+            depth = g._depth + 1
+    return free, depth
 
 
 class _Node:
     """Kernel node mixin: one live object per class and fields.
 
     ``cls(*fields)`` runs ``cls._check(*fields)`` and then returns the node
-    keyed ``(cls, *fields)``, building it and storing the key's hash only on
-    a miss.  The fields are the class's ``__slots__``, in order.
+    keyed ``(cls, *fields)``, building it only on a miss, with the key's hash
+    and ``cls._facts(*fields)`` stored.  The fields are the class's
+    ``__slots__``, in order; the renderer fills ``_text``.
     """
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = (*_STORED, "__weakref__")
 
     def __new__(cls, *args, **kwargs):
         names = cls.__slots__
@@ -81,7 +100,9 @@ class _Node:
                     node = object.__new__(cls)
                     for name, value in zip(names, args):
                         _setattr(node, name, value)
-                    _setattr(node, "_hash", hash(key))
+                    free, depth = cls._facts(*args)
+                    for name, value in zip(_STORED, (hash(key), free, depth, None)):
+                        _setattr(node, name, value)
                     _TABLE[key] = node
         return node
 
@@ -89,12 +110,18 @@ class _Node:
     def _check(*fields) -> None:
         """Raise on fields that the node may not have; connectives take any."""
 
+    # (free variable ids, depth) of a node with these fields: here, a connective
+    _facts = staticmethod(lambda *operands: _merge(operands))
+
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # rebuild through the constructor: str hashes differ between processes
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __deepcopy__(self, memo) -> _Node:
+        return self  # immutable and interned: the copy is the node
 
 
 #: Frozen dataclass over the class's own ``__slots__`` that keeps ``_Node``'s
@@ -116,6 +143,8 @@ class Var(_Node, Term):
         if not (type(id) is int and id >= 1):
             raise ValueError(f"variable id must be a positive int, got {id!r}")
 
+    _facts = staticmethod(lambda id: ((id,), 0))
+
 
 @_node
 class Const(_Node, Term):
@@ -127,6 +156,8 @@ class Const(_Node, Term):
     def _check(name) -> None:
         if name not in CONSTANTS:
             raise ValueError(f"unknown constant {name!r}")
+
+    _facts = staticmethod(lambda name: ((), 0))
 
 
 @_node
@@ -148,6 +179,8 @@ class App(_Node, Term):
         if not all(isinstance(a, Term) for a in args):
             raise TypeError("App arguments must be terms")
 
+    _facts = staticmethod(lambda func, args: _merge(args))  # depth: the term's height
+
 
 @_node
 class Atom(_Node, Formula):
@@ -167,6 +200,8 @@ class Atom(_Node, Formula):
             )
         if not all(isinstance(a, Term) for a in args):
             raise TypeError("Atom arguments must be terms")
+
+    _facts = staticmethod(lambda pred, args: (_merge(args)[0], 0))
 
 
 @_node
@@ -217,6 +252,10 @@ def _check_binder(var: int | str, body: Formula) -> None:
         raise ValueError(f"binder variable must be an id or metavariable name, got {var!r}")
 
 
+def _binder_facts(var: int | str, body: Formula) -> tuple[tuple[int, ...], int]:
+    return tuple(v for v in body._free if v != var), body._depth + 1
+
+
 @_node
 class Forall(_Node, Formula):
     __slots__ = ("var", "body")
@@ -225,6 +264,7 @@ class Forall(_Node, Formula):
     body: Formula
 
     _check = staticmethod(_check_binder)
+    _facts = staticmethod(_binder_facts)
 
 
 @_node
@@ -235,6 +275,7 @@ class Exists(_Node, Formula):
     body: Formula
 
     _check = staticmethod(_check_binder)
+    _facts = staticmethod(_binder_facts)
 
 
 _BINARY = (Implies, And, Or, Iff)
@@ -243,76 +284,41 @@ _QUANT = (Forall, Exists)
 
 def term_vars(t: Term) -> frozenset[int]:
     """The set of variable ids occurring in ``t``."""
-    if isinstance(t, Var):
-        return frozenset((t.id,))
-    if isinstance(t, Const):
-        return frozenset()
-    if isinstance(t, App):
-        out: frozenset[int] = frozenset()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
-    raise TypeError(f"not a term: {t!r}")
+    return frozenset(t._free)
 
 
 def free_vars(f: Formula) -> tuple[int, ...]:
     """Free variable ids of ``f``, deduplicated, in ascending order."""
-
-    def walk(g: Formula, bound: frozenset[int], acc: set[int]) -> None:
-        if isinstance(g, Atom):
-            for a in g.args:
-                acc.update(term_vars(a) - bound)
-        elif isinstance(g, Not):
-            walk(g.body, bound, acc)
-        elif isinstance(g, _BINARY):
-            walk(g.left, bound, acc)
-            walk(g.right, bound, acc)
-        elif isinstance(g, _QUANT):
-            walk(g.body, bound | {g.var}, acc)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    acc: set[int] = set()
-    walk(f, frozenset(), acc)
-    return tuple(sorted(acc))
+    return f._free
 
 
 def is_sentence(f: Formula) -> bool:
     """True when ``f`` has no free variables."""
-    return not free_vars(f)
+    return not f._free
 
 
 def free_for(x: int, t: Term, f: Formula) -> bool:
     """Whether ``t`` may replace free occurrences of ``x`` in ``f`` without capture."""
-    tvars = term_vars(t)
 
     def walk(g: Formula) -> bool:
-        if isinstance(g, Atom):
-            return True
+        if x not in g._free or isinstance(g, Atom):
+            return True  # no binder below, or no free occurrence of x
+        if isinstance(g, _QUANT):
+            return g.var not in t._free and walk(g.body)
         if isinstance(g, Not):
             return walk(g.body)
-        if isinstance(g, _BINARY):
-            return walk(g.left) and walk(g.right)
-        if isinstance(g, _QUANT):
-            if g.var == x:
-                return True  # x is not free below this binder
-            if g.var in tvars and x in free_vars(g.body):
-                return False
-            return walk(g.body)
-        raise TypeError(f"not a formula: {g!r}")
+        return walk(g.left) and walk(g.right)
 
     return walk(f)
 
 
 def substitute_term(t: Term, x: int, s: Term) -> Term:
     """``t`` with every occurrence of variable ``x`` replaced by ``s``."""
-    if isinstance(t, Var):
-        return s if t.id == x else t
-    if isinstance(t, Const):
+    if x not in t._free:
         return t
-    if isinstance(t, App):
-        return App(t.func, tuple(substitute_term(a, x, s) for a in t.args))
-    raise TypeError(f"not a term: {t!r}")
+    if isinstance(t, Var):
+        return s
+    return App(t.func, tuple(substitute_term(a, x, s) for a in t.args))
 
 
 def substitute(f: Formula, x: int, t: Term, check: bool = True) -> Formula:
@@ -321,31 +327,19 @@ def substitute(f: Formula, x: int, t: Term, check: bool = True) -> Formula:
     With ``check`` (the default), raises :class:`CaptureError` when some free
     occurrence of ``x`` sits under a binder for a variable of ``t``.
     """
-    if check and not free_for(x, t, f):
-        raise CaptureError(f"term not free for x{x} in formula")
-    tvars = term_vars(t)
 
     def walk(g: Formula) -> Formula:
+        if x not in g._free:
+            return g  # also where x is bound: nothing free below
         if isinstance(g, Atom):
             return Atom(g.pred, tuple(substitute_term(a, x, t) for a in g.args))
         if isinstance(g, Not):
             return Not(walk(g.body))
-        if isinstance(g, Implies):
-            return Implies(walk(g.left), walk(g.right))
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Iff):
-            return Iff(walk(g.left), walk(g.right))
-        if isinstance(g, (Forall, Exists)):
-            if g.var == x:
-                return g  # x is bound here; nothing free below
-            if check and g.var in tvars and x in free_vars(g.body):
+        if isinstance(g, _QUANT):
+            if check and g.var in t._free:
                 raise CaptureError(f"term not free for x{x} in formula")
-            body = walk(g.body)
-            return type(g)(g.var, body)
-        raise TypeError(f"not a formula: {g!r}")
+            return type(g)(g.var, walk(g.body))
+        return type(g)(walk(g.left), walk(g.right))
 
     return walk(f)
 
@@ -357,7 +351,7 @@ def universal_closure(f: Formula) -> Formula:
     canonical: two alpha-identical open formulas close to the same sentence.
     """
     g = f
-    for v in sorted(free_vars(f), reverse=True):
+    for v in reversed(f._free):
         g = Forall(v, g)
     return g
 
@@ -376,12 +370,4 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 def connective_depth(f: Formula) -> int:
     """Nesting depth counting connectives and quantifiers; atoms have depth 0."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return 1 + connective_depth(f.body)
-    if isinstance(f, _BINARY):
-        return 1 + max(connective_depth(f.left), connective_depth(f.right))
-    if isinstance(f, _QUANT):
-        return 1 + connective_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return f._depth

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from proofbench.cli import main
+from proofbench.parser import MAX_NESTING
 
 PROVE_HYP = "~((Ax1)~(1 = x1 + 1) -> (Ax1)(x1 = x1))\n"
 
@@ -156,7 +157,8 @@ def test_deep_input_is_usage_error(tmp_path):
     f.write_text("~" * 3000 + "(1 = 1)\n")
     code, _, err = run_cli("taut", str(f))
     assert code == 2
-    assert "error: input nests too deeply" in err
+    assert err.startswith("error:")
+    assert f"bad formula: input nests more than {MAX_NESTING} deep" in err
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,15 @@
 """Textual grammar: parse/render round trips and error reporting."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench.parser import ParseError, parse, parse_term, render, render_term
+from proofbench.parser import MAX_NESTING, ParseError, parse, parse_term, render, render_term
+from proofbench.proofs import ProofBuilder, check_proof
+from proofbench.schemata import axiom_set
+from proofbench.semantics import is_tautology
 from proofbench.syntax import (
     And,
     App,
@@ -17,7 +22,9 @@ from proofbench.syntax import (
     Not,
     Or,
     Var,
+    substitute,
 )
+from proofbench.transforms import axiom_labeler, deduction_transform, phi4_instance
 
 from strategies import formulas, terms
 
@@ -154,3 +161,72 @@ def test_token_strings_parse_or_raise_parse_error(tokens, sep):
 
 def test_deep_parentheses_parse():
     assert parse("(" * 300 + "1 = 1" + ")" * 300) == _eq(_ONE, _ONE)
+
+
+@pytest.mark.parametrize("text", ["1 = 1", "x9001 < 0", "x9002 = x9003 /\\ (0 = 0)"])
+@pytest.mark.parametrize("inner_first", [True, False])
+def test_stored_text_does_not_depend_on_context(text, inner_first):
+    # the x9001..x9003 nodes are fresh here, so the first render fills their text
+    a = parse(text)
+    wrapped = f"~({text})"
+    if inner_first:
+        assert render(a) == text
+    assert render(Not(a)) == wrapped
+    assert render(a) == text
+    assert render(Not(a)) == wrapped
+
+
+# Text shapes that nest n deep, each growing one way the parser can recurse
+# or build without recursing.
+_DEEP = {
+    "not": lambda n: "~" * n + "(x1 = 1)",
+    "parens": lambda n: "(" * n + "x1 = 1" + ")" * n,
+    "and-chain": lambda n: " /\\ ".join(["x1 = 1"] * n),
+    "plus-chain": lambda n: "x1" + " + x1" * n + " = 1",
+    "successor": lambda n: "S(" * n + "x1" + ")" * n + " = 1",
+    "imp-chain": lambda n: " -> ".join(["x1 = 1"] * n),
+    # a /\ chain whose first atom holds a + chain: n // 2 levels of each
+    "and-over-plus": lambda n: " /\\ ".join(
+        ["x1" + " + x1" * (n // 2) + " = 1"] + ["x1 = 1"] * (n // 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", _DEEP)
+def test_text_nesting_past_the_cap_is_a_parse_error(shape):
+    with pytest.raises(ParseError, match=f"nests more than {MAX_NESTING} deep"):
+        parse(_DEEP[shape](3000))
+
+
+def test_term_levels_count_toward_the_nesting():
+    # neither the chain nor the term passes the cap alone; stacked, they do
+    text = _DEEP["and-over-plus"](MAX_NESTING + 20)
+    with pytest.raises(ParseError, match=f"nests more than {MAX_NESTING} deep"):
+        parse(text)
+
+
+def _with_frames_below(n, fn):
+    """``fn()`` called under ``n`` more stack frames."""
+    return fn() if n == 0 else _with_frames_below(n - 1, fn)
+
+
+@pytest.mark.parametrize("shape", _DEEP)
+def test_text_within_the_cap_survives_the_pipeline(shape):
+    l12 = (axiom_set("L12"),)
+
+    def pipeline():
+        f = parse(_DEEP[shape](MAX_NESTING - 10))
+        assert parse(render(f)) == f
+        g = substitute(f, 1, Const("0"))
+        assert g != f and render(g) == render(f).replace("x1", "0")
+        assert is_tautology(g) in (True, False)
+        b = ProofBuilder((("h", g),), label=axiom_labeler(l12))
+        b.add_mp(b.add_hyp("h"), b.add_axiom(phi4_instance(g, g)))
+        proof = b.proof()
+        assert check_proof(proof, l12).ok
+        out = deduction_transform(proof, "h", l12)
+        assert out.conclusion == Implies(g, Implies(g, g))
+        assert check_proof(out, l12).ok
+
+    assert sys.getrecursionlimit() >= 1000
+    _with_frames_below(150, pipeline)

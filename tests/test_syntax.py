@@ -105,6 +105,63 @@ def test_universal_closure_order_and_idempotence():
     assert universal_closure(closed) == closed
 
 
+# The recursive walks that the stored facts replaced, kept as references.
+
+
+def _walk_term_vars(t):
+    if isinstance(t, Var):
+        return frozenset((t.id,))
+    if isinstance(t, Const):
+        return frozenset()
+    out = frozenset()
+    for a in t.args:
+        out |= _walk_term_vars(a)
+    return out
+
+
+def _walk_free_vars(f, bound=frozenset()):
+    if isinstance(f, Atom):
+        return set().union(*(_walk_term_vars(a) - bound for a in f.args))
+    if isinstance(f, Not):
+        return _walk_free_vars(f.body, bound)
+    if isinstance(f, (Forall, Exists)):
+        return _walk_free_vars(f.body, bound | {f.var})
+    return _walk_free_vars(f.left, bound) | _walk_free_vars(f.right, bound)
+
+
+def _walk_connective_depth(f):
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, (Not, Forall, Exists)):
+        return 1 + _walk_connective_depth(f.body)
+    return 1 + max(_walk_connective_depth(f.left), _walk_connective_depth(f.right))
+
+
+def _walk_free_for(x, t, f):
+    if isinstance(f, Atom):
+        return True
+    if isinstance(f, Not):
+        return _walk_free_for(x, t, f.body)
+    if isinstance(f, (Forall, Exists)):
+        if f.var == x:
+            return True
+        if f.var in _walk_term_vars(t) and x in _walk_free_vars(f.body):
+            return False
+        return _walk_free_for(x, t, f.body)
+    return _walk_free_for(x, t, f.left) and _walk_free_for(x, t, f.right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(max_depth=5), terms())
+def test_stored_facts_agree_with_recursive_walks(f, t):
+    assert free_vars(f) == tuple(sorted(_walk_free_vars(f)))
+    assert is_sentence(f) == (not _walk_free_vars(f))
+    assert connective_depth(f) == _walk_connective_depth(f)
+    assert term_vars(t) == _walk_term_vars(t)
+    for x in (1, 2, 3, 4):
+        assert free_for(x, t, f) == _walk_free_for(x, t, f)
+
+
 def test_subformulas_and_connective_depth():
     f = Implies(Not(EQ11), Forall(1, EQ11))
     subs = list(subformulas(f))
@@ -274,6 +331,12 @@ def _negations(n):
 
 def test_hash_of_a_deep_negation_chain():
     assert isinstance(hash(_negations(5000)), int)
+
+
+def test_deepcopy_of_a_deep_negation_chain_is_the_node():
+    f = _negations(5000)
+    assert copy.deepcopy(f) is f
+    assert copy.deepcopy([f, f]) == [f, f]
 
 
 def test_dict_lookup_of_a_rebuilt_deep_negation_chain():
