@@ -49,14 +49,16 @@ import re
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
-from .engine import Budget, BudgetReport, bounded_closure, pool_for, prove
+from .engine import MAX_DEPTH, Budget, BudgetReport, bounded_closure, pool_for, prove
 from .parser import ParseError, render
 from .parser import parse as parse_formula
 from .proofs import Ax, Proof, check_proof, parse_proof_script, render_proof_script
 from .schemata import (
-    AXIOM_SET_NAMES,
-    NAMED_FORMULA_NAMES,
+    AXIOM_SETS,
+    NAMED_FORMULAS,
     PSI_AXIOMS,
     Q_AXIOMS,
     AxiomSetRecognizer,
@@ -107,7 +109,7 @@ class AuditClaim:
         if self.shape in ("set-equality", "contradiction") and self.goal is not None:
             raise AuditError(f"claim {self.claim_id}: shape {self.shape} takes no goal")
         for name in self.axiom_names:
-            if name not in AXIOM_SET_NAMES:
+            if name not in AXIOM_SETS:
                 raise AuditError(f"claim {self.claim_id}: unknown axiom set {name!r}")
 
 
@@ -347,29 +349,31 @@ def run_audit(
 
 # -- claim scripts ------------------------------------------------------
 
-def _base_bindings() -> dict[str, Formula]:
-    return {
-        "delta": PSI_AXIOMS["psi1"],
-        "alpha_prime": named_formula("u27"),
-    }
+#: The names every claim script starts with; ``set`` directives override them.
+_BASE_BINDINGS: Mapping[str, Formula] = MappingProxyType(
+    {"delta": PSI_AXIOMS["psi1"], "alpha_prime": NAMED_FORMULAS["u27"]}
+)
+
+#: Sentence tokens that no binding depends on.
+_SENTENCES: dict[str, Formula] = {
+    **PSI_AXIOMS,
+    **Q_AXIOMS,
+    **NAMED_FORMULAS,
+    "beta0": named_formula("beta0", conjuncts=(PSI_AXIOMS["psi2"],)),
+    "beta1": named_formula("beta1", conjuncts=(PSI_AXIOMS["psi2"],)),
+}
 
 
-def _resolve_token(token: str, bindings: dict[str, Formula]) -> Formula | None:
+def resolve_token(
+    token: str, bindings: Mapping[str, Formula] = _BASE_BINDINGS
+) -> Formula | None:
     """A formula for a hypothesis token, or None when it names an axiom set."""
-    if token in AXIOM_SET_NAMES:
+    if token in AXIOM_SETS:
         return None
     if token in bindings:
         return bindings[token]
-    if token in PSI_AXIOMS:
-        return PSI_AXIOMS[token]
-    if token in Q_AXIOMS:
-        return Q_AXIOMS[token]
-    if token in NAMED_FORMULA_NAMES:
-        return named_formula(token)
-    if token == "beta0":
-        return named_formula("beta0", conjuncts=(PSI_AXIOMS["psi2"],))
-    if token == "beta1":
-        return named_formula("beta1", conjuncts=(PSI_AXIOMS["psi2"],))
+    if token in _SENTENCES:
+        return _SENTENCES[token]
     if token == "delta00":
         return named_formula("delta00", delta=bindings["delta"])
     if token == "not_delta00":
@@ -391,7 +395,7 @@ def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
     fields.  Hypothesis tokens may name axiom sets, bound names, or the
     built-in sentence constants.  Parsed claims are membership claims.
     """
-    bindings = _base_bindings()
+    bindings = dict(_BASE_BINDINGS)
     claims: list[AuditClaim] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -419,7 +423,7 @@ def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
         for part in fields[1:]:
             if part.startswith("hyps "):
                 for token in part[5:].replace(",", " ").split():
-                    resolved = _resolve_token(token, bindings)
+                    resolved = resolve_token(token, bindings)
                     if resolved is None:
                         axiom_names.append(token)
                     else:
@@ -427,7 +431,7 @@ def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
             elif part.startswith("goal "):
                 body = part[5:].strip()
                 resolved = (
-                    _resolve_token(body, bindings)
+                    resolve_token(body, bindings)
                     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", body)
                     else None
                 )
@@ -509,7 +513,7 @@ def render_report_text(report: AuditReport) -> str:
         f"  refuted: {counts[REFUTED]}"
         f"  unresolved: {counts[UNRESOLVED]}",
         f"budget: max_steps={report.budget.max_steps}"
-        f" max_depth={report.budget.max_depth}"
+        f" max_depth={MAX_DEPTH}"
         f" deterministic={'yes' if report.deterministic else 'no'}",
         "-" * 72,
     ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .proofs import Proof, ProofBuilder
-from .schemata import NAMED_FORMULA_NAMES, AxiomSetRecognizer, named_formula
+from .schemata import NAMED_FORMULAS, AxiomSetRecognizer
 from .syntax import (
     And,
     Forall,
@@ -56,15 +56,18 @@ from .transforms import (
 )
 
 
+#: The connective depth no derived formula may exceed.
+MAX_DEPTH = 40
+
+
 @dataclass(frozen=True)
 class Budget:
-    """Search limits.  ``max_depth`` bounds the connective depth of derived formulas."""
+    """Search limits: the number of derivation steps a run may spend."""
 
     max_steps: int = 10**6
-    max_depth: int = 40
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1 or self.max_depth < 1:
+        if self.max_steps < 1:
             raise ValueError("budget counters must be positive")
 
 
@@ -74,7 +77,6 @@ class BudgetReport:
 
     steps_expended: int
     max_steps: int
-    max_depth: int
     fixpoint: bool
 
 
@@ -197,8 +199,8 @@ def assemble_pool(
         add(f)
     if goal is not None:
         add(goal)
-    for name in NAMED_FORMULA_NAMES:
-        add(named_formula(name))
+    for f in NAMED_FORMULAS.values():
+        add(f)
     for r in axioms:
         for f in r.finite_core:
             add(f)
@@ -234,6 +236,7 @@ class Pool:
         self.or_by_side: dict[Formula, list[Or]] = {}
         self.all_by_body: dict[Formula, list[Forall]] = {}
         axiom_members: list[tuple[Formula, str]] = []
+        label = axiom_labeler(axioms)
         for f in sorted_pool(self.members):
             if isinstance(f, Implies):
                 self.imp_by_right.setdefault(f.right, []).append(f)
@@ -248,7 +251,7 @@ class Pool:
                     self.or_by_side.setdefault(f.right, []).append(f)
             elif isinstance(f, Forall) and isinstance(f.var, int):
                 self.all_by_body.setdefault(f.body, []).append(f)
-            name = next((r.name for r in axioms if r.contains(f)), None)
+            name = label(f)
             if name is not None:
                 axiom_members.append((f, name))
         self.axioms = tuple(axiom_members)
@@ -289,7 +292,7 @@ class _Saturation:
         self.majors_by_left: dict[Formula, list[Formula]] = {}
 
     def allowed(self, f: Formula) -> bool:
-        if connective_depth(f) > self.budget.max_depth:
+        if connective_depth(f) > MAX_DEPTH:
             return False
         members = self.pool.members
         return f in members or (isinstance(f, Not) and f.body in members)
@@ -333,7 +336,6 @@ class _Saturation:
         report = BudgetReport(
             steps_expended=self.steps,
             max_steps=self.budget.max_steps,
-            max_depth=self.budget.max_depth,
             fixpoint=not self.frontier,
         )
         return ClosureState(
@@ -593,7 +595,6 @@ def prove(
     report = BudgetReport(
         steps_expended=searcher.steps,
         max_steps=budget.max_steps,
-        max_depth=budget.max_depth,
         fixpoint=proof is None and searcher.remaining() > 0,
     )
     return SearchOutcome(proof, report)
@@ -629,7 +630,7 @@ def check_absolute_consistency(
     """Probe whether the designated target sentence is derivable from ``X``."""
     budget = budget or Budget()
     if target is None:
-        target = named_formula("u27")
+        target = NAMED_FORMULAS["u27"]
     outcome = prove(target, X, axioms, budget)
     if outcome.found:
         return ConsistencyVerdict(

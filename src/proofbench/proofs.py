@@ -96,6 +96,15 @@ class CheckResult:
     warnings: tuple[str, ...] = ()
 
 
+def _positive_int(n: object) -> bool:
+    """Whether ``n`` can name a step or a variable: an ``int``, not a bool, >= 1.
+
+    Justifications built in code carry whatever their caller put there, so
+    the checker also takes only ``str`` hypothesis and axiom-set names.
+    """
+    return type(n) is int and n >= 1
+
+
 def check_proof(
     proof: Proof,
     axioms: tuple[AxiomSetRecognizer, ...],
@@ -103,11 +112,13 @@ def check_proof(
 ) -> CheckResult:
     """Validate every step of ``proof`` against the given axiom sets.
 
-    Failure reasons: ``dangling-ref`` (forward or missing step reference),
-    ``bad-mp`` (cited steps do not fit), ``bad-gen`` (not the stated
-    generalization), ``not-axiom`` (recognizer refused; refined to
-    ``side-condition`` when a recognizer diagnostic says so), unknown
-    hypothesis/axiom names also surface as ``dangling-ref``.
+    Failure reasons: ``dangling-ref`` (forward or missing step reference,
+    or a step number that is not a positive ``int``), ``bad-mp`` (cited
+    steps do not fit), ``bad-gen`` (not the stated generalization, or a
+    variable that is not a positive ``int``), ``not-axiom`` (recognizer
+    refused; refined to ``side-condition`` when a recognizer diagnostic says
+    so); unknown or non-``str`` hypothesis/axiom names also surface as
+    ``dangling-ref``.
 
     In strict mode, generalizing over a variable free in a hypothesis the
     step's derivation uses is ``gen-on-free-hyp-var``; in lax mode the same
@@ -126,12 +137,12 @@ def check_proof(
             return CheckResult(False, pos, "dangling-ref")
         j = step.just
         if isinstance(j, Hyp):
-            want = by_name.get(j.name)
+            want = by_name.get(j.name) if type(j.name) is str else None
             if want is None or want != step.formula:
                 return CheckResult(False, pos, "dangling-ref")
             deps[pos] = frozenset((j.name,))
         elif isinstance(j, Ax):
-            r = recog.get(j.set_name)
+            r = recog.get(j.set_name) if type(j.set_name) is str else None
             if r is None:
                 return CheckResult(False, pos, "dangling-ref")
             if not r.contains(step.formula):
@@ -141,7 +152,7 @@ def check_proof(
                 return CheckResult(False, pos, reason)
             deps[pos] = frozenset()
         elif isinstance(j, Mp):
-            if not (1 <= j.i < pos and 1 <= j.j < pos):
+            if not (_positive_int(j.i) and _positive_int(j.j) and j.i < pos and j.j < pos):
                 return CheckResult(False, pos, "dangling-ref")
             minor = proof.steps[j.i - 1].formula
             major = proof.steps[j.j - 1].formula
@@ -149,10 +160,10 @@ def check_proof(
                 return CheckResult(False, pos, "bad-mp")
             deps[pos] = deps[j.i] | deps[j.j]
         elif isinstance(j, Gen):
-            if not (1 <= j.i < pos):
+            if not (_positive_int(j.i) and j.i < pos):
                 return CheckResult(False, pos, "dangling-ref")
             prev = proof.steps[j.i - 1].formula
-            if step.formula != Forall(j.var, prev):
+            if not _positive_int(j.var) or step.formula != Forall(j.var, prev):
                 return CheckResult(False, pos, "bad-gen")
             deps[pos] = deps[j.i]
             offenders = [

@@ -8,9 +8,12 @@ exists.  Side conditions (capture, variable freeness) are recorded on the
 schema and can be checked or skipped so callers can distinguish "not an
 instance" from "instance with a violated side condition".
 
-The propositional/quantifier schemata are numbered 1-12; on top of them the
-module builds the named sentence constants the audit scripts use and the
-recognizers for each axiom set the checker accepts.
+The propositional/quantifier schemata are numbered 1-12, each written once as
+an instance constructor (``phiN_instance``); a template is its constructor
+applied to metavariables.  On top of them the module builds, at import, the
+named sentence constants the audit scripts use (:data:`NAMED_FORMULAS`) and
+one shared recognizer for each axiom set the checker accepts
+(:data:`AXIOM_SETS`).
 """
 
 from __future__ import annotations
@@ -92,7 +95,64 @@ class Schema:
     side_conditions: tuple[tuple[str, ...], ...] = ()
 
 
-# Metavariable shorthands used to write the templates below.
+# -- schema instance constructors ---------------------------------------
+
+
+def phi1_instance(a: Formula, b: Formula, c: Formula) -> Formula:
+    return Implies(Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c)))
+
+
+def phi2_instance(a: Formula) -> Formula:
+    return Implies(Implies(Not(a), a), a)
+
+
+def phi3_instance(a: Formula, b: Formula) -> Formula:
+    return Implies(Not(a), Implies(a, b))
+
+
+def phi4_instance(a: Formula, b: Formula) -> Formula:
+    return Implies(a, Implies(b, a))
+
+
+def phi5_instance(a: Formula, b: Formula) -> Formula:
+    return Implies(And(a, b), a)
+
+
+def phi6_instance(a: Formula, b: Formula) -> Formula:
+    return Implies(And(a, b), b)
+
+
+def phi7_instance(a: Formula, b: Formula) -> Formula:
+    return Implies(a, Implies(b, And(a, b)))
+
+
+def phi8_instance(a: Formula, b: Formula) -> Formula:
+    return Implies(a, Or(a, b))
+
+
+def phi9_instance(a: Formula, b: Formula) -> Formula:
+    return Implies(b, Or(a, b))
+
+
+def phi10_instance(a: Formula, b: Formula, d: Formula) -> Formula:
+    return Implies(Implies(a, b), Implies(Implies(d, b), Implies(Or(a, d), b)))
+
+
+def phi11_instance(x: int, phi: Formula, t: Term) -> Formula:
+    if not free_for(x, t, phi):
+        raise SchemaError(f"term not free for x{x} in instantiation target")
+    return Implies(Forall(x, phi), substitute(phi, x, t))
+
+
+def phi12_instance(x: int | str, phi: Formula, psi: Formula) -> Formula:
+    """Also builds the template: ``x`` may be a variable metavariable name."""
+    if x in free_vars(phi):
+        raise SchemaError(f"x{x} must not be free in the fixed antecedent")
+    return Implies(Forall(x, Implies(phi, psi)), Implies(phi, Forall(x, psi)))
+
+
+# Metavariables: each template is its constructor applied to them, except
+# phi11, whose substitution needs the SubstMeta template node.
 _A = FormulaMeta("alpha")
 _B = FormulaMeta("beta")
 _G = FormulaMeta("gamma")
@@ -101,28 +161,16 @@ _P = FormulaMeta("phi")
 _Q = FormulaMeta("psi")
 
 SCHEMATA: dict[str, Schema] = {
-    "phi1": Schema(
-        "phi1",
-        Implies(
-            Implies(_A, Implies(_B, _G)),
-            Implies(Implies(_A, _B), Implies(_A, _G)),
-        ),
-    ),
-    "phi2": Schema("phi2", Implies(Implies(Not(_A), _A), _A)),
-    "phi3": Schema("phi3", Implies(Not(_A), Implies(_A, _B))),
-    "phi4": Schema("phi4", Implies(_A, Implies(_B, _A))),
-    "phi5": Schema("phi5", Implies(And(_A, _B), _A)),
-    "phi6": Schema("phi6", Implies(And(_A, _B), _B)),
-    "phi7": Schema("phi7", Implies(_A, Implies(_B, And(_A, _B)))),
-    "phi8": Schema("phi8", Implies(_A, Or(_A, _B))),
-    "phi9": Schema("phi9", Implies(_B, Or(_A, _B))),
-    "phi10": Schema(
-        "phi10",
-        Implies(
-            Implies(_A, _B),
-            Implies(Implies(_D, _B), Implies(Or(_A, _D), _B)),
-        ),
-    ),
+    "phi1": Schema("phi1", phi1_instance(_A, _B, _G)),
+    "phi2": Schema("phi2", phi2_instance(_A)),
+    "phi3": Schema("phi3", phi3_instance(_A, _B)),
+    "phi4": Schema("phi4", phi4_instance(_A, _B)),
+    "phi5": Schema("phi5", phi5_instance(_A, _B)),
+    "phi6": Schema("phi6", phi6_instance(_A, _B)),
+    "phi7": Schema("phi7", phi7_instance(_A, _B)),
+    "phi8": Schema("phi8", phi8_instance(_A, _B)),
+    "phi9": Schema("phi9", phi9_instance(_A, _B)),
+    "phi10": Schema("phi10", phi10_instance(_A, _B, _D)),
     "phi11": Schema(
         "phi11",
         Implies(Forall("x", _P), SubstMeta("phi", "x", TermMeta("t"))),
@@ -130,7 +178,7 @@ SCHEMATA: dict[str, Schema] = {
     ),
     "phi12": Schema(
         "phi12",
-        Implies(Forall("x", Implies(_P, _Q)), Implies(_P, Forall("x", _Q))),
+        phi12_instance("x", _P, _Q),
         side_conditions=(("not_free", "x", "phi"),),
     ),
 }
@@ -469,73 +517,63 @@ def _imp_chain(*parts: Formula) -> Formula:
     return out
 
 
+_PSI1, _PSI7, _PSI12 = PSI_AXIOMS["psi1"], PSI_AXIOMS["psi7"], PSI_AXIOMS["psi12"]
+_O0 = Iff(_PSI7, Not(Not(_PSI1)))
+_U27 = Not(Atom("<", (Const("1"), Const("1"))))
+_GAMMA0P = Implies(Implies(_PSI7, _PSI1), _PSI12)
+
+#: The zero-argument sentence constants the audit scripts refer to, in a
+#: fixed order.
+NAMED_FORMULAS: dict[str, Formula] = {
+    "o0": _O0,
+    "u27": _U27,
+    "o6": Implies(_O0, Implies(_PSI7, _PSI1)),
+    "alpha2x": Implies(_PSI1, _PSI7),
+    "gamma2p": Implies(_O0, _U27),
+    "gamma0p": _GAMMA0P,
+    "gamma0": Implies(_U27, _GAMMA0P),
+    "gamma4p": Implies(_GAMMA0P, _O0),
+    "xi": _imp_chain(_PSI7, _PSI1, _PSI12),
+}
+NAMED_FORMULA_NAMES = tuple(NAMED_FORMULAS)
+
+
 def named_formula(
     name: str,
     *,
     delta: Formula | None = None,
     conjuncts: Iterable[Formula] | None = None,
 ) -> Formula:
-    """Construct one of the sentence constants the audit scripts refer to.
+    """One of the sentence constants the audit scripts refer to.
 
     ``delta00`` takes a ``delta`` argument; ``beta0``/``beta1`` take the list
-    of extra ``conjuncts`` (must be nonempty).
+    of extra ``conjuncts`` (must be nonempty); every other name is a key of
+    :data:`NAMED_FORMULAS`.
     """
-    psi1 = PSI_AXIOMS["psi1"]
-    psi7 = PSI_AXIOMS["psi7"]
-    psi12 = PSI_AXIOMS["psi12"]
-    if name == "o0":
-        return Iff(psi7, Not(Not(psi1)))
-    if name == "u27":
-        return Not(Atom("<", (Const("1"), Const("1"))))
-    if name == "o6":
-        return Implies(named_formula("o0"), Implies(psi7, psi1))
-    if name == "alpha2x":
-        return Implies(psi1, psi7)
-    if name == "gamma2p":
-        return Implies(named_formula("o0"), named_formula("u27"))
-    if name == "gamma0p":
-        return Implies(Implies(psi7, psi1), psi12)
-    if name == "gamma0":
-        return Implies(named_formula("u27"), named_formula("gamma0p"))
-    if name == "gamma4p":
-        return Implies(named_formula("gamma0p"), named_formula("o0"))
-    if name == "xi":
-        return _imp_chain(psi7, psi1, psi12)
     if name == "beta0":
         parts = list(conjuncts or ())
         if not parts:
             raise ValueError("beta0 needs at least one conjunct")
         out = parts[0]
-        for p in parts[1:] + [psi1, psi7, psi12]:
+        for p in parts[1:] + [_PSI1, _PSI7, _PSI12]:
             out = And(out, p)
         return out
     if name == "beta1":
-        return _imp_chain(psi1, psi7, psi12, named_formula("beta0", conjuncts=conjuncts))
+        return _imp_chain(_PSI1, _PSI7, _PSI12, named_formula("beta0", conjuncts=conjuncts))
     if name == "delta00":
         if delta is None:
             raise ValueError("delta00 needs a delta")
-        return Implies(psi7, delta)
-    raise ValueError(f"unknown named formula {name!r}")
-
-
-NAMED_FORMULA_NAMES = (
-    "o0",
-    "u27",
-    "o6",
-    "alpha2x",
-    "gamma2p",
-    "gamma0p",
-    "gamma0",
-    "gamma4p",
-    "xi",
-)
-"""Zero-argument named formulas, in a fixed order."""
+        return Implies(_PSI7, delta)
+    try:
+        return NAMED_FORMULAS[name]
+    except KeyError:
+        raise ValueError(f"unknown named formula {name!r}") from None
 
 
 # -- axiom sets ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxiomSetRecognizer:
     """A (possibly infinite) axiom set: membership test plus search support.
 
@@ -543,7 +581,8 @@ class AxiomSetRecognizer:
     ``generate_for`` maps a candidate goal/pool formula to members built from
     it; prefixed families need this because their members are never
     subformulas of anything the search already has.  ``diagnose`` refines a
-    failed membership test into a reason string.
+    failed membership test into a reason string.  Recognizers compare and
+    hash by identity.
     """
 
     name: str
@@ -551,12 +590,6 @@ class AxiomSetRecognizer:
     finite_core: tuple[Formula, ...] = ()
     diagnose: Callable[[Formula], str] | None = None
     generate_for: Callable[[Formula], tuple[Formula, ...]] | None = None
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
 
 
 def _strip_foralls(f: Formula) -> Formula:
@@ -576,164 +609,79 @@ def _is_closure_of_logic_instance(f: Formula) -> bool:
     return universal_closure(core) == f and is_logic_instance(core)
 
 
-def _psi_member(f: Formula) -> bool:
-    return f in _PSI_SET or recognize_induction(f, INDUCTION_ONE) is not None
+def _finite(
+    name: str, members: Iterable[Formula], induction: Schema | None = None
+) -> AxiomSetRecognizer:
+    """The set of ``members``, plus every instance of ``induction`` if given."""
+    core = tuple(members)
+    member_set = frozenset(core)
+
+    def contains(f: Formula) -> bool:
+        return f in member_set or (
+            induction is not None and recognize_induction(f, induction) is not None
+        )
+
+    return AxiomSetRecognizer(name, contains, finite_core=core)
 
 
-def _q_member(f: Formula) -> bool:
-    return f in _Q_SET or recognize_induction(f, INDUCTION_ZERO) is not None
+def _prefixed(name: str, prefix: tuple[Formula, ...], with_logic: bool) -> AxiomSetRecognizer:
+    """``p1 -> (p2 -> ... -> omega)`` for each closure of a logic instance omega.
 
-
-_PSI_SET = frozenset(PSI_AXIOMS.values())
-_Q_SET = frozenset(Q_AXIOMS.values())
-
-
-def _prefix_l11(omega: Formula) -> Formula:
-    """psi1 -> (psi7 -> (psi12 -> omega))."""
-    return _imp_chain(
-        PSI_AXIOMS["psi1"], PSI_AXIOMS["psi7"], PSI_AXIOMS["psi12"], omega
-    )
-
-
-def _l11_member(f: Formula) -> bool:
-    if is_logic_instance(f):
-        return True
-    # peel the three fixed antecedents, then ask for a closed noninstance
-    g = f
-    for key in ("psi1", "psi7", "psi12"):
-        if not (isinstance(g, Implies) and g.left == PSI_AXIOMS[key]):
-            return False
-        g = g.right
-    return _is_closure_of_logic_instance(g) and not is_logic_instance(g)
-
-
-def _prefix_chain(omega: Formula) -> Formula:
-    """psi7 -> (o0 -> (u27 -> (~psi1 -> omega)))."""
-    return _imp_chain(
-        PSI_AXIOMS["psi7"],
-        named_formula("o0"),
-        named_formula("u27"),
-        Not(PSI_AXIOMS["psi1"]),
-        omega,
-    )
-
-
-def _prefixed_closed_member(f: Formula) -> bool:
-    g = f
-    head = (
-        PSI_AXIOMS["psi7"],
-        named_formula("o0"),
-        named_formula("u27"),
-        Not(PSI_AXIOMS["psi1"]),
-    )
-    for h in head:
-        if not (isinstance(g, Implies) and g.left == h):
-            return False
-        g = g.right
-    return _is_closure_of_logic_instance(g)
-
-
-def axiom_set(name: str, *, beta0_conjuncts: Iterable[Formula] | None = None) -> AxiomSetRecognizer:
-    """Build the recognizer for a named axiom set.
-
-    Known names: ``L12``, ``L2r``, ``Xp``, ``Yp``, ``XpPrime``, ``YpPrime``,
-    ``L11``, ``LT1``, ``PrefixedL2r``, ``NPsi3dot``, ``NPsi3ddot``.
+    ``with_logic`` adds the bare ``L12`` instances as members and then asks
+    that omega not be one.
     """
-    if name == "L12":
-        return AxiomSetRecognizer("L12", is_logic_instance, diagnose=logic_diagnose)
-    if name == "L2r":
-        return AxiomSetRecognizer("L2r", _is_closure_of_logic_instance)
-    if name == "Xp":
-        return AxiomSetRecognizer(
-            "Xp", _psi_member, finite_core=tuple(PSI_AXIOMS.values())
-        )
-    if name == "Yp":
-        return AxiomSetRecognizer(
-            "Yp", lambda f: recognize_induction(f, INDUCTION_ONE) is not None
-        )
-    if name == "XpPrime":
-        return AxiomSetRecognizer(
-            "XpPrime", _q_member, finite_core=tuple(Q_AXIOMS.values())
-        )
-    if name == "YpPrime":
-        return AxiomSetRecognizer(
-            "YpPrime", lambda f: recognize_induction(f, INDUCTION_ZERO) is not None
-        )
-    if name == "L11":
-        return AxiomSetRecognizer(
-            "L11",
-            _l11_member,
-            generate_for=lambda f: (
-                (_prefix_l11(f),)
-                if _is_closure_of_logic_instance(f) and not is_logic_instance(f)
-                else ()
-            ),
-        )
-    if name == "LT1":
-        beta0 = named_formula("beta0", conjuncts=beta0_conjuncts or (PSI_AXIOMS["psi2"],))
 
-        def lt1_member(f: Formula) -> bool:
-            if is_logic_instance(f):
-                return True
-            return (
-                isinstance(f, Implies)
-                and f.left == beta0
-                and _is_closure_of_logic_instance(f.right)
-                and not is_logic_instance(f.right)
-            )
+    def omega_ok(g: Formula) -> bool:
+        return _is_closure_of_logic_instance(g) and not (with_logic and is_logic_instance(g))
 
-        return AxiomSetRecognizer(
-            "LT1",
-            lt1_member,
-            generate_for=lambda f: (
-                (Implies(beta0, f),)
-                if _is_closure_of_logic_instance(f) and not is_logic_instance(f)
-                else ()
-            ),
-        )
-    if name == "PrefixedL2r":
-        return AxiomSetRecognizer(
-            "PrefixedL2r",
-            _prefixed_closed_member,
-            generate_for=lambda f: (
-                (_prefix_chain(f),) if _is_closure_of_logic_instance(f) else ()
-            ),
-        )
-    if name == "NPsi3dot":
-        members = (
-            Implies(named_formula("o0"), named_formula("gamma0")),
-            named_formula("gamma2p"),
-            named_formula("gamma4p"),
-        )
-        return AxiomSetRecognizer(
-            "NPsi3dot", lambda f, _m=frozenset(members): f in _m, finite_core=members
-        )
-    if name == "NPsi3ddot":
-        beta1 = named_formula("beta1", conjuncts=beta0_conjuncts or (PSI_AXIOMS["psi2"],))
-        members = (
-            Implies(
-                named_formula("o0"), Implies(named_formula("u27"), beta1)
-            ),
-            Implies(named_formula("o0"), named_formula("gamma0")),
-            named_formula("gamma2p"),
-            named_formula("gamma4p"),
-        )
-        return AxiomSetRecognizer(
-            "NPsi3ddot", lambda f, _m=frozenset(members): f in _m, finite_core=members
-        )
-    raise ValueError(f"unknown axiom set {name!r}")
+    def contains(f: Formula) -> bool:
+        if with_logic and is_logic_instance(f):
+            return True
+        for p in prefix:
+            if not (isinstance(f, Implies) and f.left == p):
+                return False
+            f = f.right
+        return omega_ok(f)
+
+    return AxiomSetRecognizer(
+        name,
+        contains,
+        generate_for=lambda f: (_imp_chain(*prefix, f),) if omega_ok(f) else (),
+    )
 
 
-AXIOM_SET_NAMES = (
-    "L12",
-    "L2r",
-    "Xp",
-    "Yp",
-    "XpPrime",
-    "YpPrime",
-    "L11",
-    "LT1",
-    "PrefixedL2r",
-    "NPsi3dot",
-    "NPsi3ddot",
+# beta0 and beta1 as the audit scripts use them: psi2 is the one extra conjunct
+_BETA0 = named_formula("beta0", conjuncts=(PSI_AXIOMS["psi2"],))
+_BETA1 = named_formula("beta1", conjuncts=(PSI_AXIOMS["psi2"],))
+_NPSI3_DOT = (
+    Implies(_O0, NAMED_FORMULAS["gamma0"]),
+    NAMED_FORMULAS["gamma2p"],
+    NAMED_FORMULAS["gamma4p"],
 )
+
+#: Every named axiom set's recognizer, built once and shared.
+AXIOM_SETS: dict[str, AxiomSetRecognizer] = {
+    r.name: r
+    for r in (
+        AxiomSetRecognizer("L12", is_logic_instance, diagnose=logic_diagnose),
+        AxiomSetRecognizer("L2r", _is_closure_of_logic_instance),
+        _finite("Xp", PSI_AXIOMS.values(), INDUCTION_ONE),
+        _finite("Yp", (), INDUCTION_ONE),
+        _finite("XpPrime", Q_AXIOMS.values(), INDUCTION_ZERO),
+        _finite("YpPrime", (), INDUCTION_ZERO),
+        _prefixed("L11", (_PSI1, _PSI7, _PSI12), with_logic=True),
+        _prefixed("LT1", (_BETA0,), with_logic=True),
+        _prefixed("PrefixedL2r", (_PSI7, _O0, _U27, Not(_PSI1)), with_logic=False),
+        _finite("NPsi3dot", _NPSI3_DOT),
+        _finite("NPsi3ddot", (Implies(_O0, Implies(_U27, _BETA1)),) + _NPSI3_DOT),
+    )
+}
+AXIOM_SET_NAMES = tuple(AXIOM_SETS)
+
+
+def axiom_set(name: str) -> AxiomSetRecognizer:
+    """The recognizer of the named axiom set (a key of :data:`AXIOM_SETS`)."""
+    try:
+        return AXIOM_SETS[name]
+    except KeyError:
+        raise ValueError(f"unknown axiom set {name!r}") from None

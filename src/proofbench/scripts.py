@@ -22,8 +22,8 @@ probe, matching the two consistency notions the engine implements.
 
 from __future__ import annotations
 
-from .audit import AuditClaim
-from .schemata import PSI_AXIOMS, Q_AXIOMS, named_formula
+from .audit import AuditClaim, resolve_token
+from .schemata import PSI_AXIOMS, Q_AXIOMS
 from .syntax import (
     And,
     App,
@@ -38,23 +38,10 @@ from .syntax import (
     universal_closure,
 )
 
-BUILTIN_SCRIPT_IDS = (
-    "lemma-4.1",
-    "lemma-4.2",
-    "lemma-4.3",
-    "lemma-4.4",
-    "theorem-4.1",
-    "corollary-4.3",
-    "corollary-4.4",
-    "theorem-5.1",
-    "theorem-5.2",
-    "axiom-sanity",
-)
-
 
 def builtin_scripts() -> tuple[str, ...]:
     """The ids of the shipped audit scripts, in replay order."""
-    return BUILTIN_SCRIPT_IDS
+    return tuple(_BUILDERS)
 
 
 # -- shared formula material --------------------------------------------
@@ -67,24 +54,9 @@ _DOT_SETS = ("L11", "PrefixedL2r", "NPsi3dot")
 _DDOT_SETS = ("L11", "PrefixedL2r", "NPsi3ddot")
 
 
-def _named(name: str) -> Formula:
-    return named_formula(name)
-
-
-def _beta0() -> Formula:
-    return named_formula("beta0", conjuncts=(PSI_AXIOMS["psi2"],))
-
-
-def _beta1() -> Formula:
-    return named_formula("beta1", conjuncts=(PSI_AXIOMS["psi2"],))
-
-
-def _d00() -> Formula:
-    return Implies(_P7, _P1)
-
-
-def _alpha_imp_psi7() -> Formula:
-    return Implies(_named("u27"), _P7)
+def _f(token: str) -> Formula:
+    """The sentence a claim-script token names."""
+    return resolve_token(token)
 
 
 def omega_sample() -> Formula:
@@ -120,25 +92,15 @@ def induction_sample(flavor: str) -> Formula:
 def prefixed_sample() -> Formula:
     """The seventh-axiom-prefixed closure representative for inclusion steps."""
     return Implies(
-        _P7, Implies(_named("o0"), Implies(Not(_P1), omega_sample()))
+        _P7, Implies(_f("o0"), Implies(Not(_P1), omega_sample()))
     )
 
 
 # -- hypothesis contexts -------------------------------------------------
 
 
-def _hyps(*names: str) -> tuple[tuple[str, Formula], ...]:
-    table: dict[str, Formula] = {
-        "xi": _named("xi"),
-        "alpha_imp_psi7": _alpha_imp_psi7(),
-        "delta00": _d00(),
-        "not_delta00": Not(_d00()),
-        "beta1": _beta1(),
-        "psi1": _P1,
-        "psi7": _P7,
-        "psi12": _P12,
-    }
-    return tuple((n, table[n]) for n in names)
+def _hyps(*tokens: str) -> tuple[tuple[str, Formula], ...]:
+    return tuple((t, _f(t)) for t in tokens)
 
 
 _STAR_DOT = _hyps("not_delta00", "alpha_imp_psi7", "xi")  # refuting, three-bridge
@@ -167,7 +129,7 @@ def _collapse_pair(
 ) -> list[AuditClaim]:
     """The two-claim operationalization of a 'derives everything' step."""
     return [
-        _membership(f"{prefix}-u27-target", sets, hyps, _named("u27"), locus),
+        _membership(f"{prefix}-u27-target", sets, hyps, _f("u27"), locus),
         AuditClaim(f"{prefix}-collapse", "set-equality", sets, hyps, None, locus),
     ]
 
@@ -176,16 +138,16 @@ def _collapse_pair(
 
 
 def _lemma_41() -> list[AuditClaim]:
-    g0p = _named("gamma0p")
+    g0p = _f("gamma0p")
     members_14 = [
         _P7,
-        _named("gamma4p"),
-        _named("gamma2p"),
-        Implies(_named("o0"), _named("gamma0")),
+        _f("gamma4p"),
+        _f("gamma2p"),
+        Implies(_f("o0"), _f("gamma0")),
         Implies(_P1, _P12),
         g0p,
-        _named("o0"),
-        _named("u27"),
+        _f("o0"),
+        _f("u27"),
         Implies(_P12, Implies(_P7, Not(_P1))),
         Implies(_P12, Not(_P1)),
         Not(_P1),
@@ -205,7 +167,7 @@ def _lemma_41() -> list[AuditClaim]:
             "chain step (15): generalized-tautology family, representative member",
         )
     )
-    for i, f in enumerate([_P7, _d00(), _P1, Not(_P1)], start=1):
+    for i, f in enumerate([_P7, _f("delta00"), _P1, Not(_P1)], start=1):
         claims.append(
             _membership(
                 f"s16-m{i:02d}", _DOT_SETS, _STAR_DOT, f, f"chain step (16), member {i}"
@@ -220,12 +182,12 @@ def _lemma_41() -> list[AuditClaim]:
 
 
 def _lemma_42() -> list[AuditClaim]:
-    o0 = _named("o0")
-    g0p = _named("gamma0p")
+    o0 = _f("o0")
+    g0p = _f("gamma0p")
     members_15 = [
-        Implies(o0, _named("gamma0")),
-        _named("gamma2p"),
-        _named("gamma4p"),
+        Implies(o0, _f("gamma0")),
+        _f("gamma2p"),
+        _f("gamma4p"),
         Implies(_P1, Implies(_P7, _P12)),
         Implies(_P12, Implies(_P7, Not(_P1))),
         Implies(_P7, Not(_P1)),
@@ -234,7 +196,7 @@ def _lemma_42() -> list[AuditClaim]:
         Implies(_P7, o0),
         Implies(o0, g0p),
         Implies(_P7, g0p),
-        Implies(_P7, _named("u27")),
+        Implies(_P7, _f("u27")),
     ]
     claims = [
         _membership(
@@ -252,11 +214,11 @@ def _lemma_42() -> list[AuditClaim]:
         )
     )
     claims.append(
-        _membership("s17-o6", _DOT_SETS, _PLUS_DOT, _named("o6"), "chain step (17)")
+        _membership("s17-o6", _DOT_SETS, _PLUS_DOT, _f("o6"), "chain step (17)")
     )
     members_19 = [
         Implies(g0p, Implies(_P7, _P1)),
-        _d00(),
+        _f("delta00"),
         Implies(_P1, Not(_P7)),
         Not(_P7),
     ]
@@ -281,16 +243,16 @@ def _lemma_42() -> list[AuditClaim]:
 def _lemma_43() -> list[AuditClaim]:
     members_13 = [
         _P7,
-        _named("gamma4p"),
-        _named("gamma2p"),
-        Implies(_named("o0"), _named("gamma0")),
+        _f("gamma4p"),
+        _f("gamma2p"),
+        Implies(_f("o0"), _f("gamma0")),
         Implies(_P1, _P12),
-        _named("gamma0p"),
-        _named("o0"),
-        _named("u27"),
-        _beta1(),
-        Implies(_P1, _beta0()),
-        Not(_beta0()),
+        _f("gamma0p"),
+        _f("o0"),
+        _f("u27"),
+        _f("beta1"),
+        Implies(_P1, _f("beta0")),
+        Not(_f("beta0")),
         Not(_P1),
     ]
     claims = [
@@ -308,7 +270,7 @@ def _lemma_43() -> list[AuditClaim]:
             "chain step (14): generalized-tautology family, representative member",
         )
     )
-    for i, f in enumerate([_P7, _d00(), Not(_P1), _P1], start=1):
+    for i, f in enumerate([_P7, _f("delta00"), Not(_P1), _P1], start=1):
         claims.append(
             _membership(
                 f"s15-m{i:02d}", _DDOT_SETS, _STAR_DDOT, f, f"chain step (15), member {i}"
@@ -326,14 +288,14 @@ def _lemma_43() -> list[AuditClaim]:
 
 
 def _lemma_44() -> list[AuditClaim]:
-    o0 = _named("o0")
-    g0p = _named("gamma0p")
-    u27 = _named("u27")
-    beta1 = _beta1()
+    o0 = _f("o0")
+    g0p = _f("gamma0p")
+    u27 = _f("u27")
+    beta1 = _f("beta1")
     members_14 = [
-        _named("gamma4p"),
-        Implies(o0, _named("gamma0")),
-        _named("gamma2p"),
+        _f("gamma4p"),
+        Implies(o0, _f("gamma0")),
+        _f("gamma2p"),
         Implies(o0, Implies(u27, beta1)),
         Implies(o0, beta1),
         Implies(g0p, o0),
@@ -347,15 +309,15 @@ def _lemma_44() -> list[AuditClaim]:
         for i, f in enumerate(members_14, start=1)
     ]
     members_15 = [
-        _d00(),
+        _f("delta00"),
         Implies(_P1, Implies(_P7, _P12)),
         beta1,
-        Implies(And(And(_P12, _P7), _P1), _beta0()),
+        Implies(And(And(_P12, _P7), _P1), _f("beta0")),
         Implies(_P12, Implies(_P7, Not(_P1))),
         Implies(_P7, Not(_P1)),
-        _named("gamma4p"),
-        Implies(o0, _named("gamma0")),
-        _named("gamma2p"),
+        _f("gamma4p"),
+        Implies(o0, _f("gamma0")),
+        _f("gamma2p"),
         Implies(o0, g0p),
         Implies(g0p, o0),
         Implies(g0p, u27),
@@ -380,11 +342,11 @@ def _lemma_44() -> list[AuditClaim]:
         )
     )
     claims.append(
-        _membership("s17-o6", _DDOT_SETS, _PLUS_DDOT, _named("o6"), "chain step (17)")
+        _membership("s17-o6", _DDOT_SETS, _PLUS_DDOT, _f("o6"), "chain step (17)")
     )
     members_19 = [
         Implies(g0p, Implies(_P7, _P1)),
-        _d00(),
+        _f("delta00"),
         Implies(_P1, Not(_P7)),
         Not(_P7),
     ]
@@ -430,7 +392,7 @@ def _theorem_contexts(sets: tuple[str, ...], outer: tuple[str, ...]) -> list[Aud
             "s4-not-alpha-imp-psi7",
             sets,
             base,
-            Not(_alpha_imp_psi7()),
+            Not(_f("alpha_imp_psi7")),
             "step (4): negated conditional claimed for the hypothesis-free base",
         )
     )
@@ -463,7 +425,7 @@ def _corollary_43() -> list[AuditClaim]:
             "beta0-member",
             sets,
             hyps,
-            _beta0(),
+            _f("beta0"),
             "the conjunction target unfolds from its guarded form",
         ),
         _membership(
@@ -491,7 +453,7 @@ def _corollary_44() -> list[AuditClaim]:
             "not-beta0",
             ("LT1",),
             (),
-            Not(_beta0()),
+            Not(_f("beta0")),
             "negated conjunction target claimed for the bare guarded-tautology set",
         )
     ]
@@ -544,7 +506,7 @@ def _axiom_sanity() -> list[AuditClaim]:
         )
     claims.append(
         AuditClaim(
-            "u27", "sanity", (), (), _named("u27"), "numeric audit of the absurdity target"
+            "u27", "sanity", (), (), _f("u27"), "numeric audit of the absurdity target"
         )
     )
     claims.append(
@@ -590,6 +552,6 @@ def builtin_claims(script_id: str) -> list[AuditClaim]:
         builder = _BUILDERS[script_id]
     except KeyError:
         raise ValueError(
-            f"unknown builtin script {script_id!r}; known: {', '.join(BUILTIN_SCRIPT_IDS)}"
+            f"unknown builtin script {script_id!r}; known: {', '.join(_BUILDERS)}"
         ) from None
     return builder()

@@ -357,15 +357,16 @@ def universal_closure(f: Formula) -> Formula:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """Yield ``f`` and every subformula, parents before children."""
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.body)
-    elif isinstance(f, _BINARY):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, _QUANT):
-        yield from subformulas(f.body)
+    """Yield ``f`` and every subformula, parents before children, left before right."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, _BINARY):
+            stack.append(g.right)
+            stack.append(g.left)
+        elif isinstance(g, Not) or isinstance(g, _QUANT):
+            stack.append(g.body)
 
 
 def connective_depth(f: Formula) -> int:

@@ -22,79 +22,26 @@ from __future__ import annotations
 from typing import Sequence
 
 from .proofs import Ax, Gen, Hyp, Mp, Proof, ProofBuilder, check_proof
-from .schemata import AxiomSetRecognizer
-from .syntax import (
-    And,
-    Forall,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    Term,
-    free_for,
-    free_vars,
-    is_sentence,
-    substitute,
+from .schemata import (
+    AxiomSetRecognizer,
+    phi1_instance,
+    phi2_instance,
+    phi3_instance,
+    phi4_instance,
+    phi5_instance,
+    phi6_instance,
+    phi7_instance,
+    phi8_instance,
+    phi9_instance,
+    phi10_instance,
+    phi11_instance,  # unused here; transforms re-exports all twelve
+    phi12_instance,
 )
+from .syntax import And, Formula, Implies, Not, Or, free_vars, is_sentence
 
 
 class TransformError(ValueError):
     """Raised when a transform's precondition fails (e.g. capture on discharge)."""
-
-
-# -- schema instance constructors ---------------------------------------
-
-
-def phi1_instance(a: Formula, b: Formula, c: Formula) -> Formula:
-    return Implies(Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c)))
-
-
-def phi2_instance(a: Formula) -> Formula:
-    return Implies(Implies(Not(a), a), a)
-
-
-def phi3_instance(a: Formula, b: Formula) -> Formula:
-    return Implies(Not(a), Implies(a, b))
-
-
-def phi4_instance(a: Formula, b: Formula) -> Formula:
-    return Implies(a, Implies(b, a))
-
-
-def phi5_instance(a: Formula, b: Formula) -> Formula:
-    return Implies(And(a, b), a)
-
-
-def phi6_instance(a: Formula, b: Formula) -> Formula:
-    return Implies(And(a, b), b)
-
-
-def phi7_instance(a: Formula, b: Formula) -> Formula:
-    return Implies(a, Implies(b, And(a, b)))
-
-
-def phi8_instance(a: Formula, b: Formula) -> Formula:
-    return Implies(a, Or(a, b))
-
-
-def phi9_instance(a: Formula, b: Formula) -> Formula:
-    return Implies(b, Or(a, b))
-
-
-def phi10_instance(a: Formula, b: Formula, d: Formula) -> Formula:
-    return Implies(Implies(a, b), Implies(Implies(d, b), Implies(Or(a, d), b)))
-
-
-def phi11_instance(x: int, phi: Formula, t: Term) -> Formula:
-    if not free_for(x, t, phi):
-        raise TransformError(f"term not free for x{x} in instantiation target")
-    return Implies(Forall(x, phi), substitute(phi, x, t))
-
-
-def phi12_instance(x: int, phi: Formula, psi: Formula) -> Formula:
-    if x in free_vars(phi):
-        raise TransformError(f"x{x} must not be free in the fixed antecedent")
-    return Implies(Forall(x, Implies(phi, psi)), Implies(phi, Forall(x, psi)))
 
 
 # -- derived-rule templates ---------------------------------------------

@@ -215,6 +215,7 @@ def test_membership_claim_builds_its_pool_once(monkeypatch):
     for module in (engine, audit):  # every module that binds the name
         if getattr(module, "assemble_pool", None) is real:
             monkeypatch.setattr(module, "assemble_pool", counting)
+    engine.pool_for.cache_clear()  # recognizers are shared: an earlier claim may hold this pool
     verdict = run_claim(claim, Budget(max_steps=2000))
     assert verdict.status == "VERIFIED"
     assert calls.count((tuple(f for _, f in hyps), goal)) == 1
@@ -244,6 +245,32 @@ def test_report_round_trip_and_determinism(tmp_path, reports):
         d2 = tmp_path / sid / "run2"
         write_report(rep2, d2)
         assert _tree_digest(d1) == _tree_digest(d2)
+
+
+#: sha256 of each built-in report tree: its files' paths and digests, one
+#: ``path<TAB>digest`` line each.  Report bytes change only in a change that
+#: names the difference and recomputes this table.
+REPORT_TREE_SHA256 = {
+    "lemma-4.1": "4bbe565c4c5ac7e8c6dde644c45e2dca9f57cd0026a46bd8c51b89b8b1938517",
+    "lemma-4.2": "0ee6f6682ae89af8aecb32e04e84eaf984da4735daa8fae81991427a57c294cd",
+    "lemma-4.3": "39fbc8fd3365c488cccbd463e08591fc2340e62c24f4eb9baf93fbb2954371b0",
+    "lemma-4.4": "e2ae78cc1247240b7c3bfa874b02c40ead86e1983bf627901140224242fa59e4",
+    "theorem-4.1": "650705fbd24e4c00372642d77dc09562fcccd2ee8d34ed78752ce12bf84cf67b",
+    "corollary-4.3": "4296e0d8c4a7e830537cf3fce6072ca7970994e2a2d7affdd6b6af0ca7b78e57",
+    "corollary-4.4": "1ca43cf7cbd83ca19e94d4ce7ad3f8931da6ea2765356bc24df76c3731f7aa91",
+    "theorem-5.1": "abd6f10a03b4fae08496dc3abc61d0d910ae5c79124f30b090790db3e813dc0b",
+    "theorem-5.2": "bc1c42bca4c6a6e85ece5957c404aaaf84c6c1b7b977ca1bdd15ea3fbde466a4",
+    "axiom-sanity": "e93a3ec1ee1f3c10111a527970caf13c692fcbc469d172257043dcfc3ad1dc8c",
+}
+
+
+def test_report_trees_are_pinned(tmp_path, reports):
+    got = {}
+    for sid, report in reports.items():
+        digests = _tree_digest(write_report(report, tmp_path / sid))
+        lines = "".join(f"{rel}\t{digest}\n" for rel, digest in digests.items())
+        got[sid] = hashlib.sha256(lines.encode()).hexdigest()
+    assert got == REPORT_TREE_SHA256
 
 
 def test_recheck_flags_bad_step(tmp_path, reports):

@@ -7,6 +7,7 @@ import pytest
 from proofbench.parser import parse
 from proofbench.proofs import (
     Ax,
+    Gen,
     Hyp,
     Mp,
     Proof,
@@ -85,6 +86,45 @@ def test_mp_formula_must_be_the_consequent():
 def test_forward_reference_rejected():
     p = Proof((), (ProofStep(1, PSI7, Mp(2, 3)),))
     assert not check_proof(p, L12).ok
+
+
+@pytest.mark.parametrize(
+    "just,formula,reason",
+    [
+        (Mp(1, 2), PSI1, None),
+        (Mp("1", 2), PSI1, "dangling-ref"),
+        (Mp(1.0, 2), PSI1, "dangling-ref"),
+        (Mp(True, 2), PSI1, "dangling-ref"),
+        (Mp(1, True), PSI1, "dangling-ref"),
+        (Mp(0, 2), PSI1, "dangling-ref"),
+        (Gen(1, 1), Forall(1, PSI7), None),
+        (Gen(1.0, 1), Forall(1, PSI7), "dangling-ref"),
+        (Gen("1", 1), Forall(1, PSI7), "dangling-ref"),
+        (Gen(True, 1), Forall(1, PSI7), "dangling-ref"),
+        (Gen(1, 0), Forall(1, PSI7), "bad-gen"),
+        (Gen(1, -1), Forall(1, PSI7), "bad-gen"),
+        (Gen(1, True), Forall(1, PSI7), "bad-gen"),
+        (Gen(1, 1.0), Forall(1, PSI7), "bad-gen"),
+        (Gen(1, "x"), Forall("x", PSI7), "bad-gen"),  # a template slot, not a variable
+        (Hyp(["a"]), PSI7, "dangling-ref"),
+        (Ax(["L12"]), PSI7, "dangling-ref"),
+    ],
+)
+def test_hostile_justifications_are_rejected(just, formula, reason):
+    hyps = (("a", PSI7), ("b", Implies(PSI7, PSI1)))
+    p = Proof(
+        hyps,
+        (
+            ProofStep(1, PSI7, Hyp("a")),
+            ProofStep(2, Implies(PSI7, PSI1), Hyp("b")),
+            ProofStep(3, formula, just),
+        ),
+    )
+    for strict in (False, True):
+        r = check_proof(p, L12, strict=strict)
+        assert (r.ok, r.reason) == (reason is None, reason)
+    if reason is None:  # what the checker accepts, a script can state
+        assert parse_proof_script(render_proof_script(p)) == p
 
 
 def test_gen_step():

@@ -7,12 +7,14 @@ import pytest
 from proofbench.parser import parse
 from proofbench.schemata import (
     AXIOM_SET_NAMES,
+    AXIOM_SETS,
     INDUCTION_ONE,
     INDUCTION_ZERO,
     NAMED_FORMULA_NAMES,
     PSI_AXIOMS,
     Q_AXIOMS,
     SCHEMATA,
+    FormulaMeta,
     axiom_set,
     instantiate,
     is_logic_instance,
@@ -78,6 +80,30 @@ def test_propositional_instances_match_and_reinstantiate(maker, schema_id):
     assert binding is not None
     assert instantiate(SCHEMATA[schema_id], binding) == f
     assert is_logic_instance(f)
+
+
+_MA, _MB, _MC = FormulaMeta("alpha"), FormulaMeta("beta"), FormulaMeta("gamma")
+_MD, _MP, _MQ = FormulaMeta("delta"), FormulaMeta("phi"), FormulaMeta("psi")
+
+
+@pytest.mark.parametrize(
+    "schema_id,maker",
+    [
+        ("phi1", lambda: phi1_instance(_MA, _MB, _MC)),
+        ("phi2", lambda: phi2_instance(_MA)),
+        ("phi3", lambda: phi3_instance(_MA, _MB)),
+        ("phi4", lambda: phi4_instance(_MA, _MB)),
+        ("phi5", lambda: phi5_instance(_MA, _MB)),
+        ("phi6", lambda: phi6_instance(_MA, _MB)),
+        ("phi7", lambda: phi7_instance(_MA, _MB)),
+        ("phi8", lambda: phi8_instance(_MA, _MB)),
+        ("phi9", lambda: phi9_instance(_MA, _MB)),
+        ("phi10", lambda: phi10_instance(_MA, _MB, _MD)),
+        ("phi12", lambda: phi12_instance("x", _MP, _MQ)),
+    ],
+)
+def test_templates_are_their_constructors(schema_id, maker):
+    assert SCHEMATA[schema_id].template is maker()
 
 
 def test_phi11_side_condition():
@@ -214,6 +240,12 @@ def test_axiom_set_names():
         axiom_set("no-such-set")
 
 
+def test_axiom_sets_are_built_once():
+    assert AXIOM_SET_NAMES == tuple(AXIOM_SETS)
+    for name in AXIOM_SET_NAMES:
+        assert axiom_set(name) is axiom_set(name) is AXIOM_SETS[name]
+
+
 def test_logic_sets():
     l12, l2r = axiom_set("L12"), axiom_set("L2r")
     inst = phi2_instance(parse("x1 < 1"))
@@ -260,7 +292,7 @@ def test_guarded_sets():
         )
     )
 
-    lt1 = axiom_set("LT1", beta0_conjuncts=[PSI_AXIOMS["psi2"]])
+    lt1 = axiom_set("LT1")
     b0 = named_formula("beta0", conjuncts=[PSI_AXIOMS["psi2"]])
     assert lt1.contains(Implies(b0, target))
     assert not lt1.contains(Implies(b0, plain))
@@ -276,6 +308,31 @@ def test_guarded_sets():
     )
     assert pre.contains(wrapped)
     assert not pre.contains(target)
+
+
+def test_prefixed_sets_generate_members():
+    target = universal_closure(phi4_instance(parse("x1 = x1"), parse("x1 < 1")))
+    bare = phi2_instance(parse("0 = 0"))
+    psi1, psi7, psi12 = PSI_AXIOMS["psi1"], PSI_AXIOMS["psi7"], PSI_AXIOMS["psi12"]
+    b0 = named_formula("beta0", conjuncts=[PSI_AXIOMS["psi2"]])
+    o0, u27 = named_formula("o0"), named_formula("u27")
+    cases = {
+        # name: (member built on target, whether bare instances are members)
+        "L11": (Implies(psi1, Implies(psi7, Implies(psi12, target))), True),
+        "LT1": (Implies(b0, target), True),
+        "PrefixedL2r": (
+            Implies(psi7, Implies(o0, Implies(u27, Implies(Not(psi1), target)))),
+            False,
+        ),
+    }
+    for name, (member, with_logic) in cases.items():
+        r = axiom_set(name)
+        assert r.generate_for(target) == (member,), name
+        assert r.contains(member), name
+        assert r.generate_for(parse("0 = 0")) == (), name
+        # omega may be a bare instance only where bare instances are not members
+        assert (r.generate_for(bare) == ()) == with_logic, name
+        assert r.contains(bare) == with_logic, name
 
 
 def test_finite_cores():

@@ -342,3 +342,25 @@ def test_deepcopy_of_a_deep_negation_chain_is_the_node():
 def test_dict_lookup_of_a_rebuilt_deep_negation_chain():
     table = {_negations(5000): "found"}
     assert table[_negations(5000)] == "found"
+
+
+def test_subformulas_of_a_deep_negation_chain():
+    f = _negations(5000)
+    subs = list(subformulas(f))
+    assert len(subs) == 5001
+    assert subs[0] is f and subs[-1] is EQ11
+
+
+def test_subformulas_order():
+    f = Implies(And(EQ11, Not(LT12)), Forall(1, Or(LT12, EQ11)))
+    assert list(subformulas(f)) == [
+        f,
+        f.left,
+        EQ11,
+        Not(LT12),
+        LT12,
+        f.right,
+        f.right.body,
+        LT12,
+        EQ11,
+    ]
