@@ -53,11 +53,13 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .engine import MAX_DEPTH, Budget, BudgetReport, bounded_closure, pool_for, prove
-from .parser import ParseError, render
+from .parser import ParseError, parse_memo, render
 from .parser import parse as parse_formula
 from .proofs import Ax, Proof, check_proof, parse_proof_script, render_proof_script
 from .schemata import (
     AXIOM_SETS,
+    BETA0,
+    BETA1,
     NAMED_FORMULAS,
     PSI_AXIOMS,
     Q_AXIOMS,
@@ -359,8 +361,8 @@ _SENTENCES: dict[str, Formula] = {
     **PSI_AXIOMS,
     **Q_AXIOMS,
     **NAMED_FORMULAS,
-    "beta0": named_formula("beta0", conjuncts=(PSI_AXIOMS["psi2"],)),
-    "beta1": named_formula("beta1", conjuncts=(PSI_AXIOMS["psi2"],)),
+    "beta0": BETA0,
+    "beta1": BETA1,
 }
 
 
@@ -392,8 +394,9 @@ def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
         claim <id> | hyps <token>[,<token>...] | goal <formula-or-name> | locus <text>
 
     ``set`` binds or overrides a name usable in later ``hyps``/``goal``
-    fields.  Hypothesis tokens may name axiom sets, bound names, or the
-    built-in sentence constants.  Parsed claims are membership claims.
+    fields; axiom-set names cannot be bound.  Hypothesis tokens may name axiom
+    sets, bound names, or the built-in sentence constants.  A claim takes one
+    ``goal`` and at most one ``locus``.  Parsed claims are membership claims.
     """
     bindings = dict(_BASE_BINDINGS)
     claims: list[AuditClaim] = []
@@ -407,6 +410,8 @@ def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
             if len(parts) != 2:
                 raise AuditError(f"line {lineno}: set needs a name and a formula")
             name, body = parts
+            if name in AXIOM_SETS:
+                raise AuditError(f"line {lineno}: cannot set {name!r}, an axiom-set name")
             try:
                 bindings[name] = parse_formula(body)
             except ParseError as exc:
@@ -419,7 +424,7 @@ def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
         axiom_names: list[str] = []
         hypotheses: list[tuple[str, Formula]] = []
         goal: Formula | None = None
-        locus = ""
+        locus: str | None = None
         for part in fields[1:]:
             if part.startswith("hyps "):
                 for token in part[5:].replace(",", " ").split():
@@ -429,6 +434,8 @@ def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
                     else:
                         hypotheses.append((token, resolved))
             elif part.startswith("goal "):
+                if goal is not None:
+                    raise AuditError(f"line {lineno}: claim {claim_id!r} repeats the goal field")
                 body = part[5:].strip()
                 resolved = (
                     resolve_token(body, bindings)
@@ -443,6 +450,8 @@ def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
                     except ParseError as exc:
                         raise AuditError(f"line {lineno}: {exc}") from exc
             elif part.startswith("locus "):
+                if locus is not None:
+                    raise AuditError(f"line {lineno}: claim {claim_id!r} repeats the locus field")
                 locus = part[6:].strip()
             else:
                 raise AuditError(f"line {lineno}: unknown claim field {part!r}")
@@ -455,7 +464,7 @@ def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
                 tuple(axiom_names),
                 tuple(hypotheses),
                 goal,
-                locus,
+                locus or "",
             )
         )
     return claims
@@ -563,6 +572,7 @@ def recheck_report(directory: str | Path) -> list[str]:
     """
     root = Path(directory)
     problems: list[str] = []
+    memo: dict[str, Formula] = {}  # each distinct formula text is parsed once
     tsv_path = root / "report.tsv"
     if not tsv_path.exists():
         return [f"missing {tsv_path}"]
@@ -582,11 +592,11 @@ def recheck_report(directory: str | Path) -> list[str]:
         first = text.splitlines()[0] if text.splitlines() else ""
         if first.startswith("# goal "):
             try:
-                goal = parse_formula(first[len("# goal ") :])
+                goal = parse_memo(first[len("# goal ") :], memo)
             except ParseError as exc:
                 problems.append(f"{proof_path.name}: bad goal line: {exc}")
         try:
-            proof = parse_proof_script(text)
+            proof = parse_proof_script(text, memo)
         except Exception as exc:  # noqa: BLE001 - report, not crash
             problems.append(f"{proof_path.name}: does not parse: {exc}")
             continue

@@ -249,7 +249,7 @@ class Pool:
                 self.or_by_side.setdefault(f.left, []).append(f)
                 if f.right != f.left:
                     self.or_by_side.setdefault(f.right, []).append(f)
-            elif isinstance(f, Forall) and isinstance(f.var, int):
+            elif isinstance(f, Forall):
                 self.all_by_body.setdefault(f.body, []).append(f)
             name = label(f)
             if name is not None:

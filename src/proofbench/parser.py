@@ -229,6 +229,14 @@ def parse(text: str) -> Formula:
     return _parse(text, Formula)
 
 
+def parse_memo(text: str, memo: dict[str, Formula]) -> Formula:
+    """``parse(text)``, kept in ``memo``: each distinct text is parsed once per memo."""
+    f = memo.get(text)
+    if f is None:
+        f = memo[text] = parse(text)
+    return f
+
+
 def parse_term(text: str) -> Term:
     """Parse ``text`` as a term."""
     return _parse(text, Term)

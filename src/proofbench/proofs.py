@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parser import ParseError, parse, render
+from .parser import ParseError, parse_memo, render
 from .schemata import AxiomSetRecognizer
 from .syntax import Forall, Formula, Implies, free_vars
 
@@ -208,7 +208,9 @@ def _number(s: str) -> int | None:
     return None
 
 
-def parse_proof_script(text: str) -> Proof:
+def parse_proof_script(text: str, memo: dict[str, Formula] | None = None) -> Proof:
+    """Read a proof script; ``memo`` (text -> formula) may be shared between scripts."""
+    memo = {} if memo is None else memo
     hyps: list[tuple[str, Formula]] = []
     steps: list[ProofStep] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -223,7 +225,7 @@ def parse_proof_script(text: str) -> Proof:
                 raise ScriptError("expected: hyp <name> <formula>", lineno)
             _, name, ftext = parts
             try:
-                hyps.append((name, parse(ftext)))
+                hyps.append((name, parse_memo(ftext, memo)))
             except ParseError as e:
                 raise ScriptError(f"bad formula: {e}", lineno) from e
             continue
@@ -236,7 +238,7 @@ def parse_proof_script(text: str) -> Proof:
         if not dot or index is None:
             raise ScriptError("step must start with '<n>.'", lineno)
         try:
-            formula = parse(ftext.strip())
+            formula = parse_memo(ftext.strip(), memo)
         except ParseError as e:
             raise ScriptError(f"bad formula: {e}", lineno) from e
         jparts = just_text.split()

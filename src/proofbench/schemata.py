@@ -1,17 +1,17 @@
-"""Axiom schemata, schema matching, named formulas, and axiom-set recognizers.
+"""Axiom schemata, schema recognition, named formulas, and axiom-set recognizers.
 
-A schema is a formula template over metavariables.  Template-only node types
-(:class:`FormulaMeta`, :class:`SubstMeta`, :class:`TermMeta`, :class:`VarMeta`)
-extend the object syntax; they never appear in checked formulas.  Matching is
-deterministic (leftmost-outermost) and returns the unique binding if one
-exists.  Side conditions (capture, variable freeness) are recorded on the
-schema and can be checked or skipped so callers can distinguish "not an
-instance" from "instance with a violated side condition".
+Each schema is written once, as the constructor that builds its instances:
+``phi1_instance``...``phi12_instance`` for the twelve logical schemata, and one
+builder per induction flavor.  A :class:`Schema` pairs that constructor with a
+reader that takes the constructor's arguments off fixed positions of a
+candidate formula.  Kernel nodes are interned, so recognizing an instance is
+rebuilding it: a candidate is an instance exactly when the arguments read off
+it rebuild the very same node.  Side conditions (capture, variable freeness)
+are a predicate over those arguments, checked or skipped so callers can
+distinguish "not an instance" from "instance with a violated side condition".
 
-The propositional/quantifier schemata are numbered 1-12, each written once as
-an instance constructor (``phiN_instance``); a template is its constructor
-applied to metavariables.  On top of them the module builds, at import, the
-named sentence constants the audit scripts use (:data:`NAMED_FORMULAS`) and
+On top of them the module builds, at import, the named sentence constants the
+audit scripts use (:data:`NAMED_FORMULAS`, :data:`BETA0`, :data:`BETA1`) and
 one shared recognizer for each axiom set the checker accepts
 (:data:`AXIOM_SETS`).
 """
@@ -45,54 +45,23 @@ from .syntax import (
 
 
 class SchemaError(ValueError):
-    """Raised by :func:`instantiate` on missing bindings or violated conditions."""
-
-
-# -- template node types ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FormulaMeta(Formula):
-    """A formula metavariable, e.g. the alpha in ``alpha -> (beta -> alpha)``."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class TermMeta(Term):
-    """A term metavariable (the ``t`` of the instantiation schema)."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class VarMeta(Term):
-    """A variable metavariable; binds only to variables."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class SubstMeta(Formula):
-    """``phi[x := t]`` at the template level: substitute into whatever ``phi`` binds to."""
-
-    name: str  # formula metavariable to substitute into
-    var: str | int  # variable metavariable name, or a concrete variable id
-    term: Term  # TermMeta, or a concrete/meta-bearing term
+    """Raised by ``phi11_instance``/``phi12_instance`` on a violated side condition."""
 
 
 @dataclass(frozen=True)
 class Schema:
-    """A numbered template plus its side conditions.
+    """A numbered schema: its constructor, a reader for it, and its side condition.
 
-    Each side condition is a tuple: ``("free_for", term_meta, var_meta,
-    formula_meta)`` or ``("not_free", var_meta, formula_meta)``, naming
-    metavariables of the template.
+    ``read(f)`` returns the arguments of ``build`` found at fixed positions of
+    ``f``; it raises :class:`AttributeError` where ``f`` lacks one of those
+    positions and returns None where no argument fits (phi11's term).
+    ``side(*args)``, if given, is the side condition on those arguments.
     """
 
     schema_id: str
-    template: Formula
-    side_conditions: tuple[tuple[str, ...], ...] = ()
+    build: Callable[..., Formula]
+    read: Callable[[Formula], tuple | None]
+    side: Callable[..., bool] | None = None
 
 
 # -- schema instance constructors ---------------------------------------
@@ -138,213 +107,31 @@ def phi10_instance(a: Formula, b: Formula, d: Formula) -> Formula:
     return Implies(Implies(a, b), Implies(Implies(d, b), Implies(Or(a, d), b)))
 
 
+def _phi11(x: int, phi: Formula, t: Term) -> Formula:
+    return Implies(Forall(x, phi), substitute(phi, x, t, check=False))
+
+
 def phi11_instance(x: int, phi: Formula, t: Term) -> Formula:
     if not free_for(x, t, phi):
         raise SchemaError(f"term not free for x{x} in instantiation target")
-    return Implies(Forall(x, phi), substitute(phi, x, t))
+    return _phi11(x, phi, t)
 
 
-def phi12_instance(x: int | str, phi: Formula, psi: Formula) -> Formula:
-    """Also builds the template: ``x`` may be a variable metavariable name."""
-    if x in free_vars(phi):
-        raise SchemaError(f"x{x} must not be free in the fixed antecedent")
+def _phi12(x: int, phi: Formula, psi: Formula) -> Formula:
     return Implies(Forall(x, Implies(phi, psi)), Implies(phi, Forall(x, psi)))
 
 
-# Metavariables: each template is its constructor applied to them, except
-# phi11, whose substitution needs the SubstMeta template node.
-_A = FormulaMeta("alpha")
-_B = FormulaMeta("beta")
-_G = FormulaMeta("gamma")
-_D = FormulaMeta("delta")
-_P = FormulaMeta("phi")
-_Q = FormulaMeta("psi")
-
-SCHEMATA: dict[str, Schema] = {
-    "phi1": Schema("phi1", phi1_instance(_A, _B, _G)),
-    "phi2": Schema("phi2", phi2_instance(_A)),
-    "phi3": Schema("phi3", phi3_instance(_A, _B)),
-    "phi4": Schema("phi4", phi4_instance(_A, _B)),
-    "phi5": Schema("phi5", phi5_instance(_A, _B)),
-    "phi6": Schema("phi6", phi6_instance(_A, _B)),
-    "phi7": Schema("phi7", phi7_instance(_A, _B)),
-    "phi8": Schema("phi8", phi8_instance(_A, _B)),
-    "phi9": Schema("phi9", phi9_instance(_A, _B)),
-    "phi10": Schema("phi10", phi10_instance(_A, _B, _D)),
-    "phi11": Schema(
-        "phi11",
-        Implies(Forall("x", _P), SubstMeta("phi", "x", TermMeta("t"))),
-        side_conditions=(("free_for", "t", "x", "phi"),),
-    ),
-    "phi12": Schema(
-        "phi12",
-        phi12_instance("x", _P, _Q),
-        side_conditions=(("not_free", "x", "phi"),),
-    ),
-}
-
-#: Induction over base 1 / step x+1: (phi(1) /\ (Ax)(phi(x) -> phi(x+1))) -> (Ax)phi(x)
-INDUCTION_ONE = Schema(
-    "induction-one",
-    Implies(
-        And(
-            SubstMeta("phi", "x", Const("1")),
-            Forall(
-                "x",
-                Implies(_P, SubstMeta("phi", "x", App("+", (VarMeta("x"), Const("1"))))),
-            ),
-        ),
-        Forall("x", _P),
-    ),
-)
-
-#: Induction over base 0 / step S(x).
-INDUCTION_ZERO = Schema(
-    "induction-zero",
-    Implies(
-        And(
-            SubstMeta("phi", "x", Const("0")),
-            Forall("x", Implies(_P, SubstMeta("phi", "x", App("S", (VarMeta("x"),))))),
-        ),
-        Forall("x", _P),
-    ),
-)
-
-
-# -- matching -----------------------------------------------------------
-
-Binding = dict[str, object]  # metavariable name -> Formula | Term | int
-
-
-def _binder_var(v: int | str, binding: Binding) -> int | None:
-    """Resolve a template binder slot to a concrete variable id, if bound."""
-    if isinstance(v, int):
-        return v
-    got = binding.get(v)
-    return got if isinstance(got, int) else None
-
-
-def _term_fill(t: Term, binding: Binding) -> Term:
-    if isinstance(t, TermMeta):
-        got = binding.get(t.name)
-        if not isinstance(got, Term):
-            raise SchemaError(f"unbound term metavariable {t.name!r}")
-        return got
-    if isinstance(t, VarMeta):
-        got = binding.get(t.name)
-        if not isinstance(got, int):
-            raise SchemaError(f"unbound variable metavariable {t.name!r}")
-        return Var(got)
-    if isinstance(t, App):
-        return App(t.func, tuple(_term_fill(a, binding) for a in t.args))
-    return t
-
-
-def _fill(template: Formula, binding: Binding) -> Formula:
-    """Build the instance of ``template`` under a complete ``binding``."""
-    if isinstance(template, FormulaMeta):
-        got = binding.get(template.name)
-        if not isinstance(got, Formula):
-            raise SchemaError(f"unbound formula metavariable {template.name!r}")
-        return got
-    if isinstance(template, SubstMeta):
-        base = binding.get(template.name)
-        if not isinstance(base, Formula):
-            raise SchemaError(f"unbound formula metavariable {template.name!r}")
-        x = _binder_var(template.var, binding)
-        if x is None:
-            raise SchemaError(f"unbound variable metavariable {template.var!r}")
-        t = _term_fill(template.term, binding)
-        return substitute(base, x, t, check=False)
-    if isinstance(template, Atom):
-        return Atom(template.pred, tuple(_term_fill(a, binding) for a in template.args))
-    if isinstance(template, Not):
-        return Not(_fill(template.body, binding))
-    if isinstance(template, (Implies, And, Or, Iff)):
-        return type(template)(_fill(template.left, binding), _fill(template.right, binding))
-    if isinstance(template, (Forall, Exists)):
-        x = _binder_var(template.var, binding)
-        if x is None:
-            raise SchemaError(f"unbound variable metavariable {template.var!r}")
-        return type(template)(x, _fill(template.body, binding))
-    raise SchemaError(f"bad template node: {template!r}")
-
-
-def _match_term(template: Term, cand: Term, binding: Binding) -> bool:
-    if isinstance(template, TermMeta):
-        got = binding.get(template.name)
-        if got is None:
-            binding[template.name] = cand
-            return True
-        return got == cand
-    if isinstance(template, VarMeta):
-        if not isinstance(cand, Var):
-            return False
-        got = binding.get(template.name)
-        if got is None:
-            binding[template.name] = cand.id
-            return True
-        return got == cand.id
-    if isinstance(template, Var):
-        return template == cand
-    if isinstance(template, Const):
-        return template == cand
-    if isinstance(template, App):
-        if not (isinstance(cand, App) and cand.func == template.func):
-            return False
-        return all(_match_term(a, b, binding) for a, b in zip(template.args, cand.args))
-    return False
-
-
-def _match(
-    template: Formula,
-    cand: Formula,
-    binding: Binding,
-    deferred: list[tuple[SubstMeta, Formula]],
-) -> bool:
-    """Structural match; SubstMeta nodes are queued until their parts are bound."""
-    if isinstance(template, FormulaMeta):
-        got = binding.get(template.name)
-        if got is None:
-            binding[template.name] = cand
-            return True
-        return got == cand
-    if isinstance(template, SubstMeta):
-        deferred.append((template, cand))
-        return True
-    if isinstance(template, Atom):
-        if not (isinstance(cand, Atom) and cand.pred == template.pred):
-            return False
-        return all(_match_term(a, b, binding) for a, b in zip(template.args, cand.args))
-    if isinstance(template, Not):
-        return isinstance(cand, Not) and _match(template.body, cand.body, binding, deferred)
-    if isinstance(template, (Implies, And, Or, Iff)):
-        if type(cand) is not type(template):
-            return False
-        return _match(template.left, cand.left, binding, deferred) and _match(
-            template.right, cand.right, binding, deferred
-        )
-    if isinstance(template, (Forall, Exists)):
-        if type(cand) is not type(template):
-            return False
-        if isinstance(template.var, int):
-            if template.var != cand.var:
-                return False
-        else:
-            got = binding.get(template.var)
-            if got is None:
-                binding[template.var] = cand.var
-            elif got != cand.var:
-                return False
-        return _match(template.body, cand.body, binding, deferred)
-    return False
+def phi12_instance(x: int, phi: Formula, psi: Formula) -> Formula:
+    if x in free_vars(phi):
+        raise SchemaError(f"x{x} must not be free in the fixed antecedent")
+    return _phi12(x, phi, psi)
 
 
 def _infer_term(base: Formula, x: int, result: Formula) -> Term | None:
     """Find a term t with base[x := t] == result, scanning left to right.
 
     Returns the first witness found at a free occurrence of ``x``; the caller
-    re-checks the full substitution, so a wrong local guess just fails later.
+    rebuilds the full substitution, so a wrong local guess just fails later.
     """
 
     def diff(b: Formula | Term, r: Formula | Term) -> Term | None:
@@ -373,77 +160,87 @@ def _infer_term(base: Formula, x: int, result: Formula) -> Term | None:
     return diff(base, result)
 
 
-def check_side_condition(cond: tuple[str, ...], binding: Binding) -> bool:
-    """Evaluate one recorded side condition against a complete binding."""
-    if cond[0] == "free_for":
-        _, t_name, v_name, f_name = cond
-        t = binding.get(t_name)
-        x = binding.get(v_name)
-        f = binding.get(f_name)
-        if not (isinstance(t, Term) and isinstance(x, int) and isinstance(f, Formula)):
-            raise SchemaError(f"incomplete binding for side condition {cond!r}")
-        return free_for(x, t, f)
-    if cond[0] == "not_free":
-        _, v_name, f_name = cond
-        x = binding.get(v_name)
-        f = binding.get(f_name)
-        if not (isinstance(x, int) and isinstance(f, Formula)):
-            raise SchemaError(f"incomplete binding for side condition {cond!r}")
-        return x not in free_vars(f)
-    raise SchemaError(f"unknown side condition {cond[0]!r}")
+def _read_phi11(f: Formula) -> tuple[int, Formula, Term] | None:
+    x, phi = f.left.var, f.left.body
+    t = _infer_term(phi, x, f.right)
+    return None if t is None else (x, phi, t)
+
+
+# Each reader spreads its reads over the schema's connectives, so that most
+# non-instances miss an attribute on the way and are never rebuilt.
+SCHEMATA: dict[str, Schema] = {
+    s.schema_id: s
+    for s in (
+        Schema(
+            "phi1",
+            phi1_instance,
+            lambda f: (f.right.left.left, f.left.right.left, f.right.right.right),
+        ),
+        Schema("phi2", phi2_instance, lambda f: (f.left.left.body,)),
+        Schema("phi3", phi3_instance, lambda f: (f.left.body, f.right.right)),
+        Schema("phi4", phi4_instance, lambda f: (f.right.right, f.right.left)),
+        Schema("phi5", phi5_instance, lambda f: (f.left.left, f.left.right)),
+        Schema("phi6", phi6_instance, lambda f: (f.left.left, f.left.right)),
+        Schema("phi7", phi7_instance, lambda f: (f.right.right.left, f.right.right.right)),
+        Schema("phi8", phi8_instance, lambda f: (f.right.left, f.right.right)),
+        Schema("phi9", phi9_instance, lambda f: (f.right.left, f.right.right)),
+        Schema(
+            "phi10",
+            phi10_instance,
+            lambda f: (f.left.left, f.right.left.right, f.right.right.left.right),
+        ),
+        Schema("phi11", _phi11, _read_phi11, lambda x, phi, t: free_for(x, t, phi)),
+        Schema(
+            "phi12",
+            _phi12,
+            lambda f: (f.right.right.var, f.left.body.left, f.left.body.right),
+            lambda x, phi, psi: x not in free_vars(phi),
+        ),
+    )
+}
+
+
+def _induction(schema_id: str, base: Term, step: Callable[[Term], Term]) -> Schema:
+    """``(phi[x := base] /\\ (Ax)(phi -> phi[x := step(x)])) -> (Ax)phi`` for any x, phi."""
+
+    def build(x: int, phi: Formula) -> Formula:
+        next_phi = substitute(phi, x, step(Var(x)), check=False)
+        return Implies(
+            And(substitute(phi, x, base, check=False), Forall(x, Implies(phi, next_phi))),
+            Forall(x, phi),
+        )
+
+    # x and phi come off the step's quantifier, which a non-instance most often lacks
+    return Schema(schema_id, build, lambda f: (f.left.right.var, f.left.right.body.left))
+
+
+#: Induction over base 1 / step x+1: (phi(1) /\ (Ax)(phi(x) -> phi(x+1))) -> (Ax)phi(x)
+INDUCTION_ONE = _induction("induction-one", Const("1"), lambda v: App("+", (v, Const("1"))))
+
+#: Induction over base 0 / step S(x).
+INDUCTION_ZERO = _induction("induction-zero", Const("0"), lambda v: App("S", (v,)))
+
+
+# -- matching -----------------------------------------------------------
 
 
 def match_schema(
     candidate: Formula, schema: Schema, require_side_conditions: bool = True
-) -> Binding | None:
-    """Match ``candidate`` against ``schema``; return the binding or ``None``.
+) -> tuple | None:
+    """The arguments with which ``schema`` builds ``candidate``, or ``None``.
 
     With ``require_side_conditions`` false, a structural instance whose side
-    conditions fail still returns its binding (used for diagnostics).
+    condition fails still returns its arguments (used for diagnostics).
     """
-    binding: Binding = {}
-    deferred: list[tuple[SubstMeta, Formula]] = []
-    if not _match(schema.template, candidate, binding, deferred):
-        return None
-    # Resolve deferred substitution constraints now that plain slots are bound.
-    for node, expected in deferred:
-        base = binding.get(node.name)
-        if not isinstance(base, Formula):
-            return None
-        x = _binder_var(node.var, binding)
-        if x is None:
-            return None
-        if isinstance(node.term, TermMeta) and node.term.name not in binding:
-            t = _infer_term(base, x, expected)
-            if t is None:
-                return None
-            binding[node.term.name] = t
-        try:
-            t = _term_fill(node.term, binding)
-        except SchemaError:
-            return None
-        if substitute(base, x, t, check=False) != expected:
-            return None
-    # Rebuild and compare, so inference slips can never produce a false match.
     try:
-        if _fill(schema.template, binding) != candidate:
-            return None
-    except SchemaError:
+        args = schema.read(candidate)
+    except AttributeError:
         return None
-    if require_side_conditions:
-        for cond in schema.side_conditions:
-            if not check_side_condition(cond, binding):
-                return None
-    return binding
-
-
-def instantiate(schema: Schema, binding: Binding) -> Formula:
-    """Build the instance; raises :class:`SchemaError` on gaps or violated conditions."""
-    inst = _fill(schema.template, binding)
-    for cond in schema.side_conditions:
-        if not check_side_condition(cond, binding):
-            raise SchemaError(f"side condition violated: {cond!r}")
-    return inst
+    if args is None or schema.build(*args) is not candidate:
+        return None
+    if require_side_conditions and schema.side is not None and not schema.side(*args):
+        return None
+    return args
 
 
 @lru_cache(maxsize=None)
@@ -458,7 +255,7 @@ def logic_diagnose(f: Formula) -> str:
         if match_schema(f, s) is not None:
             return "ok"
     for s in SCHEMATA.values():
-        if s.side_conditions and match_schema(f, s, require_side_conditions=False) is not None:
+        if s.side is not None and match_schema(f, s, require_side_conditions=False) is not None:
             return "side-condition"
     return "no-match"
 
@@ -466,14 +263,10 @@ def logic_diagnose(f: Formula) -> str:
 def recognize_induction(candidate: Formula, schema: Schema) -> Formula | None:
     """Return the matrix formula when ``candidate`` instantiates an induction schema.
 
-    Any induction variable is accepted; it is read off the conclusion's outer
-    quantifier.
+    Any induction variable is accepted; it is read off the step's quantifier.
     """
-    b = match_schema(candidate, schema)
-    if b is None:
-        return None
-    phi = b.get("phi")
-    return phi if isinstance(phi, Formula) else None
+    args = match_schema(candidate, schema)
+    return None if args is None else args[1]
 
 
 # -- the arithmetic axioms ----------------------------------------------
@@ -517,7 +310,8 @@ def _imp_chain(*parts: Formula) -> Formula:
     return out
 
 
-_PSI1, _PSI7, _PSI12 = PSI_AXIOMS["psi1"], PSI_AXIOMS["psi7"], PSI_AXIOMS["psi12"]
+_PSI1, _PSI2 = PSI_AXIOMS["psi1"], PSI_AXIOMS["psi2"]
+_PSI7, _PSI12 = PSI_AXIOMS["psi7"], PSI_AXIOMS["psi12"]
 _O0 = Iff(_PSI7, Not(Not(_PSI1)))
 _U27 = Not(Atom("<", (Const("1"), Const("1"))))
 _GAMMA0P = Implies(Implies(_PSI7, _PSI1), _PSI12)
@@ -537,29 +331,23 @@ NAMED_FORMULAS: dict[str, Formula] = {
 }
 NAMED_FORMULA_NAMES = tuple(NAMED_FORMULAS)
 
+#: ``beta0``, the conjunction of psi2, psi1, psi7 and psi12 (folded left), and
+#: ``beta1``, beta0 behind psi1, psi7 and psi12.  They are kept out of
+#: :data:`NAMED_FORMULAS`, which seeds every search pool.
+BETA0 = And(And(And(_PSI2, _PSI1), _PSI7), _PSI12)
+BETA1 = _imp_chain(_PSI1, _PSI7, _PSI12, BETA0)
 
-def named_formula(
-    name: str,
-    *,
-    delta: Formula | None = None,
-    conjuncts: Iterable[Formula] | None = None,
-) -> Formula:
+
+def named_formula(name: str, *, delta: Formula | None = None) -> Formula:
     """One of the sentence constants the audit scripts refer to.
 
-    ``delta00`` takes a ``delta`` argument; ``beta0``/``beta1`` take the list
-    of extra ``conjuncts`` (must be nonempty); every other name is a key of
-    :data:`NAMED_FORMULAS`.
+    ``delta00`` takes a ``delta`` argument; every other name is ``beta0``,
+    ``beta1`` or a key of :data:`NAMED_FORMULAS`.
     """
     if name == "beta0":
-        parts = list(conjuncts or ())
-        if not parts:
-            raise ValueError("beta0 needs at least one conjunct")
-        out = parts[0]
-        for p in parts[1:] + [_PSI1, _PSI7, _PSI12]:
-            out = And(out, p)
-        return out
+        return BETA0
     if name == "beta1":
-        return _imp_chain(_PSI1, _PSI7, _PSI12, named_formula("beta0", conjuncts=conjuncts))
+        return BETA1
     if name == "delta00":
         if delta is None:
             raise ValueError("delta00 needs a delta")
@@ -650,9 +438,6 @@ def _prefixed(name: str, prefix: tuple[Formula, ...], with_logic: bool) -> Axiom
     )
 
 
-# beta0 and beta1 as the audit scripts use them: psi2 is the one extra conjunct
-_BETA0 = named_formula("beta0", conjuncts=(PSI_AXIOMS["psi2"],))
-_BETA1 = named_formula("beta1", conjuncts=(PSI_AXIOMS["psi2"],))
 _NPSI3_DOT = (
     Implies(_O0, NAMED_FORMULAS["gamma0"]),
     NAMED_FORMULAS["gamma2p"],
@@ -670,10 +455,10 @@ AXIOM_SETS: dict[str, AxiomSetRecognizer] = {
         _finite("XpPrime", Q_AXIOMS.values(), INDUCTION_ZERO),
         _finite("YpPrime", (), INDUCTION_ZERO),
         _prefixed("L11", (_PSI1, _PSI7, _PSI12), with_logic=True),
-        _prefixed("LT1", (_BETA0,), with_logic=True),
+        _prefixed("LT1", (BETA0,), with_logic=True),
         _prefixed("PrefixedL2r", (_PSI7, _O0, _U27, Not(_PSI1)), with_logic=False),
         _finite("NPsi3dot", _NPSI3_DOT),
-        _finite("NPsi3ddot", (Implies(_O0, Implies(_U27, _BETA1)),) + _NPSI3_DOT),
+        _finite("NPsi3ddot", (Implies(_O0, Implies(_U27, BETA1)),) + _NPSI3_DOT),
     )
 }
 AXIOM_SET_NAMES = tuple(AXIOM_SETS)

@@ -1,6 +1,7 @@
 """First-order term and formula trees, and the operations the checker needs.
 
-Variables are positive integers rendered as ``x1, x2, ...``; the constants
+Variables are positive integers rendered as ``x1, x2, ...``; a quantifier
+binds a variable by that same id, and nothing else.  The constants
 :data:`CONSTANTS`, :data:`FUNCTIONS` and :data:`PREDICATES` fix the language.
 Nodes are frozen, slotted dataclasses, hash-consed (Filliâtre & Conchon,
 *Type-Safe Modular Hash-Consing*, 2006) through a weak table: there is one
@@ -39,16 +40,12 @@ class Term:
     """Base class for term nodes."""
 
     __slots__ = ()
-    _free: tuple[int, ...] = ()  # for a schema metavariable; nodes store their own
-    _depth = 0
 
 
 class Formula:
     """Base class for formula nodes."""
 
     __slots__ = ()
-    _free: tuple[int, ...] = ()
-    _depth = 0
 
 
 _setattr = object.__setattr__
@@ -243,16 +240,13 @@ class Iff(_Node, Formula):
     right: Formula
 
 
-def _check_binder(var: int | str, body: Formula) -> None:
-    # int (exactly, as for Var): a concrete variable id; str: a template metavariable slot
-    if type(var) is int:
-        if var < 1:
-            raise ValueError(f"binder variable id must be positive, got {var!r}")
-    elif not (isinstance(var, str) and var):
-        raise ValueError(f"binder variable must be an id or metavariable name, got {var!r}")
+def _check_binder(var: int, body: Formula) -> None:
+    # exactly int, as for Var
+    if not (type(var) is int and var >= 1):
+        raise ValueError(f"binder variable id must be a positive int, got {var!r}")
 
 
-def _binder_facts(var: int | str, body: Formula) -> tuple[tuple[int, ...], int]:
+def _binder_facts(var: int, body: Formula) -> tuple[tuple[int, ...], int]:
     return tuple(v for v in body._free if v != var), body._depth + 1
 
 
@@ -260,7 +254,7 @@ def _binder_facts(var: int | str, body: Formula) -> tuple[tuple[int, ...], int]:
 class Forall(_Node, Formula):
     __slots__ = ("var", "body")
 
-    var: int | str
+    var: int
     body: Formula
 
     _check = staticmethod(_check_binder)
@@ -271,7 +265,7 @@ class Forall(_Node, Formula):
 class Exists(_Node, Formula):
     __slots__ = ("var", "body")
 
-    var: int | str
+    var: int
     body: Formula
 
     _check = staticmethod(_check_binder)

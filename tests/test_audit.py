@@ -385,6 +385,18 @@ def test_load_script_errors_carry_line_numbers():
         load_script("claim bad id! | hyps L12 | goal psi1\n")
 
 
+def test_load_script_rejects_input_it_would_lose():
+    # an axiom-set name always resolves to the set, so its binding is never read
+    with pytest.raises(AuditError) as e:
+        load_script("claim c0 | hyps L12 | goal psi1\nset L12 1 = 1\n")
+    assert "line 2" in str(e.value) and "L12" in str(e.value)
+    # a second goal or locus field would replace the first
+    for field in ("goal (Ax1)(x1 = x1)", "locus elsewhere"):
+        with pytest.raises(AuditError) as e:
+            load_script(f"\nclaim c | hyps L12 | goal u27 | locus here | {field}\n")
+        assert "line 2" in str(e.value)
+
+
 def test_run_audit_rejects_duplicate_ids():
     text = "claim c1 | hyps L12 | goal psi1\nclaim c1 | hyps L12 | goal psi2\n"
     claims = load_script(text, "t")

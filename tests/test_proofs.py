@@ -62,6 +62,26 @@ def test_axiom_step_must_be_recognized():
     assert not r.ok and r.step == 1
 
 
+@pytest.mark.parametrize(
+    "formula,reason",
+    [
+        # phi11 putting x2 under (Ax2): an instance but for the capture
+        (Implies(Forall(1, Forall(2, parse("x1 < x2"))), Forall(2, parse("x2 < x2"))),
+         "side-condition"),
+        # phi12 with x1 free in the fixed antecedent
+        (Implies(Forall(1, Implies(parse("x1 = x1"), parse("x1 < 1"))),
+                 Implies(parse("x1 = x1"), Forall(1, parse("x1 < 1")))),
+         "side-condition"),
+        (Implies(PSI7, PSI1), "not-axiom"),
+    ],
+)
+def test_axiom_step_failure_reasons(formula, reason):
+    p = Proof((), (ProofStep(1, formula, Ax("L12")),))
+    for strict in (False, True):
+        r = check_proof(p, L12, strict=strict)
+        assert (r.ok, r.step, r.reason) == (False, 1, reason)
+
+
 def test_axiom_step_unknown_set_name():
     p = Proof((), (ProofStep(1, phi4_instance(PSI7, PSI1), Ax("NoSuchSet")),))
     r = check_proof(p, L12)
@@ -105,7 +125,7 @@ def test_forward_reference_rejected():
         (Gen(1, -1), Forall(1, PSI7), "bad-gen"),
         (Gen(1, True), Forall(1, PSI7), "bad-gen"),
         (Gen(1, 1.0), Forall(1, PSI7), "bad-gen"),
-        (Gen(1, "x"), Forall("x", PSI7), "bad-gen"),  # a template slot, not a variable
+        (Gen(1, "x"), Forall(1, PSI7), "bad-gen"),  # a name, not a variable id
         (Hyp(["a"]), PSI7, "dangling-ref"),
         (Ax(["L12"]), PSI7, "dangling-ref"),
     ],

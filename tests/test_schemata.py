@@ -1,22 +1,25 @@
 """Axiom schemata, arithmetic axiom registries, named formulas, recognizers."""
 
+import inspect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofbench.parser import parse
 from proofbench.schemata import (
     AXIOM_SET_NAMES,
     AXIOM_SETS,
+    BETA0,
+    BETA1,
     INDUCTION_ONE,
     INDUCTION_ZERO,
     NAMED_FORMULA_NAMES,
     PSI_AXIOMS,
     Q_AXIOMS,
     SCHEMATA,
-    FormulaMeta,
     axiom_set,
-    instantiate,
     is_logic_instance,
     match_schema,
     named_formula,
@@ -50,6 +53,8 @@ from proofbench.transforms import (
     phi12_instance,
 )
 
+from strategies import VAR_IDS, formulas, terms
+
 A = parse("1 < 1")
 B = parse("0 = 1")
 C = parse("(Ax1)(x1 = x1)")
@@ -76,34 +81,41 @@ def test_schema_registry_is_complete():
 )
 def test_propositional_instances_match_and_reinstantiate(maker, schema_id):
     f = maker()
-    binding = match_schema(f, SCHEMATA[schema_id])
-    assert binding is not None
-    assert instantiate(SCHEMATA[schema_id], binding) == f
+    args = match_schema(f, SCHEMATA[schema_id])
+    assert args is not None
+    assert SCHEMATA[schema_id].build(*args) is f
     assert is_logic_instance(f)
 
 
-_MA, _MB, _MC = FormulaMeta("alpha"), FormulaMeta("beta"), FormulaMeta("gamma")
-_MD, _MP, _MQ = FormulaMeta("delta"), FormulaMeta("phi"), FormulaMeta("psi")
+# distinct formulas, so that an instance determines its arguments;
+# x1 is free in _MQ and not in _MP, as phi12 asks
+_MA, _MB, _MC = parse("x1 < x2"), parse("~(0 = 1)"), parse("(Ax3)(x3 = x3)")
+_MD, _MP, _MQ = parse("1 < 0 \\/ 0 < 1"), parse("0 < 1"), parse("x1 = x1")
 
 
 @pytest.mark.parametrize(
     "schema_id,maker",
     [
-        ("phi1", lambda: phi1_instance(_MA, _MB, _MC)),
-        ("phi2", lambda: phi2_instance(_MA)),
-        ("phi3", lambda: phi3_instance(_MA, _MB)),
-        ("phi4", lambda: phi4_instance(_MA, _MB)),
-        ("phi5", lambda: phi5_instance(_MA, _MB)),
-        ("phi6", lambda: phi6_instance(_MA, _MB)),
-        ("phi7", lambda: phi7_instance(_MA, _MB)),
-        ("phi8", lambda: phi8_instance(_MA, _MB)),
-        ("phi9", lambda: phi9_instance(_MA, _MB)),
-        ("phi10", lambda: phi10_instance(_MA, _MB, _MD)),
-        ("phi12", lambda: phi12_instance("x", _MP, _MQ)),
+        ("phi1", lambda: (phi1_instance, (_MA, _MB, _MC))),
+        ("phi2", lambda: (phi2_instance, (_MA,))),
+        ("phi3", lambda: (phi3_instance, (_MA, _MB))),
+        ("phi4", lambda: (phi4_instance, (_MA, _MB))),
+        ("phi5", lambda: (phi5_instance, (_MA, _MB))),
+        ("phi6", lambda: (phi6_instance, (_MA, _MB))),
+        ("phi7", lambda: (phi7_instance, (_MA, _MB))),
+        ("phi8", lambda: (phi8_instance, (_MA, _MB))),
+        ("phi9", lambda: (phi9_instance, (_MA, _MB))),
+        ("phi10", lambda: (phi10_instance, (_MA, _MB, _MD))),
+        ("phi12", lambda: (phi12_instance, (1, _MP, _MQ))),
     ],
 )
 def test_templates_are_their_constructors(schema_id, maker):
-    assert SCHEMATA[schema_id].template is maker()
+    # a schema's one template is its public constructor: matching reads back
+    # the arguments an instance was built from, and its build rebuilds it
+    constructor, args = maker()
+    inst = constructor(*args)
+    assert match_schema(inst, SCHEMATA[schema_id]) == args
+    assert SCHEMATA[schema_id].build(*args) is inst
 
 
 def test_phi11_side_condition():
@@ -184,19 +196,18 @@ def test_named_formula_registry():
 def test_parameterized_named_formulas():
     d00 = named_formula("delta00", delta=PSI_AXIOMS["psi1"])
     assert d00 == Implies(PSI_AXIOMS["psi7"], PSI_AXIOMS["psi1"])
-    b0 = named_formula("beta0", conjuncts=[PSI_AXIOMS["psi2"]])
-    # fold-left conjunction over conjuncts + the three pinned axioms
+    b0 = named_formula("beta0")
+    # psi2, then the three pinned axioms, conjoined left to right
     assert b0 == And(
         And(And(PSI_AXIOMS["psi2"], PSI_AXIOMS["psi1"]), PSI_AXIOMS["psi7"]),
         PSI_AXIOMS["psi12"],
     )
-    b1 = named_formula("beta1", conjuncts=[PSI_AXIOMS["psi2"]])
+    b1 = named_formula("beta1")
     assert b1 == Implies(
         PSI_AXIOMS["psi1"],
         Implies(PSI_AXIOMS["psi7"], Implies(PSI_AXIOMS["psi12"], b0)),
     )
-    with pytest.raises(Exception):
-        named_formula("beta0")
+    assert (b0, b1) == (BETA0, BETA1)
     with pytest.raises(Exception):
         named_formula("delta00")
     with pytest.raises(Exception):
@@ -293,7 +304,7 @@ def test_guarded_sets():
     )
 
     lt1 = axiom_set("LT1")
-    b0 = named_formula("beta0", conjuncts=[PSI_AXIOMS["psi2"]])
+    b0 = named_formula("beta0")
     assert lt1.contains(Implies(b0, target))
     assert not lt1.contains(Implies(b0, plain))
     assert not lt1.contains(target)
@@ -314,7 +325,7 @@ def test_prefixed_sets_generate_members():
     target = universal_closure(phi4_instance(parse("x1 = x1"), parse("x1 < 1")))
     bare = phi2_instance(parse("0 = 0"))
     psi1, psi7, psi12 = PSI_AXIOMS["psi1"], PSI_AXIOMS["psi7"], PSI_AXIOMS["psi12"]
-    b0 = named_formula("beta0", conjuncts=[PSI_AXIOMS["psi2"]])
+    b0 = named_formula("beta0")
     o0, u27 = named_formula("o0"), named_formula("u27")
     cases = {
         # name: (member built on target, whether bare instances are members)
@@ -364,3 +375,28 @@ def test_random_schema_instances_round_trip():
         assert any(
             match_schema(f, s) is not None for s in SCHEMATA.values()
         )
+
+
+_SCHEMATA_AND_INDUCTION = (*SCHEMATA.values(), INDUCTION_ONE, INDUCTION_ZERO)
+# a constructor argument's annotation -> values of that sort
+_SORTS = {"Formula": formulas(), "int": st.sampled_from(VAR_IDS), "Term": terms()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_match_schema_reads_back_what_build_builds(data):
+    s = data.draw(st.sampled_from(_SCHEMATA_AND_INDUCTION))
+    params = inspect.signature(s.build).parameters.values()
+    inst = s.build(*(data.draw(_SORTS[p.annotation]) for p in params))
+    args = match_schema(inst, s, require_side_conditions=False)
+    assert args is not None and s.build(*args) is inst
+    satisfied = s.side is None or s.side(*args)
+    assert (match_schema(inst, s) is not None) == satisfied
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas())
+def test_a_schema_match_rebuilds_its_candidate(f):
+    for s in _SCHEMATA_AND_INDUCTION:
+        args = match_schema(f, s, require_side_conditions=False)
+        assert args is None or s.build(*args) is f

@@ -200,6 +200,8 @@ def test_bad_binder_rejected():
         Forall(0, EQ11)
     with pytest.raises(ValueError):
         Forall(-2, EQ11)
+    with pytest.raises(ValueError):
+        Forall("x", EQ11)  # a binder is a variable id, never a name
 
 
 def _rebuild(node):
