@@ -52,7 +52,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .engine import MAX_DEPTH, Budget, BudgetReport, bounded_closure, pool_for, prove
+from .engine import BACKWARD_DEPTH, MAX_DEPTH, Budget, BudgetReport, pool_for
+from .engine import check_absolute_consistency, check_traditional_consistency
 from .parser import ParseError, parse_memo, render
 from .parser import parse as parse_formula
 from .proofs import Ax, Proof, check_proof, parse_proof_script, render_proof_script
@@ -204,13 +205,16 @@ def refutation_valuation(
 # -- judging ------------------------------------------------------------
 
 
-def _strict_check(proof: Proof, axioms: tuple[AxiomSetRecognizer, ...]) -> None:
-    result = check_proof(proof, axioms, strict=True)
-    if not result.ok:
-        raise AuditError(
-            f"internal: engine produced a proof that fails the strict kernel "
-            f"check at step {result.step}: {result.reason}"
-        )
+def _strict_check(proofs: tuple[Proof, ...], axioms: tuple[AxiomSetRecognizer, ...]) -> int:
+    """Strictly re-check the engine's proofs; their total number of steps."""
+    for proof in proofs:
+        result = check_proof(proof, axioms, strict=True)
+        if not result.ok:
+            raise AuditError(
+                f"internal: engine produced a proof that fails the strict kernel "
+                f"check at step {result.step}: {result.reason}"
+            )
+    return sum(len(proof.steps) for proof in proofs)
 
 
 def _judge_membership(claim: AuditClaim, budget: Budget) -> AuditVerdict:
@@ -230,21 +234,21 @@ def _judge_membership(claim: AuditClaim, budget: Budget) -> AuditVerdict:
                 valuation=val,
                 detail="context-satisfying skeleton valuation falsifies the target",
             )
-    outcome = prove(goal, claim.hypotheses, axioms, budget)
-    if outcome.proof is not None:
-        _strict_check(outcome.proof, axioms)
+    probe = check_absolute_consistency(claim.hypotheses, axioms, goal, budget)
+    if probe.proofs:
+        steps = _strict_check(probe.proofs, axioms)
         return AuditVerdict(
             claim,
             VERIFIED,
-            proofs=(outcome.proof,),
-            steps=len(outcome.proof.steps),
-            detail=f"proof with {len(outcome.proof.steps)} steps",
+            proofs=probe.proofs,
+            steps=steps,
+            detail=f"proof with {steps} steps",
         )
     return AuditVerdict(
         claim,
         UNRESOLVED,
-        steps=outcome.report.steps_expended,
-        detail=_unresolved_detail(outcome.report),
+        steps=probe.report.steps_expended,
+        detail=_unresolved_detail(probe.report),
     )
 
 
@@ -264,23 +268,19 @@ def _judge_collapse(claim: AuditClaim, budget: Budget) -> AuditVerdict:
             valuation=val,
             detail=f"the context has a satisfying skeleton valuation, ruling out {what}",
         )
-    closure = bounded_closure(claim.hypotheses, axioms, budget)
-    if closure.contradiction is not None:
-        a, na = closure.contradiction
-        pos, neg = closure.proof_of(a), closure.proof_of(na)
-        _strict_check(pos, axioms)
-        _strict_check(neg, axioms)
+    probe = check_traditional_consistency(claim.hypotheses, axioms, budget)
+    if probe.proofs:
         return AuditVerdict(
             claim,
             VERIFIED,
-            proofs=(pos, neg),
-            steps=len(pos.steps) + len(neg.steps),
-            detail=f"contradiction pair on {render(a)}",
+            proofs=probe.proofs,
+            steps=_strict_check(probe.proofs, axioms),
+            detail=f"contradiction pair on {render(probe.witness)}",
         )
     return AuditVerdict(
         claim,
         UNRESOLVED,
-        steps=closure.report.steps_expended,
+        steps=probe.report.steps_expended,
         detail=(
             "context skeletons are jointly unsatisfiable, yet no contradiction "
             "pair was derivable within budget"
@@ -315,6 +315,11 @@ def _unresolved_detail(report: BudgetReport) -> str:
         return (
             f"search reached a fixpoint after {report.steps_expended} steps "
             "without finding a proof"
+        )
+    if report.steps_expended < report.max_steps:
+        return (
+            f"search stopped at the backward depth cap of {BACKWARD_DEPTH} "
+            f"after {report.steps_expended} steps without finding a proof"
         )
     return f"budget of {report.max_steps} steps exhausted"
 

@@ -16,6 +16,7 @@ templates) on top of the forward closure.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -73,7 +74,8 @@ class Budget:
 
 @dataclass(frozen=True)
 class BudgetReport:
-    """What a run spent and whether it stopped at a fixpoint or ran dry."""
+    """What a run spent and why it stopped: at a fixpoint, out of steps, or (a
+    :func:`prove` run with steps left and no proof) at :data:`BACKWARD_DEPTH`."""
 
     steps_expended: int
     max_steps: int
@@ -148,8 +150,7 @@ class ClosureState:
         if f not in self._entries:
             raise KeyError(f"not derived: {f!r}")
         b = ProofBuilder(self.hypotheses, label=axiom_labeler(self.axioms))
-        conclude(b, self._emit(b, f))
-        return b.proof()
+        return conclude(b, self._emit(b, f))
 
     def _emit(self, b: ProofBuilder, f: Formula) -> int:
         # iterative post-order over recipe premises; builder dedup keeps it linear
@@ -431,10 +432,6 @@ class SearchOutcome:
     proof: Proof | None
     report: BudgetReport
 
-    @property
-    def found(self) -> bool:
-        return self.proof is not None
-
 
 @dataclass(frozen=True)
 class ConsistencyVerdict:
@@ -445,7 +442,8 @@ class ConsistencyVerdict:
     report: BudgetReport
 
 
-_BACKWARD_DEPTH = 12
+#: The most backward decompositions :func:`prove` stacks on one branch.
+BACKWARD_DEPTH = 12
 
 
 class _Searcher:
@@ -460,7 +458,8 @@ class _Searcher:
         self.budget = budget
         self.steps = 0
         self.closures: dict[tuple, ClosureState] = {}
-        self.failed: dict[tuple, int] = {}  # (goal, hyps-key) -> highest depth failed
+        self.failed: dict[tuple, float] = {}  # (goal, hyps-key) -> depth failed; inf: uncut
+        self.cuts = 0  # branches cut at depth 0, counting memo hits on cut failures
 
     def remaining(self) -> int:
         return max(0, self.budget.max_steps - self.steps)
@@ -481,11 +480,15 @@ class _Searcher:
         self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int
     ) -> Proof | None:
         key = (goal, tuple(f for _, f in hyps))
-        if self.failed.get(key, -1) >= depth:
+        failed = self.failed.get(key, -1)
+        if failed >= depth:
+            if failed < math.inf:  # that failure cut a branch, and so would this one
+                self.cuts += 1
             return None
+        cuts = self.cuts
         proof = self._attempt(goal, hyps, depth)
         if proof is None:
-            self.failed[key] = max(self.failed.get(key, -1), depth)
+            self.failed[key] = math.inf if self.cuts == cuts else max(failed, depth)
         return proof
 
     def _attempt(
@@ -494,7 +497,10 @@ class _Searcher:
         closure = self.closure_for(hyps, goal)
         if goal in closure:
             return closure.proof_of(goal)
-        if depth <= 0 or self.remaining() == 0:
+        if self.remaining() == 0:
+            return None
+        if depth <= 0:
+            self.cuts += 1
             return None
         if isinstance(goal, Implies) and is_sentence(goal.left):
             name = f"g{len(hyps) + 1}"
@@ -567,8 +573,7 @@ class _Searcher:
     def _combine(self, hyps, sub_proofs, finish) -> Proof:
         b = ProofBuilder(hyps, label=axiom_labeler(self.axioms))
         idx = tuple(splice(b, p) for p in sub_proofs)
-        conclude(b, finish(b, idx))
-        return b.proof()
+        return conclude(b, finish(b, idx))
 
 
 def prove(
@@ -580,22 +585,21 @@ def prove(
     """Search for a kernel proof of ``goal`` from hypotheses ``X``.
 
     Iterative deepening over backward decompositions; each frontier consults
-    the forward closure.  Deterministic; returns the first proof found.
+    the forward closure.  Deterministic; returns the first proof found.  A
+    pass that cuts no branch walked the whole search tree: it ends the search.
     """
     budget = budget or Budget()
     hyps = _named_hyps(X)
     searcher = _Searcher(hyps, tuple(axioms), budget)
-    proof = None
-    for depth in range(_BACKWARD_DEPTH + 1):
+    for depth in range(BACKWARD_DEPTH + 1):
+        cuts = searcher.cuts
         proof = searcher.prove(goal, hyps, depth)
-        if proof is not None or searcher.remaining() == 0:
+        if proof is not None or searcher.remaining() == 0 or searcher.cuts == cuts:
             break
-        # a fully saturated base closure cannot improve with more depth unless
-        # some decomposition applies; the failure memo keeps re-walks cheap
     report = BudgetReport(
         steps_expended=searcher.steps,
         max_steps=budget.max_steps,
-        fixpoint=proof is None and searcher.remaining() > 0,
+        fixpoint=proof is None and searcher.remaining() > 0 and searcher.cuts == cuts,
     )
     return SearchOutcome(proof, report)
 
@@ -632,7 +636,7 @@ def check_absolute_consistency(
     if target is None:
         target = NAMED_FORMULAS["u27"]
     outcome = prove(target, X, axioms, budget)
-    if outcome.found:
+    if outcome.proof is not None:
         return ConsistencyVerdict(
             "target_derived", target, (outcome.proof,), outcome.report
         )

@@ -287,7 +287,8 @@ class ProofBuilder:
     """Grow a proof step by step, reusing steps that restate a formula.
 
     ``label`` maps a formula to the axiom-set name to cite for it; it is
-    consulted by :meth:`add_axiom`.
+    consulted by :meth:`add_axiom`.  :meth:`proof` returns every step logged;
+    :func:`~proofbench.transforms.conclude` returns the proof of one step.
     """
 
     def __init__(
@@ -308,9 +309,6 @@ class ProofBuilder:
         self._steps.append(ProofStep(idx, formula, just))
         self._index_of[formula] = idx
         return idx
-
-    def __len__(self) -> int:
-        return len(self._steps)
 
     def idx_of(self, formula: Formula) -> int | None:
         return self._index_of.get(formula)
@@ -340,19 +338,6 @@ class ProofBuilder:
         if not (isinstance(major, Implies) and major.left == self.formula(i)):
             raise ValueError(f"step {j} is not (step {i} -> _)")
         return self._add(major.right, Mp(i, j))
-
-    def restate(self, i: int, j: int) -> int:
-        """Append mp(i, j) as a fresh step even when its formula already occurred.
-
-        Used to end a proof on its conclusion when step reuse left that
-        formula in the middle.
-        """
-        major = self.formula(j)
-        if not (isinstance(major, Implies) and major.left == self.formula(i)):
-            raise ValueError(f"step {j} is not (step {i} -> _)")
-        idx = len(self._steps) + 1
-        self._steps.append(ProofStep(idx, major.right, Mp(i, j)))
-        return idx
 
     def add_gen(self, i: int, var: int) -> int:
         return self._add(Forall(var, self.formula(i)), Gen(i, var))

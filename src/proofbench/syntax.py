@@ -312,7 +312,10 @@ def substitute_term(t: Term, x: int, s: Term) -> Term:
         return t
     if isinstance(t, Var):
         return s
-    return App(t.func, tuple(substitute_term(a, x, s) for a in t.args))
+    args = []  # a loop, not a generator: one stack frame per term level
+    for a in t.args:
+        args.append(substitute_term(a, x, s))
+    return App(t.func, tuple(args))
 
 
 def substitute(f: Formula, x: int, t: Term, check: bool = True) -> Formula:
@@ -326,7 +329,10 @@ def substitute(f: Formula, x: int, t: Term, check: bool = True) -> Formula:
         if x not in g._free:
             return g  # also where x is bound: nothing free below
         if isinstance(g, Atom):
-            return Atom(g.pred, tuple(substitute_term(a, x, t) for a in g.args))
+            args = []
+            for a in g.args:
+                args.append(substitute_term(a, x, t))
+            return Atom(g.pred, tuple(args))
         if isinstance(g, Not):
             return Not(walk(g.body))
         if isinstance(g, _QUANT):

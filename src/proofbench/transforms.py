@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .proofs import Ax, Gen, Hyp, Mp, Proof, ProofBuilder, check_proof
+from .proofs import Ax, Gen, Hyp, Mp, Proof, ProofBuilder, ProofStep, check_proof
 from .schemata import (
     AxiomSetRecognizer,
     phi1_instance,
@@ -250,18 +250,33 @@ def derive_explosion(b: ProofBuilder, i: int, j: int, goal: Formula) -> int:
     return b.add_mp(i, s2)
 
 
-def conclude(b: ProofBuilder, idx: int) -> int:
-    """Ensure the builder's final step states the formula at ``idx``.
+def conclude(b: ProofBuilder, idx: int) -> Proof:
+    """The proof of step ``idx``: the steps it depends on, renumbered in order.
 
-    Step reuse can leave the intended conclusion in the middle of the list;
-    when that happens, a short identity detour restates it at the end.
+    Every premise precedes the step that cites it, so ``idx`` comes last.
     """
-    f = b.formula(idx)
-    last = len(b)
-    if last and b.formula(last) == f:
-        return last
-    ident = derive_identity(b, f)
-    return b.restate(idx, ident)
+    steps = b.proof().steps[:idx]
+    used = {idx}
+    for step in reversed(steps):
+        j = step.just
+        if step.index in used and isinstance(j, Mp):
+            used.update((j.i, j.j))
+        elif step.index in used and isinstance(j, Gen):
+            used.add(j.i)
+    new: dict[int, int] = {}  # old index -> new index
+    out: list[ProofStep] = []
+    for step in steps:
+        if step.index in used:
+            new[step.index] = k = len(out) + 1
+            if k != step.index:  # a step before this one was left out
+                j = step.just
+                if isinstance(j, Mp):
+                    j = Mp(new[j.i], new[j.j])
+                elif isinstance(j, Gen):
+                    j = Gen(new[j.i], j.var)
+                step = ProofStep(k, step.formula, j)
+            out.append(step)
+    return Proof(b.hypotheses, tuple(out))
 
 
 # -- whole-proof transforms ---------------------------------------------
@@ -332,22 +347,15 @@ def deduction_transform(
     out_hyps = tuple((n, f) for n, f in proof.hypotheses if n != name)
     b = ProofBuilder(out_hyps, label=axiom_labeler(axioms))
     imp: dict[int, int] = {}  # input index -> index of (alpha -> that step)
-
-    def reemit_then_weaken(step_formula: Formula, add_original) -> int:
-        base = add_original()
-        s = b.add_axiom(phi4_instance(step_formula, alpha))
-        return b.add_mp(base, s)
-
     for step in proof.steps:
         j = step.just
         if isinstance(j, Hyp) and j.name == name:
             imp[step.index] = derive_identity(b, alpha)
         elif isinstance(j, Hyp):
-            imp[step.index] = reemit_then_weaken(step.formula, lambda: b.add_hyp(j.name))
+            imp[step.index] = derive_imp_from_cons(b, b.add_hyp(j.name), alpha)
         elif isinstance(j, Ax):
-            imp[step.index] = reemit_then_weaken(
-                step.formula, lambda: b.add_axiom_named(step.formula, j.set_name)
-            )
+            base = b.add_axiom_named(step.formula, j.set_name)
+            imp[step.index] = derive_imp_from_cons(b, base, alpha)
         elif isinstance(j, Mp):
             minor = proof.steps[j.i - 1].formula
             s1 = b.add_axiom(phi1_instance(alpha, minor, step.formula))
@@ -365,23 +373,15 @@ def deduction_transform(
             imp[step.index] = b.add_mp(s1, s2)
         else:  # pragma: no cover - justification variants are closed
             raise TransformError(f"unknown justification {j!r}")
-    conclude(b, imp[proof.steps[-1].index])
-    return b.proof()
+    return conclude(b, imp[proof.steps[-1].index])
 
 
 def _merge_hypotheses(p1: Proof, p2: Proof) -> tuple[tuple[str, Formula], ...]:
-    merged = dict(p1.hypotheses)
+    merged = dict(p1.hypotheses)  # p1's names in order, then p2's new ones
     for n, f in p2.hypotheses:
-        if n in merged and merged[n] != f:
+        if merged.setdefault(n, f) != f:
             raise TransformError(f"hypothesis name {n!r} bound to two formulas")
-        merged.setdefault(n, f)
-    out = list(p1.hypotheses)
-    seen = {n for n, _ in out}
-    for n, f in p2.hypotheses:
-        if n not in seen:
-            out.append((n, f))
-            seen.add(n)
-    return tuple(out)
+    return tuple(merged.items())
 
 
 def reductio_transform(
@@ -399,8 +399,7 @@ def reductio_transform(
     b = ProofBuilder(_merge_hypotheses(d_pos, d_neg), label=axiom_labeler(axioms))
     i = splice(b, d_pos)  # alpha -> beta
     j = splice(b, d_neg)  # alpha -> ~beta
-    conclude(b, derive_refute(b, i, j))
-    return b.proof()
+    return conclude(b, derive_refute(b, i, j))
 
 
 def explosion_transform(
@@ -424,5 +423,4 @@ def explosion_transform(
     )
     i = splice(b, proof_pos)
     j = splice(b, proof_neg)
-    conclude(b, derive_explosion(b, i, j, goal))
-    return b.proof()
+    return conclude(b, derive_explosion(b, i, j, goal))

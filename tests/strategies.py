@@ -5,6 +5,10 @@ Two families:
 * hypothesis strategies (``terms``, ``formulas``, ...) for property tests;
 * seeded ``random.Random`` builders (``random_proof``, ``exhaustive_formulas``)
   for the bulk corpus tests, which need deterministic large samples.
+
+``antecedent_chain`` builds a goal that needs one discharge per antecedent;
+``unreachable_steps`` checks the shape of the proofs the engine and the
+transforms return.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import random
 from hypothesis import strategies as st
 
 from proofbench.parser import parse
-from proofbench.proofs import Proof, ProofBuilder
+from proofbench.proofs import Gen, Mp, Proof, ProofBuilder
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import (
     And,
@@ -184,3 +188,32 @@ def random_proof(
     if len(p.steps) > max_steps:
         p = Proof(p.hypotheses, p.steps[:max_steps])
     return p
+
+
+def unreachable_steps(proof: Proof) -> list[int]:
+    """The indexes of the steps that the last step does not depend on."""
+    used = {len(proof.steps)}
+    for step in reversed(proof.steps):
+        if step.index in used:
+            j = step.just
+            if isinstance(j, Mp):
+                used.update((j.i, j.j))
+            elif isinstance(j, Gen):
+                used.add(j.i)
+    return [s.index for s in proof.steps if s.index not in used]
+
+
+def antecedent_chain(n: int) -> Implies:
+    """``a1 -> (a1 -> a2) -> ... -> (a(n-1) -> an) -> an``: n antecedents.
+
+    Atom ``ai`` is ``S^i(0) = S^i(0)``.
+    """
+    atoms = []
+    t = Const("0")
+    for _ in range(n):
+        t = App("S", (t,))
+        atoms.append(Atom("=", (t, t)))
+    goal = atoms[-1]
+    for a in reversed([atoms[0]] + [Implies(a, b) for a, b in zip(atoms, atoms[1:])]):
+        goal = Implies(a, goal)
+    return goal

@@ -1,6 +1,7 @@
 """Audit claims, verdict classification, report round trips, script grammar."""
 
 import hashlib
+import re
 from functools import reduce
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.scripts import builtin_claims, builtin_scripts
 from proofbench.semantics import eval_skeleton, skeletonize_all
 from proofbench.syntax import Implies, Not, Or, universal_closure
+
+from strategies import antecedent_chain, unreachable_steps
 
 PSI1 = PSI_AXIOMS["psi1"]
 PSI7 = PSI_AXIOMS["psi7"]
@@ -252,9 +255,9 @@ def test_report_round_trip_and_determinism(tmp_path, reports):
 #: names the difference and recomputes this table.
 REPORT_TREE_SHA256 = {
     "lemma-4.1": "4bbe565c4c5ac7e8c6dde644c45e2dca9f57cd0026a46bd8c51b89b8b1938517",
-    "lemma-4.2": "0ee6f6682ae89af8aecb32e04e84eaf984da4735daa8fae81991427a57c294cd",
-    "lemma-4.3": "39fbc8fd3365c488cccbd463e08591fc2340e62c24f4eb9baf93fbb2954371b0",
-    "lemma-4.4": "e2ae78cc1247240b7c3bfa874b02c40ead86e1983bf627901140224242fa59e4",
+    "lemma-4.2": "9b5d9b62751000eb815b328818ca35c549498c018aff964fb4b4d17858cbb287",
+    "lemma-4.3": "7ee9756b23b63d62b6f106dc6c2c46f1325adf853e87f0a2affc6e980997ffd9",
+    "lemma-4.4": "5901d1a3ac536ea476378145cf54edb5ab489297c16fb8e8f3c5d10238dab638",
     "theorem-4.1": "650705fbd24e4c00372642d77dc09562fcccd2ee8d34ed78752ce12bf84cf67b",
     "corollary-4.3": "4296e0d8c4a7e830537cf3fce6072ca7970994e2a2d7affdd6b6af0ca7b78e57",
     "corollary-4.4": "1ca43cf7cbd83ca19e94d4ce7ad3f8931da6ea2765356bc24df76c3731f7aa91",
@@ -262,6 +265,32 @@ REPORT_TREE_SHA256 = {
     "theorem-5.2": "bc1c42bca4c6a6e85ece5957c404aaaf84c6c1b7b977ca1bdd15ea3fbde466a4",
     "axiom-sanity": "e93a3ec1ee1f3c10111a527970caf13c692fcbc469d172257043dcfc3ad1dc8c",
 }
+
+
+#: Total steps of each built-in report's proof certificates, 1,101 in all.
+#: A change to proof sizes shows here as numbers.
+REPORT_PROOF_STEPS = {
+    "lemma-4.1": 160,
+    "lemma-4.2": 155,
+    "lemma-4.3": 263,
+    "lemma-4.4": 493,
+    "theorem-4.1": 0,
+    "corollary-4.3": 20,
+    "corollary-4.4": 0,
+    "theorem-5.1": 0,
+    "theorem-5.2": 10,
+    "axiom-sanity": 0,
+}
+
+
+def test_report_certificates_are_pinned_and_hold_only_reachable_steps(reports):
+    got = {}
+    for sid, report in reports.items():
+        proofs = [p for v in report.verdicts for p in v.proofs]
+        for p in proofs:
+            assert unreachable_steps(p) == [], sid
+        got[sid] = sum(len(p.steps) for p in proofs)
+    assert got == REPORT_PROOF_STEPS
 
 
 def test_report_trees_are_pinned(tmp_path, reports):
@@ -278,8 +307,11 @@ def test_recheck_flags_bad_step(tmp_path, reports):
     write_report(reports["lemma-4.2"], d)
     victim = d / "details" / "s15-m10.proof"
     text = victim.read_text()
-    assert "; mp 1 2" in text
-    victim.write_text(text.replace("; mp 1 2", "; mp 2 1", 1))
+    cited = re.search(r"; mp (\d+) (\d+)$", text, re.M)
+    assert cited is not None
+    i, j = cited.groups()
+    assert i != j
+    victim.write_text(text[: cited.start()] + f"; mp {j} {i}" + text[cited.end() :])
     assert recheck_report(d)
 
 
@@ -437,6 +469,17 @@ def test_wide_claim_goes_to_proof_search():
     claim = AuditClaim("wide", "membership", ("L12",), (), reduce(Or, _closed_atoms(21)))
     verdict = run_claim(claim, Budget(max_steps=2000))
     assert verdict.status == "UNRESOLVED"
+
+
+def test_depth_capped_search_names_the_cap():
+    # one discharge per antecedent: one more than the search may stack
+    goal = antecedent_chain(engine.BACKWARD_DEPTH + 1)
+    verdict = run_claim(AuditClaim("deep", "membership", ("L12",), (), goal), Budget())
+    assert verdict.status == "UNRESOLVED"
+    assert verdict.detail == (
+        f"search stopped at the backward depth cap of {engine.BACKWARD_DEPTH} "
+        f"after {verdict.steps} steps without finding a proof"
+    )
 
 
 def test_derivable_outright():

@@ -3,6 +3,7 @@
 import pytest
 
 from proofbench.engine import (
+    BACKWARD_DEPTH,
     Budget,
     bounded_closure,
     check_absolute_consistency,
@@ -13,6 +14,8 @@ from proofbench.parser import parse
 from proofbench.proofs import check_proof, render_proof_script
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import App, Atom, Const, Implies, Not
+
+from strategies import antecedent_chain, unreachable_steps
 
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
@@ -115,6 +118,33 @@ def test_prove_decomposes_implication_goals():
     assert outcome2.proof is not None
     assert outcome2.proof.hypotheses == ()
     assert check_proof(outcome2.proof, L12, strict=True).ok
+
+
+def test_engine_proofs_hold_only_reachable_steps():
+    for hyps in CORPUS:
+        state = bounded_closure(hyps, L12, Budget(max_steps=300))
+        for f in state.formulas:
+            proof = state.proof_of(f)
+            assert proof.conclusion == f
+            assert unreachable_steps(proof) == []
+    for goal in (PSI7, Not(PSI1), Implies(U27, Implies(PSI7, U27))):
+        outcome = prove(goal, (("h1", NOT_D00),), L12, Budget(max_steps=100000))
+        assert unreachable_steps(outcome.proof) == []
+
+
+def test_prove_reports_the_depth_cap_not_a_fixpoint():
+    # each antecedent costs one discharge: one more than the cap allows
+    outcome = prove(antecedent_chain(BACKWARD_DEPTH + 1), (), L12, Budget())
+    assert outcome.proof is None
+    assert not outcome.report.fixpoint
+    assert outcome.report.steps_expended < Budget().max_steps
+
+
+def test_prove_stops_at_a_fixpoint():
+    # no decomposition applies to an atom: the first pass already walks everything
+    outcome = prove(parse("0 = 1"), (), L12, Budget())
+    assert outcome.proof is None
+    assert outcome.report.fixpoint
 
 
 def test_prove_respects_budget():

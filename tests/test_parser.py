@@ -230,3 +230,6 @@ def test_text_within_the_cap_survives_the_pipeline(shape):
 
     assert sys.getrecursionlimit() >= 1000
     _with_frames_below(150, pipeline)
+    # substitute spends one frame per level, term levels included
+    f = parse(_DEEP[shape](MAX_NESTING - 10))
+    _with_frames_below(400, lambda: substitute(f, 1, Const("0")))

@@ -32,7 +32,7 @@ from proofbench.transforms import (
     splice,
 )
 
-from strategies import random_proof
+from strategies import random_proof, unreachable_steps
 
 L12 = (axiom_set("L12"),)
 LBL = axiom_labeler(L12)
@@ -49,8 +49,7 @@ def _fresh(hyps=()):
 
 
 def _concludes(b, idx, expected):
-    conclude(b, idx)
-    p = b.proof()
+    p = conclude(b, idx)
     assert p.steps[-1].formula == expected
     assert check_proof(p, L12).ok
     return p
@@ -244,6 +243,30 @@ def test_explosion_transform():
     assert out.steps[-1].formula == U27
     assert check_proof(out, L12).ok
     assert dict(out.hypotheses) == {"p": PSI1, "n": Not(PSI1)}
+
+
+def test_transforms_keep_only_the_steps_their_conclusion_uses():
+    rng = random.Random(1010)
+    inputs_with_dead_steps = 0
+    for _ in range(40):
+        p = random_proof(rng)
+        inputs_with_dead_steps += bool(unreachable_steps(p))
+        beta = p.conclusion
+        # a proof of ~beta that carries all of p as unused steps
+        b = ProofBuilder(p.hypotheses + (("n", Not(beta)),), label=LBL)
+        splice(b, p)
+        b.add_hyp("n")
+        neg = b.proof()
+        name = rng.choice([n for n, _ in p.hypotheses])
+        outs = (
+            deduction_transform(p, name, L12),
+            reductio_transform(p, neg, name, L12),
+            explosion_transform(p, neg, U27, L12),
+        )
+        for out in outs:
+            assert check_proof(out, L12).ok
+            assert unreachable_steps(out) == []
+    assert inputs_with_dead_steps > 10
 
 
 def test_explosion_rejects_broken_input():
