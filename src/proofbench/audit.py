@@ -52,7 +52,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .engine import BACKWARD_DEPTH, MAX_DEPTH, Budget, BudgetReport, pool_for
+from .engine import MAX_DEPTH, Budget, pool_for
 from .engine import check_absolute_consistency, check_traditional_consistency
 from .parser import ParseError, parse_memo, render
 from .parser import parse as parse_formula
@@ -248,7 +248,7 @@ def _judge_membership(claim: AuditClaim, budget: Budget) -> AuditVerdict:
         claim,
         UNRESOLVED,
         steps=probe.report.steps_expended,
-        detail=_unresolved_detail(probe.report),
+        detail=probe.report.stop(),
     )
 
 
@@ -308,20 +308,6 @@ def _judge_sanity(claim: AuditClaim) -> AuditVerdict:
         VERIFIED,
         detail=f"no counterexample below bound {claim.eval_bound} ({verdict.value})",
     )
-
-
-def _unresolved_detail(report: BudgetReport) -> str:
-    if report.fixpoint:
-        return (
-            f"search reached a fixpoint after {report.steps_expended} steps "
-            "without finding a proof"
-        )
-    if report.steps_expended < report.max_steps:
-        return (
-            f"search stopped at the backward depth cap of {BACKWARD_DEPTH} "
-            f"after {report.steps_expended} steps without finding a proof"
-        )
-    return f"budget of {report.max_steps} steps exhausted"
 
 
 def run_claim(claim: AuditClaim, budget: Budget | None = None) -> AuditVerdict:

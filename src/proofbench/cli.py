@@ -9,7 +9,8 @@ Verbs:
 ``prove --goal <formula> [--hyp <file>] [--axioms <names>] [--max-steps N]``
     Search for a kernel proof of the goal from the hypotheses and axiom
     sets.  On success the proof script is printed to stdout (pipe it to a
-    file and replay it with ``check``).  Exit 3 when the budget runs out.
+    file and replay it with ``check``).  Otherwise exit 3, naming the stop:
+    a fixpoint, the backward depth cap, or the budget running out.
 
 ``closure [--hyp <file>] [--axioms <names>] [--max-steps N] [--dump <path>]``
     Saturate the consequence closure of the hypotheses under the axiom
@@ -30,7 +31,7 @@ Verbs:
     printing ``true``, ``false`` (with a counterexample), or ``unknown``.
 
 Exit codes: 0 success, 1 check/refutation failure, 2 usage error,
-3 budget exhausted.
+3 no proof found (``prove``) or no fixpoint within budget (``closure``).
 """
 
 from __future__ import annotations
@@ -170,10 +171,7 @@ def _cmd_prove(args: argparse.Namespace, out, err) -> int:
     axioms = _recognizers(_axiom_names(args.axioms))
     outcome = prove(goal, hyps, axioms, _budget(args))
     if outcome.proof is None:
-        print(
-            f"not found within budget: {outcome.report.steps_expended} steps expended",
-            file=err,
-        )
+        print(f"not found: {outcome.report.stop()}", file=err)
         return EXIT_BUDGET
     print(
         f"found: {len(outcome.proof.steps)} proof steps, "

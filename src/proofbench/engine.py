@@ -81,6 +81,20 @@ class BudgetReport:
     max_steps: int
     fixpoint: bool
 
+    def stop(self) -> str:
+        """Which of the three stops ended a run that found no proof, in words."""
+        if self.fixpoint:
+            return (
+                f"search reached a fixpoint after {self.steps_expended} steps "
+                "without finding a proof"
+            )
+        if self.steps_expended < self.max_steps:
+            return (
+                f"search stopped at the backward depth cap of {BACKWARD_DEPTH} "
+                f"after {self.steps_expended} steps without finding a proof"
+            )
+        return f"budget of {self.max_steps} steps exhausted"
+
 
 # recipe kind -> kernel template, called with the builder, the derived formula,
 # the recipe's arguments and the step indexes of the formulas emitted so far
@@ -466,10 +480,14 @@ class _Searcher:
 
     def closure_for(
         self, hyps: tuple[tuple[str, Formula], ...], goal: Formula
-    ) -> ClosureState:
+    ) -> ClosureState | None:
+        """The closure of ``hyps`` toward ``goal``; None when it is not built
+        yet and no step is left to build it."""
         key = (tuple(f for _, f in hyps), goal)
         got = self.closures.get(key)
         if got is None:
+            if self.remaining() == 0:
+                return None
             sub_budget = replace(self.budget, max_steps=self.remaining())
             got = _Saturation(hyps, self.axioms, sub_budget, goal).run()
             self.steps += got.report.steps_expended
@@ -495,6 +513,8 @@ class _Searcher:
         self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int
     ) -> Proof | None:
         closure = self.closure_for(hyps, goal)
+        if closure is None:
+            return None
         if goal in closure:
             return closure.proof_of(goal)
         if self.remaining() == 0:
@@ -560,7 +580,7 @@ class _Searcher:
                 name = f"g{len(hyps) + 1}"
                 assumed = hyps + ((name, inner),)
                 sub_closure = self.closure_for(assumed, goal)
-                if sub_closure.contradiction is not None:
+                if sub_closure is not None and sub_closure.contradiction is not None:
                     a, na = sub_closure.contradiction
                     return reductio_transform(
                         sub_closure.proof_of(a),

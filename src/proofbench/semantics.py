@@ -7,10 +7,25 @@ tautology test and a finite-premise entailment check with countermodels.  The
 entailment check is the refutation oracle: a valuation satisfying the premises
 but not the goal witnesses that no proof from those premises exists.
 
+Every skeleton question goes through :func:`lowest_row`, a truth-table sweep
+(Knuth, TAOCP 4A, 7.1.1): with ``n`` free atoms there are ``2**n`` rows, row
+``r`` making atom ``i`` true when bit ``i`` of ``r`` is set, and a formula's
+truth table is one integer whose bit ``r`` is its value on row ``r``.  The
+tables of compound formulas come from their operands' with ``& | ^``, and the
+answer is the lowest set bit of the premises' tables and the goal's
+complement: the row an ascending row-by-row search would find first.  Wide
+sweeps go through the rows in ascending blocks of tables.  A sweep takes at
+most :data:`MAX_SKELETON_ATOMS` free atoms.  :func:`skeletonize_all`
+and :func:`eval_skeleton` keep the row-at-a-time form of the same skeletons.
+
 Bounded arithmetic evaluation interprets terms over the natural numbers and
 quantifiers over the finite range 1..bound, reporting three-valued verdicts:
 ``FALSE`` only on a concrete counterexample, ``TRUE`` only on a witnessed or
-fully decided value, ``UNKNOWN`` whenever the bound is what stopped us.
+fully decided value, ``UNKNOWN`` whenever the bound is what stopped us.  The
+connectives are Kleene's strong ones.  :func:`eval_arith` first compiles the
+formula into closures over a list of slots (Feeley & Lapalme, 1987), one slot
+per variable, so a quantifier's loop overwrites its slot instead of copying
+an environment.
 """
 
 from __future__ import annotations
@@ -39,6 +54,14 @@ from .syntax import (
 #: Hard cap on distinct skeleton atoms for exhaustive sweeps.
 MAX_SKELETON_ATOMS = 20
 
+#: A sweep decides 2**_BLOCK_ATOMS rows at a time, lowest block first, so a
+#: truth table takes at most 2 KiB and a sweep can stop before its last row.
+_BLOCK_ATOMS = 14
+
+#: Skeleton atoms, opaque to the sweep, and the binary connectives.
+_OPAQUE = (Atom, Forall, Exists)
+_BINARY = (Implies, And, Or, Iff)
+
 
 class SkeletonLimitError(ValueError):
     """Raised when a sweep would need more than 2**MAX_SKELETON_ATOMS rows."""
@@ -52,43 +75,30 @@ class Skeleton:
     atoms: tuple[Formula, ...]
 
 
-def _true(bits: int) -> bool:
-    return True
-
-
 def _bit(i: int) -> Callable[[int], bool]:
     return lambda bits: bits >> i & 1 == 1
 
 
 def _skeletonize(
-    f: Formula,
-    leaves: dict[Formula, Callable[[int], bool]],
-    free: list[Formula],
-    pinned: Callable[[Formula], bool] | None = None,
+    f: Formula, leaves: dict[Formula, Callable[[int], bool]]
 ) -> Callable[[int], bool]:
     """The skeleton of ``f`` compiled to a closure ``bits -> bool``.
 
     ``leaves`` maps each atom met so far, in first-occurrence order, to its
-    closure.  An atom for which ``pinned`` holds is the constant true; any
-    other atom reads bit ``i`` of the row, where it is ``free[i]``.
+    closure; atom ``i`` reads bit ``i`` of the row.
     """
-    if isinstance(f, (Atom, Forall, Exists)):
+    if isinstance(f, _OPAQUE):
         leaf = leaves.get(f)
         if leaf is None:
-            if pinned is not None and pinned(f):
-                leaf = _true
-            else:
-                leaf = _bit(len(free))
-                free.append(f)
-            leaves[f] = leaf
+            leaf = leaves[f] = _bit(len(leaves))
         return leaf
     if isinstance(f, Not):
-        body = _skeletonize(f.body, leaves, free, pinned)
+        body = _skeletonize(f.body, leaves)
         return lambda bits: not body(bits)
-    if not isinstance(f, (Implies, And, Or, Iff)):
+    if not isinstance(f, _BINARY):
         raise TypeError(f"not a formula: {f!r}")
-    left = _skeletonize(f.left, leaves, free, pinned)
-    right = _skeletonize(f.right, leaves, free, pinned)
+    left = _skeletonize(f.left, leaves)
+    right = _skeletonize(f.right, leaves)
     if isinstance(f, Implies):
         return lambda bits: not left(bits) or right(bits)
     if isinstance(f, And):
@@ -109,8 +119,7 @@ def skeletonize_all(
 ) -> tuple[list[Callable[[int], bool]], tuple[Formula, ...]]:
     """Skeletons over one shared atom table, so valuations line up."""
     leaves: dict[Formula, Callable[[int], bool]] = {}
-    free: list[Formula] = []
-    roots = [_skeletonize(f, leaves, free) for f in formulas]
+    roots = [_skeletonize(f, leaves) for f in formulas]
     return roots, tuple(leaves)
 
 
@@ -122,6 +131,61 @@ def eval_skeleton(root: Callable[[int], bool], bits: int) -> bool:
 def _check_width(n: int) -> None:
     if n > MAX_SKELETON_ATOMS:
         raise SkeletonLimitError(f"{n} skeleton atoms exceed the sweep cap of {MAX_SKELETON_ATOMS}")
+
+
+def _number_atoms(
+    f: Formula,
+    bits: dict[Formula, int | None],
+    free: list[Formula],
+    pinned: Callable[[Formula], bool] | None,
+) -> None:
+    """Enter the atoms of ``f`` not yet in ``bits``, in first-occurrence order.
+
+    A pinned atom maps to None; any other to its bit, its index in ``free``.
+    """
+    if isinstance(f, _OPAQUE):
+        if f not in bits:
+            if pinned is not None and pinned(f):
+                bits[f] = None
+            else:
+                bits[f] = len(free)
+                free.append(f)
+    elif isinstance(f, Not):
+        _number_atoms(f.body, bits, free, pinned)
+    elif isinstance(f, _BINARY):
+        _number_atoms(f.left, bits, free, pinned)
+        _number_atoms(f.right, bits, free, pinned)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+
+
+def _atom_table(i: int, rows: int) -> int:
+    """The truth table of free atom ``i``: row ``r`` is set when bit ``i`` of ``r`` is."""
+    width = 1 << i
+    table = ((1 << width) - 1) << width  # 2**i rows false, then 2**i rows true
+    span = 2 * width
+    while span < rows:
+        table |= table << span
+        span *= 2
+    return table
+
+
+def _truth_table(f: Formula, tables: dict[Formula, int], full: int) -> int:
+    """The truth table of ``f`` over the atom tables in ``tables``."""
+    table = tables.get(f)
+    if table is not None:
+        return table
+    if isinstance(f, Not):
+        return full ^ _truth_table(f.body, tables, full)
+    left = _truth_table(f.left, tables, full)
+    right = _truth_table(f.right, tables, full)
+    if isinstance(f, Implies):
+        return (full ^ left) | right
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    return full ^ left ^ right
 
 
 def lowest_row(
@@ -137,15 +201,40 @@ def lowest_row(
     first-occurrence order over premises then goal, is true on a row when
     bit ``i`` is set.  Returns (atom, truth) pairs in first-occurrence order,
     or None when no row qualifies.
+
+    Rows are decided a block of ``2**_BLOCK_ATOMS`` at a time, lowest block
+    first: a formula's truth table over a block is an integer whose bit ``r``
+    is its value on row ``r`` of the block, so the answer is the lowest set
+    bit of the premises' tables and the goal's complement, in the first block
+    that has one.
     """
-    leaves: dict[Formula, Callable[[int], bool]] = {}
+    bits: dict[Formula, int | None] = {}
     free: list[Formula] = []
-    roots = [_skeletonize(f, leaves, free, pinned) for f in premises]
-    goal_root = None if goal is None else _skeletonize(goal, leaves, free, pinned)
+    for f in (*premises, goal) if goal is not None else premises:
+        _number_atoms(f, bits, free, pinned)
     _check_width(len(free))
-    for bits in range(1 << len(free)):
-        if all(r(bits) for r in roots) and (goal_root is None or not goal_root(bits)):
-            return tuple((a, leaf(bits)) for a, leaf in leaves.items())
+    low = min(len(free), _BLOCK_ATOMS)  # the atoms that vary within a block
+    full = (1 << (1 << low)) - 1
+    patterns = [_atom_table(b, 1 << low) for b in range(low)]
+    for block in range(1 << (len(free) - low)):
+        tables = {}
+        for a, b in bits.items():
+            if b is None:
+                tables[a] = full
+            elif b < low:
+                tables[a] = patterns[b]
+            else:  # constant over the block: bit b of its rows is bit b - low of block
+                tables[a] = full if block >> (b - low) & 1 else 0
+        hits = full
+        for f in premises:
+            hits &= _truth_table(f, tables, full)
+            if not hits:
+                break
+        if hits and goal is not None:
+            hits &= ~_truth_table(goal, tables, full)
+        if hits:
+            row = (block << low) | ((hits & -hits).bit_length() - 1)
+            return tuple((a, b is None or row >> b & 1 == 1) for a, b in bits.items())
     return None
 
 
@@ -199,32 +288,6 @@ FALSE = ThreeValued.FALSE
 UNKNOWN = ThreeValued.UNKNOWN
 
 
-def _and3(a: ThreeValued, b: ThreeValued) -> ThreeValued:
-    if a is FALSE or b is FALSE:
-        return FALSE
-    if a is TRUE and b is TRUE:
-        return TRUE
-    return UNKNOWN
-
-
-def _or3(a: ThreeValued, b: ThreeValued) -> ThreeValued:
-    if a is TRUE or b is TRUE:
-        return TRUE
-    if a is FALSE and b is FALSE:
-        return FALSE
-    return UNKNOWN
-
-
-def _imp3(a: ThreeValued, b: ThreeValued) -> ThreeValued:
-    return _or3(~a, b)
-
-
-def _iff3(a: ThreeValued, b: ThreeValued) -> ThreeValued:
-    if a is UNKNOWN or b is UNKNOWN:
-        return UNKNOWN
-    return TRUE if a is b else FALSE
-
-
 def eval_term(t: Term, env: dict[int, int]) -> int:
     if isinstance(t, Var):
         try:
@@ -243,74 +306,194 @@ def eval_term(t: Term, env: dict[int, int]) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _guard_prunes(f: Forall, env: dict[int, int], bound: int) -> bool:
-    """True when a quantifier-free guard already settles every loop iteration.
+# The compiled evaluator: a formula becomes a closure over a list of slots, one
+# per variable in ``env`` and one per binder, that returns True, False or None
+# (unknown).  A binder's loop overwrites its own slot, and a variable reads the
+# slot of the binder in scope, so evaluation copies no environment.
 
-    Peels the universal block under ``f`` down to its matrix; when the matrix
-    is an implication whose antecedent only uses variables already in ``env``
-    and that antecedent is false or unknown, no iteration can come out false,
-    so the whole block evaluates to UNKNOWN without looping.
-    """
-    binders = set()
-    g: Formula = f
-    while isinstance(g, Forall):
-        binders.add(g.var)
-        g = g.body
-    if not isinstance(g, Implies):
-        return False
-    guard_fv = set(free_vars(g.left))
-    if guard_fv & binders or not guard_fv <= env.keys():
-        return False
-    return eval_arith(g.left, bound, env) is not TRUE
+#: A compiled formula: slots -> True, False or None (unknown).
+_Code = Callable[[list], "bool | None"]
+
+_THREE = {True: TRUE, False: FALSE, None: UNKNOWN}
+
+
+class _Compiler:
+    """Compiles formulas for one bound; ``width`` counts the slots handed out."""
+
+    def __init__(self, bound: int, width: int) -> None:
+        if bound < 1:
+            raise ValueError("bound must be at least 1")
+        self.values = range(1, bound + 1)
+        self.width = width
+
+    @staticmethod
+    def slot(v: Var, scope: dict[int, int]) -> int:
+        try:
+            return scope[v.id]
+        except KeyError:
+            raise ValueError(f"unbound variable x{v.id}") from None
+
+    def term(self, t: Term, scope: dict[int, int]) -> Callable[[list], int]:
+        if isinstance(t, Var):
+            k = self.slot(t, scope)
+            return lambda s: s[k]
+        if isinstance(t, Const):
+            n = int(t.name)
+            return lambda s: n
+        if isinstance(t, App):
+            if t.func == "S":
+                a = self.term(t.args[0], scope)
+                return lambda s: a(s) + 1
+            a, b = self.term(t.args[0], scope), self.term(t.args[1], scope)
+            if t.func == "+":
+                return lambda s: a(s) + b(s)
+            if t.func == "*":
+                return lambda s: a(s) * b(s)
+        raise TypeError(f"not a term: {t!r}")
+
+    def formula(self, f: Formula, scope: dict[int, int]) -> _Code:
+        if isinstance(f, Atom):
+            x, y = f.args
+            if isinstance(x, Var) and isinstance(y, Var):
+                # the commonest atom, read straight from the slots
+                i, j = self.slot(x, scope), self.slot(y, scope)
+                return (lambda s: s[i] == s[j]) if f.pred == "=" else (lambda s: s[i] < s[j])
+            a, b = self.term(x, scope), self.term(y, scope)
+            return (lambda s: a(s) == b(s)) if f.pred == "=" else (lambda s: a(s) < b(s))
+        if isinstance(f, Not):
+            body = self.formula(f.body, scope)
+            return lambda s: None if (v := body(s)) is None else not v
+        if isinstance(f, Forall):
+            return self._forall(f, scope)
+        if isinstance(f, Exists):
+            return self._exists(f, scope)
+        if not isinstance(f, _BINARY):
+            raise TypeError(f"not a formula: {f!r}")
+        left, right = self.formula(f.left, scope), self.formula(f.right, scope)
+        # Kleene's strong connectives; a decided left side may settle the result
+        if isinstance(f, Implies):
+
+            def implies(s):
+                a = left(s)
+                if a is False:
+                    return True
+                b = right(s)
+                return b if a else (True if b else None)
+
+            return implies
+        if isinstance(f, And):
+
+            def conj(s):
+                a = left(s)
+                if a is False:
+                    return False
+                b = right(s)
+                return b if a else (False if b is False else None)
+
+            return conj
+        if isinstance(f, Or):
+
+            def disj(s):
+                a = left(s)
+                if a:
+                    return True
+                b = right(s)
+                return b if a is False else (True if b else None)
+
+            return disj
+
+        def iff(s):
+            a = left(s)
+            if a is None:
+                return None
+            b = right(s)
+            return None if b is None else a == b
+
+        return iff
+
+    def _bind(self, var: int, scope: dict[int, int]) -> tuple[int, dict[int, int]]:
+        k = self.width
+        self.width += 1
+        return k, {**scope, var: k}
+
+    def _forall(self, f: Forall, scope: dict[int, int]) -> _Code:
+        # A guard decided before the loop settles every iteration: when the
+        # universal block under ``f`` ends in an implication whose antecedent
+        # uses none of the block's binders and that antecedent is false or
+        # unknown, no instance can come out false, so the block is UNKNOWN.
+        guard = None
+        binders, g = set(), f
+        while isinstance(g, Forall):
+            binders.add(g.var)
+            g = g.body
+        if isinstance(g, Implies) and binders.isdisjoint(free_vars(g.left)):
+            guard = self.formula(g.left, scope)
+        k, inner = self._bind(f.var, scope)
+        body = self.formula(f.body, inner)
+        values = self.values
+
+        def forall(s):
+            if guard is not None and guard(s) is not True:
+                return None
+            for n in values:
+                s[k] = n
+                if body(s) is False:
+                    return False
+            # every sampled instance is true or unknown; the range is what stopped us
+            return None
+
+        return forall
+
+    def _exists(self, f: Exists, scope: dict[int, int]) -> _Code:
+        k, inner = self._bind(f.var, scope)
+        body = self.formula(f.body, inner)
+        values = self.values
+
+        def exists(s):
+            for n in values:
+                s[k] = n
+                if body(s):
+                    return True
+            return None
+
+        return exists
+
+
+def _compile(f: Formula, bound: int, env: dict[int, int]) -> tuple[_Code, list]:
+    """``f`` compiled for ``bound``, and its slots holding ``env``'s values."""
+    compiler = _Compiler(bound, len(env))
+    code = compiler.formula(f, {var: k for k, var in enumerate(env)})
+    return code, [*env.values()] + [0] * (compiler.width - len(env))
 
 
 def eval_arith(f: Formula, bound: int, env: dict[int, int] | None = None) -> ThreeValued:
-    """Three-valued truth of ``f`` with quantifiers ranging over 1..bound."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    env = {} if env is None else env
-    if isinstance(f, Atom):
-        a = eval_term(f.args[0], env)
-        b = eval_term(f.args[1], env)
-        holds = a == b if f.pred == "=" else a < b
-        return TRUE if holds else FALSE
-    if isinstance(f, Not):
-        return ~eval_arith(f.body, bound, env)
-    if isinstance(f, Implies):
-        return _imp3(eval_arith(f.left, bound, env), eval_arith(f.right, bound, env))
-    if isinstance(f, And):
-        return _and3(eval_arith(f.left, bound, env), eval_arith(f.right, bound, env))
-    if isinstance(f, Or):
-        return _or3(eval_arith(f.left, bound, env), eval_arith(f.right, bound, env))
-    if isinstance(f, Iff):
-        return _iff3(eval_arith(f.left, bound, env), eval_arith(f.right, bound, env))
-    if isinstance(f, Forall):
-        if _guard_prunes(f, env, bound):
-            return UNKNOWN
-        for n in range(1, bound + 1):
-            if eval_arith(f.body, bound, {**env, f.var: n}) is FALSE:
-                return FALSE
-        # every sampled instance is true or unknown; the range is what stopped us
-        return UNKNOWN
-    if isinstance(f, Exists):
-        for n in range(1, bound + 1):
-            if eval_arith(f.body, bound, {**env, f.var: n}) is TRUE:
-                return TRUE
-        return UNKNOWN
-    raise TypeError(f"not a formula: {f!r}")
+    """Three-valued truth of ``f`` with quantifiers ranging over 1..bound.
+
+    ``env`` gives the values of the free variables of ``f``; a free variable
+    it does not bind raises ``ValueError`` before anything is evaluated.
+    """
+    code, slots = _compile(f, bound, env or {})
+    return _THREE[code(slots)]
 
 
 def arith_counterexample(
     f: Formula, bound: int
 ) -> dict[int, int] | None:
-    """For a falsified universal block: a falsifying assignment of its binders."""
+    """For a falsified universal block: a falsifying assignment of its binders.
+
+    Each binder takes the least value for which the rest of the block, under
+    the values chosen so far, is still false.
+    """
     if eval_arith(f, bound) is not FALSE:
         return None
     env: dict[int, int] = {}
     g = f
     while isinstance(g, Forall):
+        code, slots = _compile(g.body, bound, {**env, g.var: 0})
+        k = list(env).index(g.var) if g.var in env else len(env)
         for n in range(1, bound + 1):
-            if eval_arith(g.body, bound, {**env, g.var: n}) is FALSE:
+            slots[k] = n
+            if code(slots) is False:
                 env[g.var] = n
                 g = g.body
                 break

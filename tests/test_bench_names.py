@@ -8,6 +8,8 @@ import importlib.util
 from pathlib import Path
 
 from proofbench import semantics
+from proofbench.parser import parse
+from proofbench.syntax import Implies, Not, Or
 
 
 def _load_spans():
@@ -26,3 +28,16 @@ def test_traced_names_exist():
         assert callable(vars(cls).get(attr)), f"{cls.__name__}.{attr}"
     # the width probe is installed on this one by name as well
     assert callable(semantics._check_width)
+
+
+def test_sweeps_report_their_width_through_check_width(monkeypatch):
+    # the tracer's skeleton_atoms_max comes from the calls to this name
+    widths = []
+    check = semantics._check_width
+    monkeypatch.setattr(semantics, "_check_width", lambda n: widths.append(n) or check(n))
+    a, b, c, held = (parse(f"{k} = {k}") for k in ("0", "1", "S(0)", "S(1)"))
+    row = semantics.lowest_row([Or(a, held)], Implies(b, Or(c, a)), pinned=lambda f: f is held)
+    assert row is not None
+    assert widths == [3]  # a, b and c; the pinned atom takes no bit
+    semantics.is_tautology(Or(a, Not(a)))
+    assert widths == [3, 1]

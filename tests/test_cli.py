@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from proofbench.cli import main
-from proofbench.parser import MAX_NESTING
+from proofbench.engine import BACKWARD_DEPTH
+from proofbench.parser import MAX_NESTING, render
+
+from strategies import antecedent_chain
 
 PROVE_HYP = "~((Ax1)~(1 = x1 + 1) -> (Ax1)(x1 = x1))\n"
 
@@ -86,6 +89,30 @@ def test_prove_budget_exhaustion(tmp_path):
     )
     assert code == 3
     assert "not found" in err
+
+
+SPENT_GOAL = "(1 = 1) -> ((1 = 1 -> 0 = 0) -> 0 = 0) /\\ (0 = 0 -> 0 = 0)"
+
+
+@pytest.mark.parametrize(
+    "goal, extra, stop",
+    [
+        ("0 = 1", (), "search reached a fixpoint after 0 steps without finding a proof"),
+        (
+            render(antecedent_chain(BACKWARD_DEPTH + 1)),
+            (),
+            f"search stopped at the backward depth cap of {BACKWARD_DEPTH} after ",
+        ),
+        # the search spends its one step, then needs a closure it cannot build
+        (SPENT_GOAL, ("--max-steps", "1"), "budget of 1 steps exhausted"),
+    ],
+    ids=["fixpoint", "depth-cap", "budget"],
+)
+def test_failed_prove_names_its_stop(goal, extra, stop):
+    code, out, err = run_cli("prove", "--goal", goal, "--axioms", "L12", *extra)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"not found: {stop}")
 
 
 def test_prove_bad_goal_is_usage_error():

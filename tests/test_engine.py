@@ -5,6 +5,7 @@ import pytest
 from proofbench.engine import (
     BACKWARD_DEPTH,
     Budget,
+    BudgetReport,
     bounded_closure,
     check_absolute_consistency,
     check_traditional_consistency,
@@ -145,6 +146,16 @@ def test_prove_stops_at_a_fixpoint():
     outcome = prove(parse("0 = 1"), (), L12, Budget())
     assert outcome.proof is None
     assert outcome.report.fixpoint
+
+
+def test_spent_search_stops_without_a_proof():
+    # the first closure spends the only step; the next one the search needs has none
+    goal = parse("(1 = 1) -> ((1 = 1 -> 0 = 0) -> 0 = 0) /\\ (0 = 0 -> 0 = 0)")
+    outcome = prove(goal, (), L12, Budget(max_steps=1))
+    assert outcome.proof is None
+    assert outcome.report == BudgetReport(steps_expended=1, max_steps=1, fixpoint=False)
+    assert outcome.report.stop() == "budget of 1 steps exhausted"
+    assert prove(goal, (), L12, Budget(max_steps=2)).proof is not None
 
 
 def test_prove_respects_budget():

@@ -1,10 +1,14 @@
 """Two-valued skeleton oracle and the bounded arithmetic evaluator."""
 
 import random
+from functools import reduce
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from proofbench import semantics
 from proofbench.parser import parse
 from proofbench.schemata import PSI_AXIOMS, Q_AXIOMS, named_formula
 from proofbench.semantics import (
@@ -15,6 +19,7 @@ from proofbench.semantics import (
     eval_term,
     falsifying_valuation,
     is_tautology,
+    lowest_row,
     satisfying_valuation,
     skeleton_entails,
     skeletonize_all,
@@ -32,6 +37,8 @@ from proofbench.syntax import (
     Not,
     Or,
     Var,
+    free_vars,
+    universal_closure,
 )
 from proofbench.transforms import (
     phi1_instance,
@@ -41,7 +48,7 @@ from proofbench.transforms import (
     phi10_instance,
 )
 
-from strategies import CLOSED_ATOMS, formulas
+from strategies import BINARY, CLOSED_ATOMS, VAR_IDS, formulas, sentences
 
 P = parse("1 < 1")
 Q = parse("0 = 1")
@@ -95,11 +102,16 @@ def first_occurrence_atoms(formulas):
     return tuple(seen)
 
 
-def brute_lowest_row(premises, goal=None):
-    """The lowest row (atom k = bit k) making the premises true and the goal false."""
+def brute_lowest_row(premises, goal=None, pinned=None):
+    """The lowest row making the premises true and the goal false, row by row.
+
+    Pinned atoms are true on every row; free atom k is bit k of the row.
+    """
     atoms = first_occurrence_atoms([*premises] + ([goal] if goal is not None else []))
-    for bits in range(1 << len(atoms)):
-        valuation = {a: bool(bits >> k & 1) for k, a in enumerate(atoms)}
+    free = [a for a in atoms if pinned is None or not pinned(a)]
+    for bits in range(1 << len(free)):
+        truth = {a: bool(bits >> k & 1) for k, a in enumerate(free)}
+        valuation = {a: truth.get(a, True) for a in atoms}
         if all(brute_eval(p, valuation) for p in premises) and (
             goal is None or not brute_eval(goal, valuation)
         ):
@@ -191,6 +203,62 @@ def test_atom_cap_enforced():
         is_tautology(f)
 
 
+#: a small atom pool, so that premises and goal share atoms; two are quantified
+SWEEP_ATOMS = (
+    *CLOSED_ATOMS,
+    parse("1 = 0"),
+    Forall(1, parse("x1 = x1")),
+    Exists(2, parse("x2 < 1")),
+)
+
+
+def sweep_formulas():
+    def extend(children):
+        return st.one_of(
+            st.builds(Not, children), *(st.builds(k, children, children) for k in BINARY)
+        )
+
+    return st.recursive(st.sampled_from(SWEEP_ATOMS), extend, max_leaves=8)
+
+
+@pytest.mark.parametrize("block", [2, semantics._BLOCK_ATOMS])  # 2: sweeps span blocks
+@pytest.mark.parametrize("shape", ["premises", "goal", "both"])
+@settings(max_examples=80, deadline=None)
+@given(
+    premises=st.lists(sweep_formulas(), min_size=1, max_size=3),
+    goal=sweep_formulas(),
+    held=st.none() | st.sets(st.sampled_from(SWEEP_ATOMS)),
+)
+def test_sweep_matches_the_row_by_row_reference(block, shape, premises, goal, held):
+    premises = [] if shape == "goal" else premises
+    goal = None if shape == "premises" else goal
+    calls = []
+    pinned = None if held is None else (lambda a: calls.append(a) or a in held)
+    with mock.patch.object(semantics, "_BLOCK_ATOMS", block):
+        got = lowest_row(premises, goal, pinned)
+    atoms = first_occurrence_atoms(premises + ([goal] if goal is not None else []))
+    if held is not None:
+        # one call per distinct atom, in first-occurrence order
+        assert calls == list(atoms)
+    want = brute_lowest_row(premises, goal, None if held is None else held.__contains__)
+    assert (None if got is None else dict(got)) == want
+    assert got is None or tuple(a for a, _ in got) == atoms
+
+
+def test_sweep_at_the_atom_cap():
+    atoms = [Atom("<", (Var(i), Var(i))) for i in range(1, 22)]
+    every = reduce(And, atoms[:20])
+    # a full sweep of 2**20 rows, and a countermodel on its very last row
+    assert is_tautology(Or(every, Not(every)))
+    assert falsifying_valuation(Not(every)) == dict.fromkeys(atoms[:20], True)
+    wide = reduce(And, atoms)
+    with pytest.raises(SkeletonLimitError):
+        lowest_row((), Not(wide))
+    # a pinned atom takes no bit: 21 atoms, 20 of them free
+    row = lowest_row((), Not(wide), pinned=lambda a: a is atoms[0])
+    assert row == tuple((a, True) for a in atoms)
+
+
 def test_eval_skeleton_bits():
     roots, atoms = skeletonize_all([Implies(P, Q)])
     assert len(atoms) == 2
@@ -280,3 +348,189 @@ def test_eval_monotone_in_bound():
         for earlier, later in zip(verdicts, verdicts[1:]):
             if earlier in (TRUE, FALSE):
                 assert later is earlier
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against the tree-walking one it replaced
+
+
+def _and3(a, b):
+    if a is FALSE or b is FALSE:
+        return FALSE
+    if a is TRUE and b is TRUE:
+        return TRUE
+    return UNKNOWN
+
+
+def _or3(a, b):
+    if a is TRUE or b is TRUE:
+        return TRUE
+    if a is FALSE and b is FALSE:
+        return FALSE
+    return UNKNOWN
+
+
+def _iff3(a, b):
+    if a is UNKNOWN or b is UNKNOWN:
+        return UNKNOWN
+    return TRUE if a is b else FALSE
+
+
+def _guard_prunes(f, env, bound):
+    binders = set()
+    g = f
+    while isinstance(g, Forall):
+        binders.add(g.var)
+        g = g.body
+    if not isinstance(g, Implies):
+        return False
+    guard_fv = set(free_vars(g.left))
+    if guard_fv & binders or not guard_fv <= env.keys():
+        return False
+    return reference_eval_arith(g.left, bound, env) is not TRUE
+
+
+def reference_eval_arith(f, bound, env=None):
+    """Walks the tree, evaluates both sides of every connective, copies ``env``."""
+    env = {} if env is None else env
+    if isinstance(f, Atom):
+        a = eval_term(f.args[0], env)
+        b = eval_term(f.args[1], env)
+        return TRUE if (a == b if f.pred == "=" else a < b) else FALSE
+    if isinstance(f, Not):
+        return ~reference_eval_arith(f.body, bound, env)
+    if isinstance(f, Forall):
+        if _guard_prunes(f, env, bound):
+            return UNKNOWN
+        for n in range(1, bound + 1):
+            if reference_eval_arith(f.body, bound, {**env, f.var: n}) is FALSE:
+                return FALSE
+        return UNKNOWN
+    if isinstance(f, Exists):
+        for n in range(1, bound + 1):
+            if reference_eval_arith(f.body, bound, {**env, f.var: n}) is TRUE:
+                return TRUE
+        return UNKNOWN
+    a = reference_eval_arith(f.left, bound, env)
+    b = reference_eval_arith(f.right, bound, env)
+    if isinstance(f, Implies):
+        return _or3(~a, b)
+    if isinstance(f, And):
+        return _and3(a, b)
+    if isinstance(f, Or):
+        return _or3(a, b)
+    return _iff3(a, b)
+
+
+def reference_counterexample(f, bound):
+    if reference_eval_arith(f, bound) is not FALSE:
+        return None
+    env = {}
+    g = f
+    while isinstance(g, Forall):
+        for n in range(1, bound + 1):
+            if reference_eval_arith(g.body, bound, {**env, g.var: n}) is FALSE:
+                env[g.var] = n
+                g = g.body
+                break
+        else:
+            return None
+    return env or None
+
+
+def quantifier_depth(f):
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, (Forall, Exists)):
+        return 1 + quantifier_depth(f.body)
+    if isinstance(f, Not):
+        return quantifier_depth(f.body)
+    return max(quantifier_depth(f.left), quantifier_depth(f.right))
+
+
+_SMALL = formulas(max_depth=2)
+_BLOCK = st.lists(st.sampled_from(VAR_IDS), min_size=1, max_size=3)
+_PREFIX = st.lists(
+    st.tuples(st.sampled_from([Forall, Exists]), st.sampled_from(VAR_IDS)), max_size=2
+)
+
+
+@st.composite
+def guarded_sentences(draw):
+    """A universal block ending in ``guard -> body``, under other quantifiers.
+
+    The guard's variables may or may not be the block's binders, so the block
+    may or may not be decided by its guard alone.
+    """
+    f = Implies(draw(_SMALL), draw(_SMALL))
+    for v in reversed(draw(_BLOCK)):
+        f = Forall(v, f)
+    for q, v in draw(_PREFIX):
+        f = q(v, f)
+    return universal_closure(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sentences(), guarded_sentences()), st.integers(1, 6))
+def test_compiled_evaluator_matches_the_tree_walker(f, bound):
+    assume(bound ** quantifier_depth(f) <= 400)
+    assert eval_arith(f, bound) is reference_eval_arith(f, bound)
+    assert arith_counterexample(f, bound) == reference_counterexample(f, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas(), st.integers(1, 6), st.lists(st.integers(1, 6), min_size=4, max_size=4))
+def test_compiled_evaluator_reads_env(f, bound, values):
+    assume(bound ** quantifier_depth(f) <= 400)
+    env = dict(zip(VAR_IDS, values))
+    assert eval_arith(f, bound, env) is reference_eval_arith(f, bound, env)
+
+
+@pytest.mark.parametrize(
+    "text, prunes",
+    [
+        ("(Ax1)(Ax2)(x3 = 1 -> x1 + x2 = x2 + x1)", True),
+        ("(Ax1)(Ax2)(x1 = 1 -> x2 < 1)", False),  # the guard reads a binder
+        ("(Ax1)(Ax2)(x3 < x3 -> x1 = x2)", True),
+        ("(Ax1)((Ex2)(x2 = x3) -> (Ax2)(x2 < x1))", True),
+        ("(Ax1)(x1 = x1 <-> (Ex2)(x2 + x3 = x1))", False),  # no implication
+    ],
+)
+def test_guards_that_prune_and_guards_that_do_not(text, prunes):
+    f = parse(text)
+    block, binders = f, set()
+    while isinstance(block, Forall):
+        binders.add(block.var)
+        block = block.body
+    assert (isinstance(block, Implies) and binders.isdisjoint(free_vars(block.left))) is prunes
+    for bound in range(1, 7):
+        for x3 in range(1, 7):
+            env = {3: x3}
+            assert eval_arith(f, bound, env) is reference_eval_arith(f, bound, env)
+
+
+def test_free_variables_outside_env_raise_up_front():
+    # the tree walker never reached x2: the guard 0 = 1 decided the block
+    f = parse("(Ax1)(0 = 1 -> x2 = x1)")
+    assert reference_eval_arith(f, 5) is UNKNOWN
+    with pytest.raises(ValueError, match="unbound variable x2"):
+        eval_arith(f, 5)
+    assert eval_arith(f, 5, {2: 1}) is UNKNOWN
+    with pytest.raises(ValueError, match="bound must be at least 1"):
+        eval_arith(parse("1 = 1"), 0)
+
+
+@pytest.mark.parametrize(
+    "text, bound, want",
+    [
+        ("(Ax1)(Ax2)(x1 < x2)", 5, {1: 1, 2: 1}),
+        ("(Ax1)(Ax2)(Ax1)(x1 + x2 < S(S(S(1))))", 3, {1: 3, 2: 1}),  # x1 rebound
+        ("(Ax1)(Ax2)(x1 = S(1) -> x2 < S(1))", 3, {1: 2, 2: 2}),  # the guard reads a binder
+        ("~(1 = 1)", 3, None),  # false, but no universal block to assign
+    ],
+)
+def test_counterexamples_match_the_tree_walker(text, bound, want):
+    f = parse(text)
+    got = arith_counterexample(f, bound)
+    assert got == want == reference_counterexample(f, bound)
+    assert got is None or list(got) == list(reference_counterexample(f, bound))
