@@ -255,9 +255,9 @@ def test_report_round_trip_and_determinism(tmp_path, reports):
 #: names the difference and recomputes this table.
 REPORT_TREE_SHA256 = {
     "lemma-4.1": "4bbe565c4c5ac7e8c6dde644c45e2dca9f57cd0026a46bd8c51b89b8b1938517",
-    "lemma-4.2": "9b5d9b62751000eb815b328818ca35c549498c018aff964fb4b4d17858cbb287",
-    "lemma-4.3": "7ee9756b23b63d62b6f106dc6c2c46f1325adf853e87f0a2affc6e980997ffd9",
-    "lemma-4.4": "5901d1a3ac536ea476378145cf54edb5ab489297c16fb8e8f3c5d10238dab638",
+    "lemma-4.2": "84767e5c8d2d650f77984e2081027c5c71c48567190be5370c74ddec265730ee",
+    "lemma-4.3": "34ed5145815c64d4c071f5411a4271638bde65e297a27867b1a8e60032570102",
+    "lemma-4.4": "17410f27b2e4636eebfa80d59bb751c17845a54a036b287043b454176dcbcb4e",
     "theorem-4.1": "650705fbd24e4c00372642d77dc09562fcccd2ee8d34ed78752ce12bf84cf67b",
     "corollary-4.3": "4296e0d8c4a7e830537cf3fce6072ca7970994e2a2d7affdd6b6af0ca7b78e57",
     "corollary-4.4": "1ca43cf7cbd83ca19e94d4ce7ad3f8931da6ea2765356bc24df76c3731f7aa91",
@@ -267,13 +267,13 @@ REPORT_TREE_SHA256 = {
 }
 
 
-#: Total steps of each built-in report's proof certificates, 1,101 in all.
+#: Total steps of each built-in report's proof certificates, 929 in all.
 #: A change to proof sizes shows here as numbers.
 REPORT_PROOF_STEPS = {
     "lemma-4.1": 160,
-    "lemma-4.2": 155,
-    "lemma-4.3": 263,
-    "lemma-4.4": 493,
+    "lemma-4.2": 135,
+    "lemma-4.3": 219,
+    "lemma-4.4": 385,
     "theorem-4.1": 0,
     "corollary-4.3": 20,
     "corollary-4.4": 0,

@@ -83,12 +83,16 @@ def test_check_missing_file_is_usage_error(tmp_path):
     assert "error" in err
 
 
-def test_prove_budget_exhaustion(tmp_path):
-    code, _, err = run_cli(
+def test_prove_with_a_budget_left_stops_at_a_fixpoint():
+    # no decomposition applies to an atom: the search ends before it spends a step
+    code, out, err = run_cli(
         "prove", "--goal", "1 < 1", "--axioms", "L12", "--max-steps", "500"
     )
     assert code == 3
-    assert "not found" in err
+    assert out == ""
+    assert err == (
+        "not found: search reached a fixpoint after 0 steps without finding a proof\n"
+    )
 
 
 SPENT_GOAL = "(1 = 1) -> ((1 = 1 -> 0 = 0) -> 0 = 0) /\\ (0 = 0 -> 0 = 0)"

@@ -141,6 +141,16 @@ def test_prove_reports_the_depth_cap_not_a_fixpoint():
     assert outcome.report.steps_expended < Budget().max_steps
 
 
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_implication_chain_proofs_grow_quadratically(n):
+    # one discharge per antecedent; lifting every step would grow as 3.5**n
+    outcome = prove(antecedent_chain(n), (), L12, Budget())
+    assert outcome.proof is not None
+    assert outcome.proof.conclusion == antecedent_chain(n)
+    assert check_proof(outcome.proof, L12, strict=True).ok
+    assert len(outcome.proof.steps) <= 5 * n * n
+
+
 def test_prove_stops_at_a_fixpoint():
     # no decomposition applies to an atom: the first pass already walks everything
     outcome = prove(parse("0 = 1"), (), L12, Budget())

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofbench.parser import parse
-from proofbench.proofs import Proof, ProofBuilder, ProofStep, Mp, check_proof
+from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofBuilder, ProofStep, check_proof
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import And, Forall, Implies, Not, Or
 from proofbench.transforms import (
@@ -32,7 +34,7 @@ from proofbench.transforms import (
     splice,
 )
 
-from strategies import random_proof, unreachable_steps
+from strategies import SENTENCE_POOL, random_proof, unreachable_steps
 
 L12 = (axiom_set("L12"),)
 LBL = axiom_labeler(L12)
@@ -208,6 +210,82 @@ def test_deduction_round_trip_random():
             n: f for n, f in p.hypotheses if n != name
         }
         assert len(out.steps) <= 3 * len(p.steps) + 8
+
+
+def _depends_on(proof: Proof, name: str) -> set[int]:
+    """The indexes of the steps whose derivation cites hypothesis ``name``."""
+    dep: set[int] = set()
+    for step in proof.steps:
+        j = step.just
+        if (
+            (isinstance(j, Hyp) and j.name == name)
+            or (isinstance(j, Mp) and dep & {j.i, j.j})
+            or (isinstance(j, Gen) and j.i in dep)
+        ):
+            dep.add(step.index)
+    return dep
+
+
+def _with_unused_hypothesis(p: Proof, alpha) -> Proof:
+    """``p`` trimmed to its conclusion's steps, with hypothesis ``u`` = alpha added."""
+    b = ProofBuilder(p.hypotheses + (("u", alpha),), label=LBL)
+    return conclude(b, splice(b, p))
+
+
+def test_deduction_weakens_a_proof_that_never_cites_the_hypothesis():
+    rng = random.Random(77)
+    for _ in range(40):
+        p = _with_unused_hypothesis(random_proof(rng), rng.choice(SENTENCE_POOL))
+        alpha = dict(p.hypotheses)["u"]
+        out = deduction_transform(p, "u", L12)
+        assert check_proof(out, L12, strict=True).ok
+        assert out.steps[: len(p.steps)] == p.steps
+        assert len(out.steps) == len(p.steps) + 2
+        weaken, conclusion = out.steps[-2:]
+        assert weaken.formula == phi4_instance(p.conclusion, alpha)
+        assert isinstance(weaken.just, Ax)
+        assert conclusion.formula == Implies(alpha, p.conclusion)
+        assert conclusion.just == Mp(len(p.steps), weaken.index)
+
+
+def test_deduction_copies_the_steps_free_of_the_hypothesis():
+    # a formula no random proof mentions, so no lifted step restates a copied one
+    fresh = parse("0 = 0")
+    rng = random.Random(5151)
+    for _ in range(40):
+        p = random_proof(rng)
+        b = ProofBuilder(p.hypotheses + (("a", fresh),), label=LBL)
+        pair = derive_andintro(b, splice(b, p), b.add_hyp("a"))
+        both = conclude(b, derive_dnintro(b, pair))
+        free = set(range(1, len(both.steps) + 1)) - _depends_on(both, "a")
+        out = deduction_transform(both, "a", L12)
+        assert check_proof(out, L12, strict=True).ok
+        assert out.conclusion == Implies(fresh, Not(Not(And(p.conclusion, fresh))))
+        kept = {s.formula for s in out.steps}
+        assert all(both.steps[i - 1].formula in kept for i in free)
+
+
+def test_deduction_lifts_gen_over_a_dependent_step():
+    b = _fresh((("h", PSI7),))
+    b.add_gen(b.idx_of(PSI7), 1)  # (Ax1)psi7, from the hypothesis
+    out = deduction_transform(b.proof(), "h", L12)
+    assert check_proof(out, L12, strict=True).ok
+    assert out.steps[-1].formula == Implies(PSI7, Forall(1, PSI7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_discharging_every_hypothesis_in_turn(rng):
+    # as the engine does: the last hypothesis introduced is discharged first
+    p = random_proof(rng, max_hyps=4)
+    names = [n for n, _ in p.hypotheses]
+    expected = p.conclusion
+    for name in reversed(names):
+        expected = Implies(dict(p.hypotheses)[name], expected)
+        p = deduction_transform(p, name, L12)
+        assert check_proof(p, L12, strict=True).ok
+    assert p.hypotheses == ()
+    assert p.conclusion == expected
 
 
 # ---------------------------------------------------------------------------
