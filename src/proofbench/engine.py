@@ -18,22 +18,25 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+from .parser import MAX_NESTING, render
 from .proofs import Proof, ProofBuilder
 from .schemata import NAMED_FORMULAS, AxiomSetRecognizer
 from .syntax import (
     And,
+    Exists,
     Forall,
     Formula,
+    Iff,
     Implies,
     Not,
     Or,
     connective_depth,
     free_vars,
     is_sentence,
-    subformulas,
 )
 from .transforms import (
     axiom_labeler,
@@ -198,34 +201,138 @@ def _named_hyps(X) -> tuple[tuple[str, Formula], ...]:
     return tuple(out)
 
 
+def _add_subformulas(found: dict[Formula, None], f: Formula) -> None:
+    """Add ``f`` and its subformulas to ``found``, skipping shared subtrees.
+
+    Raises ValueError where connectives, or the terms of an atom, nest
+    more than :data:`~proofbench.parser.MAX_NESTING` deep, as parsed text
+    may not: the pool's render order recurses once per level.
+    """
+    if connective_depth(f) > MAX_NESTING:
+        raise ValueError(f"formula nests more than {MAX_NESTING} deep")
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in found:
+            continue
+        found[g] = None
+        if isinstance(g, (Implies, And, Or, Iff)):
+            stack.append(g.right)
+            stack.append(g.left)
+        elif isinstance(g, (Not, Forall, Exists)):
+            stack.append(g.body)
+        elif any(t._depth > MAX_NESTING for t in g.args):  # a term's depth is its height
+            raise ValueError(f"formula nests more than {MAX_NESTING} deep")
+
+
+def _generate(found: dict[Formula, None], axioms: tuple[AxiomSetRecognizer, ...]) -> None:
+    """Widen ``found`` by each ``generate_for`` hook in turn.  Each hook sees
+    the members found before it ran, those of the earlier hooks included."""
+    for r in axioms:
+        if r.generate_for is not None:
+            for f in list(found):
+                for m in r.generate_for(f):
+                    _add_subformulas(found, m)
+
+
+def _sort_key(f: Formula) -> tuple[int, str]:
+    """A pool member's place in the pool: by depth, then rendered text."""
+    return (connective_depth(f), render(f))
+
+
+def sorted_pool(pool: Iterable[Formula]) -> list[Formula]:
+    """Deterministic pool ordering: by depth, then rendered text."""
+    return sorted(pool, key=_sort_key)
+
+
+def _slots(f: Formula) -> tuple[tuple[int, Formula], ...]:
+    """The index lists ``f`` belongs to, as (index, key) pairs.  The indexes
+    are :class:`Pool`'s ``imp_by_right``, ``imp_by_left``, ``and_by_side``,
+    ``or_by_side`` and ``all_by_body``, in that order."""
+    if isinstance(f, Implies):
+        return ((0, f.right), (1, f.left))
+    if isinstance(f, (And, Or)):
+        i = 2 if isinstance(f, And) else 3
+        return ((i, f.left),) if f.right == f.left else ((i, f.left), (i, f.right))
+    if isinstance(f, Forall):
+        return ((4, f.body),)
+    return ()
+
+
+def _merged(
+    indexes: tuple[dict[Formula, list[Formula]], ...],
+    axiom_members: tuple[tuple[Formula, str], ...],
+    new: list[Formula],
+    axioms: tuple[AxiomSetRecognizer, ...],
+    key: Callable[[Formula], tuple[int, str]],
+) -> tuple[tuple[dict[Formula, list[Formula]], ...], tuple[tuple[Formula, str], ...]]:
+    """``indexes`` and ``axiom_members`` with the pool members ``new`` merged
+    in, each list in ``key`` order.  Neither input changes: an index or list
+    that gains a member is copied, and the others are shared."""
+    joined: dict[tuple[int, Formula], list[Formula]] = {}
+    for f in new:
+        for slot in _slots(f):
+            joined.setdefault(slot, []).append(f)
+    out = list(indexes)
+    for (i, k), fs in joined.items():
+        if out[i] is indexes[i]:
+            out[i] = dict(out[i])
+        out[i][k] = sorted([*out[i].get(k, ()), *fs], key=key)
+    label = axiom_labeler(axioms)
+    labelled = tuple((f, name) for f in new if (name := label(f)) is not None)
+    if labelled:
+        axiom_members = tuple(sorted(axiom_members + labelled, key=lambda m: key(m[0])))
+    return tuple(out), axiom_members
+
+
+class _AxiomPool:
+    """The part of every pool over one axioms tuple that no context changes.
+
+    It holds the subformulas of :data:`NAMED_FORMULAS` and of every finite
+    core, widened by the ``generate_for`` hooks, in pool order, with their
+    sort keys, their index lists and the labelled axiom-set members.  Built
+    by :func:`_axiom_pool`; read-only once built.
+    """
+
+    def __init__(self, axioms: tuple[AxiomSetRecognizer, ...]) -> None:
+        found: dict[Formula, None] = {}
+        for f in NAMED_FORMULAS.values():
+            _add_subformulas(found, f)
+        for r in axioms:
+            for f in r.finite_core:
+                _add_subformulas(found, f)
+        _generate(found, axioms)
+        self.order = tuple(sorted_pool(found))
+        self.keys = {f: _sort_key(f) for f in self.order}
+        empty = tuple({} for _ in range(5))
+        self.indexes, self.axioms = _merged(empty, (), self.order, axioms, self.keys.__getitem__)
+
+
+@lru_cache(maxsize=16)
+def _axiom_pool(axioms: tuple[AxiomSetRecognizer, ...]) -> _AxiomPool:
+    """The :class:`_AxiomPool` of an axioms tuple.  Keyed by the recognizers in
+    order: the first one that contains a member labels it."""
+    return _AxiomPool(axioms)
+
+
 def assemble_pool(
     hyp_formulas: tuple[Formula, ...],
     axioms: tuple[AxiomSetRecognizer, ...],
     goal: Formula | None,
 ) -> tuple[Formula, ...]:
-    """The finite instantiation pool, in a deterministic order."""
-    pool: dict[Formula, None] = {}
-
-    def add(f: Formula) -> None:
-        for g in subformulas(f):
-            pool.setdefault(g, None)
-
+    """The finite instantiation pool, in a deterministic order: the members of
+    the axioms' :class:`_AxiomPool` in pool order, then those the hypotheses
+    and the goal add, in the order they were found."""
+    base = _axiom_pool(axioms)
+    found: dict[Formula, None] = {}
     for f in hyp_formulas:
-        add(f)
+        _add_subformulas(found, f)
     if goal is not None:
-        add(goal)
-    for f in NAMED_FORMULAS.values():
-        add(f)
-    for r in axioms:
-        for f in r.finite_core:
-            add(f)
-    for r in axioms:
-        if r.generate_for is None:
-            continue
-        for f in list(pool):
-            for m in r.generate_for(f):
-                add(m)
-    return tuple(pool)
+        _add_subformulas(found, goal)
+    # the hooks map each formula on its own, so the context's members need
+    # only their own images: the base pool already holds the rest
+    _generate(found, axioms)
+    return base.order + tuple(f for f in found if f not in base.keys)
 
 
 class Pool:
@@ -235,7 +342,9 @@ class Pool:
     look up, and the recognized axiom-set members, each paired with the name
     of the first recognizer that contains it.  Index lists and axiom members
     follow the render order of :func:`sorted_pool`, which decides the
-    proofs.  Read-only once built.
+    proofs.  Only the members the context adds are sorted and labelled here;
+    they are merged into the axioms' :class:`_AxiomPool`.  Read-only once
+    built.
     """
 
     def __init__(
@@ -244,32 +353,23 @@ class Pool:
         axioms: tuple[AxiomSetRecognizer, ...],
         goal: Formula | None,
     ) -> None:
-        self.members = frozenset(assemble_pool(hyp_formulas, axioms, goal))
-        self.imp_by_right: dict[Formula, list[Implies]] = {}
-        self.imp_by_left: dict[Formula, list[Implies]] = {}
-        self.and_by_side: dict[Formula, list[And]] = {}
-        self.or_by_side: dict[Formula, list[Or]] = {}
-        self.all_by_body: dict[Formula, list[Forall]] = {}
-        axiom_members: list[tuple[Formula, str]] = []
-        label = axiom_labeler(axioms)
-        for f in sorted_pool(self.members):
-            if isinstance(f, Implies):
-                self.imp_by_right.setdefault(f.right, []).append(f)
-                self.imp_by_left.setdefault(f.left, []).append(f)
-            elif isinstance(f, And):
-                self.and_by_side.setdefault(f.left, []).append(f)
-                if f.right != f.left:
-                    self.and_by_side.setdefault(f.right, []).append(f)
-            elif isinstance(f, Or):
-                self.or_by_side.setdefault(f.left, []).append(f)
-                if f.right != f.left:
-                    self.or_by_side.setdefault(f.right, []).append(f)
-            elif isinstance(f, Forall):
-                self.all_by_body.setdefault(f.body, []).append(f)
-            name = label(f)
-            if name is not None:
-                axiom_members.append((f, name))
-        self.axioms = tuple(axiom_members)
+        base = _axiom_pool(axioms)
+        members = assemble_pool(hyp_formulas, axioms, goal)
+        self.members = frozenset(members)
+        indexes, self.axioms = _merged(
+            base.indexes,
+            base.axioms,
+            sorted_pool(members[len(base.order) :]),
+            axioms,
+            lambda f: base.keys.get(f) or _sort_key(f),
+        )
+        (
+            self.imp_by_right,
+            self.imp_by_left,
+            self.and_by_side,
+            self.or_by_side,
+            self.all_by_body,
+        ) = indexes
 
 
 @lru_cache(maxsize=1)
@@ -414,13 +514,6 @@ class _Saturation:
             if any(quant.var in free_vars(self.hyps_by_name[n]) for n in deps):
                 continue
             self.add(quant, ("gen", f, quant.var), deps)
-
-
-def sorted_pool(pool: frozenset[Formula]) -> list[Formula]:
-    """Deterministic pool ordering: by depth, then rendered text."""
-    from .parser import render
-
-    return sorted(pool, key=lambda f: (connective_depth(f), render(f)))
 
 
 def bounded_closure(

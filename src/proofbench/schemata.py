@@ -243,7 +243,13 @@ def match_schema(
     return args
 
 
-@lru_cache(maxsize=None)
+#: Entries kept by each recognizer cache.  A cache holds its formulas alive,
+#: so a long-lived process needs a bound; the built-in workloads reach under
+#: 2,000 distinct formulas per cache in one pass.
+CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def is_logic_instance(f: Formula) -> bool:
     """Whether ``f`` instantiates one of the twelve logical schemata."""
     return any(match_schema(f, s) is not None for s in SCHEMATA.values())
@@ -386,7 +392,7 @@ def _strip_foralls(f: Formula) -> Formula:
     return f
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _is_closure_of_logic_instance(f: Formula) -> bool:
     """Member of the closed extension but (possibly) not a bare instance."""
     if is_logic_instance(f):

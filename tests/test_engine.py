@@ -11,7 +11,7 @@ from proofbench.engine import (
     check_traditional_consistency,
     prove,
 )
-from proofbench.parser import parse
+from proofbench.parser import MAX_NESTING, parse
 from proofbench.proofs import check_proof, render_proof_script
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import App, Atom, Const, Implies, Not
@@ -229,3 +229,36 @@ def test_closure_over_a_chain_of_deep_numeral_atoms():
     last = _numeral_atom(n - 1)
     assert last in state
     assert state.proof_of(last).steps[-1].formula == last
+
+
+def _negations(n, f=parse("0 = 0")):
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+_DEEP = {"connectives": _negations(5000), "terms": _numeral_atom(5000)}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_formulas_built_past_the_nesting_cap_are_refused(shape):
+    # text is capped by the parser; a formula built in code meets the same
+    # cap when its pool is built, not a RecursionError
+    deep = _DEEP[shape]
+    calls = (
+        lambda: bounded_closure([deep], L12),
+        lambda: bounded_closure([], L12, goal=deep),
+        lambda: prove(deep, [], L12),
+        lambda: prove(U27, [deep], L12),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"nests more than {MAX_NESTING} deep"):
+            call()
+
+
+def test_formulas_built_at_the_nesting_cap_are_searched():
+    at_cap = _negations(MAX_NESTING - 1, _numeral_atom(MAX_NESTING))
+    goal = Implies(at_cap, at_cap)
+    assert at_cap in bounded_closure([at_cap], L12, Budget(max_steps=100))
+    proof = prove(goal, [], L12, Budget(max_steps=100)).proof
+    assert proof is not None and check_proof(proof, L12).ok

@@ -1,0 +1,169 @@
+"""The instantiation pool: built in two parts, equal to building it whole.
+
+``reference_pool`` is the pool builder as it was before the axiom-set part of
+each pool was built once per axioms tuple: it walks every source formula,
+sorts every member and labels each one, for every context.  The engine's
+:class:`~proofbench.engine.Pool` must hold the same members, the same index
+lists in the same order and the same labelled axiom members.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from proofbench.engine import Pool
+from proofbench.parser import render
+from proofbench.schemata import (
+    BETA0,
+    NAMED_FORMULAS,
+    PSI_AXIOMS,
+    AxiomSetRecognizer,
+    axiom_set,
+)
+from proofbench.scripts import builtin_claims, builtin_scripts
+from proofbench.syntax import (
+    And,
+    Atom,
+    Forall,
+    Implies,
+    Not,
+    Or,
+    connective_depth,
+    subformulas,
+    universal_closure,
+)
+from proofbench.transforms import axiom_labeler, phi1_instance, phi4_instance
+
+from strategies import formulas, sentences
+
+INDEXES = ("imp_by_right", "imp_by_left", "and_by_side", "or_by_side", "all_by_body")
+
+
+def reference_members(hyp_formulas, axioms, goal):
+    pool = {}
+
+    def add(f):
+        for g in subformulas(f):
+            pool.setdefault(g, None)
+
+    for f in hyp_formulas:
+        add(f)
+    if goal is not None:
+        add(goal)
+    for f in NAMED_FORMULAS.values():
+        add(f)
+    for r in axioms:
+        for f in r.finite_core:
+            add(f)
+    for r in axioms:
+        if r.generate_for is None:
+            continue
+        for f in list(pool):
+            for m in r.generate_for(f):
+                add(m)
+    return tuple(pool)
+
+
+def reference_pool(hyp_formulas, axioms, goal):
+    """(members, {index name: index dict}, axiom members) of a context."""
+    members = frozenset(reference_members(hyp_formulas, axioms, goal))
+    indexes = {name: {} for name in INDEXES}
+    axiom_members = []
+    label = axiom_labeler(axioms)
+    for f in sorted(members, key=lambda f: (connective_depth(f), render(f))):
+        if isinstance(f, Implies):
+            indexes["imp_by_right"].setdefault(f.right, []).append(f)
+            indexes["imp_by_left"].setdefault(f.left, []).append(f)
+        elif isinstance(f, And):
+            indexes["and_by_side"].setdefault(f.left, []).append(f)
+            if f.right != f.left:
+                indexes["and_by_side"].setdefault(f.right, []).append(f)
+        elif isinstance(f, Or):
+            indexes["or_by_side"].setdefault(f.left, []).append(f)
+            if f.right != f.left:
+                indexes["or_by_side"].setdefault(f.right, []).append(f)
+        elif isinstance(f, Forall):
+            indexes["all_by_body"].setdefault(f.body, []).append(f)
+        name = label(f)
+        if name is not None:
+            axiom_members.append((f, name))
+    return members, indexes, tuple(axiom_members)
+
+
+def assert_same_pool(hyp_formulas, axioms, goal):
+    members, indexes, axiom_members = reference_pool(hyp_formulas, axioms, goal)
+    pool = Pool(hyp_formulas, axioms, goal)
+    assert pool.members == members
+    for name in INDEXES:
+        assert getattr(pool, name) == indexes[name], name
+    assert pool.axioms == axiom_members
+
+
+BUILTIN_CLAIMS = [c for s in builtin_scripts() for c in builtin_claims(s)]
+
+
+def test_builtin_contexts_build_the_reference_pool():
+    for claim in BUILTIN_CLAIMS:
+        axioms = tuple(axiom_set(n) for n in claim.axiom_names)
+        hyps = tuple(f for _, f in claim.hypotheses)
+        for goal in {claim.goal, None}:
+            assert_same_pool(hyps, axioms, goal)
+
+
+#: every axioms tuple the built-in scripts use, plus the logical axioms alone
+AXIOM_TUPLES = sorted({c.axiom_names for c in BUILTIN_CLAIMS} | {("L12",)})
+
+
+def test_axiom_tuples_cover_every_generate_for_hook():
+    # L11, LT1 and PrefixedL2r widen the pool; one tuple stacks two of them
+    hooked = {n for t in AXIOM_TUPLES for n in t if axiom_set(n).generate_for}
+    assert hooked == {"L11", "LT1", "PrefixedL2r"}
+    assert ("L11", "PrefixedL2r", "NPsi3dot") in AXIOM_TUPLES
+    assert len(AXIOM_TUPLES) == 10
+
+
+# open logic instances closed over their free variables are what the
+# generate_for hooks widen, so the draw leans on them and on pool material
+_OPEN = formulas(max_depth=1, quantifiers=False)
+_MATERIAL = (*NAMED_FORMULAS.values(), *PSI_AXIOMS.values(), BETA0)
+context_formulas = st.one_of(
+    sentences(max_depth=2),
+    st.builds(phi4_instance, _OPEN, _OPEN).map(universal_closure),
+    st.builds(phi1_instance, _OPEN, _OPEN, _OPEN).map(universal_closure),
+    st.builds(phi4_instance, st.sampled_from(_MATERIAL), st.sampled_from(_MATERIAL)),
+    st.sampled_from(_MATERIAL),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=st.sampled_from(AXIOM_TUPLES),
+    hyps=st.lists(context_formulas, max_size=3),
+    goal=st.none() | context_formulas,
+)
+def test_drawn_contexts_build_the_reference_pool(names, hyps, goal):
+    assert_same_pool(tuple(hyps), tuple(axiom_set(n) for n in names), goal)
+
+
+# No built-in hook fires on what another one generates, so the order in which
+# stacked hooks see each other's members is pinned with two made-up ones: the
+# second widens what the first generates.
+NEGATE = AxiomSetRecognizer(
+    "negate",
+    lambda f: isinstance(f, Not),
+    generate_for=lambda f: (Not(f),) if isinstance(f, Atom) else (),
+)
+DOUBLE = AxiomSetRecognizer(
+    "double",
+    lambda f: isinstance(f, And),
+    generate_for=lambda f: (And(f, f),) if isinstance(f, Not) else (),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    axioms=st.permutations((NEGATE, DOUBLE, axiom_set("L12"))),
+    hyps=st.lists(context_formulas, max_size=3),
+    goal=st.none() | context_formulas,
+)
+def test_stacked_hooks_build_the_reference_pool(axioms, hyps, goal):
+    assert_same_pool(tuple(hyps), tuple(axioms), goal)

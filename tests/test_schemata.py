@@ -13,12 +13,14 @@ from proofbench.schemata import (
     AXIOM_SETS,
     BETA0,
     BETA1,
+    CACHE_SIZE,
     INDUCTION_ONE,
     INDUCTION_ZERO,
     NAMED_FORMULA_NAMES,
     PSI_AXIOMS,
     Q_AXIOMS,
     SCHEMATA,
+    _is_closure_of_logic_instance,
     axiom_set,
     is_logic_instance,
     match_schema,
@@ -400,3 +402,13 @@ def test_a_schema_match_rebuilds_its_candidate(f):
     for s in _SCHEMATA_AND_INDUCTION:
         args = match_schema(f, s, require_side_conditions=False)
         assert args is None or s.build(*args) is f
+
+
+def test_recognizer_caches_stay_bounded():
+    # more distinct formulas than a cache keeps: the oldest are dropped
+    for cached in (is_logic_instance, _is_closure_of_logic_instance):
+        assert cached.cache_info().maxsize == CACHE_SIZE
+        for k in range(1, CACHE_SIZE + 100):
+            x = Var(k)
+            assert cached(phi4_instance(Atom("=", (x, x)), Atom("<", (x, x))))
+        assert cached.cache_info().currsize <= CACHE_SIZE

@@ -182,8 +182,11 @@ def test_deduction_handles_gen_steps():
 def test_deduction_rejects_open_hypothesis():
     open_h = parse("x1 = x1")
     b = _fresh((("h", open_h),))
-    with pytest.raises(TransformError):
-        deduction_transform(b.proof(), "h", L12)
+    plain = b.proof()
+    b.add_gen(1, 1)  # generalizes over the hypothesis's free variable
+    for proof in (plain, b.proof()):
+        with pytest.raises(TransformError, match="only sentences can be discharged"):
+            deduction_transform(proof, "h", L12)
 
 
 def test_deduction_rejects_unknown_name():
