@@ -1,5 +1,7 @@
 """Budgeted consequence closure, proof search, and consistency probes."""
 
+import hashlib
+
 import pytest
 
 from proofbench.engine import (
@@ -172,6 +174,40 @@ def test_prove_respects_budget():
     outcome = prove(parse("1 < 1"), (), L12, Budget(max_steps=500))
     assert outcome.proof is None
     assert outcome.report.steps_expended <= 500
+
+
+# one goal per backward introduction rule that the forward closure cannot
+# reach: rule, goal, hypotheses, proof size, sha256 of the rendered proof
+BACKWARD_RULES = [
+    ("andintro", "(0 = 0 -> 0 = 0) /\\ 1 = 1", ["1 = 1"], 9,
+     "99f929c51064a24b591d78a1e5759cfe4c2227bc79be15816338f58f01fa640e"),
+    ("orin_l", "(0 = 0 -> 0 = 0) \\/ 0 = 1", [], 7,
+     "202f7d67dab55cae05863ce35206c98d98790cf5cef9ea6fc35673d10bd323b3"),
+    ("orin_r", "0 = 1 \\/ (0 = 0 -> 0 = 0)", [], 7,
+     "775f8dd628729f4fb4cef465dd36ff002fce1f273e7c34c7ebbfa1768b0d31da"),
+    ("dnintro", "~~((0 = 0 -> 0 = 0) /\\ 1 = 1)", ["1 = 1"], 29,
+     "b2ebaa0191a27901ca7a252af19072733064eaff14c3527da1cfa388a87fd0e1"),
+    ("notimp_intro", "~((0 = 0 -> 0 = 0) -> 0 = 1)", ["~0 = 1"], 41,
+     "311b204223edb9d827013b1b892ab7187d8f7b4f521226aa8e639ee21d06cd35"),
+    ("notand_l", "~(0 = 1 /\\ 1 < 0)", ["~0 = 1"], 27,
+     "3c1e3246cc8d84fa3c2ebb2e3223dd3e7fb258f7ad4c7e258e1faa8ee7d98acc"),
+    ("notand_r", "~(0 = 1 /\\ 1 < 0)", ["~1 < 0"], 27,
+     "b9f708016a667d78ac741b7d000e03b472ad40619e6ceb292fb5a8ce7ec4a1e6"),
+    ("notor", "~(0 = 1 \\/ 1 < 0)", ["~0 = 1", "~1 < 0"], 37,
+     "d9d02d8f8d413e1a1df6d9c541aada763a3d05c5c30b17afbaece99b37e2bbb7"),
+]
+
+
+@pytest.mark.parametrize(
+    "goal, hyps, size, digest", [r[1:] for r in BACKWARD_RULES], ids=[r[0] for r in BACKWARD_RULES]
+)
+def test_backward_introduction_rules(goal, hyps, size, digest):
+    outcome = prove(parse(goal), [parse(h) for h in hyps], L12)
+    proof = outcome.proof
+    assert proof is not None and proof.conclusion == parse(goal)
+    assert check_proof(proof, L12, strict=True).ok
+    assert len(proof.steps) == size
+    assert hashlib.sha256(render_proof_script(proof).encode()).hexdigest() == digest
 
 
 def test_prove_deterministic():
