@@ -376,6 +376,51 @@ def resolve_token(
     raise AuditError(f"unknown hypothesis token {token!r}")
 
 
+def _load_goal(body: str, bindings: Mapping[str, Formula]) -> Formula:
+    """The goal a claim's ``goal`` field names or spells out."""
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", body):
+        return parse_formula(body)
+    if body in AXIOM_SETS:
+        raise AuditError(f"goal {body!r} names an axiom set, not a formula")
+    try:
+        return resolve_token(body, bindings)
+    except AuditError:
+        raise AuditError(f"unknown goal token {body!r}") from None
+
+
+def _load_claim(text: str, bindings: Mapping[str, Formula]) -> AuditClaim:
+    """The claim of one ``claim`` line, its directive word cut off."""
+    fields = [p.strip() for p in text.split("|")]
+    claim_id = fields[0]
+    axiom_names: list[str] = []
+    hypotheses: list[tuple[str, Formula]] = []
+    goal: Formula | None = None
+    locus: str | None = None
+    for part in fields[1:]:
+        if part.startswith("hyps "):
+            for token in part[5:].replace(",", " ").split():
+                resolved = resolve_token(token, bindings)
+                if resolved is None:
+                    axiom_names.append(token)
+                else:
+                    hypotheses.append((token, resolved))
+        elif part.startswith("goal "):
+            if goal is not None:
+                raise AuditError(f"claim {claim_id!r} repeats the goal field")
+            goal = _load_goal(part[5:].strip(), bindings)
+        elif part.startswith("locus "):
+            if locus is not None:
+                raise AuditError(f"claim {claim_id!r} repeats the locus field")
+            locus = part[6:].strip()
+        else:
+            raise AuditError(f"unknown claim field {part!r}")
+    if goal is None:
+        raise AuditError(f"claim {claim_id!r} has no goal")
+    return AuditClaim(
+        claim_id, "membership", tuple(axiom_names), tuple(hypotheses), goal, locus or ""
+    )
+
+
 def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
     """Parse a claim script.
 
@@ -395,69 +440,21 @@ def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("set "):
-            rest = line[4:].strip()
-            parts = rest.split(None, 1)
-            if len(parts) != 2:
-                raise AuditError(f"line {lineno}: set needs a name and a formula")
-            name, body = parts
-            if name in AXIOM_SETS:
-                raise AuditError(f"line {lineno}: cannot set {name!r}, an axiom-set name")
-            try:
+        try:
+            if line.startswith("set "):
+                parts = line[4:].strip().split(None, 1)
+                if len(parts) != 2:
+                    raise AuditError("set needs a name and a formula")
+                name, body = parts
+                if name in AXIOM_SETS:
+                    raise AuditError(f"cannot set {name!r}, an axiom-set name")
                 bindings[name] = parse_formula(body)
-            except ParseError as exc:
-                raise AuditError(f"line {lineno}: {exc}") from exc
-            continue
-        if not line.startswith("claim "):
-            raise AuditError(f"line {lineno}: expected 'set' or 'claim', got {line!r}")
-        fields = [p.strip() for p in line[6:].split("|")]
-        claim_id = fields[0]
-        axiom_names: list[str] = []
-        hypotheses: list[tuple[str, Formula]] = []
-        goal: Formula | None = None
-        locus: str | None = None
-        for part in fields[1:]:
-            if part.startswith("hyps "):
-                for token in part[5:].replace(",", " ").split():
-                    resolved = resolve_token(token, bindings)
-                    if resolved is None:
-                        axiom_names.append(token)
-                    else:
-                        hypotheses.append((token, resolved))
-            elif part.startswith("goal "):
-                if goal is not None:
-                    raise AuditError(f"line {lineno}: claim {claim_id!r} repeats the goal field")
-                body = part[5:].strip()
-                resolved = (
-                    resolve_token(body, bindings)
-                    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", body)
-                    else None
-                )
-                if resolved is not None:
-                    goal = resolved
-                else:
-                    try:
-                        goal = parse_formula(body)
-                    except ParseError as exc:
-                        raise AuditError(f"line {lineno}: {exc}") from exc
-            elif part.startswith("locus "):
-                if locus is not None:
-                    raise AuditError(f"line {lineno}: claim {claim_id!r} repeats the locus field")
-                locus = part[6:].strip()
+            elif line.startswith("claim "):
+                claims.append(_load_claim(line[6:], bindings))
             else:
-                raise AuditError(f"line {lineno}: unknown claim field {part!r}")
-        if goal is None:
-            raise AuditError(f"line {lineno}: claim {claim_id!r} has no goal")
-        claims.append(
-            AuditClaim(
-                claim_id,
-                "membership",
-                tuple(axiom_names),
-                tuple(hypotheses),
-                goal,
-                locus or "",
-            )
-        )
+                raise AuditError(f"expected 'set' or 'claim', got {line!r}")
+        except (AuditError, ParseError) as exc:
+            raise AuditError(f"line {lineno}: {exc}") from exc
     return claims
 
 
@@ -477,19 +474,9 @@ def _detail_files(verdict: AuditVerdict) -> list[tuple[str, str]]:
                 (f"details/{cid}.proof", goal_line + render_proof_script(verdict.proofs[0]))
             )
         else:
-            pos, neg = verdict.proofs
-            out.append(
-                (
-                    f"details/{cid}.pos.proof",
-                    f"# goal {render(pos.conclusion)}\n" + render_proof_script(pos),
-                )
-            )
-            out.append(
-                (
-                    f"details/{cid}.neg.proof",
-                    f"# goal {render(neg.conclusion)}\n" + render_proof_script(neg),
-                )
-            )
+            for side, p in zip(("pos", "neg"), verdict.proofs, strict=True):
+                text = f"# goal {render(p.conclusion)}\n" + render_proof_script(p)
+                out.append((f"details/{cid}.{side}.proof", text))
     elif verdict.status == VERIFIED:
         out.append((f"details/{cid}.eval", f"{verdict.detail}\n"))
     elif verdict.status == REFUTED:

@@ -9,9 +9,10 @@ pool formulas, so the derivable set is finite and saturation reaches a genuine
 fixpoint when the budget allows.  Every derived formula carries a recipe from
 which a kernel proof is rebuilt on demand.
 
-:func:`prove` layers iterative-deepening backward decomposition (implication
-discharge via the deduction transform, conjunction/negation introduction
-templates) on top of the forward closure.
+:func:`prove` layers iterative-deepening backward decomposition on top of the
+forward closure: implication discharge via the deduction transform, then the
+introductions of ``/\\``, ``\\/``, ``~~``, ``~(->)``, ``~(/\\)`` and ``~(\\/)``,
+then reductio.  The closure and the introductions share one recipe table.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class BudgetReport:
 
 
 # recipe kind -> kernel template, called with the builder, the derived formula,
-# the recipe's arguments and the step indexes of the formulas emitted so far
+# the recipe's arguments and the step indexes of the formulas emitted so far;
+# the closure's recipes and prove's introductions both finish here
 _EMIT = {
     "hyp": lambda b, g, a, done: b.add_hyp(a[0]),
     "axiom": lambda b, g, a, done: b.add_axiom_named(g, a[0]),
@@ -118,6 +120,11 @@ _EMIT = {
     "imp_from_neg": lambda b, g, a, done: derive_imp_from_neg(b, done[a[0]], g.right),
     "explosion": lambda b, g, a, done: derive_explosion(b, done[a[0]], done[a[1]], g),
     "gen": lambda b, g, a, done: b.add_gen(done[a[0]], a[1]),
+    # the introductions only prove's backward search uses
+    "notimp_intro": lambda b, g, a, done: derive_notimp_intro(b, done[a[0]], done[a[1]]),
+    "notand_l": lambda b, g, a, done: derive_notand(b, done[a[0]], g.body.right, 1),
+    "notand_r": lambda b, g, a, done: derive_notand(b, done[a[0]], g.body.left, 2),
+    "notor": lambda b, g, a, done: derive_notor(b, done[a[0]], done[a[1]]),
 }
 
 
@@ -553,6 +560,27 @@ class ConsistencyVerdict:
 BACKWARD_DEPTH = 12
 
 
+def _introductions(goal: Formula) -> list[tuple[str, tuple[Formula, ...]]]:
+    """The introduction rules that conclude ``goal``, in the order
+    :func:`prove` tries them, each as its :data:`_EMIT` kind and premises."""
+    if isinstance(goal, And):
+        return [("andintro", (goal.left, goal.right))]
+    if isinstance(goal, Or):
+        return [("orin_l", (goal.left,)), ("orin_r", (goal.right,))]
+    if not isinstance(goal, Not):
+        return []
+    inner = goal.body
+    if isinstance(inner, Not):
+        return [("dnintro", (inner.body,))]
+    if isinstance(inner, Implies):
+        return [("notimp_intro", (inner.left, Not(inner.right)))]
+    if isinstance(inner, And):
+        return [("notand_l", (Not(inner.left),)), ("notand_r", (Not(inner.right),))]
+    if isinstance(inner, Or):
+        return [("notor", (Not(inner.left), Not(inner.right)))]
+    return []
+
+
 class _Searcher:
     def __init__(
         self,
@@ -620,73 +648,31 @@ class _Searcher:
             sub = self.prove(goal.right, hyps + ((name, goal.left),), depth - 1)
             if sub is not None:
                 return deduction_transform(sub, name, self.axioms)
-        if isinstance(goal, And):
-            left = self.prove(goal.left, hyps, depth - 1)
-            if left is not None:
-                right = self.prove(goal.right, hyps, depth - 1)
-                if right is not None:
-                    return self._combine(
-                        hyps, (left, right), lambda b, idx: derive_andintro(b, *idx)
-                    )
-        if isinstance(goal, Or):
-            for sub_goal, side in ((goal.left, "left"), (goal.right, "right")):
-                other = goal.right if side == "left" else goal.left
-                sub = self.prove(sub_goal, hyps, depth - 1)
-                if sub is not None:
-                    return self._combine(
-                        hyps, (sub,), lambda b, idx: derive_orin(b, idx[0], other, side)
-                    )
-        if isinstance(goal, Not):
-            inner = goal.body
-            if isinstance(inner, Not):
-                sub = self.prove(inner.body, hyps, depth - 1)
-                if sub is not None:
-                    return self._combine(hyps, (sub,), lambda b, idx: derive_dnintro(b, idx[0]))
-            if isinstance(inner, Implies):
-                left = self.prove(inner.left, hyps, depth - 1)
-                if left is not None:
-                    right = self.prove(Not(inner.right), hyps, depth - 1)
-                    if right is not None:
-                        return self._combine(
-                            hyps, (left, right), lambda b, idx: derive_notimp_intro(b, *idx)
-                        )
-            if isinstance(inner, And):
-                for sub_goal, which in ((Not(inner.left), 1), (Not(inner.right), 2)):
-                    other = inner.right if which == 1 else inner.left
-                    sub = self.prove(sub_goal, hyps, depth - 1)
-                    if sub is not None:
-                        return self._combine(
-                            hyps,
-                            (sub,),
-                            lambda b, idx: derive_notand(b, idx[0], other, which),
-                        )
-            if isinstance(inner, Or):
-                left = self.prove(Not(inner.left), hyps, depth - 1)
-                if left is not None:
-                    right = self.prove(Not(inner.right), hyps, depth - 1)
-                    if right is not None:
-                        return self._combine(
-                            hyps, (left, right), lambda b, idx: derive_notor(b, *idx)
-                        )
+        for kind, premises in _introductions(goal):
+            subs = []
+            for premise in premises:
+                sub = self.prove(premise, hyps, depth - 1)
+                if sub is None:
+                    break
+                subs.append(sub)
+            else:
+                b = ProofBuilder(hyps, label=axiom_labeler(self.axioms))
+                done = {p: splice(b, sub) for p, sub in zip(premises, subs)}
+                return conclude(b, _EMIT[kind](b, goal, premises, done))
+        if isinstance(goal, Not) and is_sentence(goal.body):
             # reductio: assume the body, close, look for a contradiction
-            if is_sentence(inner):
-                name = f"g{len(hyps) + 1}"
-                assumed = hyps + ((name, inner),)
-                sub_closure = self.closure_for(assumed, goal)
-                if sub_closure is not None and sub_closure.contradiction is not None:
-                    a, na = sub_closure.contradiction
-                    return reductio_transform(
-                        sub_closure.proof_of(a),
-                        sub_closure.proof_of(na),
-                        name,
-                        self.axioms,
-                    )
+            name = f"g{len(hyps) + 1}"
+            assumed = hyps + ((name, goal.body),)
+            sub_closure = self.closure_for(assumed, goal)
+            if sub_closure is not None and sub_closure.contradiction is not None:
+                a, na = sub_closure.contradiction
+                return reductio_transform(
+                    sub_closure.proof_of(a),
+                    sub_closure.proof_of(na),
+                    name,
+                    self.axioms,
+                )
         return None
-
-    def _combine(self, hyps, sub_proofs, finish) -> Proof:
-        b = ProofBuilder(hyps, label=axiom_labeler(self.axioms))
-        idx = tuple(splice(b, p) for p in sub_proofs)
-        return conclude(b, finish(b, idx))
 
 
 def prove(

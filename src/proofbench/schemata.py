@@ -335,7 +335,6 @@ NAMED_FORMULAS: dict[str, Formula] = {
     "gamma4p": Implies(_GAMMA0P, _O0),
     "xi": _imp_chain(_PSI7, _PSI1, _PSI12),
 }
-NAMED_FORMULA_NAMES = tuple(NAMED_FORMULAS)
 
 #: ``beta0``, the conjunction of psi2, psi1, psi7 and psi12 (folded left), and
 #: ``beta1``, beta0 behind psi1, psi7 and psi12.  They are kept out of

@@ -22,7 +22,6 @@ import threading
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator
 
 
 class CaptureError(ValueError):
@@ -272,7 +271,6 @@ class Exists(_Node, Formula):
     _facts = staticmethod(_binder_facts)
 
 
-_BINARY = (Implies, And, Or, Iff)
 _QUANT = (Forall, Exists)
 
 
@@ -354,19 +352,6 @@ def universal_closure(f: Formula) -> Formula:
     for v in reversed(f._free):
         g = Forall(v, g)
     return g
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Yield ``f`` and every subformula, parents before children, left before right."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        if isinstance(g, _BINARY):
-            stack.append(g.right)
-            stack.append(g.left)
-        elif isinstance(g, Not) or isinstance(g, _QUANT):
-            stack.append(g.body)
 
 
 def connective_depth(f: Formula) -> int:

@@ -300,6 +300,21 @@ def axiom_labeler(axioms: Sequence[AxiomSetRecognizer]):
     return label
 
 
+def _replay(b: ProofBuilder, step: ProofStep, at: dict[int, int]) -> int:
+    """Append ``step`` to ``b`` as it is, citing the builder indexes ``at``
+    maps its premises to; return its index in ``b``."""
+    j = step.just
+    if isinstance(j, Hyp):
+        return b.add_hyp(j.name)
+    if isinstance(j, Ax):
+        return b.add_axiom_named(step.formula, j.set_name)
+    if isinstance(j, Mp):
+        return b.add_mp(at[j.i], at[j.j])
+    if isinstance(j, Gen):
+        return b.add_gen(at[j.i], j.var)
+    raise TransformError(f"unknown justification {j!r}")  # pragma: no cover - closed variants
+
+
 def splice(b: ProofBuilder, proof: Proof) -> int:
     """Replay ``proof``'s steps into ``b``; return the conclusion's new index.
 
@@ -312,19 +327,9 @@ def splice(b: ProofBuilder, proof: Proof) -> int:
     by_name = dict(b.hypotheses)
     for step in proof.steps:
         j = step.just
-        if isinstance(j, Hyp):
-            if by_name.get(j.name) != step.formula:
-                raise TransformError(f"hypothesis {j.name!r} missing from target builder")
-            idx = b.add_hyp(j.name)
-        elif isinstance(j, Ax):
-            idx = b.add_axiom_named(step.formula, j.set_name)
-        elif isinstance(j, Mp):
-            idx = b.add_mp(remap[j.i], remap[j.j])
-        elif isinstance(j, Gen):
-            idx = b.add_gen(remap[j.i], j.var)
-        else:  # pragma: no cover - justification variants are closed
-            raise TransformError(f"unknown justification {j!r}")
-        remap[step.index] = idx
+        if isinstance(j, Hyp) and by_name.get(j.name) != step.formula:
+            raise TransformError(f"hypothesis {j.name!r} missing from target builder")
+        remap[step.index] = _replay(b, step, remap)
     return remap[proof.steps[-1].index]
 
 
@@ -383,16 +388,8 @@ def deduction_transform(
             s1 = b.add_gen(imp[j.i], j.var)  # (Ax)(alpha -> body)
             s2 = b.add_axiom(phi12_instance(j.var, alpha, body))
             imp[step.index] = b.add_mp(s1, s2)
-        elif isinstance(j, Hyp):
-            at[step.index] = b.add_hyp(j.name)
-        elif isinstance(j, Ax):
-            at[step.index] = b.add_axiom_named(step.formula, j.set_name)
-        elif isinstance(j, Mp):
-            at[step.index] = b.add_mp(at[j.i], at[j.j])
-        elif isinstance(j, Gen):
-            at[step.index] = b.add_gen(at[j.i], j.var)
-        else:  # pragma: no cover - justification variants are closed
-            raise TransformError(f"unknown justification {j!r}")
+        else:
+            at[step.index] = _replay(b, step, at)
     return conclude(b, lifted(proof.steps[-1].index))
 
 

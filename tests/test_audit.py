@@ -403,18 +403,22 @@ def test_load_script_set_override_propagates():
 
 
 def test_load_script_errors_carry_line_numbers():
-    with pytest.raises(AuditError) as e:
-        load_script("claim c1 | hyps NoSuchThing | goal psi1\n")
-    assert "NoSuchThing" in str(e.value)
-    with pytest.raises(AuditError) as e:
-        load_script("\nfrobnicate x\n")
-    assert "line 2" in str(e.value)
-    with pytest.raises(AuditError):
-        load_script("claim c1 | goal ((( \n")
-    with pytest.raises(AuditError):
-        load_script("set delta ((( \n")
-    with pytest.raises(AuditError):
-        load_script("claim bad id! | hyps L12 | goal psi1\n")
+    cases = [
+        ("claim c1 | hyps NoSuchThing | goal psi1", "unknown hypothesis token 'NoSuchThing'"),
+        ("claim c1 | hyps L12, foo | goal psi1", "unknown hypothesis token 'foo'"),
+        ("claim c1 | hyps L12 | goal foo", "unknown goal token 'foo'"),
+        ("claim c1 | hyps L12 | goal L12", "goal 'L12' names an axiom set"),
+        ("claim c1 | goal ((( ", ""),
+        ("set delta ((( ", ""),
+        ("claim bad id! | hyps L12 | goal psi1", "not filesystem-safe"),
+        ("claim | goal u27", "claim id '' is not filesystem-safe"),
+        ("frobnicate x", "expected 'set' or 'claim'"),
+    ]
+    for line, message in cases:
+        with pytest.raises(AuditError) as e:
+            load_script(f"# first line\n\n{line}\n")
+        assert str(e.value).startswith("line 3: ")
+        assert message in str(e.value)
 
 
 def test_load_script_rejects_input_it_would_lose():

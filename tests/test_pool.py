@@ -23,12 +23,13 @@ from proofbench.scripts import builtin_claims, builtin_scripts
 from proofbench.syntax import (
     And,
     Atom,
+    Exists,
     Forall,
+    Iff,
     Implies,
     Not,
     Or,
     connective_depth,
-    subformulas,
     universal_closure,
 )
 from proofbench.transforms import axiom_labeler, phi1_instance, phi4_instance
@@ -42,8 +43,13 @@ def reference_members(hyp_formulas, axioms, goal):
     pool = {}
 
     def add(f):
-        for g in subformulas(f):
-            pool.setdefault(g, None)
+        # pre-order, left before right, a shared subtree once per path
+        pool.setdefault(f, None)
+        if isinstance(f, (Implies, And, Or, Iff)):
+            add(f.left)
+            add(f.right)
+        elif isinstance(f, (Not, Forall, Exists)):
+            add(f.body)
 
     for f in hyp_formulas:
         add(f)

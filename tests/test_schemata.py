@@ -16,7 +16,7 @@ from proofbench.schemata import (
     CACHE_SIZE,
     INDUCTION_ONE,
     INDUCTION_ZERO,
-    NAMED_FORMULA_NAMES,
+    NAMED_FORMULAS,
     PSI_AXIOMS,
     Q_AXIOMS,
     SCHEMATA,
@@ -164,7 +164,7 @@ def test_arithmetic_axioms_are_sentences():
 
 
 def test_named_formula_registry():
-    assert set(NAMED_FORMULA_NAMES) == {
+    assert set(NAMED_FORMULAS) == {
         "o0",
         "u27",
         "o6",

@@ -28,7 +28,6 @@ from proofbench.syntax import (
     free_for,
     free_vars,
     is_sentence,
-    subformulas,
     substitute,
     substitute_term,
     term_vars,
@@ -162,12 +161,8 @@ def test_stored_facts_agree_with_recursive_walks(f, t):
         assert free_for(x, t, f) == _walk_free_for(x, t, f)
 
 
-def test_subformulas_and_connective_depth():
+def test_connective_depth():
     f = Implies(Not(EQ11), Forall(1, EQ11))
-    subs = list(subformulas(f))
-    assert f in subs
-    assert Not(EQ11) in subs
-    assert EQ11 in subs
     assert connective_depth(EQ11) == 0
     assert connective_depth(f) == 2
 
@@ -344,25 +339,3 @@ def test_deepcopy_of_a_deep_negation_chain_is_the_node():
 def test_dict_lookup_of_a_rebuilt_deep_negation_chain():
     table = {_negations(5000): "found"}
     assert table[_negations(5000)] == "found"
-
-
-def test_subformulas_of_a_deep_negation_chain():
-    f = _negations(5000)
-    subs = list(subformulas(f))
-    assert len(subs) == 5001
-    assert subs[0] is f and subs[-1] is EQ11
-
-
-def test_subformulas_order():
-    f = Implies(And(EQ11, Not(LT12)), Forall(1, Or(LT12, EQ11)))
-    assert list(subformulas(f)) == [
-        f,
-        f.left,
-        EQ11,
-        Not(LT12),
-        LT12,
-        f.right,
-        f.right.body,
-        LT12,
-        EQ11,
-    ]
