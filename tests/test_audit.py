@@ -127,6 +127,39 @@ def test_every_claim_resolves():
                 assert axiom_set(name) is not None
 
 
+#: sha256 of each built-in script's claim list: one line per claim with its
+#: id, shape, axiom names, ``name=render(formula)`` hypotheses, rendered goal,
+#: locus and eval bound.  Report trees leave out the contexts of UNRESOLVED
+#: claims; this table pins every claim whatever its verdict.
+CLAIM_LIST_SHA256 = {
+    "lemma-4.1": "0a9ed73b293c9b43563e79cddade871fbb6c4860d612283c340c995695b53c91",
+    "lemma-4.2": "795aad418ce4163d369546312a24d25df2b8761ae61716b74c38be6179bc5f17",
+    "lemma-4.3": "0ef1104db6f6e9bf6b94ab24e0293a2cb91923e46f2d841c68b7bb62920f34ae",
+    "lemma-4.4": "054039f0e97e7fc543dee6bcfddaf4bdd5c2fad32c55a1f204c5198af84a282c",
+    "theorem-4.1": "530abaaf858f72bcf854d1ac1abb66cab9e68c5180b1719f057deafe47a31c1f",
+    "corollary-4.3": "3e71eb0e60649c246d43f2fc603e356d3c56266cfdb928c383c87774e1df215b",
+    "corollary-4.4": "051e804c6515940cbd13b614733f72295b993435a33462cb8e8d769dd9ee1041",
+    "theorem-5.1": "bf1e355dc647c3bbb5aa81b95bc55d2a3c73e7ecfc932705af9e79daaed967a2",
+    "theorem-5.2": "d24c1cf38e4e77b28e2da9cc351920f829e3ef12556344daf769084b05791a8e",
+    "axiom-sanity": "2f4fd37cf4ade6edf8bed8400cf5a53031756245f1e4f45440f9129f48b7d081",
+}
+
+
+def test_builtin_claim_lists_are_pinned():
+    got = {}
+    for sid in builtin_scripts():
+        h = hashlib.sha256()
+        for c in builtin_claims(sid):
+            goal = "-" if c.goal is None else render(c.goal)
+            hyps = "".join(f"\t{n}={render(f)}" for n, f in c.hypotheses)
+            h.update(
+                f"{c.claim_id}\t{c.shape}\t{','.join(c.axiom_names)}{hyps}"
+                f"\t{goal}\t{c.locus}\t{c.eval_bound}\n".encode()
+            )
+        got[sid] = h.hexdigest()
+    assert got == CLAIM_LIST_SHA256
+
+
 def test_verdict_distribution_frozen(reports):
     for sid, (v, r, u, n) in EXPECTED_COUNTS.items():
         rep = reports[sid]
