@@ -41,6 +41,13 @@ derivable outright from the axiom sets (members, or universally quantified
 prefixes of members, which generalization reaches in one step) are pinned
 true before the sweep.  A valuation found under those constraints falsifies
 every proof attempt built from pooled axioms and Modus Ponens.
+
+The sweep reads the hypotheses and the pooled axiom members as a
+propositional skeleton: each quantified subformula is an opaque atom, and
+nothing ties ``(Ax)phi`` to ``phi`` (no generalization, no instantiation
+outside the pool).  REFUTED is therefore not yet sound on first-order
+contexts: ``1 = 1 |- (Ax1)(x1 = x1 -> 1 = 1)`` under ``L12`` is REFUTED
+although a four-step proof passes the strict checker.
 """
 
 from __future__ import annotations
@@ -540,6 +547,15 @@ def write_report(report: AuditReport, directory: str | Path) -> Path:
     return root
 
 
+def _read_artifact(path: Path, problems: list[str]) -> str | None:
+    """A report file's text, or ``None`` with the reason added to ``problems``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        problems.append(f"{path.name}: unreadable: {exc}")
+        return None
+
+
 def recheck_report(directory: str | Path) -> list[str]:
     """Cold-pass re-validation of a written report; a list of problems.
 
@@ -554,7 +570,7 @@ def recheck_report(directory: str | Path) -> list[str]:
     tsv_path = root / "report.tsv"
     if not tsv_path.exists():
         return [f"missing {tsv_path}"]
-    for line in tsv_path.read_text().splitlines():
+    for line in (_read_artifact(tsv_path, problems) or "").splitlines():
         parts = line.split("\t")
         if len(parts) != 4:
             problems.append(f"malformed report line: {line!r}")
@@ -565,7 +581,9 @@ def recheck_report(directory: str | Path) -> list[str]:
         if detail != "-" and not (root / detail).exists():
             problems.append(f"{cid}: missing detail file {detail}")
     for proof_path in sorted(root.glob("details/*.proof")):
-        text = proof_path.read_text()
+        text = _read_artifact(proof_path, problems)
+        if text is None:
+            continue
         goal: Formula | None = None
         first = text.splitlines()[0] if text.splitlines() else ""
         if first.startswith("# goal "):
@@ -577,6 +595,9 @@ def recheck_report(directory: str | Path) -> list[str]:
             proof = parse_proof_script(text, memo)
         except Exception as exc:  # noqa: BLE001 - report, not crash
             problems.append(f"{proof_path.name}: does not parse: {exc}")
+            continue
+        if not proof.steps:
+            problems.append(f"{proof_path.name}: certificate has no steps")
             continue
         set_names = {
             step.just.set_name for step in proof.steps if isinstance(step.just, Ax)

@@ -70,6 +70,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise _UsageError(f"cannot read {path}: not UTF-8 text ({e.reason})") from e
 
 
 def _parse_formula(text: str) -> "object":
@@ -238,7 +240,7 @@ def _cmd_audit(args: argparse.Namespace, out, err) -> int:
                 f"{target!r} is neither a builtin script ({known}) nor a file"
             )
         try:
-            claims = load_script(path.read_text(encoding="utf-8"), script_id=path.stem)
+            claims = load_script(_read_text(target), script_id=path.stem)
         except AuditError as e:
             raise _UsageError(f"{target}: {e}") from e
         script_id = path.stem

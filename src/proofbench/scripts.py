@@ -103,12 +103,9 @@ def _hyps(*tokens: str) -> tuple[tuple[str, Formula], ...]:
     return tuple((t, _f(t)) for t in tokens)
 
 
-_STAR_DOT = _hyps("not_delta00", "alpha_imp_psi7", "xi")  # refuting, three-bridge
-_PLUS_DOT = _hyps("delta00", "alpha_imp_psi7", "xi")  # affirming, three-bridge
-_BASE_DOT = _hyps("xi")
-_STAR_DDOT = _STAR_DOT  # same hypotheses, four-bridge set
-_PLUS_DDOT = _PLUS_DOT
-_BASE_DDOT = _BASE_DOT
+_REFUTING = _hyps("not_delta00", "alpha_imp_psi7", "xi")
+_AFFIRMING = _hyps("delta00", "alpha_imp_psi7", "xi")
+_BASE = _hyps("xi")
 
 
 def _membership(
@@ -119,6 +116,21 @@ def _membership(
     locus: str,
 ) -> AuditClaim:
     return AuditClaim(cid, "membership", sets, hyps, goal, locus)
+
+
+def _members(
+    step: int,
+    sets: tuple[str, ...],
+    hyps: tuple[tuple[str, Formula], ...],
+    goals: list[Formula],
+) -> list[AuditClaim]:
+    """One membership claim per listed member of a chain step, numbered from 1."""
+    return [
+        _membership(
+            f"s{step}-m{i:02d}", sets, hyps, f, f"chain step ({step}), member {i}"
+        )
+        for i, f in enumerate(goals, start=1)
+    ]
 
 
 def _collapse_pair(
@@ -137,48 +149,89 @@ def _collapse_pair(
 # -- the scripts ---------------------------------------------------------
 
 
-def _lemma_41() -> list[AuditClaim]:
+def _refuting_chain(
+    step: int,
+    sets: tuple[str, ...],
+    first: list[Formula],
+    third: list[Formula],
+) -> list[AuditClaim]:
+    """Chain steps ``step`` to ``step + 3`` of the refuting context.
+
+    ``first`` lists the members of step ``step`` and ``third`` those of step
+    ``step + 2``; between them comes the generalized-tautology representative,
+    and after them the asserted collapse.
+    """
+    claims = _members(step, sets, _REFUTING, first)
+    claims.append(
+        _membership(
+            f"s{step + 1}-l2r-sample",
+            sets,
+            _REFUTING,
+            omega_sample(),
+            f"chain step ({step + 1}): generalized-tautology family, representative member",
+        )
+    )
+    claims.extend(_members(step + 2, sets, _REFUTING, third))
+    claims.extend(
+        _collapse_pair(
+            f"s{step + 3}",
+            sets,
+            _REFUTING,
+            f"chain step ({step + 3}): asserted collapse of the context",
+        )
+    )
+    return claims
+
+
+def _affirming_steps_16_to_21(sets: tuple[str, ...]) -> list[AuditClaim]:
+    """Chain steps (16)-(21) of the affirming context, ending in the
+    negated seventh axiom claimed for the hypothesis-free base."""
     g0p = _f("gamma0p")
+    claims = [
+        _membership(
+            "s16-prefixed-sample",
+            sets,
+            _AFFIRMING,
+            prefixed_sample(),
+            "chain step (16): prefixed-closure family, representative member",
+        ),
+        _membership("s17-o6", sets, _AFFIRMING, _f("o6"), "chain step (17)"),
+    ]
+    members_19 = [
+        Implies(g0p, Implies(_P7, _P1)),
+        _f("delta00"),
+        Implies(_P1, Not(_P7)),
+        Not(_P7),
+    ]
+    claims.extend(_members(19, sets, _AFFIRMING, members_19))
+    claims.append(
+        _membership(
+            "s21-not-psi7-base",
+            sets,
+            _BASE,
+            Not(_P7),
+            "chain step (21): the same negation claimed for the hypothesis-free base",
+        )
+    )
+    return claims
+
+
+def _lemma_41() -> list[AuditClaim]:
     members_14 = [
         _P7,
         _f("gamma4p"),
         _f("gamma2p"),
         Implies(_f("o0"), _f("gamma0")),
         Implies(_P1, _P12),
-        g0p,
+        _f("gamma0p"),
         _f("o0"),
         _f("u27"),
         Implies(_P12, Implies(_P7, Not(_P1))),
         Implies(_P12, Not(_P1)),
         Not(_P1),
     ]
-    claims = [
-        _membership(
-            f"s14-m{i:02d}", _DOT_SETS, _STAR_DOT, f, f"chain step (14), member {i}"
-        )
-        for i, f in enumerate(members_14, start=1)
-    ]
-    claims.append(
-        _membership(
-            "s15-l2r-sample",
-            _DOT_SETS,
-            _STAR_DOT,
-            omega_sample(),
-            "chain step (15): generalized-tautology family, representative member",
-        )
-    )
-    for i, f in enumerate([_P7, _f("delta00"), _P1, Not(_P1)], start=1):
-        claims.append(
-            _membership(
-                f"s16-m{i:02d}", _DOT_SETS, _STAR_DOT, f, f"chain step (16), member {i}"
-            )
-        )
-    claims.extend(
-        _collapse_pair(
-            "s17", _DOT_SETS, _STAR_DOT, "chain step (17): asserted collapse of the context"
-        )
-    )
-    return claims
+    members_16 = [_P7, _f("delta00"), _P1, Not(_P1)]
+    return _refuting_chain(14, _DOT_SETS, members_14, members_16)
 
 
 def _lemma_42() -> list[AuditClaim]:
@@ -198,46 +251,8 @@ def _lemma_42() -> list[AuditClaim]:
         Implies(_P7, g0p),
         Implies(_P7, _f("u27")),
     ]
-    claims = [
-        _membership(
-            f"s15-m{i:02d}", _DOT_SETS, _PLUS_DOT, f, f"chain step (15), member {i}"
-        )
-        for i, f in enumerate(members_15, start=1)
-    ]
-    claims.append(
-        _membership(
-            "s16-prefixed-sample",
-            _DOT_SETS,
-            _PLUS_DOT,
-            prefixed_sample(),
-            "chain step (16): prefixed-closure family, representative member",
-        )
-    )
-    claims.append(
-        _membership("s17-o6", _DOT_SETS, _PLUS_DOT, _f("o6"), "chain step (17)")
-    )
-    members_19 = [
-        Implies(g0p, Implies(_P7, _P1)),
-        _f("delta00"),
-        Implies(_P1, Not(_P7)),
-        Not(_P7),
-    ]
-    claims.extend(
-        _membership(
-            f"s19-m{i:02d}", _DOT_SETS, _PLUS_DOT, f, f"chain step (19), member {i}"
-        )
-        for i, f in enumerate(members_19, start=1)
-    )
-    claims.append(
-        _membership(
-            "s21-not-psi7-base",
-            _DOT_SETS,
-            _BASE_DOT,
-            Not(_P7),
-            "chain step (21): the same negation claimed for the hypothesis-free base",
-        )
-    )
-    return claims
+    claims = _members(15, _DOT_SETS, _AFFIRMING, members_15)
+    return claims + _affirming_steps_16_to_21(_DOT_SETS)
 
 
 def _lemma_43() -> list[AuditClaim]:
@@ -255,36 +270,8 @@ def _lemma_43() -> list[AuditClaim]:
         Not(_f("beta0")),
         Not(_P1),
     ]
-    claims = [
-        _membership(
-            f"s13-m{i:02d}", _DDOT_SETS, _STAR_DDOT, f, f"chain step (13), member {i}"
-        )
-        for i, f in enumerate(members_13, start=1)
-    ]
-    claims.append(
-        _membership(
-            "s14-l2r-sample",
-            _DDOT_SETS,
-            _STAR_DDOT,
-            omega_sample(),
-            "chain step (14): generalized-tautology family, representative member",
-        )
-    )
-    for i, f in enumerate([_P7, _f("delta00"), Not(_P1), _P1], start=1):
-        claims.append(
-            _membership(
-                f"s15-m{i:02d}", _DDOT_SETS, _STAR_DDOT, f, f"chain step (15), member {i}"
-            )
-        )
-    claims.extend(
-        _collapse_pair(
-            "s16",
-            _DDOT_SETS,
-            _STAR_DDOT,
-            "chain step (16): asserted collapse of the context",
-        )
-    )
-    return claims
+    members_15 = [_P7, _f("delta00"), Not(_P1), _P1]
+    return _refuting_chain(13, _DDOT_SETS, members_13, members_15)
 
 
 def _lemma_44() -> list[AuditClaim]:
@@ -301,12 +288,6 @@ def _lemma_44() -> list[AuditClaim]:
         Implies(g0p, o0),
         Implies(g0p, beta1),
         beta1,
-    ]
-    claims = [
-        _membership(
-            f"s14-m{i:02d}", _DDOT_SETS, _PLUS_DDOT, f, f"chain step (14), member {i}"
-        )
-        for i, f in enumerate(members_14, start=1)
     ]
     members_15 = [
         _f("delta00"),
@@ -326,52 +307,14 @@ def _lemma_44() -> list[AuditClaim]:
         Implies(_P7, g0p),
         Implies(_P7, u27),
     ]
-    claims.extend(
-        _membership(
-            f"s15-m{i:02d}", _DDOT_SETS, _PLUS_DDOT, f, f"chain step (15), member {i}"
-        )
-        for i, f in enumerate(members_15, start=1)
-    )
-    claims.append(
-        _membership(
-            "s16-prefixed-sample",
-            _DDOT_SETS,
-            _PLUS_DDOT,
-            prefixed_sample(),
-            "chain step (16): prefixed-closure family, representative member",
-        )
-    )
-    claims.append(
-        _membership("s17-o6", _DDOT_SETS, _PLUS_DDOT, _f("o6"), "chain step (17)")
-    )
-    members_19 = [
-        Implies(g0p, Implies(_P7, _P1)),
-        _f("delta00"),
-        Implies(_P1, Not(_P7)),
-        Not(_P7),
-    ]
-    claims.extend(
-        _membership(
-            f"s19-m{i:02d}", _DDOT_SETS, _PLUS_DDOT, f, f"chain step (19), member {i}"
-        )
-        for i, f in enumerate(members_19, start=1)
-    )
-    claims.append(
-        _membership(
-            "s21-not-psi7-base",
-            _DDOT_SETS,
-            _BASE_DDOT,
-            Not(_P7),
-            "chain step (21): the same negation claimed for the hypothesis-free base",
-        )
-    )
-    return claims
+    claims = _members(14, _DDOT_SETS, _AFFIRMING, members_14)
+    claims.extend(_members(15, _DDOT_SETS, _AFFIRMING, members_15))
+    return claims + _affirming_steps_16_to_21(_DDOT_SETS)
 
 
 def _theorem_contexts(sets: tuple[str, ...], outer: tuple[str, ...]) -> list[AuditClaim]:
     """The shared shape of both consistency theorems' claim lists."""
     with_alpha = _hyps("alpha_imp_psi7", "xi")
-    base = _hyps("xi")
     claims = [
         AuditClaim(
             "s1-consistency-hypothesis",
@@ -391,7 +334,7 @@ def _theorem_contexts(sets: tuple[str, ...], outer: tuple[str, ...]) -> list[Aud
         _membership(
             "s4-not-alpha-imp-psi7",
             sets,
-            base,
+            _BASE,
             Not(_f("alpha_imp_psi7")),
             "step (4): negated conditional claimed for the hypothesis-free base",
         )
@@ -401,7 +344,7 @@ def _theorem_contexts(sets: tuple[str, ...], outer: tuple[str, ...]) -> list[Aud
             "s6-alpha-both",
             "contradiction",
             sets,
-            base,
+            _BASE,
             None,
             "step (6): the final in-and-out contradiction for the base context",
         )
@@ -470,13 +413,13 @@ def _theorem_52() -> list[AuditClaim]:
             "step (1): the assumed inconsistency of the zero-based axiom pair",
         )
     ]
-    for key in sorted(Q_AXIOMS, key=lambda k: int(k[1:])):
+    for key, axiom in Q_AXIOMS.items():
         claims.append(
             _membership(
                 key,
                 ("XpPrime",),
                 (),
-                Q_AXIOMS[key],
+                axiom,
                 f"axiom {key} is a member of its own set",
             )
         )
@@ -493,17 +436,10 @@ def _theorem_52() -> list[AuditClaim]:
 
 
 def _axiom_sanity() -> list[AuditClaim]:
-    claims = []
-    for key in sorted(PSI_AXIOMS, key=lambda k: int(k[3:])):
-        claims.append(
-            AuditClaim(
-                key, "sanity", (), (), PSI_AXIOMS[key], f"numeric audit of {key}"
-            )
-        )
-    for key in sorted(Q_AXIOMS, key=lambda k: int(k[1:])):
-        claims.append(
-            AuditClaim(key, "sanity", (), (), Q_AXIOMS[key], f"numeric audit of {key}")
-        )
+    claims = [
+        AuditClaim(key, "sanity", (), (), axiom, f"numeric audit of {key}")
+        for key, axiom in (*PSI_AXIOMS.items(), *Q_AXIOMS.items())
+    ]
     claims.append(
         AuditClaim(
             "u27", "sanity", (), (), _f("u27"), "numeric audit of the absurdity target"

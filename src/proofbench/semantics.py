@@ -16,7 +16,8 @@ answer is the lowest set bit of the premises' tables and the goal's
 complement: the row an ascending row-by-row search would find first.  Wide
 sweeps go through the rows in ascending blocks of tables.  A sweep takes at
 most :data:`MAX_SKELETON_ATOMS` free atoms.  :func:`skeletonize_all`
-and :func:`eval_skeleton` keep the row-at-a-time form of the same skeletons.
+and :func:`eval_skeleton` are one-row views: a root computes its formula's
+truth table over the single row it is given, with no cap on the atoms.
 
 Bounded arithmetic evaluation interprets terms over the natural numbers and
 quantifiers over the finite range 1..bound, reporting three-valued verdicts:
@@ -73,59 +74,6 @@ class Skeleton:
 
     root: Callable[[int], bool]
     atoms: tuple[Formula, ...]
-
-
-def _bit(i: int) -> Callable[[int], bool]:
-    return lambda bits: bits >> i & 1 == 1
-
-
-def _skeletonize(
-    f: Formula, leaves: dict[Formula, Callable[[int], bool]]
-) -> Callable[[int], bool]:
-    """The skeleton of ``f`` compiled to a closure ``bits -> bool``.
-
-    ``leaves`` maps each atom met so far, in first-occurrence order, to its
-    closure; atom ``i`` reads bit ``i`` of the row.
-    """
-    if isinstance(f, _OPAQUE):
-        leaf = leaves.get(f)
-        if leaf is None:
-            leaf = leaves[f] = _bit(len(leaves))
-        return leaf
-    if isinstance(f, Not):
-        body = _skeletonize(f.body, leaves)
-        return lambda bits: not body(bits)
-    if not isinstance(f, _BINARY):
-        raise TypeError(f"not a formula: {f!r}")
-    left = _skeletonize(f.left, leaves)
-    right = _skeletonize(f.right, leaves)
-    if isinstance(f, Implies):
-        return lambda bits: not left(bits) or right(bits)
-    if isinstance(f, And):
-        return lambda bits: left(bits) and right(bits)
-    if isinstance(f, Or):
-        return lambda bits: left(bits) or right(bits)
-    return lambda bits: left(bits) == right(bits)
-
-
-def skeletonize(f: Formula) -> Skeleton:
-    """The skeleton of a single formula."""
-    roots, atoms = skeletonize_all([f])
-    return Skeleton(roots[0], atoms)
-
-
-def skeletonize_all(
-    formulas: Sequence[Formula],
-) -> tuple[list[Callable[[int], bool]], tuple[Formula, ...]]:
-    """Skeletons over one shared atom table, so valuations line up."""
-    leaves: dict[Formula, Callable[[int], bool]] = {}
-    roots = [_skeletonize(f, leaves) for f in formulas]
-    return roots, tuple(leaves)
-
-
-def eval_skeleton(root: Callable[[int], bool], bits: int) -> bool:
-    """Evaluate under the valuation encoded as a bit mask (atom i = bit i)."""
-    return root(bits)
 
 
 def _check_width(n: int) -> None:
@@ -186,6 +134,40 @@ def _truth_table(f: Formula, tables: dict[Formula, int], full: int) -> int:
     if isinstance(f, Or):
         return left | right
     return full ^ left ^ right
+
+
+def skeletonize(f: Formula) -> Skeleton:
+    """The skeleton of a single formula."""
+    roots, atoms = skeletonize_all([f])
+    return Skeleton(roots[0], atoms)
+
+
+def skeletonize_all(
+    formulas: Sequence[Formula],
+) -> tuple[list[Callable[[int], bool]], tuple[Formula, ...]]:
+    """Skeletons over one shared atom table, so valuations line up.
+
+    Each root evaluates its formula on one row: the one-row truth table,
+    with atom ``i`` true when bit ``i`` of the row is set.
+    """
+    bits: dict[Formula, int | None] = {}
+    free: list[Formula] = []
+    for f in formulas:
+        _number_atoms(f, bits, free, None)
+
+    def one_row(f: Formula) -> Callable[[int], bool]:
+        def root(row: int) -> bool:
+            tables = {a: row >> b & 1 for a, b in bits.items()}
+            return _truth_table(f, tables, 1) == 1
+
+        return root
+
+    return [one_row(f) for f in formulas], tuple(free)
+
+
+def eval_skeleton(root: Callable[[int], bool], bits: int) -> bool:
+    """Evaluate under the valuation encoded as a bit mask (atom i = bit i)."""
+    return root(bits)
 
 
 def lowest_row(

@@ -6,6 +6,8 @@ Two families:
 * seeded ``random.Random`` builders (``random_proof``, ``exhaustive_formulas``)
   for the bulk corpus tests, which need deterministic large samples.
 
+``brute_eval`` and ``first_occurrence_atoms`` read propositional skeletons
+without ``proofbench.semantics``, so tests can check the sweep against them.
 ``antecedent_chain`` builds a goal that needs one discharge per antecedent;
 ``unreachable_steps`` checks the shape of the proofs the engine and the
 transforms return.
@@ -43,6 +45,43 @@ from proofbench.transforms import (
     derive_orin,
     phi4_instance,
 )
+
+# ---------------------------------------------------------------------------
+# skeleton reference: evaluates formulas without proofbench.semantics
+
+
+def brute_eval(f, valuation):
+    """Independent recursive evaluator used to cross-check the oracle."""
+    if isinstance(f, Not):
+        return not brute_eval(f.body, valuation)
+    if isinstance(f, And):
+        return brute_eval(f.left, valuation) and brute_eval(f.right, valuation)
+    if isinstance(f, Or):
+        return brute_eval(f.left, valuation) or brute_eval(f.right, valuation)
+    if isinstance(f, Implies):
+        return (not brute_eval(f.left, valuation)) or brute_eval(f.right, valuation)
+    if isinstance(f, Iff):
+        return brute_eval(f.left, valuation) == brute_eval(f.right, valuation)
+    return valuation[f]  # atoms and quantified subformulas are opaque
+
+
+def first_occurrence_atoms(formulas):
+    """Skeleton atoms in first-occurrence order, found without the oracle."""
+    seen = {}
+
+    def walk(f):
+        if isinstance(f, Not):
+            walk(f.body)
+        elif isinstance(f, (And, Or, Implies, Iff)):
+            walk(f.left)
+            walk(f.right)
+        else:
+            seen.setdefault(f, None)
+
+    for f in formulas:
+        walk(f)
+    return tuple(seen)
+
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies

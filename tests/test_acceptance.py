@@ -21,13 +21,7 @@ from proofbench.schemata import (
     match_schema,
     named_formula,
 )
-from proofbench.semantics import (
-    ThreeValued,
-    eval_arith,
-    eval_skeleton,
-    is_tautology,
-    skeletonize_all,
-)
+from proofbench.semantics import ThreeValued, eval_arith, is_tautology
 from proofbench.scripts import builtin_claims, builtin_scripts
 from proofbench.syntax import (
     And,
@@ -59,7 +53,14 @@ from proofbench.transforms import (
     phi12_instance,
 )
 
-from strategies import CLOSED_ATOMS, QF_POOL, exhaustive_formulas, random_proof
+from strategies import (
+    CLOSED_ATOMS,
+    QF_POOL,
+    brute_eval,
+    exhaustive_formulas,
+    first_occurrence_atoms,
+    random_proof,
+)
 
 L12 = (axiom_set("L12"),)
 
@@ -326,13 +327,12 @@ def test_primary_soundness_bridge(capsys):
         assert check_proof(p, L12).ok
         hyp_formulas = [f for _, f in p.hypotheses]
         step_formulas = [s.formula for s in p.steps]
-        roots, atoms = skeletonize_all(hyp_formulas + step_formulas)
-        hyp_roots = roots[: len(hyp_formulas)]
-        step_roots = roots[len(hyp_formulas):]
+        atoms = first_occurrence_atoms(hyp_formulas + step_formulas)
         for bits in range(1 << len(atoms)):
-            if not all(eval_skeleton(r, bits) for r in hyp_roots):
+            valuation = {a: bool(bits >> k & 1) for k, a in enumerate(atoms)}
+            if not all(brute_eval(f, valuation) for f in hyp_formulas):
                 continue
-            if not all(eval_skeleton(r, bits) for r in step_roots):
+            if not all(brute_eval(f, valuation) for f in step_formulas):
                 violations += 1
     assert violations == 0
     announce(capsys, "soundness-bridge", t0)

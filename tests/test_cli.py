@@ -210,6 +210,23 @@ def test_bad_input_file_is_usage_error(tmp_path, verb, text):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "{f}"),
+        ("taut", "{f}"),
+        ("prove", "--goal", "1 = 1", "--axioms", "L12", "--hyp", "{f}"),
+        ("audit", "{f}"),
+    ],
+)
+def test_non_utf8_input_file_is_usage_error(tmp_path, argv):
+    f = tmp_path / "bad.proof"
+    f.write_bytes(b"1 = 1\n\xff\n")
+    code, _, err = run_cli(*(a.format(f=f) for a in argv))
+    assert code == 2
+    assert err.startswith(f"error: cannot read {f}: not UTF-8 text"), err
+
+
 def test_eval_bad_variable_id_is_usage_error():
     code, _, err = run_cli("eval", "--bound", "3", "x0 = 1")
     assert code == 2

@@ -48,26 +48,19 @@ from proofbench.transforms import (
     phi10_instance,
 )
 
-from strategies import BINARY, CLOSED_ATOMS, VAR_IDS, formulas, sentences
+from strategies import (
+    BINARY,
+    CLOSED_ATOMS,
+    VAR_IDS,
+    brute_eval,
+    first_occurrence_atoms,
+    formulas,
+    sentences,
+)
 
 P = parse("1 < 1")
 Q = parse("0 = 1")
 TRUE, FALSE, UNKNOWN = ThreeValued.TRUE, ThreeValued.FALSE, ThreeValued.UNKNOWN
-
-
-def brute_eval(f, valuation):
-    """Independent recursive evaluator used to cross-check the oracle."""
-    if isinstance(f, Not):
-        return not brute_eval(f.body, valuation)
-    if isinstance(f, And):
-        return brute_eval(f.left, valuation) and brute_eval(f.right, valuation)
-    if isinstance(f, Or):
-        return brute_eval(f.left, valuation) or brute_eval(f.right, valuation)
-    if isinstance(f, Implies):
-        return (not brute_eval(f.left, valuation)) or brute_eval(f.right, valuation)
-    if isinstance(f, Iff):
-        return brute_eval(f.left, valuation) == brute_eval(f.right, valuation)
-    return valuation[f]  # atoms and quantified subformulas are opaque
 
 
 def brute_is_tautology(f, atom_universe):
@@ -82,24 +75,6 @@ def brute_is_tautology(f, atom_universe):
 def atom_universe_of(f):
     _, atoms = skeletonize_all([f])
     return atoms
-
-
-def first_occurrence_atoms(formulas):
-    """Skeleton atoms in first-occurrence order, found without the oracle."""
-    seen = {}
-
-    def walk(f):
-        if isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            walk(f.left)
-            walk(f.right)
-        else:
-            seen.setdefault(f, None)
-
-    for f in formulas:
-        walk(f)
-    return tuple(seen)
 
 
 def brute_lowest_row(premises, goal=None, pinned=None):
@@ -271,7 +246,7 @@ def test_eval_skeleton_bits():
     for bits, value in truth.items():
         p = bool(bits >> p_idx & 1)
         q = bool(bits >> q_idx & 1)
-        assert value == ((not p) or q)
+        assert value is ((not p) or q)
 
 
 @settings(max_examples=150, deadline=None)
