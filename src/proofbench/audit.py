@@ -53,8 +53,7 @@ although a four-step proof passes the strict checker.
 from __future__ import annotations
 
 import re
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -132,7 +131,6 @@ class AuditVerdict:
     proofs: tuple[Proof, ...] = ()
     valuation: tuple[tuple[Formula, bool], ...] | None = None
     steps: int = 0
-    wall_time: float = 0.0
     detail: str = ""
 
 
@@ -141,7 +139,6 @@ class AuditReport:
     script_id: str
     verdicts: tuple[AuditVerdict, ...]
     budget: Budget
-    deterministic: bool = True
 
     @property
     def counts(self) -> dict[str, int]:
@@ -320,21 +317,17 @@ def _judge_sanity(claim: AuditClaim) -> AuditVerdict:
 def run_claim(claim: AuditClaim, budget: Budget | None = None) -> AuditVerdict:
     """Judge a single claim.  Deterministic for a fixed claim and budget."""
     budget = budget or Budget()
-    start = time.perf_counter()
     if claim.shape == "membership":
-        verdict = _judge_membership(claim, budget)
-    elif claim.shape in ("set-equality", "contradiction"):
-        verdict = _judge_collapse(claim, budget)
-    else:
-        verdict = _judge_sanity(claim)
-    return replace(verdict, wall_time=time.perf_counter() - start)
+        return _judge_membership(claim, budget)
+    if claim.shape in ("set-equality", "contradiction"):
+        return _judge_collapse(claim, budget)
+    return _judge_sanity(claim)
 
 
 def run_audit(
     script_id: str,
     claims: list[AuditClaim],
     budget: Budget | None = None,
-    deterministic: bool = True,
 ) -> AuditReport:
     """Judge every claim in order and collect the results."""
     budget = budget or Budget()
@@ -344,7 +337,7 @@ def run_audit(
             raise AuditError(f"duplicate claim id {c.claim_id!r}")
         seen.add(c.claim_id)
     verdicts = tuple(run_claim(c, budget) for c in claims)
-    return AuditReport(script_id, verdicts, budget, deterministic)
+    return AuditReport(script_id, verdicts, budget)
 
 
 # -- claim scripts ------------------------------------------------------
@@ -428,7 +421,7 @@ def _load_claim(text: str, bindings: Mapping[str, Formula]) -> AuditClaim:
     )
 
 
-def load_script(text: str, script_id: str = "script") -> list[AuditClaim]:
+def load_script(text: str) -> list[AuditClaim]:
     """Parse a claim script.
 
     Grammar, one directive per line (``#`` starts a comment)::
@@ -506,15 +499,12 @@ def render_report_text(report: AuditReport) -> str:
         f"  verified: {counts[VERIFIED]}"
         f"  refuted: {counts[REFUTED]}"
         f"  unresolved: {counts[UNRESOLVED]}",
-        f"budget: max_steps={report.budget.max_steps}"
-        f" max_depth={MAX_DEPTH}"
-        f" deterministic={'yes' if report.deterministic else 'no'}",
+        f"budget: max_steps={report.budget.max_steps} max_depth={MAX_DEPTH} deterministic=yes",
         "-" * 72,
     ]
     for v in report.verdicts:
         target = render(v.claim.goal) if v.claim.goal is not None else v.claim.shape
-        stamp = "" if report.deterministic else f"  wall={v.wall_time:.3f}s"
-        lines.append(f"{v.claim.claim_id}\t{v.status}\tsteps={v.steps}{stamp}\t{target}")
+        lines.append(f"{v.claim.claim_id}\t{v.status}\tsteps={v.steps}\t{target}")
         if v.claim.locus:
             lines.append(f"\tlocus: {v.claim.locus}")
         if v.detail:
@@ -530,8 +520,8 @@ def render_report_text(report: AuditReport) -> str:
 def write_report(report: AuditReport, directory: str | Path) -> Path:
     """Write report.txt, report.tsv, and per-claim detail files.
 
-    In deterministic mode wall times are omitted, so two runs over the same
-    claims produce byte-identical trees.
+    The tree holds no timing, so two runs over the same claims and budget
+    produce byte-identical trees.
     """
     root = Path(directory)
     (root / "details").mkdir(parents=True, exist_ok=True)
@@ -547,6 +537,14 @@ def write_report(report: AuditReport, directory: str | Path) -> Path:
     return root
 
 
+#: The detail kinds a report row may name, by status: ``details/<id>.<kind>``.
+_DETAIL_KINDS = {
+    VERIFIED: ("proof", "pos.proof", "eval"),
+    REFUTED: ("valuation", "eval"),
+    UNRESOLVED: ("budget",),
+}
+
+
 def _read_artifact(path: Path, problems: list[str]) -> str | None:
     """A report file's text, or ``None`` with the reason added to ``problems``."""
     try:
@@ -559,10 +557,11 @@ def _read_artifact(path: Path, problems: list[str]) -> str | None:
 def recheck_report(directory: str | Path) -> list[str]:
     """Cold-pass re-validation of a written report; a list of problems.
 
-    Every serialized proof certificate is re-parsed and re-checked against
-    freshly built recognizers (read off its axiom justifications), and its
-    conclusion is compared with the recorded goal line.  An empty list means
-    the report replays cleanly.
+    Each ``report.tsv`` row must name an existing ``details/<claim-id>.<kind>``
+    file whose kind its status allows.  Every serialized proof certificate
+    is re-parsed and re-checked against freshly built recognizers (read off
+    its axiom justifications), and its conclusion is compared with the
+    recorded goal line.  An empty list means the report replays cleanly.
     """
     root = Path(directory)
     problems: list[str] = []
@@ -576,9 +575,13 @@ def recheck_report(directory: str | Path) -> list[str]:
             problems.append(f"malformed report line: {line!r}")
             continue
         cid, status, _steps, detail = parts
-        if status not in (VERIFIED, REFUTED, UNRESOLVED):
+        kinds = _DETAIL_KINDS.get(status)
+        if kinds is None:
             problems.append(f"{cid}: unknown status {status!r}")
-        if detail != "-" and not (root / detail).exists():
+        elif not (_ID_RE.match(cid) and detail in [f"details/{cid}.{k}" for k in kinds]):
+            want = f"details/{cid}.<{'|'.join(kinds)}>"
+            problems.append(f"{cid}: {status} detail must be {want}, not {detail!r}")
+        elif not (root / detail).is_file():
             problems.append(f"{cid}: missing detail file {detail}")
     for proof_path in sorted(root.glob("details/*.proof")):
         text = _read_artifact(proof_path, problems)

@@ -4,7 +4,7 @@ Verbs:
 
 ``check <proof-file>``
     Replay a serialized proof through the kernel checker.  Exit 0 when the
-    proof checks, 1 when it is rejected.
+    proof checks, 1 when it is rejected or has no steps.
 
 ``prove --goal <formula> [--hyp <file>] [--axioms <names>] [--max-steps N]``
     Search for a kernel proof of the goal from the hypotheses and axiom
@@ -21,10 +21,12 @@ Verbs:
     Decide propositional-skeleton tautology for one formula per line,
     printing ``TAUT`` or ``NONTAUT <falsifying valuation>``.
 
-``audit <script-id|path> [--deterministic] [--report <dir>] [--max-steps N]``
+``audit <script-id|path> [--report <dir>] [--max-steps N]``
     Run a builtin or user-supplied audit script and print the classified
     report; optionally write the full report tree (including re-checkable
-    certificates) to a directory.
+    certificates) to a directory.  The printed report is the tree's
+    ``report.txt``, and it holds no timing, so repeated runs print the same
+    bytes.  ``--deterministic`` is still accepted and has no effect.
 
 ``eval --bound N <formula>``
     Evaluate an arithmetic sentence over the bounded standard model,
@@ -148,6 +150,9 @@ def _cmd_check(args: argparse.Namespace, out, err) -> int:
         proof = parse_proof_script(text)
     except ScriptError as e:
         raise _UsageError(f"{args.proof_file}: {e}") from e
+    if not proof.steps:
+        print("FAIL: proof has no steps", file=out)
+        return EXIT_FAIL
     names = _axiom_names(args.axioms)
     for step in proof.steps:
         if isinstance(step.just, Ax) and step.just.set_name not in names:
@@ -162,8 +167,7 @@ def _cmd_check(args: argparse.Namespace, out, err) -> int:
     if not result.ok:
         print(f"FAIL step {result.step}: {result.reason}", file=out)
         return EXIT_FAIL
-    conclusion = render(proof.steps[-1].formula) if proof.steps else "(empty proof)"
-    print(f"ok {len(proof.steps)} steps: {conclusion}", file=out)
+    print(f"ok {len(proof.steps)} steps: {render(proof.conclusion)}", file=out)
     return EXIT_OK
 
 
@@ -240,17 +244,14 @@ def _cmd_audit(args: argparse.Namespace, out, err) -> int:
                 f"{target!r} is neither a builtin script ({known}) nor a file"
             )
         try:
-            claims = load_script(_read_text(target), script_id=path.stem)
+            claims = load_script(_read_text(target))
         except AuditError as e:
             raise _UsageError(f"{target}: {e}") from e
         script_id = path.stem
-    report = run_audit(script_id, claims, _budget(args), deterministic=args.deterministic)
+    report = run_audit(script_id, claims, _budget(args))
+    print(render_report_text(report), end="", file=out)
     if args.report is not None:
-        directory = write_report(report, args.report)
-        print(Path(directory, "report.txt").read_text(encoding="utf-8"), end="", file=out)
-        print(f"report written to {directory}", file=err)
-    else:
-        print(render_report_text(report), end="", file=out)
+        print(f"report written to {write_report(report, args.report)}", file=err)
     return EXIT_OK
 
 
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--deterministic",
         action="store_true",
-        help="omit wall times so repeated runs are byte-identical",
+        help="no effect: every report is byte-identical across runs",
     )
     p.add_argument("--report", default=None, help="write the report tree here")
     p.add_argument("--max-steps", type=int, default=None, help="per-claim budget")

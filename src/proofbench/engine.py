@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .parser import MAX_NESTING, render
-from .proofs import Proof, ProofBuilder
+from .proofs import Proof, ProofBuilder, covering_set
 from .schemata import NAMED_FORMULAS, AxiomSetRecognizer
 from .syntax import (
     And,
@@ -40,7 +40,6 @@ from .syntax import (
     is_sentence,
 )
 from .transforms import (
-    axiom_labeler,
     conclude,
     deduction_transform,
     derive_andel,
@@ -173,7 +172,7 @@ class ClosureState:
         """Rebuild a kernel proof of ``f`` from stored recipes."""
         if f not in self._entries:
             raise KeyError(f"not derived: {f!r}")
-        b = ProofBuilder(self.hypotheses, label=axiom_labeler(self.axioms))
+        b = ProofBuilder(self.hypotheses, self.axioms)
         return conclude(b, self._emit(b, f))
 
     def _emit(self, b: ProofBuilder, f: Formula) -> int:
@@ -285,8 +284,7 @@ def _merged(
         if out[i] is indexes[i]:
             out[i] = dict(out[i])
         out[i][k] = sorted([*out[i].get(k, ()), *fs], key=key)
-    label = axiom_labeler(axioms)
-    labelled = tuple((f, name) for f in new if (name := label(f)) is not None)
+    labelled = tuple((f, name) for f in new if (name := covering_set(f, axioms)) is not None)
     if labelled:
         axiom_members = tuple(sorted(axiom_members + labelled, key=lambda m: key(m[0])))
     return tuple(out), axiom_members
@@ -656,7 +654,7 @@ class _Searcher:
                     break
                 subs.append(sub)
             else:
-                b = ProofBuilder(hyps, label=axiom_labeler(self.axioms))
+                b = ProofBuilder(hyps, self.axioms)
                 done = {p: splice(b, sub) for p, sub in zip(premises, subs)}
                 return conclude(b, _EMIT[kind](b, goal, premises, done))
         if isinstance(goal, Not) and is_sentence(goal.body):

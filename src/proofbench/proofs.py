@@ -19,6 +19,7 @@ Scripts serialize proofs one step per line::
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .parser import ParseError, parse_memo, render
@@ -283,21 +284,31 @@ def render_proof_script(proof: Proof) -> str:
 # -- incremental construction ------------------------------------------
 
 
+def covering_set(formula: Formula, axioms: Sequence[AxiomSetRecognizer]) -> str | None:
+    """The name of the first recognizer in ``axioms`` that contains ``formula``,
+    or None: the set a builder cites for an axiom step."""
+    for r in axioms:
+        if r.contains(formula):
+            return r.name
+    return None
+
+
 class ProofBuilder:
     """Grow a proof step by step, reusing steps that restate a formula.
 
-    ``label`` maps a formula to the axiom-set name to cite for it; it is
-    consulted by :meth:`add_axiom`.  :meth:`proof` returns every step logged;
-    :func:`~proofbench.transforms.conclude` returns the proof of one step.
+    :meth:`add_axiom` cites the first recognizer in ``axioms`` that contains
+    the formula (:func:`covering_set`).  :meth:`proof` returns every step
+    logged; :func:`~proofbench.transforms.conclude` returns the proof of one
+    step.
     """
 
     def __init__(
         self,
         hypotheses: tuple[tuple[str, Formula], ...] = (),
-        label=None,
+        axioms: Sequence[AxiomSetRecognizer] = (),
     ) -> None:
         self.hypotheses = hypotheses
-        self._label = label
+        self.axioms = axioms
         self._steps: list[ProofStep] = []
         self._index_of: dict[Formula, int] = {}
 
@@ -323,9 +334,7 @@ class ProofBuilder:
         raise KeyError(f"unknown hypothesis {name!r}")
 
     def add_axiom(self, formula: Formula) -> int:
-        if self._label is None:
-            raise ValueError("builder has no axiom labeler")
-        set_name = self._label(formula)
+        set_name = covering_set(formula, self.axioms)
         if set_name is None:
             raise ValueError(f"no axiom set covers: {render(formula)}")
         return self._add(formula, Ax(set_name))

@@ -288,18 +288,6 @@ def conclude(b: ProofBuilder, idx: int) -> Proof:
 # -- whole-proof transforms ---------------------------------------------
 
 
-def axiom_labeler(axioms: Sequence[AxiomSetRecognizer]):
-    """A builder ``label``: the first recognizer containing the formula names it."""
-
-    def label(f: Formula) -> str | None:
-        for r in axioms:
-            if r.contains(f):
-                return r.name
-        return None
-
-    return label
-
-
 def _replay(b: ProofBuilder, step: ProofStep, at: dict[int, int]) -> int:
     """Append ``step`` to ``b`` as it is, citing the builder indexes ``at``
     maps its premises to; return its index in ``b``."""
@@ -365,7 +353,7 @@ def deduction_transform(
             f"input proof fails check at step {result.step}: {result.reason}"
         )
     out_hyps = tuple((n, f) for n, f in proof.hypotheses if n != name)
-    b = ProofBuilder(out_hyps, label=axiom_labeler(axioms))
+    b = ProofBuilder(out_hyps, axioms)
     at: dict[int, int] = {}  # input index of a step free of alpha -> its index in b
     imp: dict[int, int] = {}  # input index -> index of (alpha -> that step)
 
@@ -413,7 +401,7 @@ def reductio_transform(
         raise TransformError("second proof must conclude the negation of the first")
     d_pos = deduction_transform(proof_pos, name, axioms)
     d_neg = deduction_transform(proof_neg, name, axioms)
-    b = ProofBuilder(_merge_hypotheses(d_pos, d_neg), label=axiom_labeler(axioms))
+    b = ProofBuilder(_merge_hypotheses(d_pos, d_neg), axioms)
     i = splice(b, d_pos)  # alpha -> beta
     j = splice(b, d_neg)  # alpha -> ~beta
     return conclude(b, derive_refute(b, i, j))
@@ -435,9 +423,7 @@ def explosion_transform(
             raise TransformError(
                 f"{label} input proof fails check at step {result.step}: {result.reason}"
             )
-    b = ProofBuilder(
-        _merge_hypotheses(proof_pos, proof_neg), label=axiom_labeler(axioms)
-    )
+    b = ProofBuilder(_merge_hypotheses(proof_pos, proof_neg), axioms)
     i = splice(b, proof_pos)
     j = splice(b, proof_neg)
     return conclude(b, derive_explosion(b, i, j, goal))

@@ -37,7 +37,6 @@ from proofbench.syntax import (
     universal_closure,
 )
 from proofbench.transforms import (
-    axiom_labeler,
     derive_andintro,
     derive_dnintro,
     derive_identity,
@@ -170,7 +169,6 @@ def exhaustive_formulas(atom_pool, max_connectives: int):
 # random checked proofs
 
 _L12 = (axiom_set("L12"),)
-_LABEL = axiom_labeler(_L12)
 
 SENTENCE_POOL = (
     PSI_AXIOMS["psi1"],
@@ -200,7 +198,7 @@ def random_proof(
     """
     names = [f"h{i}" for i in range(1, rng.randint(1, max_hyps) + 1)]
     hyps = tuple((n, rng.choice(pool)) for n in names)
-    b = ProofBuilder(hyps, label=_LABEL)
+    b = ProofBuilder(hyps, axioms=_L12)
     for n in names:
         b.add_hyp(n)
     ops = ("dnintro", "orin", "andintro", "impcons", "ident", "phi4mp")

@@ -298,7 +298,7 @@ def test_primary_audit_completeness(tmp_path, capsys):
     t0 = time.perf_counter()
     for sid in builtin_scripts():
         claims = builtin_claims(sid)
-        report = run_audit(sid, claims, Budget(max_steps=10**6), deterministic=True)
+        report = run_audit(sid, claims, Budget(max_steps=10**6))
         # every claim got exactly one verdict
         assert [v.claim.claim_id for v in report.verdicts] == [
             c.claim_id for c in claims

@@ -97,7 +97,7 @@ EXPECTED_STATUSES = {
 @pytest.fixture(scope="module")
 def reports():
     return {
-        sid: run_audit(sid, builtin_claims(sid), Budget(), deterministic=True)
+        sid: run_audit(sid, builtin_claims(sid), Budget())
         for sid in builtin_scripts()
     }
 
@@ -295,7 +295,7 @@ def test_report_round_trip_and_determinism(tmp_path, reports):
         d1 = tmp_path / sid / "run1"
         write_report(reports[sid], d1)
         assert recheck_report(d1) == []
-        rep2 = run_audit(sid, builtin_claims(sid), Budget(), deterministic=True)
+        rep2 = run_audit(sid, builtin_claims(sid), Budget())
         d2 = tmp_path / sid / "run2"
         write_report(rep2, d2)
         assert _tree_digest(d1) == _tree_digest(d2)
@@ -395,6 +395,32 @@ def test_recheck_flags_empty_certificate(tmp_path, reports):
     assert recheck_report(d) == ["x.proof: certificate has no steps"]
 
 
+def test_recheck_flags_a_detail_path_that_leaves_the_tree(tmp_path, reports):
+    d = tmp_path / "tree"
+    write_report(reports["corollary-4.4"], d)
+    (d / "details" / "not-beta0.valuation").rename(tmp_path / "outside.valuation")
+    tsv = d / "report.tsv"
+    tsv.write_text(tsv.read_text().replace("details/not-beta0.valuation", "../outside.valuation"))
+    assert recheck_report(d) == [
+        "not-beta0: REFUTED detail must be details/not-beta0.<valuation|eval>,"
+        " not '../outside.valuation'"
+    ]
+
+
+def test_recheck_flags_a_detail_kind_its_status_does_not_take(tmp_path, reports):
+    # a countervaluation offered as the evidence of a VERIFIED row
+    d = tmp_path / "tree"
+    write_report(reports["lemma-4.2"], d)
+    tsv = d / "report.tsv"
+    row = "s15-m05\tREFUTED\t0\tdetails/s15-m05.valuation"
+    assert row in tsv.read_text()
+    tsv.write_text(tsv.read_text().replace(row, row.replace("REFUTED", "VERIFIED")))
+    assert recheck_report(d) == [
+        "s15-m05: VERIFIED detail must be details/s15-m05.<proof|pos.proof|eval>,"
+        " not 'details/s15-m05.valuation'"
+    ]
+
+
 @pytest.mark.parametrize("victim", ["report.tsv", "details/s15-m01.proof"])
 def test_recheck_flags_non_utf8_file(tmp_path, reports, victim):
     d = tmp_path / "bad-bytes"
@@ -451,7 +477,7 @@ def test_load_script_basic():
         "claim c1 | hyps L12 xi | goal psi12 | locus somewhere\n"
         "claim c2 | hyps L12 | goal ~(1 < 1)\n"
     )
-    claims = load_script(text, "t")
+    claims = load_script(text)
     assert [c.claim_id for c in claims] == ["c1", "c2"]
     assert claims[0].axiom_names == ("L12",)
     assert dict(claims[0].hypotheses) == {"xi": named_formula("xi")}
@@ -464,7 +490,7 @@ def test_readme_claim_script_loads_and_runs():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```text\n(.*?)```", readme, re.S)
     [script] = [b for b in blocks if "\nclaim " in b]
-    claims = load_script(script, script_id="readme")
+    claims = load_script(script)
     assert [c.claim_id for c in claims] == ["m1"]
     report = run_audit("readme", claims, Budget(max_steps=2000))
     assert [v.status for v in report.verdicts] == ["VERIFIED"]
@@ -475,7 +501,7 @@ def test_load_script_set_override_propagates():
         "set delta ~(1 < 1)\n"
         "claim c1 | hyps L12 not_delta00 | goal delta\n"
     )
-    (claim,) = load_script(text, "t")
+    (claim,) = load_script(text)
     d00 = Implies(PSI7, named_formula("u27"))
     assert dict(claim.hypotheses) == {"not_delta00": Not(d00)}
     assert claim.goal == named_formula("u27")
@@ -514,7 +540,7 @@ def test_load_script_rejects_input_it_would_lose():
 
 def test_run_audit_rejects_duplicate_ids():
     text = "claim c1 | hyps L12 | goal psi1\nclaim c1 | hyps L12 | goal psi2\n"
-    claims = load_script(text, "t")
+    claims = load_script(text)
     with pytest.raises(AuditError):
         run_audit("t", claims, Budget(max_steps=100))
 

@@ -77,6 +77,12 @@ def test_check_rejects_tampered_proof(tmp_path, hyp_file):
     assert out.startswith("FAIL step ")
 
 
+def test_check_rejects_a_proof_with_no_steps(tmp_path):
+    p = tmp_path / "empty.txt"
+    p.write_text("# hypotheses only\nhyp h1 0 = 0\n")
+    assert run_cli("check", str(p)) == (1, "FAIL: proof has no steps\n", "")
+
+
 def test_check_missing_file_is_usage_error(tmp_path):
     code, _, err = run_cli("check", str(tmp_path / "nope.txt"))
     assert code == 2
@@ -315,6 +321,18 @@ def test_audit_report_directory(tmp_path):
 
 def _tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_audit_output_does_not_depend_on_the_inert_flag(tmp_path):
+    runs = []
+    for flags in ((), ("--deterministic",)):
+        d = tmp_path / f"run{len(runs)}"
+        code, out, _ = run_cli("audit", "corollary-4.4", *flags, "--report", str(d))
+        assert code == 0
+        assert out == (d / "report.txt").read_text()
+        assert run_cli("audit", "corollary-4.4", *flags) == (0, out, "")
+        runs.append((out, _tree(d)))
+    assert runs[0] == runs[1]
 
 
 def test_deterministic_report_does_not_depend_on_the_hash_seed(tmp_path):

@@ -24,7 +24,7 @@ from proofbench.syntax import (
     Var,
     substitute,
 )
-from proofbench.transforms import axiom_labeler, deduction_transform, phi4_instance
+from proofbench.transforms import deduction_transform, phi4_instance
 
 from strategies import formulas, terms
 
@@ -220,7 +220,7 @@ def test_text_within_the_cap_survives_the_pipeline(shape):
         g = substitute(f, 1, Const("0"))
         assert g != f and render(g) == render(f).replace("x1", "0")
         assert is_tautology(g) in (True, False)
-        b = ProofBuilder((("h", g),), label=axiom_labeler(l12))
+        b = ProofBuilder((("h", g),), axioms=l12)
         b.add_mp(b.add_hyp("h"), b.add_axiom(phi4_instance(g, g)))
         proof = b.proof()
         assert check_proof(proof, l12).ok

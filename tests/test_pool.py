@@ -32,7 +32,7 @@ from proofbench.syntax import (
     connective_depth,
     universal_closure,
 )
-from proofbench.transforms import axiom_labeler, phi1_instance, phi4_instance
+from proofbench.transforms import phi1_instance, phi4_instance
 
 from strategies import formulas, sentences
 
@@ -74,7 +74,6 @@ def reference_pool(hyp_formulas, axioms, goal):
     members = frozenset(reference_members(hyp_formulas, axioms, goal))
     indexes = {name: {} for name in INDEXES}
     axiom_members = []
-    label = axiom_labeler(axioms)
     for f in sorted(members, key=lambda f: (connective_depth(f), render(f))):
         if isinstance(f, Implies):
             indexes["imp_by_right"].setdefault(f.right, []).append(f)
@@ -89,7 +88,8 @@ def reference_pool(hyp_formulas, axioms, goal):
                 indexes["or_by_side"].setdefault(f.right, []).append(f)
         elif isinstance(f, Forall):
             indexes["all_by_body"].setdefault(f.body, []).append(f)
-        name = label(f)
+        # the first recognizer that contains a member labels it
+        name = next((r.name for r in axioms if r.contains(f)), None)
         if name is not None:
             axiom_members.append((f, name))
     return members, indexes, tuple(axiom_members)

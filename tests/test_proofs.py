@@ -20,7 +20,7 @@ from proofbench.proofs import (
 )
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import Forall, Implies
-from proofbench.transforms import axiom_labeler, phi4_instance
+from proofbench.transforms import phi4_instance
 
 from strategies import random_proof
 
@@ -31,7 +31,7 @@ PSI7 = PSI_AXIOMS["psi7"]
 
 def simple_proof() -> Proof:
     """{psi7} |- psi1 -> psi7 via one phi4 instance and MP."""
-    b = ProofBuilder((("h", PSI7),), label=axiom_labeler(L12))
+    b = ProofBuilder((("h", PSI7),), axioms=L12)
     i = b.add_hyp("h")
     j = b.add_axiom(phi4_instance(PSI7, PSI1))
     b.add_mp(i, j)
@@ -149,7 +149,7 @@ def test_hostile_justifications_are_rejected(just, formula, reason):
 
 def test_gen_step():
     open_f = parse("x1 = x1")
-    b = ProofBuilder((), label=axiom_labeler(L12))
+    b = ProofBuilder((), axioms=L12)
     # phi2-shaped instance over an open matrix, then generalize
     i = b.add_axiom(phi4_instance(open_f, open_f))
     b.add_gen(i, 2)
@@ -244,3 +244,14 @@ def test_builder_formula_lookup():
     assert b.idx_of(PSI1) is None
     with pytest.raises(KeyError):
         b.add_hyp("nope")
+
+
+def test_add_axiom_cites_the_first_covering_set():
+    f = phi4_instance(PSI7, PSI1)
+    l2r, l12 = axiom_set("L2r"), axiom_set("L12")
+    for axioms, cited in (((l2r, l12), "L2r"), ((l12, l2r), "L12")):
+        b = ProofBuilder((), axioms=axioms)
+        b.add_axiom(f)
+        assert b.proof().steps[0].just == Ax(cited)
+    with pytest.raises(ValueError, match="no axiom set covers: "):
+        ProofBuilder((), axioms=(axiom_set("Xp"),)).add_axiom(f)

@@ -12,7 +12,6 @@ from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import And, Forall, Implies, Not, Or
 from proofbench.transforms import (
     TransformError,
-    axiom_labeler,
     conclude,
     deduction_transform,
     derive_andel,
@@ -37,14 +36,13 @@ from proofbench.transforms import (
 from strategies import SENTENCE_POOL, random_proof, unreachable_steps
 
 L12 = (axiom_set("L12"),)
-LBL = axiom_labeler(L12)
 PSI1 = PSI_AXIOMS["psi1"]
 PSI7 = PSI_AXIOMS["psi7"]
 U27 = named_formula("u27")
 
 
 def _fresh(hyps=()):
-    b = ProofBuilder(tuple(hyps), label=LBL)
+    b = ProofBuilder(tuple(hyps), axioms=L12)
     for name, _ in hyps:
         b.add_hyp(name)
     return b
@@ -231,7 +229,7 @@ def _depends_on(proof: Proof, name: str) -> set[int]:
 
 def _with_unused_hypothesis(p: Proof, alpha) -> Proof:
     """``p`` trimmed to its conclusion's steps, with hypothesis ``u`` = alpha added."""
-    b = ProofBuilder(p.hypotheses + (("u", alpha),), label=LBL)
+    b = ProofBuilder(p.hypotheses + (("u", alpha),), axioms=L12)
     return conclude(b, splice(b, p))
 
 
@@ -257,7 +255,7 @@ def test_deduction_copies_the_steps_free_of_the_hypothesis():
     rng = random.Random(5151)
     for _ in range(40):
         p = random_proof(rng)
-        b = ProofBuilder(p.hypotheses + (("a", fresh),), label=LBL)
+        b = ProofBuilder(p.hypotheses + (("a", fresh),), axioms=L12)
         pair = derive_andintro(b, splice(b, p), b.add_hyp("a"))
         both = conclude(b, derive_dnintro(b, pair))
         free = set(range(1, len(both.steps) + 1)) - _depends_on(both, "a")
@@ -334,7 +332,7 @@ def test_transforms_keep_only_the_steps_their_conclusion_uses():
         inputs_with_dead_steps += bool(unreachable_steps(p))
         beta = p.conclusion
         # a proof of ~beta that carries all of p as unused steps
-        b = ProofBuilder(p.hypotheses + (("n", Not(beta)),), label=LBL)
+        b = ProofBuilder(p.hypotheses + (("n", Not(beta)),), axioms=L12)
         splice(b, p)
         b.add_hyp("n")
         neg = b.proof()
