@@ -60,7 +60,7 @@ from typing import Mapping
 
 from .engine import MAX_DEPTH, Budget, pool_for
 from .engine import check_absolute_consistency, check_traditional_consistency
-from .parser import ParseError, parse_memo, render
+from .parser import Memo, ParseError, render
 from .parser import parse as parse_formula
 from .proofs import Ax, Proof, check_proof, parse_proof_script, render_proof_script
 from .schemata import (
@@ -558,17 +558,24 @@ def recheck_report(directory: str | Path) -> list[str]:
     """Cold-pass re-validation of a written report; a list of problems.
 
     Each ``report.tsv`` row must name an existing ``details/<claim-id>.<kind>``
-    file whose kind its status allows.  Every serialized proof certificate
-    is re-parsed and re-checked against freshly built recognizers (read off
-    its axiom justifications), and its conclusion is compared with the
-    recorded goal line.  An empty list means the report replays cleanly.
+    file whose kind its status allows.  A detail or certificate that is a
+    symlink, or that resolves outside ``details/``, is a problem and is not
+    read.  Every serialized proof certificate is re-parsed and re-checked in
+    strict mode against the axiom sets its ``axiom`` steps name (the shared
+    :data:`~proofbench.schemata.AXIOM_SETS` recognizers), and its conclusion is
+    compared with the recorded goal line.  An empty list means the report
+    replays cleanly.
     """
     root = Path(directory)
     problems: list[str] = []
-    memo: dict[str, Formula] = {}  # each distinct formula text is parsed once
+    memo: Memo = {}  # shared by every certificate: each span is parsed once
     tsv_path = root / "report.tsv"
     if not tsv_path.exists():
         return [f"missing {tsv_path}"]
+    # every path read is details/<one name>: only a symlink, the file's or
+    # details/'s own, can lead out of the tree
+    details_linked = (root / "details").is_symlink()
+    linked: set[str] = set()  # row details already reported as links
     for line in (_read_artifact(tsv_path, problems) or "").splitlines():
         parts = line.split("\t")
         if len(parts) != 4:
@@ -581,17 +588,24 @@ def recheck_report(directory: str | Path) -> list[str]:
         elif not (_ID_RE.match(cid) and detail in [f"details/{cid}.{k}" for k in kinds]):
             want = f"details/{cid}.<{'|'.join(kinds)}>"
             problems.append(f"{cid}: {status} detail must be {want}, not {detail!r}")
+        elif details_linked or (root / detail).is_symlink():
+            linked.add(detail)
+            problems.append(f"{cid}: detail {detail} is a symlink or resolves outside details/")
         elif not (root / detail).is_file():
             problems.append(f"{cid}: missing detail file {detail}")
     for proof_path in sorted(root.glob("details/*.proof")):
+        if details_linked or proof_path.is_symlink():
+            if f"details/{proof_path.name}" not in linked:
+                problems.append(f"{proof_path.name}: is a symlink or resolves outside details/")
+            continue
         text = _read_artifact(proof_path, problems)
         if text is None:
             continue
         goal: Formula | None = None
-        first = text.splitlines()[0] if text.splitlines() else ""
+        first = text.partition("\n")[0]
         if first.startswith("# goal "):
             try:
-                goal = parse_memo(first[len("# goal ") :], memo)
+                goal = parse_formula(first[len("# goal ") :], memo)
             except ParseError as exc:
                 problems.append(f"{proof_path.name}: bad goal line: {exc}")
         try:

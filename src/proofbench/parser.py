@@ -24,6 +24,17 @@ parenthesized group may hold a term or a formula; its sort is checked only
 where an operator or the caller uses it, so ``(`` never backtracks. Text
 that nests more than :data:`MAX_NESTING` deep is a :class:`ParseError`.
 
+``parse(text, memo)`` shares a memo, a plain dict, between parses. It keeps
+each span a parse reads whole: the input, the content of each ``( ... )``
+group and each right operand of ``->``, which runs to the close of its group
+because ``->`` binds loosest and associates to the right. A span is keyed by
+its text and kept with its node, its height and the frames it opened. A
+later span with the same text is one lookup, and its tokens are skipped,
+unless its frames would pass the cap where it now stands: then it is read
+again, and gives the error a full read gives. A parse with a memo returns
+exactly what one without it returns. Text with a ``#`` is read without the
+memo, since a comment may hold a parenthesis.
+
 :func:`render` reads the same table and produces a form that :func:`parse`
 reads back to an equal tree, within :data:`MAX_NESTING`. It drops every
 parenthesis the table makes redundant except around an atom under a prefix
@@ -118,6 +129,21 @@ _TOKEN_RE = re.compile(
 )
 
 
+_PAREN_RE = re.compile(r"[()]")
+
+
+def _closes(text: str) -> dict[int, int]:
+    """The position of each ``(`` in ``text`` that is closed -> that of its ``)``."""
+    closes: dict[int, int] = {}
+    opened: list[int] = []
+    for m in _PAREN_RE.finditer(text):
+        if m[0] == "(":
+            opened.append(m.start())
+        elif opened:
+            closes[opened.pop()] = m.start()
+    return closes
+
+
 def _unexpected(tok: tuple[str, str, int], wanted: str) -> ParseError:
     kind, text, pos = tok
     if kind == "bad":
@@ -143,33 +169,81 @@ def _var(text: str, pos: int) -> Var:
         raise ParseError(f"bad variable {text[:12]!r}: ids start at x1", pos) from None
 
 
-class _Parser:
-    __slots__ = ("toks", "i", "depth", "height")
+#: span text -> (node, height, frames opened): what :func:`parse` keeps of
+#: each span it reads whole
+Memo = dict[str, tuple]
 
-    def __init__(self, text: str) -> None:
-        # (kind, text, pos) triples; the last is always the end match
-        self.toks = [
-            (m.lastgroup, m.group(m.lastindex), m.start(m.lastindex))
-            for m in _TOKEN_RE.finditer(text)
-        ]
-        self.i = 0
+
+class _Parser:
+    __slots__ = ("text", "tok", "at", "depth", "peak", "height", "memo", "closes", "close")
+
+    def __init__(self, text: str, memo: Memo | None) -> None:
+        self.text = text
+        self.at = 0  # where the token after ``tok`` may start
         self.depth = 0  # open expr frames
+        self.peak = 0  # the most expr frames open at once
+        self.memo = memo
+        # with a memo: each '(' -> its ')', and where the innermost group closes
+        self.closes = {} if memo is None else _closes(text)
+        self.close = len(text)
+        self.advance()
+
+    def advance(self) -> None:
+        """Read the next token into ``tok``: a (kind, text, pos) triple."""
+        m = _TOKEN_RE.match(self.text, self.at)
+        g = m.lastindex
+        self.tok = (m.lastgroup, m.group(g), m.start(g))
+        self.at = m.end()
 
     def expect(self, kind: str, wanted: str) -> None:
-        tok = self.toks[self.i]
-        if tok[0] != kind:
-            raise _unexpected(tok, wanted)
-        self.i += 1
+        if self.tok[0] != kind:
+            raise _unexpected(self.tok, wanted)
+        self.advance()
 
-    def expr(self, min_power: int) -> Formula | Term:
+    def binder(self) -> tuple[type, Var] | None:
+        """After a '(': the quantifier and variable of ``Ax1)`` or ``Ex1)``,
+        read; or None, with nothing read."""
+        quantifier = _BINDERS.get(self.tok[1])
+        if quantifier is None:
+            return None
+        mark = self.tok, self.at
+        self.advance()
+        var = self.tok
+        self.advance()
+        if var[0] == "var" and self.tok[0] == "rpar":
+            self.advance()
+            return quantifier, _var(var[1], var[2])
+        self.tok, self.at = mark
+        return None
+
+    def expr(self, min_power: int, start: int = -1) -> Formula | Term:
         """The expression at the cursor, up to the first operator looser than
-        ``min_power``; leaves its height, counting term levels, in ``self.height``."""
-        toks = self.toks
-        kind, text, pos = toks[self.i]
-        self.i += 1
+        ``min_power``; leaves its height, counting term levels, in ``self.height``.
+
+        With a ``start``, the expression runs from there to ``self.close`` and
+        goes through the memo.  A span read to its close is kept with its
+        height and the frames it opened.  A later span with the same text
+        reuses it and skips its tokens, unless its frames would pass
+        :data:`MAX_NESTING` here: then it is read again, for the error a full
+        read gives.
+        """
+        if start >= 0:
+            key = self.text[start : self.close]
+            hit = self.memo.get(key)
+            if hit is not None and self.depth + hit[2] <= MAX_NESTING:
+                left, self.height, frames = hit
+                self.peak = max(self.peak, self.depth + frames)
+                self.at = self.close
+                self.advance()
+                return left
+            outer_peak, self.peak = self.peak, self.depth
+        kind, text, pos = self.tok
+        self.advance()
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise _too_deep(pos)
+        if self.depth > self.peak:
+            self.peak = self.depth
         self.height = 0  # a prefix or S adds one to its operand's height
         if kind == "var":
             left = _var(text, pos)
@@ -185,56 +259,71 @@ class _Parser:
             left = App("S", (arg,))
             self.height += 1
         elif kind == "lpar":
-            # the name test first: the end match keeps the next two in range
-            binder = _BINDERS.get(toks[self.i][1])
-            if binder and toks[self.i + 1][0] == "var" and toks[self.i + 2][0] == "rpar":
-                var = _var(*toks[self.i + 1][1:])
-                self.i += 3
+            prefix = self.binder()
+            if prefix is not None:
+                quantifier, var = prefix
                 body = _sorted(self.expr(_PREFIX), Formula, pos, "a quantifier")
-                left = binder(var.id, body)
+                left = quantifier(var.id, body)
                 self.height += 1
             else:
-                left = self.expr(0)
+                close = self.closes.get(pos)
+                if close is None:
+                    left = self.expr(0)
+                else:
+                    outer, self.close = self.close, close
+                    left = self.expr(0, pos + 1)
+                    self.close = outer
                 self.expect("rpar", "')'")
         else:
             raise _unexpected((kind, text, pos), "a term or a formula")
         height = self.height
         while True:
-            kind, _, pos = toks[self.i]
+            kind, _, pos = self.tok
             if height > MAX_NESTING:
                 raise _too_deep(pos)
             op = _INFIX.get(kind)
             if op is None or op.power < min_power:
                 self.depth -= 1
                 self.height = height
+                if start >= 0:
+                    if pos == self.close:
+                        self.memo[key] = (left, height, self.peak - self.depth)
+                    self.peak = max(outer_peak, self.peak)
                 return left
-            self.i += 1
+            self.advance()
             _sorted(left, op.sort, pos, op.glyph)
-            # a right-associative operator takes its own kind on the right
-            right = self.expr(op.power + (not op.right))
+            if kind == "imp" and self.memo is not None:
+                # '->' binds loosest and takes its own kind on the right, so
+                # its right operand runs to the close of the group
+                right = self.expr(op.power, pos + 2)
+            else:
+                # a right-associative operator takes its own kind on the right
+                right = self.expr(op.power + (not op.right))
             left = op.build(left, _sorted(right, op.sort, pos, op.glyph))
             height = max(height, self.height) + 1
 
 
-def _parse(text: str, sort: type):
-    p = _Parser(text)
-    node = p.expr(0)
-    if p.toks[p.i][0] != "end":
-        raise _unexpected(p.toks[p.i], "end of input")
+def _parse(text: str, sort: type, memo: Memo | None = None):
+    p = _Parser(text, memo)
+    node = p.expr(0, -1 if memo is None else 0)
+    if p.tok[0] != "end":
+        raise _unexpected(p.tok, "end of input")
     return _sorted(node, sort, 0, "the input")
 
 
-def parse(text: str) -> Formula:
-    """Parse ``text`` as a formula; raises :class:`ParseError` on junk."""
-    return _parse(text, Formula)
+def parse(text: str, memo: Memo | None = None) -> Formula:
+    """Parse ``text`` as a formula; raises :class:`ParseError` on junk.
 
-
-def parse_memo(text: str, memo: dict[str, Formula]) -> Formula:
-    """``parse(text)``, kept in ``memo``: each distinct text is parsed once per memo."""
-    f = memo.get(text)
-    if f is None:
-        f = memo[text] = parse(text)
-    return f
+    ``memo`` keeps the spans read whole for later parses that share it (see
+    the module docstring); the result is the same with it or without it.
+    """
+    if memo is not None:
+        hit = memo.get(text)
+        if hit is not None:
+            return _sorted(hit[0], Formula, 0, "the input")
+        if "#" in text:  # a comment may hold a parenthesis
+            memo = None
+    return _parse(text, Formula, memo)
 
 
 def parse_term(text: str) -> Term:

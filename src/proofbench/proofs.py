@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .parser import ParseError, parse_memo, render
+from .parser import Memo, ParseError, parse, render
 from .schemata import AxiomSetRecognizer
 from .syntax import Forall, Formula, Implies, free_vars
 
@@ -209,8 +209,51 @@ def _number(s: str) -> int | None:
     return None
 
 
-def parse_proof_script(text: str, memo: dict[str, Formula] | None = None) -> Proof:
-    """Read a proof script; ``memo`` (text -> formula) may be shared between scripts."""
+def _justification(words: list[str]) -> Justification | None:
+    """The justification ``words`` spell, or None if they spell none."""
+    kind, args = words[0], words[1:]
+    if kind == "hyp" and len(args) == 1:
+        return Hyp(args[0])
+    if kind == "axiom" and len(args) == 1:
+        return Ax(args[0])
+    if kind == "mp" and len(args) == 2:
+        i, j = _number(args[0]), _number(args[1])
+        if i is not None and j is not None:
+            return Mp(i, j)
+    if kind == "gen" and len(args) == 2 and args[1].startswith("x"):
+        i, var = _number(args[0]), _number(args[1][1:])
+        if i is not None and var:  # variable ids start at 1
+            return Gen(i, var)
+    return None
+
+
+def _mp_conclusion(just: Justification | None, steps: list[ProofStep], text: str) -> Formula | None:
+    """``B`` when ``just`` is ``mp i j``, step j reads ``step_i -> B`` and
+    ``text`` is ``render(B)``, or None.
+
+    Then ``parse(text) == B`` by the round trip ``parse(render(f)) == f``,
+    which holds here: ``B`` sits under a parsed formula, so its text nests
+    within :data:`~proofbench.parser.MAX_NESTING`.  A ``gen`` conclusion
+    stays parsed, since ``Forall(x, prev)`` may nest one level past the cap.
+    """
+    if type(just) is Mp and 0 < just.i <= len(steps) and 0 < just.j <= len(steps):
+        major = steps[just.j - 1].formula
+        if (
+            isinstance(major, Implies)
+            and major.left == steps[just.i - 1].formula
+            and render(major.right) == text
+        ):
+            return major.right
+    return None
+
+
+def parse_proof_script(text: str, memo: Memo | None = None) -> Proof:
+    """Read a proof script; ``memo`` (see :func:`~proofbench.parser.parse`) may
+    be shared between scripts.
+
+    The conclusion of an ``mp`` step is rebuilt from the steps it cites when
+    its text is what :func:`render` gives for it; other formulas are parsed.
+    """
     memo = {} if memo is None else memo
     hyps: list[tuple[str, Formula]] = []
     steps: list[ProofStep] = []
@@ -226,7 +269,7 @@ def parse_proof_script(text: str, memo: dict[str, Formula] | None = None) -> Pro
                 raise ScriptError("expected: hyp <name> <formula>", lineno)
             _, name, ftext = parts
             try:
-                hyps.append((name, parse_memo(ftext, memo)))
+                hyps.append((name, parse(ftext, memo)))
             except ParseError as e:
                 raise ScriptError(f"bad formula: {e}", lineno) from e
             continue
@@ -238,27 +281,17 @@ def parse_proof_script(text: str, memo: dict[str, Formula] | None = None) -> Pro
         index = _number(num.strip())
         if not dot or index is None:
             raise ScriptError("step must start with '<n>.'", lineno)
-        try:
-            formula = parse_memo(ftext.strip(), memo)
-        except ParseError as e:
-            raise ScriptError(f"bad formula: {e}", lineno) from e
-        jparts = just_text.split()
-        if not jparts:
+        words = just_text.split()
+        just = _justification(words) if words else None
+        ftext = ftext.strip()
+        formula = _mp_conclusion(just, steps, ftext)
+        if formula is None:
+            try:
+                formula = parse(ftext, memo)
+            except ParseError as e:
+                raise ScriptError(f"bad formula: {e}", lineno) from e
+        if not words:
             raise ScriptError("missing justification", lineno)
-        kind, args = jparts[0], jparts[1:]
-        just: Justification | None = None
-        if kind == "hyp" and len(args) == 1:
-            just = Hyp(args[0])
-        elif kind == "axiom" and len(args) == 1:
-            just = Ax(args[0])
-        elif kind == "mp" and len(args) == 2:
-            i, j = _number(args[0]), _number(args[1])
-            if i is not None and j is not None:
-                just = Mp(i, j)
-        elif kind == "gen" and len(args) == 2 and args[1].startswith("x"):
-            i, var = _number(args[0]), _number(args[1][1:])
-            if i is not None and var:  # variable ids start at 1
-                just = Gen(i, var)
         if just is None:
             raise ScriptError(f"bad justification {just_text.strip()!r}", lineno)
         steps.append(ProofStep(index, formula, just))

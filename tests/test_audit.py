@@ -2,6 +2,9 @@
 
 import hashlib
 import re
+import subprocess
+import sys
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from proofbench.audit import (
 )
 from proofbench.engine import Budget
 from proofbench.parser import parse, render
-from proofbench.proofs import check_proof
+from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep, check_proof, parse_proof_script
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.scripts import builtin_claims, builtin_scripts
 from proofbench.syntax import Implies, Not, Or, universal_closure
@@ -419,6 +422,124 @@ def test_recheck_flags_a_detail_kind_its_status_does_not_take(tmp_path, reports)
         "s15-m05: VERIFIED detail must be details/s15-m05.<proof|pos.proof|eval>,"
         " not 'details/s15-m05.valuation'"
     ]
+
+
+@pytest.mark.parametrize("linked", ["details/not-beta0.valuation", "details"])
+def test_recheck_flags_a_symlinked_valuation(tmp_path, reports, linked):
+    d = tmp_path / "tree"
+    write_report(reports["corollary-4.4"], d)
+    (d / linked).rename(tmp_path / "outside")
+    (d / linked).symlink_to(tmp_path / "outside")
+    assert recheck_report(d) == [
+        "not-beta0: detail details/not-beta0.valuation is a symlink"
+        " or resolves outside details/"
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, problem",
+    [
+        # a row's detail, and a certificate that no row names
+        ("s15-m01.proof", "s15-m01: detail details/s15-m01.proof is a symlink"),
+        ("x.proof", "x.proof: is a symlink"),
+    ],
+)
+def test_recheck_flags_a_symlinked_certificate(tmp_path, reports, name, problem):
+    d = tmp_path / "tree"
+    write_report(reports["lemma-4.2"], d)
+    outside = tmp_path / "outside.proof"
+    (d / "details" / "s15-m01.proof").rename(outside)
+    if name != "s15-m01.proof":
+        (d / "details" / "s15-m01.proof").write_text(outside.read_text())
+    (d / "details" / name).symlink_to(outside)
+    assert recheck_report(d) == [f"{problem} or resolves outside details/"]
+
+
+_MP_LINE = re.compile(r"^(\d+)\. (.*) ; mp \d+ \d+$", re.M)
+
+
+def test_recheck_flags_an_mp_line_that_states_another_formula(tmp_path, reports):
+    d = tmp_path / "tree"
+    write_report(reports["lemma-4.2"], d)
+    victim = d / "details" / "s15-m10.proof"
+    text = victim.read_text()
+    line = _MP_LINE.search(text)
+    assert line is not None
+    victim.write_text(text[: line.start(2)] + "0 = 0 -> 0 = 0" + text[line.end(2) :])
+    assert recheck_report(d) == [
+        f"s15-m10.proof: fails re-check at step {line[1]}: bad-mp"
+    ]
+
+
+def test_recheck_reads_mp_lines_in_any_spelling_of_their_formula(tmp_path, reports):
+    # not render's text, so these lines are parsed rather than rebuilt
+    d = tmp_path / "tree"
+    write_report(reports["lemma-4.4"], d)
+    respelled = 0
+    for victim in (d / "details").glob("*.proof"):
+        text = victim.read_text()
+        new = _MP_LINE.sub(
+            lambda m: m[0].replace(m[2], "( " + m[2].replace(" ", "  ") + " )", 1), text
+        )
+        respelled += new != text
+        victim.write_text(new)
+    assert respelled > 10
+    assert recheck_report(d) == []
+
+
+def _reference_proof(text):
+    """The proof a script spells, each formula parsed on its own."""
+    hyps, steps = [], []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("hyp "):
+            _, name, ftext = line.split(None, 2)
+            hyps.append((name, parse(ftext)))
+        elif line:
+            head, _, just = line.partition(";")
+            num, _, ftext = head.partition(".")
+            kind, *args = just.split()
+            if kind == "hyp":
+                j = Hyp(args[0])
+            elif kind == "axiom":
+                j = Ax(args[0])
+            elif kind == "mp":
+                j = Mp(int(args[0]), int(args[1]))
+            else:
+                j = Gen(int(args[0]), int(args[1][1:]))
+            steps.append(ProofStep(int(num), parse(ftext.strip()), j))
+    return Proof(tuple(hyps), tuple(steps))
+
+
+def test_report_certificates_read_as_each_line_parsed_alone(tmp_path, reports):
+    kinds = Counter()
+    for sid, report in reports.items():
+        d = write_report(report, tmp_path / sid)
+        memo = {}  # one per report, as recheck_report shares it
+        for path in sorted((d / "details").glob("*.proof")):
+            text = path.read_text()
+            proof = parse_proof_script(text, memo)
+            assert proof == _reference_proof(text), path
+            kinds.update(type(step.just).__name__ for step in proof.steps)
+    assert kinds["Mp"] > 400 and kinds["Gen"] > 0
+
+
+def test_reports_recheck_clean_in_a_fresh_process(tmp_path, reports):
+    # no node of the certificates is interned or rendered in the child yet
+    dirs = [str(write_report(report, tmp_path / sid)) for sid, report in reports.items()]
+    code = (
+        "import sys\n"
+        "from proofbench.audit import recheck_report\n"
+        "print([p for d in sys.argv[1:] for p in recheck_report(d)])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *dirs],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parents[1] / "src",  # imports the checkout's package
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("victim", ["report.tsv", "details/s15-m01.proof"])
