@@ -26,17 +26,19 @@ that nests more than :data:`MAX_NESTING` deep is a :class:`ParseError`.
 
 ``parse(text, memo)`` shares a memo, a plain dict, between parses. It keeps
 each span a parse reads whole: the input, the content of each ``( ... )``
-group and each right operand of ``->``, which runs to the close of its group
-because ``->`` binds loosest and associates to the right. A span is keyed by
-its text and kept with its node, its height and the frames it opened. A
-later span with the same text is one lookup, and its tokens are skipped,
+group and each right operand of ``->``, which runs from its first token to
+the close of its group because ``->`` binds loosest and associates to the
+right. A span is keyed by its text, so that of ``B`` in ``A -> B`` is
+``render(B)``, and kept with its node, its height and the frames it opened.
+A later span with the same text is one lookup, and its tokens are skipped,
 unless its frames would pass the cap where it now stands: then it is read
 again, and gives the error a full read gives. A parse with a memo returns
 exactly what one without it returns. Text with a ``#`` is read without the
 memo, since a comment may hold a parenthesis.
 
 :func:`render` reads the same table and produces a form that :func:`parse`
-reads back to an equal tree, within :data:`MAX_NESTING`. It drops every
+reads back to an equal tree, within :data:`MAX_NESTING`; a formula built in
+code that nests past the cap is a ``ValueError``. It drops every
 parenthesis the table makes redundant except around an atom under a prefix
 or on the right of ``/\\``, which it keeps: ``0 = 0 /\\ (1 = 1)``.
 """
@@ -294,8 +296,9 @@ class _Parser:
             _sorted(left, op.sort, pos, op.glyph)
             if kind == "imp" and self.memo is not None:
                 # '->' binds loosest and takes its own kind on the right, so
-                # its right operand runs to the close of the group
-                right = self.expr(op.power, pos + 2)
+                # its right operand runs from its first token to the close of
+                # the group: the text render gives it
+                right = self.expr(op.power, self.tok[2])
             else:
                 # a right-associative operator takes its own kind on the right
                 right = self.expr(op.power + (not op.right))
@@ -354,6 +357,15 @@ def _store(node, text: str) -> str:
     return text
 
 
+def _renderable(node):
+    """``node``, unless its text is still to be built and its connectives or
+    term levels nest past :data:`MAX_NESTING`: building it would recurse once
+    per level, and no parsed text nests that deep."""
+    if node._text is None and node._depth > MAX_NESTING:
+        raise ValueError(f"cannot render: nests more than MAX_NESTING ({MAX_NESTING}) deep")
+    return node
+
+
 def _term(t: Term, ctx: int) -> str:
     kind = type(t)
     if kind is App:
@@ -370,7 +382,7 @@ def _term(t: Term, ctx: int) -> str:
 
 
 def render_term(t: Term) -> str:
-    return _term(t, 0)
+    return t._text or _term(_renderable(t), 0)
 
 
 def _render(f: Formula, ctx: int) -> str:
@@ -381,8 +393,7 @@ def _render(f: Formula, ctx: int) -> str:
         s = f._text or _store(f, _render(f.left, left_ctx) + glyph + _render(f.right, right_ctx))
         return f"({s})" if ctx > power else s
     if kind is Atom:
-        glyph, _, left_ctx, right_ctx = _BY_NODE[f.pred]
-        s = f._text or _store(f, _term(f.args[0], left_ctx) + glyph + _term(f.args[1], right_ctx))
+        s = f._text or _atom(f)
         # parenthesized where a prefix's body goes, although parse needs no
         # parens there: render is the search pool's sort key, so its bytes stay
         return f"({s})" if ctx >= _PREFIX else s
@@ -395,6 +406,16 @@ def _render(f: Formula, ctx: int) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _atom(f: Atom) -> str:
+    glyph, _, left_ctx, right_ctx = _BY_NODE[f.pred]
+    x, y = map(_renderable, f.args)
+    return _store(f, _term(x, left_ctx) + glyph + _term(y, right_ctx))
+
+
 def render(f: Formula) -> str:
-    """Concrete syntax that reads back: ``parse(render(f)) == f``."""
-    return _render(f, 0)
+    """Concrete syntax that reads back: ``parse(render(f)) == f``.
+
+    A formula built in code whose connectives, or the terms of one of its
+    atoms, nest more than :data:`MAX_NESTING` deep raises ``ValueError``.
+    """
+    return f._text or _render(_renderable(f), 0)

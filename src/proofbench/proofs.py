@@ -227,32 +227,13 @@ def _justification(words: list[str]) -> Justification | None:
     return None
 
 
-def _mp_conclusion(just: Justification | None, steps: list[ProofStep], text: str) -> Formula | None:
-    """``B`` when ``just`` is ``mp i j``, step j reads ``step_i -> B`` and
-    ``text`` is ``render(B)``, or None.
-
-    Then ``parse(text) == B`` by the round trip ``parse(render(f)) == f``,
-    which holds here: ``B`` sits under a parsed formula, so its text nests
-    within :data:`~proofbench.parser.MAX_NESTING`.  A ``gen`` conclusion
-    stays parsed, since ``Forall(x, prev)`` may nest one level past the cap.
-    """
-    if type(just) is Mp and 0 < just.i <= len(steps) and 0 < just.j <= len(steps):
-        major = steps[just.j - 1].formula
-        if (
-            isinstance(major, Implies)
-            and major.left == steps[just.i - 1].formula
-            and render(major.right) == text
-        ):
-            return major.right
-    return None
-
-
 def parse_proof_script(text: str, memo: Memo | None = None) -> Proof:
     """Read a proof script; ``memo`` (see :func:`~proofbench.parser.parse`) may
     be shared between scripts.
 
-    The conclusion of an ``mp`` step is rebuilt from the steps it cites when
-    its text is what :func:`render` gives for it; other formulas are parsed.
+    Every formula is read by ``parse(text, memo)``, whatever the line's
+    justification.  The memo keeps each right operand of ``->`` by its text,
+    so an ``mp`` line that states its major premise's consequent is one lookup.
     """
     memo = {} if memo is None else memo
     hyps: list[tuple[str, Formula]] = []
@@ -281,17 +262,14 @@ def parse_proof_script(text: str, memo: Memo | None = None) -> Proof:
         index = _number(num.strip())
         if not dot or index is None:
             raise ScriptError("step must start with '<n>.'", lineno)
+        try:
+            formula = parse(ftext.strip(), memo)
+        except ParseError as e:
+            raise ScriptError(f"bad formula: {e}", lineno) from e
         words = just_text.split()
-        just = _justification(words) if words else None
-        ftext = ftext.strip()
-        formula = _mp_conclusion(just, steps, ftext)
-        if formula is None:
-            try:
-                formula = parse(ftext, memo)
-            except ParseError as e:
-                raise ScriptError(f"bad formula: {e}", lineno) from e
         if not words:
             raise ScriptError("missing justification", lineno)
+        just = _justification(words)
         if just is None:
             raise ScriptError(f"bad justification {just_text.strip()!r}", lineno)
         steps.append(ProofStep(index, formula, just))

@@ -300,13 +300,15 @@ _THREE = {True: TRUE, False: FALSE, None: UNKNOWN}
 
 
 class _Compiler:
-    """Compiles formulas for one bound; ``width`` counts the slots handed out."""
+    """Compiles formulas for one bound; ``width`` counts the slots handed out,
+    and ``binders`` maps each compiled ``Forall`` node to its slot."""
 
     def __init__(self, bound: int, width: int) -> None:
         if bound < 1:
             raise ValueError("bound must be at least 1")
         self.values = range(1, bound + 1)
         self.width = width
+        self.binders: dict[Forall, int] = {}
 
     @staticmethod
     def slot(v: Var, scope: dict[int, int]) -> int:
@@ -411,6 +413,7 @@ class _Compiler:
         if isinstance(g, Implies) and binders.isdisjoint(free_vars(g.left)):
             guard = self.formula(g.left, scope)
         k, inner = self._bind(f.var, scope)
+        self.binders[f] = k
         body = self.formula(f.body, inner)
         values = self.values
 
@@ -441,11 +444,12 @@ class _Compiler:
         return exists
 
 
-def _compile(f: Formula, bound: int, env: dict[int, int]) -> tuple[_Code, list]:
-    """``f`` compiled for ``bound``, and its slots holding ``env``'s values."""
+def _compile(f: Formula, bound: int, env: dict[int, int]) -> tuple[_Code, list, _Compiler]:
+    """``f`` compiled for ``bound``, its slots holding ``env``'s values, and
+    the compiler, which knows each ``Forall``'s slot."""
     compiler = _Compiler(bound, len(env))
     code = compiler.formula(f, {var: k for k, var in enumerate(env)})
-    return code, [*env.values()] + [0] * (compiler.width - len(env))
+    return code, [*env.values()] + [0] * (compiler.width - len(env)), compiler
 
 
 def eval_arith(f: Formula, bound: int, env: dict[int, int] | None = None) -> ThreeValued:
@@ -454,7 +458,7 @@ def eval_arith(f: Formula, bound: int, env: dict[int, int] | None = None) -> Thr
     ``env`` gives the values of the free variables of ``f``; a free variable
     it does not bind raises ``ValueError`` before anything is evaluated.
     """
-    code, slots = _compile(f, bound, env or {})
+    code, slots, _ = _compile(f, bound, env or {})
     return _THREE[code(slots)]
 
 
@@ -464,21 +468,14 @@ def arith_counterexample(
     """For a falsified universal block: a falsifying assignment of its binders.
 
     Each binder takes the least value for which the rest of the block, under
-    the values chosen so far, is still false.
+    the values chosen so far, is still false.  That is the value each loop of
+    the block last stopped at, so one evaluation leaves it in the binder's slot.
     """
-    if eval_arith(f, bound) is not FALSE:
+    code, slots, compiler = _compile(f, bound, {})
+    if code(slots) is not False:
         return None
     env: dict[int, int] = {}
-    g = f
-    while isinstance(g, Forall):
-        code, slots = _compile(g.body, bound, {**env, g.var: 0})
-        k = list(env).index(g.var) if g.var in env else len(env)
-        for n in range(1, bound + 1):
-            slots[k] = n
-            if code(slots) is False:
-                env[g.var] = n
-                g = g.body
-                break
-        else:
-            return None
+    while isinstance(f, Forall):
+        env[f.var] = slots[compiler.binders[f]]
+        f = f.body
     return env or None

@@ -472,7 +472,7 @@ def test_recheck_flags_an_mp_line_that_states_another_formula(tmp_path, reports)
 
 
 def test_recheck_reads_mp_lines_in_any_spelling_of_their_formula(tmp_path, reports):
-    # not render's text, so these lines are parsed rather than rebuilt
+    # not render's text, so no memo key holds these lines whole, and each is parsed
     d = tmp_path / "tree"
     write_report(reports["lemma-4.4"], d)
     respelled = 0

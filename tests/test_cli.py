@@ -83,6 +83,16 @@ def test_check_rejects_a_proof_with_no_steps(tmp_path):
     assert run_cli("check", str(p)) == (1, "FAIL: proof has no steps\n", "")
 
 
+def test_check_takes_no_axioms_option(tmp_path):
+    # check replays a proof against the sets its steps cite, so it takes none
+    p = tmp_path / "p.txt"
+    p.write_text("1. 0 = 0 -> 0 = 0 -> 0 = 0 ; axiom L12\n")
+    assert run_cli("check", str(p))[0] == 0
+    code, out, err = run_cli("check", str(p), "--axioms", "L12")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unrecognized arguments: --axioms")
+
+
 def test_check_missing_file_is_usage_error(tmp_path):
     code, _, err = run_cli("check", str(tmp_path / "nope.txt"))
     assert code == 2

@@ -205,6 +205,30 @@ def test_term_levels_count_toward_the_nesting():
         parse(text)
 
 
+def _stacked(build, n, base):
+    for _ in range(n):
+        base = build(base)
+    return base
+
+
+def test_render_refuses_what_was_built_past_the_cap():
+    # parsed text is capped; a node built in code past the cap is a ValueError
+    # naming it, not a RecursionError, and one at the cap still renders
+    zero, atom = Const("0"), parse("0 = 0")
+    deep_term = _stacked(lambda t: App("S", (t,)), 5000, zero)
+    for build in [
+        lambda: render(_stacked(Not, 5000, atom)),
+        lambda: render(Atom("=", (deep_term, zero))),
+        lambda: render(Not(Atom("<", (zero, deep_term)))),
+        lambda: render_term(deep_term),
+    ]:
+        with pytest.raises(ValueError, match="MAX_NESTING"):
+            build()
+    at_cap = _stacked(lambda t: App("S", (t,)), MAX_NESTING, zero)
+    text = render(_stacked(Not, MAX_NESTING, Atom("=", (at_cap, zero))))
+    assert text.startswith("~" * MAX_NESTING + "(S(")
+
+
 def _with_frames_below(n, fn):
     """``fn()`` called under ``n`` more stack frames."""
     return fn() if n == 0 else _with_frames_below(n - 1, fn)
@@ -303,9 +327,19 @@ def test_memo_hit_on_a_term_is_still_sort_checked():
 def test_memo_keeps_groups_and_right_operands_by_their_text():
     memo: dict = {}
     f = parse("(Ax1)(x1 = x1 -> 0 = 0) -> 1 = 1 -> 0 < 1", memo)
-    assert {"x1 = x1 -> 0 = 0", " 0 = 0", " 1 = 1 -> 0 < 1", " 0 < 1"} <= set(memo)
+    assert {"x1 = x1 -> 0 = 0", "0 = 0", "1 = 1 -> 0 < 1", "0 < 1"} <= set(memo)
     assert parse("(Ax1)(x1 = x1 -> 0 = 0) -> 1 = 1 -> 0 < 1", memo) is f
     assert parse("x1 = x1 -> 0 = 0", memo) == parse("x1 = x1 -> 0 = 0")
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(), formulas())
+def test_memo_keeps_the_consequent_of_a_major_premise_by_its_text(a, b):
+    # an mp line states render(B) after its major premise A -> B: one lookup
+    memo: dict = {}
+    parse(render(Implies(a, b)), memo)
+    assert render(b) in memo
+    assert memo[render(b)][0] is b
 
 
 def test_memo_reads_comments_as_a_plain_parse_does():
@@ -318,7 +352,7 @@ def test_memo_reads_comments_as_a_plain_parse_does():
 @pytest.mark.parametrize("shape", _DEEP)
 def test_mp_conclusion_at_the_cap_reads_as_its_text_parses(shape):
     # the deepest major premise of this shape that parses: its consequent's
-    # text, which parse_proof_script rebuilds rather than parses, parses too
+    # text, which parse_proof_script reads as a memo hit, parses too
     for n in range(MAX_NESTING + 1, 0, -1):
         major = "0 = 0 -> " + _DEEP[shape](n)
         try:
