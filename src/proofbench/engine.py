@@ -23,10 +23,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .parser import MAX_NESTING, render
+from .parser import render
 from .proofs import Proof, ProofBuilder, covering_set
 from .schemata import NAMED_FORMULAS, AxiomSetRecognizer
 from .syntax import (
+    MAX_NESTING,
     And,
     Exists,
     Forall,
@@ -36,6 +37,7 @@ from .syntax import (
     Not,
     Or,
     connective_depth,
+    find,
     free_vars,
     is_sentence,
 )
@@ -211,7 +213,7 @@ def _add_subformulas(found: dict[Formula, None], f: Formula) -> None:
     """Add ``f`` and its subformulas to ``found``, skipping shared subtrees.
 
     Raises ValueError where connectives, or the terms of an atom, nest
-    more than :data:`~proofbench.parser.MAX_NESTING` deep, as parsed text
+    more than :data:`~proofbench.syntax.MAX_NESTING` deep, as parsed text
     may not: the pool's render order recurses once per level.
     """
     if connective_depth(f) > MAX_NESTING:
@@ -389,7 +391,12 @@ def pool_for(
 
 
 class _Saturation:
-    """One forward-closure run.  Mutable; produces a ClosureState."""
+    """One forward-closure run.  Mutable; produces a ClosureState.
+
+    A negation is built only where the pool allows it: a node that is not
+    alive is in no pool and no entry, so each negation test probes the
+    intern table with :func:`~proofbench.syntax.find` first.
+    """
 
     def __init__(
         self,
@@ -412,16 +419,32 @@ class _Saturation:
         self.majors_by_left: dict[Formula, list[Formula]] = {}
 
     def allowed(self, f: Formula) -> bool:
+        """Whether ``f`` may be derived: a pool member or its negation, within
+        :data:`MAX_DEPTH`."""
         if connective_depth(f) > MAX_DEPTH:
             return False
         members = self.pool.members
         return f in members or (isinstance(f, Not) and f.body in members)
 
+    def allowed_not(self, g: Formula) -> Formula | None:
+        """``Not(g)`` if :meth:`allowed` takes it, else None; built only then."""
+        if connective_depth(g) >= MAX_DEPTH:
+            return None
+        members = self.pool.members
+        if g in members:
+            return Not(g)
+        neg = find(Not, g)
+        return neg if neg is not None and neg in members else None
+
     def spent(self) -> bool:
         return self.steps >= self.budget.max_steps
 
     def add(self, f: Formula, recipe: tuple, deps: frozenset[str], free: bool = False) -> bool:
-        """Index ``f`` if new; returns True when added.  Non-free additions cost a step."""
+        """Index ``f`` if new; returns True when added.  Non-free additions cost a step.
+
+        The first pair ``g``, ``~g`` that are both entries is recorded as
+        the contradiction.
+        """
         if f in self.entries:
             return False
         if not free:
@@ -430,8 +453,8 @@ class _Saturation:
             self.steps += 1
         self.entries[f] = _Entry(recipe, deps)
         self.frontier.append(f)
-        neg = Not(f)
-        if neg in self.entries and self.contradiction is None:
+        neg = find(Not, f)
+        if neg is not None and neg in self.entries and self.contradiction is None:
             self.contradiction = (f, neg)
         elif isinstance(f, Not) and f.body in self.entries and self.contradiction is None:
             self.contradiction = (f.body, f)
@@ -463,6 +486,8 @@ class _Saturation:
         )
 
     def expand(self, f: Formula) -> None:
+        """Apply every rule that takes ``f`` as a premise, adding each
+        conclusion that the pool allows."""
         deps = self.entries[f].hyp_deps
         # modus ponens, this formula as the major premise
         if isinstance(f, Implies):
@@ -483,8 +508,9 @@ class _Saturation:
         if isinstance(f, Not) and isinstance(f.body, Implies):
             if self.allowed(f.body.left):
                 self.add(f.body.left, ("notimp_l", f), deps)
-            if self.allowed(Not(f.body.right)):
-                self.add(Not(f.body.right), ("notimp_r", f), deps)
+            neg = self.allowed_not(f.body.right)
+            if neg is not None:
+                self.add(neg, ("notimp_r", f), deps)
         if isinstance(f, Not) and isinstance(f.body, Not):
             if self.allowed(f.body.body):
                 self.add(f.body.body, ("dnelim", f), deps)
@@ -493,9 +519,10 @@ class _Saturation:
                 self.add(f.left, ("andel1", f), deps)
             if self.allowed(f.right):
                 self.add(f.right, ("andel2", f), deps)
-        # pool-gated introductions
-        dn = Not(Not(f))
-        if self.allowed(dn):
+        # pool-gated introductions; ~~f is not alive when ~f is not
+        neg = find(Not, f)
+        dn = None if neg is None else self.allowed_not(neg)
+        if dn is not None:
             self.add(dn, ("dnintro", f), deps)
         pool = self.pool
         for imp in pool.imp_by_right.get(f, ()):

@@ -22,7 +22,8 @@ Precedence*, 1973): one loop reads a primary or prefix, then every infix
 operator that binds at least as tightly as its caller asked for. A
 parenthesized group may hold a term or a formula; its sort is checked only
 where an operator or the caller uses it, so ``(`` never backtracks. Text
-that nests more than :data:`MAX_NESTING` deep is a :class:`ParseError`.
+that nests more than :data:`MAX_NESTING` deep is a :class:`ParseError`; the
+cap is the kernel's, ``syntax.MAX_NESTING``, and this module re-exports it.
 
 ``parse(text, memo)`` shares a memo, a plain dict, between parses. It keeps
 each span a parse reads whole: the input, the content of each ``( ... )``
@@ -49,6 +50,7 @@ import re
 from typing import Callable, NamedTuple
 
 from .syntax import (
+    MAX_NESTING,
     And,
     App,
     Atom,
@@ -63,11 +65,6 @@ from .syntax import (
     Term,
     Var,
 )
-
-#: The most open prefixes, parentheses, ``S(`` and right operands, and the
-#: greatest tree height counting term levels, that parsed text may have. The
-#: kernel walkers recurse up to twice per level, below Python's default limit of 1000.
-MAX_NESTING = 400
 
 
 class ParseError(ValueError):

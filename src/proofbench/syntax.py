@@ -10,10 +10,15 @@ costs O(arity): it stores its hash, free variable ids and depth, computed from
 the fields' own, and its text once rendered.  Hashing, comparing and
 :func:`free_vars` or :func:`connective_depth` then cost O(1) however deep or
 shared the tree; formulas key dicts and sets throughout the rest of the package.
+:func:`find` looks a node up without building it.  A node that is not alive is
+in no set or dict, so a membership test probes with :func:`find` and builds
+nothing on a miss.
 
 Substitution is capture-checked: substituting a term with a variable that
 would fall under a binder raises :class:`CaptureError` instead of silently
 renaming.  Callers that want to know in advance can ask :func:`free_for`.
+The walkers recurse once per level, so they refuse, with ``ValueError``, a
+formula or rewritten term that nests past :data:`MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -33,6 +38,12 @@ class CaptureError(ValueError):
 CONSTANTS = frozenset({"0", "1"})
 FUNCTIONS = MappingProxyType({"+": 2, "*": 2, "S": 1})
 PREDICATES = MappingProxyType({"=": 2, "<": 2})
+
+#: The most open prefixes, parentheses, ``S(`` and right operands, and the
+#: greatest tree height counting term levels, that parsed text may have, and
+#: the deepest formula or term the recursive walkers take.  They recurse up to
+#: twice per level, below Python's default limit of 1000.
+MAX_NESTING = 400
 
 
 class Term:
@@ -118,6 +129,25 @@ class _Node:
 
     def __deepcopy__(self, memo) -> _Node:
         return self  # immutable and interned: the copy is the node
+
+
+def find(cls: type, *fields):
+    """The live node of class ``cls`` with these fields, or None.
+
+    A probe for membership tests: it builds nothing and runs no ``_check``.
+    A field matches only a field of the same type, so fields that no node
+    holds, such as ``find(Var, 0)`` or ``find(Var, True)``, give None.
+    """
+    try:
+        node = _TABLE.get((cls, *fields))
+    except TypeError:  # an unhashable field: no node holds one
+        return None
+    if node is None or any(
+        type(value) is not type(getattr(node, name))
+        for name, value in zip(cls.__slots__, fields)
+    ):
+        return None
+    return node
 
 
 #: Frozen dataclass over the class's own ``__slots__`` that keeps ``_Node``'s
@@ -289,38 +319,63 @@ def is_sentence(f: Formula) -> bool:
     return not f._free
 
 
+def _within_cap(node):
+    """``node``, unless it nests past :data:`MAX_NESTING`: a walker over it
+    would recurse once per level, and no parsed text nests that deep."""
+    if node._depth > MAX_NESTING:
+        raise ValueError(f"nests more than MAX_NESTING ({MAX_NESTING}) deep")
+    return node
+
+
 def free_for(x: int, t: Term, f: Formula) -> bool:
-    """Whether ``t`` may replace free occurrences of ``x`` in ``f`` without capture."""
+    """Whether ``t`` may replace free occurrences of ``x`` in ``f`` without capture.
+
+    Raises ``ValueError`` where ``f``, or a term of an atom in which ``x`` is
+    free, nests past :data:`MAX_NESTING`, as :func:`substitute` does.
+    """
 
     def walk(g: Formula) -> bool:
-        if x not in g._free or isinstance(g, Atom):
-            return True  # no binder below, or no free occurrence of x
+        if x not in g._free:
+            return True  # no free occurrence of x below
+        if isinstance(g, Atom):
+            for a in g.args:
+                _within_cap(a)
+            return True
         if isinstance(g, _QUANT):
             return g.var not in t._free and walk(g.body)
         if isinstance(g, Not):
             return walk(g.body)
         return walk(g.left) and walk(g.right)
 
-    return walk(f)
+    return walk(_within_cap(f))
 
 
-def substitute_term(t: Term, x: int, s: Term) -> Term:
-    """``t`` with every occurrence of variable ``x`` replaced by ``s``."""
+def _substitute_term(t: Term, x: int, s: Term) -> Term:
     if x not in t._free:
         return t
     if isinstance(t, Var):
         return s
     args = []  # a loop, not a generator: one stack frame per term level
     for a in t.args:
-        args.append(substitute_term(a, x, s))
+        args.append(_substitute_term(a, x, s))
     return App(t.func, tuple(args))
+
+
+def substitute_term(t: Term, x: int, s: Term) -> Term:
+    """``t`` with every occurrence of variable ``x`` replaced by ``s``.
+
+    Raises ``ValueError`` where ``t`` is taller than :data:`MAX_NESTING`.
+    """
+    return _substitute_term(_within_cap(t), x, s)
 
 
 def substitute(f: Formula, x: int, t: Term, check: bool = True) -> Formula:
     """``f`` with free occurrences of ``x`` replaced by ``t``.
 
     With ``check`` (the default), raises :class:`CaptureError` when some free
-    occurrence of ``x`` sits under a binder for a variable of ``t``.
+    occurrence of ``x`` sits under a binder for a variable of ``t``.  Raises
+    ``ValueError`` where ``f``, or a term of an atom in which ``x`` is free,
+    nests past :data:`MAX_NESTING`.
     """
 
     def walk(g: Formula) -> Formula:
@@ -339,7 +394,7 @@ def substitute(f: Formula, x: int, t: Term, check: bool = True) -> Formula:
             return type(g)(g.var, walk(g.body))
         return type(g)(walk(g.left), walk(g.right))
 
-    return walk(f)
+    return walk(_within_cap(f))
 
 
 def universal_closure(f: Formula) -> Formula:

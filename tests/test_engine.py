@@ -3,7 +3,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from proofbench import syntax
 from proofbench.engine import (
     BACKWARD_DEPTH,
     Budget,
@@ -11,6 +14,7 @@ from proofbench.engine import (
     bounded_closure,
     check_absolute_consistency,
     check_traditional_consistency,
+    pool_for,
     prove,
 )
 from proofbench.parser import MAX_NESTING, parse
@@ -18,7 +22,7 @@ from proofbench.proofs import check_proof, render_proof_script
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import App, Atom, Const, Implies, Not
 
-from strategies import antecedent_chain, unreachable_steps
+from strategies import antecedent_chain, formulas, unreachable_steps
 
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
@@ -298,3 +302,25 @@ def test_formulas_built_at_the_nesting_cap_are_searched():
     assert at_cap in bounded_closure([at_cap], L12, Budget(max_steps=100))
     proof = prove(goal, [], L12, Budget(max_steps=100)).proof
     assert proof is not None and check_proof(proof, L12).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(formulas(max_depth=2), min_size=1, max_size=3), st.integers(1, 40))
+def test_the_closure_builds_only_the_negations_it_may_keep(hyps, steps):
+    built = []
+
+    class Recording(type(syntax._TABLE)):
+        def __setitem__(self, key, node):
+            built.append(node)
+            super().__setitem__(key, node)
+
+    members = pool_for(tuple(hyps), L12, None).members  # built before recording
+    table, plain = syntax._TABLE, type(syntax._TABLE)
+    table.__class__ = Recording
+    try:
+        bounded_closure(hyps, L12, Budget(max_steps=steps))
+    finally:
+        table.__class__ = plain
+    for node in built:
+        if isinstance(node, Not):
+            assert node in members or node.body in members

@@ -11,6 +11,8 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 from hypothesis import given, settings
 
+from proofbench import syntax
+from proofbench.parser import MAX_NESTING
 from proofbench.syntax import (
     And,
     App,
@@ -339,3 +341,90 @@ def test_deepcopy_of_a_deep_negation_chain_is_the_node():
 def test_dict_lookup_of_a_rebuilt_deep_negation_chain():
     table = {_negations(5000): "found"}
     assert table[_negations(5000)] == "found"
+
+
+def _stacked(wrap, n, node):
+    for _ in range(n):
+        node = wrap(node)
+    return node
+
+
+def _successors(n, base=X1):
+    return _stacked(lambda t: App("S", (t,)), n, base)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_negations(5000), Atom("=", (_successors(5000), Const("0")))],
+    ids=["not-5000", "atom-over-S-5000"],
+)
+def test_walkers_refuse_a_formula_past_the_nesting_cap(f):
+    with pytest.raises(ValueError, match="MAX_NESTING"):
+        substitute(f, 1, Const("0"))
+    with pytest.raises(ValueError, match="MAX_NESTING"):
+        free_for(1, X2, f)
+
+
+def test_substitute_term_refuses_a_term_past_the_nesting_cap():
+    with pytest.raises(ValueError, match="MAX_NESTING"):
+        substitute_term(_successors(5000), 1, Const("0"))
+    with pytest.raises(ValueError, match="MAX_NESTING"):
+        substitute_term(_successors(MAX_NESTING + 1), 2, Const("0"))
+
+
+def test_walkers_take_a_formula_at_the_nesting_cap():
+    zero = Const("0")
+    tall = _successors(MAX_NESTING)
+    f = _stacked(Not, MAX_NESTING, Atom("=", (tall, zero)))
+    assert connective_depth(f) == MAX_NESTING
+    assert free_for(1, X2, f)
+    grounded = substitute_term(tall, 1, zero)
+    assert grounded is _successors(MAX_NESTING, zero)
+    assert substitute(f, 1, zero) is _stacked(Not, MAX_NESTING, Atom("=", (grounded, zero)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas())
+def test_find_returns_the_live_node(f):
+    assert syntax.find(type(f), *(getattr(f, name) for name in type(f).__slots__)) is f
+
+
+def test_find_builds_nothing_on_a_miss():
+    body = Atom("<", (Var(20_001), Var(20_002)))  # ids no other test builds
+    gc.disable()
+    try:
+        size = len(syntax._TABLE)
+        assert syntax.find(Not, body) is None
+        assert syntax.find(Implies, body, body) is None
+        assert len(syntax._TABLE) == size
+    finally:
+        gc.enable()
+
+
+def test_find_misses_a_node_once_it_is_collected():
+    body = Atom("<", (Var(20_003), Const("0")))
+    neg = Not(body)
+    assert syntax.find(Not, body) is neg
+    del neg
+    gc.collect()
+    assert syntax.find(Not, body) is None
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (Var, (0,)),
+        (Var, (True,)),
+        (Var, (1.0,)),
+        (Const, ("2",)),
+        (Forall, (True, EQ11)),
+        (App, ("S", ())),
+        (App, ("+", [X1, X2])),
+        (Not, ()),
+        (Not, (EQ11, EQ11)),
+    ],
+)
+def test_find_gives_none_for_fields_no_node_holds(cls, fields):
+    alive = (Var(1), Forall(1, EQ11))  # nodes whose keys equal some of these
+    assert syntax.find(cls, *fields) is None
+    assert syntax.find(Forall, 1, EQ11) is alive[1]
