@@ -74,7 +74,7 @@ from .schemata import (
     axiom_set,
     named_formula,
 )
-from .semantics import FALSE, SkeletonLimitError, arith_counterexample, eval_arith, lowest_row
+from .semantics import FALSE, SkeletonLimitError, arith_verdict, lowest_row
 from .syntax import Forall, Formula, Implies, Not
 
 VERIFIED = "VERIFIED"
@@ -295,10 +295,9 @@ def _judge_collapse(claim: AuditClaim, budget: Budget) -> AuditVerdict:
 def _judge_sanity(claim: AuditClaim) -> AuditVerdict:
     goal = claim.goal
     assert goal is not None
-    verdict = eval_arith(goal, claim.eval_bound)
+    verdict, env = arith_verdict(goal, claim.eval_bound)
     if verdict is FALSE:
-        env = arith_counterexample(goal, claim.eval_bound) or {}
-        assignment = ", ".join(f"x{k}={v}" for k, v in sorted(env.items()))
+        assignment = ", ".join(f"x{k}={v}" for k, v in sorted((env or {}).items()))
         return AuditVerdict(
             claim,
             REFUTED,

@@ -52,8 +52,7 @@ from .scripts import builtin_claims, builtin_scripts
 from .semantics import (
     SkeletonLimitError,
     ThreeValued,
-    arith_counterexample,
-    eval_arith,
+    arith_verdict,
     falsifying_valuation,
 )
 from .syntax import free_vars
@@ -263,9 +262,8 @@ def _cmd_eval(args: argparse.Namespace, out, err) -> int:
         raise _UsageError(f"formula has free variables ({pretty}); a sentence is required")
     if args.bound <= 0:
         raise _UsageError("--bound must be positive")
-    verdict = eval_arith(f, args.bound)
+    verdict, env = arith_verdict(f, args.bound)
     if verdict is ThreeValued.FALSE:
-        env = arith_counterexample(f, args.bound)
         if env:
             witness = " ".join(f"x{i}={env[i]}" for i in sorted(env))
             print(f"false (counterexample: {witness})", file=out)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .parser import render
-from .proofs import Proof, ProofBuilder, covering_set
+from .proofs import Proof, ProofBuilder, conclude, covering_set
 from .schemata import NAMED_FORMULAS, AxiomSetRecognizer
 from .syntax import (
     MAX_NESTING,
@@ -42,7 +42,6 @@ from .syntax import (
     is_sentence,
 )
 from .transforms import (
-    conclude,
     deduction_transform,
     derive_andel,
     derive_andintro,

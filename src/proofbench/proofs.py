@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .parser import Memo, ParseError, parse, render
 from .schemata import AxiomSetRecognizer
-from .syntax import Forall, Formula, Implies, free_vars
+from .syntax import Forall, Formula, Implies, NestingError, free_vars
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,12 @@ def check_proof(
     variable that is not a positive ``int``), ``not-axiom`` (recognizer
     refused; refined to ``side-condition`` when a recognizer diagnostic says
     so); unknown or non-``str`` hypothesis/axiom names also surface as
-    ``dangling-ref``.
+    ``dangling-ref``.  An axiom step is ``too-deep`` where the recognizer
+    would walk its formula, or a term in it, past
+    :data:`~proofbench.syntax.MAX_NESTING` (a ``phi11`` candidate built in
+    code, say): it refuses with :class:`~proofbench.syntax.NestingError`,
+    where walking on would exhaust Python's stack.  Parsed text is never
+    that deep.
 
     In strict mode, generalizing over a variable free in a hypothesis the
     step's derivation uses is ``gen-on-free-hyp-var``; in lax mode the same
@@ -146,11 +151,14 @@ def check_proof(
             r = recog.get(j.set_name) if type(j.set_name) is str else None
             if r is None:
                 return CheckResult(False, pos, "dangling-ref")
-            if not r.contains(step.formula):
-                reason = "not-axiom"
-                if r.diagnose is not None and r.diagnose(step.formula) == "side-condition":
-                    reason = "side-condition"
-                return CheckResult(False, pos, reason)
+            try:
+                if not r.contains(step.formula):
+                    reason = "not-axiom"
+                    if r.diagnose is not None and r.diagnose(step.formula) == "side-condition":
+                        reason = "side-condition"
+                    return CheckResult(False, pos, reason)
+            except NestingError:
+                return CheckResult(False, pos, "too-deep")
             deps[pos] = frozenset()
         elif isinstance(j, Mp):
             if not (_positive_int(j.i) and _positive_int(j.j) and j.i < pos and j.j < pos):
@@ -308,9 +316,13 @@ class ProofBuilder:
     """Grow a proof step by step, reusing steps that restate a formula.
 
     :meth:`add_axiom` cites the first recognizer in ``axioms`` that contains
-    the formula (:func:`covering_set`).  :meth:`proof` returns every step
-    logged; :func:`~proofbench.transforms.conclude` returns the proof of one
-    step.
+    the formula (:func:`covering_set`).  Each step is kept as a
+    ``(formula, justification)`` pair: an ``mp`` or ``gen`` step holds the
+    builder step numbers it cites as a plain tuple, and hypothesis and axiom
+    records are shared (one :class:`Ax` per set name, and a replayed step
+    keeps its input's record).  The :class:`ProofStep`, :class:`Mp` and
+    :class:`Gen` records are made when a proof is read: :meth:`proof` returns
+    every step logged, and :func:`conclude` the proof of one step.
     """
 
     def __init__(
@@ -320,23 +332,23 @@ class ProofBuilder:
     ) -> None:
         self.hypotheses = hypotheses
         self.axioms = axioms
-        self._steps: list[ProofStep] = []
+        # (formula, Hyp | Ax | (i, j) for mp | (i,) for gen), step k at k - 1
+        self._log: list[tuple[Formula, Hyp | Ax | tuple[int, ...]]] = []
         self._index_of: dict[Formula, int] = {}
+        self._ax: dict[str, Ax] = {}
 
-    def _add(self, formula: Formula, just: Justification) -> int:
-        got = self._index_of.get(formula)
-        if got is not None:
-            return got
-        idx = len(self._steps) + 1
-        self._steps.append(ProofStep(idx, formula, just))
-        self._index_of[formula] = idx
+    def _add(self, formula: Formula, just: Hyp | Ax | tuple[int, ...]) -> int:
+        idx = self._index_of.get(formula)
+        if idx is None:
+            self._log.append((formula, just))
+            self._index_of[formula] = idx = len(self._log)
         return idx
 
     def idx_of(self, formula: Formula) -> int | None:
         return self._index_of.get(formula)
 
     def formula(self, idx: int) -> Formula:
-        return self._steps[idx - 1].formula
+        return self._log[idx - 1][0]
 
     def add_hyp(self, name: str) -> int:
         for n, f in self.hypotheses:
@@ -348,19 +360,62 @@ class ProofBuilder:
         set_name = covering_set(formula, self.axioms)
         if set_name is None:
             raise ValueError(f"no axiom set covers: {render(formula)}")
-        return self._add(formula, Ax(set_name))
+        return self.add_axiom_named(formula, set_name)
 
     def add_axiom_named(self, formula: Formula, set_name: str) -> int:
-        return self._add(formula, Ax(set_name))
+        ax = self._ax.get(set_name)
+        if ax is None:
+            ax = self._ax[set_name] = Ax(set_name)
+        return self._add(formula, ax)
+
+    def add_cited(self, formula: Formula, just: Hyp | Ax) -> int:
+        """Log ``formula`` under the hypothesis or axiom record ``just``, as
+        it is: a replayed step shares its input's record."""
+        return self._add(formula, just)
 
     def add_mp(self, i: int, j: int) -> int:
         major = self.formula(j)
         if not (isinstance(major, Implies) and major.left == self.formula(i)):
             raise ValueError(f"step {j} is not (step {i} -> _)")
-        return self._add(major.right, Mp(i, j))
+        return self._add(major.right, (i, j))
 
     def add_gen(self, i: int, var: int) -> int:
-        return self._add(Forall(var, self.formula(i)), Gen(i, var))
+        # the variable is the new formula's own binder
+        return self._add(Forall(var, self.formula(i)), (i,))
 
     def proof(self) -> Proof:
-        return Proof(self.hypotheses, tuple(self._steps))
+        return self._proof(range(1, len(self._log) + 1))
+
+    def _proof(self, kept: Sequence[int]) -> Proof:
+        """The steps numbered ``kept``, ascending, renumbered 1, 2, ... in order."""
+        log = self._log
+        new = [0] * (len(log) + 1)  # builder step number -> output step number
+        steps = []
+        for k in kept:
+            formula, just = log[k - 1]
+            n = new[k] = len(steps) + 1
+            if type(just) is tuple:
+                if len(just) == 2:
+                    just = Mp(new[just[0]], new[just[1]])
+                else:
+                    just = Gen(new[just[0]], formula.var)
+            steps.append(ProofStep(n, formula, just))
+        return Proof(self.hypotheses, tuple(steps))
+
+
+def conclude(b: ProofBuilder, idx: int) -> Proof:
+    """The proof of step ``idx``: the steps it depends on, renumbered in order.
+
+    Every premise precedes the step that cites it, so one backward pass marks
+    them and ``idx`` comes last.
+    """
+    log = b._log
+    used = [False] * (idx + 1)
+    used[idx] = True
+    for k in range(idx, 0, -1):
+        if used[k]:
+            just = log[k - 1][1]
+            if type(just) is tuple:
+                for premise in just:
+                    used[premise] = True
+    return b._proof([k for k in range(1, idx + 1) if used[k]])

@@ -462,6 +462,20 @@ def eval_arith(f: Formula, bound: int, env: dict[int, int] | None = None) -> Thr
     return _THREE[code(slots)]
 
 
+def arith_verdict(f: Formula, bound: int) -> tuple[ThreeValued, dict[int, int] | None]:
+    """:func:`eval_arith` of the sentence ``f`` and, where it is FALSE,
+    :func:`arith_counterexample`'s assignment, both from one evaluation."""
+    code, slots, compiler = _compile(f, bound, {})
+    value = code(slots)
+    if value is not False:
+        return _THREE[value], None
+    env: dict[int, int] = {}
+    while isinstance(f, Forall):
+        env[f.var] = slots[compiler.binders[f]]
+        f = f.body
+    return FALSE, env or None
+
+
 def arith_counterexample(
     f: Formula, bound: int
 ) -> dict[int, int] | None:
@@ -471,11 +485,4 @@ def arith_counterexample(
     the values chosen so far, is still false.  That is the value each loop of
     the block last stopped at, so one evaluation leaves it in the binder's slot.
     """
-    code, slots, compiler = _compile(f, bound, {})
-    if code(slots) is not False:
-        return None
-    env: dict[int, int] = {}
-    while isinstance(f, Forall):
-        env[f.var] = slots[compiler.binders[f]]
-        f = f.body
-    return env or None
+    return arith_verdict(f, bound)[1]

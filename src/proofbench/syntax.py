@@ -5,11 +5,12 @@ binds a variable by that same id, and nothing else.  The constants
 :data:`CONSTANTS`, :data:`FUNCTIONS` and :data:`PREDICATES` fix the language.
 Nodes are frozen, slotted dataclasses, hash-consed (Filliâtre & Conchon,
 *Type-Safe Modular Hash-Consing*, 2006) through a weak table: there is one
-object per distinct term or formula, so ``==`` is ``is``.  Building a node
-costs O(arity): it stores its hash, free variable ids and depth, computed from
-the fields' own, and its text once rendered.  Hashing, comparing and
-:func:`free_vars` or :func:`connective_depth` then cost O(1) however deep or
-shared the tree; formulas key dicts and sets throughout the rest of the package.
+object per distinct term or formula, so ``==`` is ``is`` and a node hashes by
+its identity, through ``object.__hash__``.  Building a node costs O(arity): it
+stores its free variable ids and depth, computed from the fields' own, and its
+text once rendered.  Hashing, comparing and :func:`free_vars` or
+:func:`connective_depth` then cost O(1) however deep or shared the tree;
+formulas key dicts and sets throughout the rest of the package.
 :func:`find` looks a node up without building it.  A node that is not alive is
 in no set or dict, so a membership test probes with :func:`find` and builds
 nothing on a miss.
@@ -17,8 +18,9 @@ nothing on a miss.
 Substitution is capture-checked: substituting a term with a variable that
 would fall under a binder raises :class:`CaptureError` instead of silently
 renaming.  Callers that want to know in advance can ask :func:`free_for`.
-The walkers recurse once per level, so they refuse, with ``ValueError``, a
-formula or rewritten term that nests past :data:`MAX_NESTING`.
+The walkers recurse once per level, so they refuse, with :class:`NestingError`
+(a ``ValueError``), a formula or rewritten term that nests past
+:data:`MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from types import MappingProxyType
 
 class CaptureError(ValueError):
     """Raised when a substitution would capture a variable under a binder."""
+
+
+class NestingError(ValueError):
+    """Raised by a walker on a formula or term that nests past :data:`MAX_NESTING`."""
 
 
 #: The arithmetic language used throughout: constants 0 and 1, binary + and *,
@@ -65,7 +71,7 @@ _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 #: held from a miss to the store, so that two threads cannot both build a key
 _BUILD = threading.RLock()
 #: what every node stores besides its fields
-_STORED = ("_hash", "_free", "_depth", "_text")
+_STORED = ("_free", "_depth", "_text")
 
 
 def _merge(operands) -> tuple[tuple[int, ...], int]:
@@ -84,9 +90,10 @@ class _Node:
     """Kernel node mixin: one live object per class and fields.
 
     ``cls(*fields)`` runs ``cls._check(*fields)`` and then returns the node
-    keyed ``(cls, *fields)``, building it only on a miss, with the key's hash
-    and ``cls._facts(*fields)`` stored.  The fields are the class's
-    ``__slots__``, in order; the renderer fills ``_text``.
+    keyed ``(cls, *fields)``, building it only on a miss, with
+    ``cls._facts(*fields)`` stored.  The fields are the class's ``__slots__``,
+    in order; the renderer fills ``_text``.  A node hashes and compares by
+    identity: there is one per key.
     """
 
     __slots__ = (*_STORED, "__weakref__")
@@ -108,8 +115,9 @@ class _Node:
                     for name, value in zip(names, args):
                         _setattr(node, name, value)
                     free, depth = cls._facts(*args)
-                    for name, value in zip(_STORED, (hash(key), free, depth, None)):
-                        _setattr(node, name, value)
+                    _setattr(node, "_free", free)
+                    _setattr(node, "_depth", depth)
+                    _setattr(node, "_text", None)
                     _TABLE[key] = node
         return node
 
@@ -120,11 +128,8 @@ class _Node:
     # (free variable ids, depth) of a node with these fields: here, a connective
     _facts = staticmethod(lambda *operands: _merge(operands))
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        # rebuild through the constructor: str hashes differ between processes
+        # rebuild through the constructor, which finds or interns the node
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __deepcopy__(self, memo) -> _Node:
@@ -151,7 +156,7 @@ def find(cls: type, *fields):
 
 
 #: Frozen dataclass over the class's own ``__slots__`` that keeps ``_Node``'s
-#: constructor, stored hash and identity equality.  ``dataclass(slots=True)``
+#: constructor and identity hashing and equality.  ``dataclass(slots=True)``
 #: would rebuild the class, after which its frozen ``__setattr__`` raises
 #: ``TypeError``, not ``FrozenInstanceError``, for names that are not fields.
 _node = dataclass(frozen=True, eq=False, init=False)
@@ -323,7 +328,7 @@ def _within_cap(node):
     """``node``, unless it nests past :data:`MAX_NESTING`: a walker over it
     would recurse once per level, and no parsed text nests that deep."""
     if node._depth > MAX_NESTING:
-        raise ValueError(f"nests more than MAX_NESTING ({MAX_NESTING}) deep")
+        raise NestingError(f"nests more than MAX_NESTING ({MAX_NESTING}) deep")
     return node
 
 

@@ -27,7 +27,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .proofs import Ax, Gen, Hyp, Mp, Proof, ProofBuilder, ProofStep, check_proof
+from .proofs import (  # conclude is re-exported: the transforms finish with it
+    Ax,
+    Gen,
+    Hyp,
+    Mp,
+    Proof,
+    ProofBuilder,
+    ProofStep,
+    check_proof,
+    conclude,
+)
 from .schemata import (
     AxiomSetRecognizer,
     phi1_instance,
@@ -256,35 +266,6 @@ def derive_explosion(b: ProofBuilder, i: int, j: int, goal: Formula) -> int:
     return b.add_mp(i, s2)
 
 
-def conclude(b: ProofBuilder, idx: int) -> Proof:
-    """The proof of step ``idx``: the steps it depends on, renumbered in order.
-
-    Every premise precedes the step that cites it, so ``idx`` comes last.
-    """
-    steps = b.proof().steps[:idx]
-    used = {idx}
-    for step in reversed(steps):
-        j = step.just
-        if step.index in used and isinstance(j, Mp):
-            used.update((j.i, j.j))
-        elif step.index in used and isinstance(j, Gen):
-            used.add(j.i)
-    new: dict[int, int] = {}  # old index -> new index
-    out: list[ProofStep] = []
-    for step in steps:
-        if step.index in used:
-            new[step.index] = k = len(out) + 1
-            if k != step.index:  # a step before this one was left out
-                j = step.just
-                if isinstance(j, Mp):
-                    j = Mp(new[j.i], new[j.j])
-                elif isinstance(j, Gen):
-                    j = Gen(new[j.i], j.var)
-                step = ProofStep(k, step.formula, j)
-            out.append(step)
-    return Proof(b.hypotheses, tuple(out))
-
-
 # -- whole-proof transforms ---------------------------------------------
 
 
@@ -292,10 +273,8 @@ def _replay(b: ProofBuilder, step: ProofStep, at: dict[int, int]) -> int:
     """Append ``step`` to ``b`` as it is, citing the builder indexes ``at``
     maps its premises to; return its index in ``b``."""
     j = step.just
-    if isinstance(j, Hyp):
-        return b.add_hyp(j.name)
-    if isinstance(j, Ax):
-        return b.add_axiom_named(step.formula, j.set_name)
+    if isinstance(j, (Hyp, Ax)):
+        return b.add_cited(step.formula, j)
     if isinstance(j, Mp):
         return b.add_mp(at[j.i], at[j.j])
     if isinstance(j, Gen):

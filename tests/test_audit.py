@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from proofbench import audit, engine
+from proofbench import audit, engine, semantics
 from proofbench.audit import (
     CLAIM_SHAPES,
     AuditClaim,
@@ -718,3 +718,15 @@ def test_derivable_outright():
     assert derivable_outright(omega, [axiom_set("L2r")])
     assert not derivable_outright(named_formula("u27"), [axiom_set("L12")])
     assert derivable_outright(named_formula("gamma2p"), [axiom_set("NPsi3dot")])
+
+
+def test_a_false_sanity_claim_is_evaluated_once(monkeypatch):
+    # the verdict and the counterexample come from one compiled evaluation
+    compiled = []
+    compile_ = semantics._compile
+    monkeypatch.setattr(semantics, "_compile", lambda *a: compiled.append(a) or compile_(*a))
+    goal = parse("(Ax1)(Ax2)(x1 + x2 < 1 + 1 + 1)")
+    verdict = run_claim(AuditClaim("false-sum", "sanity", goal=goal, eval_bound=5))
+    assert verdict.status == "REFUTED"
+    assert verdict.detail == "false in the standard model at bound 5 under x1=1, x2=2"
+    assert len(compiled) == 1

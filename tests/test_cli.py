@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from proofbench import semantics
 from proofbench.cli import main
 from proofbench.engine import BACKWARD_DEPTH
 from proofbench.parser import MAX_NESTING, render
@@ -258,6 +259,16 @@ def test_eval_verb():
     assert (code, out.strip()) == (0, "true")
     code, out, _ = run_cli("eval", "--bound", "5", "(Ax1)(1 < x1 + 1)")
     assert (code, out.strip()) == (0, "unknown")
+
+
+def test_eval_compiles_a_false_sentence_once(monkeypatch):
+    # the verdict and the counterexample come from one compiled evaluation
+    compiled = []
+    compile_ = semantics._compile
+    monkeypatch.setattr(semantics, "_compile", lambda *a: compiled.append(a) or compile_(*a))
+    code, out, _ = run_cli("eval", "--bound", "5", "(Ax1)(Ax2)(x1 + x2 < 1 + 1 + 1)")
+    assert (code, out) == (0, "false (counterexample: x1=1 x2=2)\n")
+    assert len(compiled) == 1
 
 
 def test_eval_rejects_open_formulas():

@@ -7,6 +7,7 @@ import pytest
 from proofbench.parser import parse
 from proofbench.proofs import (
     Ax,
+    CheckResult,
     Gen,
     Hyp,
     Mp,
@@ -19,7 +20,7 @@ from proofbench.proofs import (
     render_proof_script,
 )
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
-from proofbench.syntax import Forall, Implies
+from proofbench.syntax import MAX_NESTING, App, Atom, Const, Forall, Implies, Not, Var
 from proofbench.transforms import phi4_instance
 
 from strategies import random_proof
@@ -255,3 +256,42 @@ def test_add_axiom_cites_the_first_covering_set():
         assert b.proof().steps[0].just == Ax(cited)
     with pytest.raises(ValueError, match="no axiom set covers: "):
         ProofBuilder((), axioms=(axiom_set("Xp"),)).add_axiom(f)
+
+
+def _phi11_under_negations(n):
+    """``(Ax1)~^n(x1 = x1) -> ~^n(0 = 0)``, a phi11 instance built in code."""
+    body, inst = Atom("=", (Var(1), Var(1))), Atom("=", (Const("0"), Const("0")))
+    for _ in range(n):
+        body, inst = Not(body), Not(inst)
+    return Implies(Forall(1, body), inst)
+
+
+def _phi11_over_successors(n):
+    """``(Ax1)(S^n(x1) = 0) -> S^n(0) = 0``, a phi11 instance built in code."""
+    tall, ground = Var(1), Const("0")
+    for _ in range(n):
+        tall, ground = App("S", (tall,)), App("S", (ground,))
+    return Implies(Forall(1, Atom("=", (tall, Const("0")))), Atom("=", (ground, Const("0"))))
+
+
+def _one_axiom_step(f, set_name="L12"):
+    return Proof((), (ProofStep(1, f, Ax(set_name)),))
+
+
+@pytest.mark.parametrize("depth", [450, 1200])
+@pytest.mark.parametrize("set_name", ["L12", "L2r"])
+def test_check_proof_refuses_an_axiom_step_past_the_nesting_cap(depth, set_name):
+    # past the cap the phi11 recognizer raised ValueError (450) or
+    # RecursionError (1200); the checker now answers
+    axioms = (axiom_set(set_name),)
+    for f in (_phi11_under_negations(depth), _phi11_over_successors(depth)):
+        assert check_proof(_one_axiom_step(f, set_name), axioms) == CheckResult(
+            False, 1, "too-deep"
+        )
+
+
+def test_check_proof_takes_an_axiom_step_at_the_nesting_cap():
+    for f in (_phi11_under_negations(MAX_NESTING), _phi11_over_successors(MAX_NESTING)):
+        assert check_proof(_one_axiom_step(f), L12).ok
+    past = _phi11_under_negations(MAX_NESTING + 1)
+    assert check_proof(_one_axiom_step(past), L12).reason == "too-deep"

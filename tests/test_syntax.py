@@ -234,6 +234,16 @@ NODE_CASES = [
 ]
 
 
+def test_every_node_class_hashes_through_the_c_slot():
+    # a node is its own key: a Python-level __hash__ would run on every dict
+    # and set operation on formulas and slow them all down
+    classes = {type(node) for node, _names, _text in NODE_CASES}
+    assert classes == set(syntax._Node.__subclasses__()) and len(classes) == 11
+    for node, _names, _text in NODE_CASES:
+        assert type(node).__hash__ is object.__hash__
+        assert hash(node) == object.__hash__(node)
+
+
 @pytest.mark.parametrize(
     "node, names, text", NODE_CASES, ids=[type(c[0]).__name__ for c in NODE_CASES]
 )

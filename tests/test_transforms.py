@@ -353,3 +353,163 @@ def test_explosion_rejects_broken_input():
     neg = _fresh((("n", Not(PSI1)),)).proof()
     with pytest.raises(TransformError):
         explosion_transform(pos, neg, U27, L12)
+
+
+# -- conclude against the two-pass algorithm it replaced ------------------
+
+_OPEN_POOL = (parse("x1 = x1"), parse("x2 < x1 + 1"))
+
+
+def _reference_conclude(full: Proof, idx: int) -> Proof:
+    """The proof of step ``idx`` of ``full``, as the two-pass ``conclude`` over
+    the builder's ``ProofStep`` log made it: mark backward, renumber forward."""
+    steps = full.steps[:idx]
+    used = {idx}
+    for step in reversed(steps):
+        j = step.just
+        if step.index in used and isinstance(j, Mp):
+            used.update((j.i, j.j))
+        elif step.index in used and isinstance(j, Gen):
+            used.add(j.i)
+    new: dict[int, int] = {}
+    out: list[ProofStep] = []
+    for step in steps:
+        if step.index in used:
+            new[step.index] = k = len(out) + 1
+            if k != step.index:
+                j = step.just
+                if isinstance(j, Mp):
+                    j = Mp(new[j.i], new[j.j])
+                elif isinstance(j, Gen):
+                    j = Gen(new[j.i], j.var)
+                step = ProofStep(k, step.formula, j)
+            out.append(step)
+    return Proof(full.hypotheses, tuple(out))
+
+
+class _ReferenceLog:
+    """The builder's log as ``ProofStep`` records, restatements reused."""
+
+    def __init__(self) -> None:
+        self.steps: list[ProofStep] = []
+        self.index_of: dict = {}
+
+    def add(self, formula, just) -> int:
+        if formula not in self.index_of:
+            self.steps.append(ProofStep(len(self.steps) + 1, formula, just))
+            self.index_of[formula] = len(self.steps)
+        return self.index_of[formula]
+
+
+def _random_log(rng: random.Random, hyps, donor: Proof | None, n_ops: int):
+    """Apply ``n_ops`` random builder calls to a fresh builder and to a
+    reference log; both must hand out the same step numbers."""
+    b = ProofBuilder(hyps, axioms=L12)
+    ref = _ReferenceLog()
+    pool = SENTENCE_POOL + _OPEN_POOL
+    names = [n for n, _ in hyps]
+    for _ in range(n_ops):
+        op = rng.choice(("hyp", "axiom", "mp", "gen", "restate", "cite", "splice"))
+        size = len(ref.steps)
+        if op == "hyp" or not size:
+            name = rng.choice(names)
+            got, want = b.add_hyp(name), ref.add(dict(hyps)[name], Hyp(name))
+        elif op == "axiom":
+            f = phi4_instance(b.formula(rng.randint(1, size)), rng.choice(pool))
+            got, want = b.add_axiom(f), ref.add(f, Ax("L12"))
+        elif op == "mp":
+            i = rng.randint(1, size)
+            f = phi4_instance(b.formula(i), rng.choice(pool))
+            j = b.add_axiom(f)
+            assert j == ref.add(f, Ax("L12"))
+            got, want = b.add_mp(i, j), ref.add(f.right, Mp(i, j))
+        elif op == "gen":
+            i, var = rng.randint(1, size), rng.choice((1, 2, 3))
+            got = b.add_gen(i, var)
+            want = ref.add(Forall(var, ref.steps[i - 1].formula), Gen(i, var))
+        elif op == "restate":  # a formula the log holds: the builder reuses its step
+            f = b.formula(rng.randint(1, size))
+            got, want = b.add_axiom_named(f, "L12"), ref.add(f, Ax("L12"))
+        elif op == "cite" and donor is not None:  # a donor's hyp or axiom record, shared
+            cited = [st for st in donor.steps if isinstance(st.just, (Hyp, Ax))]
+            step = rng.choice(cited)
+            got, want = b.add_cited(step.formula, step.just), ref.add(step.formula, step.just)
+        elif op == "splice" and donor is not None:
+            remap: dict[int, int] = {}
+            for step in donor.steps:
+                j = step.just
+                if isinstance(j, Mp):
+                    j = Mp(remap[j.i], remap[j.j])
+                elif isinstance(j, Gen):
+                    j = Gen(remap[j.i], j.var)
+                remap[step.index] = ref.add(step.formula, j)
+            got, want = splice(b, donor), remap[donor.steps[-1].index]
+        else:
+            continue
+        assert got == want
+    return b, ref
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(4, 40))
+def test_conclude_matches_the_two_pass_reference(rng, n_ops):
+    hyps = tuple((f"h{k}", rng.choice(SENTENCE_POOL + _OPEN_POOL)) for k in range(1, 4))
+    donor = _random_log(rng, hyps, None, 8)[0].proof()
+    b, ref = _random_log(rng, hyps, donor, n_ops)
+    full = Proof(hyps, tuple(ref.steps))
+    assert b.proof() == full
+    for idx in range(1, len(ref.steps) + 1):
+        assert conclude(b, idx) == _reference_conclude(full, idx)
+
+
+def test_conclude_makes_one_record_per_output_step(monkeypatch):
+    made = {"steps": 0, "mp": 0, "gen": 0}
+
+    def count(key, cls):
+        init = cls.__init__
+
+        def counted(self, *args):
+            made[key] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    count("steps", ProofStep)
+    count("mp", Mp)
+    count("gen", Gen)
+    rng = random.Random(2020)
+    hyps = (("h1", PSI7), ("h2", parse("x1 = x1")), ("h3", PSI1))
+    donor = _random_log(rng, hyps, None, 8)[0].proof()
+    dropped = 0
+    for _ in range(20):
+        b, ref = _random_log(rng, hyps, donor, 30)
+        for idx in range(1, len(ref.steps) + 1):
+            made.update(steps=0, mp=0, gen=0)
+            p = conclude(b, idx)
+            dropped += len(p.steps) < idx
+            assert made["steps"] == len(p.steps)
+            assert made["mp"] == sum(isinstance(st.just, Mp) for st in p.steps)
+            assert made["gen"] == sum(isinstance(st.just, Gen) for st in p.steps)
+    assert dropped > 100
+    # a transform makes its records in its one conclude, not per logged step
+    p = random_proof(random.Random(7))
+    made.update(steps=0)
+    out = deduction_transform(p, p.hypotheses[0][0], L12)
+    assert made["steps"] == len(out.steps)
+
+
+def test_builders_share_hypothesis_and_axiom_records():
+    rng = random.Random(3030)
+    hyps = (("h1", PSI7), ("h2", parse("x1 = x1")), ("h3", PSI1))
+    b0, _ = _random_log(rng, hyps, None, 30)
+    donor = b0.proof()
+    # one Ax record per set name
+    assert len({id(st.just) for st in donor.steps if isinstance(st.just, Ax)}) == 1
+    # a replayed hypothesis or axiom step keeps its input's record
+    b = ProofBuilder(hyps, axioms=L12)
+    splice(b, donor)
+    replayed = b.proof().steps
+    assert [st.formula for st in replayed] == [st.formula for st in donor.steps]
+    for mine, theirs in zip(replayed, donor.steps):
+        if isinstance(theirs.just, (Hyp, Ax)):
+            assert mine.just is theirs.just
