@@ -324,3 +324,67 @@ def test_the_closure_builds_only_the_negations_it_may_keep(hyps, steps):
     for node in built:
         if isinstance(node, Not):
             assert node in members or node.body in members
+
+
+def _nested_goal(n, order):
+    """A chain ``a1 -> (a1->a2) -> ... -> an`` of the ``nested-prove`` bench
+    shape, its antecedents in ``order``; atom i is ``S^(2i+1)(0) = S^(2n-2i)(0)``."""
+
+    def numeral(k):
+        t = Const("0")
+        for _ in range(k):
+            t = App("S", (t,))
+        return t
+
+    atoms = [Atom("=", (numeral(2 * i + 1), numeral(2 * (n - i)))) for i in range(n)]
+    chain = [atoms[0]] + [Implies(atoms[i], atoms[i + 1]) for i in range(n - 1)]
+    goal = atoms[-1]
+    for i in reversed(order):
+        goal = Implies(chain[i], goal)
+    return goal
+
+
+# goal, hypotheses: proof size, steps expended, sha256 of the rendered proof
+PROOF_PINS = [
+    (antecedent_chain(4), [], (
+        73, 6, "8b376ffb5ce0a6b99a279019d618f31e39eb983ff333a6b068c5c747dbed98f4")),
+    (antecedent_chain(8), [], (
+        289, 28, "ae9b404f8919b1fa75ac77343bd5effe36ee3a9212733c1d09aff7119c03138a")),
+    (antecedent_chain(12), [], (
+        633, 66, "42e816109b3735dcfc120f382793e88a2b7d06545f7a64da371f63ff640b7a49")),
+    (_nested_goal(3, (2, 0, 1)), [], (
+        37, 2, "3ad7ca2218c7d6e2e42c9d7d25b20560f78848dcc752d8712a298ff8cb2ee40f")),
+    (_nested_goal(3, (1, 2, 0)), [], (
+        15, 2, "d95df59054ba95eeee238696dbe2ff5578474fa4d87142e28a97806a9992dc21")),
+    (_nested_goal(4, (3, 1, 0, 2)), [], (
+        57, 4, "511b2bd991e73477455005ed044723d20ef470cebbe512cdca6134522e482c78")),
+    (_nested_goal(4, (2, 3, 1, 0)), [], (
+        39, 3, "704e0f173ad76a200932736584284d8aba4784fb0d5ef9db07c7be8e73444c13")),
+    (_nested_goal(5, (4, 2, 0, 3, 1)), [], (
+        113, 4, "35a98cd597a519dae6363294482dacbc321e71bb4ccfe44ffcd1ceae55519f65")),
+    (_nested_goal(5, (1, 3, 4, 0, 2)), [], (
+        93, 5, "871c4301af76d7b73b1278625e468066412fbc52416c985118b515b1886c46ba")),
+    # an introduction over two discharges
+    (parse("(1 = 1 -> 1 = 1) /\\ (0 = 1 -> 0 = 1)"), [], (
+        13, 0, "a7d56b25c7b3c01031189cbacdba2fc58f910653a57cb6595933ed1c330b305b")),
+    # a discharge over an introduction over a discharge
+    (parse("1 = 1 -> (0 = 0 -> 0 = 0) /\\ 1 = 1"), [], (
+        7, 0, "abe81fc877f75b24906a7eb221b096a86229e9321e2be5eec807fdec5b1712d1")),
+    # reductio, which discharges its assumption
+    (parse("~(0 = 1 /\\ ~0 = 1)"), [], (
+        25, 5, "af89bb19a019459d8992b8563077ca949dac65fba6a516bee0d526006b63c3b3")),
+    # a discharge over reductio, and an introduction over reductio
+    (parse("1 = 1 -> ~(0 = 1 /\\ ~0 = 1)"), [], (
+        27, 5, "386f3db1d3fc6ae426329bed0314c5fd51cbc0d8c31b2d0b3fca544573dd3b28")),
+    (parse("~(0 = 1 /\\ ~0 = 1) /\\ 1 = 1"), [parse("1 = 1")], (
+        29, 5, "00cbd5ad205a6ebf1c6c5469ebc35d0c3b660a7518c7a839908eca0f39829eae")),
+]
+
+
+@pytest.mark.parametrize("goal, hyps, pin", PROOF_PINS, ids=range(len(PROOF_PINS)))
+def test_prove_pins_proofs_built_through_discharge(goal, hyps, pin):
+    outcome = prove(goal, hyps, L12)
+    proof = outcome.proof
+    assert proof is not None and proof.conclusion == goal
+    digest = hashlib.sha256(render_proof_script(proof).encode()).hexdigest()
+    assert (len(proof.steps), outcome.report.steps_expended, digest) == pin
