@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .parser import render
-from .proofs import Proof, ProofBuilder, conclude, covering_set
+from .proofs import Derivation, Proof, ProofBuilder, check_proof, conclude, covering_set
 from .schemata import NAMED_FORMULAS, AxiomSetRecognizer
 from .syntax import (
     MAX_NESTING,
@@ -42,7 +42,7 @@ from .syntax import (
     is_sentence,
 )
 from .transforms import (
-    deduction_transform,
+    TransformError,
     derive_andel,
     derive_andintro,
     derive_dnelim,
@@ -56,8 +56,9 @@ from .transforms import (
     derive_notimp_right,
     derive_notor,
     derive_orin,
-    reductio_transform,
-    splice,
+    discharge,
+    refute,
+    splice_records,
 )
 
 
@@ -171,10 +172,14 @@ class ClosureState:
 
     def proof_of(self, f: Formula) -> Proof:
         """Rebuild a kernel proof of ``f`` from stored recipes."""
+        return conclude(*self.derive(f))
+
+    def derive(self, f: Formula) -> Derivation:
+        """A new builder with the recipes of ``f`` emitted, and the index of ``f``."""
         if f not in self._entries:
             raise KeyError(f"not derived: {f!r}")
         b = ProofBuilder(self.hypotheses, self.axioms)
-        return conclude(b, self._emit(b, f))
+        return b, self._emit(b, f)
 
     def _emit(self, b: ProofBuilder, f: Formula) -> int:
         # iterative post-order over recipe premises; builder dedup keeps it linear
@@ -641,7 +646,7 @@ class _Searcher:
 
     def prove(
         self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int
-    ) -> Proof | None:
+    ) -> Derivation | None:
         key = (goal, tuple(f for _, f in hyps))
         failed = self.failed.get(key, -1)
         if failed >= depth:
@@ -649,19 +654,19 @@ class _Searcher:
                 self.cuts += 1
             return None
         cuts = self.cuts
-        proof = self._attempt(goal, hyps, depth)
-        if proof is None:
+        found = self._attempt(goal, hyps, depth)
+        if found is None:
             self.failed[key] = math.inf if self.cuts == cuts else max(failed, depth)
-        return proof
+        return found
 
     def _attempt(
         self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int
-    ) -> Proof | None:
+    ) -> Derivation | None:
         closure = self.closure_for(hyps, goal)
         if closure is None:
             return None
         if goal in closure:
-            return closure.proof_of(goal)
+            return closure.derive(goal)
         if self.remaining() == 0:
             return None
         if depth <= 0:
@@ -671,7 +676,7 @@ class _Searcher:
             name = f"g{len(hyps) + 1}"
             sub = self.prove(goal.right, hyps + ((name, goal.left),), depth - 1)
             if sub is not None:
-                return deduction_transform(sub, name, self.axioms)
+                return discharge(sub, name)
         for kind, premises in _introductions(goal):
             subs = []
             for premise in premises:
@@ -681,21 +686,16 @@ class _Searcher:
                 subs.append(sub)
             else:
                 b = ProofBuilder(hyps, self.axioms)
-                done = {p: splice(b, sub) for p, sub in zip(premises, subs)}
-                return conclude(b, _EMIT[kind](b, goal, premises, done))
+                done = {p: splice_records(b, sb.records(si)) for p, (sb, si) in zip(premises, subs)}
+                return b, _EMIT[kind](b, goal, premises, done)
         if isinstance(goal, Not) and is_sentence(goal.body):
             # reductio: assume the body, close, look for a contradiction
             name = f"g{len(hyps) + 1}"
             assumed = hyps + ((name, goal.body),)
             sub_closure = self.closure_for(assumed, goal)
             if sub_closure is not None and sub_closure.contradiction is not None:
-                a, na = sub_closure.contradiction
-                return reductio_transform(
-                    sub_closure.proof_of(a),
-                    sub_closure.proof_of(na),
-                    name,
-                    self.axioms,
-                )
+                derive = sub_closure.derive
+                return refute(*(discharge(derive(f), name) for f in sub_closure.contradiction))
         return None
 
 
@@ -710,20 +710,27 @@ def prove(
     Iterative deepening over backward decompositions; each frontier consults
     the forward closure.  Deterministic; returns the first proof found.  A
     pass that cuts no branch walked the whole search tree: it ends the search.
+    The levels pass builder derivations, so the proof is concluded once, and
+    checked once unless the closure held the goal (failing: :class:`TransformError`).
     """
     budget = budget or Budget()
     hyps = _named_hyps(X)
     searcher = _Searcher(hyps, tuple(axioms), budget)
     for depth in range(BACKWARD_DEPTH + 1):
         cuts = searcher.cuts
-        proof = searcher.prove(goal, hyps, depth)
-        if proof is not None or searcher.remaining() == 0 or searcher.cuts == cuts:
+        found = searcher.prove(goal, hyps, depth)
+        if found is not None or searcher.remaining() == 0 or searcher.cuts == cuts:
             break
     report = BudgetReport(
         steps_expended=searcher.steps,
         max_steps=budget.max_steps,
-        fixpoint=proof is None and searcher.remaining() > 0 and searcher.cuts == cuts,
+        fixpoint=found is None and searcher.remaining() > 0 and searcher.cuts == cuts,
     )
+    proof = None if found is None else conclude(*found)
+    if proof is not None and goal not in searcher.closure_for(hyps, goal):
+        result = check_proof(proof, searcher.axioms)
+        if not result.ok:
+            raise TransformError(f"proof fails check at step {result.step}: {result.reason}")
     return SearchOutcome(proof, report)
 
 

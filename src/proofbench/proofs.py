@@ -59,6 +59,11 @@ class Gen:
 
 Justification = Hyp | Ax | Mp | Gen
 
+#: A logged step: number, formula, and Hyp | Ax, or the steps mp (i, j) or gen (i,) cites
+Record = tuple[int, Formula, Hyp | Ax | tuple[int, ...]]
+#: A builder and one of its step numbers: the proof of that step, not yet concluded
+Derivation = tuple["ProofBuilder", int]
+
 
 @dataclass(frozen=True)
 class ProofStep:
@@ -320,9 +325,11 @@ class ProofBuilder:
     ``(formula, justification)`` pair: an ``mp`` or ``gen`` step holds the
     builder step numbers it cites as a plain tuple, and hypothesis and axiom
     records are shared (one :class:`Ax` per set name, and a replayed step
-    keeps its input's record).  The :class:`ProofStep`, :class:`Mp` and
-    :class:`Gen` records are made when a proof is read: :meth:`proof` returns
-    every step logged, and :func:`conclude` the proof of one step.
+    keeps its input's record).  ``prove`` passes a builder and a step number,
+    a :data:`Derivation`, between levels; :meth:`records` reads it back.  The
+    :class:`ProofStep`, :class:`Mp` and :class:`Gen` records are made when a
+    proof is read: :meth:`proof` returns every step logged, and
+    :func:`conclude` the proof of one step, once per ``prove``.
     """
 
     def __init__(
@@ -384,15 +391,27 @@ class ProofBuilder:
         return self._add(Forall(var, self.formula(i)), (i,))
 
     def proof(self) -> Proof:
-        return self._proof(range(1, len(self._log) + 1))
+        return self._proof([(k, *step) for k, step in enumerate(self._log, 1)])
 
-    def _proof(self, kept: Sequence[int]) -> Proof:
-        """The steps numbered ``kept``, ascending, renumbered 1, 2, ... in order."""
+    def records(self, idx: int) -> list[Record]:
+        """The steps step ``idx`` depends on, as logged, ascending.  Every
+        premise precedes the step that cites it, so one backward pass marks them."""
         log = self._log
-        new = [0] * (len(log) + 1)  # builder step number -> output step number
+        used = [False] * (idx + 1)
+        used[idx] = True
+        for k in range(idx, 0, -1):
+            if used[k]:
+                just = log[k - 1][1]
+                if type(just) is tuple:
+                    for premise in just:
+                        used[premise] = True
+        return [(k, *log[k - 1]) for k in range(1, idx + 1) if used[k]]
+
+    def _proof(self, records: Sequence[Record]) -> Proof:
+        """The steps ``records``, ascending, renumbered 1, 2, ... in order."""
+        new = [0] * (len(self._log) + 1)  # builder step number -> output step number
         steps = []
-        for k in kept:
-            formula, just = log[k - 1]
+        for k, formula, just in records:
             n = new[k] = len(steps) + 1
             if type(just) is tuple:
                 if len(just) == 2:
@@ -404,18 +423,5 @@ class ProofBuilder:
 
 
 def conclude(b: ProofBuilder, idx: int) -> Proof:
-    """The proof of step ``idx``: the steps it depends on, renumbered in order.
-
-    Every premise precedes the step that cites it, so one backward pass marks
-    them and ``idx`` comes last.
-    """
-    log = b._log
-    used = [False] * (idx + 1)
-    used[idx] = True
-    for k in range(idx, 0, -1):
-        if used[k]:
-            just = log[k - 1][1]
-            if type(just) is tuple:
-                for premise in just:
-                    used[premise] = True
-    return b._proof([k for k in range(1, idx + 1) if used[k]])
+    """The proof of step ``idx``: the steps it depends on, renumbered in order."""
+    return b._proof(b.records(idx))

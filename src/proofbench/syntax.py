@@ -129,8 +129,8 @@ class _Node:
     _facts = staticmethod(lambda *operands: _merge(operands))
 
     def __reduce__(self):
-        # rebuild through the constructor, which finds or interns the node
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        # rebuild through the constructor; the pickler recurses per level: refuse past the cap
+        return type(self), tuple(getattr(self, name) for name in _within_cap(self).__slots__)
 
     def __deepcopy__(self, memo) -> _Node:
         return self  # immutable and interned: the copy is the node

@@ -21,20 +21,25 @@ The transforms rebuild whole proofs:
   ``alpha`` into a proof of ``~alpha``.
 * :func:`explosion_transform` turns proofs of ``beta`` and ``~beta`` into a
   proof of an arbitrary goal.
+
+Each checks its input proofs and reads every input step.  :func:`discharge`,
+:func:`refute` and :func:`splice_records` run the same loops, unchecked, on the
+builder derivations that :func:`~proofbench.engine.prove` passes between levels.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .proofs import (  # conclude is re-exported: the transforms finish with it
     Ax,
+    Derivation,
     Gen,
     Hyp,
     Mp,
     Proof,
     ProofBuilder,
-    ProofStep,
+    Record,
     check_proof,
     conclude,
 )
@@ -269,17 +274,31 @@ def derive_explosion(b: ProofBuilder, i: int, j: int, goal: Formula) -> int:
 # -- whole-proof transforms ---------------------------------------------
 
 
-def _replay(b: ProofBuilder, step: ProofStep, at: dict[int, int]) -> int:
-    """Append ``step`` to ``b`` as it is, citing the builder indexes ``at``
-    maps its premises to; return its index in ``b``."""
-    j = step.just
-    if isinstance(j, (Hyp, Ax)):
-        return b.add_cited(step.formula, j)
-    if isinstance(j, Mp):
-        return b.add_mp(at[j.i], at[j.j])
-    if isinstance(j, Gen):
-        return b.add_gen(at[j.i], j.var)
-    raise TransformError(f"unknown justification {j!r}")  # pragma: no cover - closed variants
+def _replay(b: ProofBuilder, formula: Formula, just, at: dict[int, int]) -> int:
+    """Append a logged step to ``b`` as it is, its premises mapped by ``at``."""
+    if type(just) is not tuple:
+        return b.add_cited(formula, just)
+    if len(just) == 2:
+        return b.add_mp(at[just[0]], at[just[1]])
+    return b.add_gen(at[just[0]], formula.var)
+
+
+def _records(proof: Proof) -> Iterator[Record]:
+    """Every step of ``proof`` as a builder logs it."""
+    for s in proof.steps:
+        j = s.just
+        yield s.index, s.formula, (j.i, j.j) if type(j) is Mp else (j.i,) if type(j) is Gen else j
+
+
+def splice_records(b: ProofBuilder, records: Iterable[Record]) -> int:
+    """Replay ``records`` into ``b``; return the last one's new index."""
+    by_name = dict(b.hypotheses)
+    at: dict[int, int] = {}
+    for key, formula, just in records:
+        if isinstance(just, Hyp) and by_name.get(just.name) != formula:
+            raise TransformError(f"hypothesis {just.name!r} missing from target builder")
+        at[key] = _replay(b, formula, just, at)
+    return at[key]
 
 
 def splice(b: ProofBuilder, proof: Proof) -> int:
@@ -290,14 +309,51 @@ def splice(b: ProofBuilder, proof: Proof) -> int:
     """
     if not proof.steps:
         raise TransformError("cannot splice an empty proof")
-    remap: dict[int, int] = {}
-    by_name = dict(b.hypotheses)
-    for step in proof.steps:
-        j = step.just
-        if isinstance(j, Hyp) and by_name.get(j.name) != step.formula:
-            raise TransformError(f"hypothesis {j.name!r} missing from target builder")
-        remap[step.index] = _replay(b, step, remap)
-    return remap[proof.steps[-1].index]
+    return splice_records(b, _records(proof))
+
+
+def _lift(hyps, records: Iterable[Record], name: str, alpha: Formula, axioms) -> Derivation:
+    """The lifting loop: from ``records`` proving chi, derive alpha -> chi."""
+    b = ProofBuilder(tuple((n, f) for n, f in hyps if n != name), axioms)
+    at: dict[int, int] = {}  # key of a step free of alpha -> its index in b
+    imp: dict[int, int] = {}  # key of a step -> index of (alpha -> that step)
+
+    def lifted(i: int) -> int:
+        if i not in imp:  # a step free of alpha: weaken it once
+            imp[i] = derive_imp_from_cons(b, at[i], alpha)
+        return imp[i]
+
+    hyp = Hyp(name)
+    for key, formula, just in records:
+        if just == hyp:
+            imp[key] = derive_identity(b, alpha)
+        elif type(just) is not tuple or (just[0] in at and just[-1] in at):  # free of alpha
+            at[key] = _replay(b, formula, just, at)
+        elif len(just) == 2:
+            i, j = just
+            minor = b.formula(at[i]) if i in at else b.formula(imp[i]).right
+            s1 = b.add_axiom(phi1_instance(alpha, minor, formula))
+            s2 = b.add_mp(lifted(j), s1)
+            imp[key] = b.add_mp(lifted(i), s2)
+        else:
+            s1 = b.add_gen(imp[just[0]], formula.var)  # (Ax)(alpha -> body)
+            s2 = b.add_axiom(phi12_instance(formula.var, alpha, formula.body))
+            imp[key] = b.add_mp(s1, s2)
+    return b, lifted(key)
+
+
+def _checked_lift(proof: Proof, name: str, axioms: Sequence[AxiomSetRecognizer]) -> Derivation:
+    alpha = proof.hypothesis(name)
+    if alpha is None:
+        raise TransformError(f"no hypothesis named {name!r}")
+    if not is_sentence(alpha):
+        raise TransformError(
+            f"hypothesis {name!r} has free variables; only sentences can be discharged"
+        )
+    result = check_proof(proof, tuple(axioms))
+    if not result.ok:
+        raise TransformError(f"input proof fails check at step {result.step}: {result.reason}")
+    return _lift(proof.hypotheses, _records(proof), name, alpha, axioms)
 
 
 def deduction_transform(
@@ -319,53 +375,28 @@ def deduction_transform(
     exactly two steps.  Step count stays within 3n + a constant for the
     identity template.
     """
-    alpha = proof.hypothesis(name)
-    if alpha is None:
-        raise TransformError(f"no hypothesis named {name!r}")
-    if not is_sentence(alpha):
-        raise TransformError(
-            f"hypothesis {name!r} has free variables; only sentences can be discharged"
-        )
-    result = check_proof(proof, tuple(axioms))
-    if not result.ok:
-        raise TransformError(
-            f"input proof fails check at step {result.step}: {result.reason}"
-        )
-    out_hyps = tuple((n, f) for n, f in proof.hypotheses if n != name)
-    b = ProofBuilder(out_hyps, axioms)
-    at: dict[int, int] = {}  # input index of a step free of alpha -> its index in b
-    imp: dict[int, int] = {}  # input index -> index of (alpha -> that step)
-
-    def lifted(i: int) -> int:
-        if i not in imp:  # a step free of alpha: weaken it once
-            imp[i] = derive_imp_from_cons(b, at[i], alpha)
-        return imp[i]
-
-    for step in proof.steps:
-        j = step.just
-        if isinstance(j, Hyp) and j.name == name:
-            imp[step.index] = derive_identity(b, alpha)
-        elif isinstance(j, Mp) and not (j.i in at and j.j in at):
-            minor = proof.steps[j.i - 1].formula
-            s1 = b.add_axiom(phi1_instance(alpha, minor, step.formula))
-            s2 = b.add_mp(lifted(j.j), s1)
-            imp[step.index] = b.add_mp(lifted(j.i), s2)
-        elif isinstance(j, Gen) and j.i not in at:
-            body = proof.steps[j.i - 1].formula
-            s1 = b.add_gen(imp[j.i], j.var)  # (Ax)(alpha -> body)
-            s2 = b.add_axiom(phi12_instance(j.var, alpha, body))
-            imp[step.index] = b.add_mp(s1, s2)
-        else:
-            at[step.index] = _replay(b, step, at)
-    return conclude(b, lifted(proof.steps[-1].index))
+    return conclude(*_checked_lift(proof, name, axioms))
 
 
-def _merge_hypotheses(p1: Proof, p2: Proof) -> tuple[tuple[str, Formula], ...]:
+def discharge(d: Derivation, name: str) -> Derivation:
+    """:func:`deduction_transform` on the steps derivation ``d`` keeps, unchecked."""
+    b, idx = d
+    return _lift(b.hypotheses, b.records(idx), name, dict(b.hypotheses)[name], b.axioms)
+
+
+def _merge_hypotheses(p1, p2) -> tuple[tuple[str, Formula], ...]:
     merged = dict(p1.hypotheses)  # p1's names in order, then p2's new ones
     for n, f in p2.hypotheses:
         if merged.setdefault(n, f) != f:
             raise TransformError(f"hypothesis name {n!r} bound to two formulas")
     return tuple(merged.items())
+
+
+def refute(pos: Derivation, neg: Derivation) -> Derivation:
+    """The reductio body: from derivations of alpha -> beta and alpha -> ~beta, derive ~alpha."""
+    b = ProofBuilder(_merge_hypotheses(pos[0], neg[0]), pos[0].axioms)
+    i, j = (splice_records(b, src.records(k)) for src, k in (pos, neg))
+    return b, derive_refute(b, i, j)
 
 
 def reductio_transform(
@@ -378,12 +409,8 @@ def reductio_transform(
     beta = proof_pos.conclusion
     if proof_neg.conclusion != Not(beta):
         raise TransformError("second proof must conclude the negation of the first")
-    d_pos = deduction_transform(proof_pos, name, axioms)
-    d_neg = deduction_transform(proof_neg, name, axioms)
-    b = ProofBuilder(_merge_hypotheses(d_pos, d_neg), axioms)
-    i = splice(b, d_pos)  # alpha -> beta
-    j = splice(b, d_neg)  # alpha -> ~beta
-    return conclude(b, derive_refute(b, i, j))
+    d_pos = _checked_lift(proof_pos, name, axioms)
+    return conclude(*refute(d_pos, _checked_lift(proof_neg, name, axioms)))
 
 
 def explosion_transform(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench import syntax
+from proofbench import engine, proofs, syntax, transforms
 from proofbench.engine import (
     BACKWARD_DEPTH,
     Budget,
@@ -21,6 +21,7 @@ from proofbench.parser import MAX_NESTING, parse
 from proofbench.proofs import check_proof, render_proof_script
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import App, Atom, Const, Implies, Not
+from proofbench.transforms import TransformError
 
 from strategies import antecedent_chain, formulas, unreachable_steps
 
@@ -388,3 +389,38 @@ def test_prove_pins_proofs_built_through_discharge(goal, hyps, pin):
     assert proof is not None and proof.conclusion == goal
     digest = hashlib.sha256(render_proof_script(proof).encode()).hexdigest()
     assert (len(proof.steps), outcome.report.steps_expended, digest) == pin
+
+
+def test_the_one_check_refuses_a_proof_built_from_a_broken_template(monkeypatch):
+    # ``a -> a`` cited as an L12 member, which it is not
+    def unjustified(b, a):
+        return b.add_axiom_named(Implies(a, a), "L12")
+
+    monkeypatch.setattr(transforms, "derive_identity", unjustified)
+    with pytest.raises(TransformError, match="fails check at step .*: not-axiom"):
+        prove(antecedent_chain(4), (), L12)
+
+
+@pytest.mark.parametrize(
+    "goal, hyps, checks",
+    [
+        (antecedent_chain(8), [], 1),  # eight discharges
+        (parse("~(0 = 1 /\\ ~0 = 1)"), [], 1),  # reductio
+        (parse("1 = 1 -> ~(0 = 1 /\\ ~0 = 1)"), [], 1),  # a discharge over reductio
+        (XI, [XI], 0),  # the closure holds the goal
+        (PSI7, [NOT_D00], 0),
+    ],
+    ids=["discharges", "reductio", "discharge-and-reductio", "hypothesis", "closure"],
+)
+def test_prove_checks_once_unless_the_closure_holds_the_goal(monkeypatch, goal, hyps, checks):
+    calls = []
+
+    def counted(proof, *args, **kwargs):
+        calls.append(proof)
+        return proofs.check_proof(proof, *args, **kwargs)
+
+    for module in (engine, transforms):
+        monkeypatch.setattr(module, "check_proof", counted)
+    proof = prove(goal, hyps, L12).proof
+    assert proof is not None and proof.conclusion == goal
+    assert calls == [proof] * checks

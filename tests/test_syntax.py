@@ -23,6 +23,7 @@ from proofbench.syntax import (
     Forall,
     Iff,
     Implies,
+    NestingError,
     Not,
     Or,
     Var,
@@ -373,6 +374,18 @@ def test_walkers_refuse_a_formula_past_the_nesting_cap(f):
         substitute(f, 1, Const("0"))
     with pytest.raises(ValueError, match="MAX_NESTING"):
         free_for(1, X2, f)
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_pickle_refuses_a_formula_past_the_nesting_cap(n):
+    # the pickler recurses once per level, as the walkers do
+    with pytest.raises(NestingError, match="MAX_NESTING"):
+        pickle.dumps(_negations(n))
+
+
+def test_pickle_round_trips_a_formula_at_the_nesting_cap():
+    f = _negations(MAX_NESTING)
+    assert pickle.loads(pickle.dumps(f)) is f
 
 
 def test_substitute_term_refuses_a_term_past_the_nesting_cap():

@@ -6,8 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proofbench.engine import Budget, bounded_closure
 from proofbench.parser import parse
-from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofBuilder, ProofStep, check_proof
+from proofbench.proofs import (
+    Ax,
+    Gen,
+    Hyp,
+    Mp,
+    Proof,
+    ProofBuilder,
+    ProofStep,
+    check_proof,
+    render_proof_script,
+)
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import And, Forall, Implies, Not, Or
 from proofbench.transforms import (
@@ -27,13 +38,15 @@ from proofbench.transforms import (
     derive_notimp_right,
     derive_orin,
     derive_refute,
+    discharge,
     explosion_transform,
     phi4_instance,
     reductio_transform,
+    refute,
     splice,
 )
 
-from strategies import SENTENCE_POOL, random_proof, unreachable_steps
+from strategies import SENTENCE_POOL, formulas, random_proof, sentences, unreachable_steps
 
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
@@ -513,3 +526,36 @@ def test_builders_share_hypothesis_and_axiom_records():
     for mine, theirs in zip(replayed, donor.steps):
         if isinstance(theirs.just, (Hyp, Ax)):
             assert mine.just is theirs.just
+
+
+# ---------------------------------------------------------------------------
+# the public transforms and prove's derivations run the same loops
+
+
+def _context(side, alpha):
+    """``side`` as hypotheses h1, h2, ..., then ``a`` = alpha."""
+    return tuple((f"h{i}", f) for i, f in enumerate(side, start=1)) + (("a", alpha),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(formulas(max_depth=2), max_size=3), sentences(max_depth=2), st.data())
+def test_deduction_transform_and_discharge_render_alike(side, alpha, data):
+    state = bounded_closure(_context(side, alpha), L12, Budget(max_steps=200))
+    f = data.draw(st.sampled_from(state.formulas))
+    by_proof = deduction_transform(state.proof_of(f), "a", L12)
+    by_derivation = conclude(*discharge(state.derive(f), "a"))
+    assert render_proof_script(by_proof) == render_proof_script(by_derivation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(formulas(max_depth=2), max_size=2), sentences(max_depth=2), formulas(max_depth=2))
+def test_reductio_transform_and_refute_render_alike(side, alpha, beta):
+    # alpha -> beta and ~beta: the closure finds a contradiction
+    hyps = _context([*side, Implies(alpha, beta), Not(beta)], alpha)
+    state = bounded_closure(hyps, L12, Budget(max_steps=200))
+    assert state.contradiction is not None
+    pos, neg = state.contradiction
+    by_proofs = reductio_transform(state.proof_of(pos), state.proof_of(neg), "a", L12)
+    derivations = (discharge(state.derive(g), "a") for g in (pos, neg))
+    by_derivations = conclude(*refute(*derivations))
+    assert render_proof_script(by_proofs) == render_proof_script(by_derivations)
