@@ -323,9 +323,8 @@ def _lift(hyps, records: Iterable[Record], name: str, alpha: Formula, axioms) ->
             imp[i] = derive_imp_from_cons(b, at[i], alpha)
         return imp[i]
 
-    hyp = Hyp(name)
     for key, formula, just in records:
-        if just == hyp:
+        if isinstance(just, Hyp) and just.name == name:
             imp[key] = derive_identity(b, alpha)
         elif type(just) is not tuple or (just[0] in at and just[-1] in at):  # free of alpha
             at[key] = _replay(b, formula, just, at)
