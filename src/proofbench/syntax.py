@@ -6,9 +6,12 @@ binds a variable by that same id, and nothing else.  The constants
 Nodes are frozen, slotted dataclasses, hash-consed (Filliâtre & Conchon,
 *Type-Safe Modular Hash-Consing*, 2006) through a weak table: there is one
 object per distinct term or formula, so ``==`` is ``is`` and a node hashes by
-its identity, through ``object.__hash__``.  Building a node costs O(arity): it
-stores its free variable ids and depth, computed from the fields' own, and its
-text once rendered.  Hashing, comparing and :func:`free_vars` or
+its identity, through ``object.__hash__``.  A constructor validates its fields
+where its class restricts them, on every call, then probes the table once: a
+node that is alive is one dict lookup and one weak reference call away.  On a
+miss it builds the node under a lock, in O(arity): the node stores its free
+variable ids and depth, computed from the fields' own, and its text once
+rendered.  Hashing, comparing and :func:`free_vars` or
 :func:`connective_depth` then cost O(1) however deep or shared the tree;
 formulas key dicts and sets throughout the rest of the package.
 :func:`find` looks a node up without building it.  A node that is not alive is
@@ -20,7 +23,9 @@ would fall under a binder raises :class:`CaptureError` instead of silently
 renaming.  Callers that want to know in advance can ask :func:`free_for`.
 The walkers recurse once per level, so they refuse, with :class:`NestingError`
 (a ``ValueError``), a formula or rewritten term that nests past
-:data:`MAX_NESTING`.
+:data:`MAX_NESTING`.  Pickling refuses such a formula too; it gives the
+pickler a node as the flat list of the nodes below it, so any other node
+round-trips, whatever the height of its terms.
 """
 
 from __future__ import annotations
@@ -68,97 +73,83 @@ _setattr = object.__setattr__
 
 #: ``(class, *fields)`` -> the one live node with that class and those fields
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+#: a constructor's one probe: the ``get`` of the table's own dict, which maps
+#: a key to a weak reference to the node.  A reference whose node died while
+#: the table was being iterated stays until the iteration ends, and is dead.
+_probe = _TABLE.data.get
 #: held from a miss to the store, so that two threads cannot both build a key
 _BUILD = threading.RLock()
 #: what every node stores besides its fields
 _STORED = ("_free", "_depth", "_text")
 
 
-def _merge(operands) -> tuple[tuple[int, ...], int]:
-    """The operands' free variable ids, merged, and one level above the deepest."""
-    free, depth = (), 0
-    for g in operands:
-        gfree = g._free
-        if gfree and gfree != free:
-            free = tuple(sorted({*free, *gfree})) if free else gfree
-        if g._depth >= depth:
-            depth = g._depth + 1
-    return free, depth
+def _gone() -> None:
+    """The probe's answer for a key with no entry: called as a dead reference is."""
+
+
+def _store(key: tuple, free: tuple[int, ...], depth: int):
+    """The node keyed ``(cls, *fields)``, built with these facts and stored on a
+    miss, unless another thread stored one first."""
+    with _BUILD:
+        node = _TABLE.get(key)
+        if node is None:
+            cls = key[0]
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, key[1:]):
+                _setattr(node, name, value)
+            _setattr(node, "_free", free)
+            _setattr(node, "_depth", depth)
+            _setattr(node, "_text", None)
+            _TABLE[key] = node
+    return node
+
+
+def _union(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Two ascending tuples of variable ids, merged."""
+    if not b or b == a:
+        return a
+    return tuple(sorted({*a, *b})) if a else b
+
+
+def _merge(args: tuple[Term, ...]) -> tuple[tuple[int, ...], int]:
+    """The terms' free variable ids, merged, and one level above the tallest."""
+    free, height = (), 0
+    for t in args:
+        free = _union(free, t._free)
+        if t._depth >= height:
+            height = t._depth + 1
+    return free, height
 
 
 class _Node:
     """Kernel node mixin: one live object per class and fields.
 
-    ``cls(*fields)`` runs ``cls._check(*fields)`` and then returns the node
-    keyed ``(cls, *fields)``, building it only on a miss, with
-    ``cls._facts(*fields)`` stored.  The fields are the class's ``__slots__``,
-    in order; the renderer fills ``_text``.  A node hashes and compares by
-    identity: there is one per key.
+    Each class's constructor takes its fields, the class's ``__slots__`` in
+    order, by position or by name.  Where the class restricts its fields, it
+    validates them first, on every call.  It then probes the intern table
+    once: a hit is one dict lookup and one weak reference call, and a dead
+    reference reads as a miss.  On a miss it builds the node under a lock,
+    stores its free variable ids and depth, computed from its fields' own,
+    and puts it in the table.  The renderer fills ``_text``.  A node hashes
+    and compares by identity: there is one per key.
     """
 
     __slots__ = (*_STORED, "__weakref__")
 
-    def __new__(cls, *args, **kwargs):
-        names = cls.__slots__
-        if kwargs:
-            args += tuple(kwargs.pop(name) for name in names[len(args) :] if name in kwargs)
-        if kwargs or len(args) != len(names):
-            raise TypeError(f"{cls.__name__}() takes the fields {names}")
-        cls._check(*args)
-        key = (cls, *args)
-        node = _TABLE.get(key)
-        if node is None:
-            with _BUILD:
-                node = _TABLE.get(key)
-                if node is None:
-                    node = object.__new__(cls)
-                    for name, value in zip(names, args):
-                        _setattr(node, name, value)
-                    free, depth = cls._facts(*args)
-                    _setattr(node, "_free", free)
-                    _setattr(node, "_depth", depth)
-                    _setattr(node, "_text", None)
-                    _TABLE[key] = node
-        return node
-
-    @staticmethod
-    def _check(*fields) -> None:
-        """Raise on fields that the node may not have; connectives take any."""
-
-    # (free variable ids, depth) of a node with these fields: here, a connective
-    _facts = staticmethod(lambda *operands: _merge(operands))
-
     def __reduce__(self):
-        # rebuild through the constructor; the pickler recurses per level: refuse past the cap
-        return type(self), tuple(getattr(self, name) for name in _within_cap(self).__slots__)
+        # the pickler recurses once per level of what it is given: give it the
+        # flat list of the nodes below; refuse past the cap, as the walkers do
+        return _unflatten, (_flatten(_within_cap(self)),)
 
     def __deepcopy__(self, memo) -> _Node:
         return self  # immutable and interned: the copy is the node
 
 
-def find(cls: type, *fields):
-    """The live node of class ``cls`` with these fields, or None.
-
-    A probe for membership tests: it builds nothing and runs no ``_check``.
-    A field matches only a field of the same type, so fields that no node
-    holds, such as ``find(Var, 0)`` or ``find(Var, True)``, give None.
-    """
-    try:
-        node = _TABLE.get((cls, *fields))
-    except TypeError:  # an unhashable field: no node holds one
-        return None
-    if node is None or any(
-        type(value) is not type(getattr(node, name))
-        for name, value in zip(cls.__slots__, fields)
-    ):
-        return None
-    return node
-
-
-#: Frozen dataclass over the class's own ``__slots__`` that keeps ``_Node``'s
-#: constructor and identity hashing and equality.  ``dataclass(slots=True)``
-#: would rebuild the class, after which its frozen ``__setattr__`` raises
-#: ``TypeError``, not ``FrozenInstanceError``, for names that are not fields.
+#: Frozen dataclass over the class's own ``__slots__`` that keeps the class's
+#: constructor and ``_Node``'s identity hashing and equality.
+#: ``dataclass(slots=True)`` would rebuild the class, after which its frozen
+#: ``__setattr__`` raises ``TypeError``, not ``FrozenInstanceError``, for names
+#: that are not fields.
 _node = dataclass(frozen=True, eq=False, init=False)
 
 
@@ -168,13 +159,15 @@ class Var(_Node, Term):
 
     id: int
 
-    @staticmethod
-    def _check(id) -> None:
+    def __new__(cls, id):
         # exactly int: True == 1, so a bool id would stand in for x1 on a hit
         if not (type(id) is int and id >= 1):
             raise ValueError(f"variable id must be a positive int, got {id!r}")
-
-    _facts = staticmethod(lambda id: ((id,), 0))
+        key = (cls, id)
+        node = _probe(key, _gone)()
+        if node is None:
+            node = _store(key, (id,), 0)
+        return node
 
 
 @_node
@@ -183,12 +176,14 @@ class Const(_Node, Term):
 
     name: str
 
-    @staticmethod
-    def _check(name) -> None:
+    def __new__(cls, name):
         if name not in CONSTANTS:
             raise ValueError(f"unknown constant {name!r}")
-
-    _facts = staticmethod(lambda name: ((), 0))
+        key = (cls, name)
+        node = _probe(key, _gone)()
+        if node is None:
+            node = _store(key, (), 0)
+        return node
 
 
 @_node
@@ -198,8 +193,7 @@ class App(_Node, Term):
     func: str
     args: tuple[Term, ...]
 
-    @staticmethod
-    def _check(func, args) -> None:
+    def __new__(cls, func, args):
         arity = FUNCTIONS.get(func)
         if arity is None:
             raise ValueError(f"unknown function symbol {func!r}")
@@ -207,10 +201,14 @@ class App(_Node, Term):
             raise ValueError(
                 f"function {func!r} expects {arity} argument(s), got {len(args)}"
             )
-        if not all(isinstance(a, Term) for a in args):
-            raise TypeError("App arguments must be terms")
-
-    _facts = staticmethod(lambda func, args: _merge(args))  # depth: the term's height
+        for a in args:
+            if not isinstance(a, Term):
+                raise TypeError("App arguments must be terms")
+        key = (cls, func, args)
+        node = _probe(key, _gone)()
+        if node is None:
+            node = _store(key, *_merge(args))  # depth: the term's height
+        return node
 
 
 @_node
@@ -220,8 +218,7 @@ class Atom(_Node, Formula):
     pred: str
     args: tuple[Term, ...]
 
-    @staticmethod
-    def _check(pred, args) -> None:
+    def __new__(cls, pred, args):
         arity = PREDICATES.get(pred)
         if arity is None:
             raise ValueError(f"unknown predicate symbol {pred!r}")
@@ -229,10 +226,14 @@ class Atom(_Node, Formula):
             raise ValueError(
                 f"predicate {pred!r} expects {arity} argument(s), got {len(args)}"
             )
-        if not all(isinstance(a, Term) for a in args):
-            raise TypeError("Atom arguments must be terms")
-
-    _facts = staticmethod(lambda pred, args: (_merge(args)[0], 0))
+        for a in args:
+            if not isinstance(a, Term):
+                raise TypeError("Atom arguments must be terms")
+        key = (cls, pred, args)
+        node = _probe(key, _gone)()
+        if node is None:
+            node = _store(key, _merge(args)[0], 0)
+        return node
 
 
 @_node
@@ -240,6 +241,23 @@ class Not(_Node, Formula):
     __slots__ = ("body",)
 
     body: Formula
+
+    def __new__(cls, body):
+        key = (cls, body)
+        node = _probe(key, _gone)()
+        if node is None:
+            node = _store(key, body._free, body._depth + 1)
+        return node
+
+
+def _binary(cls, left, right):
+    """The constructor of the binary connectives, which take any fields."""
+    key = (cls, left, right)
+    node = _probe(key, _gone)()
+    if node is None:
+        depth = left._depth if left._depth > right._depth else right._depth
+        node = _store(key, _union(left._free, right._free), depth + 1)
+    return node
 
 
 @_node
@@ -249,6 +267,8 @@ class Implies(_Node, Formula):
     left: Formula
     right: Formula
 
+    __new__ = _binary
+
 
 @_node
 class And(_Node, Formula):
@@ -256,6 +276,8 @@ class And(_Node, Formula):
 
     left: Formula
     right: Formula
+
+    __new__ = _binary
 
 
 @_node
@@ -265,6 +287,8 @@ class Or(_Node, Formula):
     left: Formula
     right: Formula
 
+    __new__ = _binary
+
 
 @_node
 class Iff(_Node, Formula):
@@ -273,15 +297,19 @@ class Iff(_Node, Formula):
     left: Formula
     right: Formula
 
+    __new__ = _binary
 
-def _check_binder(var: int, body: Formula) -> None:
+
+def _binder(cls, var, body):
+    """The constructor of the quantifiers."""
     # exactly int, as for Var
     if not (type(var) is int and var >= 1):
         raise ValueError(f"binder variable id must be a positive int, got {var!r}")
-
-
-def _binder_facts(var: int, body: Formula) -> tuple[tuple[int, ...], int]:
-    return tuple(v for v in body._free if v != var), body._depth + 1
+    key = (cls, var, body)
+    node = _probe(key, _gone)()
+    if node is None:
+        node = _store(key, tuple(v for v in body._free if v != var), body._depth + 1)
+    return node
 
 
 @_node
@@ -291,8 +319,7 @@ class Forall(_Node, Formula):
     var: int
     body: Formula
 
-    _check = staticmethod(_check_binder)
-    _facts = staticmethod(_binder_facts)
+    __new__ = _binder
 
 
 @_node
@@ -302,11 +329,75 @@ class Exists(_Node, Formula):
     var: int
     body: Formula
 
-    _check = staticmethod(_check_binder)
-    _facts = staticmethod(_binder_facts)
+    __new__ = _binder
 
 
 _QUANT = (Forall, Exists)
+
+
+def find(cls: type, *fields):
+    """The live node of class ``cls`` with these fields, or None.
+
+    A probe for membership tests: it builds nothing and validates nothing.
+    Fields that no node holds, such as ``find(Var, 0)``, ``find(Var, True)``
+    or an unhashable field, give None.
+    """
+    try:
+        node = _probe((cls, *fields), _gone)()
+    except TypeError:  # an unhashable field: no node holds one
+        return None
+    # an int field equals values of other types, True and 1.0 for 1: no node holds those
+    if node is not None and (cls is Var or cls in _QUANT) and type(fields[0]) is not int:
+        return None
+    return node
+
+
+def _parts(node) -> tuple[list, list]:
+    """``node``'s fields, split into the plain ones (ids and symbols, which come
+    first in every class) and those holding nodes: a node or a tuple of terms."""
+    plain, held = [], []
+    for name in node.__slots__:
+        value = getattr(node, name)
+        (held if isinstance(value, (_Node, tuple)) else plain).append(value)
+    return plain, held
+
+
+def _flatten(root) -> tuple:
+    """``root`` and the distinct nodes below it, each after the nodes it holds,
+    as ``(cls, plain fields, held)`` entries; ``held`` gives a node by its
+    place in the list, and a tuple of terms as a tuple of places.  A loop,
+    not a recursion, so any depth flattens."""
+    place: dict = {}
+    entries = []
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in place:
+            stack.pop()
+            continue
+        plain, held = _parts(node)
+        below = [
+            g for h in held for g in (h if isinstance(h, tuple) else (h,)) if g not in place
+        ]
+        if below:
+            stack += below
+            continue
+        stack.pop()
+        place[node] = len(entries)
+        entries.append((type(node), tuple(plain), tuple(
+            tuple(place[g] for g in h) if isinstance(h, tuple) else place[h] for h in held
+        )))
+    return tuple(entries)
+
+
+def _unflatten(entries: tuple):
+    """The last node of a :func:`_flatten` list, built through the constructors."""
+    built = []
+    for cls, plain, held in entries:
+        built.append(cls(*plain, *(
+            tuple(built[i] for i in h) if isinstance(h, tuple) else built[h] for h in held
+        )))
+    return built[-1]
 
 
 def term_vars(t: Term) -> frozenset[int]:

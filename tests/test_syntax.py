@@ -10,6 +10,7 @@ from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofbench import syntax
 from proofbench.parser import MAX_NESTING
@@ -388,6 +389,14 @@ def test_pickle_round_trips_a_formula_at_the_nesting_cap():
     assert pickle.loads(pickle.dumps(f)) is f
 
 
+def test_pickle_round_trips_a_formula_at_the_cap_on_both_counts():
+    # Not^400 over S^400(0) = S^400(0): the pickler once recursed through the
+    # connectives and then the terms, and ran out of stack
+    tall = _successors(MAX_NESTING, Const("0"))
+    f = _stacked(Not, MAX_NESTING, Atom("=", (tall, tall)))
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
 def test_substitute_term_refuses_a_term_past_the_nesting_cap():
     with pytest.raises(ValueError, match="MAX_NESTING"):
         substitute_term(_successors(5000), 1, Const("0"))
@@ -451,3 +460,215 @@ def test_find_gives_none_for_fields_no_node_holds(cls, fields):
     alive = (Var(1), Forall(1, EQ11))  # nodes whose keys equal some of these
     assert syntax.find(cls, *fields) is None
     assert syntax.find(Forall, 1, EQ11) is alive[1]
+
+
+# The generic constructor that the per-class ones replaced, kept as the
+# reference: it validates, then probes and stores through the one table.
+
+
+def _ref_check_var(id):
+    if not (type(id) is int and id >= 1):
+        raise ValueError(id)
+
+
+def _ref_check_symbol(table):
+    def check(symbol, args):
+        arity = table.get(symbol)
+        if arity is None or len(args) != arity:
+            raise ValueError(symbol)
+        if not all(isinstance(a, syntax.Term) for a in args):
+            raise TypeError(args)
+
+    return check
+
+
+def _ref_check_binder(var, body):
+    _ref_check_var(var)
+
+
+def _ref_check_const(name):
+    if name not in syntax.CONSTANTS:
+        raise ValueError(name)
+
+
+def _ref_merge(operands):
+    free, depth = (), 0
+    for g in operands:
+        gfree = g._free
+        if gfree and gfree != free:
+            free = tuple(sorted({*free, *gfree})) if free else gfree
+        if g._depth >= depth:
+            depth = g._depth + 1
+    return free, depth
+
+
+_REF_CHECKS = {
+    Var: _ref_check_var,
+    Const: _ref_check_const,
+    App: _ref_check_symbol(syntax.FUNCTIONS),
+    Atom: _ref_check_symbol(syntax.PREDICATES),
+    Forall: _ref_check_binder,
+    Exists: _ref_check_binder,
+}
+_REF_FACTS = {
+    Var: lambda id: ((id,), 0),
+    Const: lambda name: ((), 0),
+    App: lambda func, args: _ref_merge(args),
+    Atom: lambda pred, args: (_ref_merge(args)[0], 0),
+    Forall: lambda var, body: (tuple(v for v in body._free if v != var), body._depth + 1),
+}
+_REF_FACTS[Exists] = _REF_FACTS[Forall]
+
+
+def _reference_new(cls, *args, **kwargs):
+    names = cls.__slots__
+    if kwargs:
+        args += tuple(kwargs.pop(name) for name in names[len(args) :] if name in kwargs)
+    if kwargs or len(args) != len(names):
+        raise TypeError(f"{cls.__name__}() takes the fields {names}")
+    _REF_CHECKS.get(cls, lambda *fields: None)(*args)
+    key = (cls, *args)
+    node = syntax._TABLE.get(key)
+    if node is None:
+        with syntax._BUILD:
+            node = syntax._TABLE.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(names, args):
+                    object.__setattr__(node, name, value)
+                free, depth = _REF_FACTS.get(cls, lambda *ops: _ref_merge(ops))(*args)
+                object.__setattr__(node, "_free", free)
+                object.__setattr__(node, "_depth", depth)
+                object.__setattr__(node, "_text", None)
+                syntax._TABLE[key] = node
+    return node
+
+
+NODE_CLASSES = [type(c[0]) for c in NODE_CASES]
+_BAD_CALLS = [
+    (Var, (1.0,), {}),
+    (Var, (True,), {}),
+    (Var, (0,), {}),
+    (Var, ([1],), {}),
+    (Const, ("2",), {}),
+    (Const, (["0"],), {}),
+    (App, ("S", (X1, X1)), {}),
+    (App, ("S", [X1]), {}),
+    (App, ("S", (EQ11,)), {}),
+    (App, ("-", (X1,)), {}),
+    (Atom, ("<", (X1,)), {}),
+    (Atom, ("=", [X1, X2]), {}),
+    (Atom, (["="], (X1, X2)), {}),
+    (Not, (), {}),
+    (Not, ([EQ11],), {}),
+    (Not, ("p",), {}),
+    (Implies, (EQ11,), {}),
+    (Implies, (EQ11, LT12, EQ11), {}),
+    (Iff, (EQ11,), {"rigth": LT12}),
+    (And, (EQ11, {}), {}),
+    (Or, ("p", "q"), {}),
+    (Forall, (True, EQ11), {}),
+    (Forall, (1.0, EQ11), {}),
+    (Exists, ("x", EQ11), {}),
+    (Exists, (1, [EQ11]), {}),
+    (Var, (1,), {"id": 1}),
+    (Var, (), {"id": 1, "extra": 2}),
+]
+
+
+_FIELD_FORMULAS, _FIELD_TERMS = formulas(max_depth=3), terms()
+
+
+@st.composite
+def _constructor_calls(draw):
+    """``(cls, args, kwargs)``: a call for a live node, for a node that may be
+    new, or a bad one; the fields after ``args`` go by name."""
+    kind = draw(st.sampled_from(("live", "new", "bad")))
+    if kind == "bad":
+        return draw(st.sampled_from(_BAD_CALLS))
+    if kind == "live":
+        node = draw(st.one_of(_FIELD_FORMULAS, _FIELD_TERMS))
+        cls, values = type(node), [getattr(node, name) for name in type(node).__slots__]
+    else:
+        cls = draw(st.sampled_from(NODE_CLASSES))
+        if cls is Var:
+            values = [draw(st.integers(1, 30_000))]
+        elif cls is Const:
+            values = [draw(st.sampled_from(sorted(syntax.CONSTANTS)))]
+        elif cls in (App, Atom):
+            symbols = syntax.FUNCTIONS if cls is App else syntax.PREDICATES
+            symbol = draw(st.sampled_from(sorted(symbols)))
+            values = [symbol, tuple(draw(_FIELD_TERMS) for _ in range(symbols[symbol]))]
+        elif cls in (Forall, Exists):
+            values = [draw(st.integers(1, 5)), draw(_FIELD_FORMULAS)]
+        else:
+            values = [draw(_FIELD_FORMULAS) for _ in cls.__slots__]
+    split = draw(st.integers(0, len(values)))
+    return cls, tuple(values[:split]), dict(zip(cls.__slots__[split:], values[split:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constructor_calls(), st.booleans())
+def test_constructors_agree_with_the_generic_reference(call, reference_first):
+    cls, args, kwargs = call
+
+    def outcome(build):
+        try:
+            return build(cls, *args, **dict(kwargs))
+        except Exception as e:  # the reference's exception type is the contract
+            return type(e)
+
+    builds = [lambda cls, *a, **k: cls(*a, **k), _reference_new]
+    if reference_first:
+        builds.reverse()
+    first, second = (outcome(build) for build in builds)
+    assert first is second
+    if isinstance(first, syntax._Node):
+        fields_ = [getattr(first, name) for name in cls.__slots__]
+        assert fields_ == [*args, *(kwargs[name] for name in cls.__slots__[len(args) :])]
+        facts = _REF_FACTS.get(cls, lambda *ops: _ref_merge(ops))(*fields_)
+        assert (first._free, first._depth) == facts
+
+
+def test_a_table_hit_calls_no_weak_dictionary_method(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table hit went through WeakValueDictionary")
+
+    for name in ("get", "__getitem__", "__contains__"):
+        monkeypatch.setattr(weakref.WeakValueDictionary, name, refuse)
+    for node, _names, _text in NODE_CASES:
+        cls, values = type(node), [getattr(node, name) for name in type(node).__slots__]
+        assert cls(*values) is node
+        assert syntax.find(cls, *values) is node
+
+
+def test_a_node_that_dies_while_the_table_is_iterated_is_rebuilt_live():
+    body = Atom("<", (Var(20_011), Const("1")))  # an id no other test builds
+    key = (Not, body)
+    neg = Not(body)
+    walk = syntax._TABLE.keys()
+    next(walk)  # the table is being iterated: a removal waits for the end
+    try:
+        del neg
+        assert syntax._TABLE._pending_removals
+        assert syntax._TABLE.data[key]() is None  # a dead reference, still there
+        again = Not(body)
+        assert isinstance(again, Not) and again.body is body
+        assert syntax.find(Not, body) is again
+    finally:
+        walk.close()  # ends the iteration: the deferred removals run
+    assert not syntax._TABLE._pending_removals
+    gc.collect()
+    assert syntax.find(Not, body) is again
+    assert syntax._TABLE.data[key]() is again
+    assert Not(body) is again
+
+
+def test_throwaway_nodes_leave_the_table_as_it_was():
+    body = Atom("=", (Var(20_021), Const("0")))  # an id no other test builds
+    gc.collect()
+    size = len(syntax._TABLE)
+    for k in range(1, 5_001):
+        Implies(body, Forall(k, body))  # two new nodes, dropped at once
+    gc.collect()
+    assert len(syntax._TABLE) == size
