@@ -1,4 +1,4 @@
-"""Claim auditing: judge derivation-chain claims and write replayable reports.
+"""Claim auditing: judge claims and write the reports ``proofs.recheck_report`` replays.
 
 An *audit claim* asserts something about the budget-bounded consequence
 closure of a hypothesis context (named axiom sets plus finitely many named
@@ -60,9 +60,10 @@ from typing import Mapping
 
 from .engine import MAX_DEPTH, Budget, pool_for
 from .engine import check_absolute_consistency, check_traditional_consistency
-from .parser import Memo, ParseError, render
+from .parser import ParseError, render
 from .parser import parse as parse_formula
-from .proofs import Ax, Proof, check_proof, parse_proof_script, render_proof_script
+from .proofs import REFUTED, UNRESOLVED, VERIFIED, _ID_RE, Proof, check_proof, render_proof_script
+from .proofs import recheck_report  # noqa: F401 - re-exported: checks what write_report wrote
 from .schemata import (
     AXIOM_SETS,
     BETA0,
@@ -77,13 +78,7 @@ from .schemata import (
 from .semantics import FALSE, SkeletonLimitError, arith_verdict, lowest_row
 from .syntax import Forall, Formula, Implies, Not
 
-VERIFIED = "VERIFIED"
-REFUTED = "REFUTED"
-UNRESOLVED = "UNRESOLVED"
-
 CLAIM_SHAPES = ("membership", "set-equality", "contradiction", "sanity")
-
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
 class AuditError(ValueError):
@@ -534,100 +529,3 @@ def write_report(report: AuditReport, directory: str | Path) -> Path:
             (root / rel).write_text(content)
     (root / "report.tsv").write_text("\n".join(tsv) + "\n")
     return root
-
-
-#: The detail kinds a report row may name, by status: ``details/<id>.<kind>``.
-_DETAIL_KINDS = {
-    VERIFIED: ("proof", "pos.proof", "eval"),
-    REFUTED: ("valuation", "eval"),
-    UNRESOLVED: ("budget",),
-}
-
-
-def _read_artifact(path: Path, problems: list[str]) -> str | None:
-    """A report file's text, or ``None`` with the reason added to ``problems``."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeError) as exc:
-        problems.append(f"{path.name}: unreadable: {exc}")
-        return None
-
-
-def recheck_report(directory: str | Path) -> list[str]:
-    """Cold-pass re-validation of a written report; a list of problems.
-
-    Each ``report.tsv`` row must name an existing ``details/<claim-id>.<kind>``
-    file whose kind its status allows.  A detail or certificate that is a
-    symlink, or that resolves outside ``details/``, is a problem and is not
-    read.  Every serialized proof certificate is re-parsed and re-checked in
-    strict mode against the axiom sets its ``axiom`` steps name (the shared
-    :data:`~proofbench.schemata.AXIOM_SETS` recognizers), and its conclusion is
-    compared with the recorded goal line.  An empty list means the report
-    replays cleanly.
-    """
-    root = Path(directory)
-    problems: list[str] = []
-    memo: Memo = {}  # shared by every certificate: each span is parsed once
-    tsv_path = root / "report.tsv"
-    if not tsv_path.exists():
-        return [f"missing {tsv_path}"]
-    # every path read is details/<one name>: only a symlink, the file's or
-    # details/'s own, can lead out of the tree
-    details_linked = (root / "details").is_symlink()
-    linked: set[str] = set()  # row details already reported as links
-    for line in (_read_artifact(tsv_path, problems) or "").splitlines():
-        parts = line.split("\t")
-        if len(parts) != 4:
-            problems.append(f"malformed report line: {line!r}")
-            continue
-        cid, status, _steps, detail = parts
-        kinds = _DETAIL_KINDS.get(status)
-        if kinds is None:
-            problems.append(f"{cid}: unknown status {status!r}")
-        elif not (_ID_RE.match(cid) and detail in [f"details/{cid}.{k}" for k in kinds]):
-            want = f"details/{cid}.<{'|'.join(kinds)}>"
-            problems.append(f"{cid}: {status} detail must be {want}, not {detail!r}")
-        elif details_linked or (root / detail).is_symlink():
-            linked.add(detail)
-            problems.append(f"{cid}: detail {detail} is a symlink or resolves outside details/")
-        elif not (root / detail).is_file():
-            problems.append(f"{cid}: missing detail file {detail}")
-    for proof_path in sorted(root.glob("details/*.proof")):
-        if details_linked or proof_path.is_symlink():
-            if f"details/{proof_path.name}" not in linked:
-                problems.append(f"{proof_path.name}: is a symlink or resolves outside details/")
-            continue
-        text = _read_artifact(proof_path, problems)
-        if text is None:
-            continue
-        goal: Formula | None = None
-        first = text.partition("\n")[0]
-        if first.startswith("# goal "):
-            try:
-                goal = parse_formula(first[len("# goal ") :], memo)
-            except ParseError as exc:
-                problems.append(f"{proof_path.name}: bad goal line: {exc}")
-        try:
-            proof = parse_proof_script(text, memo)
-        except Exception as exc:  # noqa: BLE001 - report, not crash
-            problems.append(f"{proof_path.name}: does not parse: {exc}")
-            continue
-        if not proof.steps:
-            problems.append(f"{proof_path.name}: certificate has no steps")
-            continue
-        set_names = {
-            step.just.set_name for step in proof.steps if isinstance(step.just, Ax)
-        }
-        try:
-            recognizers = tuple(axiom_set(n) for n in sorted(set_names))
-        except ValueError as exc:
-            problems.append(f"{proof_path.name}: {exc}")
-            continue
-        result = check_proof(proof, recognizers, strict=True)
-        if not result.ok:
-            problems.append(
-                f"{proof_path.name}: fails re-check at step {result.step}: {result.reason}"
-            )
-        elif goal is not None and proof.conclusion != goal:
-            problems.append(f"{proof_path.name}: conclusion differs from recorded goal")
-    return problems

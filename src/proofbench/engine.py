@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .parser import render
-from .proofs import Derivation, Proof, ProofBuilder, check_proof, conclude, covering_set
+from .proofs import Proof, check_proof
 from .schemata import NAMED_FORMULAS, AxiomSetRecognizer
 from .syntax import (
     MAX_NESTING,
@@ -42,7 +42,11 @@ from .syntax import (
     is_sentence,
 )
 from .transforms import (
+    Derivation,
+    ProofBuilder,
     TransformError,
+    conclude,
+    covering_set,
     derive_andel,
     derive_andintro,
     derive_dnelim,

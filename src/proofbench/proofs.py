@@ -1,11 +1,12 @@
-"""Proof objects, the checking kernel, and the plain-text proof script format.
+"""The trust root: proof objects, the checker, the script format, the recheck.
 
 A proof is a numbered list of steps over a fixed list of named hypotheses.
 Each step carries a formula and a justification: hypothesis by name, axiom by
 set name, modus ponens from two earlier steps, or generalization over a
 variable.  :func:`check_proof` validates every step against a list of axiom-set
 recognizers; in strict mode it also refuses generalization over a variable
-free in a hypothesis the step depends on.
+free in a hypothesis the step depends on.  :func:`check_certificate` checks a
+proof against the sets its own steps cite.
 
 Scripts serialize proofs one step per line::
 
@@ -15,15 +16,20 @@ Scripts serialize proofs one step per line::
     3. ...                                         ; gen 2 x2
 
 ``#`` comments and blank lines are allowed anywhere.
+
+:func:`recheck_report` re-validates a written audit report tree.  This module
+and the three it imports (``syntax``, ``parser``, ``schemata``) are all a
+re-check runs; proofs are built elsewhere (:mod:`proofbench.transforms`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 from .parser import Memo, ParseError, parse, render
-from .schemata import AxiomSetRecognizer
+from .schemata import AxiomSetRecognizer, axiom_set
 from .syntax import Forall, Formula, Implies, NestingError, free_vars
 
 
@@ -58,11 +64,6 @@ class Gen:
 
 
 Justification = Hyp | Ax | Mp | Gen
-
-#: A logged step: number, formula, and Hyp | Ax, or the steps mp (i, j) or gen (i,) cites
-Record = tuple[int, Formula, Hyp | Ax | tuple[int, ...]]
-#: A builder and one of its step numbers: the proof of that step, not yet concluded
-Derivation = tuple["ProofBuilder", int]
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,13 @@ def check_proof(
     return CheckResult(True, warnings=tuple(warnings))
 
 
+def check_certificate(proof: Proof, strict: bool) -> CheckResult:
+    """:func:`check_proof` against the sets ``proof`` cites, looked up in step
+    order by :func:`~proofbench.schemata.axiom_set`: an unknown name raises."""
+    names = dict.fromkeys(s.just.set_name for s in proof.steps if isinstance(s.just, Ax))
+    return check_proof(proof, tuple(axiom_set(n) for n in names), strict)
+
+
 # -- script format ------------------------------------------------------
 
 
@@ -305,123 +313,100 @@ def render_proof_script(proof: Proof) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- incremental construction ------------------------------------------
+# -- report recheck ------------------------------------------------------
+
+VERIFIED = "VERIFIED"
+REFUTED = "REFUTED"
+UNRESOLVED = "UNRESOLVED"
+
+_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+
+#: The detail kinds a report row may name, by status: ``details/<id>.<kind>``.
+_DETAIL_KINDS = {
+    VERIFIED: ("proof", "pos.proof", "eval"),
+    REFUTED: ("valuation", "eval"),
+    UNRESOLVED: ("budget",),
+}
 
 
-def covering_set(formula: Formula, axioms: Sequence[AxiomSetRecognizer]) -> str | None:
-    """The name of the first recognizer in ``axioms`` that contains ``formula``,
-    or None: the set a builder cites for an axiom step."""
-    for r in axioms:
-        if r.contains(formula):
-            return r.name
-    return None
+def _read_artifact(path: Path, problems: list[str]) -> str | None:
+    """A report file's text, or ``None`` with the reason added to ``problems``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        problems.append(f"{path.name}: unreadable: {exc}")
+        return None
 
 
-class ProofBuilder:
-    """Grow a proof step by step, reusing steps that restate a formula.
+def recheck_report(directory: str | Path) -> list[str]:
+    """Cold-pass re-validation of a written report; a list of problems.
 
-    :meth:`add_axiom` cites the first recognizer in ``axioms`` that contains
-    the formula (:func:`covering_set`).  Each step is kept as a
-    ``(formula, justification)`` pair: an ``mp`` or ``gen`` step holds the
-    builder step numbers it cites as a plain tuple, and hypothesis and axiom
-    records are shared (one :class:`Ax` per set name, and a replayed step
-    keeps its input's record).  ``prove`` passes a builder and a step number,
-    a :data:`Derivation`, between levels; :meth:`records` reads it back.  The
-    :class:`ProofStep`, :class:`Mp` and :class:`Gen` records are made when a
-    proof is read: :meth:`proof` returns every step logged, and
-    :func:`conclude` the proof of one step, once per ``prove``.
+    Each ``report.tsv`` row must name an existing ``details/<claim-id>.<kind>``
+    file whose kind its status allows.  A detail or certificate that is a
+    symlink, or that resolves outside ``details/``, is a problem and is not
+    read.  Every serialized proof certificate is re-parsed and re-checked in
+    strict mode by :func:`check_certificate`, against the axiom sets its
+    ``axiom`` steps name, and its conclusion is compared with the recorded
+    goal line.  An empty list means the report replays cleanly.
     """
-
-    def __init__(
-        self,
-        hypotheses: tuple[tuple[str, Formula], ...] = (),
-        axioms: Sequence[AxiomSetRecognizer] = (),
-    ) -> None:
-        self.hypotheses = hypotheses
-        self.axioms = axioms
-        # (formula, Hyp | Ax | (i, j) for mp | (i,) for gen), step k at k - 1
-        self._log: list[tuple[Formula, Hyp | Ax | tuple[int, ...]]] = []
-        self._index_of: dict[Formula, int] = {}
-        self._ax: dict[str, Ax] = {}
-
-    def _add(self, formula: Formula, just: Hyp | Ax | tuple[int, ...]) -> int:
-        idx = self._index_of.get(formula)
-        if idx is None:
-            self._log.append((formula, just))
-            self._index_of[formula] = idx = len(self._log)
-        return idx
-
-    def idx_of(self, formula: Formula) -> int | None:
-        return self._index_of.get(formula)
-
-    def formula(self, idx: int) -> Formula:
-        return self._log[idx - 1][0]
-
-    def add_hyp(self, name: str) -> int:
-        for n, f in self.hypotheses:
-            if n == name:
-                return self._add(f, Hyp(name))
-        raise KeyError(f"unknown hypothesis {name!r}")
-
-    def add_axiom(self, formula: Formula) -> int:
-        set_name = covering_set(formula, self.axioms)
-        if set_name is None:
-            raise ValueError(f"no axiom set covers: {render(formula)}")
-        return self.add_axiom_named(formula, set_name)
-
-    def add_axiom_named(self, formula: Formula, set_name: str) -> int:
-        ax = self._ax.get(set_name)
-        if ax is None:
-            ax = self._ax[set_name] = Ax(set_name)
-        return self._add(formula, ax)
-
-    def add_cited(self, formula: Formula, just: Hyp | Ax) -> int:
-        """Log ``formula`` under the hypothesis or axiom record ``just``, as
-        it is: a replayed step shares its input's record."""
-        return self._add(formula, just)
-
-    def add_mp(self, i: int, j: int) -> int:
-        major = self.formula(j)
-        if not (isinstance(major, Implies) and major.left == self.formula(i)):
-            raise ValueError(f"step {j} is not (step {i} -> _)")
-        return self._add(major.right, (i, j))
-
-    def add_gen(self, i: int, var: int) -> int:
-        # the variable is the new formula's own binder
-        return self._add(Forall(var, self.formula(i)), (i,))
-
-    def proof(self) -> Proof:
-        return self._proof([(k, *step) for k, step in enumerate(self._log, 1)])
-
-    def records(self, idx: int) -> list[Record]:
-        """The steps step ``idx`` depends on, as logged, ascending.  Every
-        premise precedes the step that cites it, so one backward pass marks them."""
-        log = self._log
-        used = [False] * (idx + 1)
-        used[idx] = True
-        for k in range(idx, 0, -1):
-            if used[k]:
-                just = log[k - 1][1]
-                if type(just) is tuple:
-                    for premise in just:
-                        used[premise] = True
-        return [(k, *log[k - 1]) for k in range(1, idx + 1) if used[k]]
-
-    def _proof(self, records: Sequence[Record]) -> Proof:
-        """The steps ``records``, ascending, renumbered 1, 2, ... in order."""
-        new = [0] * (len(self._log) + 1)  # builder step number -> output step number
-        steps = []
-        for k, formula, just in records:
-            n = new[k] = len(steps) + 1
-            if type(just) is tuple:
-                if len(just) == 2:
-                    just = Mp(new[just[0]], new[just[1]])
-                else:
-                    just = Gen(new[just[0]], formula.var)
-            steps.append(ProofStep(n, formula, just))
-        return Proof(self.hypotheses, tuple(steps))
-
-
-def conclude(b: ProofBuilder, idx: int) -> Proof:
-    """The proof of step ``idx``: the steps it depends on, renumbered in order."""
-    return b._proof(b.records(idx))
+    root = Path(directory)
+    problems: list[str] = []
+    memo: Memo = {}  # shared by every certificate: each span is parsed once
+    tsv_path = root / "report.tsv"
+    if not tsv_path.exists():
+        return [f"missing {tsv_path}"]
+    # every path read is details/<one name>: only a symlink, the file's or
+    # details/'s own, can lead out of the tree
+    details_linked = (root / "details").is_symlink()
+    linked: set[str] = set()  # row details already reported as links
+    for line in (_read_artifact(tsv_path, problems) or "").splitlines():
+        parts = line.split("\t")
+        if len(parts) != 4:
+            problems.append(f"malformed report line: {line!r}")
+            continue
+        cid, status, _steps, detail = parts
+        kinds = _DETAIL_KINDS.get(status)
+        if kinds is None:
+            problems.append(f"{cid}: unknown status {status!r}")
+        elif not (_ID_RE.match(cid) and detail in [f"details/{cid}.{k}" for k in kinds]):
+            want = f"details/{cid}.<{'|'.join(kinds)}>"
+            problems.append(f"{cid}: {status} detail must be {want}, not {detail!r}")
+        elif details_linked or (root / detail).is_symlink():
+            linked.add(detail)
+            problems.append(f"{cid}: detail {detail} is a symlink or resolves outside details/")
+        elif not (root / detail).is_file():
+            problems.append(f"{cid}: missing detail file {detail}")
+    for proof_path in sorted(root.glob("details/*.proof")):
+        if details_linked or proof_path.is_symlink():
+            if f"details/{proof_path.name}" not in linked:
+                problems.append(f"{proof_path.name}: is a symlink or resolves outside details/")
+            continue
+        text = _read_artifact(proof_path, problems)
+        if text is None:
+            continue
+        goal: Formula | None = None
+        first = text.partition("\n")[0]
+        if first.startswith("# goal "):
+            try:
+                goal = parse(first[len("# goal ") :], memo)
+            except ParseError as exc:
+                problems.append(f"{proof_path.name}: bad goal line: {exc}")
+        try:
+            proof = parse_proof_script(text, memo)
+        except Exception as exc:  # noqa: BLE001 - report, not crash
+            problems.append(f"{proof_path.name}: does not parse: {exc}")
+            continue
+        if not proof.steps:
+            problems.append(f"{proof_path.name}: certificate has no steps")
+            continue
+        try:
+            result = check_certificate(proof, strict=True)
+        except ValueError as exc:
+            problems.append(f"{proof_path.name}: {exc}")
+            continue
+        if not result.ok:
+            at = "" if result.step is None else f" at step {result.step}"
+            problems.append(f"{proof_path.name}: fails re-check{at}: {result.reason}")
+        elif goal is not None and proof.conclusion != goal:
+            problems.append(f"{proof_path.name}: conclusion differs from recorded goal")
+    return problems

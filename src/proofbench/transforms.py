@@ -1,11 +1,11 @@
-"""Derived inference templates and constructive proof transforms.
+"""The proof builder, derived inference templates and constructive proof transforms.
 
-The templates append concrete axiom/modus-ponens step sequences to a
-:class:`~proofbench.proofs.ProofBuilder` and return the index of the derived
-line; because the builder reuses steps that restate a formula, nesting
-templates stays linear.  Everything here bottoms out in the twelve logical
-schemata plus modus ponens and generalization, so the results go straight
-through the kernel checker.
+:class:`ProofBuilder` grows a proof; :func:`conclude` returns the proof of one
+of its steps.  The templates append axiom/modus-ponens step sequences to a
+builder and return the index of the derived line; because the builder reuses
+steps that restate a formula, nesting templates stays linear.  Everything here
+bottoms out in the twelve logical schemata plus modus ponens and
+generalization, so the results go straight through the checker in ``proofs``.
 
 The transforms rebuild whole proofs:
 
@@ -31,18 +31,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .proofs import (  # conclude is re-exported: the transforms finish with it
-    Ax,
-    Derivation,
-    Gen,
-    Hyp,
-    Mp,
-    Proof,
-    ProofBuilder,
-    Record,
-    check_proof,
-    conclude,
-)
+from .parser import render
+from .proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep, check_proof
 from .schemata import (
     AxiomSetRecognizer,
     phi1_instance,
@@ -58,11 +48,139 @@ from .schemata import (
     phi11_instance,  # unused here; transforms re-exports all twelve
     phi12_instance,
 )
-from .syntax import And, Formula, Implies, Not, Or, is_sentence
+from .syntax import And, Forall, Formula, Implies, Not, Or, is_sentence
 
 
 class TransformError(ValueError):
     """Raised when a transform's precondition fails (e.g. capture on discharge)."""
+
+
+# -- incremental construction ------------------------------------------
+
+
+#: A logged step: number, formula, and Hyp | Ax, or the steps mp (i, j) or gen (i,) cites
+Record = tuple[int, Formula, Hyp | Ax | tuple[int, ...]]
+#: A builder and one of its step numbers: the proof of that step, not yet concluded
+Derivation = tuple["ProofBuilder", int]
+
+
+def covering_set(formula: Formula, axioms: Sequence[AxiomSetRecognizer]) -> str | None:
+    """The name of the first recognizer in ``axioms`` that contains ``formula``,
+    or None: the set a builder cites for an axiom step."""
+    for r in axioms:
+        if r.contains(formula):
+            return r.name
+    return None
+
+
+class ProofBuilder:
+    """Grow a proof step by step, reusing steps that restate a formula.
+
+    :meth:`add_axiom` cites the first recognizer in ``axioms`` that contains
+    the formula (:func:`covering_set`).  Each step is kept as a
+    ``(formula, justification)`` pair: an ``mp`` or ``gen`` step holds the
+    builder step numbers it cites as a plain tuple, and hypothesis and axiom
+    records are shared (one :class:`Ax` per set name, and a replayed step
+    keeps its input's record).  ``prove`` passes a builder and a step number,
+    a :data:`Derivation`, between levels; :meth:`records` reads it back.  The
+    :class:`ProofStep`, :class:`Mp` and :class:`Gen` records are made when a
+    proof is read: :meth:`proof` returns every step logged, and
+    :func:`conclude` the proof of one step, once per ``prove``.
+    """
+
+    def __init__(
+        self,
+        hypotheses: tuple[tuple[str, Formula], ...] = (),
+        axioms: Sequence[AxiomSetRecognizer] = (),
+    ) -> None:
+        self.hypotheses = hypotheses
+        self.axioms = axioms
+        # (formula, Hyp | Ax | (i, j) for mp | (i,) for gen), step k at k - 1
+        self._log: list[tuple[Formula, Hyp | Ax | tuple[int, ...]]] = []
+        self._index_of: dict[Formula, int] = {}
+        self._ax: dict[str, Ax] = {}
+
+    def _add(self, formula: Formula, just: Hyp | Ax | tuple[int, ...]) -> int:
+        idx = self._index_of.get(formula)
+        if idx is None:
+            self._log.append((formula, just))
+            self._index_of[formula] = idx = len(self._log)
+        return idx
+
+    def idx_of(self, formula: Formula) -> int | None:
+        return self._index_of.get(formula)
+
+    def formula(self, idx: int) -> Formula:
+        return self._log[idx - 1][0]
+
+    def add_hyp(self, name: str) -> int:
+        for n, f in self.hypotheses:
+            if n == name:
+                return self._add(f, Hyp(name))
+        raise KeyError(f"unknown hypothesis {name!r}")
+
+    def add_axiom(self, formula: Formula) -> int:
+        set_name = covering_set(formula, self.axioms)
+        if set_name is None:
+            raise ValueError(f"no axiom set covers: {render(formula)}")
+        return self.add_axiom_named(formula, set_name)
+
+    def add_axiom_named(self, formula: Formula, set_name: str) -> int:
+        ax = self._ax.get(set_name)
+        if ax is None:
+            ax = self._ax[set_name] = Ax(set_name)
+        return self._add(formula, ax)
+
+    def add_cited(self, formula: Formula, just: Hyp | Ax) -> int:
+        """Log ``formula`` under the hypothesis or axiom record ``just``, as
+        it is: a replayed step shares its input's record."""
+        return self._add(formula, just)
+
+    def add_mp(self, i: int, j: int) -> int:
+        major = self.formula(j)
+        if not (isinstance(major, Implies) and major.left == self.formula(i)):
+            raise ValueError(f"step {j} is not (step {i} -> _)")
+        return self._add(major.right, (i, j))
+
+    def add_gen(self, i: int, var: int) -> int:
+        # the variable is the new formula's own binder
+        return self._add(Forall(var, self.formula(i)), (i,))
+
+    def proof(self) -> Proof:
+        return self._proof([(k, *step) for k, step in enumerate(self._log, 1)])
+
+    def records(self, idx: int) -> list[Record]:
+        """The steps step ``idx`` depends on, as logged, ascending.  Every
+        premise precedes the step that cites it, so one backward pass marks them."""
+        log = self._log
+        used = [False] * (idx + 1)
+        used[idx] = True
+        for k in range(idx, 0, -1):
+            if used[k]:
+                just = log[k - 1][1]
+                if type(just) is tuple:
+                    for premise in just:
+                        used[premise] = True
+        return [(k, *log[k - 1]) for k in range(1, idx + 1) if used[k]]
+
+    def _proof(self, records: Sequence[Record]) -> Proof:
+        """The steps ``records``, ascending, renumbered 1, 2, ... in order."""
+        new = [0] * (len(self._log) + 1)  # builder step number -> output step number
+        steps = []
+        for k, formula, just in records:
+            n = new[k] = len(steps) + 1
+            if type(just) is tuple:
+                if len(just) == 2:
+                    just = Mp(new[just[0]], new[just[1]])
+                else:
+                    just = Gen(new[just[0]], formula.var)
+            steps.append(ProofStep(n, formula, just))
+        return Proof(self.hypotheses, tuple(steps))
+
+
+def conclude(b: ProofBuilder, idx: int) -> Proof:
+    """The proof of step ``idx``: the steps it depends on, renumbered in order."""
+    return b._proof(b.records(idx))
 
 
 # -- derived-rule templates ---------------------------------------------

@@ -20,7 +20,7 @@ import random
 from hypothesis import strategies as st
 
 from proofbench.parser import parse
-from proofbench.proofs import Gen, Mp, Proof, ProofBuilder
+from proofbench.proofs import Gen, Mp, Proof
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import (
     And,
@@ -37,6 +37,7 @@ from proofbench.syntax import (
     universal_closure,
 )
 from proofbench.transforms import (
+    ProofBuilder,
     derive_andintro,
     derive_dnintro,
     derive_identity,

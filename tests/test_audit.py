@@ -398,6 +398,22 @@ def test_recheck_flags_empty_certificate(tmp_path, reports):
     assert recheck_report(d) == ["x.proof: certificate has no steps"]
 
 
+def test_recheck_failure_at_no_step_names_no_step(tmp_path, reports):
+    d = tmp_path / "dup-hyp"
+    write_report(reports["lemma-4.2"], d)
+    (d / "details" / "x.proof").write_text("hyp h1 0 = 0\nhyp h1 1 = 1\n1. 0 = 0 ; hyp h1\n")
+    assert recheck_report(d) == ["x.proof: fails re-check: duplicate hypothesis name"]
+
+
+def test_recheck_names_the_first_unknown_set_a_certificate_cites(tmp_path, reports):
+    d = tmp_path / "unknown-sets"
+    write_report(reports["lemma-4.2"], d)
+    (d / "details" / "x.proof").write_text(
+        "1. 0 = 0 ; axiom Zz\n2. 1 = 1 ; axiom Aa\n"
+    )
+    assert recheck_report(d) == ["x.proof: unknown axiom set 'Zz'"]
+
+
 def test_recheck_flags_a_detail_path_that_leaves_the_tree(tmp_path, reports):
     d = tmp_path / "tree"
     write_report(reports["corollary-4.4"], d)

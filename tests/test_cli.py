@@ -84,6 +84,12 @@ def test_check_rejects_a_proof_with_no_steps(tmp_path):
     assert run_cli("check", str(p)) == (1, "FAIL: proof has no steps\n", "")
 
 
+def test_check_failure_at_no_step_names_no_step(tmp_path):
+    p = tmp_path / "dup.txt"
+    p.write_text("hyp h1 0 = 0\nhyp h1 1 = 1\n1. 0 = 0 ; hyp h1\n")
+    assert run_cli("check", str(p)) == (1, "FAIL: duplicate hypothesis name\n", "")
+
+
 def test_check_takes_no_axioms_option(tmp_path):
     # check replays a proof against the sets its steps cite, so it takes none
     p = tmp_path / "p.txt"

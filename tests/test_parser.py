@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proofbench.parser import MAX_NESTING, ParseError, parse, parse_term, render, render_term
-from proofbench.proofs import ProofBuilder, check_proof, parse_proof_script
+from proofbench.proofs import check_proof, parse_proof_script
 from proofbench.schemata import axiom_set
 from proofbench.semantics import is_tautology
 from proofbench.syntax import (
@@ -24,7 +24,7 @@ from proofbench.syntax import (
     Var,
     substitute,
 )
-from proofbench.transforms import deduction_transform, phi4_instance
+from proofbench.transforms import ProofBuilder, deduction_transform, phi4_instance
 
 from strategies import formulas, terms
 

@@ -12,16 +12,16 @@ from proofbench.proofs import (
     Hyp,
     Mp,
     Proof,
-    ProofBuilder,
     ProofStep,
     ScriptError,
+    check_certificate,
     check_proof,
     parse_proof_script,
     render_proof_script,
 )
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import MAX_NESTING, App, Atom, Const, Forall, Implies, Not, Var
-from proofbench.transforms import phi4_instance
+from proofbench.transforms import ProofBuilder, phi4_instance
 
 from strategies import random_proof
 
@@ -295,3 +295,11 @@ def test_check_proof_takes_an_axiom_step_at_the_nesting_cap():
         assert check_proof(_one_axiom_step(f), L12).ok
     past = _phi11_under_negations(MAX_NESTING + 1)
     assert check_proof(_one_axiom_step(past), L12).reason == "too-deep"
+
+
+def test_check_certificate_looks_up_the_cited_sets_in_step_order():
+    ok = parse_proof_script("1. 0 = 0 -> 0 = 0 -> 0 = 0 ; axiom L12\n")
+    assert check_certificate(ok, strict=True) == check_proof(ok, L12, strict=True)
+    bad = parse_proof_script("1. 0 = 0 ; axiom Zz\n2. 1 = 1 ; axiom Aa\n")
+    with pytest.raises(ValueError, match="unknown axiom set 'Zz'"):
+        check_certificate(bad, strict=False)

@@ -14,7 +14,6 @@ from proofbench.proofs import (
     Hyp,
     Mp,
     Proof,
-    ProofBuilder,
     ProofStep,
     check_proof,
     render_proof_script,
@@ -22,6 +21,7 @@ from proofbench.proofs import (
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import And, Forall, Implies, Not, Or
 from proofbench.transforms import (
+    ProofBuilder,
     TransformError,
     conclude,
     deduction_transform,

@@ -1,0 +1,52 @@
+"""The trust root: ``proofs`` and the three modules it imports.
+
+A re-check runs only ``syntax``, ``parser``, ``schemata`` and ``proofs``.
+Each test runs in a fresh interpreter, so no module another test imported
+is counted.
+"""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+from proofbench import audit, proofs
+from proofbench.audit import run_audit, write_report
+from proofbench.engine import Budget
+from proofbench.scripts import builtin_claims
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = ["proofbench", "proofbench.parser", "proofbench.proofs", "proofbench.schemata",
+        "proofbench.syntax"]
+_SHOW = "import sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'proofbench'))\n"
+
+
+def _loaded(code: str, *argv: str) -> tuple[str, list[str]]:
+    """What ``code`` prints in a fresh interpreter, and the ``proofbench``
+    modules loaded after it ran."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + _SHOW, *argv],
+        capture_output=True,
+        text=True,
+        cwd=SRC,  # imports the checkout's package
+    )
+    assert proc.returncode == 0, proc.stderr
+    *printed, modules = proc.stdout.splitlines()
+    return "\n".join(printed), ast.literal_eval(modules)
+
+
+def test_importing_proofs_loads_only_the_trust_root():
+    assert _loaded("import proofbench.proofs\n") == ("", ROOT)
+
+
+def test_cli_check_loads_only_the_trust_root_and_cli(tmp_path):
+    write_report(run_audit("lemma-4.2", builtin_claims("lemma-4.2"), Budget()), tmp_path)
+    certificate = tmp_path / "details" / "s15-m01.proof"
+    code = "import sys\nfrom proofbench.cli import main\nprint(main(['check', sys.argv[1], '--strict']))\n"
+    printed, modules = _loaded(code, str(certificate))
+    assert printed.startswith("ok ") and printed.endswith("\n0")
+    assert modules == sorted(ROOT + ["proofbench.cli"])
+
+
+def test_audit_recheck_report_is_the_trust_roots():
+    assert audit.recheck_report is proofs.recheck_report
