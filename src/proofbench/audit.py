@@ -115,6 +115,10 @@ class AuditClaim:
         for name in self.axiom_names:
             if name not in AXIOM_SETS:
                 raise AuditError(f"claim {self.claim_id}: unknown axiom set {name!r}")
+        names = [name for name, _ in self.hypotheses]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise AuditError(f"claim {self.claim_id}: repeated hypothesis {name!r}")
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,7 @@ def _strict_check(proofs: tuple[Proof, ...], axioms: tuple[AxiomSetRecognizer, .
         if not result.ok:
             raise AuditError(
                 f"internal: engine produced a proof that fails the strict kernel "
-                f"check at step {result.step}: {result.reason}"
+                f"check{result.at}: {result.reason}"
             )
     return sum(len(proof.steps) for proof in proofs)
 

@@ -37,20 +37,22 @@ The module imports only the trust root (``syntax``, ``parser``, ``schemata``,
 ``proofs``); each other verb imports the modules it runs, so ``check`` loads
 nothing that builds or searches for proofs.
 
-Exit codes: 0 success, 1 check/refutation failure, 2 usage error,
-3 no proof found (``prove``) or no fixpoint within budget (``closure``).
+Exit codes: 0 success, 1 check/refutation failure, 2 usage or input error
+(a formula past ``MAX_NESTING`` included), 3 no proof found (``prove``) or
+no fixpoint within budget (``closure``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .parser import ParseError, parse, render
 from .proofs import check_certificate, parse_proof_script, render_proof_script
 from .schemata import AXIOM_SET_NAMES, axiom_set
-from .syntax import free_vars
+from .syntax import NestingError, free_vars
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -71,6 +73,15 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path}: not UTF-8 text ({e.reason})") from e
 
 
+@contextmanager
+def _writing(path: str):
+    """Report an ``OSError`` the block raises as a failure to write ``path``."""
+    try:
+        yield
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def _parse_formula(text: str) -> "object":
     try:
         return parse(text)
@@ -89,7 +100,8 @@ def _recognizers(raw: list[str] | None):
 
 
 def _load_hypotheses(path: str | None) -> tuple[tuple[str, "object"], ...]:
-    """Read hypotheses, one per line: either a bare formula or ``name formula``."""
+    """Read hypotheses, one per line: a formula, named ``h1``, ``h2``, ... in
+    turn, or ``name formula``, where the name is an identifier."""
     if path is None:
         return ()
     hyps: list[tuple[str, object]] = []
@@ -99,12 +111,13 @@ def _load_hypotheses(path: str | None) -> tuple[tuple[str, "object"], ...]:
         if not line:
             continue
         try:
+            hyps.append((f"h{auto + 1}", parse(line)))
             auto += 1
-            hyps.append((f"h{auto}", parse(line)))
             continue
-        except ParseError:
-            auto -= 1
-        parts = line.split(None, 1)
+        except ParseError as e:
+            parts = line.split(None, 1)
+            if not parts[0].isidentifier():
+                raise _UsageError(f"{path}:{lineno}: bad formula: {e}") from e
         if len(parts) != 2:
             raise _UsageError(f"{path}:{lineno}: expected a formula or 'name formula'")
         name, ftext = parts
@@ -179,7 +192,8 @@ def _cmd_closure(args: argparse.Namespace, out, err) -> int:
     state = bounded_closure(hyps, axioms, _budget(args))
     if args.dump is not None:
         lines = [render(f) for f in state.formulas]
-        Path(args.dump).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with _writing(args.dump):
+            Path(args.dump).write_text("\n".join(lines) + "\n", encoding="utf-8")
     fixpoint = "yes" if state.report.fixpoint else "no"
     print(
         f"derived {len(state)} formulas in {state.report.steps_expended} steps; "
@@ -242,7 +256,9 @@ def _cmd_audit(args: argparse.Namespace, out, err) -> int:
         raise _UsageError(str(e)) from e
     print(render_report_text(report), end="", file=out)
     if args.report is not None:
-        print(f"report written to {write_report(report, args.report)}", file=err)
+        with _writing(args.report):
+            root = write_report(report, args.report)
+        print(f"report written to {root}", file=err)
     return EXIT_OK
 
 
@@ -338,7 +354,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             parser.print_help(err)
             return EXIT_USAGE
         return args.run(args, out, err)
-    except _UsageError as e:
+    except (_UsageError, NestingError) as e:
         print(f"error: {e}", file=err)
         return EXIT_USAGE
 

@@ -23,11 +23,10 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .parser import render
+from .parser import parse, render
 from .proofs import Proof, check_proof
 from .schemata import NAMED_FORMULAS, AxiomSetRecognizer
 from .syntax import (
-    MAX_NESTING,
     And,
     Exists,
     Forall,
@@ -68,6 +67,31 @@ from .transforms import (
 
 #: The connective depth no derived formula may exceed.
 MAX_DEPTH = 40
+
+
+#: An instance of each logical schema, phi1 to phi12 in turn.
+LOGIC_SAMPLES = (
+    "(0 = 0 -> 1 = 1 -> 0 < 1) -> (0 = 0 -> 1 = 1) -> 0 = 0 -> 0 < 1",
+    "(~(0 = 0) -> 0 = 0) -> 0 = 0",
+    "~(0 = 0) -> 0 = 0 -> 1 = 1",
+    "0 = 0 -> 1 = 1 -> 0 = 0",
+    "0 = 0 /\\ 1 = 1 -> 0 = 0",
+    "0 = 0 /\\ 1 = 1 -> 1 = 1",
+    "0 = 0 -> 1 = 1 -> 0 = 0 /\\ 1 = 1",
+    "0 = 0 -> 0 = 0 \\/ 1 = 1",
+    "1 = 1 -> 0 = 0 \\/ 1 = 1",
+    "(0 = 0 -> 1 = 1) -> (0 < 1 -> 1 = 1) -> 0 = 0 \\/ 0 < 1 -> 1 = 1",
+    "(Ax1)(x1 = x1) -> 0 = 0",
+    "(Ax1)(0 = 0 -> x1 = x1) -> 0 = 0 -> (Ax1)(x1 = x1)",
+)
+
+
+@lru_cache(maxsize=16)
+def covers_logic(axioms: tuple[AxiomSetRecognizer, ...]) -> bool:
+    """Whether ``axioms`` hold the logical schemata, which the derived rules'
+    templates cite: whether some recognizer holds each of :data:`LOGIC_SAMPLES`.
+    Without them the closure and :func:`prove` apply only mp and gen."""
+    return all(covering_set(parse(text), axioms) is not None for text in LOGIC_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -218,14 +242,7 @@ def _named_hyps(X) -> tuple[tuple[str, Formula], ...]:
 
 
 def _add_subformulas(found: dict[Formula, None], f: Formula) -> None:
-    """Add ``f`` and its subformulas to ``found``, skipping shared subtrees.
-
-    Raises ValueError where connectives, or the terms of an atom, nest
-    more than :data:`~proofbench.syntax.MAX_NESTING` deep, as parsed text
-    may not: the pool's render order recurses once per level.
-    """
-    if connective_depth(f) > MAX_NESTING:
-        raise ValueError(f"formula nests more than {MAX_NESTING} deep")
+    """Add ``f`` and its subformulas to ``found``, skipping shared subtrees."""
     stack = [f]
     while stack:
         g = stack.pop()
@@ -237,8 +254,6 @@ def _add_subformulas(found: dict[Formula, None], f: Formula) -> None:
             stack.append(g.left)
         elif isinstance(g, (Not, Forall, Exists)):
             stack.append(g.body)
-        elif any(t._depth > MAX_NESTING for t in g.args):  # a term's depth is its height
-            raise ValueError(f"formula nests more than {MAX_NESTING} deep")
 
 
 def _generate(found: dict[Formula, None], axioms: tuple[AxiomSetRecognizer, ...]) -> None:
@@ -418,6 +433,7 @@ class _Saturation:
         self.budget = budget
         self.goal = goal
         self.pool = pool_for(tuple(f for _, f in hypotheses), axioms, goal)
+        self.templates = covers_logic(axioms)
         self.hyps_by_name = dict(hypotheses)
         self.entries: dict[Formula, _Entry] = {}
         self.frontier: deque[Formula] = deque()
@@ -479,7 +495,7 @@ class _Saturation:
         while self.frontier and not self.spent():
             f = self.frontier.popleft()
             self.expand(f)
-            if self.contradiction is not None and self.goal is not None:
+            if self.contradiction is not None and self.goal is not None and self.templates:
                 a, na = self.contradiction
                 if self.goal not in self.entries and self.allowed(self.goal):
                     deps = self.entries[a].hyp_deps | self.entries[na].hyp_deps
@@ -512,6 +528,15 @@ class _Saturation:
                     ("mp", f, major),
                     deps | self.entries[major].hyp_deps,
                 )
+        if self.templates:
+            self.derived_rules(f, deps)
+        for quant in self.pool.all_by_body.get(f, ()):
+            if any(quant.var in free_vars(self.hyps_by_name[n]) for n in deps):
+                continue
+            self.add(quant, ("gen", f, quant.var), deps)
+
+    def derived_rules(self, f: Formula, deps: frozenset[str]) -> None:
+        """Apply the rules that take ``f`` and finish through a template."""
         # decompositions
         if isinstance(f, Not) and isinstance(f.body, Implies):
             if self.allowed(f.body.left):
@@ -550,10 +575,6 @@ class _Saturation:
         for disj in pool.or_by_side.get(f, ()):
             recipe = ("orin_l", f) if disj.left == f else ("orin_r", f)
             self.add(disj, recipe, deps)
-        for quant in pool.all_by_body.get(f, ()):
-            if any(quant.var in free_vars(self.hyps_by_name[n]) for n in deps):
-                continue
-            self.add(quant, ("gen", f, quant.var), deps)
 
 
 def bounded_closure(
@@ -621,8 +642,8 @@ class _Searcher:
         axioms: tuple[AxiomSetRecognizer, ...],
         budget: Budget,
     ) -> None:
-        self.base_hyps = hypotheses
         self.axioms = axioms
+        self.templates = covers_logic(axioms)
         self.budget = budget
         self.steps = 0
         self.closures: dict[tuple, ClosureState] = {}
@@ -671,8 +692,8 @@ class _Searcher:
             return None
         if goal in closure:
             return closure.derive(goal)
-        if self.remaining() == 0:
-            return None
+        if self.remaining() == 0 or not self.templates:
+            return None  # every backward rule finishes through a template
         if depth <= 0:
             self.cuts += 1
             return None
@@ -734,7 +755,7 @@ def prove(
     if proof is not None and goal not in searcher.closure_for(hyps, goal):
         result = check_proof(proof, searcher.axioms)
         if not result.ok:
-            raise TransformError(f"proof fails check at step {result.step}: {result.reason}")
+            raise TransformError(f"proof fails check{result.at}: {result.reason}")
     return SearchOutcome(proof, report)
 
 

@@ -22,8 +22,8 @@ Precedence*, 1973): one loop reads a primary or prefix, then every infix
 operator that binds at least as tightly as its caller asked for. A
 parenthesized group may hold a term or a formula; its sort is checked only
 where an operator or the caller uses it, so ``(`` never backtracks. Text
-that nests more than :data:`MAX_NESTING` deep is a :class:`ParseError`; the
-cap is the kernel's, ``syntax.MAX_NESTING``, and this module re-exports it.
+that nests more than :data:`MAX_NESTING` deep is a :class:`ParseError`, found
+before the kernel would refuse a node (``syntax.MAX_NESTING``, re-exported).
 
 ``parse(text, memo)`` shares a memo, a plain dict, between parses. It keeps
 each span a parse reads whole: the input, the content of each ``( ... )``
@@ -38,8 +38,7 @@ exactly what one without it returns. Text with a ``#`` is read without the
 memo, since a comment may hold a parenthesis.
 
 :func:`render` reads the same table and produces a form that :func:`parse`
-reads back to an equal tree, within :data:`MAX_NESTING`; a formula built in
-code that nests past the cap is a ``ValueError``. It drops every
+reads back to an equal tree, within :data:`MAX_NESTING`. It drops every
 parenthesis the table makes redundant except around an atom under a prefix
 or on the right of ``/\\``, which it keeps: ``0 = 0 /\\ (1 = 1)``.
 """
@@ -215,6 +214,12 @@ class _Parser:
         self.tok, self.at = mark
         return None
 
+    def rise(self, below: int) -> int:
+        """The height of a node over operands ``below`` high, checked before it is built."""
+        if below >= MAX_NESTING:
+            raise _too_deep(self.tok[2])
+        return below + 1
+
     def expr(self, min_power: int, start: int = -1) -> Formula | Term:
         """The expression at the cursor, up to the first operator looser than
         ``min_power``; leaves its height, counting term levels, in ``self.height``.
@@ -249,21 +254,22 @@ class _Parser:
         elif kind == "const":
             left = Const(text)
         elif kind == "not":
-            left = Not(_sorted(self.expr(_PREFIX), Formula, pos, "~"))
-            self.height += 1
+            body = _sorted(self.expr(_PREFIX), Formula, pos, "~")
+            self.height = self.rise(self.height)
+            left = Not(body)
         elif kind == "name" and text == "S":
             self.expect("lpar", "'(' after S")
             arg = _sorted(self.expr(0), Term, pos, "S")
             self.expect("rpar", "')'")
+            self.height = self.rise(self.height)
             left = App("S", (arg,))
-            self.height += 1
         elif kind == "lpar":
             prefix = self.binder()
             if prefix is not None:
                 quantifier, var = prefix
                 body = _sorted(self.expr(_PREFIX), Formula, pos, "a quantifier")
+                self.height = self.rise(self.height)
                 left = quantifier(var.id, body)
-                self.height += 1
             else:
                 close = self.closes.get(pos)
                 if close is None:
@@ -278,8 +284,6 @@ class _Parser:
         height = self.height
         while True:
             kind, _, pos = self.tok
-            if height > MAX_NESTING:
-                raise _too_deep(pos)
             op = _INFIX.get(kind)
             if op is None or op.power < min_power:
                 self.depth -= 1
@@ -299,8 +303,9 @@ class _Parser:
             else:
                 # a right-associative operator takes its own kind on the right
                 right = self.expr(op.power + (not op.right))
-            left = op.build(left, _sorted(right, op.sort, pos, op.glyph))
-            height = max(height, self.height) + 1
+            _sorted(right, op.sort, pos, op.glyph)
+            height = self.rise(max(height, self.height))
+            left = op.build(left, right)
 
 
 def _parse(text: str, sort: type, memo: Memo | None = None):
@@ -354,15 +359,6 @@ def _store(node, text: str) -> str:
     return text
 
 
-def _renderable(node):
-    """``node``, unless its text is still to be built and its connectives or
-    term levels nest past :data:`MAX_NESTING`: building it would recurse once
-    per level, and no parsed text nests that deep."""
-    if node._text is None and node._depth > MAX_NESTING:
-        raise ValueError(f"cannot render: nests more than MAX_NESTING ({MAX_NESTING}) deep")
-    return node
-
-
 def _term(t: Term, ctx: int) -> str:
     kind = type(t)
     if kind is App:
@@ -379,7 +375,7 @@ def _term(t: Term, ctx: int) -> str:
 
 
 def render_term(t: Term) -> str:
-    return t._text or _term(_renderable(t), 0)
+    return t._text or _term(t, 0)
 
 
 def _render(f: Formula, ctx: int) -> str:
@@ -405,14 +401,10 @@ def _render(f: Formula, ctx: int) -> str:
 
 def _atom(f: Atom) -> str:
     glyph, _, left_ctx, right_ctx = _BY_NODE[f.pred]
-    x, y = map(_renderable, f.args)
+    x, y = f.args
     return _store(f, _term(x, left_ctx) + glyph + _term(y, right_ctx))
 
 
 def render(f: Formula) -> str:
-    """Concrete syntax that reads back: ``parse(render(f)) == f``.
-
-    A formula built in code whose connectives, or the terms of one of its
-    atoms, nest more than :data:`MAX_NESTING` deep raises ``ValueError``.
-    """
-    return f._text or _render(_renderable(f), 0)
+    """Concrete syntax that reads back: ``parse(render(f)) == f``."""
+    return f._text or _render(f, 0)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .parser import Memo, ParseError, parse, render
 from .schemata import AxiomSetRecognizer, axiom_set
-from .syntax import Forall, Formula, Implies, NestingError, free_vars
+from .syntax import Forall, Formula, Implies, NestingError, find, free_vars
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,6 @@ class Proof:
             raise ValueError("empty proof has no conclusion")
         return self.steps[-1].formula
 
-    def hypothesis(self, name: str) -> Formula | None:
-        for n, f in self.hypotheses:
-            if n == name:
-                return f
-        return None
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -101,6 +95,11 @@ class CheckResult:
     step: int | None = None
     reason: str | None = None
     warnings: tuple[str, ...] = ()
+
+    @property
+    def at(self) -> str:
+        """`` at step N`` where the failure has a step, else nothing."""
+        return "" if self.step is None else f" at step {self.step}"
 
 
 def _positive_int(n: object) -> bool:
@@ -125,12 +124,11 @@ def check_proof(
     variable that is not a positive ``int``), ``not-axiom`` (recognizer
     refused; refined to ``side-condition`` when a recognizer diagnostic says
     so); unknown or non-``str`` hypothesis/axiom names also surface as
-    ``dangling-ref``.  An axiom step is ``too-deep`` where the recognizer
-    would walk its formula, or a term in it, past
-    :data:`~proofbench.syntax.MAX_NESTING` (a ``phi11`` candidate built in
-    code, say): it refuses with :class:`~proofbench.syntax.NestingError`,
-    where walking on would exhaust Python's stack.  Parsed text is never
-    that deep.
+    ``dangling-ref``.  An axiom step is ``too-deep`` where the recognizer's
+    rebuild of the formula would nest past
+    :data:`~proofbench.syntax.MAX_NESTING` (a ``phi11`` term substituted
+    under a tall term, say), which the kernel refuses with
+    :class:`~proofbench.syntax.NestingError`.
 
     In strict mode, generalizing over a variable free in a hypothesis the
     step's derivation uses is ``gen-on-free-hyp-var``; in lax mode the same
@@ -178,7 +176,8 @@ def check_proof(
             if not (_positive_int(j.i) and j.i < pos):
                 return CheckResult(False, pos, "dangling-ref")
             prev = proof.steps[j.i - 1].formula
-            if not _positive_int(j.var) or step.formula != Forall(j.var, prev):
+            # a probe, not a build: Forall(var, prev) may pass the cap
+            if not _positive_int(j.var) or step.formula is not find(Forall, j.var, prev):
                 return CheckResult(False, pos, "bad-gen")
             deps[pos] = deps[j.i]
             offenders = [
@@ -405,8 +404,7 @@ def recheck_report(directory: str | Path) -> list[str]:
             problems.append(f"{proof_path.name}: {exc}")
             continue
         if not result.ok:
-            at = "" if result.step is None else f" at step {result.step}"
-            problems.append(f"{proof_path.name}: fails re-check{at}: {result.reason}")
+            problems.append(f"{proof_path.name}: fails re-check{result.at}: {result.reason}")
         elif goal is not None and proof.conclusion != goal:
             problems.append(f"{proof_path.name}: conclusion differs from recorded goal")
     return problems

@@ -37,7 +37,6 @@ from .syntax import (
     Or,
     Term,
     Var,
-    _within_cap,
     free_for,
     free_vars,
     substitute,
@@ -133,9 +132,6 @@ def _infer_term(base: Formula, x: int, result: Formula) -> Term | None:
 
     Returns the first witness found at a free occurrence of ``x``; the caller
     rebuilds the full substitution, so a wrong local guess just fails later.
-    Raises :class:`~proofbench.syntax.NestingError` where :func:`free_for`
-    does: on a ``base``, or a term of an atom in which ``x`` is free, that
-    nests past ``MAX_NESTING``.
     """
 
     def diff(b: Formula | Term, r: Formula | Term) -> Term | None:
@@ -148,9 +144,7 @@ def _infer_term(base: Formula, x: int, result: Formula) -> Term | None:
             return None
         if isinstance(b, (Not, Forall, Exists)):
             return diff(b.body, r.body)
-        if isinstance(b, Atom):
-            pairs = zip(map(_within_cap, b.args), r.args)
-        elif isinstance(b, App):
+        if isinstance(b, (Atom, App)):
             pairs = zip(b.args, r.args)
         else:
             pairs = ((b.left, r.left), (b.right, r.right))
@@ -163,7 +157,7 @@ def _infer_term(base: Formula, x: int, result: Formula) -> Term | None:
     if x not in free_vars(base):
         # substitution is vacuous; any term works, x itself is the canonical pick
         return Var(x) if base == result else None
-    return diff(_within_cap(base), result)
+    return diff(base, result)
 
 
 def _read_phi11(f: Formula) -> tuple[int, Formula, Term] | None:

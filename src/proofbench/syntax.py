@@ -18,14 +18,14 @@ formulas key dicts and sets throughout the rest of the package.
 in no set or dict, so a membership test probes with :func:`find` and builds
 nothing on a miss.
 
+No node nests past :data:`MAX_NESTING`: a constructor refuses, with
+:class:`NestingError` (a ``ValueError``), one whose connective depth or term
+height would pass it, so every walker may recurse once per level.  A node
+pickles as the flat list of the nodes below it: the pickler does not recurse.
+
 Substitution is capture-checked: substituting a term with a variable that
 would fall under a binder raises :class:`CaptureError` instead of silently
 renaming.  Callers that want to know in advance can ask :func:`free_for`.
-The walkers recurse once per level, so they refuse, with :class:`NestingError`
-(a ``ValueError``), a formula or rewritten term that nests past
-:data:`MAX_NESTING`.  Pickling refuses such a formula too; it gives the
-pickler a node as the flat list of the nodes below it, so any other node
-round-trips, whatever the height of its terms.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class CaptureError(ValueError):
 
 
 class NestingError(ValueError):
-    """Raised by a walker on a formula or term that nests past :data:`MAX_NESTING`."""
+    """Raised by a constructor for a node that would nest past :data:`MAX_NESTING`."""
 
 
 #: The arithmetic language used throughout: constants 0 and 1, binary + and *,
@@ -50,10 +50,8 @@ CONSTANTS = frozenset({"0", "1"})
 FUNCTIONS = MappingProxyType({"+": 2, "*": 2, "S": 1})
 PREDICATES = MappingProxyType({"=": 2, "<": 2})
 
-#: The most open prefixes, parentheses, ``S(`` and right operands, and the
-#: greatest tree height counting term levels, that parsed text may have, and
-#: the deepest formula or term the recursive walkers take.  They recurse up to
-#: twice per level, below Python's default limit of 1000.
+#: The greatest connective depth of a formula and height of a term.  A walker
+#: through both stays below Python's default limit of 1000 frames.
 MAX_NESTING = 400
 
 
@@ -89,7 +87,9 @@ def _gone() -> None:
 
 def _store(key: tuple, free: tuple[int, ...], depth: int):
     """The node keyed ``(cls, *fields)``, built with these facts and stored on a
-    miss, unless another thread stored one first."""
+    miss, unless another thread stored one first, or :class:`NestingError`."""
+    if depth > MAX_NESTING:
+        raise NestingError(f"{key[0].__name__} would nest past MAX_NESTING ({MAX_NESTING})")
     with _BUILD:
         node = _TABLE.get(key)
         if node is None:
@@ -130,16 +130,16 @@ class _Node:
     once: a hit is one dict lookup and one weak reference call, and a dead
     reference reads as a miss.  On a miss it builds the node under a lock,
     stores its free variable ids and depth, computed from its fields' own,
-    and puts it in the table.  The renderer fills ``_text``.  A node hashes
-    and compares by identity: there is one per key.
+    and puts it in the table; a depth past :data:`MAX_NESTING` is refused.
+    The renderer fills ``_text``.  A node hashes and compares by identity.
     """
 
     __slots__ = (*_STORED, "__weakref__")
 
     def __reduce__(self):
         # the pickler recurses once per level of what it is given: give it the
-        # flat list of the nodes below; refuse past the cap, as the walkers do
-        return _unflatten, (_flatten(_within_cap(self)),)
+        # flat list of the nodes below
+        return _unflatten, (_flatten(self),)
 
     def __deepcopy__(self, memo) -> _Node:
         return self  # immutable and interned: the copy is the node
@@ -415,63 +415,38 @@ def is_sentence(f: Formula) -> bool:
     return not f._free
 
 
-def _within_cap(node):
-    """``node``, unless it nests past :data:`MAX_NESTING`: a walker over it
-    would recurse once per level, and no parsed text nests that deep."""
-    if node._depth > MAX_NESTING:
-        raise NestingError(f"nests more than MAX_NESTING ({MAX_NESTING}) deep")
-    return node
-
-
 def free_for(x: int, t: Term, f: Formula) -> bool:
-    """Whether ``t`` may replace free occurrences of ``x`` in ``f`` without capture.
-
-    Raises ``ValueError`` where ``f``, or a term of an atom in which ``x`` is
-    free, nests past :data:`MAX_NESTING`, as :func:`substitute` does.
-    """
+    """Whether ``t`` may replace free occurrences of ``x`` in ``f`` without capture."""
 
     def walk(g: Formula) -> bool:
-        if x not in g._free:
-            return True  # no free occurrence of x below
-        if isinstance(g, Atom):
-            for a in g.args:
-                _within_cap(a)
-            return True
+        if x not in g._free or isinstance(g, Atom):
+            return True  # no free occurrence of x below, or none under a binder
         if isinstance(g, _QUANT):
             return g.var not in t._free and walk(g.body)
         if isinstance(g, Not):
             return walk(g.body)
         return walk(g.left) and walk(g.right)
 
-    return walk(_within_cap(f))
+    return walk(f)
 
 
-def _substitute_term(t: Term, x: int, s: Term) -> Term:
+def substitute_term(t: Term, x: int, s: Term) -> Term:
+    """``t`` with every occurrence of variable ``x`` replaced by ``s``."""
     if x not in t._free:
         return t
     if isinstance(t, Var):
         return s
     args = []  # a loop, not a generator: one stack frame per term level
     for a in t.args:
-        args.append(_substitute_term(a, x, s))
+        args.append(substitute_term(a, x, s))
     return App(t.func, tuple(args))
-
-
-def substitute_term(t: Term, x: int, s: Term) -> Term:
-    """``t`` with every occurrence of variable ``x`` replaced by ``s``.
-
-    Raises ``ValueError`` where ``t`` is taller than :data:`MAX_NESTING`.
-    """
-    return _substitute_term(_within_cap(t), x, s)
 
 
 def substitute(f: Formula, x: int, t: Term, check: bool = True) -> Formula:
     """``f`` with free occurrences of ``x`` replaced by ``t``.
 
     With ``check`` (the default), raises :class:`CaptureError` when some free
-    occurrence of ``x`` sits under a binder for a variable of ``t``.  Raises
-    ``ValueError`` where ``f``, or a term of an atom in which ``x`` is free,
-    nests past :data:`MAX_NESTING`.
+    occurrence of ``x`` sits under a binder for a variable of ``t``.
     """
 
     def walk(g: Formula) -> Formula:
@@ -490,7 +465,7 @@ def substitute(f: Formula, x: int, t: Term, check: bool = True) -> Formula:
             return type(g)(g.var, walk(g.body))
         return type(g)(walk(g.left), walk(g.right))
 
-    return walk(_within_cap(f))
+    return walk(f)
 
 
 def universal_closure(f: Formula) -> Formula:

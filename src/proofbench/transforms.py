@@ -460,7 +460,7 @@ def _lift(hyps, records: Iterable[Record], name: str, alpha: Formula, axioms) ->
 
 
 def _checked_lift(proof: Proof, name: str, axioms: Sequence[AxiomSetRecognizer]) -> Derivation:
-    alpha = proof.hypothesis(name)
+    alpha = dict(proof.hypotheses).get(name)
     if alpha is None:
         raise TransformError(f"no hypothesis named {name!r}")
     if not is_sentence(alpha):
@@ -469,7 +469,7 @@ def _checked_lift(proof: Proof, name: str, axioms: Sequence[AxiomSetRecognizer])
         )
     result = check_proof(proof, tuple(axioms))
     if not result.ok:
-        raise TransformError(f"input proof fails check at step {result.step}: {result.reason}")
+        raise TransformError(f"input proof fails check{result.at}: {result.reason}")
     return _lift(proof.hypotheses, _records(proof), name, alpha, axioms)
 
 
@@ -543,9 +543,7 @@ def explosion_transform(
     for label, p in (("first", proof_pos), ("second", proof_neg)):
         result = check_proof(p, tuple(axioms))
         if not result.ok:
-            raise TransformError(
-                f"{label} input proof fails check at step {result.step}: {result.reason}"
-            )
+            raise TransformError(f"{label} input proof fails check{result.at}: {result.reason}")
     b = ProofBuilder(_merge_hypotheses(proof_pos, proof_neg), axioms)
     i = splice(b, proof_pos)
     j = splice(b, proof_neg)

@@ -693,6 +693,25 @@ def test_claim_validation():
         AuditClaim("x", "membership", ("L12",), (), None, "")
 
 
+def test_a_claim_refuses_a_repeated_hypothesis_name():
+    psi7 = PSI_AXIOMS["psi7"]
+    with pytest.raises(AuditError, match="claim c1: repeated hypothesis 'psi7'"):
+        AuditClaim("c1", "membership", ("L12",), (("psi7", psi7), ("psi7", psi7)), psi7)
+    with pytest.raises(AuditError, match="^line 2: claim c1: repeated hypothesis 'psi7'$"):
+        load_script("# first line\nclaim c1 | hyps L12, psi7, psi7 | goal psi7\n")
+
+
+def test_strict_check_failure_at_no_step_names_no_step():
+    psi7 = PSI_AXIOMS["psi7"]
+    proof = Proof((("h", psi7), ("h", psi7)), (ProofStep(1, psi7, Hyp("h")),))
+    with pytest.raises(AuditError) as e:
+        audit._strict_check((proof,), (axiom_set("L12"),))
+    assert str(e.value) == (
+        "internal: engine produced a proof that fails the strict kernel check: "
+        "duplicate hypothesis name"
+    )
+
+
 def _closed_atoms(n):
     """``n`` distinct closed atoms S(0) = 0, S(S(0)) = 0, ..."""
     return [parse("S(" * k + "0" + ")" * k + " = 0") for k in range(1, n + 1)]

@@ -389,3 +389,72 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"
+
+
+def test_audit_refuses_a_repeated_hypothesis_name(tmp_path):
+    script = tmp_path / "dup.audit"
+    script.write_text("claim c1 | hyps L12, psi7, psi7 | goal psi7\n")
+    code, out, err = run_cli("audit", str(script))
+    assert (code, out) == (2, "")
+    assert err == f"error: {script}: line 1: claim c1: repeated hypothesis 'psi7'\n"
+
+
+def test_prove_without_the_logical_schemata_finds_nothing():
+    # no derived rule applies without them, and none crashes
+    for axioms in ((), ("--axioms", "Xp"), ("--axioms", "NPsi3dot"), ("--axioms", "PrefixedL2r")):
+        code, out, err = run_cli("prove", "--goal", "0 = 0 -> 0 = 0", *axioms)
+        assert (code, out) == (3, ""), axioms
+        assert err.startswith("not found: search reached a fixpoint"), axioms
+
+
+_AND_CHAIN = " /\\ ".join(["0 = 0"] * (MAX_NESTING - 2))  # connective depth MAX_NESTING - 3
+#: A -> (A -> A) over the chain, which PrefixedL2r's hook puts behind four prefixes
+_PHI4 = f"{_AND_CHAIN} -> {_AND_CHAIN} -> {_AND_CHAIN}"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # phi1's instance over A, four levels above A
+        (("prove", "--goal", f"{_AND_CHAIN} -> {_AND_CHAIN}", "--axioms", "L12"), ""),
+        (("closure", "--hyp", "{f}", "--axioms", "PrefixedL2r"), _PHI4),
+        (("audit", "{f}"), f"claim c | hyps PrefixedL2r | goal {_PHI4}"),
+    ],
+    ids=["prove", "closure", "audit"],
+)
+def test_a_formula_the_engine_builds_past_the_cap_is_an_input_error(tmp_path, argv, text):
+    f = tmp_path / "input.txt"
+    f.write_text(f"{text}\n")
+    code, out, err = run_cli(*(a.format(f=f) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: Implies would nest past MAX_NESTING ({MAX_NESTING})\n"
+
+
+def test_closure_dump_to_an_unwritable_path_is_usage_error(tmp_path, hyp_file):
+    dump = tmp_path / "no-such-dir" / "out.txt"
+    code, _, err = run_cli("closure", "--hyp", hyp_file, "--axioms", "L12", "--dump", str(dump))
+    assert code == 2
+    assert err == f"error: cannot write {dump}: No such file or directory\n"
+
+
+def test_audit_report_over_an_existing_file_is_usage_error(tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    code, _, err = run_cli("audit", "corollary-4.4", "--report", str(target))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert target.read_text() == "not a directory\n"
+
+
+def test_hypothesis_line_reports_its_own_parse_error(tmp_path):
+    deep = "~" * 395 + "(0 = 0)"
+    hyp = tmp_path / "hyps.txt"
+    hyp.write_text(f"{deep} -> (0 = 0 -> {deep})\n")
+    code, _, err = run_cli("prove", "--goal", "0 = 0", "--hyp", str(hyp), "--axioms", "L12")
+    assert code == 2
+    assert err.startswith(f"error: {hyp}:1: bad formula: input nests more than {MAX_NESTING} deep")
+    # a line that starts with an identifier still reads as 'name formula'
+    hyp.write_text("a1 0 = 0\n1 = 1\n")
+    code, out, _ = run_cli("prove", "--goal", "0 = 0", "--hyp", str(hyp), "--axioms", "L12")
+    assert code == 0
+    assert out.startswith("hyp a1 0 = 0\nhyp h1 1 = 1\n")

@@ -9,18 +9,27 @@ from hypothesis import strategies as st
 from proofbench import engine, proofs, syntax, transforms
 from proofbench.engine import (
     BACKWARD_DEPTH,
+    LOGIC_SAMPLES,
     Budget,
     BudgetReport,
     bounded_closure,
     check_absolute_consistency,
     check_traditional_consistency,
+    covers_logic,
     pool_for,
     prove,
 )
 from proofbench.parser import MAX_NESTING, parse
 from proofbench.proofs import check_proof, render_proof_script
-from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
-from proofbench.syntax import App, Atom, Const, Implies, Not
+from proofbench.schemata import (
+    AXIOM_SET_NAMES,
+    PSI_AXIOMS,
+    SCHEMATA,
+    axiom_set,
+    match_schema,
+    named_formula,
+)
+from proofbench.syntax import And, App, Atom, Const, Forall, Implies, NestingError, Not, Var
 from proofbench.transforms import TransformError
 
 from strategies import antecedent_chain, formulas, unreachable_steps
@@ -278,31 +287,51 @@ def _negations(n, f=parse("0 = 0")):
     return f
 
 
-_DEEP = {"connectives": _negations(5000), "terms": _numeral_atom(5000)}
+def _induction_candidate(height):
+    """``(0 = 0 /\\ (Ax1)(S^height(x1) = 0 -> 0 = 0)) -> 0 = 0``: the ``Xp``
+    recognizer rebuilds it with ``x1 + 1`` for ``x1``, one term level higher."""
+    t = Var(1)
+    for _ in range(height):
+        t = App("S", (t,))
+    eq00 = parse("0 = 0")
+    step = Forall(1, Implies(Atom("=", (t, Const("0"))), eq00))
+    return Implies(And(eq00, step), eq00)
 
 
-@pytest.mark.parametrize("shape", sorted(_DEEP))
+def _past_the_cap(shape):
+    """``prove`` and ``bounded_closure`` arguments, all within the cap, from
+    which the engine builds a formula past it."""
+    if shape == "connectives":
+        # phi1's instance over the goal's antecedent, and L11's three
+        # prefixes over the closed phi4 instance (Ax1)(B -> (B -> B))
+        a = _negations(MAX_NESTING - 1)
+        b = _negations(MAX_NESTING - 3, parse("x1 = 0"))
+        closed = Forall(1, Implies(b, Implies(b, b)))
+        return (Implies(a, a), [], L12), ([closed], (axiom_set("L11"),))
+    # Xp's rebuild of an induction step, one term level higher
+    tall, xp = _induction_candidate(MAX_NESTING), (axiom_set("Xp"),)
+    return (U27, [tall], xp), ([tall], xp)
+
+
+@pytest.mark.parametrize("shape", ["connectives", "terms"])
 def test_formulas_built_past_the_nesting_cap_are_refused(shape):
-    # text is capped by the parser; a formula built in code meets the same
-    # cap when its pool is built, not a RecursionError
-    deep = _DEEP[shape]
-    calls = (
-        lambda: bounded_closure([deep], L12),
-        lambda: bounded_closure([], L12, goal=deep),
-        lambda: prove(deep, [], L12),
-        lambda: prove(U27, [deep], L12),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match=f"nests more than {MAX_NESTING} deep"):
+    # the engine builds formulas above its inputs.  Past the cap the kernel
+    # refuses them, and the NestingError leaves the engine
+    prove_args, closure_args = _past_the_cap(shape)
+    for call in (lambda: prove(*prove_args), lambda: bounded_closure(*closure_args)):
+        with pytest.raises(NestingError, match=f"MAX_NESTING \\({MAX_NESTING}\\)"):
             call()
 
 
 def test_formulas_built_at_the_nesting_cap_are_searched():
-    at_cap = _negations(MAX_NESTING - 1, _numeral_atom(MAX_NESTING))
+    # the proof of A -> A holds phi1's instance over A, four levels above A
+    at_cap = _negations(MAX_NESTING - 4, _numeral_atom(MAX_NESTING))
     goal = Implies(at_cap, at_cap)
     assert at_cap in bounded_closure([at_cap], L12, Budget(max_steps=100))
     proof = prove(goal, [], L12, Budget(max_steps=100)).proof
     assert proof is not None and check_proof(proof, L12).ok
+    tall = _induction_candidate(MAX_NESTING - 1)
+    assert tall in bounded_closure([tall], (axiom_set("Xp"),))
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,3 +453,33 @@ def test_prove_checks_once_unless_the_closure_holds_the_goal(monkeypatch, goal, 
     proof = prove(goal, hyps, L12).proof
     assert proof is not None and proof.conclusion == goal
     assert calls == [proof] * checks
+
+
+def test_derived_rules_run_only_over_the_logical_schemata():
+    # every derived rule finishes through a template that cites the logical
+    # schemata: over sets without them, only modus ponens and gen apply
+    for i, text in enumerate(LOGIC_SAMPLES, start=1):
+        assert match_schema(parse(text), SCHEMATA[f"phi{i}"]) is not None, text
+    hyps = [parse("~(0 = 0 -> 1 = 1)"), parse("~(0 = 0)")]
+    logic = ("L12", "L2r", "L11", "LT1")
+    for name in AXIOM_SET_NAMES:
+        axioms = (axiom_set(name),)
+        assert covers_logic(axioms) is (name in logic), name
+        closure = bounded_closure(hyps, axioms)
+        assert (closure.contradiction is not None) is (name in logic), name
+        if closure.contradiction is not None:
+            assert all(check_proof(closure.proof_of(f), axioms).ok for f in closure.contradiction)
+    assert check_traditional_consistency(hyps, (axiom_set("Xp"),)).witness is None
+    goal = parse("0 = 0 -> 0 = 0")
+    for axioms in ((), (axiom_set("Xp"),), (axiom_set("NPsi3dot"),), (axiom_set("PrefixedL2r"),)):
+        outcome = prove(goal, [], axioms)
+        assert outcome.proof is None and outcome.report.fixpoint
+    assert covers_logic((axiom_set("Xp"), axiom_set("L12")))
+    assert prove(goal, [], (axiom_set("Xp"), axiom_set("L12"))).proof is not None
+
+
+def test_a_check_failure_at_no_step_names_no_step():
+    # a discharged proof is checked; two hypotheses share a name
+    hyps = [("h", parse("1 = 1")), ("h", parse("0 = 1"))]
+    with pytest.raises(TransformError, match="^proof fails check: duplicate hypothesis name$"):
+        prove(parse("0 = 0 -> 0 = 0"), hyps, L12)

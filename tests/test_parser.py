@@ -211,22 +211,27 @@ def _stacked(build, n, base):
     return base
 
 
-def test_render_refuses_what_was_built_past_the_cap():
-    # parsed text is capped; a node built in code past the cap is a ValueError
-    # naming it, not a RecursionError, and one at the cap still renders
-    zero, atom = Const("0"), parse("0 = 0")
-    deep_term = _stacked(lambda t: App("S", (t,)), 5000, zero)
-    for build in [
-        lambda: render(_stacked(Not, 5000, atom)),
-        lambda: render(Atom("=", (deep_term, zero))),
-        lambda: render(Not(Atom("<", (zero, deep_term)))),
-        lambda: render_term(deep_term),
-    ]:
-        with pytest.raises(ValueError, match="MAX_NESTING"):
-            build()
+def test_render_takes_a_formula_at_the_cap_on_both_counts():
+    # no node passes the cap (the kernel refuses one), and one at the cap
+    # renders: connectives, then the terms of an atom
+    zero = Const("0")
     at_cap = _stacked(lambda t: App("S", (t,)), MAX_NESTING, zero)
     text = render(_stacked(Not, MAX_NESTING, Atom("=", (at_cap, zero))))
     assert text.startswith("~" * MAX_NESTING + "(S(")
+    assert render_term(at_cap) == "S(" * MAX_NESTING + "0" + ")" * MAX_NESTING
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_successor_over_a_maximal_chain_is_a_parse_error(op):
+    # the chain is MAX_NESTING high; S( over it would be one more, which the
+    # parser refuses before the kernel is asked to build it
+    chain = "x1" + f" {op} x1" * MAX_NESTING
+    assert parse_term(chain)._depth == MAX_NESTING
+    with pytest.raises(ParseError, match=f"nests more than {MAX_NESTING} deep") as e:
+        parse(f"S({chain}) = 1")
+    assert e.value.pos == len(f"S({chain})") + 1
+    with pytest.raises(ParseError, match=f"nests more than {MAX_NESTING} deep"):
+        parse(f"{chain} {op} x1 = 1")
 
 
 def _with_frames_below(n, fn):

@@ -20,7 +20,18 @@ from proofbench.proofs import (
     render_proof_script,
 )
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
-from proofbench.syntax import MAX_NESTING, App, Atom, Const, Forall, Implies, Not, Var
+from proofbench.syntax import (
+    MAX_NESTING,
+    And,
+    App,
+    Atom,
+    Const,
+    Forall,
+    Implies,
+    Not,
+    Var,
+    connective_depth,
+)
 from proofbench.transforms import ProofBuilder, phi4_instance
 
 from strategies import random_proof
@@ -278,23 +289,58 @@ def _one_axiom_step(f, set_name="L12"):
     return Proof((), (ProofStep(1, f, Ax(set_name)),))
 
 
-@pytest.mark.parametrize("depth", [450, 1200])
-@pytest.mark.parametrize("set_name", ["L12", "L2r"])
-def test_check_proof_refuses_an_axiom_step_past_the_nesting_cap(depth, set_name):
-    # past the cap the phi11 recognizer raised ValueError (450) or
-    # RecursionError (1200); the checker now answers
-    axioms = (axiom_set(set_name),)
-    for f in (_phi11_under_negations(depth), _phi11_over_successors(depth)):
+def _successors(n, base):
+    for _ in range(n):
+        base = App("S", (base,))
+    return base
+
+
+_ZERO, _EQ00 = Const("0"), parse("0 = 0")
+_TALL_EQ = Atom("=", (_successors(MAX_NESTING, Var(1)), _ZERO))
+
+#: axiom steps within the cap whose recognizer's rebuild passes it, and the
+#: sets that recognize their schema
+_REBUILT_PAST_THE_CAP = {
+    # phi11 reads t = S^400(0) off the first x1 and substitutes it under S^50
+    "phi11": (
+        Implies(
+            Forall(1, Atom("=", (Var(1), _successors(50, Var(1))))),
+            Atom("=", (_successors(MAX_NESTING, _ZERO), _ZERO)),
+        ),
+        ("L12", "L2r"),
+    ),
+    # induction substitutes x1 + 1 for x1 in S^400(x1) = 0, one level higher
+    "induction": (
+        Implies(And(_EQ00, Forall(1, Implies(_TALL_EQ, _EQ00))), _EQ00),
+        ("Xp", "Yp"),
+    ),
+}
+
+
+@pytest.mark.parametrize("schema", _REBUILT_PAST_THE_CAP)
+def test_check_proof_refuses_an_axiom_step_whose_rebuild_passes_the_cap(schema):
+    # the kernel refuses the rebuilt node, and the checker names why
+    f, set_names = _REBUILT_PAST_THE_CAP[schema]
+    for set_name in set_names:
+        axioms = (axiom_set(set_name),)
         assert check_proof(_one_axiom_step(f, set_name), axioms) == CheckResult(
             False, 1, "too-deep"
         )
 
 
 def test_check_proof_takes_an_axiom_step_at_the_nesting_cap():
-    for f in (_phi11_under_negations(MAX_NESTING), _phi11_over_successors(MAX_NESTING)):
+    at_cap = (_phi11_under_negations(MAX_NESTING - 2), _phi11_over_successors(MAX_NESTING))
+    assert [connective_depth(f) for f in at_cap] == [MAX_NESTING, 2]
+    for f in at_cap:
         assert check_proof(_one_axiom_step(f), L12).ok
-    past = _phi11_under_negations(MAX_NESTING + 1)
-    assert check_proof(_one_axiom_step(past), L12).reason == "too-deep"
+
+
+def test_check_proof_reads_a_gen_step_over_a_formula_at_the_cap():
+    # Forall(1, top) would pass the cap: the checker compares the stated
+    # formula with the cited step, and builds no Forall over it
+    top = _phi11_under_negations(MAX_NESTING - 2)
+    proof = Proof((("h", top),), (ProofStep(1, top, Hyp("h")), ProofStep(2, top, Gen(1, 1))))
+    assert check_proof(proof, L12) == CheckResult(False, 2, "bad-gen")
 
 
 def test_check_certificate_looks_up_the_cited_sets_in_step_order():

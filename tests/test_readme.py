@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+from proofbench import engine, schemata, semantics, syntax
 from proofbench.cli import main
 
 README = Path(__file__).parents[1] / "README.md"
@@ -39,3 +40,17 @@ def test_readme_command_lines_run(tmp_path, monkeypatch):
     for argv in argvs:
         err = io.StringIO()
         assert main(argv[1:], out=io.StringIO(), err=err) != 2, (argv, err.getvalue())
+
+
+def test_readme_names_each_cap_once_with_its_value():
+    readme = README.read_text(encoding="utf-8")
+    caps = {
+        "MAX_NESTING": syntax.MAX_NESTING,
+        "MAX_DEPTH": engine.MAX_DEPTH,
+        "BACKWARD_DEPTH": engine.BACKWARD_DEPTH,
+        "MAX_SKELETON_ATOMS": semantics.MAX_SKELETON_ATOMS,
+        "CACHE_SIZE": schemata.CACHE_SIZE,
+    }
+    for name, value in caps.items():
+        assert readme.count(name) == 1, name
+        assert f"| `{name}` | {value} |" in readme, name

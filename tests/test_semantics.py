@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proofbench import semantics
-from proofbench.parser import parse
+from proofbench.parser import MAX_NESTING, parse
 from proofbench.schemata import PSI_AXIOMS, Q_AXIOMS, named_formula
 from proofbench.semantics import (
     SkeletonLimitError,
     ThreeValued,
     arith_counterexample,
+    arith_verdict,
     eval_arith,
     eval_term,
     falsifying_valuation,
@@ -22,6 +23,7 @@ from proofbench.semantics import (
     lowest_row,
     satisfying_valuation,
     skeleton_entails,
+    skeletonize,
     skeletonize_all,
     eval_skeleton,
 )
@@ -37,6 +39,7 @@ from proofbench.syntax import (
     Not,
     Or,
     Var,
+    connective_depth,
     free_vars,
     universal_closure,
 )
@@ -509,3 +512,25 @@ def test_counterexamples_match_the_tree_walker(text, bound, want):
     got = arith_counterexample(f, bound)
     assert got == want == reference_counterexample(f, bound)
     assert got is None or list(got) == list(reference_counterexample(f, bound))
+
+
+def test_oracles_take_formulas_at_the_nesting_cap():
+    # no node passes MAX_NESTING: these walkers recurse through at most that
+    # many connectives and then at most that many term levels
+    def over(n, wrap, node):
+        for _ in range(n):
+            node = wrap(node)
+        return node
+
+    def atom(base):
+        tall = over(MAX_NESTING, lambda t: App("S", (t,)), base)
+        return Atom("=", (tall, tall))
+
+    true = over(MAX_NESTING, Not, atom(Const("0")))  # an even number of ~
+    false = Forall(1, over(MAX_NESTING - 1, Not, atom(Var(1))))
+    assert connective_depth(true) == connective_depth(false) == MAX_NESTING
+    assert is_tautology(true) is False
+    assert lowest_row((true,)) == ((atom(Const("0")), True),)
+    assert skeletonize(true).root(1) is True
+    assert eval_arith(true, 2) is ThreeValued.TRUE
+    assert arith_verdict(false, 2) == (ThreeValued.FALSE, {1: 1})

@@ -341,18 +341,18 @@ def _negations(n):
 
 
 def test_hash_of_a_deep_negation_chain():
-    assert isinstance(hash(_negations(5000)), int)
+    assert isinstance(hash(_negations(MAX_NESTING)), int)
 
 
 def test_deepcopy_of_a_deep_negation_chain_is_the_node():
-    f = _negations(5000)
+    f = _negations(MAX_NESTING)
     assert copy.deepcopy(f) is f
     assert copy.deepcopy([f, f]) == [f, f]
 
 
 def test_dict_lookup_of_a_rebuilt_deep_negation_chain():
-    table = {_negations(5000): "found"}
-    assert table[_negations(5000)] == "found"
+    table = {_negations(MAX_NESTING): "found"}
+    assert table[_negations(MAX_NESTING)] == "found"
 
 
 def _stacked(wrap, n, node):
@@ -365,23 +365,48 @@ def _successors(n, base=X1):
     return _stacked(lambda t: App("S", (t,)), n, base)
 
 
-@pytest.mark.parametrize(
-    "f",
-    [_negations(5000), Atom("=", (_successors(5000), Const("0")))],
-    ids=["not-5000", "atom-over-S-5000"],
-)
-def test_walkers_refuse_a_formula_past_the_nesting_cap(f):
-    with pytest.raises(ValueError, match="MAX_NESTING"):
-        substitute(f, 1, Const("0"))
-    with pytest.raises(ValueError, match="MAX_NESTING"):
-        free_for(1, X2, f)
+#: node class -> a build of one node of it over operands at the cap
+_PAST_THE_CAP = {
+    "not": lambda: Not(_negations(MAX_NESTING)),
+    "successor": lambda: App("S", (_successors(MAX_NESTING, Const("0")),)),
+    "plus": lambda: App("+", (Const("1"), _successors(MAX_NESTING))),
+    "times": lambda: App("*", (_successors(MAX_NESTING), Const("1"))),
+    **{
+        cls.__name__.lower(): (lambda cls=cls: cls(EQ11, _negations(MAX_NESTING)))
+        for cls in (Implies, And, Or, Iff)
+    },
+    "forall": lambda: Forall(1, _negations(MAX_NESTING)),
+    "exists": lambda: Exists(2, _negations(MAX_NESTING)),
+}
+
+
+@pytest.mark.parametrize("node", _PAST_THE_CAP)
+def test_constructors_refuse_a_node_past_the_nesting_cap(node):
+    with pytest.raises(NestingError, match=r"MAX_NESTING \(400\)"):
+        _PAST_THE_CAP[node]()
+    # the refused node is not half built: the table holds nothing past the cap
+    assert all(n._depth <= MAX_NESTING for n in list(syntax._TABLE.values()))
+
+
+class _Flat:
+    """Pickles as the flat node list ``entries``, as a node does."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __reduce__(self):
+        return syntax._unflatten, (self.entries,)
 
 
 @pytest.mark.parametrize("n", [1000, 5000])
 def test_pickle_refuses_a_formula_past_the_nesting_cap(n):
-    # the pickler recurses once per level, as the walkers do
+    # a stream spelling Not^n builds it through the constructors, which refuse
+    # it at level MAX_NESTING + 1, without recursing per level
+    entries = [(Const, ("0",), ()), (Atom, ("=",), ((0, 0),))]
+    entries += [(Not, (), (i,)) for i in range(1, n + 1)]
+    data = pickle.dumps(_Flat(tuple(entries)))
     with pytest.raises(NestingError, match="MAX_NESTING"):
-        pickle.dumps(_negations(n))
+        pickle.loads(data)
 
 
 def test_pickle_round_trips_a_formula_at_the_nesting_cap():
@@ -398,10 +423,12 @@ def test_pickle_round_trips_a_formula_at_the_cap_on_both_counts():
 
 
 def test_substitute_term_refuses_a_term_past_the_nesting_cap():
-    with pytest.raises(ValueError, match="MAX_NESTING"):
-        substitute_term(_successors(5000), 1, Const("0"))
-    with pytest.raises(ValueError, match="MAX_NESTING"):
-        substitute_term(_successors(MAX_NESTING + 1), 2, Const("0"))
+    # the result would pass the cap: the constructor of its top node refuses it
+    with pytest.raises(NestingError, match="MAX_NESTING"):
+        substitute_term(_successors(MAX_NESTING), 1, App("S", (Const("0"),)))
+    f = Atom("=", (X1, _successors(MAX_NESTING - 10)))
+    with pytest.raises(NestingError, match="MAX_NESTING"):
+        substitute(f, 1, _successors(11, Const("0")))
 
 
 def test_walkers_take_a_formula_at_the_nesting_cap():

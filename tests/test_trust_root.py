@@ -6,6 +6,7 @@ is counted.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +51,14 @@ def test_cli_check_loads_only_the_trust_root_and_cli(tmp_path):
 
 def test_audit_recheck_report_is_the_trust_roots():
     assert audit.recheck_report is proofs.recheck_report
+
+
+def test_readme_names_the_trust_root_line_counts():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Trust root\n", 1)[1].split("\n## ", 1)[0]
+    counts = {m: int(n) for m, n in re.findall(r"`(\w+)` \((\d+)(?: lines)?\)", section)}
+    total = int(re.search(r"([\d,]+) lines in all", section)[1].replace(",", ""))
+    names = [m.removeprefix("proofbench.") for m in ROOT[1:]]
+    actual = {n: len((SRC / "proofbench" / f"{n}.py").read_bytes().splitlines()) for n in names}
+    assert counts == actual
+    assert total == sum(actual.values())
