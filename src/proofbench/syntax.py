@@ -87,7 +87,7 @@ def _gone() -> None:
 
 def _store(key: tuple, free: tuple[int, ...], depth: int):
     """The node keyed ``(cls, *fields)``, built with these facts and stored on a
-    miss, unless another thread stored one first, or :class:`NestingError`."""
+    miss unless another thread stored one first; refused past the cap."""
     if depth > MAX_NESTING:
         raise NestingError(f"{key[0].__name__} would nest past MAX_NESTING ({MAX_NESTING})")
     with _BUILD:

@@ -8,7 +8,8 @@ Two families:
 
 ``brute_eval`` and ``first_occurrence_atoms`` read propositional skeletons
 without ``proofbench.semantics``, so tests can check the sweep against them.
-``antecedent_chain`` builds a goal that needs one discharge per antecedent;
+``antecedent_chain`` builds a goal that needs one discharge per antecedent,
+and ``induction_candidate`` an induction instance with a tall term;
 ``unreachable_steps`` checks the shape of the proofs the engine and the
 transforms return.
 """
@@ -255,3 +256,13 @@ def antecedent_chain(n: int) -> Implies:
     for a in reversed([atoms[0]] + [Implies(a, b) for a, b in zip(atoms, atoms[1:])]):
         goal = Implies(a, goal)
     return goal
+
+
+def induction_candidate(height: int) -> Implies:
+    """``(0 = 0 /\\ (Ax1)(S^height(x1) = 0 -> 0 = 0)) -> 0 = 0``, which the
+    ``Xp`` recognizer rebuilds with ``x1 + 1`` for ``x1``, one term level higher."""
+    t = Var(1)
+    for _ in range(height):
+        t = App("S", (t,))
+    eq00 = parse("0 = 0")
+    return Implies(And(eq00, Forall(1, Implies(Atom("=", (t, Const("0"))), eq00))), eq00)

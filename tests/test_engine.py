@@ -29,10 +29,10 @@ from proofbench.schemata import (
     match_schema,
     named_formula,
 )
-from proofbench.syntax import And, App, Atom, Const, Forall, Implies, NestingError, Not, Var
+from proofbench.syntax import App, Atom, Const, Forall, Implies, NestingError, Not
 from proofbench.transforms import TransformError
 
-from strategies import antecedent_chain, formulas, unreachable_steps
+from strategies import antecedent_chain, formulas, induction_candidate, unreachable_steps
 
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
@@ -287,17 +287,6 @@ def _negations(n, f=parse("0 = 0")):
     return f
 
 
-def _induction_candidate(height):
-    """``(0 = 0 /\\ (Ax1)(S^height(x1) = 0 -> 0 = 0)) -> 0 = 0``: the ``Xp``
-    recognizer rebuilds it with ``x1 + 1`` for ``x1``, one term level higher."""
-    t = Var(1)
-    for _ in range(height):
-        t = App("S", (t,))
-    eq00 = parse("0 = 0")
-    step = Forall(1, Implies(Atom("=", (t, Const("0"))), eq00))
-    return Implies(And(eq00, step), eq00)
-
-
 def _past_the_cap(shape):
     """``prove`` and ``bounded_closure`` arguments, all within the cap, from
     which the engine builds a formula past it."""
@@ -309,7 +298,7 @@ def _past_the_cap(shape):
         closed = Forall(1, Implies(b, Implies(b, b)))
         return (Implies(a, a), [], L12), ([closed], (axiom_set("L11"),))
     # Xp's rebuild of an induction step, one term level higher
-    tall, xp = _induction_candidate(MAX_NESTING), (axiom_set("Xp"),)
+    tall, xp = induction_candidate(MAX_NESTING), (axiom_set("Xp"),)
     return (U27, [tall], xp), ([tall], xp)
 
 
@@ -330,7 +319,7 @@ def test_formulas_built_at_the_nesting_cap_are_searched():
     assert at_cap in bounded_closure([at_cap], L12, Budget(max_steps=100))
     proof = prove(goal, [], L12, Budget(max_steps=100)).proof
     assert proof is not None and check_proof(proof, L12).ok
-    tall = _induction_candidate(MAX_NESTING - 1)
+    tall = induction_candidate(MAX_NESTING - 1)
     assert tall in bounded_closure([tall], (axiom_set("Xp"),))
 
 

@@ -22,7 +22,6 @@ from proofbench.proofs import (
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import (
     MAX_NESTING,
-    And,
     App,
     Atom,
     Const,
@@ -34,7 +33,7 @@ from proofbench.syntax import (
 )
 from proofbench.transforms import ProofBuilder, phi4_instance
 
-from strategies import random_proof
+from strategies import induction_candidate, random_proof
 
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
@@ -295,9 +294,6 @@ def _successors(n, base):
     return base
 
 
-_ZERO, _EQ00 = Const("0"), parse("0 = 0")
-_TALL_EQ = Atom("=", (_successors(MAX_NESTING, Var(1)), _ZERO))
-
 #: axiom steps within the cap whose recognizer's rebuild passes it, and the
 #: sets that recognize their schema
 _REBUILT_PAST_THE_CAP = {
@@ -305,15 +301,11 @@ _REBUILT_PAST_THE_CAP = {
     "phi11": (
         Implies(
             Forall(1, Atom("=", (Var(1), _successors(50, Var(1))))),
-            Atom("=", (_successors(MAX_NESTING, _ZERO), _ZERO)),
+            Atom("=", (_successors(MAX_NESTING, Const("0")), Const("0"))),
         ),
         ("L12", "L2r"),
     ),
-    # induction substitutes x1 + 1 for x1 in S^400(x1) = 0, one level higher
-    "induction": (
-        Implies(And(_EQ00, Forall(1, Implies(_TALL_EQ, _EQ00))), _EQ00),
-        ("Xp", "Yp"),
-    ),
+    "induction": (induction_candidate(MAX_NESTING), ("Xp", "Yp")),
 }
 
 
