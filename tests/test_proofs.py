@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from proofbench.parser import parse
+from proofbench.parser import parse, render
 from proofbench.proofs import (
     Ax,
     CheckResult,
@@ -27,6 +27,7 @@ from proofbench.syntax import (
     Const,
     Forall,
     Implies,
+    NestingError,
     Not,
     Var,
     connective_depth,
@@ -292,6 +293,33 @@ def _successors(n, base):
     for _ in range(n):
         base = App("S", (base,))
     return base
+
+
+def _phi11_texts(n):
+    """The script texts of ``_phi11_under_negations(n)`` and
+    ``_phi11_over_successors(n)``, written without building either."""
+    neg = "~" * n
+    tall, ground = "S(" * n + "x1" + ")" * n, "S(" * n + "0" + ")" * n
+    return (
+        f"(Ax1){neg}(x1 = x1) -> {neg}(0 = 0)",
+        f"(Ax1)({tall} = 0) -> {ground} = 0",
+    )
+
+
+@pytest.mark.parametrize("depth", [450, 1200])
+@pytest.mark.parametrize("set_name", ["L12", "L2r"])
+def test_check_proof_refuses_an_axiom_step_past_the_nesting_cap(depth, set_name):
+    # past the cap the phi11 recognizer once raised ValueError (450) or
+    # RecursionError (1200); now no such step reaches the checker: the kernel
+    # refuses to build it, and a script that states it fails at its line
+    builders = (_phi11_under_negations, _phi11_over_successors)
+    assert _phi11_texts(3) == tuple(render(build(3)) for build in builders)
+    for build, text in zip(builders, _phi11_texts(depth)):
+        with pytest.raises(NestingError):
+            build(depth)
+        with pytest.raises(ScriptError, match="nests more than") as exc:
+            parse_proof_script(f"1. {text} ; axiom {set_name}\n")
+        assert exc.value.line == 1
 
 
 #: axiom steps within the cap whose recognizer's rebuild passes it, and the
