@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .parser import Memo, ParseError, parse, render
 from .schemata import AxiomSetRecognizer, axiom_set
-from .syntax import Forall, Formula, Implies, NestingError, find, free_vars
+from .syntax import Forall, Formula, Implies, find, free_vars
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,12 @@ def check_proof(
     or a step number that is not a positive ``int``), ``bad-mp`` (cited
     steps do not fit), ``bad-gen`` (not the stated generalization, or a
     variable that is not a positive ``int``), ``not-axiom`` (recognizer
-    refused; refined to ``side-condition`` when a recognizer diagnostic says
-    so); unknown or non-``str`` hypothesis/axiom names also surface as
-    ``dangling-ref``.  An axiom step is ``too-deep`` where the recognizer's
-    rebuild of the formula would nest past
+    refused; refined to ``side-condition`` or ``too-deep`` when a recognizer
+    diagnostic says so); unknown or non-``str`` hypothesis/axiom names also
+    surface as ``dangling-ref``.  An axiom step is ``too-deep`` where the
+    recognizer's rebuild of the formula would nest past
     :data:`~proofbench.syntax.MAX_NESTING` (a ``phi11`` term substituted
-    under a tall term, say), which the kernel refuses with
-    :class:`~proofbench.syntax.NestingError`.
+    under a tall term, say), so that the formula is no instance.
 
     In strict mode, generalizing over a variable free in a hypothesis the
     step's derivation uses is ``gen-on-free-hyp-var``; in lax mode the same
@@ -155,14 +154,11 @@ def check_proof(
             r = recog.get(j.set_name) if type(j.set_name) is str else None
             if r is None:
                 return CheckResult(False, pos, "dangling-ref")
-            try:
-                if not r.contains(step.formula):
+            if not r.contains(step.formula):
+                reason = r.diagnose(step.formula) if r.diagnose is not None else None
+                if reason not in ("side-condition", "too-deep"):
                     reason = "not-axiom"
-                    if r.diagnose is not None and r.diagnose(step.formula) == "side-condition":
-                        reason = "side-condition"
-                    return CheckResult(False, pos, reason)
-            except NestingError:
-                return CheckResult(False, pos, "too-deep")
+                return CheckResult(False, pos, reason)
             deps[pos] = frozenset()
         elif isinstance(j, Mp):
             if not (_positive_int(j.i) and _positive_int(j.j) and j.i < pos and j.j < pos):

@@ -33,6 +33,7 @@ from .syntax import (
     Formula,
     Iff,
     Implies,
+    NestingError,
     Not,
     Or,
     Term,
@@ -234,13 +235,29 @@ def match_schema(
     """
     try:
         args = schema.read(candidate)
-    except AttributeError:
-        return None
-    if args is None or schema.build(*args) is not candidate:
+        # a rebuild past the cap is no node, so not the candidate
+        if args is None or schema.build(*args) is not candidate:
+            return None
+    except (AttributeError, NestingError):
         return None
     if require_side_conditions and schema.side is not None and not schema.side(*args):
         return None
     return args
+
+
+def _too_deep(f: Formula, schemas: Iterable[Schema]) -> str:
+    """``too-deep`` where one of ``schemas`` reads arguments off ``f`` that
+    rebuild past the cap (so ``f`` is no instance of it), else ``no-match``."""
+    for s in schemas:
+        try:
+            args = s.read(f)
+            if args is not None:
+                s.build(*args)
+        except AttributeError:
+            pass
+        except NestingError:
+            return "too-deep"
+    return "no-match"
 
 
 #: Entries kept by each recognizer cache.  A cache holds its formulas alive,
@@ -256,14 +273,14 @@ def is_logic_instance(f: Formula) -> bool:
 
 
 def logic_diagnose(f: Formula) -> str:
-    """"ok", "side-condition", or "no-match" against the logical schemata."""
+    """"ok", "side-condition", "too-deep" or "no-match" against the logical schemata."""
     for s in SCHEMATA.values():
         if match_schema(f, s) is not None:
             return "ok"
     for s in SCHEMATA.values():
         if s.side is not None and match_schema(f, s, require_side_conditions=False) is not None:
             return "side-condition"
-    return "no-match"
+    return _too_deep(f, SCHEMATA.values())
 
 
 def recognize_induction(candidate: Formula, schema: Schema) -> Formula | None:
@@ -414,7 +431,8 @@ def _finite(
             induction is not None and recognize_induction(f, induction) is not None
         )
 
-    return AxiomSetRecognizer(name, contains, finite_core=core)
+    diagnose = None if induction is None else lambda f: _too_deep(f, (induction,))
+    return AxiomSetRecognizer(name, contains, finite_core=core, diagnose=diagnose)
 
 
 def _prefixed(name: str, prefix: tuple[Formula, ...], with_logic: bool) -> AxiomSetRecognizer:
@@ -454,7 +472,11 @@ AXIOM_SETS: dict[str, AxiomSetRecognizer] = {
     r.name: r
     for r in (
         AxiomSetRecognizer("L12", is_logic_instance, diagnose=logic_diagnose),
-        AxiomSetRecognizer("L2r", _is_closure_of_logic_instance),
+        AxiomSetRecognizer(
+            "L2r",
+            _is_closure_of_logic_instance,
+            diagnose=lambda f: _too_deep(_strip_foralls(f), SCHEMATA.values()),
+        ),
         _finite("Xp", PSI_AXIOMS.values(), INDUCTION_ONE),
         _finite("Yp", (), INDUCTION_ONE),
         _finite("XpPrime", Q_AXIOMS.values(), INDUCTION_ZERO),

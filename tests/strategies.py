@@ -9,7 +9,8 @@ Two families:
 ``brute_eval`` and ``first_occurrence_atoms`` read propositional skeletons
 without ``proofbench.semantics``, so tests can check the sweep against them.
 ``antecedent_chain`` builds a goal that needs one discharge per antecedent,
-and ``induction_candidate`` an induction instance with a tall term;
+``induction_candidate`` an induction instance with a tall term and
+``phi10_candidate`` a non-instance that the phi10 reader rebuilds higher;
 ``unreachable_steps`` checks the shape of the proofs the engine and the
 transforms return.
 """
@@ -266,3 +267,14 @@ def induction_candidate(height: int) -> Implies:
         t = App("S", (t,))
     eq00 = parse("0 = 0")
     return Implies(And(eq00, Forall(1, Implies(Atom("=", (t, Const("0"))), eq00))), eq00)
+
+
+def phi10_candidate(depth: int) -> Implies:
+    """``(A -> 0 = 0) -> ((0 = 0 -> 0 = 0) -> ((0 = 0 -> 0 = 0) -> 0 = 0))``
+    with ``A = ~^depth(0 = 0)``, built in code: the first nine schemata miss
+    it, and the phi10 reader rebuilds it four levels above ``A``."""
+    eq00 = parse("0 = 0")
+    a, taut = eq00, Implies(eq00, eq00)
+    for _ in range(depth):
+        a = Not(a)
+    return Implies(Implies(a, eq00), Implies(taut, Implies(taut, eq00)))

@@ -29,10 +29,16 @@ from proofbench.schemata import (
     match_schema,
     named_formula,
 )
-from proofbench.syntax import App, Atom, Const, Forall, Implies, NestingError, Not
-from proofbench.transforms import TransformError
+from proofbench.syntax import And, App, Atom, Const, Forall, Implies, NestingError, Not
+from proofbench.transforms import TransformError, covering_set
 
-from strategies import antecedent_chain, formulas, induction_candidate, unreachable_steps
+from strategies import (
+    antecedent_chain,
+    formulas,
+    induction_candidate,
+    phi10_candidate,
+    unreachable_steps,
+)
 
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
@@ -288,28 +294,58 @@ def _negations(n, f=parse("0 = 0")):
 
 
 def _past_the_cap(shape):
-    """``prove`` and ``bounded_closure`` arguments, all within the cap, from
-    which the engine builds a formula past it."""
+    """A ``prove`` and a ``bounded_closure`` call that build a formula past the cap."""
     if shape == "connectives":
-        # phi1's instance over the goal's antecedent, and L11's three
-        # prefixes over the closed phi4 instance (Ax1)(B -> (B -> B))
+        # from inputs within the cap: phi1's instance over the goal's
+        # antecedent, and L11's three prefixes over the closed phi4 instance
+        # (Ax1)(B -> (B -> B))
         a = _negations(MAX_NESTING - 1)
         b = _negations(MAX_NESTING - 3, parse("x1 = 0"))
         closed = Forall(1, Implies(b, Implies(b, b)))
-        return (Implies(a, a), [], L12), ([closed], (axiom_set("L11"),))
-    # Xp's rebuild of an induction step, one term level higher
-    tall, xp = induction_candidate(MAX_NESTING), (axiom_set("Xp"),)
-    return (U27, [tall], xp), ([tall], xp)
+        return (
+            lambda: prove(Implies(a, a), [], L12),
+            lambda: bounded_closure([closed], (axiom_set("L11"),)),
+        )
+    # the engine builds no term, and a recognizer's rebuild past the cap is
+    # no member (test_a_rebuild_past_the_cap_is_no_member): the term past the
+    # cap is the input, refused where it is built
+    return (
+        lambda: prove(U27, [_numeral_atom(MAX_NESTING + 1)], L12),
+        lambda: bounded_closure([_numeral_atom(MAX_NESTING + 1)], L12),
+    )
 
 
 @pytest.mark.parametrize("shape", ["connectives", "terms"])
 def test_formulas_built_past_the_nesting_cap_are_refused(shape):
-    # the engine builds formulas above its inputs.  Past the cap the kernel
-    # refuses them, and the NestingError leaves the engine
-    prove_args, closure_args = _past_the_cap(shape)
-    for call in (lambda: prove(*prove_args), lambda: bounded_closure(*closure_args)):
+    # past the cap the kernel refuses a formula, and the NestingError leaves
+    # the engine
+    for call in _past_the_cap(shape):
         with pytest.raises(NestingError, match=f"MAX_NESTING \\({MAX_NESTING}\\)"):
             call()
+
+
+#: non-members within the cap that a recognizer rebuilds past it, with their
+#: axiom sets
+_REBUILT_PAST_THE_CAP = {
+    "phi10": (phi10_candidate(MAX_NESTING - 3), L12),
+    "induction": (induction_candidate(MAX_NESTING), (axiom_set("Xp"),)),
+}
+
+
+@pytest.mark.parametrize("shape", _REBUILT_PAST_THE_CAP)
+def test_a_rebuild_past_the_cap_is_no_member(shape):
+    f, axioms = _REBUILT_PAST_THE_CAP[shape]
+    assert covering_set(f, axioms) is None
+    assert f in bounded_closure([f], axioms)
+    assert prove(f, [f], axioms).proof is not None
+
+
+def test_a_rebuild_past_the_cap_hides_no_later_member():
+    # Xp rebuilds the induction step of this phi5 instance past the cap
+    # before L12, which holds it, is asked
+    tall = induction_candidate(MAX_NESTING)
+    inst = Implies(And(U27, tall.left.right), U27)
+    assert covering_set(inst, (axiom_set("Xp"), axiom_set("L12"))) == "L12"
 
 
 def test_formulas_built_at_the_nesting_cap_are_searched():

@@ -34,7 +34,7 @@ from proofbench.syntax import (
 )
 from proofbench.transforms import ProofBuilder, phi4_instance
 
-from strategies import induction_candidate, random_proof
+from strategies import induction_candidate, phi10_candidate, random_proof
 
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
@@ -333,13 +333,16 @@ _REBUILT_PAST_THE_CAP = {
         ),
         ("L12", "L2r"),
     ),
+    # phi10 reads A = ~^397(0 = 0) off the first antecedent (phi1 to phi9 miss)
+    "phi10": (phi10_candidate(MAX_NESTING - 3), ("L12", "L2r")),
     "induction": (induction_candidate(MAX_NESTING), ("Xp", "Yp")),
 }
 
 
 @pytest.mark.parametrize("schema", _REBUILT_PAST_THE_CAP)
 def test_check_proof_refuses_an_axiom_step_whose_rebuild_passes_the_cap(schema):
-    # the kernel refuses the rebuilt node, and the checker names why
+    # the rebuilt node cannot be the step, which is within the cap, and the
+    # checker names why
     f, set_names = _REBUILT_PAST_THE_CAP[schema]
     for set_name in set_names:
         axioms = (axiom_set(set_name),)
