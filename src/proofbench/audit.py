@@ -76,7 +76,7 @@ from .schemata import (
     named_formula,
 )
 from .semantics import FALSE, SkeletonLimitError, arith_verdict, lowest_row
-from .syntax import Forall, Formula, Implies, Not
+from .syntax import Forall, Formula, Implies, NestingError, Not
 
 CLAIM_SHAPES = ("membership", "set-equality", "contradiction", "sanity")
 
@@ -313,13 +313,20 @@ def _judge_sanity(claim: AuditClaim) -> AuditVerdict:
 
 
 def run_claim(claim: AuditClaim, budget: Budget | None = None) -> AuditVerdict:
-    """Judge a single claim.  Deterministic for a fixed claim and budget."""
+    """Judge a single claim.  Deterministic for a fixed claim and budget.
+
+    A claim whose judging would build a node past the nesting cap is
+    UNRESOLVED, with no steps and the kernel's refusal as its detail.
+    """
     budget = budget or Budget()
-    if claim.shape == "membership":
-        return _judge_membership(claim, budget)
-    if claim.shape in ("set-equality", "contradiction"):
-        return _judge_collapse(claim, budget)
-    return _judge_sanity(claim)
+    try:
+        if claim.shape == "membership":
+            return _judge_membership(claim, budget)
+        if claim.shape in ("set-equality", "contradiction"):
+            return _judge_collapse(claim, budget)
+        return _judge_sanity(claim)
+    except NestingError as exc:
+        return AuditVerdict(claim, UNRESOLVED, detail=str(exc))
 
 
 def run_audit(

@@ -22,25 +22,29 @@ Precedence*, 1973): one loop reads a primary or prefix, then every infix
 operator that binds at least as tightly as its caller asked for. A
 parenthesized group may hold a term or a formula; its sort is checked only
 where an operator or the caller uses it, so ``(`` never backtracks. Text
-that nests more than :data:`MAX_NESTING` deep is a :class:`ParseError`, found
-before the kernel would refuse a node (``syntax.MAX_NESTING``, re-exported).
+that opens more than :data:`MAX_NESTING` frames at once (``syntax``'s cap,
+re-exported) is a :class:`ParseError` at the token that opens one too many.
+How deep the tree nests is the kernel's to check: a node its constructor
+refuses past the cap is a :class:`ParseError` at the token after its last
+operand.
 
 ``parse(text, memo)`` shares a memo, a plain dict, between parses. It keeps
 each span a parse reads whole: the input, the content of each ``( ... )``
 group and each right operand of ``->``, which runs from its first token to
 the close of its group because ``->`` binds loosest and associates to the
 right. A span is keyed by its text, so that of ``B`` in ``A -> B`` is
-``render(B)``, and kept with its node, its height and the frames it opened.
-A later span with the same text is one lookup, and its tokens are skipped,
-unless its frames would pass the cap where it now stands: then it is read
-again, and gives the error a full read gives. A parse with a memo returns
-exactly what one without it returns. Text with a ``#`` is read without the
-memo, since a comment may hold a parenthesis.
+``render(B)``, and kept with its node and the frames it opened. A later
+span with the same text is one lookup, and its tokens are skipped, unless
+its frames would pass the cap where it now stands: then it is read again,
+and gives the error a full read gives. A parse with a memo returns exactly
+what one without it returns. Text with a ``#`` is read without the memo,
+since a comment may hold a parenthesis.
 
 :func:`render` reads the same table and produces a form that :func:`parse`
-reads back to an equal tree, within :data:`MAX_NESTING`. It drops every
-parenthesis the table makes redundant except around an atom under a prefix
-or on the right of ``/\\``, which it keeps: ``0 = 0 /\\ (1 = 1)``.
+reads back to an equal tree, where that form opens at most
+:data:`MAX_NESTING` frames at once. It drops every parenthesis the table
+makes redundant except around an atom under a prefix or on the right of
+``/\\``, which it keeps: ``0 = 0 /\\ (1 = 1)``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .syntax import (
     Formula,
     Iff,
     Implies,
+    NestingError,
     Not,
     Or,
     Term,
@@ -167,13 +172,13 @@ def _var(text: str, pos: int) -> Var:
         raise ParseError(f"bad variable {text[:12]!r}: ids start at x1", pos) from None
 
 
-#: span text -> (node, height, frames opened): what :func:`parse` keeps of
-#: each span it reads whole
+#: span text -> (node, frames opened): what :func:`parse` keeps of each span
+#: it reads whole
 Memo = dict[str, tuple]
 
 
 class _Parser:
-    __slots__ = ("text", "tok", "at", "depth", "peak", "height", "memo", "closes", "close")
+    __slots__ = ("text", "tok", "at", "depth", "peak", "memo", "closes", "close")
 
     def __init__(self, text: str, memo: Memo | None) -> None:
         self.text = text
@@ -214,28 +219,21 @@ class _Parser:
         self.tok, self.at = mark
         return None
 
-    def rise(self, below: int) -> int:
-        """The height of a node over operands ``below`` high, checked before it is built."""
-        if below >= MAX_NESTING:
-            raise _too_deep(self.tok[2])
-        return below + 1
-
     def expr(self, min_power: int, start: int = -1) -> Formula | Term:
         """The expression at the cursor, up to the first operator looser than
-        ``min_power``; leaves its height, counting term levels, in ``self.height``.
+        ``min_power``.
 
         With a ``start``, the expression runs from there to ``self.close`` and
-        goes through the memo.  A span read to its close is kept with its
-        height and the frames it opened.  A later span with the same text
-        reuses it and skips its tokens, unless its frames would pass
-        :data:`MAX_NESTING` here: then it is read again, for the error a full
-        read gives.
+        goes through the memo.  A span read to its close is kept with the
+        frames it opened.  A later span with the same text reuses it and
+        skips its tokens, unless its frames would pass :data:`MAX_NESTING`
+        here: then it is read again, for the error a full read gives.
         """
         if start >= 0:
             key = self.text[start : self.close]
             hit = self.memo.get(key)
-            if hit is not None and self.depth + hit[2] <= MAX_NESTING:
-                left, self.height, frames = hit
+            if hit is not None and self.depth + hit[1] <= MAX_NESTING:
+                left, frames = hit
                 self.peak = max(self.peak, self.depth + frames)
                 self.at = self.close
                 self.advance()
@@ -248,27 +246,22 @@ class _Parser:
             raise _too_deep(pos)
         if self.depth > self.peak:
             self.peak = self.depth
-        self.height = 0  # a prefix or S adds one to its operand's height
         if kind == "var":
             left = _var(text, pos)
         elif kind == "const":
             left = Const(text)
         elif kind == "not":
-            body = _sorted(self.expr(_PREFIX), Formula, pos, "~")
-            self.height = self.rise(self.height)
-            left = Not(body)
+            left = Not(_sorted(self.expr(_PREFIX), Formula, pos, "~"))
         elif kind == "name" and text == "S":
             self.expect("lpar", "'(' after S")
             arg = _sorted(self.expr(0), Term, pos, "S")
             self.expect("rpar", "')'")
-            self.height = self.rise(self.height)
             left = App("S", (arg,))
         elif kind == "lpar":
             prefix = self.binder()
             if prefix is not None:
                 quantifier, var = prefix
                 body = _sorted(self.expr(_PREFIX), Formula, pos, "a quantifier")
-                self.height = self.rise(self.height)
                 left = quantifier(var.id, body)
             else:
                 close = self.closes.get(pos)
@@ -281,16 +274,14 @@ class _Parser:
                 self.expect("rpar", "')'")
         else:
             raise _unexpected((kind, text, pos), "a term or a formula")
-        height = self.height
         while True:
             kind, _, pos = self.tok
             op = _INFIX.get(kind)
             if op is None or op.power < min_power:
                 self.depth -= 1
-                self.height = height
                 if start >= 0:
                     if pos == self.close:
-                        self.memo[key] = (left, height, self.peak - self.depth)
+                        self.memo[key] = (left, self.peak - self.depth)
                     self.peak = max(outer_peak, self.peak)
                 return left
             self.advance()
@@ -303,14 +294,15 @@ class _Parser:
             else:
                 # a right-associative operator takes its own kind on the right
                 right = self.expr(op.power + (not op.right))
-            _sorted(right, op.sort, pos, op.glyph)
-            height = self.rise(max(height, self.height))
-            left = op.build(left, right)
+            left = op.build(left, _sorted(right, op.sort, pos, op.glyph))
 
 
 def _parse(text: str, sort: type, memo: Memo | None = None):
     p = _Parser(text, memo)
-    node = p.expr(0, -1 if memo is None else 0)
+    try:
+        node = p.expr(0, -1 if memo is None else 0)
+    except NestingError:  # each node is built just after its last operand is read
+        raise _too_deep(p.tok[2]) from None
     if p.tok[0] != "end":
         raise _unexpected(p.tok, "end of input")
     return _sorted(node, sort, 0, "the input")

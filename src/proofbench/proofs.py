@@ -122,12 +122,9 @@ def check_proof(
     or a step number that is not a positive ``int``), ``bad-mp`` (cited
     steps do not fit), ``bad-gen`` (not the stated generalization, or a
     variable that is not a positive ``int``), ``not-axiom`` (recognizer
-    refused; refined to ``side-condition`` or ``too-deep`` when a recognizer
-    diagnostic says so); unknown or non-``str`` hypothesis/axiom names also
-    surface as ``dangling-ref``.  An axiom step is ``too-deep`` where the
-    recognizer's rebuild of the formula would nest past
-    :data:`~proofbench.syntax.MAX_NESTING` (a ``phi11`` term substituted
-    under a tall term, say), so that the formula is no instance.
+    refused; refined to ``side-condition`` when a recognizer diagnostic says
+    so); unknown or non-``str`` hypothesis/axiom names also surface as
+    ``dangling-ref``.
 
     In strict mode, generalizing over a variable free in a hypothesis the
     step's derivation uses is ``gen-on-free-hyp-var``; in lax mode the same
@@ -156,7 +153,7 @@ def check_proof(
                 return CheckResult(False, pos, "dangling-ref")
             if not r.contains(step.formula):
                 reason = r.diagnose(step.formula) if r.diagnose is not None else None
-                if reason not in ("side-condition", "too-deep"):
+                if reason != "side-condition":
                     reason = "not-axiom"
                 return CheckResult(False, pos, reason)
             deps[pos] = frozenset()

@@ -235,7 +235,8 @@ def match_schema(
     """
     try:
         args = schema.read(candidate)
-        # a rebuild past the cap is no node, so not the candidate
+        # the arguments read are the only ones under which the candidate can
+        # be an instance, and a rebuild past the cap is no node, so not it
         if args is None or schema.build(*args) is not candidate:
             return None
     except (AttributeError, NestingError):
@@ -243,21 +244,6 @@ def match_schema(
     if require_side_conditions and schema.side is not None and not schema.side(*args):
         return None
     return args
-
-
-def _too_deep(f: Formula, schemas: Iterable[Schema]) -> str:
-    """``too-deep`` where one of ``schemas`` reads arguments off ``f`` that
-    rebuild past the cap (so ``f`` is no instance of it), else ``no-match``."""
-    for s in schemas:
-        try:
-            args = s.read(f)
-            if args is not None:
-                s.build(*args)
-        except AttributeError:
-            pass
-        except NestingError:
-            return "too-deep"
-    return "no-match"
 
 
 #: Entries kept by each recognizer cache.  A cache holds its formulas alive,
@@ -273,14 +259,14 @@ def is_logic_instance(f: Formula) -> bool:
 
 
 def logic_diagnose(f: Formula) -> str:
-    """"ok", "side-condition", "too-deep" or "no-match" against the logical schemata."""
+    """"ok", "side-condition" or "no-match" against the logical schemata."""
     for s in SCHEMATA.values():
         if match_schema(f, s) is not None:
             return "ok"
     for s in SCHEMATA.values():
         if s.side is not None and match_schema(f, s, require_side_conditions=False) is not None:
             return "side-condition"
-    return _too_deep(f, SCHEMATA.values())
+    return "no-match"
 
 
 def recognize_induction(candidate: Formula, schema: Schema) -> Formula | None:
@@ -431,8 +417,7 @@ def _finite(
             induction is not None and recognize_induction(f, induction) is not None
         )
 
-    diagnose = None if induction is None else lambda f: _too_deep(f, (induction,))
-    return AxiomSetRecognizer(name, contains, finite_core=core, diagnose=diagnose)
+    return AxiomSetRecognizer(name, contains, finite_core=core)
 
 
 def _prefixed(name: str, prefix: tuple[Formula, ...], with_logic: bool) -> AxiomSetRecognizer:
@@ -472,11 +457,7 @@ AXIOM_SETS: dict[str, AxiomSetRecognizer] = {
     r.name: r
     for r in (
         AxiomSetRecognizer("L12", is_logic_instance, diagnose=logic_diagnose),
-        AxiomSetRecognizer(
-            "L2r",
-            _is_closure_of_logic_instance,
-            diagnose=lambda f: _too_deep(_strip_foralls(f), SCHEMATA.values()),
-        ),
+        AxiomSetRecognizer("L2r", _is_closure_of_logic_instance),
         _finite("Xp", PSI_AXIOMS.values(), INDUCTION_ONE),
         _finite("Yp", (), INDUCTION_ONE),
         _finite("XpPrime", Q_AXIOMS.values(), INDUCTION_ZERO),

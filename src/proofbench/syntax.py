@@ -144,13 +144,27 @@ class _Node:
     def __deepcopy__(self, memo) -> _Node:
         return self  # immutable and interned: the copy is the node
 
+    def __repr__(self) -> str:
+        # the dataclass form, built bottom-up over the flat list: any depth formats
+        texts: list[str] = []
+        for cls, plain, held in _flatten(self):
+            fields = [repr(v) for v in plain]
+            for h in held:
+                if isinstance(h, tuple):  # a tuple of terms: (a,) or (a, b)
+                    fields.append(f"({', '.join(texts[i] for i in h)}{',' * (len(h) == 1)})")
+                else:
+                    fields.append(texts[h])
+            shown = ", ".join(f"{name}={text}" for name, text in zip(cls.__slots__, fields))
+            texts.append(f"{cls.__qualname__}({shown})")
+        return texts[-1]
+
 
 #: Frozen dataclass over the class's own ``__slots__`` that keeps the class's
-#: constructor and ``_Node``'s identity hashing and equality.
+#: constructor, ``_Node``'s identity hashing and equality, and its ``repr``.
 #: ``dataclass(slots=True)`` would rebuild the class, after which its frozen
 #: ``__setattr__`` raises ``TypeError``, not ``FrozenInstanceError``, for names
 #: that are not fields.
-_node = dataclass(frozen=True, eq=False, init=False)
+_node = dataclass(frozen=True, eq=False, init=False, repr=False)
 
 
 @_node

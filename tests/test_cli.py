@@ -12,6 +12,7 @@ from proofbench import semantics
 from proofbench.cli import main
 from proofbench.engine import BACKWARD_DEPTH
 from proofbench.parser import MAX_NESTING, render
+from proofbench.proofs import recheck_report
 
 from strategies import antecedent_chain
 
@@ -418,9 +419,8 @@ _PHI4 = f"{_AND_CHAIN} -> {_AND_CHAIN} -> {_AND_CHAIN}"
         # phi1's instance over A, four levels above A
         (("prove", "--goal", f"{_AND_CHAIN} -> {_AND_CHAIN}", "--axioms", "L12"), ""),
         (("closure", "--hyp", "{f}", "--axioms", "PrefixedL2r"), _PHI4),
-        (("audit", "{f}"), f"claim c | hyps PrefixedL2r | goal {_PHI4}"),
     ],
-    ids=["prove", "closure", "audit"],
+    ids=["prove", "closure"],
 )
 def test_a_formula_the_engine_builds_past_the_cap_is_an_input_error(tmp_path, argv, text):
     f = tmp_path / "input.txt"
@@ -428,6 +428,37 @@ def test_a_formula_the_engine_builds_past_the_cap_is_an_input_error(tmp_path, ar
     code, out, err = run_cli(*(a.format(f=f) for a in argv))
     assert (code, out) == (2, "")
     assert err == f"error: Implies would nest past MAX_NESTING ({MAX_NESTING})\n"
+
+
+def test_audit_judges_a_claim_built_past_the_cap_unresolved(tmp_path):
+    # the engine would build c's PrefixedL2r member past the cap; d is judged
+    # as usual, and the report replays
+    script = tmp_path / "input.txt"
+    script.write_text(
+        f"claim c | hyps PrefixedL2r | goal {_PHI4}\nclaim d | hyps L12 | goal 0 = 0 -> 0 = 0\n"
+    )
+    report = tmp_path / "report"
+    code, out, _ = run_cli("audit", str(script), "--report", str(report))
+    assert code == 0
+    assert "claims: 2  verified: 1  refuted: 0  unresolved: 1" in out
+    c, d = (report / "report.tsv").read_text().splitlines()
+    assert c == "c\tUNRESOLVED\t0\tdetails/c.budget"
+    assert d.startswith("d\tVERIFIED\t")
+    budget = (report / "details" / "c.budget").read_text()
+    assert budget == f"Implies would nest past MAX_NESTING ({MAX_NESTING})\n"
+    assert recheck_report(report) == []
+
+
+def test_prove_prints_a_proof_check_reads_near_the_cap(tmp_path):
+    # A is a 397-atom /\ chain; phi1's instance in the proof is at the cap
+    chain = " /\\ ".join(["0 = 0"] * (MAX_NESTING - 3))
+    code, proof, _ = run_cli("prove", "--goal", f"{chain} -> {chain}", "--axioms", "L12")
+    assert code == 0
+    path = tmp_path / "proof.txt"
+    path.write_text(proof)
+    code, out, err = run_cli("check", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("ok ")
 
 
 def test_closure_dump_to_an_unwritable_path_is_usage_error(tmp_path, hyp_file):

@@ -199,10 +199,12 @@ def test_text_nesting_past_the_cap_is_a_parse_error(shape):
 
 
 def test_term_levels_count_toward_the_nesting():
-    # neither the chain nor the term passes the cap alone; stacked, they do
-    text = _DEEP["and-over-plus"](MAX_NESTING + 20)
-    with pytest.raises(ParseError, match=f"nests more than {MAX_NESTING} deep"):
-        parse(text)
+    # of the term alone: the kernel caps a formula's connective depth and a
+    # term's height apart, and the text parses to the node it builds
+    n = (MAX_NESTING + 20) // 2
+    tall = _stacked(lambda t: App("+", (t, _X1)), n, _X1)
+    f = _stacked(lambda g: And(g, _eq(_X1, _ONE)), n, _eq(tall, _ONE))
+    assert parse(_DEEP["and-over-plus"](MAX_NESTING + 20)) is f
 
 
 def _stacked(build, n, base):
@@ -262,6 +264,55 @@ def test_text_within_the_cap_survives_the_pipeline(shape):
     # substitute spends one frame per level, term levels included
     f = parse(_DEEP[shape](MAX_NESTING - 10))
     _with_frames_below(400, lambda: substitute(f, 1, Const("0")))
+
+
+def _tall_and_chain(depth, height):
+    """As render writes it: a ``/\\`` chain ``depth`` connectives deep whose
+    first atom holds a ``+`` chain ``height`` high."""
+    return "x1" + " + x1" * height + " = 1" + " /\\ (x1 = 1)" * depth
+
+
+def test_a_tall_term_under_a_deep_chain_survives_the_pipeline():
+    # the kernel caps the two counts apart, so text near the cap on both goes
+    # through; not a _DEEP shape, since substitute's frames at 780 combined
+    # levels leave no 400 to spare
+    l12 = (axiom_set("L12"),)
+    text = _tall_and_chain(MAX_NESTING - 10, MAX_NESTING - 10)
+
+    def pipeline():
+        f = parse(text)
+        assert render(f) == text
+        g = substitute(f, 1, Const("0"))
+        assert g != f and render(g) == text.replace("x1", "0")
+        assert is_tautology(g) in (True, False)
+        b = ProofBuilder((("h", g),), axioms=l12)
+        b.add_mp(b.add_hyp("h"), b.add_axiom(phi4_instance(g, g)))
+        proof = b.proof()
+        assert check_proof(proof, l12).ok
+        out = deduction_transform(proof, "h", l12)
+        assert out.conclusion == Implies(g, Implies(g, g))
+        assert check_proof(out, l12).ok
+
+    assert sys.getrecursionlimit() >= 1000
+    _with_frames_below(150, pipeline)
+
+
+def test_text_at_the_cap_on_both_counts_round_trips():
+    text = _tall_and_chain(MAX_NESTING, MAX_NESTING)
+    f = atom = parse(text)
+    while isinstance(atom, And):
+        atom = atom.left
+    assert (f._depth, atom.args[0]._depth) == (MAX_NESTING, MAX_NESTING)
+    assert render(f) == text
+
+
+@pytest.mark.parametrize("depth, height", [(MAX_NESTING + 1, 0), (0, MAX_NESTING + 1)])
+def test_one_level_past_the_kernel_cap_is_a_parse_error(depth, height):
+    # at the token after the last operand of the node the kernel refuses
+    text = _tall_and_chain(depth, height)
+    with pytest.raises(ParseError, match=f"input nests more than {MAX_NESTING} deep") as e:
+        parse(text)
+    assert e.value.pos == (len(text) if depth else text.index("="))
 
 
 # -- the span memo ---------------------------------------------------------

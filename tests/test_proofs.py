@@ -341,13 +341,13 @@ _REBUILT_PAST_THE_CAP = {
 
 @pytest.mark.parametrize("schema", _REBUILT_PAST_THE_CAP)
 def test_check_proof_refuses_an_axiom_step_whose_rebuild_passes_the_cap(schema):
-    # the rebuilt node cannot be the step, which is within the cap, and the
-    # checker names why
+    # the rebuilt node cannot be the step, which is within the cap, so the
+    # step is no instance of the schema
     f, set_names = _REBUILT_PAST_THE_CAP[schema]
     for set_name in set_names:
         axioms = (axiom_set(set_name),)
         assert check_proof(_one_axiom_step(f, set_name), axioms) == CheckResult(
-            False, 1, "too-deep"
+            False, 1, "not-axiom"
         )
 
 

@@ -422,6 +422,37 @@ def test_pickle_round_trips_a_formula_at_the_cap_on_both_counts():
     assert pickle.loads(pickle.dumps(f)) is f
 
 
+def _dataclass_repr(value):
+    """The repr the generated dataclass ``__repr__`` gives, recursing per level."""
+    if isinstance(value, tuple):
+        return repr(tuple(_Text(_dataclass_repr(v)) for v in value))
+    if not isinstance(value, syntax._Node):
+        return repr(value)
+    shown = ", ".join(f"{f.name}={_dataclass_repr(getattr(value, f.name))}" for f in fields(value))
+    return f"{type(value).__qualname__}({shown})"
+
+
+class _Text(str):
+    def __repr__(self):
+        return self
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas())
+def test_repr_is_the_dataclass_repr(f):
+    assert repr(f) == _dataclass_repr(f)
+
+
+def test_repr_of_a_formula_at_the_cap_on_both_counts():
+    # built bottom-up, so no level spends a frame
+    tall = _successors(MAX_NESTING, Const("0"))
+    f = _stacked(Not, MAX_NESTING, Atom("=", (tall, tall)))
+    t = "App(func='S', args=(" * MAX_NESTING + "Const(name='0')" + ",))" * MAX_NESTING
+    assert repr(tall) == t
+    atom = f"Atom(pred='=', args=({t}, {t}))"
+    assert repr(f) == "Not(body=" * MAX_NESTING + atom + ")" * MAX_NESTING
+
+
 def test_substitute_term_refuses_a_term_past_the_nesting_cap():
     # the result would pass the cap: the constructor of its top node refuses it
     with pytest.raises(NestingError, match="MAX_NESTING"):

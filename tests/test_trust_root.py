@@ -62,3 +62,31 @@ def test_readme_names_the_trust_root_line_counts():
     actual = {n: len((SRC / "proofbench" / f"{n}.py").read_bytes().splitlines()) for n in names}
     assert counts == actual
     assert total == sum(actual.values())
+
+
+def _cap_comparisons(path: Path) -> list[str]:
+    """The functions of ``path`` holding a comparison that names
+    ``MAX_NESTING``, qualified by class, once per comparison."""
+    found = []
+
+    def walk(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Compare) and any(
+                getattr(n, "id", getattr(n, "attr", None)) == "MAX_NESTING"
+                for n in ast.walk(child)
+            ):
+                found.append(f"{path.stem}.{where}")
+            walk(child, where)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_the_nesting_cap_is_compared_only_where_nodes_and_frames_are_made():
+    # the kernel's constructors check a node's height, and the parser its own
+    # open frames: any other depth rule is a third one
+    found = [c for path in (SRC / "proofbench").glob("*.py") for c in _cap_comparisons(path)]
+    assert sorted(found) == ["parser._Parser.expr", "parser._Parser.expr", "syntax._store"]
