@@ -58,8 +58,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .engine import MAX_DEPTH, Budget, pool_for
-from .engine import check_absolute_consistency, check_traditional_consistency
+from .engine import MAX_DEPTH, Budget, bounded_closure, pool_for, prove
 from .parser import ParseError, render
 from .parser import parse as parse_formula
 from .proofs import REFUTED, UNRESOLVED, VERIFIED, _ID_RE, Proof, check_proof, render_proof_script
@@ -209,7 +208,8 @@ def refutation_valuation(
 
 
 def _strict_check(proofs: tuple[Proof, ...], axioms: tuple[AxiomSetRecognizer, ...]) -> int:
-    """Strictly re-check the engine's proofs; their total number of steps."""
+    """Strictly check the engine's proofs, the one check each gets before a
+    verdict keeps it; their total number of steps."""
     for proof in proofs:
         result = check_proof(proof, axioms, strict=True)
         if not result.ok:
@@ -237,21 +237,21 @@ def _judge_membership(claim: AuditClaim, budget: Budget) -> AuditVerdict:
                 valuation=val,
                 detail="context-satisfying skeleton valuation falsifies the target",
             )
-    probe = check_absolute_consistency(claim.hypotheses, axioms, goal, budget)
-    if probe.proofs:
-        steps = _strict_check(probe.proofs, axioms)
+    outcome = prove(goal, claim.hypotheses, axioms, budget)
+    if outcome.proof is not None:
+        steps = _strict_check((outcome.proof,), axioms)
         return AuditVerdict(
             claim,
             VERIFIED,
-            proofs=probe.proofs,
+            proofs=(outcome.proof,),
             steps=steps,
             detail=f"proof with {steps} steps",
         )
     return AuditVerdict(
         claim,
         UNRESOLVED,
-        steps=probe.report.steps_expended,
-        detail=probe.report.stop(),
+        steps=outcome.report.steps_expended,
+        detail=outcome.report.stop(),
     )
 
 
@@ -271,19 +271,20 @@ def _judge_collapse(claim: AuditClaim, budget: Budget) -> AuditVerdict:
             valuation=val,
             detail=f"the context has a satisfying skeleton valuation, ruling out {what}",
         )
-    probe = check_traditional_consistency(claim.hypotheses, axioms, budget)
-    if probe.proofs:
+    closure = bounded_closure(claim.hypotheses, axioms, budget)
+    if closure.contradiction is not None:
+        proofs = tuple(closure.proof_of(f) for f in closure.contradiction)
         return AuditVerdict(
             claim,
             VERIFIED,
-            proofs=probe.proofs,
-            steps=_strict_check(probe.proofs, axioms),
-            detail=f"contradiction pair on {render(probe.witness)}",
+            proofs=proofs,
+            steps=_strict_check(proofs, axioms),
+            detail=f"contradiction pair on {render(closure.contradiction[0])}",
         )
     return AuditVerdict(
         claim,
         UNRESOLVED,
-        steps=probe.report.steps_expended,
+        steps=closure.report.steps_expended,
         detail=(
             "context skeletons are jointly unsatisfiable, yet no contradiction "
             "pair was derivable within budget"

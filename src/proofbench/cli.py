@@ -9,9 +9,10 @@ Verbs:
 
 ``prove --goal <formula> [--hyp <file>] [--axioms <names>] [--max-steps N]``
     Search for a kernel proof of the goal from the hypotheses and axiom
-    sets.  On success the proof script is printed to stdout (pipe it to a
-    file and replay it with ``check``).  Otherwise exit 3, naming the stop:
-    a fixpoint, the backward depth cap, or the budget running out.
+    sets.  On success the proof, checked strictly, is printed to stdout as a
+    script (pipe it to a file and replay it with ``check``); a proof the
+    check refuses is an internal error, exit 2.  Otherwise exit 3, naming
+    the stop: a fixpoint, the backward depth cap, or the budget running out.
 
 ``closure [--hyp <file>] [--axioms <names>] [--max-steps N] [--dump <path>]``
     Saturate the consequence closure of the hypotheses under the axiom
@@ -38,8 +39,9 @@ The module imports only the trust root (``syntax``, ``parser``, ``schemata``,
 nothing that builds or searches for proofs.
 
 Exit codes: 0 success, 1 check/refutation failure, 2 usage or input error
-(a formula past ``MAX_NESTING`` included), 3 no proof found (``prove``) or
-no fixpoint within budget (``closure``).
+(a formula past ``MAX_NESTING`` included) or an internal error (an engine
+proof the strict check refuses), 3 no proof found (``prove``) or no fixpoint
+within budget (``closure``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .parser import ParseError, parse, render
-from .proofs import check_certificate, parse_proof_script, render_proof_script
+from .proofs import check_certificate, check_proof, parse_proof_script, render_proof_script
 from .schemata import AXIOM_SET_NAMES, axiom_set
 from .syntax import NestingError, free_vars
 
@@ -176,6 +178,12 @@ def _cmd_prove(args: argparse.Namespace, out, err) -> int:
     if outcome.proof is None:
         print(f"not found: {outcome.report.stop()}", file=err)
         return EXIT_BUDGET
+    result = check_proof(outcome.proof, axioms, strict=True)
+    if not result.ok:
+        raise _UsageError(
+            f"internal: engine produced a proof that fails the strict kernel "
+            f"check{result.at}: {result.reason}"
+        )
     print(
         f"found: {len(outcome.proof.steps)} proof steps, "
         f"{outcome.report.steps_expended} search steps",

@@ -1,4 +1,4 @@
-"""Budgeted consequence closure, goal-directed proof search, consistency probes.
+"""Budgeted consequence closure and goal-directed proof search.
 
 The closure is a deterministic FIFO saturation loop.  Schema instantiation is
 restricted to a finite *pool*: the subformula closure of the hypotheses, the
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .parser import parse, render
-from .proofs import Proof, check_proof
+from .proofs import Proof
 from .schemata import NAMED_FORMULAS, AxiomSetRecognizer
 from .syntax import (
     And,
@@ -43,7 +43,6 @@ from .syntax import (
 from .transforms import (
     Derivation,
     ProofBuilder,
-    TransformError,
     conclude,
     covering_set,
     derive_andel,
@@ -601,15 +600,6 @@ class SearchOutcome:
     report: BudgetReport
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
-    kind: str  # contradiction_found | no_contradiction_within_budget
-    #        | target_derived | target_not_derived_within_budget
-    witness: Formula | None
-    proofs: tuple[Proof, ...]
-    report: BudgetReport
-
-
 #: The most backward decompositions :func:`prove` stacks on one branch.
 BACKWARD_DEPTH = 12
 
@@ -735,8 +725,8 @@ def prove(
     Iterative deepening over backward decompositions; each frontier consults
     the forward closure.  Deterministic; returns the first proof found.  A
     pass that cuts no branch walked the whole search tree: it ends the search.
-    The levels pass builder derivations, so the proof is concluded once, and
-    checked once unless the closure held the goal (failing: :class:`TransformError`).
+    The levels pass builder derivations, so the proof is concluded once.  It
+    is not checked here: callers that hand it on check it strictly, once.
     """
     budget = budget or Budget()
     hyps = _named_hyps(X)
@@ -751,50 +741,5 @@ def prove(
         max_steps=budget.max_steps,
         fixpoint=found is None and searcher.remaining() > 0 and searcher.cuts == cuts,
     )
-    proof = None if found is None else conclude(*found)
-    if proof is not None and goal not in searcher.closure_for(hyps, goal):
-        result = check_proof(proof, searcher.axioms)
-        if not result.ok:
-            raise TransformError(f"proof fails check{result.at}: {result.reason}")
-    return SearchOutcome(proof, report)
+    return SearchOutcome(None if found is None else conclude(*found), report)
 
-
-def check_traditional_consistency(
-    X,
-    axioms: tuple[AxiomSetRecognizer, ...],
-    budget: Budget | None = None,
-) -> ConsistencyVerdict:
-    """Probe for a pair alpha, ~alpha in the bounded closure of ``X``."""
-    budget = budget or Budget()
-    closure = bounded_closure(X, axioms, budget)
-    if closure.contradiction is not None:
-        a, na = closure.contradiction
-        return ConsistencyVerdict(
-            "contradiction_found",
-            a,
-            (closure.proof_of(a), closure.proof_of(na)),
-            closure.report,
-        )
-    return ConsistencyVerdict(
-        "no_contradiction_within_budget", None, (), closure.report
-    )
-
-
-def check_absolute_consistency(
-    X,
-    axioms: tuple[AxiomSetRecognizer, ...],
-    target: Formula | None = None,
-    budget: Budget | None = None,
-) -> ConsistencyVerdict:
-    """Probe whether the designated target sentence is derivable from ``X``."""
-    budget = budget or Budget()
-    if target is None:
-        target = NAMED_FORMULAS["u27"]
-    outcome = prove(target, X, axioms, budget)
-    if outcome.proof is not None:
-        return ConsistencyVerdict(
-            "target_derived", target, (outcome.proof,), outcome.report
-        )
-    return ConsistencyVerdict(
-        "target_not_derived_within_budget", target, (), outcome.report
-    )

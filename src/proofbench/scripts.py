@@ -17,7 +17,8 @@ Context shorthand used below:
 
 Collapse assertions ("the context derives everything") appear as a pair of
 claims: derivability of the designated absurdity target, and a contradiction
-probe, matching the two consistency notions the engine implements.
+probe.  These are the paper's two consistency notions: a membership claim
+tests the absolute one, a contradiction claim the traditional one.
 """
 
 from __future__ import annotations

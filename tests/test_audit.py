@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from proofbench import audit, engine, semantics
+from proofbench import audit, engine, proofs, semantics
 from proofbench.audit import (
     CLAIM_SHAPES,
     AuditClaim,
@@ -24,7 +24,7 @@ from proofbench.audit import (
     run_claim,
     write_report,
 )
-from proofbench.engine import Budget
+from proofbench.engine import Budget, prove
 from proofbench.parser import parse, render
 from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep, check_proof, parse_proof_script
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
@@ -710,6 +710,52 @@ def test_strict_check_failure_at_no_step_names_no_step():
         "internal: engine produced a proof that fails the strict kernel check: "
         "duplicate hypothesis name"
     )
+
+
+def _spy_check_proof(monkeypatch):
+    """The proofs ``check_proof`` is called on, through every module that binds it."""
+    calls = []
+    real = proofs.check_proof
+
+    def counted(proof, *args, **kwargs):
+        calls.append(proof)
+        return real(proof, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "proofbench" and getattr(module, "check_proof", None) is real:
+            monkeypatch.setattr(module, "check_proof", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "goal, hyps",
+    [
+        (antecedent_chain(8), ()),  # eight discharges
+        (parse("~(0 = 1 /\\ ~0 = 1)"), ()),  # reductio
+        (parse("1 = 1 -> ~(0 = 1 /\\ ~0 = 1)"), ()),  # a discharge over reductio
+        (named_formula("xi"), (named_formula("xi"),)),  # a hypothesis
+        (PSI7, (Not(Implies(PSI7, PSI1)),)),  # the closure holds the goal
+    ],
+    ids=["discharges", "reductio", "discharge-and-reductio", "hypothesis", "closure"],
+)
+def test_each_engine_proof_is_checked_exactly_once(monkeypatch, goal, hyps):
+    # prove builds and does not check; the audit checks what it keeps, once
+    named = tuple((f"h{i}", f) for i, f in enumerate(hyps, start=1))
+    calls = _spy_check_proof(monkeypatch)
+    verdict = run_claim(AuditClaim("c", "membership", ("L12",), named, goal))
+    assert verdict.status == "VERIFIED" and verdict.proofs[0].conclusion == goal
+    assert calls == [verdict.proofs[0]]
+    calls.clear()
+    assert prove(goal, named, (axiom_set("L12"),)).proof == verdict.proofs[0]
+    assert calls == []
+
+
+def test_a_verified_collapse_checks_each_proof_of_its_pair_once(monkeypatch):
+    calls = _spy_check_proof(monkeypatch)
+    hyps = (("h1", PSI1), ("h2", Not(PSI1)))
+    verdict = run_claim(AuditClaim("c", "contradiction", ("L12",), hyps))
+    assert verdict.status == "VERIFIED" and len(verdict.proofs) == 2
+    assert calls == list(verdict.proofs)
 
 
 def _closed_atoms(n):

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from proofbench import semantics
+from proofbench import engine, semantics, transforms
 from proofbench.cli import main
 from proofbench.engine import BACKWARD_DEPTH
 from proofbench.parser import MAX_NESTING, render
+from proofbench.syntax import Implies
 from proofbench.proofs import recheck_report
 
 from strategies import antecedent_chain
@@ -459,6 +460,37 @@ def test_prove_prints_a_proof_check_reads_near_the_cap(tmp_path):
     code, out, err = run_cli("check", str(path))
     assert (code, err) == (0, "")
     assert out.startswith("ok ")
+
+
+def _cite_identity_as_l12(b, a):
+    return b.add_axiom_named(Implies(a, a), "L12")  # a -> a is no L12 member
+
+
+def _cite_conjunct_as_l12(b, i, which):
+    conj = b.formula(i)
+    return b.add_axiom_named(conj.left if which == 1 else conj.right, "L12")
+
+
+@pytest.mark.parametrize(
+    "argv, text, module, name, broken",
+    [
+        (("audit", "{f}"), f"claim c1 | hyps L12 | goal {render(antecedent_chain(4))}\n",
+         transforms, "derive_identity", _cite_identity_as_l12),
+        (("prove", "--goal", "0 = 0", "--hyp", "{f}", "--axioms", "L12"),
+         "0 = 0 /\\ 1 = 1\n", engine, "derive_andel", _cite_conjunct_as_l12),
+    ],
+    ids=["audit", "prove"],
+)
+def test_a_broken_template_is_an_internal_error(tmp_path, monkeypatch, argv, text, module, name, broken):
+    # the strict check refuses the engine's proof before anything is printed
+    monkeypatch.setattr(module, name, broken)
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    code, out, err = run_cli(*(a.format(f=f) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: internal: engine produced a proof that fails the strict kernel check at step"
+    ), err
 
 
 def test_closure_dump_to_an_unwritable_path_is_usage_error(tmp_path, hyp_file):

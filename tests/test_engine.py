@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench import engine, proofs, syntax, transforms
+from proofbench import syntax
 from proofbench.engine import (
     BACKWARD_DEPTH,
     LOGIC_SAMPLES,
     Budget,
     BudgetReport,
     bounded_closure,
-    check_absolute_consistency,
-    check_traditional_consistency,
     covers_logic,
     pool_for,
     prove,
@@ -30,7 +28,7 @@ from proofbench.schemata import (
     named_formula,
 )
 from proofbench.syntax import And, App, Atom, Const, Forall, Implies, NestingError, Not
-from proofbench.transforms import TransformError, covering_set
+from proofbench.transforms import covering_set
 
 from strategies import (
     antecedent_chain,
@@ -239,26 +237,23 @@ def test_prove_deterministic():
 
 
 def test_traditional_consistency_probe():
-    quiet = check_traditional_consistency((PSI1,), L12, Budget(max_steps=400))
-    assert quiet.kind == "no_contradiction_within_budget"
-    noisy = check_traditional_consistency(
-        (PSI1, Not(PSI1)), L12, Budget(max_steps=400)
-    )
-    assert noisy.kind == "contradiction_found"
-    assert noisy.witness is not None
-    assert len(noisy.proofs) == 2
-    for p in noisy.proofs:
+    quiet = bounded_closure((PSI1,), L12, Budget(max_steps=400))
+    assert quiet.contradiction is None
+    noisy = bounded_closure((PSI1, Not(PSI1)), L12, Budget(max_steps=400))
+    assert noisy.contradiction is not None
+    witness = noisy.contradiction[0]
+    pair = [noisy.proof_of(f) for f in noisy.contradiction]
+    for p in pair:
         assert check_proof(p, L12).ok
-    concluded = {p.steps[-1].formula for p in noisy.proofs}
-    assert concluded == {noisy.witness, Not(noisy.witness)}
+    concluded = {p.steps[-1].formula for p in pair}
+    assert concluded == {witness, Not(witness)}
 
 
 def test_absolute_consistency_probe():
-    absent = check_absolute_consistency((), L12, U27, Budget(max_steps=400))
-    assert absent.kind == "target_not_derived_within_budget"
-    present = check_absolute_consistency((U27,), L12, U27, Budget(max_steps=400))
-    assert present.kind == "target_derived"
-    assert present.proofs and check_proof(present.proofs[0], L12).ok
+    absent = prove(U27, (), L12, Budget(max_steps=400))
+    assert absent.proof is None
+    present = prove(U27, (U27,), L12, Budget(max_steps=400))
+    assert present.proof is not None and check_proof(present.proof, L12).ok
 
 
 def test_budget_validation():
@@ -445,41 +440,6 @@ def test_prove_pins_proofs_built_through_discharge(goal, hyps, pin):
     assert (len(proof.steps), outcome.report.steps_expended, digest) == pin
 
 
-def test_the_one_check_refuses_a_proof_built_from_a_broken_template(monkeypatch):
-    # ``a -> a`` cited as an L12 member, which it is not
-    def unjustified(b, a):
-        return b.add_axiom_named(Implies(a, a), "L12")
-
-    monkeypatch.setattr(transforms, "derive_identity", unjustified)
-    with pytest.raises(TransformError, match="fails check at step .*: not-axiom"):
-        prove(antecedent_chain(4), (), L12)
-
-
-@pytest.mark.parametrize(
-    "goal, hyps, checks",
-    [
-        (antecedent_chain(8), [], 1),  # eight discharges
-        (parse("~(0 = 1 /\\ ~0 = 1)"), [], 1),  # reductio
-        (parse("1 = 1 -> ~(0 = 1 /\\ ~0 = 1)"), [], 1),  # a discharge over reductio
-        (XI, [XI], 0),  # the closure holds the goal
-        (PSI7, [NOT_D00], 0),
-    ],
-    ids=["discharges", "reductio", "discharge-and-reductio", "hypothesis", "closure"],
-)
-def test_prove_checks_once_unless_the_closure_holds_the_goal(monkeypatch, goal, hyps, checks):
-    calls = []
-
-    def counted(proof, *args, **kwargs):
-        calls.append(proof)
-        return proofs.check_proof(proof, *args, **kwargs)
-
-    for module in (engine, transforms):
-        monkeypatch.setattr(module, "check_proof", counted)
-    proof = prove(goal, hyps, L12).proof
-    assert proof is not None and proof.conclusion == goal
-    assert calls == [proof] * checks
-
-
 def test_derived_rules_run_only_over_the_logical_schemata():
     # every derived rule finishes through a template that cites the logical
     # schemata: over sets without them, only modus ponens and gen apply
@@ -494,17 +454,10 @@ def test_derived_rules_run_only_over_the_logical_schemata():
         assert (closure.contradiction is not None) is (name in logic), name
         if closure.contradiction is not None:
             assert all(check_proof(closure.proof_of(f), axioms).ok for f in closure.contradiction)
-    assert check_traditional_consistency(hyps, (axiom_set("Xp"),)).witness is None
+    assert bounded_closure(hyps, (axiom_set("Xp"),)).contradiction is None
     goal = parse("0 = 0 -> 0 = 0")
     for axioms in ((), (axiom_set("Xp"),), (axiom_set("NPsi3dot"),), (axiom_set("PrefixedL2r"),)):
         outcome = prove(goal, [], axioms)
         assert outcome.proof is None and outcome.report.fixpoint
     assert covers_logic((axiom_set("Xp"), axiom_set("L12")))
     assert prove(goal, [], (axiom_set("Xp"), axiom_set("L12"))).proof is not None
-
-
-def test_a_check_failure_at_no_step_names_no_step():
-    # a discharged proof is checked; two hypotheses share a name
-    hyps = [("h", parse("1 = 1")), ("h", parse("0 = 1"))]
-    with pytest.raises(TransformError, match="^proof fails check: duplicate hypothesis name$"):
-        prove(parse("0 = 0 -> 0 = 0"), hyps, L12)

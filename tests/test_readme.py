@@ -1,6 +1,7 @@
 """The README's ``pycon`` examples and command lines run as written."""
 
 import doctest
+import importlib
 import io
 import re
 import shlex
@@ -54,3 +55,27 @@ def test_readme_names_each_cap_once_with_its_value():
     for name, value in caps.items():
         assert readme.count(name) == 1, name
         assert f"| `{name}` | {value} |" in readme, name
+
+
+def test_readme_package_layout_names_what_each_module_provides():
+    # one row per module; a backticked name is an attribute of its row's
+    # module, a trailing * matches a prefix, and a console script names the
+    # module of its entry point
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", section, re.M)
+    package = README.parent / "src" / "proofbench"
+    assert {m for m, _ in rows} == {f.stem for f in package.glob("[!_]*.py")}
+    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    table = pyproject.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    scripts = dict(re.findall(r'^(\S+) = "([\w.]+):\w+"$', table, re.M))
+    assert scripts
+    for module_name, provides in rows:
+        module = importlib.import_module(f"proofbench.{module_name}")
+        for name in re.findall(r"`([^`]+)`", provides):
+            if name in scripts:
+                assert scripts[name] == module.__name__, name
+            elif name.endswith("*"):
+                assert any(a.startswith(name[:-1]) for a in dir(module)), (module_name, name)
+            else:
+                assert hasattr(module, name), (module_name, name)
