@@ -118,6 +118,10 @@ class AuditClaim:
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise AuditError(f"claim {self.claim_id}: repeated hypothesis {name!r}")
+        if type(self.eval_bound) is not int or self.eval_bound < 1:
+            raise AuditError(
+                f"claim {self.claim_id}: eval bound {self.eval_bound!r} is not a positive integer"
+            )
 
 
 @dataclass(frozen=True)

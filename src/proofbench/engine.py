@@ -13,13 +13,15 @@ which a kernel proof is rebuilt on demand.
 forward closure: implication discharge via the deduction transform, then the
 introductions of ``/\\``, ``\\/``, ``~~``, ``~(->)``, ``~(/\\)`` and ``~(\\/)``,
 then reductio.  The closure and the introductions share one recipe table.
+A :func:`prove` call's closures all saturate over one pool, which widens when
+a backward context brings members from outside it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -289,109 +291,27 @@ def _slots(f: Formula) -> tuple[tuple[int, Formula], ...]:
     return ()
 
 
-def _merged(
-    indexes: tuple[dict[Formula, list[Formula]], ...],
-    axiom_members: tuple[tuple[Formula, str], ...],
-    new: list[Formula],
-    axioms: tuple[AxiomSetRecognizer, ...],
-    key: Callable[[Formula], tuple[int, str]],
-) -> tuple[tuple[dict[Formula, list[Formula]], ...], tuple[tuple[Formula, str], ...]]:
-    """``indexes`` and ``axiom_members`` with the pool members ``new`` merged
-    in, each list in ``key`` order.  Neither input changes: an index or list
-    that gains a member is copied, and the others are shared."""
-    joined: dict[tuple[int, Formula], list[Formula]] = {}
-    for f in new:
-        for slot in _slots(f):
-            joined.setdefault(slot, []).append(f)
-    out = list(indexes)
-    for (i, k), fs in joined.items():
-        if out[i] is indexes[i]:
-            out[i] = dict(out[i])
-        out[i][k] = sorted([*out[i].get(k, ()), *fs], key=key)
-    labelled = tuple((f, name) for f in new if (name := covering_set(f, axioms)) is not None)
-    if labelled:
-        axiom_members = tuple(sorted(axiom_members + labelled, key=lambda m: key(m[0])))
-    return tuple(out), axiom_members
-
-
-class _AxiomPool:
-    """The part of every pool over one axioms tuple that no context changes.
-
-    It holds the subformulas of :data:`NAMED_FORMULAS` and of every finite
-    core, widened by the ``generate_for`` hooks, in pool order, with their
-    sort keys, their index lists and the labelled axiom-set members.  Built
-    by :func:`_axiom_pool`; read-only once built.
-    """
-
-    def __init__(self, axioms: tuple[AxiomSetRecognizer, ...]) -> None:
-        found: dict[Formula, None] = {}
-        for f in NAMED_FORMULAS.values():
-            _add_subformulas(found, f)
-        for r in axioms:
-            for f in r.finite_core:
-                _add_subformulas(found, f)
-        _generate(found, axioms)
-        self.order = tuple(sorted_pool(found))
-        self.keys = {f: _sort_key(f) for f in self.order}
-        empty = tuple({} for _ in range(5))
-        self.indexes, self.axioms = _merged(empty, (), self.order, axioms, self.keys.__getitem__)
-
-
-@lru_cache(maxsize=16)
-def _axiom_pool(axioms: tuple[AxiomSetRecognizer, ...]) -> _AxiomPool:
-    """The :class:`_AxiomPool` of an axioms tuple.  Keyed by the recognizers in
-    order: the first one that contains a member labels it."""
-    return _AxiomPool(axioms)
-
-
-def assemble_pool(
-    hyp_formulas: tuple[Formula, ...],
-    axioms: tuple[AxiomSetRecognizer, ...],
-    goal: Formula | None,
-) -> tuple[Formula, ...]:
-    """The finite instantiation pool, in a deterministic order: the members of
-    the axioms' :class:`_AxiomPool` in pool order, then those the hypotheses
-    and the goal add, in the order they were found."""
-    base = _axiom_pool(axioms)
-    found: dict[Formula, None] = {}
-    for f in hyp_formulas:
-        _add_subformulas(found, f)
-    if goal is not None:
-        _add_subformulas(found, goal)
-    # the hooks map each formula on its own, so the context's members need
-    # only their own images: the base pool already holds the rest
-    _generate(found, axioms)
-    return base.order + tuple(f for f in found if f not in base.keys)
-
-
 class Pool:
-    """The instantiation pool of one (hypotheses, axioms, goal) context.
+    """A finite instantiation pool: of an axioms tuple alone, or widened by
+    the members a context brings.
 
-    Holds the member set, the indexes the closure's pool-gated introductions
-    look up, and the recognized axiom-set members, each paired with the name
-    of the first recognizer that contains it.  Index lists and axiom members
-    follow the render order of :func:`sorted_pool`, which decides the
-    proofs.  Only the members the context adds are sorted and labelled here;
-    they are merged into the axioms' :class:`_AxiomPool`.  Read-only once
-    built.
+    Holds the members, each mapped to its sort key in :attr:`keys`; the
+    indexes the closure's pool-gated introductions look up; and the
+    recognized axiom-set members, each paired with the name of the first
+    recognizer that contains it.  Index lists and axiom members follow the
+    render order of :func:`sorted_pool`, which decides the proofs.
+    Read-only: :meth:`widened` builds a new pool.
     """
 
     def __init__(
         self,
-        hyp_formulas: tuple[Formula, ...],
-        axioms: tuple[AxiomSetRecognizer, ...],
-        goal: Formula | None,
+        keys: dict[Formula, tuple[int, str]],
+        indexes: tuple[dict[Formula, list[Formula]], ...],
+        axioms: tuple[tuple[Formula, str], ...],
     ) -> None:
-        base = _axiom_pool(axioms)
-        members = assemble_pool(hyp_formulas, axioms, goal)
-        self.members = frozenset(members)
-        indexes, self.axioms = _merged(
-            base.indexes,
-            base.axioms,
-            sorted_pool(members[len(base.order) :]),
-            axioms,
-            lambda f: base.keys.get(f) or _sort_key(f),
-        )
+        self.keys = keys
+        self.members = keys.keys()
+        self.indexes = indexes
         (
             self.imp_by_right,
             self.imp_by_left,
@@ -399,6 +319,72 @@ class Pool:
             self.or_by_side,
             self.all_by_body,
         ) = indexes
+        self.axioms = axioms
+
+    def widened(
+        self, new: Iterable[Formula], recognizers: tuple[AxiomSetRecognizer, ...]
+    ) -> Pool:
+        """This pool with the formulas ``new`` merged in, the axiom-set
+        members among them labelled by ``recognizers``.  An index or list
+        that gains no member is shared with this pool."""
+        added = {f: _sort_key(f) for f in new if f not in self.keys}
+        if not added:
+            return self
+        keys = self.keys | added
+        joined: dict[tuple[int, Formula], list[Formula]] = {}
+        for f in added:
+            for slot in _slots(f):
+                joined.setdefault(slot, []).append(f)
+        out = list(self.indexes)
+        for (i, k), fs in joined.items():
+            if out[i] is self.indexes[i]:
+                out[i] = dict(out[i])
+            out[i][k] = sorted([*out[i].get(k, ()), *fs], key=keys.__getitem__)
+        axioms = self.axioms
+        labelled = tuple(
+            (f, name) for f in added if (name := covering_set(f, recognizers)) is not None
+        )
+        if labelled:
+            axioms = tuple(sorted(axioms + labelled, key=lambda m: keys[m[0]]))
+        return Pool(keys, tuple(out), axioms)
+
+
+def _context_members(
+    formulas: Iterable[Formula],
+    axioms: tuple[AxiomSetRecognizer, ...],
+    goal: Formula | None,
+) -> dict[Formula, None]:
+    """The subformulas of ``formulas`` and the goal, widened by the
+    ``generate_for`` hooks.  The hooks map each formula on its own, so a pool
+    widened by these holds the context's members whatever it held before."""
+    found: dict[Formula, None] = {}
+    for f in formulas:
+        _add_subformulas(found, f)
+    if goal is not None:
+        _add_subformulas(found, goal)
+    _generate(found, axioms)
+    return found
+
+
+@lru_cache(maxsize=16)
+def _axiom_pool(axioms: tuple[AxiomSetRecognizer, ...]) -> Pool:
+    """The pool every context over ``axioms`` starts from: the subformulas of
+    :data:`NAMED_FORMULAS` and of every finite core, widened by the
+    ``generate_for`` hooks.  Keyed by the recognizers in order: the first
+    one that contains a member labels it."""
+    sources = (*NAMED_FORMULAS.values(), *(f for r in axioms for f in r.finite_core))
+    empty = Pool({}, tuple({} for _ in range(5)), ())
+    return empty.widened(_context_members(sources, axioms, None), axioms)
+
+
+def assemble_pool(
+    hyp_formulas: tuple[Formula, ...],
+    axioms: tuple[AxiomSetRecognizer, ...],
+    goal: Formula | None,
+) -> tuple[Formula, ...]:
+    """The members a context adds to its axioms' pool, in the order found."""
+    base = _axiom_pool(axioms).keys
+    return tuple(f for f in _context_members(hyp_formulas, axioms, goal) if f not in base)
 
 
 @lru_cache(maxsize=1)
@@ -408,8 +394,8 @@ def pool_for(
     goal: Formula | None,
 ) -> Pool:
     """The :class:`Pool` of a context.  The last one built is kept, so the
-    refutation premises and the first closure of a claim share it."""
-    return Pool(hyp_formulas, axioms, goal)
+    refutation premises and the proof search of a claim share it."""
+    return _axiom_pool(axioms).widened(assemble_pool(hyp_formulas, axioms, goal), axioms)
 
 
 class _Saturation:
@@ -424,14 +410,15 @@ class _Saturation:
         self,
         hypotheses: tuple[tuple[str, Formula], ...],
         axioms: tuple[AxiomSetRecognizer, ...],
+        pool: Pool,
         budget: Budget,
         goal: Formula | None,
     ) -> None:
         self.hypotheses = hypotheses
         self.axioms = axioms
+        self.pool = pool
         self.budget = budget
         self.goal = goal
-        self.pool = pool_for(tuple(f for _, f in hypotheses), axioms, goal)
         self.templates = covers_logic(axioms)
         self.hyps_by_name = dict(hypotheses)
         self.entries: dict[Formula, _Entry] = {}
@@ -580,16 +567,14 @@ def bounded_closure(
     X,
     axioms: tuple[AxiomSetRecognizer, ...],
     budget: Budget | None = None,
-    goal: Formula | None = None,
 ) -> ClosureState:
     """Budget-bounded consequence closure of ``X`` under the axiom sets.
 
-    ``X`` may contain formulas or (name, formula) pairs.  When ``goal`` is
-    given, the pool is widened toward it and a detected contradiction
-    immediately yields the goal by explosion.
+    ``X`` may contain formulas or (name, formula) pairs.
     """
-    budget = budget or Budget()
-    return _Saturation(_named_hyps(X), tuple(axioms), budget, goal).run()
+    hyps, axioms = _named_hyps(X), tuple(axioms)
+    pool = pool_for(tuple(f for _, f in hyps), axioms, None)
+    return _Saturation(hyps, axioms, pool, budget or Budget(), None).run()
 
 
 @dataclass(frozen=True)
@@ -626,13 +611,19 @@ def _introductions(goal: Formula) -> list[tuple[str, tuple[Formula, ...]]]:
 
 
 class _Searcher:
+    """One :func:`prove` call's search state.  Every closure saturates over
+    one pool: the top context's, widened by the members each later context
+    brings from outside it."""
+
     def __init__(
         self,
         hypotheses: tuple[tuple[str, Formula], ...],
+        goal: Formula,
         axioms: tuple[AxiomSetRecognizer, ...],
         budget: Budget,
     ) -> None:
         self.axioms = axioms
+        self.pool = pool_for(tuple(f for _, f in hypotheses), axioms, goal)
         self.templates = covers_logic(axioms)
         self.budget = budget
         self.steps = 0
@@ -648,15 +639,18 @@ class _Searcher:
     ) -> ClosureState | None:
         """The closure of ``hyps`` toward ``goal``; None when it is not built
         yet and no step is left to build it."""
-        key = (tuple(f for _, f in hyps), goal)
-        got = self.closures.get(key)
+        hyp_formulas = tuple(f for _, f in hyps)
+        got = self.closures.get((hyp_formulas, goal))
         if got is None:
             if self.remaining() == 0:
                 return None
+            if self.closures:  # the first closure is the top context's, whose pool this is
+                members = _context_members(hyp_formulas, self.axioms, goal)
+                self.pool = self.pool.widened(members, self.axioms)
             sub_budget = replace(self.budget, max_steps=self.remaining())
-            got = _Saturation(hyps, self.axioms, sub_budget, goal).run()
+            got = _Saturation(hyps, self.axioms, self.pool, sub_budget, goal).run()
             self.steps += got.report.steps_expended
-            self.closures[key] = got
+            self.closures[hyp_formulas, goal] = got
         return got
 
     def prove(
@@ -730,7 +724,7 @@ def prove(
     """
     budget = budget or Budget()
     hyps = _named_hyps(X)
-    searcher = _Searcher(hyps, tuple(axioms), budget)
+    searcher = _Searcher(hyps, goal, tuple(axioms), budget)
     for depth in range(BACKWARD_DEPTH + 1):
         cuts = searcher.cuts
         found = searcher.prove(goal, hyps, depth)

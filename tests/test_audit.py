@@ -693,6 +693,14 @@ def test_claim_validation():
         AuditClaim("x", "membership", ("L12",), (), None, "")
 
 
+@pytest.mark.parametrize("bound", [0, -3, 2.5, True, "50"])
+def test_a_claim_refuses_an_eval_bound_that_is_no_positive_integer(bound):
+    goal = parse("(Ax1)(x1 = x1)")
+    message = f"claim x: eval bound {bound!r} is not a positive integer"
+    with pytest.raises(AuditError, match=re.escape(message)):
+        AuditClaim("x", "sanity", (), (), goal, "", bound)
+
+
 def test_a_claim_refuses_a_repeated_hypothesis_name():
     psi7 = PSI_AXIOMS["psi7"]
     with pytest.raises(AuditError, match="claim c1: repeated hypothesis 'psi7'"):

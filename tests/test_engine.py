@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench import syntax
+from proofbench import engine, syntax
 from proofbench.engine import (
     BACKWARD_DEPTH,
     LOGIC_SAMPLES,
@@ -185,7 +185,8 @@ def test_spent_search_stops_without_a_proof():
     assert outcome.proof is None
     assert outcome.report == BudgetReport(steps_expended=1, max_steps=1, fixpoint=False)
     assert outcome.report.stop() == "budget of 1 steps exhausted"
-    assert prove(goal, (), L12, Budget(max_steps=2)).proof is not None
+    assert prove(goal, (), L12, Budget(max_steps=5)).proof is None
+    assert prove(goal, (), L12, Budget(max_steps=6)).proof is not None
 
 
 def test_prove_respects_budget():
@@ -226,6 +227,42 @@ def test_backward_introduction_rules(goal, hyps, size, digest):
     assert check_proof(proof, L12, strict=True).ok
     assert len(proof.steps) == size
     assert hashlib.sha256(render_proof_script(proof).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "goal, hyps",
+    [(antecedent_chain(4), []), (parse("~(0 = 1 /\\ 1 < 0)"), [parse("~1 < 0")])],
+    ids=["chain", "notand_r"],
+)
+def test_prove_builds_one_pool(monkeypatch, goal, hyps):
+    # each later context widens the top context's pool instead of building its own
+    calls = []
+    real = engine.assemble_pool
+
+    def counting(hyp_formulas, axioms, g):
+        calls.append((hyp_formulas, g))
+        return real(hyp_formulas, axioms, g)
+
+    monkeypatch.setattr(engine, "assemble_pool", counting)
+    pool_for.cache_clear()  # recognizers are shared: an earlier test may hold this pool
+    assert prove(goal, hyps, L12).proof is not None
+    assert calls == [(tuple(hyps), goal)]
+
+
+def test_the_search_widens_its_pool_by_a_premise_outside_it(monkeypatch):
+    # notand_l's premise ~0 = 1 is tried first and lies outside the top pool
+    goal, hyps = parse("~(0 = 1 /\\ 1 < 0)"), (parse("~1 < 0"),)
+    assert parse("~0 = 1") not in pool_for(hyps, L12, goal).members  # prove reuses it
+    widened = []
+    real = engine.Pool.widened
+
+    def recording(self, new, recognizers):
+        widened.append(real(self, new, recognizers))
+        return widened[-1]
+
+    monkeypatch.setattr(engine.Pool, "widened", recording)
+    assert prove(goal, hyps, L12).proof is not None
+    assert any(parse("~0 = 1") in pool.members for pool in widened)
 
 
 def test_prove_deterministic():
@@ -397,37 +434,37 @@ def _nested_goal(n, order):
 # goal, hypotheses: proof size, steps expended, sha256 of the rendered proof
 PROOF_PINS = [
     (antecedent_chain(4), [], (
-        73, 6, "8b376ffb5ce0a6b99a279019d618f31e39eb983ff333a6b068c5c747dbed98f4")),
+        73, 10, "8b376ffb5ce0a6b99a279019d618f31e39eb983ff333a6b068c5c747dbed98f4")),
     (antecedent_chain(8), [], (
-        289, 28, "ae9b404f8919b1fa75ac77343bd5effe36ee3a9212733c1d09aff7119c03138a")),
+        289, 36, "ae9b404f8919b1fa75ac77343bd5effe36ee3a9212733c1d09aff7119c03138a")),
     (antecedent_chain(12), [], (
-        633, 66, "42e816109b3735dcfc120f382793e88a2b7d06545f7a64da371f63ff640b7a49")),
+        633, 78, "42e816109b3735dcfc120f382793e88a2b7d06545f7a64da371f63ff640b7a49")),
     (_nested_goal(3, (2, 0, 1)), [], (
-        37, 2, "3ad7ca2218c7d6e2e42c9d7d25b20560f78848dcc752d8712a298ff8cb2ee40f")),
+        37, 5, "3ad7ca2218c7d6e2e42c9d7d25b20560f78848dcc752d8712a298ff8cb2ee40f")),
     (_nested_goal(3, (1, 2, 0)), [], (
-        15, 2, "d95df59054ba95eeee238696dbe2ff5578474fa4d87142e28a97806a9992dc21")),
+        15, 5, "d95df59054ba95eeee238696dbe2ff5578474fa4d87142e28a97806a9992dc21")),
     (_nested_goal(4, (3, 1, 0, 2)), [], (
-        57, 4, "511b2bd991e73477455005ed044723d20ef470cebbe512cdca6134522e482c78")),
+        57, 8, "511b2bd991e73477455005ed044723d20ef470cebbe512cdca6134522e482c78")),
     (_nested_goal(4, (2, 3, 1, 0)), [], (
-        39, 3, "704e0f173ad76a200932736584284d8aba4784fb0d5ef9db07c7be8e73444c13")),
+        39, 7, "704e0f173ad76a200932736584284d8aba4784fb0d5ef9db07c7be8e73444c13")),
     (_nested_goal(5, (4, 2, 0, 3, 1)), [], (
-        113, 4, "35a98cd597a519dae6363294482dacbc321e71bb4ccfe44ffcd1ceae55519f65")),
+        113, 9, "35a98cd597a519dae6363294482dacbc321e71bb4ccfe44ffcd1ceae55519f65")),
     (_nested_goal(5, (1, 3, 4, 0, 2)), [], (
-        93, 5, "871c4301af76d7b73b1278625e468066412fbc52416c985118b515b1886c46ba")),
+        93, 10, "871c4301af76d7b73b1278625e468066412fbc52416c985118b515b1886c46ba")),
     # an introduction over two discharges
     (parse("(1 = 1 -> 1 = 1) /\\ (0 = 1 -> 0 = 1)"), [], (
-        13, 0, "a7d56b25c7b3c01031189cbacdba2fc58f910653a57cb6595933ed1c330b305b")),
+        13, 2, "a7d56b25c7b3c01031189cbacdba2fc58f910653a57cb6595933ed1c330b305b")),
     # a discharge over an introduction over a discharge
     (parse("1 = 1 -> (0 = 0 -> 0 = 0) /\\ 1 = 1"), [], (
-        7, 0, "abe81fc877f75b24906a7eb221b096a86229e9321e2be5eec807fdec5b1712d1")),
+        7, 3, "abe81fc877f75b24906a7eb221b096a86229e9321e2be5eec807fdec5b1712d1")),
     # reductio, which discharges its assumption
     (parse("~(0 = 1 /\\ ~0 = 1)"), [], (
-        25, 5, "af89bb19a019459d8992b8563077ca949dac65fba6a516bee0d526006b63c3b3")),
+        25, 6, "af89bb19a019459d8992b8563077ca949dac65fba6a516bee0d526006b63c3b3")),
     # a discharge over reductio, and an introduction over reductio
     (parse("1 = 1 -> ~(0 = 1 /\\ ~0 = 1)"), [], (
-        27, 5, "386f3db1d3fc6ae426329bed0314c5fd51cbc0d8c31b2d0b3fca544573dd3b28")),
+        27, 7, "386f3db1d3fc6ae426329bed0314c5fd51cbc0d8c31b2d0b3fca544573dd3b28")),
     (parse("~(0 = 1 /\\ ~0 = 1) /\\ 1 = 1"), [parse("1 = 1")], (
-        29, 5, "00cbd5ad205a6ebf1c6c5469ebc35d0c3b660a7518c7a839908eca0f39829eae")),
+        29, 7, "00cbd5ad205a6ebf1c6c5469ebc35d0c3b660a7518c7a839908eca0f39829eae")),
 ]
 
 

@@ -1,16 +1,17 @@
-"""The instantiation pool: built in two parts, equal to building it whole.
+"""The instantiation pool: built in parts, equal to building it whole.
 
 ``reference_pool`` is the pool builder as it was before the axiom-set part of
 each pool was built once per axioms tuple: it walks every source formula,
 sorts every member and labels each one, for every context.  The engine's
-:class:`~proofbench.engine.Pool` must hold the same members, the same index
-lists in the same order and the same labelled axiom members.
+:func:`~proofbench.engine.pool_for`, and a pool widened by a second context,
+must hold the same members, the same index lists in the same order and the
+same labelled axiom members.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench.engine import Pool
+from proofbench.engine import assemble_pool, pool_for
 from proofbench.parser import render
 from proofbench.schemata import (
     BETA0,
@@ -95,13 +96,17 @@ def reference_pool(hyp_formulas, axioms, goal):
     return members, indexes, tuple(axiom_members)
 
 
-def assert_same_pool(hyp_formulas, axioms, goal):
+def assert_pool_is(pool, hyp_formulas, axioms, goal):
     members, indexes, axiom_members = reference_pool(hyp_formulas, axioms, goal)
-    pool = Pool(hyp_formulas, axioms, goal)
     assert pool.members == members
     for name in INDEXES:
         assert getattr(pool, name) == indexes[name], name
     assert pool.axioms == axiom_members
+
+
+def assert_same_pool(hyp_formulas, axioms, goal):
+    # uncached: a cached pool would hide a build that differs
+    assert_pool_is(pool_for.__wrapped__(hyp_formulas, axioms, goal), hyp_formulas, axioms, goal)
 
 
 BUILTIN_CLAIMS = [c for s in builtin_scripts() for c in builtin_claims(s)]
@@ -173,3 +178,19 @@ DOUBLE = AxiomSetRecognizer(
 )
 def test_stacked_hooks_build_the_reference_pool(axioms, hyps, goal):
     assert_same_pool(tuple(hyps), tuple(axioms), goal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axioms=st.sampled_from(AXIOM_TUPLES).map(lambda t: tuple(axiom_set(n) for n in t))
+    | st.permutations((NEGATE, DOUBLE, axiom_set("L12"))).map(tuple),
+    first=st.lists(context_formulas, max_size=3),
+    first_goal=st.none() | context_formulas,
+    second=st.lists(context_formulas, max_size=2),
+    second_goal=context_formulas,
+)
+def test_widening_builds_the_pool_of_the_union(axioms, first, first_goal, second, second_goal):
+    # a pool widened by what a second context adds is the pool of both
+    pool = pool_for.__wrapped__(tuple(first), axioms, first_goal)
+    widened = pool.widened(assemble_pool(tuple(second), axioms, second_goal), axioms)
+    assert_pool_is(widened, (*first, *second, second_goal), axioms, first_goal)
