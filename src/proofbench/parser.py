@@ -28,18 +28,6 @@ How deep the tree nests is the kernel's to check: a node its constructor
 refuses past the cap is a :class:`ParseError` at the token after its last
 operand.
 
-``parse(text, memo)`` shares a memo, a plain dict, between parses. It keeps
-each span a parse reads whole: the input, the content of each ``( ... )``
-group and each right operand of ``->``, which runs from its first token to
-the close of its group because ``->`` binds loosest and associates to the
-right. A span is keyed by its text, so that of ``B`` in ``A -> B`` is
-``render(B)``, and kept with its node and the frames it opened. A later
-span with the same text is one lookup, and its tokens are skipped, unless
-its frames would pass the cap where it now stands: then it is read again,
-and gives the error a full read gives. A parse with a memo returns exactly
-what one without it returns. Text with a ``#`` is read without the memo,
-since a comment may hold a parenthesis.
-
 :func:`render` reads the same table and produces a form that :func:`parse`
 reads back to an equal tree, where that form opens at most
 :data:`MAX_NESTING` frames at once. It drops every parenthesis the table
@@ -132,21 +120,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-_PAREN_RE = re.compile(r"[()]")
-
-
-def _closes(text: str) -> dict[int, int]:
-    """The position of each ``(`` in ``text`` that is closed -> that of its ``)``."""
-    closes: dict[int, int] = {}
-    opened: list[int] = []
-    for m in _PAREN_RE.finditer(text):
-        if m[0] == "(":
-            opened.append(m.start())
-        elif opened:
-            closes[opened.pop()] = m.start()
-    return closes
-
-
 def _unexpected(tok: tuple[str, str, int], wanted: str) -> ParseError:
     kind, text, pos = tok
     if kind == "bad":
@@ -172,23 +145,13 @@ def _var(text: str, pos: int) -> Var:
         raise ParseError(f"bad variable {text[:12]!r}: ids start at x1", pos) from None
 
 
-#: span text -> (node, frames opened): what :func:`parse` keeps of each span
-#: it reads whole
-Memo = dict[str, tuple]
-
-
 class _Parser:
-    __slots__ = ("text", "tok", "at", "depth", "peak", "memo", "closes", "close")
+    __slots__ = ("text", "tok", "at", "depth")
 
-    def __init__(self, text: str, memo: Memo | None) -> None:
+    def __init__(self, text: str) -> None:
         self.text = text
         self.at = 0  # where the token after ``tok`` may start
         self.depth = 0  # open expr frames
-        self.peak = 0  # the most expr frames open at once
-        self.memo = memo
-        # with a memo: each '(' -> its ')', and where the innermost group closes
-        self.closes = {} if memo is None else _closes(text)
-        self.close = len(text)
         self.advance()
 
     def advance(self) -> None:
@@ -219,33 +182,14 @@ class _Parser:
         self.tok, self.at = mark
         return None
 
-    def expr(self, min_power: int, start: int = -1) -> Formula | Term:
+    def expr(self, min_power: int) -> Formula | Term:
         """The expression at the cursor, up to the first operator looser than
-        ``min_power``.
-
-        With a ``start``, the expression runs from there to ``self.close`` and
-        goes through the memo.  A span read to its close is kept with the
-        frames it opened.  A later span with the same text reuses it and
-        skips its tokens, unless its frames would pass :data:`MAX_NESTING`
-        here: then it is read again, for the error a full read gives.
-        """
-        if start >= 0:
-            key = self.text[start : self.close]
-            hit = self.memo.get(key)
-            if hit is not None and self.depth + hit[1] <= MAX_NESTING:
-                left, frames = hit
-                self.peak = max(self.peak, self.depth + frames)
-                self.at = self.close
-                self.advance()
-                return left
-            outer_peak, self.peak = self.peak, self.depth
+        ``min_power``."""
         kind, text, pos = self.tok
         self.advance()
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise _too_deep(pos)
-        if self.depth > self.peak:
-            self.peak = self.depth
         if kind == "var":
             left = _var(text, pos)
         elif kind == "const":
@@ -264,13 +208,7 @@ class _Parser:
                 body = _sorted(self.expr(_PREFIX), Formula, pos, "a quantifier")
                 left = quantifier(var.id, body)
             else:
-                close = self.closes.get(pos)
-                if close is None:
-                    left = self.expr(0)
-                else:
-                    outer, self.close = self.close, close
-                    left = self.expr(0, pos + 1)
-                    self.close = outer
+                left = self.expr(0)
                 self.expect("rpar", "')'")
         else:
             raise _unexpected((kind, text, pos), "a term or a formula")
@@ -279,28 +217,18 @@ class _Parser:
             op = _INFIX.get(kind)
             if op is None or op.power < min_power:
                 self.depth -= 1
-                if start >= 0:
-                    if pos == self.close:
-                        self.memo[key] = (left, self.peak - self.depth)
-                    self.peak = max(outer_peak, self.peak)
                 return left
             self.advance()
             _sorted(left, op.sort, pos, op.glyph)
-            if kind == "imp" and self.memo is not None:
-                # '->' binds loosest and takes its own kind on the right, so
-                # its right operand runs from its first token to the close of
-                # the group: the text render gives it
-                right = self.expr(op.power, self.tok[2])
-            else:
-                # a right-associative operator takes its own kind on the right
-                right = self.expr(op.power + (not op.right))
+            # a right-associative operator takes its own kind on the right
+            right = self.expr(op.power + (not op.right))
             left = op.build(left, _sorted(right, op.sort, pos, op.glyph))
 
 
-def _parse(text: str, sort: type, memo: Memo | None = None):
-    p = _Parser(text, memo)
+def _parse(text: str, sort: type):
+    p = _Parser(text)
     try:
-        node = p.expr(0, -1 if memo is None else 0)
+        node = p.expr(0)
     except NestingError:  # each node is built just after its last operand is read
         raise _too_deep(p.tok[2]) from None
     if p.tok[0] != "end":
@@ -308,19 +236,9 @@ def _parse(text: str, sort: type, memo: Memo | None = None):
     return _sorted(node, sort, 0, "the input")
 
 
-def parse(text: str, memo: Memo | None = None) -> Formula:
-    """Parse ``text`` as a formula; raises :class:`ParseError` on junk.
-
-    ``memo`` keeps the spans read whole for later parses that share it (see
-    the module docstring); the result is the same with it or without it.
-    """
-    if memo is not None:
-        hit = memo.get(text)
-        if hit is not None:
-            return _sorted(hit[0], Formula, 0, "the input")
-        if "#" in text:  # a comment may hold a parenthesis
-            memo = None
-    return _parse(text, Formula, memo)
+def parse(text: str) -> Formula:
+    """Parse ``text`` as a formula; raises :class:`ParseError` on junk."""
+    return _parse(text, Formula)
 
 
 def parse_term(text: str) -> Term:

@@ -8,29 +8,34 @@ recognizers; in strict mode it also refuses generalization over a variable
 free in a hypothesis the step depends on.  :func:`check_certificate` checks a
 proof against the sets its own steps cite.
 
-Scripts serialize proofs one step per line::
+A script has a line per hypothesis and per step.  :func:`render_proof_script`
+names each distinct term and formula once, on a ``let`` line that applies one
+constructor to earlier names, variables and constants, so reading it needs no
+recursion::
 
-    hyp h1 (Ax1)~(1 = x1 + 1) -> (Ax1)(x1 = x1)
-    1. (Ax1)(x1 = x1) -> (1 < 1 -> (Ax1)(x1 = x1)) ; axiom L12
-    2. ...                                         ; mp 1 3
-    3. ...                                         ; gen 2 x2
+    let d1 = x1 = x1
+    let d2 = (Ax1) d1
+    hyp h1 d2
+    1. d2 ; hyp h1
 
-``#`` comments and blank lines are allowed anywhere.
-
-:func:`recheck_report` re-validates a written audit report tree.  This module
-and the three it imports (``syntax``, ``parser``, ``schemata``) are all a
-re-check runs; proofs are built elsewhere (:mod:`proofbench.transforms`).
+A formula field is a name or formula text (``1. 0 = 0 ; hyp h1``).  ``#``
+comments and blank lines are allowed anywhere.  :func:`recheck_report`
+re-validates a written audit report tree.  This module and the three it
+imports (``syntax``, ``parser``, ``schemata``) are all a re-check runs;
+proofs are built elsewhere (:mod:`proofbench.transforms`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .parser import Memo, ParseError, parse, render
+from .parser import _BINDERS, _INFIX, ParseError, parse, render
 from .schemata import AxiomSetRecognizer, axiom_set
-from .syntax import Forall, Formula, Implies, find, free_vars
+from .syntax import (App, Atom, Const, Exists, Forall, Formula, Implies, NestingError, Not,
+                     Term, Var, find, free_vars)
 
 
 @dataclass(frozen=True)
@@ -153,15 +158,12 @@ def check_proof(
                 return CheckResult(False, pos, "dangling-ref")
             if not r.contains(step.formula):
                 reason = r.diagnose(step.formula) if r.diagnose is not None else None
-                if reason != "side-condition":
-                    reason = "not-axiom"
-                return CheckResult(False, pos, reason)
+                return CheckResult(False, pos, reason if reason == "side-condition" else "not-axiom")
             deps[pos] = frozenset()
         elif isinstance(j, Mp):
             if not (_positive_int(j.i) and _positive_int(j.j) and j.i < pos and j.j < pos):
                 return CheckResult(False, pos, "dangling-ref")
-            minor = proof.steps[j.i - 1].formula
-            major = proof.steps[j.j - 1].formula
+            minor, major = proof.steps[j.i - 1].formula, proof.steps[j.j - 1].formula
             if not (isinstance(major, Implies) and major.left == minor and major.right == step.formula):
                 return CheckResult(False, pos, "bad-mp")
             deps[pos] = deps[j.i] | deps[j.j]
@@ -173,19 +175,12 @@ def check_proof(
             if not _positive_int(j.var) or step.formula is not find(Forall, j.var, prev):
                 return CheckResult(False, pos, "bad-gen")
             deps[pos] = deps[j.i]
-            offenders = [
-                name
-                for name in sorted(deps[pos])
-                if j.var in free_vars(by_name[name])
-            ]
+            offenders = [n for n in sorted(deps[pos]) if j.var in free_vars(by_name[n])]
+            if offenders and strict:
+                return CheckResult(False, pos, "gen-on-free-hyp-var")
             if offenders:
-                msg = (
-                    f"step {pos}: generalizes over x{j.var}, free in hypothesis "
-                    f"{offenders[0]!r} used by this derivation"
-                )
-                if strict:
-                    return CheckResult(False, pos, "gen-on-free-hyp-var")
-                warnings.append(msg)
+                warnings.append(f"step {pos}: generalizes over x{j.var}, free in hypothesis "
+                                f"{offenders[0]!r} used by this derivation")
         else:
             return CheckResult(False, pos, "dangling-ref")
     return CheckResult(True, warnings=tuple(warnings))
@@ -222,6 +217,11 @@ def _number(s: str) -> int | None:
     return None
 
 
+#: how a script spells each justification
+_SPELLING = {Hyp: "hyp {0.name}", Ax: "axiom {0.set_name}", Mp: "mp {0.i} {0.j}",
+             Gen: "gen {0.i} x{0.var}"}
+
+
 def _justification(words: list[str]) -> Justification | None:
     """The justification ``words`` spell, or None if they spell none."""
     kind, args = words[0], words[1:]
@@ -240,20 +240,74 @@ def _justification(words: list[str]) -> Justification | None:
     return None
 
 
-def parse_proof_script(text: str, memo: Memo | None = None) -> Proof:
-    """Read a proof script; ``memo`` (see :func:`~proofbench.parser.parse`) may
-    be shared between scripts.
+#: a name a ``let`` line binds: no formula text starts with ``d``
+_NAME_RE = re.compile(r"d[0-9]+")
+_BINDER_RE = re.compile(r"\(([AE])x([0-9]+)\)")
+#: a ``let`` line's constructor -> the sort of its operands, and its build
+_BINARY = {op.glyph: (op.sort, op.build) for op in _INFIX.values()}
+_UNARY = {"~": (Formula, Not), "S": (Term, lambda t: App("S", (t,)))}
+_GLYPH = {build: glyph for glyph, (sort, build) in _BINARY.items() if sort is Formula}
+_LETTER = {cls: letter for letter, cls in _BINDERS.items()}
 
-    Every formula is read by ``parse(text, memo)``, whatever the line's
-    justification.  The memo keeps each right operand of ``->`` by its text,
-    so an ``mp`` line that states its major premise's consequent is one lookup.
-    """
-    memo = {} if memo is None else memo
+
+def _operand(word: str, sort: type, who: str, names: dict, lineno: int):
+    """The node ``word`` stands for: a bound name, ``xK``, ``0`` or ``1``."""
+    node = names.get(word)
+    if node is None:
+        var = _number(word[1:]) if word[:1] == "x" else None
+        node = Const(word) if word in ("0", "1") else Var(var) if var else None
+        if node is None:
+            what = "unknown name" if _NAME_RE.fullmatch(word) else "bad operand"
+            raise ScriptError(f"{what} {word[:12]!r}", lineno)
+    if not isinstance(node, sort):
+        raise ScriptError(f"{who} needs a {sort.__name__.lower()}: {word}", lineno)
+    return node
+
+
+def _let(words: list[str], names: dict, lineno: int) -> None:
+    """Bind the name of a ``let`` line, split into ``words``, to its node."""
+    name, body = words[1] if words[2:3] == ["="] else "", words[3:]
+    if not (_NAME_RE.fullmatch(name) and 2 <= len(body) <= 3):
+        raise ScriptError("expected: let d<n> = <one constructor and its operands>", lineno)
+    if name in names:
+        raise ScriptError(f"{name} is bound a second time", lineno)
+    if len(body) == 3:
+        ctor, args, rule = body[1], body[::2], _BINARY.get(body[1])
+    else:
+        ctor, args, rule = body[0], body[1:], _UNARY.get(body[0])
+        binder = rule is None and _BINDER_RE.fullmatch(ctor)
+        if binder and _number(binder[2]):  # variable ids start at 1
+            rule = (Formula, partial(_BINDERS[binder[1]], _number(binder[2])))
+    if rule is None:
+        raise ScriptError(f"not one constructor over operands: {ctor[:12]!r}", lineno)
+    try:
+        names[name] = rule[1](*[_operand(w, rule[0], ctor, names, lineno) for w in args])
+    except NestingError as e:
+        raise ScriptError(str(e), lineno) from None
+
+
+def _formula(text: str, names: dict, lineno: int) -> Formula:
+    """A step or ``hyp`` line's formula field: a bound name or formula text."""
+    if _NAME_RE.fullmatch(text):
+        return _operand(text, Formula, "a formula field", names, lineno)
+    try:
+        return parse(text)
+    except ParseError as e:
+        raise ScriptError(f"bad formula: {e}", lineno) from e
+
+
+def parse_proof_script(text: str) -> Proof:
+    """Read a proof script: each ``let`` line in one step, without recursion,
+    and formula text through :func:`~proofbench.parser.parse`."""
+    names: dict[str, Formula | Term] = {}
     hyps: list[tuple[str, Formula]] = []
     steps: list[ProofStep] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        if line.startswith("let ") or line == "let":
+            _let(line.split(), names, lineno)
             continue
         if line.startswith("hyp ") or line == "hyp":
             if steps:
@@ -261,24 +315,16 @@ def parse_proof_script(text: str, memo: Memo | None = None) -> Proof:
             parts = line.split(None, 2)
             if len(parts) != 3:
                 raise ScriptError("expected: hyp <name> <formula>", lineno)
-            _, name, ftext = parts
-            try:
-                hyps.append((name, parse(ftext, memo)))
-            except ParseError as e:
-                raise ScriptError(f"bad formula: {e}", lineno) from e
+            hyps.append((parts[1], _formula(parts[2], names, lineno)))
             continue
         head, sep, just_text = line.partition(";")
         if not sep:
             raise ScriptError("expected '<n>. <formula> ; <justification>'", lineno)
-        head = head.strip()
         num, dot, ftext = head.partition(".")
         index = _number(num.strip())
         if not dot or index is None:
             raise ScriptError("step must start with '<n>.'", lineno)
-        try:
-            formula = parse(ftext.strip(), memo)
-        except ParseError as e:
-            raise ScriptError(f"bad formula: {e}", lineno) from e
+        formula = _formula(ftext.strip(), names, lineno)
         words = just_text.split()
         if not words:
             raise ScriptError("missing justification", lineno)
@@ -289,19 +335,41 @@ def parse_proof_script(text: str, memo: Memo | None = None) -> Proof:
     return Proof(tuple(hyps), tuple(steps))
 
 
+def _cite(node, names: dict, lines: list[str]) -> str:
+    """``node``'s operand: a variable, a constant or its name, named if new on a
+    ``let`` line appended to ``lines`` after those of the nodes it holds, left
+    to right; the kernel's cap keeps the recursion within Python's limit."""
+    name = names.get(node)
+    if name is not None:
+        return name
+    kind = type(node)
+    if kind is Var or kind is Const:
+        return node.name if kind is Const else f"x{node.id}"
+    if kind is Not:
+        spelled = "~ " + _cite(node.body, names, lines)
+    elif kind is Forall or kind is Exists:
+        spelled = f"({_LETTER[kind]}x{node.var}) " + _cite(node.body, names, lines)
+    elif kind is App and node.func == "S":
+        spelled = "S " + _cite(node.args[0], names, lines)
+    else:
+        x, y = node.args if kind is Atom or kind is App else (node.left, node.right)
+        a, b = _cite(x, names, lines), _cite(y, names, lines)
+        glyph = node.pred if kind is Atom else node.func if kind is App else _GLYPH[kind]
+        spelled = f"{a} {glyph} {b}"
+    name = names[node] = f"d{len(names) + 1}"
+    lines.append(f"let {name} = {spelled}")
+    return name
+
+
 def render_proof_script(proof: Proof) -> str:
-    lines = [f"hyp {name} {render(f)}" for name, f in proof.hypotheses]
+    """``proof``'s script: each distinct node named once, before its first use."""
+    names: dict = {}  # node -> the name of its let line
+    lines: list[str] = []
+    for name, f in proof.hypotheses:
+        lines.append(f"hyp {name} {_cite(f, names, lines)}")
     for step in proof.steps:
-        j = step.just
-        if isinstance(j, Hyp):
-            jt = f"hyp {j.name}"
-        elif isinstance(j, Ax):
-            jt = f"axiom {j.set_name}"
-        elif isinstance(j, Mp):
-            jt = f"mp {j.i} {j.j}"
-        else:
-            jt = f"gen {j.i} x{j.var}"
-        lines.append(f"{step.index}. {render(step.formula)} ; {jt}")
+        just = _SPELLING[type(step.just)].format(step.just)
+        lines.append(f"{step.index}. {_cite(step.formula, names, lines)} ; {just}")
     return "\n".join(lines) + "\n"
 
 
@@ -338,12 +406,12 @@ def recheck_report(directory: str | Path) -> list[str]:
     symlink, or that resolves outside ``details/``, is a problem and is not
     read.  Every serialized proof certificate is re-parsed and re-checked in
     strict mode by :func:`check_certificate`, against the axiom sets its
-    ``axiom`` steps name, and its conclusion is compared with the recorded
-    goal line.  An empty list means the report replays cleanly.
+    ``axiom`` steps name, and its conclusion is compared with its ``# goal``
+    line, which it must have.  A ``pos.proof`` row needs a ``neg.proof`` that
+    concludes the negation.  An empty list means the report replays cleanly.
     """
     root = Path(directory)
     problems: list[str] = []
-    memo: Memo = {}  # shared by every certificate: each span is parsed once
     tsv_path = root / "report.tsv"
     if not tsv_path.exists():
         return [f"missing {tsv_path}"]
@@ -351,6 +419,7 @@ def recheck_report(directory: str | Path) -> list[str]:
     # details/'s own, can lead out of the tree
     details_linked = (root / "details").is_symlink()
     linked: set[str] = set()  # row details already reported as links
+    pairs: list[str] = []  # the claims whose rows name a pos.proof
     for line in (_read_artifact(tsv_path, problems) or "").splitlines():
         parts = line.split("\t")
         if len(parts) != 4:
@@ -368,6 +437,9 @@ def recheck_report(directory: str | Path) -> list[str]:
             problems.append(f"{cid}: detail {detail} is a symlink or resolves outside details/")
         elif not (root / detail).is_file():
             problems.append(f"{cid}: missing detail file {detail}")
+        elif detail.endswith(".pos.proof"):
+            pairs.append(cid)
+    concluded: dict[str, Formula] = {}  # certificate name -> its checked conclusion
     for proof_path in sorted(root.glob("details/*.proof")):
         if details_linked or proof_path.is_symlink():
             if f"details/{proof_path.name}" not in linked:
@@ -376,15 +448,8 @@ def recheck_report(directory: str | Path) -> list[str]:
         text = _read_artifact(proof_path, problems)
         if text is None:
             continue
-        goal: Formula | None = None
-        first = text.partition("\n")[0]
-        if first.startswith("# goal "):
-            try:
-                goal = parse(first[len("# goal ") :], memo)
-            except ParseError as exc:
-                problems.append(f"{proof_path.name}: bad goal line: {exc}")
         try:
-            proof = parse_proof_script(text, memo)
+            proof = parse_proof_script(text)
         except Exception as exc:  # noqa: BLE001 - report, not crash
             problems.append(f"{proof_path.name}: does not parse: {exc}")
             continue
@@ -398,6 +463,22 @@ def recheck_report(directory: str | Path) -> list[str]:
             continue
         if not result.ok:
             problems.append(f"{proof_path.name}: fails re-check{result.at}: {result.reason}")
-        elif goal is not None and proof.conclusion != goal:
-            problems.append(f"{proof_path.name}: conclusion differs from recorded goal")
+            continue
+        concluded[proof_path.name] = proof.conclusion
+        head = text.partition("\n")[0]
+        goal = head[len("# goal ") :]
+        if not head.startswith("# goal "):
+            problems.append(f"{proof_path.name}: missing goal line")
+        elif goal != render(proof.conclusion):  # not the writer's text: read it
+            try:
+                if parse(goal) is not proof.conclusion:
+                    problems.append(f"{proof_path.name}: conclusion differs from recorded goal")
+            except ParseError as exc:
+                problems.append(f"{proof_path.name}: bad goal line: {exc}")
+    for cid in pairs:
+        pos, neg = (concluded.get(f"{cid}.{side}.proof") for side in ("pos", "neg"))
+        if not (root / "details" / f"{cid}.neg.proof").is_file():
+            problems.append(f"{cid}: missing detail file details/{cid}.neg.proof")
+        elif None not in (pos, neg) and neg is not find(Not, pos):
+            problems.append(f"{cid}: neg.proof does not conclude the negation of pos.proof")
     return problems

@@ -9,10 +9,14 @@ Two families:
 ``brute_eval`` and ``first_occurrence_atoms`` read propositional skeletons
 without ``proofbench.semantics``, so tests can check the sweep against them.
 ``antecedent_chain`` builds a goal that needs one discharge per antecedent,
+``alternating`` and ``tall_atom`` formulas whose text can pass the
+parser's frame cap, ``weakening`` a three-step proof over any formula,
 ``induction_candidate`` an induction instance with a tall term and
 ``phi10_candidate`` a non-instance that the phi10 reader rebuilds higher;
 ``unreachable_steps`` checks the shape of the proofs the engine and the
-transforms return.
+transforms return.  ``full_text_script`` writes a proof with every formula
+in full on its line, as a hand-written script does: the view through which
+the full-text proof digests and report-tree hashes are taken.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import random
 
 from hypothesis import strategies as st
 
-from proofbench.parser import parse
-from proofbench.proofs import Gen, Mp, Proof
+from proofbench.parser import parse, render
+from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import (
     And,
@@ -31,6 +35,7 @@ from proofbench.syntax import (
     Const,
     Exists,
     Forall,
+    Formula,
     Iff,
     Implies,
     Not,
@@ -230,6 +235,23 @@ def random_proof(
     return p
 
 
+def full_text_script(proof: Proof) -> str:
+    """``proof`` as a script with each formula rendered in full on its line."""
+    lines = [f"hyp {name} {render(f)}" for name, f in proof.hypotheses]
+    for step in proof.steps:
+        j = step.just
+        if isinstance(j, Hyp):
+            jt = f"hyp {j.name}"
+        elif isinstance(j, Ax):
+            jt = f"axiom {j.set_name}"
+        elif isinstance(j, Mp):
+            jt = f"mp {j.i} {j.j}"
+        else:
+            jt = f"gen {j.i} x{j.var}"
+        lines.append(f"{step.index}. {render(step.formula)} ; {jt}")
+    return "\n".join(lines) + "\n"
+
+
 def unreachable_steps(proof: Proof) -> list[int]:
     """The indexes of the steps that the last step does not depend on."""
     used = {len(proof.steps)}
@@ -257,6 +279,33 @@ def antecedent_chain(n: int) -> Implies:
     for a in reversed([atoms[0]] + [Implies(a, b) for a, b in zip(atoms, atoms[1:])]):
         goal = Implies(a, goal)
     return goal
+
+
+def alternating(depth: int) -> Formula:
+    """``~(0 = 0 -> ~(0 = 0 -> ... 0 = 0))`` of connective depth ``depth``,
+    whose rendered text the parser refuses from depth 266 on."""
+    eq = f = Atom("=", (Const("0"), Const("0")))
+    for _ in range(depth // 2):
+        f = Not(Implies(eq, f))
+    return f
+
+
+def tall_atom(height: int) -> Atom:
+    """``S(S(...S(0)...)) = 0`` over a term of ``height``."""
+    t = Const("0")
+    for _ in range(height):
+        t = App("S", (t,))
+    return Atom("=", (t, Const("0")))
+
+
+def weakening(f: Formula) -> Proof:
+    """``{h: f} |- 0 = 0 -> f`` through phi1's instance ``f -> (0 = 0 -> f)``."""
+    eq = Atom("=", (Const("0"), Const("0")))
+    return Proof((("h", f),), (
+        ProofStep(1, f, Hyp("h")),
+        ProofStep(2, Implies(f, Implies(eq, f)), Ax("L12")),
+        ProofStep(3, Implies(eq, f), Mp(1, 2)),
+    ))
 
 
 def induction_candidate(height: int) -> Implies:

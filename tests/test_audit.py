@@ -1,6 +1,7 @@
 """Audit claims, verdict classification, report round trips, script grammar."""
 
 import hashlib
+import io
 import re
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from proofbench.audit import (
     run_claim,
     write_report,
 )
+from proofbench.cli import main
 from proofbench.engine import Budget, prove
 from proofbench.parser import parse, render
 from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep, check_proof, parse_proof_script
@@ -35,6 +37,7 @@ from strategies import (
     antecedent_chain,
     brute_eval,
     first_occurrence_atoms,
+    full_text_script,
     unreachable_steps,
 )
 
@@ -285,12 +288,22 @@ def test_theorem_51_report_states_counts_only(reports):
     assert text.rstrip().endswith("totals: verified=0 refuted=5 unresolved=0")
 
 
-def _tree_digest(root: Path) -> dict[str, str]:
+def _tree_digest(root: Path, view=bytes) -> dict[str, str]:
+    """Each file's digest, taken of ``view`` of its bytes."""
     return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        str(p.relative_to(root)): hashlib.sha256(view(p.read_bytes())).hexdigest()
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def _full_text(data: bytes) -> bytes:
+    """A certificate's goal line and its proof in the full-text form; any
+    other file as it is."""
+    goal, _, script = data.decode().partition("\n")
+    if not goal.startswith("# goal "):
+        return data
+    return f"{goal}\n{full_text_script(parse_proof_script(script))}".encode()
 
 
 def test_report_round_trip_and_determinism(tmp_path, reports):
@@ -305,8 +318,9 @@ def test_report_round_trip_and_determinism(tmp_path, reports):
 
 
 #: sha256 of each built-in report tree: its files' paths and digests, one
-#: ``path<TAB>digest`` line each.  Report bytes change only in a change that
-#: names the difference and recomputes this table.
+#: ``path<TAB>digest`` line each, with each certificate taken in the
+#: full-text form.  Report bytes change only in a change that names the
+#: difference and recomputes this table.
 REPORT_TREE_SHA256 = {
     "lemma-4.1": "4bbe565c4c5ac7e8c6dde644c45e2dca9f57cd0026a46bd8c51b89b8b1938517",
     "lemma-4.2": "84767e5c8d2d650f77984e2081027c5c71c48567190be5370c74ddec265730ee",
@@ -347,13 +361,31 @@ def test_report_certificates_are_pinned_and_hold_only_reachable_steps(reports):
     assert got == REPORT_PROOF_STEPS
 
 
+#: REPORT_TREE_SHA256 of the bytes as written, with let lines.
+REPORT_TREE_LET_SHA256 = {
+    "lemma-4.1": "ad46a49f21bf0bc613fcd33a9bfd540777ede5a25d21c55e5523c2719f280f17",
+    "lemma-4.2": "7b343b328424dd7b5ea4a727a4c85717d65f6e1c0daa23cd20886f43dabd4f47",
+    "lemma-4.3": "e711b958764c1f79adbbb4e5ed8bad5482ea4e500bf8eac0bdb5f91d32283d98",
+    "lemma-4.4": "09418d18a9df8203f3c73be0d3b4c72d2ce1879c5c219c0f902b4fa855d1c9a9",
+    "theorem-4.1": "650705fbd24e4c00372642d77dc09562fcccd2ee8d34ed78752ce12bf84cf67b",
+    "corollary-4.3": "5d5f44f403d4ccbcf73b37a64d0df3a56c3347e9b08f576e1c0f02b8d5b4fba5",
+    "corollary-4.4": "1ca43cf7cbd83ca19e94d4ce7ad3f8931da6ea2765356bc24df76c3731f7aa91",
+    "theorem-5.1": "abd6f10a03b4fae08496dc3abc61d0d910ae5c79124f30b090790db3e813dc0b",
+    "theorem-5.2": "73cd7c88a4ae21a22c8bb37ac0c83987c7a1d1c82d3cead0c8a8df678943ddcd",
+    "axiom-sanity": "e93a3ec1ee1f3c10111a527970caf13c692fcbc469d172257043dcfc3ad1dc8c",
+}
+
+
 def test_report_trees_are_pinned(tmp_path, reports):
-    got = {}
+    got, got_let = {}, {}
     for sid, report in reports.items():
-        digests = _tree_digest(write_report(report, tmp_path / sid))
-        lines = "".join(f"{rel}\t{digest}\n" for rel, digest in digests.items())
-        got[sid] = hashlib.sha256(lines.encode()).hexdigest()
-    assert got == REPORT_TREE_SHA256
+        root = write_report(report, tmp_path / sid)
+        for table, view in ((got, _full_text), (got_let, bytes)):
+            digests = _tree_digest(root, view)
+            lines = "".join(f"{rel}\t{digest}\n" for rel, digest in digests.items())
+            table[sid] = hashlib.sha256(lines.encode()).hexdigest()
+    assert got == REPORT_TREE_SHA256  # the proofs are what they were
+    assert got_let == REPORT_TREE_LET_SHA256
 
 
 def test_recheck_flags_bad_step(tmp_path, reports):
@@ -389,6 +421,45 @@ def test_recheck_flags_deep_goal_line(tmp_path, reports):
     victim.write_text("\n".join(lines) + "\n")
     problems = recheck_report(d)
     assert any("s15-m01.proof: bad goal line" in p for p in problems), problems
+
+
+def test_recheck_flags_a_certificate_without_its_goal_line(tmp_path, reports):
+    # cut to its first step, the certificate proves another formula: only the
+    # goal line says which one it must prove
+    d = tmp_path / "no-goal"
+    write_report(reports["lemma-4.2"], d)
+    victim = d / "details" / "s15-m01.proof"
+    lines = victim.read_text().splitlines()
+    assert lines[0].startswith("# goal ")
+    first = next(i for i, line in enumerate(lines) if line.startswith("1. "))
+    victim.write_text("\n".join(lines[1 : first + 1]) + "\n")
+    assert recheck_report(d) == ["s15-m01.proof: missing goal line"]
+
+
+@pytest.fixture
+def contradiction_report(tmp_path):
+    hyps = (("h1", parse("0 = 0")), ("h2", parse("~0 = 0")))
+    claim = AuditClaim("c1", "contradiction", ("L12",), hyps)
+    d = write_report(run_audit("pair", [claim], Budget()), tmp_path / "pair")
+    [row] = (d / "report.tsv").read_text().splitlines()
+    assert row.startswith("c1\tVERIFIED\t") and row.endswith("\tdetails/c1.pos.proof")
+    assert recheck_report(d) == []
+    return d
+
+
+def test_recheck_flags_a_pos_proof_without_its_neg_proof(contradiction_report):
+    (contradiction_report / "details" / "c1.neg.proof").unlink()
+    assert recheck_report(contradiction_report) == [
+        "c1: missing detail file details/c1.neg.proof"
+    ]
+
+
+def test_recheck_flags_a_neg_proof_that_does_not_negate_its_pos_proof(contradiction_report):
+    details = contradiction_report / "details"
+    (details / "c1.neg.proof").write_text((details / "c1.pos.proof").read_text())
+    assert recheck_report(contradiction_report) == [
+        "c1: neg.proof does not conclude the negation of pos.proof"
+    ]
 
 
 def test_recheck_flags_empty_certificate(tmp_path, reports):
@@ -488,12 +559,12 @@ def test_recheck_flags_an_mp_line_that_states_another_formula(tmp_path, reports)
 
 
 def test_recheck_reads_mp_lines_in_any_spelling_of_their_formula(tmp_path, reports):
-    # not render's text, so no memo key holds these lines whole, and each is parsed
+    # hand-written certificates: each formula in full, and not in render's text
     d = tmp_path / "tree"
     write_report(reports["lemma-4.4"], d)
     respelled = 0
     for victim in (d / "details").glob("*.proof"):
-        text = victim.read_text()
+        text = _full_text(victim.read_bytes()).decode()
         new = _MP_LINE.sub(
             lambda m: m[0].replace(m[2], "( " + m[2].replace(" ", "  ") + " )", 1), text
         )
@@ -528,16 +599,34 @@ def _reference_proof(text):
 
 
 def test_report_certificates_read_as_each_line_parsed_alone(tmp_path, reports):
+    # each certificate reads back to the proof the audit kept, and that proof
+    # in the full-text form, each formula parsed on its own line, is the same
     kinds = Counter()
     for sid, report in reports.items():
         d = write_report(report, tmp_path / sid)
-        memo = {}  # one per report, as recheck_report shares it
+        kept = {}
+        for v in report.verdicts:
+            names = ["proof"] if len(v.proofs) == 1 else ["pos.proof", "neg.proof"]
+            kept.update((f"{v.claim.claim_id}.{n}", p) for n, p in zip(names, v.proofs))
         for path in sorted((d / "details").glob("*.proof")):
-            text = path.read_text()
-            proof = parse_proof_script(text, memo)
-            assert proof == _reference_proof(text), path
+            proof = parse_proof_script(path.read_text())
+            assert proof == kept.pop(path.name), path
+            assert proof == _reference_proof(full_text_script(proof)), path
             kinds.update(type(step.just).__name__ for step in proof.steps)
+        assert kept == {}, sid
     assert kinds["Mp"] > 400 and kinds["Gen"] > 0
+
+
+def test_check_strict_accepts_every_report_certificate(tmp_path, reports):
+    checked = 0
+    for sid, report in reports.items():
+        d = write_report(report, tmp_path / sid)
+        for path in sorted((d / "details").glob("*.proof")):
+            out = io.StringIO()
+            assert main(["check", str(path), "--strict"], out=out, err=out) == 0, path
+            assert out.getvalue().startswith("ok "), path
+            checked += 1
+    assert checked == 83
 
 
 def test_reports_recheck_clean_in_a_fresh_process(tmp_path, reports):
@@ -570,13 +659,15 @@ def test_recheck_flags_non_utf8_file(tmp_path, reports, victim):
 
 
 def test_report_formula_lines_are_render_fixed_points(tmp_path, reports):
-    # recheck_report parses these lines back; render must reproduce each one
+    # the recheck compares a goal line with render's text, and a hand-written
+    # certificate is parsed: render must reproduce each line, goal lines and
+    # those of the full-text form
     texts = []
     for sid, report in reports.items():
         d = tmp_path / sid
         write_report(report, d)
         for proof_file in (d / "details").glob("*.proof"):
-            for line in proof_file.read_text().splitlines():
+            for line in _full_text(proof_file.read_bytes()).decode().splitlines():
                 if line.startswith("# goal "):
                     texts.append(line[len("# goal ") :])
                 elif line.startswith("hyp "):

@@ -12,10 +12,10 @@ from proofbench import engine, semantics, transforms
 from proofbench.cli import main
 from proofbench.engine import BACKWARD_DEPTH
 from proofbench.parser import MAX_NESTING, render
+from proofbench.proofs import recheck_report, render_proof_script
 from proofbench.syntax import Implies
-from proofbench.proofs import recheck_report
 
-from strategies import antecedent_chain
+from strategies import alternating, antecedent_chain, tall_atom, weakening
 
 PROVE_HYP = "~((Ax1)~(1 = x1 + 1) -> (Ax1)(x1 = x1))\n"
 
@@ -462,6 +462,33 @@ def test_prove_prints_a_proof_check_reads_near_the_cap(tmp_path):
     assert out.startswith("ok ")
 
 
+@pytest.mark.parametrize("a", [alternating(264), tall_atom(MAX_NESTING - 2)],
+                         ids=["alternating", "tall-term"])
+def test_check_reads_what_prove_prints_where_full_text_would_not_parse(tmp_path, a):
+    # the goal's own text parses, but the proof's formulas, rendered in full,
+    # would pass the parser's frame cap; their let lines read back
+    code, proof, _ = run_cli("prove", "--goal", render(Implies(a, a)), "--axioms", "L12")
+    assert code == 0
+    path = tmp_path / "proof.txt"
+    path.write_text(proof)
+    assert run_cli("check", str(path), "--strict") == (
+        0, f"ok 5 steps: {render(Implies(a, a))}\n", ""
+    )
+
+
+@pytest.mark.parametrize("f", [alternating(MAX_NESTING - 2), tall_atom(MAX_NESTING)],
+                         ids=["alternating", "tall-term"])
+def test_check_reads_a_certificate_whose_formulas_have_no_readable_text(tmp_path, f):
+    # the kernel admits f, whose rendered text parse refuses: phi1's instance
+    # f -> (0 = 0 -> f) and its conclusion still read and check
+    proof = weakening(f)
+    path = tmp_path / "proof.txt"
+    path.write_text(render_proof_script(proof))
+    assert run_cli("check", str(path), "--strict") == (
+        0, f"ok 3 steps: {render(proof.conclusion)}\n", ""
+    )
+
+
 def _cite_identity_as_l12(b, a):
     return b.add_axiom_named(Implies(a, a), "L12")  # a -> a is no L12 member
 
@@ -520,4 +547,4 @@ def test_hypothesis_line_reports_its_own_parse_error(tmp_path):
     hyp.write_text("a1 0 = 0\n1 = 1\n")
     code, out, _ = run_cli("prove", "--goal", "0 = 0", "--hyp", str(hyp), "--axioms", "L12")
     assert code == 0
-    assert out.startswith("hyp a1 0 = 0\nhyp h1 1 = 1\n")
+    assert out.startswith("let d1 = 0 = 0\nhyp a1 d1\nlet d2 = 1 = 1\nhyp h1 d2\n")

@@ -33,6 +33,7 @@ from proofbench.transforms import covering_set
 from strategies import (
     antecedent_chain,
     formulas,
+    full_text_script,
     induction_candidate,
     phi10_candidate,
     unreachable_steps,
@@ -217,16 +218,35 @@ BACKWARD_RULES = [
 ]
 
 
+#: sha256 of each rule's proof as render_proof_script writes it, with let lines
+BACKWARD_RULE_LET_SHA256 = {
+    "andintro": "ffd2fe6b2522986288c84401238e929f32525816b250f0afa201d3c2884ef6ed",
+    "orin_l": "b4e9a2662779f475262cfd1e55c167daf16c316165ce39c5e12f659358da80b0",
+    "orin_r": "1a29d783f449138853db9110e962ecd1688df1ab581a90840ea079cfaa46729a",
+    "dnintro": "8b0a8983678099d4f7dfd3d7f3114e48ffe3edd9e6f10effbf7d508587d04975",
+    "notimp_intro": "e540873a664d49157defe5a785c8ae20d74303e4d1846be3b88133bd03c1e508",
+    "notand_l": "75b3a1acf04611754a006f8f71f4bc06ebdb9a2607db14460a2d7687c2db8837",
+    "notand_r": "45cf9a78342221791103ca88b1d421c253d1155eaa4f6ebc203c8751a9d4f312",
+    "notor": "eecc203e26a41682eb694f8bb77332208a882b75e083900b04bb7c32a2dc5c86",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
-    "goal, hyps, size, digest", [r[1:] for r in BACKWARD_RULES], ids=[r[0] for r in BACKWARD_RULES]
+    "rule, goal, hyps, size, digest", BACKWARD_RULES, ids=[r[0] for r in BACKWARD_RULES]
 )
-def test_backward_introduction_rules(goal, hyps, size, digest):
+def test_backward_introduction_rules(rule, goal, hyps, size, digest):
     outcome = prove(parse(goal), [parse(h) for h in hyps], L12)
     proof = outcome.proof
     assert proof is not None and proof.conclusion == parse(goal)
     assert check_proof(proof, L12, strict=True).ok
     assert len(proof.steps) == size
-    assert hashlib.sha256(render_proof_script(proof).encode()).hexdigest() == digest
+    # the pinned digest is of the full-text form: the proof is what it was
+    assert _sha256(full_text_script(proof)) == digest
+    assert _sha256(render_proof_script(proof)) == BACKWARD_RULE_LET_SHA256[rule]
 
 
 @pytest.mark.parametrize(
@@ -468,13 +488,34 @@ PROOF_PINS = [
 ]
 
 
-@pytest.mark.parametrize("goal, hyps, pin", PROOF_PINS, ids=range(len(PROOF_PINS)))
-def test_prove_pins_proofs_built_through_discharge(goal, hyps, pin):
+#: sha256 of each PROOF_PINS proof as render_proof_script writes it, with let lines
+PROOF_PIN_LET_SHA256 = (
+    "b9a38ae5a87f4bf4a7c2c3a247896b16dadc343920b1954bbe25e81054574f22",
+    "c5f287f21bf3309ef247cd3ce6c6adfba400b1a0dcea30ea1dee0894c28b8807",
+    "60721221bbaf561c174981fd8d7969164e672a74df9a1a29ce246ac71f0895a7",
+    "b37bf9a0e5f50107e023f0d1033c293cf8def92121b45f3e803765cf9b31b368",
+    "9fb2c1292dbcb060f15dc879a6640e9c171b749d5174a096a8b72d15306b6c0f",
+    "1d0b6e0c4c731e53e26a10237211589391152b773258193bcc61f88df099fec1",
+    "5168160ffc38eb44cab257ebeab552ba7360b9af976aaf5548bc69663de40e0b",
+    "941fc7c971a16f7e7e109bfe6a814fa04b61b7a7c5a450ba50fecea4918911a7",
+    "7aee0fc9a81952e2d51f01f896bf1eecb6bb385c17122bd6feb660250570f874",
+    "c2a743ae0113828f9835171924a6dfaf85f56d6905bd9e9cc6d26ce434aff2f6",
+    "9b8de1b07aa9e4ca68c2e710a80413d15b44d368a53ff4182e83cb18b6259478",
+    "fa8f2d1c6bedc37facb98c1f2eb7986802fbbbad72c6bb8cfd611398182ce06d",
+    "c84251be42c8eff529807b595bea610d8095a5e8c64421c9734a019bbc30c62d",
+    "a33839e9574ff9a17db93cb6388ee9cffc940e76335b463dd85ab02343f12500",
+)
+
+
+@pytest.mark.parametrize("i", range(len(PROOF_PINS)))
+def test_prove_pins_proofs_built_through_discharge(i):
+    goal, hyps, pin = PROOF_PINS[i]
     outcome = prove(goal, hyps, L12)
     proof = outcome.proof
     assert proof is not None and proof.conclusion == goal
-    digest = hashlib.sha256(render_proof_script(proof).encode()).hexdigest()
+    digest = _sha256(full_text_script(proof))  # the pinned form: the proof is what it was
     assert (len(proof.steps), outcome.report.steps_expended, digest) == pin
+    assert _sha256(render_proof_script(proof)) == PROOF_PIN_LET_SHA256[i]
 
 
 def test_derived_rules_run_only_over_the_logical_schemata():

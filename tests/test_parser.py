@@ -315,100 +315,10 @@ def test_one_level_past_the_kernel_cap_is_a_parse_error(depth, height):
     assert e.value.pos == (len(text) if depth else text.index("="))
 
 
-# -- the span memo ---------------------------------------------------------
-
-#: one memo for every draw below, so that later texts hit spans of earlier ones
-_SHARED_MEMO: dict = {}
-
-
-def _outcome(text, memo=None):
-    """What ``parse`` gives: the node, or the ParseError's message and position."""
-    try:
-        return parse(text, memo)
-    except ParseError as e:
-        return (str(e), e.pos)
-
-
-_FORMULAS, _TERMS = formulas(), terms()
-_EDIT_CHARS = st.sampled_from(list("()~=<+*-> x10SAE#@\n"))
-
-
-@st.composite
-def _memo_texts(draw):
-    """Rendered formulas, terms where a formula goes, and one-character edits."""
-    text = render(draw(_FORMULAS))
-    kind = draw(st.sampled_from(["formula", "term", "edit"]))
-    if kind == "term":
-        term = render_term(draw(_TERMS))
-        text = draw(st.sampled_from([term, f"({term})", f"{text} -> ({term})"]))
-    elif kind == "edit":
-        i = draw(st.integers(0, len(text)))
-        c = draw(_EDIT_CHARS)
-        text = draw(st.sampled_from([text[:i] + c + text[i:], text[:i] + c + text[i + 1 :],
-                                     text[:i] + text[i + 1 :]]))
-    return text
-
-
-@settings(max_examples=500, deadline=None)
-@given(_memo_texts())
-def test_memo_parse_matches_plain_parse(text):
-    assert _outcome(text, _SHARED_MEMO) == _outcome(text)
-
-
-@pytest.mark.parametrize("shape", ["imp-chain", "parens", "not"])
-@pytest.mark.parametrize("n", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
-@pytest.mark.parametrize("shallow", [0, 3, 20])
-def test_memo_parse_matches_plain_parse_at_the_cap(shape, n, shallow):
-    # a hit deep in the input must give the error a full read gives
-    memo: dict = {}
-    if shallow:
-        # the same spans, memoized where they nest shallow
-        assert _outcome(_DEEP[shape](shallow), memo) == _outcome(_DEEP[shape](shallow))
-        assert memo
-    for wrap in ("{}", "0 = 0 -> {}", "~({})", "(" * 5 + "{}" + ")" * 5):
-        text = wrap.format(_DEEP[shape](n))
-        assert _outcome(text, memo) == _outcome(text), (wrap, n)
-
-
-def test_memo_hit_on_a_term_is_still_sort_checked():
-    memo: dict = {}
-    assert parse("(x1 + 1) = x1", memo) == _eq(App("+", (_X1, _ONE)), _X1)
-    assert "x1 + 1" in memo
-    with pytest.raises(ParseError, match="the input needs a formula"):
-        parse("x1 + 1", memo)
-    with pytest.raises(ParseError, match="/\\\\ needs a formula"):
-        parse(r"0 = 0 /\ (x1 + 1)", memo)
-
-
-def test_memo_keeps_groups_and_right_operands_by_their_text():
-    memo: dict = {}
-    f = parse("(Ax1)(x1 = x1 -> 0 = 0) -> 1 = 1 -> 0 < 1", memo)
-    assert {"x1 = x1 -> 0 = 0", "0 = 0", "1 = 1 -> 0 < 1", "0 < 1"} <= set(memo)
-    assert parse("(Ax1)(x1 = x1 -> 0 = 0) -> 1 = 1 -> 0 < 1", memo) is f
-    assert parse("x1 = x1 -> 0 = 0", memo) == parse("x1 = x1 -> 0 = 0")
-
-
-@settings(max_examples=200, deadline=None)
-@given(formulas(), formulas())
-def test_memo_keeps_the_consequent_of_a_major_premise_by_its_text(a, b):
-    # an mp line states render(B) after its major premise A -> B: one lookup
-    memo: dict = {}
-    parse(render(Implies(a, b)), memo)
-    assert render(b) in memo
-    assert memo[render(b)][0] is b
-
-
-def test_memo_reads_comments_as_a_plain_parse_does():
-    # a comment may hold a ')', so the text around it is no group's content
-    memo: dict = {}
-    for text in ["0 = 0 # c", "(0 = 0 # c)", "0 = 0 -> (1 = 1 # )\n)", "(1 = 1 # )\n)"]:
-        assert _outcome(text, memo) == _outcome(text), text
-
-
 @pytest.mark.parametrize("shape", _DEEP)
 def test_mp_conclusion_at_the_cap_reads_as_its_text_parses(shape):
     # the deepest major premise of this shape that parses: its consequent's
-    # text, which parse_proof_script reads as a memo hit, parses too
+    # text, written out on the mp line of a full-text script, parses too
     for n in range(MAX_NESTING + 1, 0, -1):
         major = "0 = 0 -> " + _DEEP[shape](n)
         try:

@@ -1,10 +1,13 @@
 """Kernel proof objects, the step checker, and proof-script serialization."""
 
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
 
-from proofbench.parser import parse, render
+from proofbench.parser import ParseError, parse, render
 from proofbench.proofs import (
     Ax,
     CheckResult,
@@ -22,6 +25,7 @@ from proofbench.proofs import (
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.syntax import (
     MAX_NESTING,
+    And,
     App,
     Atom,
     Const,
@@ -34,7 +38,15 @@ from proofbench.syntax import (
 )
 from proofbench.transforms import ProofBuilder, phi4_instance
 
-from strategies import induction_candidate, phi10_candidate, random_proof
+from strategies import (
+    alternating,
+    formulas,
+    induction_candidate,
+    phi10_candidate,
+    random_proof,
+    tall_atom,
+    weakening,
+)
 
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
@@ -372,3 +384,143 @@ def test_check_certificate_looks_up_the_cited_sets_in_step_order():
     bad = parse_proof_script("1. 0 = 0 ; axiom Zz\n2. 1 = 1 ; axiom Aa\n")
     with pytest.raises(ValueError, match="unknown axiom set 'Zz'"):
         check_certificate(bad, strict=False)
+
+
+# -- let lines -----------------------------------------------------------
+
+def _shared_and(k):
+    """``X(k)``: ``X(0) = 0 = 0``, ``X(k + 1) = X(k) /\\ X(k)``, which renders
+    to text exponential in ``k``."""
+    f = parse("0 = 0")
+    for _ in range(k):
+        f = And(f, f)
+    return f
+
+
+def test_script_names_each_distinct_node_once():
+    text = render_proof_script(simple_proof())
+    lets = [line for line in text.splitlines() if line.startswith("let ")]
+    assert len(lets) == len({line.partition(" = ")[2] for line in lets})
+    assert [line.split()[1] for line in lets] == [f"d{n}" for n in range(1, len(lets) + 1)]
+    # every other line cites names only
+    assert all(line.partition(" ;")[0].split()[-1].startswith("d")
+               for line in text.splitlines() if not line.startswith("let "))
+
+
+def test_a_shared_subtree_proof_writes_a_small_certificate():
+    f = _shared_and(22)
+    proof = Proof((("h", f),), (ProofStep(1, f, Hyp("h")),))
+    text = render_proof_script(proof)
+    assert len(text) < 1024
+    assert parse_proof_script(text) == proof
+    assert check_certificate(proof, strict=True).ok
+
+
+@pytest.mark.parametrize("fs", [
+    [alternating(depth) for depth in range(266, MAX_NESTING - 1, 2)],
+    [tall_atom(MAX_NESTING)],
+], ids=["alternating-266-to-398", "tall-atom"])
+def test_formulas_whose_text_does_not_parse_round_trip(fs):
+    for f in fs:
+        with pytest.raises(ParseError):
+            parse(render(f))
+        proof = weakening(f)
+        assert parse_proof_script(render_proof_script(proof)) == proof
+        assert check_certificate(proof, strict=True).ok
+
+
+def test_a_formula_at_the_cap_on_both_counts_round_trips():
+    f = tall_atom(MAX_NESTING)
+    for _ in range(MAX_NESTING):
+        f = Not(f)
+    proof = Proof((("h", f),), (ProofStep(1, f, Hyp("h")),))
+    text = render_proof_script(proof)
+    assert text.count("\nlet ") + 1 == 2 * MAX_NESTING + 1  # one per distinct node
+    assert parse_proof_script(text) == proof
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(), formulas())
+def test_script_round_trip_over_formulas(a, b):
+    # hypothesis, mp and gen lines over the strategies' formulas
+    hyps = (("h1", a), ("h2", Implies(a, b)))
+    proof = Proof(hyps, (
+        ProofStep(1, a, Hyp("h1")),
+        ProofStep(2, Implies(a, b), Hyp("h2")),
+        ProofStep(3, b, Mp(1, 2)),
+        ProofStep(4, Forall(1, b), Gen(3, 1)),
+    ))
+    assert check_proof(proof, ()).ok
+    assert parse_proof_script(render_proof_script(proof)) == proof
+
+
+def test_let_lines_and_formula_text_mix():
+    text = "let d1 = 0 = 0\nlet d2 = d1 -> d1\nhyp h 0 = 0 -> 0 = 0  # text\n1. d2 ; hyp h\n"
+    eq = parse("0 = 0 -> 0 = 0")
+    assert parse_proof_script(text) == Proof((("h", eq),), (ProofStep(1, eq, Hyp("h")),))
+
+
+def _chain(n, prefix):
+    """``n`` let lines, each ``prefix`` over the name above it."""
+    first = "let d1 = 0 = 0" if prefix == "~" else "let d1 = S 0"
+    return [first] + [f"let d{k} = {prefix} d{k - 1}" for k in range(2, n + 1)]
+
+
+@pytest.mark.parametrize("lines, line, message", [
+    # an unknown name, as an operand and as a formula field
+    (["let d1 = 0 = 0", "let d2 = d1 -> d3"], 2, "unknown name 'd3'"),
+    (["let d1 = 0 = 0", "1. d2 ; axiom L12"], 2, "unknown name 'd2'"),
+    # a name bound a second time
+    (["let d1 = 0 = 0", "let d1 = 1 = 1"], 2, "d1 is bound a second time"),
+    # two constructors on one line
+    (["let d1 = 0 = 0", "let d2 = ~ ~ d1"], 2, "not one constructor"),
+    (["let d1 = 0 = 0", "let d2 = d1 -> d1 -> d1"], 2, "expected: let"),
+    (["let d1 = 0 = 0", "let d2 = ~ d1 /\\ d1"], 2, "expected: let"),
+    (["let d1 = S S 0"], 1, "not one constructor"),
+    (["let d1 = x1 + 1 = 0"], 1, "expected: let"),
+    # an operand that is no name, variable or constant
+    (["let d1 = 0 = (0)"], 1, "bad operand '(0)'"),
+    (["let d1 = x0 = 0"], 1, "bad operand 'x0'"),
+    (["let d1 = 0 = 0", "let d2 = (Ax0) d1"], 2, "not one constructor"),
+    # an operand of the wrong sort
+    (["let d1 = 0 = 0", "let d2 = d1 + 1"], 2, "+ needs a term: d1"),
+    (["let d1 = 0 = 0", "let d2 = S d1"], 2, "S needs a term: d1"),
+    (["let d1 = 0 = 0", "let d2 = x1 /\\ d1"], 2, "/\\ needs a formula: x1"),
+    (["let d1 = ~ x1"], 1, "~ needs a formula: x1"),
+    (["let d1 = (Ax1) 0"], 1, "(Ax1) needs a formula: 0"),
+    (["let d1 = x1 + 1", "hyp h d1"], 2, "a formula field needs a formula: d1"),
+    (["let d1 = x1 + 1", "1. d1 ; axiom L12"], 2, "a formula field needs a formula: d1"),
+    # malformed let lines
+    (["let"], 1, "expected: let"),
+    (["let d1 0 = 0"], 1, "expected: let"),
+    (["let x1 = 0 = 0"], 1, "expected: let"),
+    (["let d1 ="], 1, "expected: let"),
+    # a node past the nesting cap, on both counts
+    (_chain(MAX_NESTING + 2, "~"), MAX_NESTING + 2, "Not would nest past MAX_NESTING"),
+    (_chain(MAX_NESTING + 1, "S"), MAX_NESTING + 1, "App would nest past MAX_NESTING"),
+])
+def test_hostile_let_lines_are_script_errors_at_their_line(lines, line, message):
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ScriptError, match=re.escape(message)) as e:
+        _near_the_recursion_limit(lambda: parse_proof_script(text))
+    assert e.value.line == line
+    assert str(e.value).startswith(f"line {line}: ")
+
+
+def _near_the_recursion_limit(fn):
+    """``fn()``, called with fewer than 60 frames left below the recursion
+    limit: a reader that recursed once per level would run out."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+
+    def down(n):
+        return fn() if n == 0 else down(n - 1)
+
+    return down(sys.getrecursionlimit() - depth - 60)
+
+
+def test_a_let_chain_at_the_cap_reads_near_the_recursion_limit():
+    text = "\n".join(_chain(MAX_NESTING + 1, "~")) + f"\n1. d{MAX_NESTING + 1} ; axiom L12\n"
+    proof = _near_the_recursion_limit(lambda: parse_proof_script(text))
+    assert connective_depth(proof.conclusion) == MAX_NESTING

@@ -89,4 +89,4 @@ def test_the_nesting_cap_is_compared_only_where_nodes_and_frames_are_made():
     # the kernel's constructors check a node's height, and the parser its own
     # open frames: any other depth rule is a third one
     found = [c for path in (SRC / "proofbench").glob("*.py") for c in _cap_comparisons(path)]
-    assert sorted(found) == ["parser._Parser.expr", "parser._Parser.expr", "syntax._store"]
+    assert sorted(found) == ["parser._Parser.expr", "syntax._store"]
