@@ -32,7 +32,9 @@ operand.
 reads back to an equal tree, where that form opens at most
 :data:`MAX_NESTING` frames at once. It drops every parenthesis the table
 makes redundant except around an atom under a prefix or on the right of
-``/\\``, which it keeps: ``0 = 0 /\\ (1 = 1)``.
+``/\\``, which it keeps: ``0 = 0 /\\ (1 = 1)``. :func:`render_width` is
+the length of that text, measured once per distinct node: a formula that
+shares subtrees can have text exponentially longer than its node count.
 """
 
 from __future__ import annotations
@@ -318,3 +320,31 @@ def _atom(f: Atom) -> str:
 def render(f: Formula) -> str:
     """Concrete syntax that reads back: ``parse(render(f)) == f``."""
     return f._text or _render(f, 0)
+
+
+def _width(node, ctx: int, seen: dict) -> int:
+    """The length of ``_render``'s or ``_term``'s text for ``node`` in
+    ``ctx``, measured once per distinct node into ``seen``."""
+    kind = type(node)
+    if kind is Var:
+        return 1 + len(str(node.id))
+    if kind is Const:
+        return len(node.name)
+    op = _BY_NODE.get(node.func if kind is App else node.pred if kind is Atom else kind)
+    n = seen.get(node) or (node._text and len(node._text))
+    if not n and op is not None:
+        glyph, _, left_ctx, right_ctx = op
+        x, y = node.args if kind is Atom or kind is App else (node.left, node.right)
+        n = _width(x, left_ctx, seen) + len(glyph) + _width(y, right_ctx, seen)
+    elif not n:  # S(t), ~F, (Ax1)F or (Ex1)F
+        body = node.args[0] if kind is App else node.body
+        head = 3 if kind is App else 1 if kind is Not else 4 + len(str(node.var))
+        n = head + _width(body, 0 if kind is App else _PREFIX, seen)
+    seen[node] = n
+    return n + 2 if op is not None and (ctx >= _PREFIX if kind is Atom else ctx > op[1]) else n
+
+
+def render_width(f: Formula) -> int:
+    """``len(render(f))``, without building the text: the work is linear in
+    the number of distinct nodes, where the text can grow exponentially."""
+    return _width(f, 0, {})

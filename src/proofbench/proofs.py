@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .parser import _BINDERS, _INFIX, ParseError, parse, render
+from .parser import _BINDERS, _INFIX, ParseError, parse, render, render_width
 from .schemata import AxiomSetRecognizer, axiom_set
 from .syntax import (App, Atom, Const, Exists, Forall, Formula, Implies, NestingError, Not,
                      Term, Var, find, free_vars)
@@ -158,12 +158,15 @@ def check_proof(
                 return CheckResult(False, pos, "dangling-ref")
             if not r.contains(step.formula):
                 reason = r.diagnose(step.formula) if r.diagnose is not None else None
-                return CheckResult(False, pos, reason if reason == "side-condition" else "not-axiom")
+                if reason != "side-condition":
+                    reason = "not-axiom"
+                return CheckResult(False, pos, reason)
             deps[pos] = frozenset()
         elif isinstance(j, Mp):
             if not (_positive_int(j.i) and _positive_int(j.j) and j.i < pos and j.j < pos):
                 return CheckResult(False, pos, "dangling-ref")
-            minor, major = proof.steps[j.i - 1].formula, proof.steps[j.j - 1].formula
+            minor = proof.steps[j.i - 1].formula
+            major = proof.steps[j.j - 1].formula
             if not (isinstance(major, Implies) and major.left == minor and major.right == step.formula):
                 return CheckResult(False, pos, "bad-mp")
             deps[pos] = deps[j.i] | deps[j.j]
@@ -175,12 +178,19 @@ def check_proof(
             if not _positive_int(j.var) or step.formula is not find(Forall, j.var, prev):
                 return CheckResult(False, pos, "bad-gen")
             deps[pos] = deps[j.i]
-            offenders = [n for n in sorted(deps[pos]) if j.var in free_vars(by_name[n])]
-            if offenders and strict:
-                return CheckResult(False, pos, "gen-on-free-hyp-var")
+            offenders = [
+                name
+                for name in sorted(deps[pos])
+                if j.var in free_vars(by_name[name])
+            ]
             if offenders:
-                warnings.append(f"step {pos}: generalizes over x{j.var}, free in hypothesis "
-                                f"{offenders[0]!r} used by this derivation")
+                msg = (
+                    f"step {pos}: generalizes over x{j.var}, free in hypothesis "
+                    f"{offenders[0]!r} used by this derivation"
+                )
+                if strict:
+                    return CheckResult(False, pos, "gen-on-free-hyp-var")
+                warnings.append(msg)
         else:
             return CheckResult(False, pos, "dangling-ref")
     return CheckResult(True, warnings=tuple(warnings))
@@ -398,6 +408,44 @@ def _read_artifact(path: Path, problems: list[str]) -> str | None:
         return None
 
 
+def _checked_conclusion(name: str, text: str, problems: list[str]) -> Formula | None:
+    """The conclusion of the certificate ``text`` if it re-checks in strict
+    mode, else None with the reason added to ``problems``."""
+    try:
+        proof = parse_proof_script(text)
+    except Exception as exc:  # noqa: BLE001 - report, not crash
+        problems.append(f"{name}: does not parse: {exc}")
+        return None
+    if not proof.steps:
+        problems.append(f"{name}: certificate has no steps")
+        return None
+    try:
+        result = check_certificate(proof, strict=True)
+    except ValueError as exc:
+        problems.append(f"{name}: {exc}")
+        return None
+    if not result.ok:
+        problems.append(f"{name}: fails re-check{result.at}: {result.reason}")
+        return None
+    return proof.conclusion
+
+
+def _goal_problem(goal: str, conclusion: Formula | None) -> str | None:
+    """What is wrong with a ``# goal`` line's text, given the conclusion of a
+    certificate that checked (None if it did not).  Text that is ``render``'s
+    own is not parsed; ``render`` runs only when its text is as long as the
+    line, since a certificate's size does not bound its conclusion's text."""
+    if conclusion is not None and render_width(conclusion) == len(goal) and render(conclusion) == goal:
+        return None
+    try:
+        parsed = parse(goal)
+    except ParseError as exc:
+        return f"bad goal line: {exc}"
+    if conclusion is not None and parsed is not conclusion:
+        return "conclusion differs from recorded goal"
+    return None
+
+
 def recheck_report(directory: str | Path) -> list[str]:
     """Cold-pass re-validation of a written report; a list of problems.
 
@@ -407,7 +455,8 @@ def recheck_report(directory: str | Path) -> list[str]:
     read.  Every serialized proof certificate is re-parsed and re-checked in
     strict mode by :func:`check_certificate`, against the axiom sets its
     ``axiom`` steps name, and its conclusion is compared with its ``# goal``
-    line, which it must have.  A ``pos.proof`` row needs a ``neg.proof`` that
+    line, which it must have; a failing certificate's goal line must still
+    parse.  A ``pos.proof`` row needs a ``neg.proof`` that
     concludes the negation.  An empty list means the report replays cleanly.
     """
     root = Path(directory)
@@ -448,33 +497,16 @@ def recheck_report(directory: str | Path) -> list[str]:
         text = _read_artifact(proof_path, problems)
         if text is None:
             continue
-        try:
-            proof = parse_proof_script(text)
-        except Exception as exc:  # noqa: BLE001 - report, not crash
-            problems.append(f"{proof_path.name}: does not parse: {exc}")
-            continue
-        if not proof.steps:
-            problems.append(f"{proof_path.name}: certificate has no steps")
-            continue
-        try:
-            result = check_certificate(proof, strict=True)
-        except ValueError as exc:
-            problems.append(f"{proof_path.name}: {exc}")
-            continue
-        if not result.ok:
-            problems.append(f"{proof_path.name}: fails re-check{result.at}: {result.reason}")
-            continue
-        concluded[proof_path.name] = proof.conclusion
+        conclusion = _checked_conclusion(proof_path.name, text, problems)
+        if conclusion is not None:
+            concluded[proof_path.name] = conclusion
         head = text.partition("\n")[0]
-        goal = head[len("# goal ") :]
-        if not head.startswith("# goal "):
-            problems.append(f"{proof_path.name}: missing goal line")
-        elif goal != render(proof.conclusion):  # not the writer's text: read it
-            try:
-                if parse(goal) is not proof.conclusion:
-                    problems.append(f"{proof_path.name}: conclusion differs from recorded goal")
-            except ParseError as exc:
-                problems.append(f"{proof_path.name}: bad goal line: {exc}")
+        if head.startswith("# goal "):
+            problem = _goal_problem(head[len("# goal ") :], conclusion)
+        else:  # a certificate that fails is reported already
+            problem = None if conclusion is None else "missing goal line"
+        if problem:
+            problems.append(f"{proof_path.name}: {problem}")
     for cid in pairs:
         pos, neg = (concluded.get(f"{cid}.{side}.proof") for side in ("pos", "neg"))
         if not (root / "details" / f"{cid}.neg.proof").is_file():

@@ -327,3 +327,12 @@ def phi10_candidate(depth: int) -> Implies:
     for _ in range(depth):
         a = Not(a)
     return Implies(Implies(a, eq00), Implies(taut, Implies(taut, eq00)))
+
+
+def doubling_certificate(depth: int) -> str:
+    """A script proving ``X(depth)`` from itself, with ``X(0) = (0 = 0)`` and
+    ``X(k + 1) = X(k) /\\ X(k)``: ``depth + 3`` short lines, while the
+    conclusion's rendered text has ``11 * 2**depth - 6`` characters."""
+    lines = ["let d1 = 0 = 0"] + [f"let d{k + 1} = d{k} /\\ d{k}" for k in range(1, depth + 1)]
+    top = f"d{depth + 1}"
+    return "\n".join([*lines, f"hyp h {top}", f"1. {top} ; hyp h"]) + "\n"

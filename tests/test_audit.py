@@ -36,6 +36,7 @@ from proofbench.syntax import Implies, Not, Or, universal_closure
 from strategies import (
     antecedent_chain,
     brute_eval,
+    doubling_certificate,
     first_occurrence_atoms,
     full_text_script,
     unreachable_steps,
@@ -434,6 +435,39 @@ def test_recheck_flags_a_certificate_without_its_goal_line(tmp_path, reports):
     first = next(i for i, line in enumerate(lines) if line.startswith("1. "))
     victim.write_text("\n".join(lines[1 : first + 1]) + "\n")
     assert recheck_report(d) == ["s15-m01.proof: missing goal line"]
+
+
+@pytest.mark.parametrize("goal, problem", [
+    ("0 = 0", "conclusion differs from recorded goal"),
+    ("0 = 0 /\\", "bad goal line: expected a term or a formula, got end of input (at position 8)"),
+], ids=["differs", "bad"])
+def test_recheck_does_not_render_a_conclusion_longer_than_its_goal_line(
+    tmp_path, reports, goal, problem
+):
+    # under 1 KB, the certificate concludes a formula whose text would have
+    # 11 * 2**40 - 6 characters: its length is measured, the text never built
+    d = tmp_path / "doubling"
+    write_report(reports["lemma-4.2"], d)
+    text = f"# goal {goal}\n" + doubling_certificate(40)
+    assert len(text) < 1024
+    (d / "details" / "x.proof").write_text(text)
+    assert recheck_report(d) == [f"x.proof: {problem}"]
+
+
+@pytest.mark.parametrize("head, problems", [
+    ("# goal 0 = \n", ["bad goal line: expected a term or a formula, got end of input (at position 4)"]),
+    ("# goal 0 = 0\n", []),
+    ("", []),
+], ids=["bad", "good", "missing"])
+def test_recheck_reads_the_goal_line_of_a_certificate_that_fails(tmp_path, reports, head, problems):
+    # a goal line that does not parse is reported beside the failure; a
+    # missing one is not, since the failure already reports the certificate
+    d = tmp_path / "failing"
+    write_report(reports["lemma-4.2"], d)
+    (d / "details" / "x.proof").write_text(head + "1. 1 < 0 ; axiom L12\n")
+    assert recheck_report(d) == [
+        "x.proof: fails re-check at step 1: not-axiom", *[f"x.proof: {p}" for p in problems]
+    ]
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from proofbench.parser import MAX_NESTING, render
 from proofbench.proofs import recheck_report, render_proof_script
 from proofbench.syntax import Implies
 
-from strategies import alternating, antecedent_chain, tall_atom, weakening
+from strategies import alternating, antecedent_chain, doubling_certificate, tall_atom, weakening
 
 PROVE_HYP = "~((Ax1)~(1 = x1 + 1) -> (Ax1)(x1 = x1))\n"
 
@@ -487,6 +487,21 @@ def test_check_reads_a_certificate_whose_formulas_have_no_readable_text(tmp_path
     assert run_cli("check", str(path), "--strict") == (
         0, f"ok 3 steps: {render(proof.conclusion)}\n", ""
     )
+
+
+def test_check_prints_the_length_of_a_conclusion_longer_than_its_certificate(tmp_path):
+    # the conclusion's text would have 11 * 2**40 - 6 characters; a
+    # conclusion no longer than the certificate is printed in full
+    path = tmp_path / "proof.txt"
+    path.write_text(doubling_certificate(40))
+    assert run_cli("check", str(path), "--strict") == (
+        0, f"ok 1 steps: a conclusion {11 * 2**40 - 6} characters long\n", ""
+    )
+    text = "0 = 0"
+    for _ in range(3):
+        text = f"{text} /\\ ({text})"
+    path.write_text(doubling_certificate(3))
+    assert run_cli("check", str(path), "--strict") == (0, f"ok 1 steps: {text}\n", "")
 
 
 def _cite_identity_as_l12(b, a):

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench.parser import MAX_NESTING, ParseError, parse, parse_term, render, render_term
+from proofbench.parser import (
+    MAX_NESTING,
+    ParseError,
+    parse,
+    parse_term,
+    render,
+    render_term,
+    render_width,
+)
 from proofbench.proofs import check_proof, parse_proof_script
 from proofbench.schemata import axiom_set
 from proofbench.semantics import is_tautology
@@ -329,3 +337,20 @@ def test_mp_conclusion_at_the_cap_reads_as_its_text_parses(shape):
     text = render(f.right)
     script = f"hyp a 0 = 0\nhyp b {major}\n1. 0 = 0 ; hyp a\n2. {major} ; hyp b\n3. {text} ; mp 1 2\n"
     assert parse_proof_script(script).conclusion is f.right is parse(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas())
+def test_render_width_is_the_length_of_render(f):
+    # measured before render stores its text on the nodes, and after
+    width = render_width(f)
+    assert width == len(render(f)) == render_width(f)
+
+
+def test_render_width_counts_each_distinct_node_once():
+    f = parse("0 = 0")
+    for depth in range(1, 61):
+        f = And(f, f)
+        if depth == 4:
+            assert render_width(f) == len(render(f))
+    assert render_width(f) == 11 * 2**60 - 6
