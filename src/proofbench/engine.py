@@ -624,6 +624,7 @@ class _Searcher:
     ) -> None:
         self.axioms = axioms
         self.pool = pool_for(tuple(f for _, f in hypotheses), axioms, goal)
+        self.hooked = any(r.generate_for is not None for r in axioms)
         self.templates = covers_logic(axioms)
         self.budget = budget
         self.steps = 0
@@ -638,13 +639,16 @@ class _Searcher:
         self, hyps: tuple[tuple[str, Formula], ...], goal: Formula
     ) -> ClosureState | None:
         """The closure of ``hyps`` toward ``goal``; None when it is not built
-        yet and no step is left to build it."""
+        yet and no step is left to build it.  A later context widens the pool
+        by the members it brings, and skips that walk when it can bring none
+        (:meth:`_holds`)."""
         hyp_formulas = tuple(f for _, f in hyps)
         got = self.closures.get((hyp_formulas, goal))
         if got is None:
             if self.remaining() == 0:
                 return None
-            if self.closures:  # the first closure is the top context's, whose pool this is
+            # the first closure is the top context's, whose pool this is
+            if self.closures and not self._holds(hyp_formulas, goal):
                 members = _context_members(hyp_formulas, self.axioms, goal)
                 self.pool = self.pool.widened(members, self.axioms)
             sub_budget = replace(self.budget, max_steps=self.remaining())
@@ -652,6 +656,13 @@ class _Searcher:
             self.steps += got.report.steps_expended
             self.closures[hyp_formulas, goal] = got
         return got
+
+    def _holds(self, hyp_formulas: tuple[Formula, ...], goal: Formula) -> bool:
+        """Whether the pool already holds every member a context of these
+        formulas would bring.  The pool is closed under subformulas, so with no
+        ``generate_for`` hook it does when it holds the formulas themselves."""
+        members = self.pool.members
+        return not self.hooked and goal in members and all(f in members for f in hyp_formulas)
 
     def prove(
         self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int

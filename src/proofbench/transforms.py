@@ -48,7 +48,7 @@ from .schemata import (
     phi11_instance,  # unused here; transforms re-exports all twelve
     phi12_instance,
 )
-from .syntax import And, Forall, Formula, Implies, Not, Or, is_sentence
+from .syntax import And, Forall, Formula, Implies, Not, Or, find, is_sentence
 
 
 class TransformError(ValueError):
@@ -431,29 +431,40 @@ def splice(b: ProofBuilder, proof: Proof) -> int:
 
 
 def _lift(hyps, records: Iterable[Record], name: str, alpha: Formula, axioms) -> Derivation:
-    """The lifting loop: from ``records`` proving chi, derive alpha -> chi."""
+    """The lifting loop: from ``records`` proving chi, derive alpha -> chi.
+
+    ``alpha -> alpha`` is derived when a lifted step first cites the
+    hypothesis, and a lifted step that ``b`` already holds is reused, not
+    rebuilt: neither leaves dead steps in the log."""
     b = ProofBuilder(tuple((n, f) for n, f in hyps if n != name), axioms)
     at: dict[int, int] = {}  # key of a step free of alpha -> its index in b
     imp: dict[int, int] = {}  # key of a step -> index of (alpha -> that step)
 
     def lifted(i: int) -> int:
-        if i not in imp:  # a step free of alpha: weaken it once
-            imp[i] = derive_imp_from_cons(b, at[i], alpha)
+        if i not in imp:  # a step free of alpha is weakened, the hypothesis made alpha -> alpha
+            imp[i] = derive_imp_from_cons(b, at[i], alpha) if i in at else derive_identity(b, alpha)
         return imp[i]
 
     for key, formula, just in records:
         if isinstance(just, Hyp) and just.name == name:
-            imp[key] = derive_identity(b, alpha)
-        elif type(just) is not tuple or (just[0] in at and just[-1] in at):  # free of alpha
+            continue  # lifted when first cited
+        if type(just) is not tuple or (just[0] in at and just[-1] in at):  # free of alpha
             at[key] = _replay(b, formula, just, at)
+            continue
+        held = find(Implies, alpha, formula)
+        if held is not None and (idx := b.idx_of(held)) is not None:
+            imp[key] = idx
         elif len(just) == 2:
             i, j = just
-            minor = b.formula(at[i]) if i in at else b.formula(imp[i]).right
+            if i in at:
+                minor = b.formula(at[i])
+            else:  # alpha -> minor, or the hypothesis alpha, not lifted yet
+                minor = b.formula(imp[i]).right if i in imp else alpha
             s1 = b.add_axiom(phi1_instance(alpha, minor, formula))
             s2 = b.add_mp(lifted(j), s1)
             imp[key] = b.add_mp(lifted(i), s2)
         else:
-            s1 = b.add_gen(imp[just[0]], formula.var)  # (Ax)(alpha -> body)
+            s1 = b.add_gen(lifted(just[0]), formula.var)  # (Ax)(alpha -> body)
             s2 = b.add_axiom(phi12_instance(formula.var, alpha, formula.body))
             imp[key] = b.add_mp(s1, s2)
     return b, lifted(key)
@@ -484,19 +495,24 @@ def deduction_transform(
 
     A step depends on alpha if it cites hypothesis ``name`` or is a modus
     ponens or generalization over a step that does.  Only those steps are
-    lifted: the hypothesis becomes ``alpha -> alpha`` and modus ponens and
-    generalization go through ``phi1`` and ``phi12`` instances.  The other
-    steps are copied verbatim, and one of them is weakened to ``alpha -> step``
-    (a ``phi4`` instance and modus ponens) only when a lifted step cites it,
-    or when it is the conclusion; so a proof that never cites alpha gains
-    exactly two steps.  Step count stays within 3n + a constant for the
-    identity template.
+    lifted: the hypothesis becomes ``alpha -> alpha``, derived where a lifted
+    step first cites it, and modus ponens and generalization go through
+    ``phi1`` and ``phi12`` instances, unless the output already holds the
+    lifted step.  The other steps are copied verbatim, and one of them is
+    weakened to ``alpha -> step`` (a ``phi4`` instance and modus ponens) only
+    when a lifted step cites it, or when it is the conclusion; so a proof that
+    never cites alpha gains exactly two steps.  Step count stays within
+    3n + a constant for the identity template.
     """
     return conclude(*_checked_lift(proof, name, axioms))
 
 
 def discharge(d: Derivation, name: str) -> Derivation:
-    """:func:`deduction_transform` on the steps derivation ``d`` keeps, unchecked."""
+    """:func:`deduction_transform` on the steps derivation ``d`` keeps, unchecked.
+
+    The lifting loop derives ``alpha -> alpha`` on first use and reuses a
+    lifted step that the output builder already holds, so neither leaves a
+    step the conclusion does not keep."""
     b, idx = d
     return _lift(b.hypotheses, b.records(idx), name, dict(b.hypotheses)[name], b.axioms)
 

@@ -14,9 +14,11 @@ parser's frame cap, ``weakening`` a three-step proof over any formula,
 ``induction_candidate`` an induction instance with a tall term and
 ``phi10_candidate`` a non-instance that the phi10 reader rebuilds higher;
 ``unreachable_steps`` checks the shape of the proofs the engine and the
-transforms return.  ``full_text_script`` writes a proof with every formula
-in full on its line, as a hand-written script does: the view through which
-the full-text proof digests and report-tree hashes are taken.
+transforms return, and ``reference_lift`` is the lifting loop that
+:func:`~proofbench.transforms.discharge` is compared against.
+``full_text_script`` writes a proof with every formula in full on its line,
+as a hand-written script does: the view through which the full-text proof
+digests and report-tree hashes are taken.
 """
 
 from __future__ import annotations
@@ -45,12 +47,15 @@ from proofbench.syntax import (
 )
 from proofbench.transforms import (
     ProofBuilder,
+    _replay,
     derive_andintro,
     derive_dnintro,
     derive_identity,
     derive_imp_from_cons,
     derive_orin,
+    phi1_instance,
     phi4_instance,
+    phi12_instance,
 )
 
 # ---------------------------------------------------------------------------
@@ -336,3 +341,35 @@ def doubling_certificate(depth: int) -> str:
     lines = ["let d1 = 0 = 0"] + [f"let d{k + 1} = d{k} /\\ d{k}" for k in range(1, depth + 1)]
     top = f"d{depth + 1}"
     return "\n".join([*lines, f"hyp h {top}", f"1. {top} ; hyp h"]) + "\n"
+
+
+def reference_lift(hyps, records, name, alpha, axioms):
+    """The lifting loop as it was before ``alpha -> alpha`` was derived on
+    first use and already-held lifted steps were reused: it derives the
+    identity at the hypothesis and builds every lifted step's chain.  Returns
+    the builder and the index of alpha -> chi."""
+    b = ProofBuilder(tuple((n, f) for n, f in hyps if n != name), axioms)
+    at = {}  # key of a step free of alpha -> its index in b
+    imp = {}  # key of a step -> index of (alpha -> that step)
+
+    def lifted(i):
+        if i not in imp:
+            imp[i] = derive_imp_from_cons(b, at[i], alpha)
+        return imp[i]
+
+    for key, formula, just in records:
+        if isinstance(just, Hyp) and just.name == name:
+            imp[key] = derive_identity(b, alpha)
+        elif type(just) is not tuple or (just[0] in at and just[-1] in at):
+            at[key] = _replay(b, formula, just, at)
+        elif len(just) == 2:
+            i, j = just
+            minor = b.formula(at[i]) if i in at else b.formula(imp[i]).right
+            s1 = b.add_axiom(phi1_instance(alpha, minor, formula))
+            s2 = b.add_mp(lifted(j), s1)
+            imp[key] = b.add_mp(lifted(i), s2)
+        else:
+            s1 = b.add_gen(imp[just[0]], formula.var)
+            s2 = b.add_axiom(phi12_instance(formula.var, alpha, formula.body))
+            imp[key] = b.add_mp(s1, s2)
+    return b, lifted(key)

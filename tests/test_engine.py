@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proofbench import engine, syntax
+from proofbench.audit import run_audit
 from proofbench.engine import (
     BACKWARD_DEPTH,
     LOGIC_SAMPLES,
@@ -27,6 +28,7 @@ from proofbench.schemata import (
     match_schema,
     named_formula,
 )
+from proofbench.scripts import builtin_claims, builtin_scripts
 from proofbench.syntax import And, App, Atom, Const, Forall, Implies, NestingError, Not
 from proofbench.transforms import covering_set
 
@@ -454,23 +456,23 @@ def _nested_goal(n, order):
 # goal, hypotheses: proof size, steps expended, sha256 of the rendered proof
 PROOF_PINS = [
     (antecedent_chain(4), [], (
-        73, 10, "8b376ffb5ce0a6b99a279019d618f31e39eb983ff333a6b068c5c747dbed98f4")),
+        73, 10, "3b31c4e59941ef2d0a78161a4d0958684c3642330dc6babd03d94e8ed6034924")),
     (antecedent_chain(8), [], (
-        289, 36, "ae9b404f8919b1fa75ac77343bd5effe36ee3a9212733c1d09aff7119c03138a")),
+        289, 36, "7019968cfec2f8450805226ee2d807ea6a92174b0f52a3066a62a5def45bad14")),
     (antecedent_chain(12), [], (
-        633, 78, "42e816109b3735dcfc120f382793e88a2b7d06545f7a64da371f63ff640b7a49")),
+        633, 78, "499ff5c38d7a15931038d590b7804f5b41063ff479fab7ba2f4fee2f6d2de51a")),
     (_nested_goal(3, (2, 0, 1)), [], (
-        37, 5, "3ad7ca2218c7d6e2e42c9d7d25b20560f78848dcc752d8712a298ff8cb2ee40f")),
+        37, 5, "79b33d699b0b2bfcaf5311d761e5240278eed73a461f48bf502887cd8bbbbdd4")),
     (_nested_goal(3, (1, 2, 0)), [], (
         15, 5, "d95df59054ba95eeee238696dbe2ff5578474fa4d87142e28a97806a9992dc21")),
     (_nested_goal(4, (3, 1, 0, 2)), [], (
-        57, 8, "511b2bd991e73477455005ed044723d20ef470cebbe512cdca6134522e482c78")),
+        57, 8, "e70c748b4e99b782568b685ad3477dec221f795e41f7eca2e67eb71492117000")),
     (_nested_goal(4, (2, 3, 1, 0)), [], (
         39, 7, "704e0f173ad76a200932736584284d8aba4784fb0d5ef9db07c7be8e73444c13")),
     (_nested_goal(5, (4, 2, 0, 3, 1)), [], (
-        113, 9, "35a98cd597a519dae6363294482dacbc321e71bb4ccfe44ffcd1ceae55519f65")),
+        113, 9, "f9cb2d99670dc802382b443f8ef7276c2d2611154e89ba5bfaac78f1309891b0")),
     (_nested_goal(5, (1, 3, 4, 0, 2)), [], (
-        93, 10, "871c4301af76d7b73b1278625e468066412fbc52416c985118b515b1886c46ba")),
+        93, 10, "f74cdf7e3a7307b6da48499b5d0ac0fd057664a277287e7e9bf643d0fb0b9b69")),
     # an introduction over two discharges
     (parse("(1 = 1 -> 1 = 1) /\\ (0 = 1 -> 0 = 1)"), [], (
         13, 2, "a7d56b25c7b3c01031189cbacdba2fc58f910653a57cb6595933ed1c330b305b")),
@@ -490,15 +492,15 @@ PROOF_PINS = [
 
 #: sha256 of each PROOF_PINS proof as render_proof_script writes it, with let lines
 PROOF_PIN_LET_SHA256 = (
-    "b9a38ae5a87f4bf4a7c2c3a247896b16dadc343920b1954bbe25e81054574f22",
-    "c5f287f21bf3309ef247cd3ce6c6adfba400b1a0dcea30ea1dee0894c28b8807",
-    "60721221bbaf561c174981fd8d7969164e672a74df9a1a29ce246ac71f0895a7",
-    "b37bf9a0e5f50107e023f0d1033c293cf8def92121b45f3e803765cf9b31b368",
+    "f8f7bf57f7b5cf7f7a56da6b5c5925b88cd6bb25a91ec1295442a20e555735ac",
+    "bc4677ed26757131cacfc4a6934886f40fbac617a22ce0acfd8e46b8ab5681ad",
+    "de2aff621a16b859cdaae125f361eb9458825b3d538af03edef9e864dc09dc8a",
+    "2b617d60c5c7710fd3ff3e44bd8585760754d787cd562328e96bbb6f47d13a23",
     "9fb2c1292dbcb060f15dc879a6640e9c171b749d5174a096a8b72d15306b6c0f",
-    "1d0b6e0c4c731e53e26a10237211589391152b773258193bcc61f88df099fec1",
+    "2208ab3ee0cab03f7a5fe17c6cd05079b9c6af9e0a0d27f4cbfaab8c512e1e88",
     "5168160ffc38eb44cab257ebeab552ba7360b9af976aaf5548bc69663de40e0b",
-    "941fc7c971a16f7e7e109bfe6a814fa04b61b7a7c5a450ba50fecea4918911a7",
-    "7aee0fc9a81952e2d51f01f896bf1eecb6bb385c17122bd6feb660250570f874",
+    "41e6f44a8aad6ee9981eba6fa1e1aae9caa207d285e895e5ee27c785f759d773",
+    "4866b02f51a4da0d246377315c6689988b8f614017f0156eb85c09ef8afe6dea",
     "c2a743ae0113828f9835171924a6dfaf85f56d6905bd9e9cc6d26ce434aff2f6",
     "9b8de1b07aa9e4ca68c2e710a80413d15b44d368a53ff4182e83cb18b6259478",
     "fa8f2d1c6bedc37facb98c1f2eb7986802fbbbad72c6bb8cfd611398182ce06d",
@@ -516,6 +518,26 @@ def test_prove_pins_proofs_built_through_discharge(i):
     digest = _sha256(full_text_script(proof))  # the pinned form: the proof is what it was
     assert (len(proof.steps), outcome.report.steps_expended, digest) == pin
     assert _sha256(render_proof_script(proof)) == PROOF_PIN_LET_SHA256[i]
+
+
+def test_discharge_logs_only_the_steps_its_conclusion_keeps(monkeypatch):
+    # alpha -> alpha is derived where a lifted step first cites it, and a
+    # lifted step the output already holds is reused, so no step is dead
+    logged = []
+    real = engine.discharge
+
+    def spy(d, name):
+        b, idx = out = real(d, name)
+        logged.append((len(b.records(idx)), len(b.proof().steps)))
+        return out
+
+    monkeypatch.setattr(engine, "discharge", spy)
+    for goal, hyps, _ in PROOF_PINS:
+        prove(goal, hyps, L12)
+    for sid in builtin_scripts():
+        run_audit(sid, builtin_claims(sid), Budget())
+    assert len(logged) > len(PROOF_PINS)
+    assert [kept for kept, _ in logged] == [total for _, total in logged]
 
 
 def test_derived_rules_run_only_over_the_logical_schemata():

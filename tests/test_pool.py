@@ -5,13 +5,16 @@ each pool was built once per axioms tuple: it walks every source formula,
 sorts every member and labels each one, for every context.  The engine's
 :func:`~proofbench.engine.pool_for`, and a pool widened by a second context,
 must hold the same members, the same index lists in the same order and the
-same labelled axiom members.
+same labelled axiom members.  A context that can bring no member skips its
+walk: the last tests pin when ``prove`` may skip it.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench.engine import assemble_pool, pool_for
+from proofbench import engine
+from proofbench.engine import assemble_pool, pool_for, prove
 from proofbench.parser import render
 from proofbench.schemata import (
     BETA0,
@@ -35,7 +38,7 @@ from proofbench.syntax import (
 )
 from proofbench.transforms import phi1_instance, phi4_instance
 
-from strategies import formulas, sentences
+from strategies import antecedent_chain, formulas, sentences
 
 INDEXES = ("imp_by_right", "imp_by_left", "and_by_side", "or_by_side", "all_by_body")
 
@@ -194,3 +197,50 @@ def test_widening_builds_the_pool_of_the_union(axioms, first, first_goal, second
     pool = pool_for.__wrapped__(tuple(first), axioms, first_goal)
     widened = pool.widened(assemble_pool(tuple(second), axioms, second_goal), axioms)
     assert_pool_is(widened, (*first, *second, second_goal), axioms, first_goal)
+
+
+HOOK_FREE = [t for t in AXIOM_TUPLES if not any(axiom_set(n).generate_for for n in t)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=st.sampled_from(HOOK_FREE),
+    hyps=st.lists(context_formulas, max_size=3),
+    goal=st.none() | context_formulas,
+    data=st.data(),
+)
+def test_a_context_of_pool_members_brings_nothing_without_hooks(names, hyps, goal, data):
+    # the pool is closed under subformulas: with no generate_for hook, a
+    # context whose formulas it holds adds no member, so prove skips its walk
+    axioms = tuple(axiom_set(n) for n in names)
+    pool = pool_for.__wrapped__(tuple(hyps), axioms, goal)
+    members = st.sampled_from(list(pool.members))
+    context = data.draw(st.lists(members, max_size=3))
+    brought = engine._context_members(context, axioms, data.draw(members))
+    assert pool.widened(brought, axioms) is pool
+
+
+@pytest.mark.parametrize(
+    "names, walks", [(("L12",), 1), (("PrefixedL2r", "L12"), 9)], ids=["L12", "PrefixedL2r"]
+)
+def test_prove_walks_only_contexts_that_may_widen_the_pool(monkeypatch, names, walks):
+    # every context of the chain holds pool members: over L12 only the top
+    # context walks; a generate_for hook may widen by any context, so each walks
+    axioms = tuple(axiom_set(n) for n in names)
+    engine._axiom_pool(axioms)  # built before counting
+    calls, runs = [], []
+    real_walk, real_run = engine._context_members, engine._Saturation.run
+
+    def walk(*args):
+        calls.append(args)
+        return real_walk(*args)
+
+    def run(self):
+        runs.append(self)
+        return real_run(self)
+
+    monkeypatch.setattr(engine, "_context_members", walk)
+    monkeypatch.setattr(engine._Saturation, "run", run)
+    pool_for.cache_clear()  # recognizers are shared: an earlier test may hold this pool
+    assert prove(antecedent_chain(8), [], axioms).proof is not None
+    assert (len(calls), len(runs)) == (walks, 9)

@@ -46,7 +46,14 @@ from proofbench.transforms import (
     splice,
 )
 
-from strategies import SENTENCE_POOL, formulas, random_proof, sentences, unreachable_steps
+from strategies import (
+    SENTENCE_POOL,
+    formulas,
+    random_proof,
+    reference_lift,
+    sentences,
+    unreachable_steps,
+)
 
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
@@ -300,6 +307,24 @@ def test_discharging_every_hypothesis_in_turn(rng):
         assert check_proof(p, L12, strict=True).ok
     assert p.hypotheses == ()
     assert p.conclusion == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_discharge_is_no_longer_than_the_reference_loop(rng, gen):
+    # the reference derives alpha -> alpha at the hypothesis and builds every
+    # lifted step; discharge derives it on first use and reuses held steps
+    p = random_proof(rng)
+    for name, alpha in p.hypotheses:
+        b = ProofBuilder(p.hypotheses, axioms=L12)
+        idx = splice(b, p)
+        if gen:  # a gen over the discharged hypothesis, maybe its first citation
+            idx = derive_andintro(b, idx, b.add_gen(b.add_hyp(name), 1))
+        out = conclude(*discharge((b, idx), name))
+        ref = conclude(*reference_lift(b.hypotheses, b.records(idx), name, alpha, L12))
+        assert out.conclusion == ref.conclusion == Implies(alpha, b.formula(idx))
+        assert check_proof(out, L12, strict=True).ok
+        assert len(out.steps) <= len(ref.steps)
 
 
 # ---------------------------------------------------------------------------
