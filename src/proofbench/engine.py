@@ -61,8 +61,8 @@ from .transforms import (
     derive_notor,
     derive_orin,
     discharge,
+    join,
     refute,
-    splice_records,
 )
 
 
@@ -705,9 +705,8 @@ class _Searcher:
                     break
                 subs.append(sub)
             else:
-                b = ProofBuilder(hyps, self.axioms)
-                done = {p: splice_records(b, sb.records(si)) for p, (sb, si) in zip(premises, subs)}
-                return b, _EMIT[kind](b, goal, premises, done)
+                b, done = join(*subs)
+                return b, _EMIT[kind](b, goal, premises, dict(zip(premises, done)))
         if isinstance(goal, Not) and is_sentence(goal.body):
             # reductio: assume the body, close, look for a contradiction
             name = f"g{len(hyps) + 1}"

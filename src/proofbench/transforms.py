@@ -7,29 +7,30 @@ steps that restate a formula, nesting templates stays linear.  Everything here
 bottoms out in the twelve logical schemata plus modus ponens and
 generalization, so the results go straight through the checker in ``proofs``.
 
-The transforms rebuild whole proofs:
+The transforms rebuild whole proofs.  :func:`~proofbench.engine.prove` runs
+them on builder derivations, unchecked:
 
-* :func:`deduction_transform` discharges a hypothesis ``alpha`` from a proof
-  of ``chi``, producing a proof of ``alpha -> chi``.  Only the steps that
-  depend on ``alpha`` are lifted to ``alpha -> step``; the rest are copied
-  as they are, so discharging k hypotheses in turn costs O(k * n) steps, not
-  a factor of about 3.5 per discharge.  :func:`~proofbench.engine.prove`
-  proves the implication chain ``a1 -> (a1 -> a2) -> ... -> an`` in 73,
-  289 and 633 steps for n = 4, 8 and 12 (lifting every step took 94,045
-  steps at n = 8).
-* :func:`reductio_transform` turns proofs of ``beta`` and ``~beta`` under
-  ``alpha`` into a proof of ``~alpha``.
-* :func:`explosion_transform` turns proofs of ``beta`` and ``~beta`` into a
-  proof of an arbitrary goal.
+* :func:`discharge` is the lifting loop of the deduction theorem: from a
+  derivation of ``chi`` under hypothesis ``alpha`` it derives
+  ``alpha -> chi``.  Only the steps that depend on ``alpha`` are lifted to
+  ``alpha -> step``; the rest are copied as they are, so discharging k
+  hypotheses in turn costs O(k * n) steps, not a factor of about 3.5 per
+  discharge.  ``prove`` proves the implication chain
+  ``a1 -> (a1 -> a2) -> ... -> an`` in 73, 289 and 633 steps for n = 4, 8
+  and 12 (lifting every step took 94,045 steps at n = 8).
+* :func:`join` replays derivations into one builder, and :func:`refute` joins
+  derivations of ``alpha -> beta`` and ``alpha -> ~beta`` into one of
+  ``~alpha``.
 
-Each checks its input proofs and reads every input step.  :func:`discharge`,
-:func:`refute` and :func:`splice_records` run the same loops, unchecked, on the
-builder derivations that :func:`~proofbench.engine.prove` passes between levels.
+:func:`deduction_transform`, :func:`reductio_transform` and
+:func:`explosion_transform` do the same to proofs: each splices its input
+proofs into a builder with :func:`splice`, which runs the checker first, and
+then calls :func:`discharge`, :func:`refute` or :func:`join`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 
 from .parser import render
 from .proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep, check_proof
@@ -401,42 +402,69 @@ def _replay(b: ProofBuilder, formula: Formula, just, at: dict[int, int]) -> int:
     return b.add_gen(at[just[0]], formula.var)
 
 
-def _records(proof: Proof) -> Iterator[Record]:
-    """Every step of ``proof`` as a builder logs it."""
-    for s in proof.steps:
-        j = s.just
-        yield s.index, s.formula, (j.i, j.j) if type(j) is Mp else (j.i,) if type(j) is Gen else j
-
-
-def splice_records(b: ProofBuilder, records: Iterable[Record]) -> int:
-    """Replay ``records`` into ``b``; return the last one's new index."""
-    by_name = dict(b.hypotheses)
-    at: dict[int, int] = {}
-    for key, formula, just in records:
-        if isinstance(just, Hyp) and by_name.get(just.name) != formula:
-            raise TransformError(f"hypothesis {just.name!r} missing from target builder")
-        at[key] = _replay(b, formula, just, at)
-    return at[key]
-
-
 def splice(b: ProofBuilder, proof: Proof) -> int:
     """Replay ``proof``'s steps into ``b``; return the conclusion's new index.
 
-    Hypothesis names cited by the proof must exist (with the same formula) in
-    the builder's hypothesis list.
+    The proof must have a step and pass the checker over the builder's axiom
+    sets, and the hypotheses it cites must be in the builder's hypothesis
+    list with the same formula, or :class:`TransformError` is raised.
     """
     if not proof.steps:
-        raise TransformError("cannot splice an empty proof")
-    return splice_records(b, _records(proof))
+        raise TransformError("input proof is empty")
+    result = check_proof(proof, tuple(b.axioms))
+    if not result.ok:
+        raise TransformError(f"input proof fails check{result.at}: {result.reason}")
+    by_name = dict(b.hypotheses)
+    at: dict[int, int] = {}
+    for s in proof.steps:
+        j = s.just
+        if isinstance(j, Hyp) and by_name.get(j.name) != s.formula:
+            raise TransformError(f"hypothesis {j.name!r} missing from target builder")
+        just = (j.i, j.j) if type(j) is Mp else (j.i,) if type(j) is Gen else j
+        at[s.index] = _replay(b, s.formula, just, at)
+    return at[s.index]
 
 
-def _lift(hyps, records: Iterable[Record], name: str, alpha: Formula, axioms) -> Derivation:
-    """The lifting loop: from ``records`` proving chi, derive alpha -> chi.
+def join(*derivations: Derivation) -> tuple[ProofBuilder, list[int]]:
+    """One builder holding every derivation's kept steps, replayed in turn,
+    and the index of each conclusion in it.  The hypotheses are the first
+    derivation's, in order, then each later one's new names; a name bound to
+    two formulas is a :class:`TransformError`."""
+    merged: dict[str, Formula] = {}
+    for src, _ in derivations:
+        for n, f in src.hypotheses:
+            if merged.setdefault(n, f) != f:
+                raise TransformError(f"hypothesis name {n!r} bound to two formulas")
+    b = ProofBuilder(tuple(merged.items()), derivations[0][0].axioms)
+    conclusions = []
+    for src, idx in derivations:
+        at: dict[int, int] = {}
+        for key, formula, just in src.records(idx):
+            at[key] = _replay(b, formula, just, at)
+        conclusions.append(at[idx])
+    return b, conclusions
 
-    ``alpha -> alpha`` is derived when a lifted step first cites the
-    hypothesis, and a lifted step that ``b`` already holds is reused, not
-    rebuilt: neither leaves dead steps in the log."""
-    b = ProofBuilder(tuple((n, f) for n, f in hyps if n != name), axioms)
+
+def discharge(d: Derivation, name: str) -> Derivation:
+    """The lifting loop: from derivation ``d`` of chi under hypothesis
+    ``name`` = alpha, derive alpha -> chi over the other hypotheses, unchecked.
+
+    A step depends on alpha if it cites hypothesis ``name`` or is a modus
+    ponens or generalization over a step that does.  Only those steps are
+    lifted: the hypothesis becomes ``alpha -> alpha``, derived where a lifted
+    step first cites it, and modus ponens and generalization go through
+    ``phi1`` and ``phi12`` instances, unless the output already holds the
+    lifted step.  The other steps are copied verbatim, and one of them is
+    weakened to ``alpha -> step`` (a ``phi4`` instance and modus ponens) only
+    when a lifted step cites it, or when it is the conclusion; so a
+    derivation that never cites alpha gains exactly two steps.  Only the
+    steps ``d`` keeps are read, and every step logged is kept.  Callers
+    discharge only sentences, so no generalization step binds a variable
+    free in alpha.
+    """
+    src, idx = d
+    alpha = dict(src.hypotheses)[name]
+    b = ProofBuilder(tuple((n, f) for n, f in src.hypotheses if n != name), src.axioms)
     at: dict[int, int] = {}  # key of a step free of alpha -> its index in b
     imp: dict[int, int] = {}  # key of a step -> index of (alpha -> that step)
 
@@ -445,15 +473,15 @@ def _lift(hyps, records: Iterable[Record], name: str, alpha: Formula, axioms) ->
             imp[i] = derive_imp_from_cons(b, at[i], alpha) if i in at else derive_identity(b, alpha)
         return imp[i]
 
-    for key, formula, just in records:
+    for key, formula, just in src.records(idx):
         if isinstance(just, Hyp) and just.name == name:
             continue  # lifted when first cited
         if type(just) is not tuple or (just[0] in at and just[-1] in at):  # free of alpha
             at[key] = _replay(b, formula, just, at)
             continue
         held = find(Implies, alpha, formula)
-        if held is not None and (idx := b.idx_of(held)) is not None:
-            imp[key] = idx
+        if held is not None and (held_idx := b.idx_of(held)) is not None:
+            imp[key] = held_idx
         elif len(just) == 2:
             i, j = just
             if i in at:
@@ -467,21 +495,30 @@ def _lift(hyps, records: Iterable[Record], name: str, alpha: Formula, axioms) ->
             s1 = b.add_gen(lifted(just[0]), formula.var)  # (Ax)(alpha -> body)
             s2 = b.add_axiom(phi12_instance(formula.var, alpha, formula.body))
             imp[key] = b.add_mp(s1, s2)
-    return b, lifted(key)
+    return b, lifted(idx)
 
 
-def _checked_lift(proof: Proof, name: str, axioms: Sequence[AxiomSetRecognizer]) -> Derivation:
-    alpha = dict(proof.hypotheses).get(name)
-    if alpha is None:
-        raise TransformError(f"no hypothesis named {name!r}")
-    if not is_sentence(alpha):
-        raise TransformError(
-            f"hypothesis {name!r} has free variables; only sentences can be discharged"
-        )
-    result = check_proof(proof, tuple(axioms))
-    if not result.ok:
-        raise TransformError(f"input proof fails check{result.at}: {result.reason}")
-    return _lift(proof.hypotheses, _records(proof), name, alpha, axioms)
+def refute(pos: Derivation, neg: Derivation) -> Derivation:
+    """The reductio body: from derivations of alpha -> beta and alpha -> ~beta, derive ~alpha."""
+    b, (i, j) = join(pos, neg)
+    return b, derive_refute(b, i, j)
+
+
+def _checked(
+    proof: Proof, axioms: Sequence[AxiomSetRecognizer], name: str | None = None
+) -> Derivation:
+    """``proof`` spliced into a builder over its hypotheses and ``axioms``,
+    once hypothesis ``name``, if given, is found and is a sentence."""
+    if name is not None:
+        alpha = dict(proof.hypotheses).get(name)
+        if alpha is None:
+            raise TransformError(f"no hypothesis named {name!r}")
+        if not is_sentence(alpha):
+            raise TransformError(
+                f"hypothesis {name!r} has free variables; only sentences can be discharged"
+            )
+    b = ProofBuilder(proof.hypotheses, axioms)
+    return b, splice(b, proof)
 
 
 def deduction_transform(
@@ -489,47 +526,12 @@ def deduction_transform(
 ) -> Proof:
     """Discharge hypothesis ``name`` = alpha: a proof of chi becomes one of alpha -> chi.
 
-    The discharged hypothesis must be a sentence and the input proof must
-    pass the checker, or :class:`TransformError` is raised.  Since alpha is
-    a sentence, no generalization step can bind a variable free in it.
-
-    A step depends on alpha if it cites hypothesis ``name`` or is a modus
-    ponens or generalization over a step that does.  Only those steps are
-    lifted: the hypothesis becomes ``alpha -> alpha``, derived where a lifted
-    step first cites it, and modus ponens and generalization go through
-    ``phi1`` and ``phi12`` instances, unless the output already holds the
-    lifted step.  The other steps are copied verbatim, and one of them is
-    weakened to ``alpha -> step`` (a ``phi4`` instance and modus ponens) only
-    when a lifted step cites it, or when it is the conclusion; so a proof that
-    never cites alpha gains exactly two steps.  Step count stays within
+    The proof must have a step and pass the checker, and the hypothesis must
+    be a sentence, or :class:`TransformError` is raised.  The steps the
+    conclusion uses are lifted by :func:`discharge`; step count stays within
     3n + a constant for the identity template.
     """
-    return conclude(*_checked_lift(proof, name, axioms))
-
-
-def discharge(d: Derivation, name: str) -> Derivation:
-    """:func:`deduction_transform` on the steps derivation ``d`` keeps, unchecked.
-
-    The lifting loop derives ``alpha -> alpha`` on first use and reuses a
-    lifted step that the output builder already holds, so neither leaves a
-    step the conclusion does not keep."""
-    b, idx = d
-    return _lift(b.hypotheses, b.records(idx), name, dict(b.hypotheses)[name], b.axioms)
-
-
-def _merge_hypotheses(p1, p2) -> tuple[tuple[str, Formula], ...]:
-    merged = dict(p1.hypotheses)  # p1's names in order, then p2's new ones
-    for n, f in p2.hypotheses:
-        if merged.setdefault(n, f) != f:
-            raise TransformError(f"hypothesis name {n!r} bound to two formulas")
-    return tuple(merged.items())
-
-
-def refute(pos: Derivation, neg: Derivation) -> Derivation:
-    """The reductio body: from derivations of alpha -> beta and alpha -> ~beta, derive ~alpha."""
-    b = ProofBuilder(_merge_hypotheses(pos[0], neg[0]), pos[0].axioms)
-    i, j = (splice_records(b, src.records(k)) for src, k in (pos, neg))
-    return b, derive_refute(b, i, j)
+    return conclude(*discharge(_checked(proof, axioms, name), name))
 
 
 def reductio_transform(
@@ -539,11 +541,8 @@ def reductio_transform(
     axioms: Sequence[AxiomSetRecognizer],
 ) -> Proof:
     """From proofs of beta and ~beta under hypothesis ``name`` = alpha, prove ~alpha."""
-    beta = proof_pos.conclusion
-    if proof_neg.conclusion != Not(beta):
-        raise TransformError("second proof must conclude the negation of the first")
-    d_pos = _checked_lift(proof_pos, name, axioms)
-    return conclude(*refute(d_pos, _checked_lift(proof_neg, name, axioms)))
+    pos, neg = (discharge(_checked(p, axioms, name), name) for p in (proof_pos, proof_neg))
+    return conclude(*refute(pos, neg))
 
 
 def explosion_transform(
@@ -553,14 +552,5 @@ def explosion_transform(
     axioms: Sequence[AxiomSetRecognizer],
 ) -> Proof:
     """From proofs of beta and ~beta (same hypotheses context), prove ``goal``."""
-    beta = proof_pos.conclusion
-    if proof_neg.conclusion != Not(beta):
-        raise TransformError("second proof must conclude the negation of the first")
-    for label, p in (("first", proof_pos), ("second", proof_neg)):
-        result = check_proof(p, tuple(axioms))
-        if not result.ok:
-            raise TransformError(f"{label} input proof fails check{result.at}: {result.reason}")
-    b = ProofBuilder(_merge_hypotheses(proof_pos, proof_neg), axioms)
-    i = splice(b, proof_pos)
-    j = splice(b, proof_neg)
+    b, (i, j) = join(_checked(proof_pos, axioms), _checked(proof_neg, axioms))
     return conclude(b, derive_explosion(b, i, j, goal))

@@ -1,6 +1,8 @@
 """Derived-rule helpers and the hypothesis-discharging transforms."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,21 @@ def test_splice_reuses_whole_proofs():
     idx = splice(outer, inner)
     assert outer.formula(idx) == Not(Not(PSI7))
     assert check_proof(outer.proof(), L12).ok
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        (ProofStep(1, PSI1, Mp(1, 1)),),  # cites itself
+        (ProofStep(1, PSI7, Hyp("h")), ProofStep(2, Forall(1, PSI7), Gen(5, 1))),  # a missing step
+        (ProofStep(1, PSI7, Hyp("h")), ProofStep(2, PSI1, Mp(1, 1))),  # gives no psi1
+        (ProofStep(1, PSI7, Hyp("h")), ProofStep(2, Forall(2, PSI7), Gen(1, 1))),  # another variable
+    ],
+)
+def test_splice_refuses_a_proof_that_fails_the_checker(steps):
+    bad = steps[-1].index
+    with pytest.raises(TransformError, match=f"at step {bad}:"):
+        splice(_fresh((("h", PSI7),)), Proof((("h", PSI7),), steps))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +410,98 @@ def test_explosion_rejects_broken_input():
         explosion_transform(pos, neg, U27, L12)
 
 
+_EMPTY = Proof((("h", PSI7),), ())
+_NEG = _fresh((("h", PSI7), ("n", Not(PSI7)))).proof()  # ends on ~psi7
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: deduction_transform(_EMPTY, "h", L12),
+        lambda: reductio_transform(_EMPTY, _NEG, "h", L12),
+        lambda: reductio_transform(_fresh((("h", PSI7),)).proof(), _EMPTY, "h", L12),
+        lambda: explosion_transform(_EMPTY, _NEG, U27, L12),
+        lambda: explosion_transform(_fresh((("h", PSI7),)).proof(), _EMPTY, U27, L12),
+    ],
+    ids=["deduction", "reductio-first", "reductio-second", "explosion-first", "explosion-second"],
+)
+def test_transforms_refuse_an_empty_input_proof(call):
+    with pytest.raises(TransformError, match="input proof is empty"):
+        call()
+
+
+def _mutated(rng: random.Random, p: Proof, mutation: str) -> Proof:
+    """``p`` with one ``mutation``: a step dropped, a citation renumbered, a
+    hypothesis given another formula, or every step removed."""
+    hyps, steps = p.hypotheses, list(p.steps)
+    if mutation == "drop":
+        del steps[rng.randrange(len(steps))]
+    elif mutation == "cite":
+        rules = [k for k, s in enumerate(steps) if isinstance(s.just, (Mp, Gen))]
+        if rules:
+            s = steps[rng.choice(rules)]
+            n = rng.randint(0, len(steps) + 1)
+            if isinstance(s.just, Gen):
+                just = Gen(n, s.just.var)
+            else:
+                just = Mp(n, s.just.j) if rng.random() < 0.5 else Mp(s.just.i, n)
+            steps[s.index - 1] = ProofStep(s.index, s.formula, just)
+    elif mutation == "hyp":
+        name = rng.choice([n for n, _ in hyps])
+        hyps = tuple((n, rng.choice(SENTENCE_POOL) if n == name else f) for n, f in hyps)
+    elif mutation == "empty":
+        steps = []
+    return Proof(hyps, tuple(steps))
+
+
+def _total(promised, run) -> None:
+    """``run()`` raises :class:`TransformError` or returns a proof that checks
+    and concludes ``promised``; any other outcome fails."""
+    try:
+        out = run()
+    except TransformError:
+        return
+    assert check_proof(out, L12).ok
+    assert out.conclusion == promised
+
+
+@settings(max_examples=200, deadline=2000)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(("none", "drop", "cite", "hyp", "empty")),
+    st.booleans(),
+    st.booleans(),
+)
+def test_transforms_and_splice_are_total_on_mutated_proofs(rng, mutation, gen, on_neg):
+    # 200 examples, each under a 2 s deadline: the four entry points raise
+    # TransformError or return a checked proof of what they promise
+    p = random_proof(rng)
+    if gen:  # a generalization step, so a citation to renumber may be a gen's
+        n = len(p.steps)
+        p = Proof(p.hypotheses, p.steps + (ProofStep(n + 1, Forall(1, p.conclusion), Gen(n, 1)),))
+    b = ProofBuilder(p.hypotheses + (("n", Not(p.conclusion)),), axioms=L12)
+    splice(b, p)
+    b.add_hyp("n")
+    pos, neg = p, b.proof()  # neg carries all of p and ends on its negation
+    if on_neg:
+        neg = _mutated(rng, neg, mutation)
+    else:
+        pos = _mutated(rng, pos, mutation)
+    name = rng.choice([n for n, _ in p.hypotheses])
+    alpha = dict(pos.hypotheses)[name]
+    if pos.steps:
+        _total(Implies(alpha, pos.conclusion), lambda: deduction_transform(pos, name, L12))
+        target = ProofBuilder(pos.hypotheses, axioms=L12)
+        _total(pos.conclusion, lambda: conclude(target, splice(target, pos)))
+    else:
+        with pytest.raises(TransformError):
+            deduction_transform(pos, name, L12)
+        with pytest.raises(TransformError):
+            splice(ProofBuilder(pos.hypotheses, axioms=L12), pos)
+    _total(Not(alpha), lambda: reductio_transform(pos, neg, name, L12))
+    _total(U27, lambda: explosion_transform(pos, neg, U27, L12))
+
+
 # -- conclude against the two-pass algorithm it replaced ------------------
 
 _OPEN_POOL = (parse("x1 = x1"), parse("x2 < x1 + 1"))
@@ -584,3 +693,43 @@ def test_reductio_transform_and_refute_render_alike(side, alpha, beta):
     derivations = (discharge(state.derive(g), "a") for g in (pos, neg))
     by_derivations = conclude(*refute(*derivations))
     assert render_proof_script(by_proofs) == render_proof_script(by_derivations)
+
+
+# ---------------------------------------------------------------------------
+# one lifting loop and one combiner
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "proofbench"
+
+
+def _callers(name: str) -> list[str]:
+    """The functions of the package that call ``name``, qualified by module
+    and class, once per call."""
+    found = []
+
+    def walk(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                child.func, "id", getattr(child.func, "attr", None)
+            ) == name:
+                found.append(where)
+            walk(child, where)
+
+    for path in _SRC.glob("*.py"):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(found)
+
+
+def test_one_lifting_loop_and_one_combiner_build_proofs():
+    # discharge is the only lifting loop (it alone lifts a gen, through phi12),
+    # and join the only way to combine derivations: a builder made anywhere
+    # else is a second way into the loop or a second combiner
+    assert _callers("phi12_instance") == ["transforms.discharge"]
+    assert _callers("ProofBuilder") == [
+        "engine.ClosureState.derive",
+        "transforms._checked",
+        "transforms.discharge",
+        "transforms.join",
+    ]
