@@ -14,7 +14,10 @@ forward closure: implication discharge via the deduction transform, then the
 introductions of ``/\\``, ``\\/``, ``~~``, ``~(->)``, ``~(/\\)`` and ``~(\\/)``,
 then reductio.  The closure and the introductions share one recipe table.
 A :func:`prove` call's closures all saturate over one pool, which widens when
-a backward context brings members from outside it.
+a backward context brings members from outside it, and each stops once its
+goal is an entry: an entry's recipe is fixed when it is added, so saturating
+further would change no proof.  :func:`bounded_closure` has no goal and
+saturates to a fixpoint.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .parser import parse, render
@@ -478,7 +481,8 @@ class _Saturation:
             if self.spent():
                 break
             self.add(f, ("axiom", name), frozenset())
-        while self.frontier and not self.spent():
+        # a goal that is an entry ends the run: its recipe is fixed
+        while self.frontier and not self.spent() and self.goal not in self.entries:
             f = self.frontier.popleft()
             self.expand(f)
             if self.contradiction is not None and self.goal is not None and self.templates:
@@ -610,6 +614,16 @@ def _introductions(goal: Formula) -> list[tuple[str, tuple[Formula, ...]]]:
     return []
 
 
+def _fresh_name(hyps: tuple[tuple[str, Formula], ...]) -> str:
+    """The name of an assumption the search adds to ``hyps``: the least
+    ``g<n>``, n at least ``len(hyps) + 1``, that no hypothesis holds."""
+    taken = {name for name, _ in hyps}
+    n = len(hyps) + 1
+    while f"g{n}" in taken:
+        n += 1
+    return f"g{n}"
+
+
 class _Searcher:
     """One :func:`prove` call's search state.  Every closure saturates over
     one pool: the top context's, widened by the members each later context
@@ -651,8 +665,7 @@ class _Searcher:
             if self.closures and not self._holds(hyp_formulas, goal):
                 members = _context_members(hyp_formulas, self.axioms, goal)
                 self.pool = self.pool.widened(members, self.axioms)
-            sub_budget = replace(self.budget, max_steps=self.remaining())
-            got = _Saturation(hyps, self.axioms, self.pool, sub_budget, goal).run()
+            got = _Saturation(hyps, self.axioms, self.pool, Budget(self.remaining()), goal).run()
             self.steps += got.report.steps_expended
             self.closures[hyp_formulas, goal] = got
         return got
@@ -693,7 +706,7 @@ class _Searcher:
             self.cuts += 1
             return None
         if isinstance(goal, Implies) and is_sentence(goal.left):
-            name = f"g{len(hyps) + 1}"
+            name = _fresh_name(hyps)
             sub = self.prove(goal.right, hyps + ((name, goal.left),), depth - 1)
             if sub is not None:
                 return discharge(sub, name)
@@ -709,7 +722,7 @@ class _Searcher:
                 return b, _EMIT[kind](b, goal, premises, dict(zip(premises, done)))
         if isinstance(goal, Not) and is_sentence(goal.body):
             # reductio: assume the body, close, look for a contradiction
-            name = f"g{len(hyps) + 1}"
+            name = _fresh_name(hyps)
             assumed = hyps + ((name, goal.body),)
             sub_closure = self.closure_for(assumed, goal)
             if sub_closure is not None and sub_closure.contradiction is not None:

@@ -12,12 +12,13 @@ them on builder derivations, unchecked:
 
 * :func:`discharge` is the lifting loop of the deduction theorem: from a
   derivation of ``chi`` under hypothesis ``alpha`` it derives
-  ``alpha -> chi``.  Only the steps that depend on ``alpha`` are lifted to
-  ``alpha -> step``; the rest are copied as they are, so discharging k
-  hypotheses in turn costs O(k * n) steps, not a factor of about 3.5 per
-  discharge.  ``prove`` proves the implication chain
-  ``a1 -> (a1 -> a2) -> ... -> an`` in 73, 289 and 633 steps for n = 4, 8
-  and 12 (lifting every step took 94,045 steps at n = 8).
+  ``alpha -> chi`` in the same builder.  Only the steps that depend on
+  ``alpha`` are lifted to ``alpha -> step``, and the lifted steps are
+  appended; the rest stay where they are, so discharging k hypotheses in
+  turn costs O(k * n) steps, not a factor of about 3.5 per discharge.
+  ``prove`` proves the implication chain ``a1 -> (a1 -> a2) -> ... -> an``
+  in 73, 289 and 633 steps for n = 4, 8 and 12 (lifting every step took
+  94,045 steps at n = 8).
 * :func:`join` replays derivations into one builder, and :func:`refute` joins
   derivations of ``alpha -> beta`` and ``alpha -> ~beta`` into one of
   ``~alpha``.
@@ -77,6 +78,11 @@ def covering_set(formula: Formula, axioms: Sequence[AxiomSetRecognizer]) -> str 
 class ProofBuilder:
     """Grow a proof step by step, reusing steps that restate a formula.
 
+    Each step is marked with the hypotheses it depends on.  Once
+    :func:`discharge` has taken a hypothesis out, a step that depends on it
+    is never reused or found by :meth:`idx_of` again: a step that restates
+    its formula is logged anew.
+
     :meth:`add_axiom` cites the first recognizer in ``axioms`` that contains
     the formula (:func:`covering_set`).  Each step is kept as a
     ``(formula, justification)`` pair: an ``mp`` or ``gen`` step holds the
@@ -86,7 +92,9 @@ class ProofBuilder:
     a :data:`Derivation`, between levels; :meth:`records` reads it back.  The
     :class:`ProofStep`, :class:`Mp` and :class:`Gen` records are made when a
     proof is read: :meth:`proof` returns every step logged, and
-    :func:`conclude` the proof of one step, once per ``prove``.
+    :func:`conclude` the proof of one step, once per ``prove``.  After a
+    discharge the log holds steps that cite a hypothesis no longer in
+    :attr:`hypotheses`, so such a builder is read through :func:`conclude`.
     """
 
     def __init__(
@@ -98,18 +106,26 @@ class ProofBuilder:
         self.axioms = axioms
         # (formula, Hyp | Ax | (i, j) for mp | (i,) for gen), step k at k - 1
         self._log: list[tuple[Formula, Hyp | Ax | tuple[int, ...]]] = []
+        # step k -> the bits of the hypotheses it depends on; 0 holds no step
+        self._deps: list[int] = [0]
+        self._bit = {name: 1 << k for k, (name, _) in enumerate(hypotheses)}
+        self._gone = 0  # the bits of the discharged hypotheses
         self._index_of: dict[Formula, int] = {}
         self._ax: dict[str, Ax] = {}
 
-    def _add(self, formula: Formula, just: Hyp | Ax | tuple[int, ...]) -> int:
+    def _add(self, formula: Formula, just: Hyp | Ax | tuple[int, ...], deps: int) -> int:
         idx = self._index_of.get(formula)
-        if idx is None:
+        if idx is None or self._deps[idx] & self._gone:
             self._log.append((formula, just))
+            self._deps.append(deps)
             self._index_of[formula] = idx = len(self._log)
         return idx
 
     def idx_of(self, formula: Formula) -> int | None:
-        return self._index_of.get(formula)
+        """The step that states ``formula`` and may be cited, if any: one
+        that depends on no discharged hypothesis."""
+        idx = self._index_of.get(formula)
+        return None if idx is None or self._deps[idx] & self._gone else idx
 
     def formula(self, idx: int) -> Formula:
         return self._log[idx - 1][0]
@@ -117,7 +133,7 @@ class ProofBuilder:
     def add_hyp(self, name: str) -> int:
         for n, f in self.hypotheses:
             if n == name:
-                return self._add(f, Hyp(name))
+                return self._add(f, Hyp(name), self._bit[name])
         raise KeyError(f"unknown hypothesis {name!r}")
 
     def add_axiom(self, formula: Formula) -> int:
@@ -130,22 +146,23 @@ class ProofBuilder:
         ax = self._ax.get(set_name)
         if ax is None:
             ax = self._ax[set_name] = Ax(set_name)
-        return self._add(formula, ax)
+        return self._add(formula, ax, 0)
 
     def add_cited(self, formula: Formula, just: Hyp | Ax) -> int:
         """Log ``formula`` under the hypothesis or axiom record ``just``, as
         it is: a replayed step shares its input's record."""
-        return self._add(formula, just)
+        return self._add(formula, just, self._bit[just.name] if type(just) is Hyp else 0)
 
     def add_mp(self, i: int, j: int) -> int:
         major = self.formula(j)
         if not (isinstance(major, Implies) and major.left == self.formula(i)):
             raise ValueError(f"step {j} is not (step {i} -> _)")
-        return self._add(major.right, (i, j))
+        deps = self._deps
+        return self._add(major.right, (i, j), deps[i] | deps[j])
 
     def add_gen(self, i: int, var: int) -> int:
         # the variable is the new formula's own binder
-        return self._add(Forall(var, self.formula(i)), (i,))
+        return self._add(Forall(var, self.formula(i)), (i,), self._deps[i])
 
     def proof(self) -> Proof:
         return self._proof([(k, *step) for k, step in enumerate(self._log, 1)])
@@ -447,48 +464,52 @@ def join(*derivations: Derivation) -> tuple[ProofBuilder, list[int]]:
 
 def discharge(d: Derivation, name: str) -> Derivation:
     """The lifting loop: from derivation ``d`` of chi under hypothesis
-    ``name`` = alpha, derive alpha -> chi over the other hypotheses, unchecked.
+    ``name`` = alpha, derive alpha -> chi over the other hypotheses, unchecked,
+    in ``d``'s own builder, which it returns.
 
     A step depends on alpha if it cites hypothesis ``name`` or is a modus
     ponens or generalization over a step that does.  Only those steps are
     lifted: the hypothesis becomes ``alpha -> alpha``, derived where a lifted
     step first cites it, and modus ponens and generalization go through
-    ``phi1`` and ``phi12`` instances, unless the output already holds the
-    lifted step.  The other steps are copied verbatim, and one of them is
-    weakened to ``alpha -> step`` (a ``phi4`` instance and modus ponens) only
-    when a lifted step cites it, or when it is the conclusion; so a
-    derivation that never cites alpha gains exactly two steps.  Only the
-    steps ``d`` keeps are read, and every step logged is kept.  Callers
-    discharge only sentences, so no generalization step binds a variable
-    free in alpha.
+    ``phi1`` and ``phi12`` instances.  The other steps stay where they are,
+    and one of them is weakened to ``alpha -> step`` (a ``phi4`` instance
+    and modus ponens) only when a lifted step cites it, or when it is the
+    conclusion; so a derivation that never cites alpha gains at most two
+    steps.  A lifted or weakened step that the builder already holds is
+    reused, not built.  ``name`` leaves the builder's hypotheses, and no
+    step that depends on it is cited or reused again.  Only the steps ``d``
+    keeps are read.  Callers discharge only sentences, so no generalization
+    step binds a variable free in alpha.
     """
-    src, idx = d
-    alpha = dict(src.hypotheses)[name]
-    b = ProofBuilder(tuple((n, f) for n, f in src.hypotheses if n != name), src.axioms)
-    at: dict[int, int] = {}  # key of a step free of alpha -> its index in b
-    imp: dict[int, int] = {}  # key of a step -> index of (alpha -> that step)
+    b, idx = d
+    alpha = dict(b.hypotheses)[name]
+    bit = b._bit[name]
+    b.hypotheses = tuple((n, f) for n, f in b.hypotheses if n != name)
+    b._gone |= bit
+    deps = b._deps
+    imp: dict[int, int] = {}  # step -> index of (alpha -> that step)
+
+    def held(formula: Formula) -> int | None:
+        """The step ``alpha -> formula``, if the builder holds one it may cite."""
+        f = find(Implies, alpha, formula)
+        return None if f is None else b.idx_of(f)
 
     def lifted(i: int) -> int:
         if i not in imp:  # a step free of alpha is weakened, the hypothesis made alpha -> alpha
-            imp[i] = derive_imp_from_cons(b, at[i], alpha) if i in at else derive_identity(b, alpha)
+            got = held(b.formula(i))
+            if got is None:
+                got = derive_identity(b, alpha) if deps[i] & bit else derive_imp_from_cons(b, i, alpha)
+            imp[i] = got
         return imp[i]
 
-    for key, formula, just in src.records(idx):
-        if isinstance(just, Hyp) and just.name == name:
-            continue  # lifted when first cited
-        if type(just) is not tuple or (just[0] in at and just[-1] in at):  # free of alpha
-            at[key] = _replay(b, formula, just, at)
-            continue
-        held = find(Implies, alpha, formula)
-        if held is not None and (held_idx := b.idx_of(held)) is not None:
-            imp[key] = held_idx
+    for key, formula, just in b.records(idx):
+        if not deps[key] & bit or type(just) is not tuple:
+            continue  # free of alpha, or the hypothesis, lifted when first cited
+        if (got := held(formula)) is not None:
+            imp[key] = got
         elif len(just) == 2:
             i, j = just
-            if i in at:
-                minor = b.formula(at[i])
-            else:  # alpha -> minor, or the hypothesis alpha, not lifted yet
-                minor = b.formula(imp[i]).right if i in imp else alpha
-            s1 = b.add_axiom(phi1_instance(alpha, minor, formula))
+            s1 = b.add_axiom(phi1_instance(alpha, b.formula(i), formula))
             s2 = b.add_mp(lifted(j), s1)
             imp[key] = b.add_mp(lifted(i), s2)
         else:

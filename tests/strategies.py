@@ -14,8 +14,9 @@ parser's frame cap, ``weakening`` a three-step proof over any formula,
 ``induction_candidate`` an induction instance with a tall term and
 ``phi10_candidate`` a non-instance that the phi10 reader rebuilds higher;
 ``unreachable_steps`` checks the shape of the proofs the engine and the
-transforms return, and ``reference_lift`` is the lifting loop that
-:func:`~proofbench.transforms.discharge` is compared against.
+transforms return, ``reference_lift`` is the lifting loop that
+:func:`~proofbench.transforms.discharge` is compared against, and
+``ReferenceSaturation`` the closure loop that saturates past its goal.
 ``full_text_script`` writes a proof with every formula in full on its line,
 as a hand-written script does: the view through which the full-text proof
 digests and report-tree hashes are taken.
@@ -27,6 +28,7 @@ import random
 
 from hypothesis import strategies as st
 
+from proofbench.engine import BudgetReport, ClosureState, _Saturation
 from proofbench.parser import parse, render
 from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
@@ -373,3 +375,26 @@ def reference_lift(hyps, records, name, alpha, axioms):
             s2 = b.add_axiom(phi12_instance(formula.var, alpha, formula.body))
             imp[key] = b.add_mp(s1, s2)
     return b, lifted(key)
+
+
+class ReferenceSaturation(_Saturation):
+    """The closure loop as it was before a goal-directed run stopped at its
+    goal: it saturates to a fixpoint, or until the budget is spent, whether
+    or not the goal is an entry."""
+
+    def run(self):
+        for name, f in self.hypotheses:
+            self.add(f, ("hyp", name), frozenset((name,)), free=True)
+        for f, name in self.pool.axioms:
+            if self.spent():
+                break
+            self.add(f, ("axiom", name), frozenset())
+        while self.frontier and not self.spent():
+            self.expand(self.frontier.popleft())
+            if self.contradiction is not None and self.goal is not None and self.templates:
+                a, na = self.contradiction
+                if self.goal not in self.entries and self.allowed(self.goal):
+                    deps = self.entries[a].hyp_deps | self.entries[na].hyp_deps
+                    self.add(self.goal, ("explosion", a, na), deps)
+        report = BudgetReport(self.steps, self.budget.max_steps, fixpoint=not self.frontier)
+        return ClosureState(self.hypotheses, self.axioms, report, self.entries, self.contradiction)

@@ -324,9 +324,9 @@ def test_report_round_trip_and_determinism(tmp_path, reports):
 #: difference and recomputes this table.
 REPORT_TREE_SHA256 = {
     "lemma-4.1": "4bbe565c4c5ac7e8c6dde644c45e2dca9f57cd0026a46bd8c51b89b8b1938517",
-    "lemma-4.2": "84767e5c8d2d650f77984e2081027c5c71c48567190be5370c74ddec265730ee",
-    "lemma-4.3": "34ed5145815c64d4c071f5411a4271638bde65e297a27867b1a8e60032570102",
-    "lemma-4.4": "912995f918285da71558b26dc3ee79882d252866fd32fbd7a4e482378863a963",
+    "lemma-4.2": "d2d0c2a4e4e1f881c98a29fcf4ff5927c249ef6ad15d90ca66025f9398ab05bb",
+    "lemma-4.3": "5ce9a1406d5267468b7438008d6d6e3cc19a6318a9bbc6ffc39f80411fa87a2f",
+    "lemma-4.4": "acd5e81806b5bfb68c0cfafe92ff611116ba2d3bcf1ef4e46ac81cb61a57bdd9",
     "theorem-4.1": "650705fbd24e4c00372642d77dc09562fcccd2ee8d34ed78752ce12bf84cf67b",
     "corollary-4.3": "4296e0d8c4a7e830537cf3fce6072ca7970994e2a2d7affdd6b6af0ca7b78e57",
     "corollary-4.4": "1ca43cf7cbd83ca19e94d4ce7ad3f8931da6ea2765356bc24df76c3731f7aa91",
@@ -365,9 +365,9 @@ def test_report_certificates_are_pinned_and_hold_only_reachable_steps(reports):
 #: REPORT_TREE_SHA256 of the bytes as written, with let lines.
 REPORT_TREE_LET_SHA256 = {
     "lemma-4.1": "ad46a49f21bf0bc613fcd33a9bfd540777ede5a25d21c55e5523c2719f280f17",
-    "lemma-4.2": "7b343b328424dd7b5ea4a727a4c85717d65f6e1c0daa23cd20886f43dabd4f47",
-    "lemma-4.3": "e711b958764c1f79adbbb4e5ed8bad5482ea4e500bf8eac0bdb5f91d32283d98",
-    "lemma-4.4": "daafc37af707039e619f39fcb06716ae795fe986046f80d93f30a04d035b3ce2",
+    "lemma-4.2": "eadc253149f19453397cf06bca70a30107318f17d8ffd8b9e9aa7ada031d6104",
+    "lemma-4.3": "4302ced8f84a49ba2a8beb138379dfdde5e0470a386861e0acf6b249dfdf5cde",
+    "lemma-4.4": "799932bddc0f61b60209018ee9db127ba58a619ac2b0d5f981fcd045b63ba156",
     "theorem-4.1": "650705fbd24e4c00372642d77dc09562fcccd2ee8d34ed78752ce12bf84cf67b",
     "corollary-4.3": "5d5f44f403d4ccbcf73b37a64d0df3a56c3347e9b08f576e1c0f02b8d5b4fba5",
     "corollary-4.4": "1ca43cf7cbd83ca19e94d4ce7ad3f8931da6ea2765356bc24df76c3731f7aa91",

@@ -29,15 +29,17 @@ from proofbench.schemata import (
     named_formula,
 )
 from proofbench.scripts import builtin_claims, builtin_scripts
-from proofbench.syntax import And, App, Atom, Const, Forall, Implies, NestingError, Not
+from proofbench.syntax import And, App, Atom, Const, Forall, Implies, NestingError, Not, Or
 from proofbench.transforms import covering_set
 
 from strategies import (
+    ReferenceSaturation,
     antecedent_chain,
     formulas,
     full_text_script,
     induction_candidate,
     phi10_candidate,
+    sentences,
     unreachable_steps,
 )
 
@@ -188,14 +190,54 @@ def test_spent_search_stops_without_a_proof():
     assert outcome.proof is None
     assert outcome.report == BudgetReport(steps_expended=1, max_steps=1, fixpoint=False)
     assert outcome.report.stop() == "budget of 1 steps exhausted"
-    assert prove(goal, (), L12, Budget(max_steps=5)).proof is None
-    assert prove(goal, (), L12, Budget(max_steps=6)).proof is not None
+    # each later closure stops at its goal, so one step more is enough
+    assert prove(goal, (), L12, Budget(max_steps=2)).proof is not None
 
 
 def test_prove_respects_budget():
     outcome = prove(parse("1 < 1"), (), L12, Budget(max_steps=500))
     assert outcome.proof is None
     assert outcome.report.steps_expended <= 500
+
+
+def test_prove_names_its_assumptions_apart_from_the_callers():
+    # the discharged antecedent would be g2, the caller's own name
+    goal = parse("1 = 1 -> (0 = 0 /\\ 1 = 1)")
+    proof = prove(goal, [("g2", parse("0 = 0"))], L12).proof
+    assert proof is not None and proof.conclusion == goal
+    assert check_proof(proof, L12, strict=True).ok
+    assert proof.hypotheses == (("g2", parse("0 = 0")),)
+
+
+#: closed L12 sentences that make the search find proofs
+_CLOSED = st.sampled_from(
+    [parse(t) for t in ("0 = 0", "1 = 1", "0 = 1", "1 < 0", "~0 = 1", "1 = 1 -> 0 = 0")]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.integers(2, 5), st.integers(1, 20)), _CLOSED),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda h: h[0],
+    ),
+    st.lists(st.one_of(_CLOSED, sentences(max_depth=1)), min_size=1, max_size=4),
+    st.data(),
+)
+def test_prove_takes_caller_hypotheses_named_like_its_assumptions(hyps, antecedents, data):
+    # the search names each peeled antecedent g<n>, and a caller's own g<n>
+    # must not be taken for it: the goal needs both
+    named = [(f"g{k}", f) for k, f in hyps]
+    goal = And(data.draw(st.sampled_from([f for _, f in named])), data.draw(st.sampled_from(antecedents)))
+    for a in reversed(antecedents):
+        goal = Implies(a, goal)
+    proof = prove(goal, named, L12, Budget(max_steps=20000)).proof
+    if proof is not None:
+        assert proof.conclusion == goal
+        assert check_proof(proof, L12, strict=True).ok
+        assert set(proof.hypotheses) <= set(named)
 
 
 # one goal per backward introduction rule that the forward closure cannot
@@ -456,51 +498,51 @@ def _nested_goal(n, order):
 # goal, hypotheses: proof size, steps expended, sha256 of the rendered proof
 PROOF_PINS = [
     (antecedent_chain(4), [], (
-        73, 10, "3b31c4e59941ef2d0a78161a4d0958684c3642330dc6babd03d94e8ed6034924")),
+        73, 6, "ac268a1165fd4d7be45d447f64ce9d0f8bddb6eccff7cc0add303035ceb9c06c")),
     (antecedent_chain(8), [], (
-        289, 36, "7019968cfec2f8450805226ee2d807ea6a92174b0f52a3066a62a5def45bad14")),
+        289, 28, "037386766fd0c2848410054b49ad856e158c590da5cc14fe6b15a5a36661370b")),
     (antecedent_chain(12), [], (
-        633, 78, "499ff5c38d7a15931038d590b7804f5b41063ff479fab7ba2f4fee2f6d2de51a")),
+        633, 66, "07e8df611b4687dc9d43908f06d2f53a818244ffbe935e97c7e09760eb4a30fb")),
     (_nested_goal(3, (2, 0, 1)), [], (
-        37, 5, "79b33d699b0b2bfcaf5311d761e5240278eed73a461f48bf502887cd8bbbbdd4")),
+        37, 2, "ed8d19b188ddddc99f7c194c959d976413fd9402654a0d58d01b46b7b21c798f")),
     (_nested_goal(3, (1, 2, 0)), [], (
-        15, 5, "d95df59054ba95eeee238696dbe2ff5578474fa4d87142e28a97806a9992dc21")),
+        15, 2, "d95df59054ba95eeee238696dbe2ff5578474fa4d87142e28a97806a9992dc21")),
     (_nested_goal(4, (3, 1, 0, 2)), [], (
-        57, 8, "e70c748b4e99b782568b685ad3477dec221f795e41f7eca2e67eb71492117000")),
+        57, 4, "271e7c9a0287b4e46b3db0bd1df2d050dc6fcdf79dfc5848a474643419643991")),
     (_nested_goal(4, (2, 3, 1, 0)), [], (
-        39, 7, "704e0f173ad76a200932736584284d8aba4784fb0d5ef9db07c7be8e73444c13")),
+        39, 3, "bacc52c3b9c6155735d9bb1c1befffae8b9243dce5096563f3753649b9aecc91")),
     (_nested_goal(5, (4, 2, 0, 3, 1)), [], (
-        113, 9, "f9cb2d99670dc802382b443f8ef7276c2d2611154e89ba5bfaac78f1309891b0")),
+        113, 4, "21263813e73e70d5054a744d0830e608fa7ee4c43b070c1622f4ad58b28580ca")),
     (_nested_goal(5, (1, 3, 4, 0, 2)), [], (
-        93, 10, "f74cdf7e3a7307b6da48499b5d0ac0fd057664a277287e7e9bf643d0fb0b9b69")),
+        93, 5, "342c00cad1825daa199d913153037035838654ed3a28b01aa2d54dcd961100c1")),
     # an introduction over two discharges
     (parse("(1 = 1 -> 1 = 1) /\\ (0 = 1 -> 0 = 1)"), [], (
-        13, 2, "a7d56b25c7b3c01031189cbacdba2fc58f910653a57cb6595933ed1c330b305b")),
+        13, 0, "a7d56b25c7b3c01031189cbacdba2fc58f910653a57cb6595933ed1c330b305b")),
     # a discharge over an introduction over a discharge
     (parse("1 = 1 -> (0 = 0 -> 0 = 0) /\\ 1 = 1"), [], (
-        7, 3, "abe81fc877f75b24906a7eb221b096a86229e9321e2be5eec807fdec5b1712d1")),
+        7, 0, "abe81fc877f75b24906a7eb221b096a86229e9321e2be5eec807fdec5b1712d1")),
     # reductio, which discharges its assumption
     (parse("~(0 = 1 /\\ ~0 = 1)"), [], (
-        25, 6, "af89bb19a019459d8992b8563077ca949dac65fba6a516bee0d526006b63c3b3")),
+        25, 4, "af89bb19a019459d8992b8563077ca949dac65fba6a516bee0d526006b63c3b3")),
     # a discharge over reductio, and an introduction over reductio
     (parse("1 = 1 -> ~(0 = 1 /\\ ~0 = 1)"), [], (
-        27, 7, "386f3db1d3fc6ae426329bed0314c5fd51cbc0d8c31b2d0b3fca544573dd3b28")),
+        27, 4, "386f3db1d3fc6ae426329bed0314c5fd51cbc0d8c31b2d0b3fca544573dd3b28")),
     (parse("~(0 = 1 /\\ ~0 = 1) /\\ 1 = 1"), [parse("1 = 1")], (
-        29, 7, "00cbd5ad205a6ebf1c6c5469ebc35d0c3b660a7518c7a839908eca0f39829eae")),
+        29, 4, "00cbd5ad205a6ebf1c6c5469ebc35d0c3b660a7518c7a839908eca0f39829eae")),
 ]
 
 
 #: sha256 of each PROOF_PINS proof as render_proof_script writes it, with let lines
 PROOF_PIN_LET_SHA256 = (
-    "f8f7bf57f7b5cf7f7a56da6b5c5925b88cd6bb25a91ec1295442a20e555735ac",
-    "bc4677ed26757131cacfc4a6934886f40fbac617a22ce0acfd8e46b8ab5681ad",
-    "de2aff621a16b859cdaae125f361eb9458825b3d538af03edef9e864dc09dc8a",
-    "2b617d60c5c7710fd3ff3e44bd8585760754d787cd562328e96bbb6f47d13a23",
+    "e1ae34e82ed2d8a0c7df792d80ed3db13efff9cfebfda9b93ec71384fd3765ea",
+    "6196eb97bad32860a50a47f962865631904c4f5bb1d36c096a3e3608ab41816b",
+    "6316c54587507d2393540b64eb5b9a28f1456ee89b2b9b4b3c55ec5f8bdee903",
+    "14f1cb252f79be748a5acab18b5f11aac24e412fee845db8a0b1eeebc8a51d04",
     "9fb2c1292dbcb060f15dc879a6640e9c171b749d5174a096a8b72d15306b6c0f",
-    "2208ab3ee0cab03f7a5fe17c6cd05079b9c6af9e0a0d27f4cbfaab8c512e1e88",
-    "5168160ffc38eb44cab257ebeab552ba7360b9af976aaf5548bc69663de40e0b",
-    "41e6f44a8aad6ee9981eba6fa1e1aae9caa207d285e895e5ee27c785f759d773",
-    "4866b02f51a4da0d246377315c6689988b8f614017f0156eb85c09ef8afe6dea",
+    "218fe5ab9a301cf7f8ffffe714539691fa1048c913890cfa86eeb5afe64cc250",
+    "088ff9b0cc6ac3f94314333d475332c7a8cf19878bd5e79be5ad2feee1ef78be",
+    "832d843e1dc585fd695d4d5f7587f86f32d7d558f9a0cfaa05de7aefca79701b",
+    "cc3025993dedede7f717268868a40a0fe79ed347af32464bac6fdcdd31270726",
     "c2a743ae0113828f9835171924a6dfaf85f56d6905bd9e9cc6d26ce434aff2f6",
     "9b8de1b07aa9e4ca68c2e710a80413d15b44d368a53ff4182e83cb18b6259478",
     "fa8f2d1c6bedc37facb98c1f2eb7986802fbbbad72c6bb8cfd611398182ce06d",
@@ -520,15 +562,50 @@ def test_prove_pins_proofs_built_through_discharge(i):
     assert _sha256(render_proof_script(proof)) == PROOF_PIN_LET_SHA256[i]
 
 
+def _modus_ponens_goal(a, b):
+    """``a -> (a -> b) -> b``: two peeled antecedents over a closure that
+    finds ``b`` and could go on."""
+    return Implies(a, Implies(Implies(a, b), b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(formulas(max_depth=2), max_size=2), sentences(max_depth=1), st.data())
+def test_closures_that_stop_at_their_goal_build_the_same_proofs(hyps, other, data):
+    # each entry's recipe is fixed when it is added, so saturating past the
+    # goal changes no proof; it only spends steps
+    pieces = st.sampled_from([*hyps, other])
+    goal = data.draw(
+        st.one_of(
+            formulas(),
+            st.builds(Implies, pieces, st.builds(And, pieces, pieces)),
+            st.builds(Or, formulas(max_depth=1), pieces),
+            st.builds(_modus_ponens_goal, sentences(max_depth=1), pieces),
+            st.builds(Not, st.builds(And, pieces, st.builds(Not, pieces))),
+        )
+    )
+    ours = prove(goal, hyps, L12)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_Saturation", ReferenceSaturation)
+        ref = prove(goal, hyps, L12)
+    assert (ours.proof is None) is (ref.proof is None)
+    if ours.proof is not None:
+        assert render_proof_script(ours.proof) == render_proof_script(ref.proof)
+    assert ours.report.steps_expended <= ref.report.steps_expended
+
+
 def test_discharge_logs_only_the_steps_its_conclusion_keeps(monkeypatch):
-    # alpha -> alpha is derived where a lifted step first cites it, and a
-    # lifted step the output already holds is reused, so no step is dead
-    logged = []
+    # discharge appends to the builder that holds the derivation, which keeps
+    # the steps that depended on the hypothesis; alpha -> alpha is derived
+    # where a lifted step first cites it, and a lifted step the builder
+    # already holds is reused, so every step a discharge appends is kept
+    appended = []
     real = engine.discharge
 
     def spy(d, name):
+        before = len(d[0].proof().steps)
         b, idx = out = real(d, name)
-        logged.append((len(b.records(idx)), len(b.proof().steps)))
+        kept = {key for key, _, _ in b.records(idx)}
+        appended.append([k for k in range(before + 1, len(b.proof().steps) + 1) if k not in kept])
         return out
 
     monkeypatch.setattr(engine, "discharge", spy)
@@ -536,8 +613,8 @@ def test_discharge_logs_only_the_steps_its_conclusion_keeps(monkeypatch):
         prove(goal, hyps, L12)
     for sid in builtin_scripts():
         run_audit(sid, builtin_claims(sid), Budget())
-    assert len(logged) > len(PROOF_PINS)
-    assert [kept for kept, _ in logged] == [total for _, total in logged]
+    assert len(appended) > len(PROOF_PINS)
+    assert appended == [[] for _ in appended]
 
 
 def test_derived_rules_run_only_over_the_logical_schemata():

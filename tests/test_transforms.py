@@ -25,6 +25,7 @@ from proofbench.syntax import And, Forall, Implies, Not, Or
 from proofbench.transforms import (
     ProofBuilder,
     TransformError,
+    _checked,
     conclude,
     deduction_transform,
     derive_andel,
@@ -342,6 +343,38 @@ def test_discharge_is_no_longer_than_the_reference_loop(rng, gen):
         assert out.conclusion == ref.conclusion == Implies(alpha, b.formula(idx))
         assert check_proof(out, L12, strict=True).ok
         assert len(out.steps) <= len(ref.steps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_discharges_in_place_leave_the_builder_sound(rng):
+    # each discharge appends to the builder that holds the derivation, whose
+    # log keeps the steps that depended on the discharged hypothesis: none of
+    # them may be cited or reused again
+    p = random_proof(rng, max_hyps=4)
+    d = _checked(p, L12)
+    b = d[0]
+    remaining = list(p.hypotheses)
+    expected = p.conclusion
+    for name, alpha in rng.sample(p.hypotheses, len(p.hypotheses)):
+        hyp = b.add_hyp(name)
+        y = b.add_axiom(phi4_instance(alpha, alpha))  # a step free of alpha
+        through_alpha = derive_orin(b, hyp, b.formula(y), "left")  # alpha \/ y
+        d = discharge(d, name)
+        assert d[0] is b
+        remaining.remove((name, alpha))
+        expected = Implies(alpha, expected)
+        out = conclude(*d)
+        assert check_proof(out, L12, strict=True).ok
+        assert out.hypotheses == tuple(remaining)
+        assert out.conclusion == expected
+        # restating a formula that only a step through alpha holds logs a new
+        # step; a step another hypothesis with alpha's formula holds is kept
+        twin = next((n for n, f in remaining if f == alpha), None)
+        if twin is not None and b.records(hyp)[-1][2] == Hyp(name):
+            assert b.add_hyp(twin) == len(b.proof().steps) > hyp
+        if any(just == Hyp(name) for _, _, just in b.records(through_alpha)):
+            assert derive_orin(b, y, alpha, "right") > through_alpha  # alpha \/ y again
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +758,11 @@ def _callers(name: str) -> list[str]:
 def test_one_lifting_loop_and_one_combiner_build_proofs():
     # discharge is the only lifting loop (it alone lifts a gen, through phi12),
     # and join the only way to combine derivations: a builder made anywhere
-    # else is a second way into the loop or a second combiner
+    # else is a second way into the loop or a second combiner; discharge
+    # appends to the builder it is given and makes none
     assert _callers("phi12_instance") == ["transforms.discharge"]
     assert _callers("ProofBuilder") == [
         "engine.ClosureState.derive",
         "transforms._checked",
-        "transforms.discharge",
         "transforms.join",
     ]
