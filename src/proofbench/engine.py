@@ -12,7 +12,10 @@ which a kernel proof is rebuilt on demand.
 :func:`prove` layers iterative-deepening backward decomposition on top of the
 forward closure: implication discharge via the deduction transform, then the
 introductions of ``/\\``, ``\\/``, ``~~``, ``~(->)``, ``~(/\\)`` and ``~(\\/)``,
-then reductio.  The closure and the introductions share one recipe table.
+then reductio.  Peeling a sentence antecedent is invertible, so it spends no
+depth: a goal's chain of peels is walked once, in one loop, and the depth
+counts only the introductions and reductio.  The closure and the
+introductions share one recipe table.
 A :func:`prove` call's closures all saturate over one pool, which widens when
 a backward context brings members from outside it, and each stops once its
 goal is an entry: an entry's recipe is fixed when it is added, so saturating
@@ -112,7 +115,8 @@ class Budget:
 @dataclass(frozen=True)
 class BudgetReport:
     """What a run spent and why it stopped: at a fixpoint, out of steps, or (a
-    :func:`prove` run with steps left and no proof) at :data:`BACKWARD_DEPTH`."""
+    :func:`prove` run with steps left and no proof) at :data:`BACKWARD_DEPTH`,
+    which counts introductions and reductio; peeled antecedents spend none."""
 
     steps_expended: int
     max_steps: int
@@ -234,15 +238,16 @@ class ClosureState:
 
 
 def _named_hyps(X) -> tuple[tuple[str, Formula], ...]:
-    """Normalize a formula list (or (name, formula) list) to named hypotheses."""
-    out: list[tuple[str, Formula]] = []
+    """Normalize a formula list (or (name, formula) list) to named hypotheses;
+    a bare formula at position i is named ``h<i>``.  Fresh assumptions and
+    discharge key on names, so a repeated name is a ValueError."""
+    out: dict[str, Formula] = {}
     for i, item in enumerate(X, start=1):
-        if isinstance(item, Formula):
-            out.append((f"h{i}", item))
-        else:
-            name, f = item
-            out.append((name, f))
-    return tuple(out)
+        name, f = (f"h{i}", item) if isinstance(item, Formula) else item
+        if name in out:
+            raise ValueError(f"repeated hypothesis name {name!r}")
+        out[name] = f
+    return tuple(out.items())
 
 
 def _add_subformulas(found: dict[Formula, None], f: Formula) -> None:
@@ -589,7 +594,8 @@ class SearchOutcome:
     report: BudgetReport
 
 
-#: The most backward decompositions :func:`prove` stacks on one branch.
+#: The most introductions and reductio steps :func:`prove` stacks on one
+#: branch.  Peels spend none: the goal's connective depth bounds them.
 BACKWARD_DEPTH = 12
 
 
@@ -695,21 +701,40 @@ class _Searcher:
     def _attempt(
         self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int
     ) -> Derivation | None:
-        closure = self.closure_for(hyps, goal)
-        if closure is None:
+        """Walk the peel chain of ``goal`` in one loop, then decompose its
+        end.  Peeling ``A -> B``, ``A`` a sentence, is invertible, so it
+        spends no depth; each level asks its own closure first, and the
+        peeled names are discharged innermost first."""
+        peeled: list[str] = []
+        while True:
+            closure = self.closure_for(hyps, goal)
+            if closure is None:
+                return None
+            if goal in closure:
+                found = closure.derive(goal)
+                break
+            if self.remaining() == 0 or not self.templates:
+                return None  # every backward rule finishes through a template
+            if not (isinstance(goal, Implies) and is_sentence(goal.left)):
+                found = self._decompose(goal, hyps, depth)
+                break
+            name = _fresh_name(hyps)
+            peeled.append(name)
+            hyps += ((name, goal.left),)
+            goal = goal.right
+        if found is None:
             return None
-        if goal in closure:
-            return closure.derive(goal)
-        if self.remaining() == 0 or not self.templates:
-            return None  # every backward rule finishes through a template
+        for name in reversed(peeled):
+            found = discharge(found, name)
+        return found
+
+    def _decompose(
+        self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int
+    ) -> Derivation | None:
+        """The introductions, then reductio: the backward rules that spend depth."""
         if depth <= 0:
             self.cuts += 1
             return None
-        if isinstance(goal, Implies) and is_sentence(goal.left):
-            name = _fresh_name(hyps)
-            sub = self.prove(goal.right, hyps + ((name, goal.left),), depth - 1)
-            if sub is not None:
-                return discharge(sub, name)
         for kind, premises in _introductions(goal):
             subs = []
             for premise in premises:

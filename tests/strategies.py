@@ -9,14 +9,17 @@ Two families:
 ``brute_eval`` and ``first_occurrence_atoms`` read propositional skeletons
 without ``proofbench.semantics``, so tests can check the sweep against them.
 ``antecedent_chain`` builds a goal that needs one discharge per antecedent,
+``disjunction_tower`` one that needs one introduction per disjunction,
 ``alternating`` and ``tall_atom`` formulas whose text can pass the
 parser's frame cap, ``weakening`` a three-step proof over any formula,
 ``induction_candidate`` an induction instance with a tall term and
 ``phi10_candidate`` a non-instance that the phi10 reader rebuilds higher;
 ``unreachable_steps`` checks the shape of the proofs the engine and the
 transforms return, ``reference_lift`` is the lifting loop that
-:func:`~proofbench.transforms.discharge` is compared against, and
-``ReferenceSaturation`` the closure loop that saturates past its goal.
+:func:`~proofbench.transforms.discharge` is compared against,
+``ReferenceSaturation`` the closure loop that saturates past its goal, and
+``ReferenceSearcher`` the backward search whose peels spend depth.
+``near_the_recursion_limit`` runs a call with few frames left.
 ``full_text_script`` writes a proof with every formula in full on its line,
 as a hand-written script does: the view through which the full-text proof
 digests and report-tree hashes are taken.
@@ -25,10 +28,11 @@ digests and report-tree hashes are taken.
 from __future__ import annotations
 
 import random
+import sys
 
 from hypothesis import strategies as st
 
-from proofbench.engine import BudgetReport, ClosureState, _Saturation
+from proofbench.engine import BudgetReport, ClosureState, _fresh_name, _Saturation, _Searcher
 from proofbench.parser import parse, render
 from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
@@ -45,6 +49,7 @@ from proofbench.syntax import (
     Not,
     Or,
     Var,
+    is_sentence,
     universal_closure,
 )
 from proofbench.transforms import (
@@ -55,6 +60,7 @@ from proofbench.transforms import (
     derive_identity,
     derive_imp_from_cons,
     derive_orin,
+    discharge,
     phi1_instance,
     phi4_instance,
     phi12_instance,
@@ -288,6 +294,28 @@ def antecedent_chain(n: int) -> Implies:
     return goal
 
 
+def disjunction_tower(f: Formula, k: int) -> Formula:
+    """``f`` under ``k`` disjunctions ``(...(f \\/ 0 = 1)...) \\/ 0 = 1``:
+    each spends one backward level on its left introduction."""
+    false = Atom("=", (Const("0"), Const("1")))
+    for _ in range(k):
+        f = Or(f, false)
+    return f
+
+
+def near_the_recursion_limit(fn):
+    """``fn()``, called with fewer than 60 frames left below the recursion
+    limit: a walker that recursed once per level would run out."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+
+    def down(n):
+        return fn() if n == 0 else down(n - 1)
+
+    return down(sys.getrecursionlimit() - depth - 60)
+
+
 def alternating(depth: int) -> Formula:
     """``~(0 = 0 -> ~(0 = 0 -> ... 0 = 0))`` of connective depth ``depth``,
     whose rendered text the parser refuses from depth 266 on."""
@@ -398,3 +426,27 @@ class ReferenceSaturation(_Saturation):
                     self.add(self.goal, ("explosion", a, na), deps)
         report = BudgetReport(self.steps, self.budget.max_steps, fixpoint=not self.frontier)
         return ClosureState(self.hypotheses, self.axioms, report, self.entries, self.contradiction)
+
+
+class ReferenceSearcher(_Searcher):
+    """The backward search as it was before peels spent no depth: each
+    peeled sentence antecedent is one more recursive level, and spends one
+    of the search's depth levels."""
+
+    def _attempt(self, goal, hyps, depth):
+        closure = self.closure_for(hyps, goal)
+        if closure is None:
+            return None
+        if goal in closure:
+            return closure.derive(goal)
+        if self.remaining() == 0 or not self.templates:
+            return None
+        if depth <= 0:
+            self.cuts += 1
+            return None
+        if isinstance(goal, Implies) and is_sentence(goal.left):
+            name = _fresh_name(hyps)
+            sub = self.prove(goal.right, hyps + ((name, goal.left),), depth - 1)
+            if sub is not None:
+                return discharge(sub, name)
+        return self._decompose(goal, hyps, depth)

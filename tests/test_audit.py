@@ -36,6 +36,7 @@ from proofbench.syntax import Implies, Not, Or, universal_closure
 from strategies import (
     antecedent_chain,
     brute_eval,
+    disjunction_tower,
     doubling_certificate,
     first_occurrence_atoms,
     full_text_script,
@@ -916,8 +917,8 @@ def test_wide_claim_goes_to_proof_search():
 
 
 def test_depth_capped_search_names_the_cap():
-    # one discharge per antecedent: one more than the search may stack
-    goal = antecedent_chain(engine.BACKWARD_DEPTH + 1)
+    # one introduction per disjunction: one more than the search may stack
+    goal = disjunction_tower(antecedent_chain(2), engine.BACKWARD_DEPTH + 1)
     verdict = run_claim(AuditClaim("deep", "membership", ("L12",), (), goal), Budget())
     assert verdict.status == "UNRESOLVED"
     assert verdict.detail == (

@@ -15,7 +15,14 @@ from proofbench.parser import MAX_NESTING, render
 from proofbench.proofs import recheck_report, render_proof_script
 from proofbench.syntax import Implies
 
-from strategies import alternating, antecedent_chain, doubling_certificate, tall_atom, weakening
+from strategies import (
+    alternating,
+    antecedent_chain,
+    disjunction_tower,
+    doubling_certificate,
+    tall_atom,
+    weakening,
+)
 
 PROVE_HYP = "~((Ax1)~(1 = x1 + 1) -> (Ax1)(x1 = x1))\n"
 
@@ -128,7 +135,7 @@ SPENT_GOAL = "(1 = 1) -> ((1 = 1 -> 0 = 0) -> 0 = 0) /\\ (0 = 0 -> 0 = 0)"
     [
         ("0 = 1", (), "search reached a fixpoint after 0 steps without finding a proof"),
         (
-            render(antecedent_chain(BACKWARD_DEPTH + 1)),
+            render(disjunction_tower(antecedent_chain(2), BACKWARD_DEPTH + 1)),
             (),
             f"search stopped at the backward depth cap of {BACKWARD_DEPTH} after ",
         ),

@@ -18,7 +18,7 @@ from proofbench.engine import (
     pool_for,
     prove,
 )
-from proofbench.parser import MAX_NESTING, parse
+from proofbench.parser import MAX_NESTING, parse, render
 from proofbench.proofs import check_proof, render_proof_script
 from proofbench.schemata import (
     AXIOM_SET_NAMES,
@@ -34,10 +34,13 @@ from proofbench.transforms import covering_set
 
 from strategies import (
     ReferenceSaturation,
+    ReferenceSearcher,
     antecedent_chain,
+    disjunction_tower,
     formulas,
     full_text_script,
     induction_candidate,
+    near_the_recursion_limit,
     phi10_candidate,
     sentences,
     unreachable_steps,
@@ -159,19 +162,26 @@ def test_engine_proofs_hold_only_reachable_steps():
 
 
 def test_prove_reports_the_depth_cap_not_a_fixpoint():
-    # each antecedent costs one discharge: one more than the cap allows
-    outcome = prove(antecedent_chain(BACKWARD_DEPTH + 1), (), L12, Budget())
+    # each disjunction costs one introduction: one more than the cap allows;
+    # the peels under them cost none
+    outcome = prove(disjunction_tower(antecedent_chain(2), BACKWARD_DEPTH + 1), (), L12, Budget())
     assert outcome.proof is None
     assert not outcome.report.fixpoint
     assert outcome.report.steps_expended < Budget().max_steps
+    assert prove(disjunction_tower(antecedent_chain(2), BACKWARD_DEPTH), (), L12).proof
 
 
-@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("n", [4, 8, 12, 13, 20, 40])
 def test_implication_chain_proofs_grow_quadratically(n):
-    # one discharge per antecedent; lifting every step would grow as 3.5**n
-    outcome = prove(antecedent_chain(n), (), L12, Budget())
+    # one discharge per antecedent; lifting every step would grow as 3.5**n.
+    # Peels spend no depth, so a chain longer than the depth cap proves, and
+    # a search that recursed once per peel would run out of frames here.  The
+    # goal is rendered first: the renderer recurses once per level (§ Caps)
+    goal = antecedent_chain(n)
+    render(goal)
+    outcome = near_the_recursion_limit(lambda: prove(goal, (), L12, Budget()))
     assert outcome.proof is not None
-    assert outcome.proof.conclusion == antecedent_chain(n)
+    assert outcome.proof.conclusion == goal
     assert check_proof(outcome.proof, L12, strict=True).ok
     assert len(outcome.proof.steps) <= 5 * n * n
 
@@ -207,6 +217,25 @@ def test_prove_names_its_assumptions_apart_from_the_callers():
     assert proof is not None and proof.conclusion == goal
     assert check_proof(proof, L12, strict=True).ok
     assert proof.hypotheses == (("g2", parse("0 = 0")),)
+
+
+@pytest.mark.parametrize(
+    "hyps, name",
+    [
+        ([("h", parse("0 = 0")), ("h", parse("1 = 1"))], "h"),
+        # a caller's name that a bare formula's automatic name repeats
+        ([("h2", parse("0 = 0")), parse("1 = 1")], "h2"),
+    ],
+    ids=["caller", "automatic"],
+)
+def test_repeated_hypothesis_names_are_refused(hyps, name):
+    # fresh assumptions and discharge key on names: with a name held twice,
+    # a proof of 1 = 1 would conclude 0 = 0
+    message = f"repeated hypothesis name '{name}'"
+    with pytest.raises(ValueError, match=message):
+        prove(parse("1 = 1"), hyps, L12)
+    with pytest.raises(ValueError, match=message):
+        bounded_closure(hyps, L12)
 
 
 #: closed L12 sentences that make the search find proofs
@@ -477,9 +506,11 @@ def test_the_closure_builds_only_the_negations_it_may_keep(hyps, steps):
             assert node in members or node.body in members
 
 
-def _nested_goal(n, order):
+def _nested_goal(n, order, lefts=None, rights=None):
     """A chain ``a1 -> (a1->a2) -> ... -> an`` of the ``nested-prove`` bench
-    shape, its antecedents in ``order``; atom i is ``S^(2i+1)(0) = S^(2n-2i)(0)``."""
+    shape, its antecedents in ``order``; atom i is
+    ``S^(2l+1)(0) = S^(2n-2r)(0)``, with l and r the i-th of ``lefts`` and
+    ``rights`` (by default both i)."""
 
     def numeral(k):
         t = Const("0")
@@ -487,7 +518,8 @@ def _nested_goal(n, order):
             t = App("S", (t,))
         return t
 
-    atoms = [Atom("=", (numeral(2 * i + 1), numeral(2 * (n - i)))) for i in range(n)]
+    lefts, rights = lefts or range(n), rights or range(n)
+    atoms = [Atom("=", (numeral(2 * i + 1), numeral(2 * (n - j)))) for i, j in zip(lefts, rights)]
     chain = [atoms[0]] + [Implies(atoms[i], atoms[i + 1]) for i in range(n - 1)]
     goal = atoms[-1]
     for i in reversed(order):
@@ -568,21 +600,25 @@ def _modus_ponens_goal(a, b):
     return Implies(a, Implies(Implies(a, b), b))
 
 
+def _search_goals(hyps, other):
+    """Random goals, and goals built from ``hyps`` and the sentence ``other``
+    that the search often proves."""
+    pieces = st.sampled_from([*hyps, other])
+    return st.one_of(
+        formulas(),
+        st.builds(Implies, pieces, st.builds(And, pieces, pieces)),
+        st.builds(Or, formulas(max_depth=1), pieces),
+        st.builds(_modus_ponens_goal, sentences(max_depth=1), pieces),
+        st.builds(Not, st.builds(And, pieces, st.builds(Not, pieces))),
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(formulas(max_depth=2), max_size=2), sentences(max_depth=1), st.data())
 def test_closures_that_stop_at_their_goal_build_the_same_proofs(hyps, other, data):
     # each entry's recipe is fixed when it is added, so saturating past the
     # goal changes no proof; it only spends steps
-    pieces = st.sampled_from([*hyps, other])
-    goal = data.draw(
-        st.one_of(
-            formulas(),
-            st.builds(Implies, pieces, st.builds(And, pieces, pieces)),
-            st.builds(Or, formulas(max_depth=1), pieces),
-            st.builds(_modus_ponens_goal, sentences(max_depth=1), pieces),
-            st.builds(Not, st.builds(And, pieces, st.builds(Not, pieces))),
-        )
-    )
+    goal = data.draw(_search_goals(hyps, other))
     ours = prove(goal, hyps, L12)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_Saturation", ReferenceSaturation)
@@ -591,6 +627,37 @@ def test_closures_that_stop_at_their_goal_build_the_same_proofs(hyps, other, dat
     if ours.proof is not None:
         assert render_proof_script(ours.proof) == render_proof_script(ref.proof)
     assert ours.report.steps_expended <= ref.report.steps_expended
+
+
+def _reference_prove(goal, hyps):
+    """``prove`` over :class:`ReferenceSearcher`, whose peels spend depth."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_Searcher", ReferenceSearcher)
+        return prove(goal, hyps, L12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(formulas(max_depth=2), max_size=2), sentences(max_depth=1), st.data())
+def test_free_peels_prove_whatever_depth_spending_peels_prove(hyps, other, data):
+    # with peels free every pass reaches at least as far, so no goal the
+    # depth-spending search proves is lost
+    goal = data.draw(_search_goals(hyps, other))
+    ref = _reference_prove(goal, hyps)
+    if ref.proof is not None:
+        ours = prove(goal, hyps, L12)
+        assert ours.proof is not None and ours.proof.conclusion == goal
+        assert check_proof(ours.proof, L12, strict=True).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5).flatmap(lambda n: st.tuples(*(st.permutations(range(n)),) * 3)))
+def test_free_peels_build_the_same_chain_proofs(orders):
+    # the nested-prove shape: each level's closure is built in the same order,
+    # so the proofs are the same bytes, in fewer passes
+    order, lefts, rights = orders
+    goal = _nested_goal(len(order), order, lefts, rights)
+    ours, ref = prove(goal, (), L12), _reference_prove(goal, ())
+    assert render_proof_script(ours.proof) == render_proof_script(ref.proof)
 
 
 def test_discharge_logs_only_the_steps_its_conclusion_keeps(monkeypatch):

@@ -2,7 +2,6 @@
 
 import random
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +41,7 @@ from strategies import (
     alternating,
     formulas,
     induction_candidate,
+    near_the_recursion_limit,
     phi10_candidate,
     random_proof,
     tall_atom,
@@ -502,25 +502,12 @@ def _chain(n, prefix):
 def test_hostile_let_lines_are_script_errors_at_their_line(lines, line, message):
     text = "\n".join(lines) + "\n"
     with pytest.raises(ScriptError, match=re.escape(message)) as e:
-        _near_the_recursion_limit(lambda: parse_proof_script(text))
+        near_the_recursion_limit(lambda: parse_proof_script(text))
     assert e.value.line == line
     assert str(e.value).startswith(f"line {line}: ")
 
 
-def _near_the_recursion_limit(fn):
-    """``fn()``, called with fewer than 60 frames left below the recursion
-    limit: a reader that recursed once per level would run out."""
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-
-    def down(n):
-        return fn() if n == 0 else down(n - 1)
-
-    return down(sys.getrecursionlimit() - depth - 60)
-
-
 def test_a_let_chain_at_the_cap_reads_near_the_recursion_limit():
     text = "\n".join(_chain(MAX_NESTING + 1, "~")) + f"\n1. d{MAX_NESTING + 1} ; axiom L12\n"
-    proof = _near_the_recursion_limit(lambda: parse_proof_script(text))
+    proof = near_the_recursion_limit(lambda: parse_proof_script(text))
     assert connective_depth(proof.conclusion) == MAX_NESTING
