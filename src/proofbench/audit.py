@@ -40,7 +40,10 @@ member in the claim's search pool, and skeleton atoms whose formulas are
 derivable outright from the axiom sets (members, or universally quantified
 prefixes of members, which generalization reaches in one step) are pinned
 true before the sweep.  A valuation found under those constraints falsifies
-every proof attempt built from pooled axioms and Modus Ponens.
+every proof attempt built from pooled axioms and Modus Ponens.  The pool's
+hypothesis part is built once per context (:func:`~proofbench.engine.pool_for`),
+and whether a formula is derivable outright is kept per formula and axioms
+tuple, so a run of claims over one context repeats neither.
 
 The sweep reads the hypotheses and the pooled axiom members as a
 propositional skeleton: each quantified subformula is an opaque atom, and
@@ -54,9 +57,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .engine import MAX_DEPTH, Budget, bounded_closure, pool_for, prove
 from .parser import ParseError, render
@@ -67,6 +71,7 @@ from .schemata import (
     AXIOM_SETS,
     BETA0,
     BETA1,
+    CACHE_SIZE,
     NAMED_FORMULAS,
     PSI_AXIOMS,
     Q_AXIOMS,
@@ -153,12 +158,19 @@ class AuditReport:
 # -- derivability shortcuts ---------------------------------------------
 
 
-def derivable_outright(f: Formula, axioms: tuple[AxiomSetRecognizer, ...]) -> bool:
+def derivable_outright(f: Formula, axioms: Iterable[AxiomSetRecognizer]) -> bool:
     """Whether ``f`` is an axiom-set member or a universal prefix of one.
 
     Generalization turns any member into each of its universally quantified
     prefixes, so such formulas are derivable with no hypotheses at all.
     """
+    return _derivable_outright(f, tuple(axioms))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _derivable_outright(f: Formula, axioms: tuple[AxiomSetRecognizer, ...]) -> bool:
+    """:func:`derivable_outright`, kept per formula and axioms tuple: the
+    sweeps of a run of claims over one context pin the same atoms."""
     g = f
     while True:
         if any(r.contains(g) for r in axioms):

@@ -16,11 +16,14 @@ then reductio.  Peeling a sentence antecedent is invertible, so it spends no
 depth: a goal's chain of peels is walked once, in one loop, and the depth
 counts only the introductions and reductio.  The closure and the
 introductions share one recipe table.
-A :func:`prove` call's closures all saturate over one pool, which widens when
-a backward context brings members from outside it, and each stops once its
-goal is an entry: an entry's recipe is fixed when it is added, so saturating
-further would change no proof.  :func:`bounded_closure` has no goal and
-saturates to a fixpoint.
+
+A context's hypothesis pool is built once and kept for the next claim over
+the same hypotheses and axioms; each goal widens it by the members the goal
+brings.  A :func:`prove` call's closures all saturate over one pool, which
+widens when a backward context brings members from outside it, and each
+stops once its goal is an entry: an entry's recipe is fixed when it is added,
+so saturating further would change no proof.  :func:`bounded_closure` has no
+goal and saturates to a fixpoint.
 """
 
 from __future__ import annotations
@@ -396,14 +399,28 @@ def assemble_pool(
 
 
 @lru_cache(maxsize=1)
+def _hypothesis_pool(
+    hyp_formulas: tuple[Formula, ...], axioms: tuple[AxiomSetRecognizer, ...]
+) -> Pool:
+    """The axioms' pool widened by the members the hypotheses bring.  The
+    last one built is kept, so a run of claims over one context walks its
+    hypotheses once."""
+    return _axiom_pool(axioms).widened(assemble_pool(hyp_formulas, axioms, None), axioms)
+
+
+@lru_cache(maxsize=1)
 def pool_for(
     hyp_formulas: tuple[Formula, ...],
     axioms: tuple[AxiomSetRecognizer, ...],
     goal: Formula | None,
 ) -> Pool:
-    """The :class:`Pool` of a context.  The last one built is kept, so the
-    refutation premises and the proof search of a claim share it."""
-    return _axiom_pool(axioms).widened(assemble_pool(hyp_formulas, axioms, goal), axioms)
+    """The :class:`Pool` of a context: its :func:`_hypothesis_pool`, widened
+    by the members the goal brings.  The hooks map each formula on its own,
+    so this is the pool of the hypotheses and the goal walked together.  The
+    last one built is kept, so the refutation premises and the proof search
+    of a claim share it."""
+    pool = _hypothesis_pool(hyp_formulas, axioms)
+    return pool if goal is None else pool.widened(_context_members((), axioms, goal), axioms)
 
 
 class _Saturation:

@@ -15,7 +15,10 @@ tables of compound formulas come from their operands' with ``& | ^``, and the
 answer is the lowest set bit of the premises' tables and the goal's
 complement: the row an ascending row-by-row search would find first.  Wide
 sweeps go through the rows in ascending blocks of tables.  A sweep takes at
-most :data:`MAX_SKELETON_ATOMS` free atoms.  :func:`skeletonize_all`
+most :data:`MAX_SKELETON_ATOMS` free atoms.  Each formula's atoms, in
+first-occurrence order, are kept for :data:`~proofbench.schemata.CACHE_SIZE`
+formulas, so the hypotheses and axiom members that a run of sweeps shares
+are walked once.  :func:`skeletonize_all`
 and :func:`eval_skeleton` are one-row views: a root computes its formula's
 truth table over the single row it is given, with no cap on the atoms.
 
@@ -33,8 +36,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
+from .schemata import CACHE_SIZE
 from .syntax import (
     And,
     App,
@@ -81,6 +86,27 @@ def _check_width(n: int) -> None:
         raise SkeletonLimitError(f"{n} skeleton atoms exceed the sweep cap of {MAX_SKELETON_ATOMS}")
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _skeleton_atoms(f: Formula) -> tuple[Formula, ...]:
+    """The skeleton atoms of ``f``, in first-occurrence order.  A shared
+    subtree is walked once: its second occurrence brings no new atom."""
+    found: dict[Formula, None] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in found:
+            continue
+        found[g] = None
+        if isinstance(g, Not):
+            stack.append(g.body)
+        elif isinstance(g, _BINARY):
+            stack.append(g.right)
+            stack.append(g.left)
+        elif not isinstance(g, _OPAQUE):
+            raise TypeError(f"not a formula: {g!r}")
+    return tuple(g for g in found if isinstance(g, _OPAQUE))
+
+
 def _number_atoms(
     f: Formula,
     bits: dict[Formula, int | None],
@@ -91,20 +117,13 @@ def _number_atoms(
 
     A pinned atom maps to None; any other to its bit, its index in ``free``.
     """
-    if isinstance(f, _OPAQUE):
-        if f not in bits:
-            if pinned is not None and pinned(f):
-                bits[f] = None
+    for a in _skeleton_atoms(f):
+        if a not in bits:
+            if pinned is not None and pinned(a):
+                bits[a] = None
             else:
-                bits[f] = len(free)
-                free.append(f)
-    elif isinstance(f, Not):
-        _number_atoms(f.body, bits, free, pinned)
-    elif isinstance(f, _BINARY):
-        _number_atoms(f.left, bits, free, pinned)
-        _number_atoms(f.right, bits, free, pinned)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+                bits[a] = len(free)
+                free.append(a)
 
 
 def _atom_table(i: int, rows: int) -> int:

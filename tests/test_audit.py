@@ -1,10 +1,12 @@
 """Audit claims, verdict classification, report round trips, script grammar."""
 
+import gc
 import hashlib
 import io
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from pathlib import Path
@@ -263,24 +265,60 @@ def test_hypothesis_members_never_refuted():
 
 
 def test_membership_claim_builds_its_pool_once(monkeypatch):
-    # refutation premises and the first proof-search closure share one pool
+    # the context's hypotheses are walked once and its goal once: refutation
+    # premises and the first proof-search closure share one pool, and the
+    # next claim over the context walks only its own goal
     hyps = (("h1", parse("(1 < 1) -> (1 = 1)")), ("h2", parse("1 < 1")))
-    goal = parse("1 = 1")
+    goal, other = parse("1 = 1"), parse("1 = 1 /\\ 1 < 1")
     claim = AuditClaim("mp", "membership", ("L12",), hyps, goal)
-    calls = []
-    real = engine.assemble_pool
+    engine._axiom_pool((axiom_set("L12"),))  # built before counting
+    calls, walks = [], []
+    real, real_walk = engine.assemble_pool, engine._context_members
 
     def counting(hyp_formulas, axioms, g):
         calls.append((hyp_formulas, g))
         return real(hyp_formulas, axioms, g)
 
+    def walk(formulas, axioms, g):
+        walks.append((formulas, g))
+        return real_walk(formulas, axioms, g)
+
     for module in (engine, audit):  # every module that binds the name
         if getattr(module, "assemble_pool", None) is real:
             monkeypatch.setattr(module, "assemble_pool", counting)
+    monkeypatch.setattr(engine, "_context_members", walk)
     engine.pool_for.cache_clear()  # recognizers are shared: an earlier claim may hold this pool
+    engine._hypothesis_pool.cache_clear()
     verdict = run_claim(claim, Budget(max_steps=2000))
     assert verdict.status == "VERIFIED"
-    assert calls.count((tuple(f for _, f in hyps), goal)) == 1
+    hyp_formulas = tuple(f for _, f in hyps)
+    assert calls == [(hyp_formulas, None)]
+    assert walks == [(hyp_formulas, None), ((), goal)]
+    run_claim(AuditClaim("and", "membership", ("L12",), hyps, other), Budget(max_steps=2000))
+    assert calls == [(hyp_formulas, None)]
+    assert walks.count(((), other)) == 1
+
+
+#: The memory four rounds of judging may retain past two: under 75 bytes for
+#: each claim judged in rounds 3 and 4, so one object kept per claim shows.
+RETAINED_GROWTH_BYTES = 16 * 1024
+
+
+def test_judging_the_chain_claims_again_retains_no_more_memory():
+    # the caches fill in the first round; later rounds must keep nothing new
+    claims = [c for s in builtin_scripts() if s != "axiom-sanity" for c in builtin_claims(s)]
+    assert len(claims) == 113
+    retained = []
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            for claim in claims:
+                run_claim(claim)
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert retained[3] - retained[1] <= RETAINED_GROWTH_BYTES, retained
 
 
 def test_theorem_51_report_states_counts_only(reports):

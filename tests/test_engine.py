@@ -328,7 +328,8 @@ def test_backward_introduction_rules(rule, goal, hyps, size, digest):
     ids=["chain", "notand_r"],
 )
 def test_prove_builds_one_pool(monkeypatch, goal, hyps):
-    # each later context widens the top context's pool instead of building its own
+    # the context walks its hypotheses once and the goal widens that pool;
+    # each later context widens it too instead of building its own
     calls = []
     real = engine.assemble_pool
 
@@ -338,8 +339,13 @@ def test_prove_builds_one_pool(monkeypatch, goal, hyps):
 
     monkeypatch.setattr(engine, "assemble_pool", counting)
     pool_for.cache_clear()  # recognizers are shared: an earlier test may hold this pool
+    engine._hypothesis_pool.cache_clear()
     assert prove(goal, hyps, L12).proof is not None
-    assert calls == [(tuple(hyps), goal)]
+    assert calls == [(tuple(hyps), None)]
+    # the next claim over the context walks only its goal
+    pool_for.cache_clear()
+    assert prove(goal, hyps, L12).proof is not None
+    assert calls == [(tuple(hyps), None)]
 
 
 def test_the_search_widens_its_pool_by_a_premise_outside_it(monkeypatch):

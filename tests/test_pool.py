@@ -221,11 +221,12 @@ def test_a_context_of_pool_members_brings_nothing_without_hooks(names, hyps, goa
 
 
 @pytest.mark.parametrize(
-    "names, walks", [(("L12",), 1), (("PrefixedL2r", "L12"), 9)], ids=["L12", "PrefixedL2r"]
+    "names, walks", [(("L12",), 2), (("PrefixedL2r", "L12"), 10)], ids=["L12", "PrefixedL2r"]
 )
 def test_prove_walks_only_contexts_that_may_widen_the_pool(monkeypatch, names, walks):
     # every context of the chain holds pool members: over L12 only the top
-    # context walks; a generate_for hook may widen by any context, so each walks
+    # context walks, its hypotheses and then its goal; a generate_for hook
+    # may widen by any context, so each later one walks too
     axioms = tuple(axiom_set(n) for n in names)
     engine._axiom_pool(axioms)  # built before counting
     calls, runs = [], []
@@ -242,5 +243,39 @@ def test_prove_walks_only_contexts_that_may_widen_the_pool(monkeypatch, names, w
     monkeypatch.setattr(engine, "_context_members", walk)
     monkeypatch.setattr(engine._Saturation, "run", run)
     pool_for.cache_clear()  # recognizers are shared: an earlier test may hold this pool
-    assert prove(antecedent_chain(8), [], axioms).proof is not None
+    engine._hypothesis_pool.cache_clear()
+    goal = antecedent_chain(8)
+    assert prove(goal, [], axioms).proof is not None
+    assert calls[:2] == [((), axioms, None), ((), axioms, goal)]
     assert (len(calls), len(runs)) == (walks, 9)
+
+
+#: each axioms tuple a claim may name, and the made-up stacked hooks
+SEQUENCE_AXIOMS = [tuple(axiom_set(n) for n in t) for t in AXIOM_TUPLES] + [
+    (NEGATE, DOUBLE, axiom_set("L12"))
+]
+
+
+@pytest.mark.parametrize(
+    "axioms", SEQUENCE_AXIOMS, ids=[",".join(r.name for r in t) for t in SEQUENCE_AXIOMS]
+)
+@settings(max_examples=8, deadline=None)
+@given(
+    hyps=st.lists(context_formulas, max_size=3),
+    goals=st.lists(st.none() | context_formulas, min_size=1, max_size=3),
+    other_hyps=st.lists(context_formulas, max_size=2),
+    other_axioms=st.sampled_from(SEQUENCE_AXIOMS),
+    switch=st.sampled_from(["hyps", "axioms", "both"]),
+)
+def test_a_run_of_claims_over_one_context_keeps_the_pool_of_each(
+    axioms, hyps, goals, other_hyps, other_axioms, switch
+):
+    # the cached pools of the context, one per claim, then of a second
+    # context or axioms tuple: a stale hypothesis pool would differ here
+    second = (
+        tuple(other_hyps) if switch != "axioms" else tuple(hyps),
+        other_axioms if switch != "hyps" else axioms,
+    )
+    for context in ((tuple(hyps), axioms), second):
+        for goal in (*goals, goals[0]):
+            assert_pool_is(pool_for(*context, goal), *context, goal)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proofbench import audit, semantics
 from proofbench.parser import parse
 from proofbench.schemata import (
     AXIOM_SET_NAMES,
@@ -406,9 +407,24 @@ def test_a_schema_match_rebuilds_its_candidate(f):
 
 def test_recognizer_caches_stay_bounded():
     # more distinct formulas than a cache keeps: the oldest are dropped
-    for cached in (is_logic_instance, _is_closure_of_logic_instance):
+    def instance(k):
+        x = Var(k)
+        return phi4_instance(Atom("=", (x, x)), Atom("<", (x, x)))
+
+    l12 = (axiom_set("L12"),)
+    caches = (
+        (is_logic_instance, is_logic_instance),
+        (_is_closure_of_logic_instance, _is_closure_of_logic_instance),
+        (semantics._skeleton_atoms, semantics._skeleton_atoms),
+        (audit._derivable_outright, lambda f: audit._derivable_outright(f, l12)),
+    )
+    for cached, call in caches:
         assert cached.cache_info().maxsize == CACHE_SIZE
-        for k in range(1, CACHE_SIZE + 100):
-            x = Var(k)
-            assert cached(phi4_instance(Atom("=", (x, x)), Atom("<", (x, x))))
+        oldest = instance(1)
+        assert call(oldest)
+        for k in range(2, CACHE_SIZE + 100):
+            assert call(instance(k))
         assert cached.cache_info().currsize <= CACHE_SIZE
+        misses = cached.cache_info().misses
+        assert call(oldest)
+        assert cached.cache_info().misses == misses + 1, cached

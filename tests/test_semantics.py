@@ -223,6 +223,39 @@ def test_sweep_matches_the_row_by_row_reference(block, shape, premises, goal, he
     assert got is None or tuple(a for a, _ in got) == atoms
 
 
+def shared_premises(parts):
+    """Premises over a few drawn parts, so subtrees recur within and across them."""
+    part = st.sampled_from(parts)
+    return st.lists(
+        st.one_of(part, st.builds(Not, part), *(st.builds(k, part, part) for k in BINARY)),
+        min_size=1,
+        max_size=4,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    parts=st.lists(sweep_formulas(), min_size=1, max_size=3),
+    held=st.sets(st.sampled_from(SWEEP_ATOMS)),
+    data=st.data(),
+)
+def test_sweeps_with_shared_subtrees_number_atoms_as_the_plain_walk(parts, held, data):
+    # two sweeps over premises that share subtrees: the second reads the
+    # memoised atoms of the first, and both number them as a walk with no memo
+    for _ in range(2):
+        premises = data.draw(shared_premises(parts))
+        goal = data.draw(st.none() | st.sampled_from(parts))
+        for f in premises:
+            want = first_occurrence_atoms([f])
+            assert semantics._skeleton_atoms(f) == want
+            assert semantics._skeleton_atoms.__wrapped__(f) == want
+        got = lowest_row(premises, goal, held.__contains__)
+        atoms = first_occurrence_atoms(premises + ([goal] if goal is not None else []))
+        assert got is None or tuple(a for a, _ in got) == atoms
+        want = brute_lowest_row(premises, goal, held.__contains__)
+        assert (None if got is None else dict(got)) == want
+
+
 def test_sweep_at_the_atom_cap():
     atoms = [Atom("<", (Var(i), Var(i))) for i in range(1, 22)]
     every = reduce(And, atoms[:20])
