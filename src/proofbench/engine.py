@@ -15,7 +15,9 @@ introductions of ``/\\``, ``\\/``, ``~~``, ``~(->)``, ``~(/\\)`` and ``~(\\/)``,
 then reductio.  Peeling a sentence antecedent is invertible, so it spends no
 depth: a goal's chain of peels is walked once, in one loop, and the depth
 counts only the introductions and reductio.  The closure and the
-introductions share one recipe table.
+introductions share one recipe table, and every level emits into the call's
+one :class:`~proofbench.transforms.ProofBuilder`: a derivation is a step
+index, and each assumed hypothesis is discharged or dropped in place.
 
 A context's hypothesis pool is built once and kept for the next claim over
 the same hypotheses and axioms; each goal widens it by the members the goal
@@ -52,7 +54,6 @@ from .syntax import (
     is_sentence,
 )
 from .transforms import (
-    Derivation,
     ProofBuilder,
     conclude,
     covering_set,
@@ -69,9 +70,8 @@ from .transforms import (
     derive_notimp_right,
     derive_notor,
     derive_orin,
+    derive_refute,
     discharge,
-    join,
-    refute,
 )
 
 
@@ -210,17 +210,15 @@ class ClosureState:
         return self._entries[f].hyp_deps
 
     def proof_of(self, f: Formula) -> Proof:
-        """Rebuild a kernel proof of ``f`` from stored recipes."""
-        return conclude(*self.derive(f))
-
-    def derive(self, f: Formula) -> Derivation:
-        """A new builder with the recipes of ``f`` emitted, and the index of ``f``."""
+        """Rebuild a kernel proof of ``f`` from stored recipes, in a builder of its own."""
         if f not in self._entries:
             raise KeyError(f"not derived: {f!r}")
         b = ProofBuilder(self.hypotheses, self.axioms)
-        return b, self._emit(b, f)
+        return conclude(b, self.emit(b, f))
 
-    def _emit(self, b: ProofBuilder, f: Formula) -> int:
+    def emit(self, b: ProofBuilder, f: Formula) -> int:
+        """Append the recipes of ``f`` to ``b``, which binds every hypothesis
+        they cite; return the index of ``f``."""
         # iterative post-order over recipe premises; builder dedup keeps it linear
         done: dict[Formula, int] = {}
         stack: list[tuple[Formula, bool]] = [(f, False)]
@@ -361,18 +359,14 @@ class Pool:
 
 
 def _context_members(
-    formulas: Iterable[Formula],
-    axioms: tuple[AxiomSetRecognizer, ...],
-    goal: Formula | None,
+    formulas: Iterable[Formula], axioms: tuple[AxiomSetRecognizer, ...]
 ) -> dict[Formula, None]:
-    """The subformulas of ``formulas`` and the goal, widened by the
-    ``generate_for`` hooks.  The hooks map each formula on its own, so a pool
-    widened by these holds the context's members whatever it held before."""
+    """The subformulas of ``formulas``, widened by the ``generate_for`` hooks.
+    The hooks map each formula on its own, so a pool widened by these holds
+    the context's members whatever it held before."""
     found: dict[Formula, None] = {}
     for f in formulas:
         _add_subformulas(found, f)
-    if goal is not None:
-        _add_subformulas(found, goal)
     _generate(found, axioms)
     return found
 
@@ -385,17 +379,15 @@ def _axiom_pool(axioms: tuple[AxiomSetRecognizer, ...]) -> Pool:
     one that contains a member labels it."""
     sources = (*NAMED_FORMULAS.values(), *(f for r in axioms for f in r.finite_core))
     empty = Pool({}, tuple({} for _ in range(5)), ())
-    return empty.widened(_context_members(sources, axioms, None), axioms)
+    return empty.widened(_context_members(sources, axioms), axioms)
 
 
 def assemble_pool(
-    hyp_formulas: tuple[Formula, ...],
-    axioms: tuple[AxiomSetRecognizer, ...],
-    goal: Formula | None,
+    formulas: tuple[Formula, ...], axioms: tuple[AxiomSetRecognizer, ...]
 ) -> tuple[Formula, ...]:
-    """The members a context adds to its axioms' pool, in the order found."""
+    """The members a context's formulas add to its axioms' pool, in the order found."""
     base = _axiom_pool(axioms).keys
-    return tuple(f for f in _context_members(hyp_formulas, axioms, goal) if f not in base)
+    return tuple(f for f in _context_members(formulas, axioms) if f not in base)
 
 
 @lru_cache(maxsize=1)
@@ -405,7 +397,7 @@ def _hypothesis_pool(
     """The axioms' pool widened by the members the hypotheses bring.  The
     last one built is kept, so a run of claims over one context walks its
     hypotheses once."""
-    return _axiom_pool(axioms).widened(assemble_pool(hyp_formulas, axioms, None), axioms)
+    return _axiom_pool(axioms).widened(assemble_pool(hyp_formulas, axioms), axioms)
 
 
 @lru_cache(maxsize=1)
@@ -420,7 +412,7 @@ def pool_for(
     last one built is kept, so the refutation premises and the proof search
     of a claim share it."""
     pool = _hypothesis_pool(hyp_formulas, axioms)
-    return pool if goal is None else pool.widened(_context_members((), axioms, goal), axioms)
+    return pool if goal is None else pool.widened(_context_members((goal,), axioms), axioms)
 
 
 class _Saturation:
@@ -660,6 +652,7 @@ class _Searcher:
         budget: Budget,
     ) -> None:
         self.axioms = axioms
+        self.b = ProofBuilder(hypotheses, axioms)  # every level appends here
         self.pool = pool_for(tuple(f for _, f in hypotheses), axioms, goal)
         self.hooked = any(r.generate_for is not None for r in axioms)
         self.templates = covers_logic(axioms)
@@ -686,7 +679,7 @@ class _Searcher:
                 return None
             # the first closure is the top context's, whose pool this is
             if self.closures and not self._holds(hyp_formulas, goal):
-                members = _context_members(hyp_formulas, self.axioms, goal)
+                members = _context_members((*hyp_formulas, goal), self.axioms)
                 self.pool = self.pool.widened(members, self.axioms)
             got = _Saturation(hyps, self.axioms, self.pool, Budget(self.remaining()), goal).run()
             self.steps += got.report.steps_expended
@@ -702,7 +695,7 @@ class _Searcher:
 
     def prove(
         self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int
-    ) -> Derivation | None:
+    ) -> int | None:
         key = (goal, tuple(f for _, f in hyps))
         failed = self.failed.get(key, -1)
         if failed >= depth:
@@ -717,59 +710,60 @@ class _Searcher:
 
     def _attempt(
         self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int
-    ) -> Derivation | None:
+    ) -> int | None:
         """Walk the peel chain of ``goal`` in one loop, then decompose its
         end.  Peeling ``A -> B``, ``A`` a sentence, is invertible, so it
-        spends no depth; each level asks its own closure first, and the
-        peeled names are discharged innermost first."""
+        spends no depth; each level asks its own closure first.  Each peel is
+        assumed, then discharged innermost first, or dropped on failure."""
+        b = self.b
         peeled: list[str] = []
+        found = None
         while True:
             closure = self.closure_for(hyps, goal)
-            if closure is None:
-                return None
-            if goal in closure:
-                found = closure.derive(goal)
-                break
-            if self.remaining() == 0 or not self.templates:
-                return None  # every backward rule finishes through a template
-            if not (isinstance(goal, Implies) and is_sentence(goal.left)):
+            if closure is not None and goal in closure:
+                found = closure.emit(b, goal)
+            elif closure is not None and self.remaining() > 0 and self.templates:
+                # every backward rule finishes through a template
+                if isinstance(goal, Implies) and is_sentence(goal.left):
+                    name = _fresh_name(hyps)
+                    b.assume(name, goal.left)
+                    peeled.append(name)
+                    hyps += ((name, goal.left),)
+                    goal = goal.right
+                    continue
                 found = self._decompose(goal, hyps, depth)
-                break
-            name = _fresh_name(hyps)
-            peeled.append(name)
-            hyps += ((name, goal.left),)
-            goal = goal.right
-        if found is None:
-            return None
+            break
         for name in reversed(peeled):
-            found = discharge(found, name)
+            if found is None:
+                b.drop(name)
+            else:
+                (found,) = discharge(b, name, found)
         return found
 
     def _decompose(
         self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int
-    ) -> Derivation | None:
+    ) -> int | None:
         """The introductions, then reductio: the backward rules that spend depth."""
         if depth <= 0:
             self.cuts += 1
             return None
         for kind, premises in _introductions(goal):
-            subs = []
+            done = {}
             for premise in premises:
                 sub = self.prove(premise, hyps, depth - 1)
                 if sub is None:
                     break
-                subs.append(sub)
+                done[premise] = sub
             else:
-                b, done = join(*subs)
-                return b, _EMIT[kind](b, goal, premises, dict(zip(premises, done)))
+                return _EMIT[kind](self.b, goal, premises, done)
         if isinstance(goal, Not) and is_sentence(goal.body):
             # reductio: assume the body, close, look for a contradiction
             name = _fresh_name(hyps)
-            assumed = hyps + ((name, goal.body),)
-            sub_closure = self.closure_for(assumed, goal)
-            if sub_closure is not None and sub_closure.contradiction is not None:
-                derive = sub_closure.derive
-                return refute(*(discharge(derive(f), name) for f in sub_closure.contradiction))
+            closure = self.closure_for(hyps + ((name, goal.body),), goal)
+            if closure is not None and closure.contradiction is not None:
+                self.b.assume(name, goal.body)
+                sides = [closure.emit(self.b, f) for f in closure.contradiction]
+                return derive_refute(self.b, *discharge(self.b, name, *sides))
         return None
 
 
@@ -784,8 +778,9 @@ def prove(
     Iterative deepening over backward decompositions; each frontier consults
     the forward closure.  Deterministic; returns the first proof found.  A
     pass that cuts no branch walked the whole search tree: it ends the search.
-    The levels pass builder derivations, so the proof is concluded once.  It
-    is not checked here: callers that hand it on check it strictly, once.
+    Every level appends to one builder and passes step indexes, so the proof
+    is concluded once.  It is not checked here: callers that hand it on
+    check it strictly, once.
     """
     budget = budget or Budget()
     hyps = _named_hyps(X)
@@ -800,5 +795,5 @@ def prove(
         max_steps=budget.max_steps,
         fixpoint=found is None and searcher.remaining() > 0 and searcher.cuts == cuts,
     )
-    return SearchOutcome(None if found is None else conclude(*found), report)
+    return SearchOutcome(None if found is None else conclude(searcher.b, found), report)
 

@@ -138,21 +138,27 @@ def _atom_table(i: int, rows: int) -> int:
 
 
 def _truth_table(f: Formula, tables: dict[Formula, int], full: int) -> int:
-    """The truth table of ``f`` over the atom tables in ``tables``."""
+    """The truth table of ``f`` over the atom tables in ``tables``.  Each
+    compound's table is stored there too, so a shared subtree is computed
+    once per block."""
     table = tables.get(f)
     if table is not None:
         return table
     if isinstance(f, Not):
-        return full ^ _truth_table(f.body, tables, full)
-    left = _truth_table(f.left, tables, full)
-    right = _truth_table(f.right, tables, full)
-    if isinstance(f, Implies):
-        return (full ^ left) | right
-    if isinstance(f, And):
-        return left & right
-    if isinstance(f, Or):
-        return left | right
-    return full ^ left ^ right
+        table = full ^ _truth_table(f.body, tables, full)
+    else:
+        left = _truth_table(f.left, tables, full)
+        right = _truth_table(f.right, tables, full)
+        if isinstance(f, Implies):
+            table = (full ^ left) | right
+        elif isinstance(f, And):
+            table = left & right
+        elif isinstance(f, Or):
+            table = left | right
+        else:
+            table = full ^ left ^ right
+    tables[f] = table
+    return table
 
 
 def skeletonize(f: Formula) -> Skeleton:

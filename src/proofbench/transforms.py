@@ -7,26 +7,24 @@ steps that restate a formula, nesting templates stays linear.  Everything here
 bottoms out in the twelve logical schemata plus modus ponens and
 generalization, so the results go straight through the checker in ``proofs``.
 
-The transforms rebuild whole proofs.  :func:`~proofbench.engine.prove` runs
-them on builder derivations, unchecked:
-
-* :func:`discharge` is the lifting loop of the deduction theorem: from a
-  derivation of ``chi`` under hypothesis ``alpha`` it derives
-  ``alpha -> chi`` in the same builder.  Only the steps that depend on
-  ``alpha`` are lifted to ``alpha -> step``, and the lifted steps are
-  appended; the rest stay where they are, so discharging k hypotheses in
-  turn costs O(k * n) steps, not a factor of about 3.5 per discharge.
-  ``prove`` proves the implication chain ``a1 -> (a1 -> a2) -> ... -> an``
-  in 73, 289 and 633 steps for n = 4, 8 and 12 (lifting every step took
-  94,045 steps at n = 8).
-* :func:`join` replays derivations into one builder, and :func:`refute` joins
-  derivations of ``alpha -> beta`` and ``alpha -> ~beta`` into one of
-  ``~alpha``.
+A derivation is a step index.  :func:`~proofbench.engine.prove` grows one
+builder per call, unchecked: a level assumes a hypothesis with
+:meth:`ProofBuilder.assume` and ends it with :func:`discharge`, or
+:meth:`ProofBuilder.drop` when the level fails.  :func:`discharge` is the
+lifting loop of the deduction theorem: from derivations of ``chi`` under
+hypothesis ``alpha`` it derives ``alpha -> chi`` in the same builder.  Only
+the steps that depend on ``alpha`` are lifted to ``alpha -> step``, and the
+lifted steps are appended; the rest stay where they are, so discharging k
+hypotheses in turn costs O(k * n) steps, not a factor of about 3.5 per
+discharge.  ``prove`` proves the implication chain
+``a1 -> (a1 -> a2) -> ... -> an`` in 73, 289 and 633 steps for n = 4, 8 and
+12 (lifting every step took 94,045 steps at n = 8).
 
 :func:`deduction_transform`, :func:`reductio_transform` and
 :func:`explosion_transform` do the same to proofs: each splices its input
-proofs into a builder with :func:`splice`, which runs the checker first, and
-then calls :func:`discharge`, :func:`refute` or :func:`join`.
+proofs into one builder over all their hypotheses with :func:`splice`, which
+runs the checker first, and then calls :func:`discharge`,
+:func:`derive_refute` or :func:`derive_explosion`.
 """
 
 from __future__ import annotations
@@ -62,8 +60,6 @@ class TransformError(ValueError):
 
 #: A logged step: number, formula, and Hyp | Ax, or the steps mp (i, j) or gen (i,) cites
 Record = tuple[int, Formula, Hyp | Ax | tuple[int, ...]]
-#: A builder and one of its step numbers: the proof of that step, not yet concluded
-Derivation = tuple["ProofBuilder", int]
 
 
 def covering_set(formula: Formula, axioms: Sequence[AxiomSetRecognizer]) -> str | None:
@@ -78,22 +74,22 @@ def covering_set(formula: Formula, axioms: Sequence[AxiomSetRecognizer]) -> str 
 class ProofBuilder:
     """Grow a proof step by step, reusing steps that restate a formula.
 
-    Each step is marked with the hypotheses it depends on.  Once
-    :func:`discharge` has taken a hypothesis out, a step that depends on it
-    is never reused or found by :meth:`idx_of` again: a step that restates
-    its formula is logged anew.
+    Each step is marked with the hypotheses it depends on, one bit per
+    binding (:meth:`assume`), so a name bound again never shares its old
+    bit.  Once :meth:`drop` has unbound a hypothesis, a step that depends on
+    it is never reused or found by :meth:`idx_of` again: a step that
+    restates its formula is logged anew.
 
     :meth:`add_axiom` cites the first recognizer in ``axioms`` that contains
     the formula (:func:`covering_set`).  Each step is kept as a
     ``(formula, justification)`` pair: an ``mp`` or ``gen`` step holds the
     builder step numbers it cites as a plain tuple, and hypothesis and axiom
     records are shared (one :class:`Ax` per set name, and a replayed step
-    keeps its input's record).  ``prove`` passes a builder and a step number,
-    a :data:`Derivation`, between levels; :meth:`records` reads it back.  The
+    keeps its input's record); :meth:`records` reads a step back.  The
     :class:`ProofStep`, :class:`Mp` and :class:`Gen` records are made when a
     proof is read: :meth:`proof` returns every step logged, and
     :func:`conclude` the proof of one step, once per ``prove``.  After a
-    discharge the log holds steps that cite a hypothesis no longer in
+    drop the log holds steps that cite a hypothesis no longer in
     :attr:`hypotheses`, so such a builder is read through :func:`conclude`.
     """
 
@@ -102,16 +98,32 @@ class ProofBuilder:
         hypotheses: tuple[tuple[str, Formula], ...] = (),
         axioms: Sequence[AxiomSetRecognizer] = (),
     ) -> None:
-        self.hypotheses = hypotheses
+        self.hypotheses: tuple[tuple[str, Formula], ...] = ()
         self.axioms = axioms
         # (formula, Hyp | Ax | (i, j) for mp | (i,) for gen), step k at k - 1
         self._log: list[tuple[Formula, Hyp | Ax | tuple[int, ...]]] = []
         # step k -> the bits of the hypotheses it depends on; 0 holds no step
         self._deps: list[int] = [0]
-        self._bit = {name: 1 << k for k, (name, _) in enumerate(hypotheses)}
-        self._gone = 0  # the bits of the discharged hypotheses
+        self._bit: dict[str, int] = {}  # bound name -> its bit
+        self._bits = 0  # the bits handed out
+        self._gone = 0  # the bits of the dropped hypotheses
         self._index_of: dict[Formula, int] = {}
         self._ax: dict[str, Ax] = {}
+        for name, formula in hypotheses:
+            self.assume(name, formula)
+
+    def assume(self, name: str, formula: Formula) -> None:
+        """Bind hypothesis ``name`` to ``formula`` under a new bit."""
+        if name in self._bit:
+            raise ValueError(f"hypothesis {name!r} is already bound")
+        self._bit[name] = 1 << self._bits
+        self._bits += 1
+        self.hypotheses += ((name, formula),)
+
+    def drop(self, name: str) -> None:
+        """Unbind hypothesis ``name``: no step that depends on it is cited or reused again."""
+        self._gone |= self._bit.pop(name)
+        self.hypotheses = tuple(h for h in self.hypotheses if h[0] != name)
 
     def _add(self, formula: Formula, just: Hyp | Ax | tuple[int, ...], deps: int) -> int:
         idx = self._index_of.get(formula)
@@ -123,7 +135,7 @@ class ProofBuilder:
 
     def idx_of(self, formula: Formula) -> int | None:
         """The step that states ``formula`` and may be cited, if any: one
-        that depends on no discharged hypothesis."""
+        that depends on no dropped hypothesis."""
         idx = self._index_of.get(formula)
         return None if idx is None or self._deps[idx] & self._gone else idx
 
@@ -442,30 +454,11 @@ def splice(b: ProofBuilder, proof: Proof) -> int:
     return at[s.index]
 
 
-def join(*derivations: Derivation) -> tuple[ProofBuilder, list[int]]:
-    """One builder holding every derivation's kept steps, replayed in turn,
-    and the index of each conclusion in it.  The hypotheses are the first
-    derivation's, in order, then each later one's new names; a name bound to
-    two formulas is a :class:`TransformError`."""
-    merged: dict[str, Formula] = {}
-    for src, _ in derivations:
-        for n, f in src.hypotheses:
-            if merged.setdefault(n, f) != f:
-                raise TransformError(f"hypothesis name {n!r} bound to two formulas")
-    b = ProofBuilder(tuple(merged.items()), derivations[0][0].axioms)
-    conclusions = []
-    for src, idx in derivations:
-        at: dict[int, int] = {}
-        for key, formula, just in src.records(idx):
-            at[key] = _replay(b, formula, just, at)
-        conclusions.append(at[idx])
-    return b, conclusions
 
-
-def discharge(d: Derivation, name: str) -> Derivation:
-    """The lifting loop: from derivation ``d`` of chi under hypothesis
-    ``name`` = alpha, derive alpha -> chi over the other hypotheses, unchecked,
-    in ``d``'s own builder, which it returns.
+def discharge(b: ProofBuilder, name: str, *conclusions: int) -> list[int]:
+    """The lifting loop: from steps of ``b`` that derive chi1, chi2, ... under
+    hypothesis ``name`` = alpha, derive alpha -> chi1, alpha -> chi2, ...
+    over the other hypotheses, unchecked, in ``b``; returns their indexes.
 
     A step depends on alpha if it cites hypothesis ``name`` or is a modus
     ponens or generalization over a step that does.  Only those steps are
@@ -473,19 +466,18 @@ def discharge(d: Derivation, name: str) -> Derivation:
     step first cites it, and modus ponens and generalization go through
     ``phi1`` and ``phi12`` instances.  The other steps stay where they are,
     and one of them is weakened to ``alpha -> step`` (a ``phi4`` instance
-    and modus ponens) only when a lifted step cites it, or when it is the
+    and modus ponens) only when a lifted step cites it, or when it is a
     conclusion; so a derivation that never cites alpha gains at most two
     steps.  A lifted or weakened step that the builder already holds is
-    reused, not built.  ``name`` leaves the builder's hypotheses, and no
-    step that depends on it is cited or reused again.  Only the steps ``d``
-    keeps are read.  Callers discharge only sentences, so no generalization
-    step binds a variable free in alpha.
+    reused, not built, and the conclusions, lifted in turn, share theirs.
+    ``name`` is dropped (:meth:`ProofBuilder.drop`) before any step is
+    lifted, so no step that depends on it is cited or reused again.  Only the
+    steps the conclusions keep are read.  Callers discharge only sentences,
+    so no generalization step binds a variable free in alpha.
     """
-    b, idx = d
     alpha = dict(b.hypotheses)[name]
     bit = b._bit[name]
-    b.hypotheses = tuple((n, f) for n, f in b.hypotheses if n != name)
-    b._gone |= bit
+    b.drop(name)
     deps = b._deps
     imp: dict[int, int] = {}  # step -> index of (alpha -> that step)
 
@@ -502,44 +494,45 @@ def discharge(d: Derivation, name: str) -> Derivation:
             imp[i] = got
         return imp[i]
 
-    for key, formula, just in b.records(idx):
-        if not deps[key] & bit or type(just) is not tuple:
-            continue  # free of alpha, or the hypothesis, lifted when first cited
-        if (got := held(formula)) is not None:
-            imp[key] = got
-        elif len(just) == 2:
-            i, j = just
-            s1 = b.add_axiom(phi1_instance(alpha, b.formula(i), formula))
-            s2 = b.add_mp(lifted(j), s1)
-            imp[key] = b.add_mp(lifted(i), s2)
-        else:
-            s1 = b.add_gen(lifted(just[0]), formula.var)  # (Ax)(alpha -> body)
-            s2 = b.add_axiom(phi12_instance(formula.var, alpha, formula.body))
-            imp[key] = b.add_mp(s1, s2)
-    return b, lifted(idx)
+    out = []
+    for idx in conclusions:
+        for key, formula, just in b.records(idx):
+            if key in imp or not deps[key] & bit or type(just) is not tuple:
+                continue  # lifted, free of alpha, or the hypothesis, lifted when first cited
+            if (got := held(formula)) is not None:
+                imp[key] = got
+            elif len(just) == 2:
+                i, j = just
+                s1 = b.add_axiom(phi1_instance(alpha, b.formula(i), formula))
+                s2 = b.add_mp(lifted(j), s1)
+                imp[key] = b.add_mp(lifted(i), s2)
+            else:
+                s1 = b.add_gen(lifted(just[0]), formula.var)  # (Ax)(alpha -> body)
+                s2 = b.add_axiom(phi12_instance(formula.var, alpha, formula.body))
+                imp[key] = b.add_mp(s1, s2)
+        out.append(lifted(idx))
+    return out
 
 
-def refute(pos: Derivation, neg: Derivation) -> Derivation:
-    """The reductio body: from derivations of alpha -> beta and alpha -> ~beta, derive ~alpha."""
-    b, (i, j) = join(pos, neg)
-    return b, derive_refute(b, i, j)
-
-
-def _checked(
-    proof: Proof, axioms: Sequence[AxiomSetRecognizer], name: str | None = None
-) -> Derivation:
-    """``proof`` spliced into a builder over its hypotheses and ``axioms``,
-    once hypothesis ``name``, if given, is found and is a sentence."""
-    if name is not None:
-        alpha = dict(proof.hypotheses).get(name)
-        if alpha is None:
+def _builder(
+    proofs: Sequence[Proof], axioms: Sequence[AxiomSetRecognizer], name: str | None = None
+) -> ProofBuilder:
+    """A builder over ``axioms`` and the hypotheses of ``proofs``: the first
+    proof's, in order, then each later one's new names.  A name bound to two
+    formulas is a :class:`TransformError`, and so is a hypothesis ``name``,
+    if given, that some proof lacks or that is not a sentence."""
+    merged: dict[str, Formula] = {}
+    for proof in proofs:
+        if name is not None and name not in dict(proof.hypotheses):
             raise TransformError(f"no hypothesis named {name!r}")
-        if not is_sentence(alpha):
-            raise TransformError(
-                f"hypothesis {name!r} has free variables; only sentences can be discharged"
-            )
-    b = ProofBuilder(proof.hypotheses, axioms)
-    return b, splice(b, proof)
+        for n, f in proof.hypotheses:
+            if merged.setdefault(n, f) != f:
+                raise TransformError(f"hypothesis name {n!r} bound to two formulas")
+    if name is not None and not is_sentence(merged[name]):
+        raise TransformError(
+            f"hypothesis {name!r} has free variables; only sentences can be discharged"
+        )
+    return ProofBuilder(tuple(merged.items()), axioms)
 
 
 def deduction_transform(
@@ -552,7 +545,9 @@ def deduction_transform(
     conclusion uses are lifted by :func:`discharge`; step count stays within
     3n + a constant for the identity template.
     """
-    return conclude(*discharge(_checked(proof, axioms, name), name))
+    b = _builder((proof,), axioms, name)
+    (chi,) = discharge(b, name, splice(b, proof))
+    return conclude(b, chi)
 
 
 def reductio_transform(
@@ -562,8 +557,9 @@ def reductio_transform(
     axioms: Sequence[AxiomSetRecognizer],
 ) -> Proof:
     """From proofs of beta and ~beta under hypothesis ``name`` = alpha, prove ~alpha."""
-    pos, neg = (discharge(_checked(p, axioms, name), name) for p in (proof_pos, proof_neg))
-    return conclude(*refute(pos, neg))
+    b = _builder((proof_pos, proof_neg), axioms, name)
+    pos, neg = discharge(b, name, splice(b, proof_pos), splice(b, proof_neg))
+    return conclude(b, derive_refute(b, pos, neg))
 
 
 def explosion_transform(
@@ -573,5 +569,6 @@ def explosion_transform(
     axioms: Sequence[AxiomSetRecognizer],
 ) -> Proof:
     """From proofs of beta and ~beta (same hypotheses context), prove ``goal``."""
-    b, (i, j) = join(_checked(proof_pos, axioms), _checked(proof_neg, axioms))
-    return conclude(b, derive_explosion(b, i, j, goal))
+    b = _builder((proof_pos, proof_neg), axioms)
+    pos, neg = splice(b, proof_pos), splice(b, proof_neg)
+    return conclude(b, derive_explosion(b, pos, neg, goal))

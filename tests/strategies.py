@@ -438,7 +438,7 @@ class ReferenceSearcher(_Searcher):
         if closure is None:
             return None
         if goal in closure:
-            return closure.derive(goal)
+            return closure.emit(self.b, goal)
         if self.remaining() == 0 or not self.templates:
             return None
         if depth <= 0:
@@ -446,7 +446,9 @@ class ReferenceSearcher(_Searcher):
             return None
         if isinstance(goal, Implies) and is_sentence(goal.left):
             name = _fresh_name(hyps)
+            self.b.assume(name, goal.left)
             sub = self.prove(goal.right, hyps + ((name, goal.left),), depth - 1)
             if sub is not None:
-                return discharge(sub, name)
+                return discharge(self.b, name, sub)[0]
+            self.b.drop(name)
         return self._decompose(goal, hyps, depth)

@@ -275,13 +275,13 @@ def test_membership_claim_builds_its_pool_once(monkeypatch):
     calls, walks = [], []
     real, real_walk = engine.assemble_pool, engine._context_members
 
-    def counting(hyp_formulas, axioms, g):
-        calls.append((hyp_formulas, g))
-        return real(hyp_formulas, axioms, g)
+    def counting(formulas, axioms):
+        calls.append(formulas)
+        return real(formulas, axioms)
 
-    def walk(formulas, axioms, g):
-        walks.append((formulas, g))
-        return real_walk(formulas, axioms, g)
+    def walk(formulas, axioms):
+        walks.append(formulas)
+        return real_walk(formulas, axioms)
 
     for module in (engine, audit):  # every module that binds the name
         if getattr(module, "assemble_pool", None) is real:
@@ -292,11 +292,11 @@ def test_membership_claim_builds_its_pool_once(monkeypatch):
     verdict = run_claim(claim, Budget(max_steps=2000))
     assert verdict.status == "VERIFIED"
     hyp_formulas = tuple(f for _, f in hyps)
-    assert calls == [(hyp_formulas, None)]
-    assert walks == [(hyp_formulas, None), ((), goal)]
+    assert calls == [hyp_formulas]
+    assert walks == [hyp_formulas, (goal,)]
     run_claim(AuditClaim("and", "membership", ("L12",), hyps, other), Budget(max_steps=2000))
-    assert calls == [(hyp_formulas, None)]
-    assert walks.count(((), other)) == 1
+    assert calls == [hyp_formulas]
+    assert walks.count((other,)) == 1
 
 
 #: The memory four rounds of judging may retain past two: under 75 bytes for
@@ -364,7 +364,7 @@ def test_report_round_trip_and_determinism(tmp_path, reports):
 REPORT_TREE_SHA256 = {
     "lemma-4.1": "4bbe565c4c5ac7e8c6dde644c45e2dca9f57cd0026a46bd8c51b89b8b1938517",
     "lemma-4.2": "d2d0c2a4e4e1f881c98a29fcf4ff5927c249ef6ad15d90ca66025f9398ab05bb",
-    "lemma-4.3": "5ce9a1406d5267468b7438008d6d6e3cc19a6318a9bbc6ffc39f80411fa87a2f",
+    "lemma-4.3": "60bef52e9aa49cab546d11242397c576be7cf9a9edd01500afeed47fb127c155",
     "lemma-4.4": "acd5e81806b5bfb68c0cfafe92ff611116ba2d3bcf1ef4e46ac81cb61a57bdd9",
     "theorem-4.1": "650705fbd24e4c00372642d77dc09562fcccd2ee8d34ed78752ce12bf84cf67b",
     "corollary-4.3": "4296e0d8c4a7e830537cf3fce6072ca7970994e2a2d7affdd6b6af0ca7b78e57",
@@ -405,7 +405,7 @@ def test_report_certificates_are_pinned_and_hold_only_reachable_steps(reports):
 REPORT_TREE_LET_SHA256 = {
     "lemma-4.1": "ad46a49f21bf0bc613fcd33a9bfd540777ede5a25d21c55e5523c2719f280f17",
     "lemma-4.2": "eadc253149f19453397cf06bca70a30107318f17d8ffd8b9e9aa7ada031d6104",
-    "lemma-4.3": "4302ced8f84a49ba2a8beb138379dfdde5e0470a386861e0acf6b249dfdf5cde",
+    "lemma-4.3": "dbb6bc4bfe49f7d5b914556a80afce2e1ba303f128da05c49a2a365a1dd696a9",
     "lemma-4.4": "799932bddc0f61b60209018ee9db127ba58a619ac2b0d5f981fcd045b63ba156",
     "theorem-4.1": "650705fbd24e4c00372642d77dc09562fcccd2ee8d34ed78752ce12bf84cf67b",
     "corollary-4.3": "5d5f44f403d4ccbcf73b37a64d0df3a56c3347e9b08f576e1c0f02b8d5b4fba5",

@@ -333,19 +333,19 @@ def test_prove_builds_one_pool(monkeypatch, goal, hyps):
     calls = []
     real = engine.assemble_pool
 
-    def counting(hyp_formulas, axioms, g):
-        calls.append((hyp_formulas, g))
-        return real(hyp_formulas, axioms, g)
+    def counting(formulas, axioms):
+        calls.append(formulas)
+        return real(formulas, axioms)
 
     monkeypatch.setattr(engine, "assemble_pool", counting)
     pool_for.cache_clear()  # recognizers are shared: an earlier test may hold this pool
     engine._hypothesis_pool.cache_clear()
     assert prove(goal, hyps, L12).proof is not None
-    assert calls == [(tuple(hyps), None)]
+    assert calls == [tuple(hyps)]
     # the next claim over the context walks only its goal
     pool_for.cache_clear()
     assert prove(goal, hyps, L12).proof is not None
-    assert calls == [(tuple(hyps), None)]
+    assert calls == [tuple(hyps)]
 
 
 def test_the_search_widens_its_pool_by_a_premise_outside_it(monkeypatch):
@@ -674,10 +674,10 @@ def test_discharge_logs_only_the_steps_its_conclusion_keeps(monkeypatch):
     appended = []
     real = engine.discharge
 
-    def spy(d, name):
-        before = len(d[0].proof().steps)
-        b, idx = out = real(d, name)
-        kept = {key for key, _, _ in b.records(idx)}
+    def spy(b, name, *conclusions):
+        before = len(b.proof().steps)
+        out = real(b, name, *conclusions)
+        kept = {key for idx in out for key, _, _ in b.records(idx)}
         appended.append([k for k in range(before + 1, len(b.proof().steps) + 1) if k not in kept])
         return out
 
@@ -688,6 +688,49 @@ def test_discharge_logs_only_the_steps_its_conclusion_keeps(monkeypatch):
         run_audit(sid, builtin_claims(sid), Budget())
     assert len(appended) > len(PROOF_PINS)
     assert appended == [[] for _ in appended]
+
+
+def test_a_name_bound_again_after_a_failed_branch_proves_its_own_formula():
+    # the left disjunct peels g1 := 0 = 1 and fails; the right one binds g1
+    # again, to 0 = 0 /\ 1 = 1: the failed branch must have dropped the old g1
+    goal = parse("(0 = 1 -> 1 = 0) \\/ (0 = 0 /\\ 1 = 1 -> 1 = 1 /\\ 0 = 0)")
+    outcome = prove(goal, [], L12)
+    proof = outcome.proof
+    assert proof is not None and check_proof(proof, L12, strict=True).ok
+    assert (len(proof.steps), outcome.report.steps_expended, _sha256(full_text_script(proof))) == (
+        13, 3, "8f0decdc3be42d72090f6d35e3a1ea3eab44bae38b381dc8eb3f7aeeaf531a41")
+
+
+def _failing_peel_goals(hyps, other):
+    """Goals with a sentence implication that the search peels and, often,
+    fails to prove, beside a piece that it may prove."""
+    pieces = st.sampled_from([*hyps, other])
+    peel = st.builds(Implies, sentences(max_depth=1), sentences(max_depth=1))
+    return st.one_of(peel, st.builds(Or, peel, pieces), st.builds(And, pieces, peel))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(formulas(max_depth=2), max_size=2), sentences(max_depth=1), st.data())
+def test_every_assumption_is_discharged_or_dropped(hyps, other, data):
+    # each search level ends what it assumed, on success and on failure, so
+    # the one builder is back at the caller's hypotheses when prove returns
+    goal = data.draw(_search_goals(hyps, other) | _failing_peel_goals(hyps, other))
+    searchers = []
+
+    class Recording(engine._Searcher):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searchers.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_Searcher", Recording)
+        outcome = prove(goal, hyps, L12, Budget(max_steps=2000))
+    caller = engine._named_hyps(hyps)
+    assert searchers[0].b.hypotheses == caller
+    if outcome.proof is not None:
+        assert outcome.proof.hypotheses == caller
+        assert outcome.proof.conclusion == goal
+        assert check_proof(outcome.proof, L12, strict=True).ok
 
 
 def test_derived_rules_run_only_over_the_logical_schemata():

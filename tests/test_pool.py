@@ -195,7 +195,7 @@ def test_stacked_hooks_build_the_reference_pool(axioms, hyps, goal):
 def test_widening_builds_the_pool_of_the_union(axioms, first, first_goal, second, second_goal):
     # a pool widened by what a second context adds is the pool of both
     pool = pool_for.__wrapped__(tuple(first), axioms, first_goal)
-    widened = pool.widened(assemble_pool(tuple(second), axioms, second_goal), axioms)
+    widened = pool.widened(assemble_pool((*second, second_goal), axioms), axioms)
     assert_pool_is(widened, (*first, *second, second_goal), axioms, first_goal)
 
 
@@ -216,7 +216,7 @@ def test_a_context_of_pool_members_brings_nothing_without_hooks(names, hyps, goa
     pool = pool_for.__wrapped__(tuple(hyps), axioms, goal)
     members = st.sampled_from(list(pool.members))
     context = data.draw(st.lists(members, max_size=3))
-    brought = engine._context_members(context, axioms, data.draw(members))
+    brought = engine._context_members((*context, data.draw(members)), axioms)
     assert pool.widened(brought, axioms) is pool
 
 
@@ -246,7 +246,7 @@ def test_prove_walks_only_contexts_that_may_widen_the_pool(monkeypatch, names, w
     engine._hypothesis_pool.cache_clear()
     goal = antecedent_chain(8)
     assert prove(goal, [], axioms).proof is not None
-    assert calls[:2] == [((), axioms, None), ((), axioms, goal)]
+    assert calls[:2] == [((), axioms), ((goal,), axioms)]
     assert (len(calls), len(runs)) == (walks, 9)
 
 

@@ -1,6 +1,7 @@
 """Two-valued skeleton oracle and the bounded arithmetic evaluator."""
 
 import random
+import time
 from functools import reduce
 from unittest import mock
 
@@ -254,6 +255,25 @@ def test_sweeps_with_shared_subtrees_number_atoms_as_the_plain_walk(parts, held,
         assert got is None or tuple(a for a, _ in got) == atoms
         want = brute_lowest_row(premises, goal, held.__contains__)
         assert (None if got is None else dict(got)) == want
+
+
+#: The seconds a sweep over a 200-fold self-conjunction may take.  Each
+#: block computes a shared subtree's table once: 0.0003 s measured (py3.11),
+#: where a table per path took 0.2 s already at 18-fold.
+SHARED_SUBTREE_SECONDS = 1.0
+
+
+def test_a_sweep_computes_a_shared_subtree_once_per_block():
+    eq00, eq01 = parse("0 = 0"), parse("0 = 1")
+    f = g = eq00
+    for _ in range(200):
+        f = And(f, f)
+        g = Iff(Or(g, eq01), Implies(eq01, g))  # two atoms; g is equivalent to 0 = 0
+    t0 = time.perf_counter()
+    assert lowest_row([f], Not(f)) == ((eq00, True),)
+    assert lowest_row([g], eq00) is None
+    assert lowest_row([], g) == ((eq00, False), (eq01, False))
+    assert time.perf_counter() - t0 < SHARED_SUBTREE_SECONDS
 
 
 def test_sweep_at_the_atom_cap():

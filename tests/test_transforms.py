@@ -25,7 +25,7 @@ from proofbench.syntax import And, Forall, Implies, Not, Or
 from proofbench.transforms import (
     ProofBuilder,
     TransformError,
-    _checked,
+    _builder,
     conclude,
     deduction_transform,
     derive_andel,
@@ -45,7 +45,6 @@ from proofbench.transforms import (
     explosion_transform,
     phi4_instance,
     reductio_transform,
-    refute,
     splice,
 )
 
@@ -338,7 +337,7 @@ def test_discharge_is_no_longer_than_the_reference_loop(rng, gen):
         idx = splice(b, p)
         if gen:  # a gen over the discharged hypothesis, maybe its first citation
             idx = derive_andintro(b, idx, b.add_gen(b.add_hyp(name), 1))
-        out = conclude(*discharge((b, idx), name))
+        out = conclude(b, *discharge(b, name, idx))
         ref = conclude(*reference_lift(b.hypotheses, b.records(idx), name, alpha, L12))
         assert out.conclusion == ref.conclusion == Implies(alpha, b.formula(idx))
         assert check_proof(out, L12, strict=True).ok
@@ -352,19 +351,18 @@ def test_discharges_in_place_leave_the_builder_sound(rng):
     # log keeps the steps that depended on the discharged hypothesis: none of
     # them may be cited or reused again
     p = random_proof(rng, max_hyps=4)
-    d = _checked(p, L12)
-    b = d[0]
+    b = _builder((p,), L12)
+    idx = splice(b, p)
     remaining = list(p.hypotheses)
     expected = p.conclusion
     for name, alpha in rng.sample(p.hypotheses, len(p.hypotheses)):
         hyp = b.add_hyp(name)
         y = b.add_axiom(phi4_instance(alpha, alpha))  # a step free of alpha
         through_alpha = derive_orin(b, hyp, b.formula(y), "left")  # alpha \/ y
-        d = discharge(d, name)
-        assert d[0] is b
+        (idx,) = discharge(b, name, idx)
         remaining.remove((name, alpha))
         expected = Implies(alpha, expected)
-        out = conclude(*d)
+        out = conclude(b, idx)
         assert check_proof(out, L12, strict=True).ok
         assert out.hypotheses == tuple(remaining)
         assert out.conclusion == expected
@@ -710,7 +708,8 @@ def test_deduction_transform_and_discharge_render_alike(side, alpha, data):
     state = bounded_closure(_context(side, alpha), L12, Budget(max_steps=200))
     f = data.draw(st.sampled_from(state.formulas))
     by_proof = deduction_transform(state.proof_of(f), "a", L12)
-    by_derivation = conclude(*discharge(state.derive(f), "a"))
+    b = ProofBuilder(state.hypotheses, L12)
+    by_derivation = conclude(b, *discharge(b, "a", state.emit(b, f)))
     assert render_proof_script(by_proof) == render_proof_script(by_derivation)
 
 
@@ -723,8 +722,9 @@ def test_reductio_transform_and_refute_render_alike(side, alpha, beta):
     assert state.contradiction is not None
     pos, neg = state.contradiction
     by_proofs = reductio_transform(state.proof_of(pos), state.proof_of(neg), "a", L12)
-    derivations = (discharge(state.derive(g), "a") for g in (pos, neg))
-    by_derivations = conclude(*refute(*derivations))
+    b = ProofBuilder(state.hypotheses, L12)
+    sides = [state.emit(b, g) for g in (pos, neg)]
+    by_derivations = conclude(b, derive_refute(b, *discharge(b, "a", *sides)))
     assert render_proof_script(by_proofs) == render_proof_script(by_derivations)
 
 
@@ -757,12 +757,13 @@ def _callers(name: str) -> list[str]:
 
 def test_one_lifting_loop_and_one_combiner_build_proofs():
     # discharge is the only lifting loop (it alone lifts a gen, through phi12),
-    # and join the only way to combine derivations: a builder made anywhere
-    # else is a second way into the loop or a second combiner; discharge
-    # appends to the builder it is given and makes none
+    # and a prove call, a closure's proof_of and a public transform each grow
+    # one builder: a builder made anywhere else is a second way into the loop
+    # or a second combiner; discharge appends to the builder it is given and
+    # makes none
     assert _callers("phi12_instance") == ["transforms.discharge"]
     assert _callers("ProofBuilder") == [
-        "engine.ClosureState.derive",
-        "transforms._checked",
-        "transforms.join",
+        "engine.ClosureState.proof_of",
+        "engine._Searcher.__init__",
+        "transforms._builder",
     ]
