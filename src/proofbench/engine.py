@@ -25,7 +25,10 @@ brings.  A :func:`prove` call's closures all saturate over one pool, which
 widens when a backward context brings members from outside it, and each
 stops once its goal is an entry: an entry's recipe is fixed when it is added,
 so saturating further would change no proof.  :func:`bounded_closure` has no
-goal and saturates to a fixpoint.
+goal and saturates to a fixpoint.  A pool remembers how far each of its
+members has been walked, so a widening walks and hooks only what is new to
+it: each ``generate_for`` hook sees each formula at most once per pool and
+the pools widened from it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .parser import parse, render
+from .parser import parse, render, render_width
 from .proofs import Proof
 from .schemata import NAMED_FORMULAS, AxiomSetRecognizer
 from .syntax import (
@@ -46,6 +49,7 @@ from .syntax import (
     Formula,
     Iff,
     Implies,
+    NestingError,
     Not,
     Or,
     connective_depth,
@@ -77,6 +81,9 @@ from .transforms import (
 
 #: The connective depth no derived formula may exceed.
 MAX_DEPTH = 40
+
+#: The longest rendered text a pool member may have: the text is its sort key.
+MAX_MEMBER_WIDTH = 100_000
 
 
 #: An instance of each logical schema, phi1 to phi12 in turn.
@@ -251,14 +258,19 @@ def _named_hyps(X) -> tuple[tuple[str, Formula], ...]:
     return tuple(out.items())
 
 
-def _add_subformulas(found: dict[Formula, None], f: Formula) -> None:
-    """Add ``f`` and its subformulas to ``found``, skipping shared subtrees."""
-    stack = [f]
+def _add_subformulas(
+    found: dict[Formula, int], formulas: Iterable[Formula], stage: int, seen: dict[Formula, int]
+) -> None:
+    """Record ``formulas`` and their subformulas in ``found`` at ``stage``, in
+    pre-order, skipping each one that ``found`` holds or that ``seen`` holds
+    at that stage or an earlier one: its subformulas are held too."""
+    stack = list(formulas)
+    stack.reverse()
     while stack:
         g = stack.pop()
-        if g in found:
+        if g in found or seen.get(g, stage + 1) <= stage:
             continue
-        found[g] = None
+        found[g] = stage
         if isinstance(g, (Implies, And, Or, Iff)):
             stack.append(g.right)
             stack.append(g.left)
@@ -266,19 +278,18 @@ def _add_subformulas(found: dict[Formula, None], f: Formula) -> None:
             stack.append(g.body)
 
 
-def _generate(found: dict[Formula, None], axioms: tuple[AxiomSetRecognizer, ...]) -> None:
-    """Widen ``found`` by each ``generate_for`` hook in turn.  Each hook sees
-    the members found before it ran, those of the earlier hooks included."""
-    for r in axioms:
-        if r.generate_for is not None:
-            for f in list(found):
-                for m in r.generate_for(f):
-                    _add_subformulas(found, m)
-
-
 def _sort_key(f: Formula) -> tuple[int, str]:
-    """A pool member's place in the pool: by depth, then rendered text."""
-    return (connective_depth(f), render(f))
+    """A pool member's place in the pool: by depth, then rendered text.  A
+    member whose text would be longer than :data:`MAX_MEMBER_WIDTH` is refused
+    with :class:`~proofbench.syntax.NestingError`, before its text is built."""
+    text = f._text  # a node's text, once rendered
+    width = len(text) if text else render_width(f)
+    if width > MAX_MEMBER_WIDTH:
+        raise NestingError(
+            f"a pool member would render to {width} characters, "
+            f"past MAX_MEMBER_WIDTH ({MAX_MEMBER_WIDTH})"
+        )
+    return (connective_depth(f), text or render(f))
 
 
 def sorted_pool(pool: Iterable[Formula]) -> list[Formula]:
@@ -302,9 +313,10 @@ def _slots(f: Formula) -> tuple[tuple[int, Formula], ...]:
 
 class Pool:
     """A finite instantiation pool: of an axioms tuple alone, or widened by
-    the members a context brings.
+    the members contexts bring.
 
-    Holds the members, each mapped to its sort key in :attr:`keys`; the
+    Holds the members, each mapped to its sort key in :attr:`keys` and to the
+    earliest :func:`assemble_pool` stage a walk found it at in :attr:`stages`; the
     indexes the closure's pool-gated introductions look up; and the
     recognized axiom-set members, each paired with the name of the first
     recognizer that contains it.  Index lists and axiom members follow the
@@ -317,6 +329,7 @@ class Pool:
         keys: dict[Formula, tuple[int, str]],
         indexes: tuple[dict[Formula, list[Formula]], ...],
         axioms: tuple[tuple[Formula, str], ...],
+        stages: dict[Formula, int],
     ) -> None:
         self.keys = keys
         self.members = keys.keys()
@@ -329,16 +342,23 @@ class Pool:
             self.all_by_body,
         ) = indexes
         self.axioms = axioms
+        self.stages = stages
 
     def widened(
-        self, new: Iterable[Formula], recognizers: tuple[AxiomSetRecognizer, ...]
+        self, formulas: Iterable[Formula], recognizers: tuple[AxiomSetRecognizer, ...]
     ) -> Pool:
-        """This pool with the formulas ``new`` merged in, the axiom-set
-        members among them labelled by ``recognizers``.  An index or list
-        that gains no member is shared with this pool."""
-        added = {f: _sort_key(f) for f in new if f not in self.keys}
-        if not added:
+        """This pool widened by the members a context of ``formulas`` brings,
+        walked by :func:`assemble_pool` over ``recognizers``, the axioms this
+        pool was built over.  It is the pool of every context walked so far,
+        walked together.  An index or list that gains no member is shared
+        with this pool."""
+        found = assemble_pool(formulas, recognizers, self)
+        if not found:
             return self
+        stages = self.stages | found
+        added = {f: _sort_key(f) for f in found if f not in self.keys}
+        if not added:
+            return Pool(self.keys, self.indexes, self.axioms, stages)
         keys = self.keys | added
         joined: dict[tuple[int, Formula], list[Formula]] = {}
         for f in added:
@@ -355,19 +375,32 @@ class Pool:
         )
         if labelled:
             axioms = tuple(sorted(axioms + labelled, key=lambda m: keys[m[0]]))
-        return Pool(keys, tuple(out), axioms)
+        return Pool(keys, tuple(out), axioms, stages)
 
 
-def _context_members(
-    formulas: Iterable[Formula], axioms: tuple[AxiomSetRecognizer, ...]
-) -> dict[Formula, None]:
-    """The subformulas of ``formulas``, widened by the ``generate_for`` hooks.
-    The hooks map each formula on its own, so a pool widened by these holds
-    the context's members whatever it held before."""
-    found: dict[Formula, None] = {}
-    for f in formulas:
-        _add_subformulas(found, f)
-    _generate(found, axioms)
+def assemble_pool(
+    formulas: Iterable[Formula], axioms: tuple[AxiomSetRecognizer, ...], pool: Pool
+) -> dict[Formula, int]:
+    """The walk of a context's ``formulas`` into ``pool``: each formula it
+    finds, mapped to the stage it is found at.
+
+    Stage 0 holds the subformulas of ``formulas``; stage i adds the
+    subformulas of what the i-th ``generate_for`` hook of ``axioms`` builds
+    from the formulas of the earlier stages.  The hooks map each formula on
+    its own, and a subformula brings no member its parent does not, so a
+    formula ``pool`` holds at a stage no later than this walk's is skipped:
+    the hooks after that stage have seen it.  So each hook sees each formula
+    at most once in a pool and the pools widened from it."""
+    seen = pool.stages
+    found: dict[Formula, int] = {}
+    _add_subformulas(found, formulas, 0, seen)
+    stage = 0
+    for r in axioms:
+        if r.generate_for is not None:
+            stage += 1
+            for f in list(found):  # found before this stage, earlier hooks' members included
+                if seen.get(f, stage) >= stage:  # not yet seen by this hook
+                    _add_subformulas(found, r.generate_for(f), stage, seen)
     return found
 
 
@@ -378,16 +411,8 @@ def _axiom_pool(axioms: tuple[AxiomSetRecognizer, ...]) -> Pool:
     ``generate_for`` hooks.  Keyed by the recognizers in order: the first
     one that contains a member labels it."""
     sources = (*NAMED_FORMULAS.values(), *(f for r in axioms for f in r.finite_core))
-    empty = Pool({}, tuple({} for _ in range(5)), ())
-    return empty.widened(_context_members(sources, axioms), axioms)
-
-
-def assemble_pool(
-    formulas: tuple[Formula, ...], axioms: tuple[AxiomSetRecognizer, ...]
-) -> tuple[Formula, ...]:
-    """The members a context's formulas add to its axioms' pool, in the order found."""
-    base = _axiom_pool(axioms).keys
-    return tuple(f for f in _context_members(formulas, axioms) if f not in base)
+    empty = Pool({}, tuple({} for _ in range(5)), (), {})
+    return empty.widened(sources, axioms)
 
 
 @lru_cache(maxsize=1)
@@ -397,7 +422,7 @@ def _hypothesis_pool(
     """The axioms' pool widened by the members the hypotheses bring.  The
     last one built is kept, so a run of claims over one context walks its
     hypotheses once."""
-    return _axiom_pool(axioms).widened(assemble_pool(hyp_formulas, axioms), axioms)
+    return _axiom_pool(axioms).widened(hyp_formulas, axioms)
 
 
 @lru_cache(maxsize=1)
@@ -407,12 +432,12 @@ def pool_for(
     goal: Formula | None,
 ) -> Pool:
     """The :class:`Pool` of a context: its :func:`_hypothesis_pool`, widened
-    by the members the goal brings.  The hooks map each formula on its own,
-    so this is the pool of the hypotheses and the goal walked together.  The
-    last one built is kept, so the refutation premises and the proof search
-    of a claim share it."""
+    by the members the goal brings.  The walk skips what the hypotheses'
+    walk has seen, and the result is the pool of the hypotheses and the goal
+    walked together.  The last one built is kept, so the refutation premises
+    and the proof search of a claim share it."""
     pool = _hypothesis_pool(hyp_formulas, axioms)
-    return pool if goal is None else pool.widened(_context_members((goal,), axioms), axioms)
+    return pool if goal is None else pool.widened((goal,), axioms)
 
 
 class _Saturation:
@@ -654,7 +679,6 @@ class _Searcher:
         self.axioms = axioms
         self.b = ProofBuilder(hypotheses, axioms)  # every level appends here
         self.pool = pool_for(tuple(f for _, f in hypotheses), axioms, goal)
-        self.hooked = any(r.generate_for is not None for r in axioms)
         self.templates = covers_logic(axioms)
         self.budget = budget
         self.steps = 0
@@ -669,29 +693,19 @@ class _Searcher:
         self, hyps: tuple[tuple[str, Formula], ...], goal: Formula
     ) -> ClosureState | None:
         """The closure of ``hyps`` toward ``goal``; None when it is not built
-        yet and no step is left to build it.  A later context widens the pool
-        by the members it brings, and skips that walk when it can bring none
-        (:meth:`_holds`)."""
+        yet and no step is left to build it.  A new context widens the pool
+        by the members it brings; its walk skips every formula the pool has
+        seen, so a context of seen formulas walks nothing."""
         hyp_formulas = tuple(f for _, f in hyps)
         got = self.closures.get((hyp_formulas, goal))
         if got is None:
             if self.remaining() == 0:
                 return None
-            # the first closure is the top context's, whose pool this is
-            if self.closures and not self._holds(hyp_formulas, goal):
-                members = _context_members((*hyp_formulas, goal), self.axioms)
-                self.pool = self.pool.widened(members, self.axioms)
+            self.pool = self.pool.widened((*hyp_formulas, goal), self.axioms)
             got = _Saturation(hyps, self.axioms, self.pool, Budget(self.remaining()), goal).run()
             self.steps += got.report.steps_expended
             self.closures[hyp_formulas, goal] = got
         return got
-
-    def _holds(self, hyp_formulas: tuple[Formula, ...], goal: Formula) -> bool:
-        """Whether the pool already holds every member a context of these
-        formulas would bring.  The pool is closed under subformulas, so with no
-        ``generate_for`` hook it does when it holds the formulas themselves."""
-        members = self.pool.members
-        return not self.hooked and goal in members and all(f in members for f in hyp_formulas)
 
     def prove(
         self, goal: Formula, hyps: tuple[tuple[str, Formula], ...], depth: int

@@ -20,6 +20,8 @@ transforms return, ``reference_lift`` is the lifting loop that
 ``ReferenceSaturation`` the closure loop that saturates past its goal, and
 ``ReferenceSearcher`` the backward search whose peels spend depth.
 ``near_the_recursion_limit`` runs a call with few frames left.
+``spied`` copies a recognizer with a ``generate_for`` hook that records
+each formula it is called with.
 ``full_text_script`` writes a proof with every formula in full on its line,
 as a hand-written script does: the view through which the full-text proof
 digests and report-tree hashes are taken.
@@ -27,6 +29,7 @@ digests and report-tree hashes are taken.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 
@@ -314,6 +317,21 @@ def near_the_recursion_limit(fn):
         return fn() if n == 0 else down(n - 1)
 
     return down(sys.getrecursionlimit() - depth - 60)
+
+
+def spied(r, seen: list):
+    """A copy of recognizer ``r`` whose ``generate_for`` hook records in
+    ``seen`` each (recognizer name, formula) it is called with; ``r`` itself
+    when it has no hook.  The copy is a new recognizer, so no pool cached for
+    ``r`` serves it."""
+    if r.generate_for is None:
+        return r
+
+    def spy(f):
+        seen.append((r.name, f))
+        return r.generate_for(f)
+
+    return dataclasses.replace(r, generate_for=spy)
 
 
 def alternating(depth: int) -> Formula:

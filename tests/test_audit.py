@@ -42,6 +42,7 @@ from strategies import (
     doubling_certificate,
     first_occurrence_atoms,
     full_text_script,
+    spied,
     unreachable_steps,
 )
 
@@ -265,38 +266,52 @@ def test_hypothesis_members_never_refuted():
 
 
 def test_membership_claim_builds_its_pool_once(monkeypatch):
-    # the context's hypotheses are walked once and its goal once: refutation
-    # premises and the first proof-search closure share one pool, and the
-    # next claim over the context walks only its own goal
+    # the context's hypotheses are walked once and each formula at most once:
+    # refutation premises and the first proof-search closure share one pool,
+    # and the next claim over the context walks only what its own goal brings
     hyps = (("h1", parse("(1 < 1) -> (1 = 1)")), ("h2", parse("1 < 1")))
     goal, other = parse("1 = 1"), parse("1 = 1 /\\ 1 < 1")
     claim = AuditClaim("mp", "membership", ("L12",), hyps, goal)
-    engine._axiom_pool((axiom_set("L12"),))  # built before counting
-    calls, walks = [], []
-    real, real_walk = engine.assemble_pool, engine._context_members
+    base = engine._axiom_pool((axiom_set("L12"),)).members  # built before counting
+    walks = []  # (formulas, found) of each walk
+    real = engine.assemble_pool
 
-    def counting(formulas, axioms):
-        calls.append(formulas)
-        return real(formulas, axioms)
+    def walk(formulas, axioms, pool):
+        found = real(formulas, axioms, pool)
+        walks.append((tuple(formulas), found))
+        return found
 
-    def walk(formulas, axioms):
-        walks.append(formulas)
-        return real_walk(formulas, axioms)
-
-    for module in (engine, audit):  # every module that binds the name
-        if getattr(module, "assemble_pool", None) is real:
-            monkeypatch.setattr(module, "assemble_pool", counting)
-    monkeypatch.setattr(engine, "_context_members", walk)
+    monkeypatch.setattr(engine, "assemble_pool", walk)
     engine.pool_for.cache_clear()  # recognizers are shared: an earlier claim may hold this pool
     engine._hypothesis_pool.cache_clear()
     verdict = run_claim(claim, Budget(max_steps=2000))
     assert verdict.status == "VERIFIED"
     hyp_formulas = tuple(f for _, f in hyps)
-    assert calls == [hyp_formulas]
-    assert walks == [hyp_formulas, (goal,)]
+    # the goal is a hypothesis's subformula: only the hypotheses' walk finds any
+    assert walks == [
+        (hyp_formulas, {f: 0 for f in (*hyp_formulas, goal) if f not in base}),
+        ((goal,), {}),
+        ((*hyp_formulas, goal), {}),
+    ]
     run_claim(AuditClaim("and", "membership", ("L12",), hyps, other), Budget(max_steps=2000))
-    assert calls == [hyp_formulas]
-    assert walks.count((other,)) == 1
+    assert walks[3] == ((other,), {other: 0})
+    assert not any(found for _, found in walks[4:])
+
+
+def test_each_hook_sees_each_formula_once_per_claim(monkeypatch):
+    # lemma-4.4's prefixed claims stack the L11 and PrefixedL2r hooks; over
+    # one claim's pools, widened for the goal and each backward context, no
+    # hook is called twice with one formula
+    claim = next(c for c in builtin_claims("lemma-4.4") if c.claim_id == "s15-m03")
+    assert claim.axiom_names == ("L11", "PrefixedL2r", "NPsi3ddot")
+    seen = []
+    spies = {n: spied(axiom_set(n), seen) for n in claim.axiom_names}
+    want = run_claim(claim)
+    monkeypatch.setattr(audit, "axiom_set", spies.__getitem__)
+    got = run_claim(claim)
+    assert got.status == want.status == "VERIFIED" and got.proofs == want.proofs
+    assert seen and {name for name, _ in seen} == {"L11", "PrefixedL2r"}
+    assert len(seen) == len(set(seen))
 
 
 #: The memory four rounds of judging may retain past two: under 75 bytes for

@@ -1,16 +1,19 @@
 """Budgeted consequence closure, proof search, and consistency probes."""
 
 import hashlib
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proofbench import engine, syntax
-from proofbench.audit import run_audit
+from proofbench.audit import AuditClaim, run_audit, run_claim
 from proofbench.engine import (
     BACKWARD_DEPTH,
     LOGIC_SAMPLES,
+    MAX_MEMBER_WIDTH,
     Budget,
     BudgetReport,
     bounded_closure,
@@ -18,7 +21,7 @@ from proofbench.engine import (
     pool_for,
     prove,
 )
-from proofbench.parser import MAX_NESTING, parse, render
+from proofbench.parser import MAX_NESTING, parse, render, render_width
 from proofbench.proofs import check_proof, render_proof_script
 from proofbench.schemata import (
     AXIOM_SET_NAMES,
@@ -329,23 +332,30 @@ def test_backward_introduction_rules(rule, goal, hyps, size, digest):
 )
 def test_prove_builds_one_pool(monkeypatch, goal, hyps):
     # the context walks its hypotheses once and the goal widens that pool;
-    # each later context widens it too instead of building its own
-    calls = []
+    # each later context widens it too, walking only what it has not seen
+    engine._axiom_pool(L12)  # built before counting
+    calls = []  # (formulas, found) of each walk
     real = engine.assemble_pool
 
-    def counting(formulas, axioms):
-        calls.append(formulas)
-        return real(formulas, axioms)
+    def counting(formulas, axioms, pool):
+        found = real(formulas, axioms, pool)
+        calls.append((tuple(formulas), found))
+        return found
 
     monkeypatch.setattr(engine, "assemble_pool", counting)
     pool_for.cache_clear()  # recognizers are shared: an earlier test may hold this pool
     engine._hypothesis_pool.cache_clear()
     assert prove(goal, hyps, L12).proof is not None
-    assert calls == [tuple(hyps)]
-    # the next claim over the context walks only its goal
+    assert [formulas for formulas, _ in calls[:2]] == [tuple(hyps), (goal,)]
+    found = [f for _, fs in calls for f in fs]
+    assert len(found) == len(set(found))
+    # the next claim over the context walks its goal, not its hypotheses,
+    # and finds what the first one found past them
+    n = len(calls)
     pool_for.cache_clear()
     assert prove(goal, hyps, L12).proof is not None
-    assert calls == [tuple(hyps)]
+    assert calls[n][0] == (goal,)
+    assert [fs for _, fs in calls[n:]] == [fs for _, fs in calls[1:n]]
 
 
 def test_the_search_widens_its_pool_by_a_premise_outside_it(monkeypatch):
@@ -488,6 +498,34 @@ def test_formulas_built_at_the_nesting_cap_are_searched():
     assert proof is not None and check_proof(proof, L12).ok
     tall = induction_candidate(MAX_NESTING - 1)
     assert tall in bounded_closure([tall], (axiom_set("Xp"),))
+
+
+#: The wall time and the traced memory peak within which a pool member too
+#: wide to render is refused: its 46 MB text is never built.  Measured on one
+#: x86-64 core (py3.11.7): 0.007 s and 29 KB for all three runs.
+WIDE_SECONDS, WIDE_PEAK_BYTES = 2.0, 1024 * 1024
+
+
+def test_a_pool_member_too_wide_to_render_is_refused():
+    # X(k + 1) = X(k) /\ X(k) has k + 1 distinct nodes and text that doubles
+    # with each k; the pool's sort key is that text, so it is measured first
+    x = parse("0 = 0")
+    for _ in range(22):
+        x = And(x, x)
+    assert render_width(x) == 46_137_338 > MAX_MEMBER_WIDTH
+    claim = AuditClaim("wide", "membership", ("L12",), (), x)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        for call in (lambda: bounded_closure([x], L12), lambda: prove(x, [], L12)):
+            with pytest.raises(NestingError, match=f"MAX_MEMBER_WIDTH \\({MAX_MEMBER_WIDTH}\\)"):
+                call()
+        verdict = run_claim(claim)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == "UNRESOLVED" and "MAX_MEMBER_WIDTH" in verdict.detail
+    assert elapsed < WIDE_SECONDS and peak < WIDE_PEAK_BYTES, (elapsed, peak)
 
 
 @settings(max_examples=60, deadline=None)

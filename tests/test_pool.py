@@ -5,8 +5,9 @@ each pool was built once per axioms tuple: it walks every source formula,
 sorts every member and labels each one, for every context.  The engine's
 :func:`~proofbench.engine.pool_for`, and a pool widened by a second context,
 must hold the same members, the same index lists in the same order and the
-same labelled axiom members.  A context that can bring no member skips its
-walk: the last tests pin when ``prove`` may skip it.
+same labelled axiom members.  A walk skips every formula its pool has seen
+at its stage, and contexts walked in turn into one pool must still build the
+pool of all of them walked together.
 """
 
 import pytest
@@ -38,7 +39,7 @@ from proofbench.syntax import (
 )
 from proofbench.transforms import phi1_instance, phi4_instance
 
-from strategies import antecedent_chain, formulas, sentences
+from strategies import antecedent_chain, formulas, sentences, spied
 
 INDEXES = ("imp_by_right", "imp_by_left", "and_by_side", "or_by_side", "all_by_body")
 
@@ -183,10 +184,15 @@ def test_stacked_hooks_build_the_reference_pool(axioms, hyps, goal):
     assert_same_pool(tuple(hyps), tuple(axioms), goal)
 
 
+#: every axioms tuple a claim may name, and every order of the made-up hooks
+AXIOMS_AND_STACKED_HOOKS = st.sampled_from(AXIOM_TUPLES).map(
+    lambda t: tuple(axiom_set(n) for n in t)
+) | st.permutations((NEGATE, DOUBLE, axiom_set("L12"))).map(tuple)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    axioms=st.sampled_from(AXIOM_TUPLES).map(lambda t: tuple(axiom_set(n) for n in t))
-    | st.permutations((NEGATE, DOUBLE, axiom_set("L12"))).map(tuple),
+    axioms=AXIOMS_AND_STACKED_HOOKS,
     first=st.lists(context_formulas, max_size=3),
     first_goal=st.none() | context_formulas,
     second=st.lists(context_formulas, max_size=2),
@@ -195,8 +201,37 @@ def test_stacked_hooks_build_the_reference_pool(axioms, hyps, goal):
 def test_widening_builds_the_pool_of_the_union(axioms, first, first_goal, second, second_goal):
     # a pool widened by what a second context adds is the pool of both
     pool = pool_for.__wrapped__(tuple(first), axioms, first_goal)
-    widened = pool.widened(assemble_pool((*second, second_goal), axioms), axioms)
+    widened = pool.widened((*second, second_goal), axioms)
     assert_pool_is(widened, (*first, *second, second_goal), axioms, first_goal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    axioms=AXIOMS_AND_STACKED_HOOKS,
+    first=st.lists(context_formulas, min_size=1, max_size=3),
+    later=st.integers(1, 3),
+    data=st.data(),
+)
+def test_walking_contexts_in_turn_builds_the_pool_of_their_union(axioms, first, later, data):
+    # each walk skips what the pool has seen; a later context brings earlier
+    # formulas, their subformulas and their hook outputs, and a hook that has
+    # not seen one of those must still see it: NEGATE builds ~a, and a later
+    # context of ~a is DOUBLE's to widen when DOUBLE comes first.  No hook
+    # sees a formula twice: DOUBLE has seen that ~a when it comes second
+    hooked: list = []
+    watched = tuple(spied(r, hooked) for r in axioms)
+    base = engine._axiom_pool(watched)
+    pool, walked = base.widened(tuple(first), watched), list(first)
+    for _ in range(later):
+        subformulas = [f for f in pool.members if f not in base.members]
+        hooks = [r.generate_for for r in axioms if r.generate_for]
+        outputs = [m for hook in hooks for f in subformulas for m in hook(f)]
+        sources = [st.sampled_from(fs) for fs in (walked, subformulas, outputs) if fs]
+        context = data.draw(st.lists(st.one_of(*sources, context_formulas), min_size=1, max_size=3))
+        pool = pool.widened(tuple(context), watched)
+        walked += context
+    assert len(hooked) == len(set(hooked))
+    assert_pool_is(pool, walked, watched, None)
 
 
 HOOK_FREE = [t for t in AXIOM_TUPLES if not any(axiom_set(n).generate_for for n in t)]
@@ -210,44 +245,48 @@ HOOK_FREE = [t for t in AXIOM_TUPLES if not any(axiom_set(n).generate_for for n 
     data=st.data(),
 )
 def test_a_context_of_pool_members_brings_nothing_without_hooks(names, hyps, goal, data):
-    # the pool is closed under subformulas: with no generate_for hook, a
-    # context whose formulas it holds adds no member, so prove skips its walk
+    # the pool is closed under subformulas: with no generate_for hook, every
+    # member was walked from, so a context of members finds nothing to walk
     axioms = tuple(axiom_set(n) for n in names)
     pool = pool_for.__wrapped__(tuple(hyps), axioms, goal)
     members = st.sampled_from(list(pool.members))
-    context = data.draw(st.lists(members, max_size=3))
-    brought = engine._context_members((*context, data.draw(members)), axioms)
-    assert pool.widened(brought, axioms) is pool
+    context = (*data.draw(st.lists(members, max_size=3)), data.draw(members))
+    assert assemble_pool(context, axioms, pool) == {}
+    assert pool.widened(context, axioms) is pool
 
 
-@pytest.mark.parametrize(
-    "names, walks", [(("L12",), 2), (("PrefixedL2r", "L12"), 10)], ids=["L12", "PrefixedL2r"]
-)
-def test_prove_walks_only_contexts_that_may_widen_the_pool(monkeypatch, names, walks):
-    # every context of the chain holds pool members: over L12 only the top
-    # context walks, its hypotheses and then its goal; a generate_for hook
-    # may widen by any context, so each later one walks too
-    axioms = tuple(axiom_set(n) for n in names)
+@pytest.mark.parametrize("names", [("L12",), ("PrefixedL2r", "L12")], ids=["L12", "PrefixedL2r"])
+def test_prove_walks_only_contexts_that_may_widen_the_pool(monkeypatch, names):
+    # every context of the chain holds goal subformulas, which the top
+    # context's walks have seen: each later context finds nothing to walk
+    # and runs no hook, with or without a generate_for hook
+    hooked: list = []
+    axioms = tuple(spied(axiom_set(n), hooked) for n in names)
     engine._axiom_pool(axioms)  # built before counting
-    calls, runs = [], []
-    real_walk, real_run = engine._context_members, engine._Saturation.run
+    hooked.clear()
+    calls, runs = [], []  # (formulas, found, hook calls so far) per walk
+    real_walk, real_run = engine.assemble_pool, engine._Saturation.run
 
-    def walk(*args):
-        calls.append(args)
-        return real_walk(*args)
+    def walk(formulas, axioms, pool):
+        found = real_walk(formulas, axioms, pool)
+        calls.append((tuple(formulas), found, len(hooked)))
+        return found
 
     def run(self):
         runs.append(self)
         return real_run(self)
 
-    monkeypatch.setattr(engine, "_context_members", walk)
+    monkeypatch.setattr(engine, "assemble_pool", walk)
     monkeypatch.setattr(engine._Saturation, "run", run)
     pool_for.cache_clear()  # recognizers are shared: an earlier test may hold this pool
     engine._hypothesis_pool.cache_clear()
     goal = antecedent_chain(8)
     assert prove(goal, [], axioms).proof is not None
-    assert calls[:2] == [((), axioms), ((goal,), axioms)]
-    assert (len(calls), len(runs)) == (walks, 9)
+    assert [formulas for formulas, _, _ in calls[:2]] == [(), (goal,)]
+    assert not any(found for _, found, _ in calls[2:])
+    assert all(n == calls[1][2] for _, _, n in calls[2:])  # no hook call after the goal's walk
+    assert len(hooked) == len(set(hooked)) and bool(hooked) == (len(names) > 1)
+    assert (len(calls), len(runs)) == (11, 9)
 
 
 #: each axioms tuple a claim may name, and the made-up stacked hooks

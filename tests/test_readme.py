@@ -48,6 +48,7 @@ def test_readme_names_each_cap_once_with_its_value():
     caps = {
         "MAX_NESTING": syntax.MAX_NESTING,
         "MAX_DEPTH": engine.MAX_DEPTH,
+        "MAX_MEMBER_WIDTH": engine.MAX_MEMBER_WIDTH,
         "BACKWARD_DEPTH": engine.BACKWARD_DEPTH,
         "MAX_SKELETON_ATOMS": semantics.MAX_SKELETON_ATOMS,
         "CACHE_SIZE": schemata.CACHE_SIZE,
