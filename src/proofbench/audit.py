@@ -62,8 +62,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .engine import MAX_DEPTH, Budget, bounded_closure, pool_for, prove
-from .parser import ParseError, render
+from .engine import MAX_DEPTH, MAX_MEMBER_WIDTH, Budget, bounded_closure, pool_for, prove
+from .parser import ParseError, render, render_width
 from .parser import parse as parse_formula
 from .proofs import REFUTED, UNRESOLVED, VERIFIED, _ID_RE, Proof, check_proof, render_proof_script
 from .proofs import recheck_report  # noqa: F401 - re-exported: checks what write_report wrote
@@ -486,12 +486,10 @@ def load_script(text: str) -> list[AuditClaim]:
 def _detail_files(verdict: AuditVerdict) -> list[tuple[str, str]]:
     """(relative path, content) pairs for one verdict's artifacts."""
     cid = verdict.claim.claim_id
-    goal_line = (
-        f"# goal {render(verdict.claim.goal)}\n" if verdict.claim.goal is not None else ""
-    )
     out: list[tuple[str, str]] = []
     if verdict.status == VERIFIED and verdict.proofs:
         if len(verdict.proofs) == 1:
+            goal_line = "" if verdict.claim.goal is None else f"# goal {render(verdict.claim.goal)}\n"
             out.append(
                 (f"details/{cid}.proof", goal_line + render_proof_script(verdict.proofs[0]))
             )
@@ -525,7 +523,10 @@ def render_report_text(report: AuditReport) -> str:
         "-" * 72,
     ]
     for v in report.verdicts:
-        target = render(v.claim.goal) if v.claim.goal is not None else v.claim.shape
+        width = 0 if v.claim.goal is None else render_width(v.claim.goal)
+        target = render(v.claim.goal) if 0 < width <= MAX_MEMBER_WIDTH else v.claim.shape
+        if width > MAX_MEMBER_WIDTH:  # a goal too wide for the pool: UNRESOLVED, named by width
+            target = f"a goal {width} characters long"
         lines.append(f"{v.claim.claim_id}\t{v.status}\tsteps={v.steps}\t{target}")
         if v.claim.locus:
             lines.append(f"\tlocus: {v.claim.locus}")

@@ -18,7 +18,8 @@ lifted steps are appended; the rest stay where they are, so discharging k
 hypotheses in turn costs O(k * n) steps, not a factor of about 3.5 per
 discharge.  ``prove`` proves the implication chain
 ``a1 -> (a1 -> a2) -> ... -> an`` in 73, 289 and 633 steps for n = 4, 8 and
-12 (lifting every step took 94,045 steps at n = 8).
+12 (lifting every step took 94,045 steps at n = 8).  A discharge reads only
+the steps it lifts, so a peel chain's proof takes time linear in its steps.
 
 :func:`deduction_transform`, :func:`reductio_transform` and
 :func:`explosion_transform` do the same to proofs: each splices its input
@@ -29,7 +30,8 @@ runs the checker first, and then calls :func:`discharge`,
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from itertools import compress
 
 from .parser import render
 from .proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep, check_proof
@@ -58,10 +60,6 @@ class TransformError(ValueError):
 # -- incremental construction ------------------------------------------
 
 
-#: A logged step: number, formula, and Hyp | Ax, or the steps mp (i, j) or gen (i,) cites
-Record = tuple[int, Formula, Hyp | Ax | tuple[int, ...]]
-
-
 def covering_set(formula: Formula, axioms: Sequence[AxiomSetRecognizer]) -> str | None:
     """The name of the first recognizer in ``axioms`` that contains ``formula``,
     or None: the set a builder cites for an axiom step."""
@@ -85,12 +83,12 @@ class ProofBuilder:
     ``(formula, justification)`` pair: an ``mp`` or ``gen`` step holds the
     builder step numbers it cites as a plain tuple, and hypothesis and axiom
     records are shared (one :class:`Ax` per set name, and a replayed step
-    keeps its input's record); :meth:`records` reads a step back.  The
-    :class:`ProofStep`, :class:`Mp` and :class:`Gen` records are made when a
-    proof is read: :meth:`proof` returns every step logged, and
-    :func:`conclude` the proof of one step, once per ``prove``.  After a
-    drop the log holds steps that cite a hypothesis no longer in
-    :attr:`hypotheses`, so such a builder is read through :func:`conclude`.
+    keeps its input's record).  The :class:`ProofStep`, :class:`Mp` and
+    :class:`Gen` records are made when a proof is read: :meth:`proof` returns
+    every step logged, and :func:`conclude` the proof of one step, once per
+    ``prove``.  After a drop the log holds steps that cite a hypothesis no
+    longer in :attr:`hypotheses`, so such a builder is read through
+    :func:`conclude`.
     """
 
     def __init__(
@@ -166,38 +164,25 @@ class ProofBuilder:
         return self._add(formula, just, self._bit[just.name] if type(just) is Hyp else 0)
 
     def add_mp(self, i: int, j: int) -> int:
-        major = self.formula(j)
-        if not (isinstance(major, Implies) and major.left == self.formula(i)):
+        major = self._log[j - 1][0]
+        if not (isinstance(major, Implies) and major.left == self._log[i - 1][0]):
             raise ValueError(f"step {j} is not (step {i} -> _)")
         deps = self._deps
         return self._add(major.right, (i, j), deps[i] | deps[j])
 
     def add_gen(self, i: int, var: int) -> int:
         # the variable is the new formula's own binder
-        return self._add(Forall(var, self.formula(i)), (i,), self._deps[i])
+        return self._add(Forall(var, self._log[i - 1][0]), (i,), self._deps[i])
 
     def proof(self) -> Proof:
-        return self._proof([(k, *step) for k, step in enumerate(self._log, 1)])
+        return self._proof(range(1, len(self._log) + 1))
 
-    def records(self, idx: int) -> list[Record]:
-        """The steps step ``idx`` depends on, as logged, ascending.  Every
-        premise precedes the step that cites it, so one backward pass marks them."""
-        log = self._log
-        used = [False] * (idx + 1)
-        used[idx] = True
-        for k in range(idx, 0, -1):
-            if used[k]:
-                just = log[k - 1][1]
-                if type(just) is tuple:
-                    for premise in just:
-                        used[premise] = True
-        return [(k, *log[k - 1]) for k in range(1, idx + 1) if used[k]]
-
-    def _proof(self, records: Sequence[Record]) -> Proof:
-        """The steps ``records``, ascending, renumbered 1, 2, ... in order."""
+    def _proof(self, keys: Iterable[int]) -> Proof:
+        """The steps ``keys``, ascending, renumbered 1, 2, ... in order."""
         new = [0] * (len(self._log) + 1)  # builder step number -> output step number
         steps = []
-        for k, formula, just in records:
+        for k in keys:
+            formula, just = self._log[k - 1]
             n = new[k] = len(steps) + 1
             if type(just) is tuple:
                 if len(just) == 2:
@@ -209,8 +194,14 @@ class ProofBuilder:
 
 
 def conclude(b: ProofBuilder, idx: int) -> Proof:
-    """The proof of step ``idx``: the steps it depends on, renumbered in order."""
-    return b._proof(b.records(idx))
+    """The proof of step ``idx``: the steps it depends on, marked in one
+    backward pass (premises come first) and renumbered in one forward pass."""
+    log, used = b._log, [False] * idx + [True]
+    for k in range(idx, 0, -1):
+        if used[k] and type(just := log[k - 1][1]) is tuple:
+            for premise in just:
+                used[premise] = True
+    return b._proof(compress(range(idx + 1), used))
 
 
 # -- derived-rule templates ---------------------------------------------
@@ -454,7 +445,6 @@ def splice(b: ProofBuilder, proof: Proof) -> int:
     return at[s.index]
 
 
-
 def discharge(b: ProofBuilder, name: str, *conclusions: int) -> list[int]:
     """The lifting loop: from steps of ``b`` that derive chi1, chi2, ... under
     hypothesis ``name`` = alpha, derive alpha -> chi1, alpha -> chi2, ...
@@ -471,14 +461,16 @@ def discharge(b: ProofBuilder, name: str, *conclusions: int) -> list[int]:
     steps.  A lifted or weakened step that the builder already holds is
     reused, not built, and the conclusions, lifted in turn, share theirs.
     ``name`` is dropped (:meth:`ProofBuilder.drop`) before any step is
-    lifted, so no step that depends on it is cited or reused again.  Only the
-    steps the conclusions keep are read.  Callers discharge only sentences,
-    so no generalization step binds a variable free in alpha.
+    lifted, so no step that depends on it is cited or reused again.  A step
+    depends on alpha exactly when a premise does, so a walk back from each
+    conclusion through such premises reads just the steps it lifts, its
+    alpha cone, not the whole log.  Callers discharge only sentences, so no
+    generalization step binds a variable free in alpha.
     """
     alpha = dict(b.hypotheses)[name]
     bit = b._bit[name]
     b.drop(name)
-    deps = b._deps
+    log, deps = b._log, b._deps
     imp: dict[int, int] = {}  # step -> index of (alpha -> that step)
 
     def held(formula: Formula) -> int | None:
@@ -488,7 +480,7 @@ def discharge(b: ProofBuilder, name: str, *conclusions: int) -> list[int]:
 
     def lifted(i: int) -> int:
         if i not in imp:  # a step free of alpha is weakened, the hypothesis made alpha -> alpha
-            got = held(b.formula(i))
+            got = held(log[i - 1][0])
             if got is None:
                 got = derive_identity(b, alpha) if deps[i] & bit else derive_imp_from_cons(b, i, alpha)
             imp[i] = got
@@ -496,14 +488,21 @@ def discharge(b: ProofBuilder, name: str, *conclusions: int) -> list[int]:
 
     out = []
     for idx in conclusions:
-        for key, formula, just in b.records(idx):
-            if key in imp or not deps[key] & bit or type(just) is not tuple:
-                continue  # lifted, free of alpha, or the hypothesis, lifted when first cited
+        cone, todo = set(), [idx]  # the steps idx uses that depend on alpha and are not lifted
+        while todo:
+            if deps[k := todo.pop()] & bit and k not in imp and k not in cone:
+                cone.add(k)
+                if type(just := log[k - 1][1]) is tuple:
+                    todo += just
+        for key in sorted(cone):
+            formula, just = log[key - 1]
+            if type(just) is not tuple:
+                continue  # the hypothesis, lifted when first cited
             if (got := held(formula)) is not None:
                 imp[key] = got
             elif len(just) == 2:
                 i, j = just
-                s1 = b.add_axiom(phi1_instance(alpha, b.formula(i), formula))
+                s1 = b.add_axiom(phi1_instance(alpha, log[i - 1][0], formula))
                 s2 = b.add_mp(lifted(j), s1)
                 imp[key] = b.add_mp(lifted(i), s2)
             else:

@@ -15,8 +15,10 @@ parser's frame cap, ``weakening`` a three-step proof over any formula,
 ``induction_candidate`` an induction instance with a tall term and
 ``phi10_candidate`` a non-instance that the phi10 reader rebuilds higher;
 ``unreachable_steps`` checks the shape of the proofs the engine and the
-transforms return, ``reference_lift`` is the lifting loop that
-:func:`~proofbench.transforms.discharge` is compared against,
+transforms return, ``records`` reads the steps a builder step depends on
+off the whole log, ``reference_lift`` is the lifting loop that
+:func:`~proofbench.transforms.discharge` is compared against for size and
+``reference_discharge`` the one it must match step for step,
 ``ReferenceSaturation`` the closure loop that saturates past its goal, and
 ``ReferenceSearcher`` the backward search whose peels spend depth.
 ``near_the_recursion_limit`` runs a call with few frames left.
@@ -52,6 +54,7 @@ from proofbench.syntax import (
     Not,
     Or,
     Var,
+    find,
     is_sentence,
     universal_closure,
 )
@@ -421,6 +424,65 @@ def reference_lift(hyps, records, name, alpha, axioms):
             s2 = b.add_axiom(phi12_instance(formula.var, alpha, formula.body))
             imp[key] = b.add_mp(s1, s2)
     return b, lifted(key)
+
+
+def records(b, idx):
+    """The steps of builder ``b`` that step ``idx`` depends on, as logged,
+    ascending: ``(number, formula, Hyp | Ax | premise numbers)``.  Every
+    premise precedes the step that cites it, so one backward pass over the
+    whole log marks them."""
+    log = b._log
+    used = [False] * (idx + 1)
+    used[idx] = True
+    for k in range(idx, 0, -1):
+        if used[k]:
+            just = log[k - 1][1]
+            if type(just) is tuple:
+                for premise in just:
+                    used[premise] = True
+    return [(k, *log[k - 1]) for k in range(1, idx + 1) if used[k]]
+
+
+def reference_discharge(b, name, *conclusions):
+    """:func:`~proofbench.transforms.discharge` as it was when it read each
+    conclusion's steps with :func:`records`, a walk of the whole log, and
+    skipped those free of alpha: it must append the same steps."""
+    alpha = dict(b.hypotheses)[name]
+    bit = b._bit[name]
+    b.drop(name)
+    deps = b._deps
+    imp = {}  # step -> index of (alpha -> that step)
+
+    def held(formula):
+        f = find(Implies, alpha, formula)
+        return None if f is None else b.idx_of(f)
+
+    def lifted(i):
+        if i not in imp:
+            got = held(b.formula(i))
+            if got is None:
+                got = derive_identity(b, alpha) if deps[i] & bit else derive_imp_from_cons(b, i, alpha)
+            imp[i] = got
+        return imp[i]
+
+    out = []
+    for idx in conclusions:
+        for key, formula, just in records(b, idx):
+            if key in imp or not deps[key] & bit or type(just) is not tuple:
+                continue
+            if (got := held(formula)) is not None:
+                imp[key] = got
+            elif len(just) == 2:
+                i, j = just
+                s1 = b.add_axiom(phi1_instance(alpha, b.formula(i), formula))
+                s2 = b.add_mp(lifted(j), s1)
+                imp[key] = b.add_mp(lifted(i), s2)
+            else:
+                s1 = b.add_gen(lifted(just[0]), formula.var)
+                s2 = b.add_axiom(phi12_instance(formula.var, alpha, formula.body))
+                imp[key] = b.add_mp(s1, s2)
+        out.append(lifted(idx))
+    return out
 
 
 class ReferenceSaturation(_Saturation):

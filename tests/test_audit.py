@@ -6,6 +6,7 @@ import io
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -18,6 +19,7 @@ from proofbench.audit import (
     CLAIM_SHAPES,
     AuditClaim,
     AuditError,
+    AuditReport,
     derivable_outright,
     load_script,
     recheck_report,
@@ -33,7 +35,7 @@ from proofbench.parser import parse, render
 from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep, check_proof, parse_proof_script
 from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
 from proofbench.scripts import builtin_claims, builtin_scripts
-from proofbench.syntax import Implies, Not, Or, universal_closure
+from proofbench.syntax import And, Implies, Not, Or, universal_closure
 
 from strategies import (
     antecedent_chain,
@@ -506,6 +508,39 @@ def test_recheck_does_not_render_a_conclusion_longer_than_its_goal_line(
     assert len(text) < 1024
     (d / "details" / "x.proof").write_text(text)
     assert recheck_report(d) == [f"x.proof: {problem}"]
+
+
+#: The wall time and the traced memory peak within which a claim whose goal
+#: is too wide to render is written and rechecked: its text is never built.
+#: Measured on one x86-64 core (py3.11.7): under 0.01 s and 40 KB for each.
+WIDE_REPORT_SECONDS, WIDE_REPORT_PEAK_BYTES = 2.0, 1024 * 1024
+
+
+def test_a_goal_too_wide_to_render_is_reported_by_its_width(tmp_path):
+    # X(k + 1) = X(k) /\ X(k): the pool refuses X(22), 46 MB of text, so the
+    # claim is UNRESOLVED and report.txt names the goal's width; X(40) runs
+    # only once X(22) kept within the ceilings, as its text would not fit
+    x, depth = parse("0 = 0"), 0
+    for target in (22, 40):
+        while depth < target:
+            x, depth = And(x, x), depth + 1
+        verdict = run_claim(AuditClaim(f"x{depth}", "membership", ("L12",), (), x))
+        assert verdict.status == "UNRESOLVED" and "MAX_MEMBER_WIDTH" in verdict.detail
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            root = write_report(AuditReport("wide", (verdict,), Budget()), tmp_path / str(depth))
+            problems = recheck_report(root)
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < WIDE_REPORT_SECONDS and peak < WIDE_REPORT_PEAK_BYTES, (elapsed, peak)
+        assert problems == []
+        width = 11 * 2**depth - 6
+        assert f"x{depth}\tUNRESOLVED\tsteps=0\ta goal {width} characters long\n" in (
+            root / "report.txt"
+        ).read_text()
+        assert str(width) in (root / "details" / f"x{depth}.budget").read_text()
 
 
 @pytest.mark.parametrize("head, problems", [

@@ -45,6 +45,7 @@ from strategies import (
     induction_candidate,
     near_the_recursion_limit,
     phi10_candidate,
+    records,
     sentences,
     unreachable_steps,
 )
@@ -715,7 +716,7 @@ def test_discharge_logs_only_the_steps_its_conclusion_keeps(monkeypatch):
     def spy(b, name, *conclusions):
         before = len(b.proof().steps)
         out = real(b, name, *conclusions)
-        kept = {key for idx in out for key, _, _ in b.records(idx)}
+        kept = {key for idx in out for key, _, _ in records(b, idx)}
         appended.append([k for k in range(before + 1, len(b.proof().steps) + 1) if k not in kept])
         return out
 

@@ -52,6 +52,8 @@ from strategies import (
     SENTENCE_POOL,
     formulas,
     random_proof,
+    records,
+    reference_discharge,
     reference_lift,
     sentences,
     unreachable_steps,
@@ -338,10 +340,35 @@ def test_discharge_is_no_longer_than_the_reference_loop(rng, gen):
         if gen:  # a gen over the discharged hypothesis, maybe its first citation
             idx = derive_andintro(b, idx, b.add_gen(b.add_hyp(name), 1))
         out = conclude(b, *discharge(b, name, idx))
-        ref = conclude(*reference_lift(b.hypotheses, b.records(idx), name, alpha, L12))
+        ref = conclude(*reference_lift(b.hypotheses, records(b, idx), name, alpha, L12))
         assert out.conclusion == ref.conclusion == Implies(alpha, b.formula(idx))
         assert check_proof(out, L12, strict=True).ok
         assert len(out.steps) <= len(ref.steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_the_cone_walk_appends_what_the_whole_log_walk_did(rng, gen, two):
+    # discharge walks back from each conclusion through the steps that depend
+    # on alpha only; the reference reads every step the conclusion depends on
+    # and skips those free of alpha.  Twin builders, discharged hypothesis by
+    # hypothesis as the engine does, must hold the same log throughout.
+    p = random_proof(rng, max_hyps=4)
+    twins = []
+    for _ in range(2):
+        b = ProofBuilder(p.hypotheses, axioms=L12)
+        idx = splice(b, p)
+        if gen:  # a gen over a hypothesis, maybe its first citation
+            idx = derive_andintro(b, idx, b.add_gen(b.add_hyp(p.hypotheses[0][0]), 1))
+        twins.append(b)
+    ours, ref = twins
+    conclusions = [idx, rng.randint(1, idx)] if two else [idx]
+    for name, _ in rng.sample(p.hypotheses, len(p.hypotheses)):
+        out = discharge(ours, name, *conclusions)
+        assert out == reference_discharge(ref, name, *conclusions)
+        assert ours.proof() == ref.proof()
+        conclusions = out
+    assert conclude(ours, conclusions[0]) == conclude(ref, conclusions[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -369,9 +396,9 @@ def test_discharges_in_place_leave_the_builder_sound(rng):
         # restating a formula that only a step through alpha holds logs a new
         # step; a step another hypothesis with alpha's formula holds is kept
         twin = next((n for n, f in remaining if f == alpha), None)
-        if twin is not None and b.records(hyp)[-1][2] == Hyp(name):
+        if twin is not None and records(b, hyp)[-1][2] == Hyp(name):
             assert b.add_hyp(twin) == len(b.proof().steps) > hyp
-        if any(just == Hyp(name) for _, _, just in b.records(through_alpha)):
+        if any(just == Hyp(name) for _, _, just in records(b, through_alpha)):
             assert derive_orin(b, y, alpha, "right") > through_alpha  # alpha \/ y again
 
 
