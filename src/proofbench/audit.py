@@ -80,7 +80,7 @@ from .schemata import (
     named_formula,
 )
 from .semantics import FALSE, SkeletonLimitError, arith_verdict, lowest_row
-from .syntax import Forall, Formula, Implies, NestingError, Not
+from .syntax import Forall, Formula, Implies, NestingError, Not, free_vars
 
 CLAIM_SHAPES = ("membership", "set-equality", "contradiction", "sanity")
 
@@ -94,9 +94,11 @@ class AuditClaim:
     """One judgeable assertion about a hypothesis context.
 
     ``axiom_names`` name recognizer sets; ``hypotheses`` are (label, sentence)
-    pairs.  ``goal`` is required for membership and sanity claims and must be
-    absent for collapse/contradiction probes.  ``locus`` is free text echoed
-    into reports so a reader can trace the claim to its source chain.
+    pairs, each set and each label at most once, and the hypotheses and the
+    goal are sentences.  ``goal`` is required for membership and sanity claims
+    and must be absent for collapse/contradiction probes.  ``locus`` is free
+    text echoed into reports so a reader can trace the claim to its source
+    chain.
     """
 
     claim_id: str
@@ -116,17 +118,28 @@ class AuditClaim:
             raise AuditError(f"claim {self.claim_id}: shape {self.shape} needs a goal")
         if self.shape in ("set-equality", "contradiction") and self.goal is not None:
             raise AuditError(f"claim {self.claim_id}: shape {self.shape} takes no goal")
-        for name in self.axiom_names:
+        for i, name in enumerate(self.axiom_names):
             if name not in AXIOM_SETS:
                 raise AuditError(f"claim {self.claim_id}: unknown axiom set {name!r}")
+            if name in self.axiom_names[:i]:
+                raise AuditError(f"claim {self.claim_id}: repeated axiom set {name!r}")
         names = [name for name, _ in self.hypotheses]
-        for i, name in enumerate(names):
+        for i, (name, f) in enumerate(self.hypotheses):
             if name in names[:i]:
                 raise AuditError(f"claim {self.claim_id}: repeated hypothesis {name!r}")
+            _require_sentence(self.claim_id, f"hypothesis {name!r}", f)
+        if self.goal is not None:
+            _require_sentence(self.claim_id, "goal", self.goal)
         if type(self.eval_bound) is not int or self.eval_bound < 1:
             raise AuditError(
                 f"claim {self.claim_id}: eval bound {self.eval_bound!r} is not a positive integer"
             )
+
+
+def _require_sentence(claim_id: str, what: str, f: Formula) -> None:
+    if free_vars(f):
+        pretty = ", ".join(f"x{i}" for i in free_vars(f))
+        raise AuditError(f"claim {claim_id}: {what} has free variables ({pretty})")
 
 
 @dataclass(frozen=True)
@@ -369,6 +382,9 @@ _BASE_BINDINGS: Mapping[str, Formula] = MappingProxyType(
     {"delta": PSI_AXIOMS["psi1"], "alpha_prime": NAMED_FORMULAS["u27"]}
 )
 
+#: The names a ``set`` line may bind: the tokens a ``hyps`` or ``goal`` field reads.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 #: Sentence tokens that no binding depends on.
 _SENTENCES: dict[str, Formula] = {
     **PSI_AXIOMS,
@@ -400,7 +416,7 @@ def resolve_token(
 
 def _load_goal(body: str, bindings: Mapping[str, Formula]) -> Formula:
     """The goal a claim's ``goal`` field names or spells out."""
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", body):
+    if not _NAME_RE.fullmatch(body):
         return parse_formula(body)
     if body in AXIOM_SETS:
         raise AuditError(f"goal {body!r} names an axiom set, not a formula")
@@ -414,6 +430,7 @@ def _load_claim(text: str, bindings: Mapping[str, Formula]) -> AuditClaim:
     """The claim of one ``claim`` line, its directive word cut off."""
     fields = [p.strip() for p in text.split("|")]
     claim_id = fields[0]
+    shape: str | None = None
     axiom_names: list[str] = []
     hypotheses: list[tuple[str, Formula]] = []
     goal: Formula | None = None
@@ -426,6 +443,10 @@ def _load_claim(text: str, bindings: Mapping[str, Formula]) -> AuditClaim:
                     axiom_names.append(token)
                 else:
                     hypotheses.append((token, resolved))
+        elif part.startswith("shape "):
+            if shape is not None:
+                raise AuditError(f"claim {claim_id!r} repeats the shape field")
+            shape = part[6:].strip()
         elif part.startswith("goal "):
             if goal is not None:
                 raise AuditError(f"claim {claim_id!r} repeats the goal field")
@@ -436,10 +457,8 @@ def _load_claim(text: str, bindings: Mapping[str, Formula]) -> AuditClaim:
             locus = part[6:].strip()
         else:
             raise AuditError(f"unknown claim field {part!r}")
-    if goal is None:
-        raise AuditError(f"claim {claim_id!r} has no goal")
     return AuditClaim(
-        claim_id, "membership", tuple(axiom_names), tuple(hypotheses), goal, locus or ""
+        claim_id, shape or "membership", tuple(axiom_names), tuple(hypotheses), goal, locus or ""
     )
 
 
@@ -449,12 +468,14 @@ def load_script(text: str) -> list[AuditClaim]:
     Grammar, one directive per line (``#`` starts a comment)::
 
         set <name> <formula-text>
-        claim <id> | hyps <token>[,<token>...] | goal <formula-or-name> | locus <text>
+        claim <id> | shape <shape> | hyps <token>, ... | goal <formula-or-name> | locus <text>
 
     ``set`` binds or overrides a name usable in later ``hyps``/``goal``
-    fields; axiom-set names cannot be bound.  Hypothesis tokens may name axiom
-    sets, bound names, or the built-in sentence constants.  A claim takes one
-    ``goal`` and at most one ``locus``.  Parsed claims are membership claims.
+    fields; the name is an identifier, and axiom-set names cannot be bound.
+    Hypothesis tokens may name axiom sets, bound names, or the built-in
+    sentence constants.  A claim takes at most one ``shape``, ``goal`` and
+    ``locus``; ``shape`` is one of :data:`CLAIM_SHAPES` and defaults to
+    ``membership``, and the shape says whether the claim takes a ``goal``.
     """
     bindings = dict(_BASE_BINDINGS)
     claims: list[AuditClaim] = []
@@ -468,6 +489,8 @@ def load_script(text: str) -> list[AuditClaim]:
                 if len(parts) != 2:
                     raise AuditError("set needs a name and a formula")
                 name, body = parts
+                if not _NAME_RE.fullmatch(name):
+                    raise AuditError(f"cannot set {name!r}, which no field can read")
                 if name in AXIOM_SETS:
                     raise AuditError(f"cannot set {name!r}, an axiom-set name")
                 bindings[name] = parse_formula(body)

@@ -48,6 +48,8 @@ from strategies import (
     unreachable_steps,
 )
 
+CLAIMS_DIR = Path(__file__).parents[1] / "src" / "proofbench" / "claims"
+
 PSI1 = PSI_AXIOMS["psi1"]
 PSI7 = PSI_AXIOMS["psi7"]
 
@@ -847,6 +849,18 @@ def test_readme_claim_script_loads_and_runs():
     assert [v.status for v in report.verdicts] == ["VERIFIED"]
 
 
+def test_builtin_goals_written_as_text_are_rendered():
+    # a goal is a sentence token or render's text, so the files read like report.txt
+    texts = []
+    for path in sorted(CLAIMS_DIR.glob("*.txt")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            goal = re.match(r"claim .*?\| goal (.*?)(?: \||$)", line)
+            if goal and not re.fullmatch(r"\w+", goal[1]):
+                texts.append(goal[1])
+                assert render(parse(goal[1])) == goal[1], (path.name, line)
+    assert len(texts) > 50
+
+
 def test_load_script_set_override_propagates():
     text = (
         "set delta ~(1 < 1)\n"
@@ -865,6 +879,12 @@ def test_load_script_errors_carry_line_numbers():
         ("claim c1 | hyps L12 | goal foo", "unknown goal token 'foo'"),
         ("claim c1 | hyps L12 | goal L12", "goal 'L12' names an axiom set"),
         ("claim c1 | goal ((( ", ""),
+        ("claim c1 | hyps L12", "claim c1: shape membership needs a goal"),
+        ("claim c1 | shape sanity", "claim c1: shape sanity needs a goal"),
+        ("claim c1 | shape contradiction | hyps L12 | goal psi1", "takes no goal"),
+        ("claim c1 | shape proof | hyps L12 | goal psi1", "unknown claim shape 'proof'"),
+        ("claim c1 | shape sanity | goal x1 = x1", "claim c1: goal has free variables (x1)"),
+        ("claim c1 | hyps L12 | goal (Ax1)(x1 = x2)", "goal has free variables (x2)"),
         ("set delta ((( ", ""),
         ("claim bad id! | hyps L12 | goal psi1", "not filesystem-safe"),
         ("claim | goal u27", "claim id '' is not filesystem-safe"),
@@ -882,10 +902,17 @@ def test_load_script_rejects_input_it_would_lose():
     with pytest.raises(AuditError) as e:
         load_script("claim c0 | hyps L12 | goal psi1\nset L12 1 = 1\n")
     assert "line 2" in str(e.value) and "L12" in str(e.value)
-    # a second goal or locus field would replace the first
-    for field in ("goal (Ax1)(x1 = x1)", "locus elsewhere"):
+    # a set name no field can read: hyps and goal read only identifiers
+    for name in ("0", "a,b"):
         with pytest.raises(AuditError) as e:
-            load_script(f"\nclaim c | hyps L12 | goal u27 | locus here | {field}\n")
+            load_script(f"claim c0 | hyps L12 | goal psi1\nset {name} 0 = 0\n")
+        assert "line 2" in str(e.value) and repr(name) in str(e.value)
+    # a second shape, goal or locus field would replace the first
+    for field in ("shape sanity", "goal (Ax1)(x1 = x1)", "locus elsewhere"):
+        with pytest.raises(AuditError) as e:
+            load_script(
+                f"\nclaim c | shape membership | hyps L12 | goal u27 | locus here | {field}\n"
+            )
         assert "line 2" in str(e.value)
 
 
@@ -905,6 +932,12 @@ def test_claim_validation():
         AuditClaim("x", "membership", ("NoSuchSet",), (), PSI1, "")
     with pytest.raises(AuditError):
         AuditClaim("x", "membership", ("L12",), (), None, "")
+    # hypotheses and goals are sentences
+    open_ = parse("x1 = x1")
+    with pytest.raises(AuditError, match=r"^claim x: goal has free variables \(x1\)$"):
+        AuditClaim("x", "sanity", (), (), open_)
+    with pytest.raises(AuditError, match="^claim x: hypothesis 'h' has free variables"):
+        AuditClaim("x", "membership", ("L12",), (("h", open_),), PSI1)
 
 
 @pytest.mark.parametrize("bound", [0, -3, 2.5, True, "50"])
@@ -921,6 +954,10 @@ def test_a_claim_refuses_a_repeated_hypothesis_name():
         AuditClaim("c1", "membership", ("L12",), (("psi7", psi7), ("psi7", psi7)), psi7)
     with pytest.raises(AuditError, match="^line 2: claim c1: repeated hypothesis 'psi7'$"):
         load_script("# first line\nclaim c1 | hyps L12, psi7, psi7 | goal psi7\n")
+    with pytest.raises(AuditError, match="^claim c1: repeated axiom set 'L12'$"):
+        AuditClaim("c1", "membership", ("L12", "L12"), (), psi7)
+    with pytest.raises(AuditError, match="^line 2: claim c1: repeated axiom set 'L12'$"):
+        load_script("# first line\nclaim c1 | hyps L12, L12 | goal psi1\n")
 
 
 def test_strict_check_failure_at_no_step_names_no_step():

@@ -13,6 +13,7 @@ from proofbench.cli import main
 from proofbench.engine import BACKWARD_DEPTH
 from proofbench.parser import MAX_NESTING, render
 from proofbench.proofs import recheck_report, render_proof_script
+from proofbench.scripts import builtin_scripts
 from proofbench.syntax import Implies
 
 from strategies import (
@@ -232,6 +233,7 @@ def test_deep_input_is_usage_error(tmp_path):
         ("check", "\u00b2. 1 = 1 ; axiom L12\n"),
         ("check", "hyp h1 1 = 1\n1. 1 = 1 ; hyp h1\n2. (Ax1)(1 = 1) ; gen 1 x0\n"),
         ("audit", "claim c1 | hyps L12 | goal x0 = 1\n"),
+        ("audit", "claim c1 | shape sanity | goal x1 = x1\n"),
     ],
 )
 def test_bad_input_file_is_usage_error(tmp_path, verb, text):
@@ -302,6 +304,17 @@ def test_audit_builtin(capsys):
     assert code == 0
     assert "audit: corollary-4.4" in out
     assert "totals: verified=0 refuted=1 unresolved=0" in out
+
+
+def test_audit_of_a_builtin_file_prints_what_its_id_prints():
+    # the path stem is the id, so the file and the id name one script
+    claims = Path(__file__).resolve().parents[1] / "src" / "proofbench" / "claims"
+    files = sorted(p.name for p in claims.iterdir())
+    assert files == sorted(f"{sid}.txt" for sid in builtin_scripts())
+    for sid in builtin_scripts():
+        by_id = run_cli("audit", sid)
+        assert by_id[0] == 0 and by_id[1].startswith(f"audit: {sid}\n"), sid
+        assert run_cli("audit", str(claims / f"{sid}.txt")) == by_id, sid
 
 
 def test_audit_unknown_script():

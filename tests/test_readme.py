@@ -1,5 +1,6 @@
 """The README's ``pycon`` examples and command lines run as written."""
 
+import ast
 import doctest
 import importlib
 import io
@@ -80,3 +81,15 @@ def test_readme_package_layout_names_what_each_module_provides():
                 assert any(a.startswith(name[:-1]) for a in dir(module)), (module_name, name)
             else:
                 assert hasattr(module, name), (module_name, name)
+
+
+def test_package_data_ships_every_claim_script():
+    # a non-editable install copies only what the package-data globs match
+    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    globs = ast.literal_eval(
+        re.search(r"^\[tool\.setuptools\.package-data\]\nproofbench = (\[.*\])$", pyproject, re.M)[1]
+    )
+    package = README.parent / "src" / "proofbench"
+    shipped = {p for g in globs for p in package.glob(g)}
+    files = {p for p in (package / "claims").rglob("*") if p.is_file()}
+    assert files and shipped == files
