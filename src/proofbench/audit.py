@@ -59,7 +59,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .engine import MAX_DEPTH, MAX_MEMBER_WIDTH, Budget, bounded_closure, pool_for, prove
@@ -77,10 +76,9 @@ from .schemata import (
     Q_AXIOMS,
     AxiomSetRecognizer,
     axiom_set,
-    named_formula,
 )
 from .semantics import FALSE, SkeletonLimitError, arith_verdict, lowest_row
-from .syntax import Forall, Formula, Implies, NestingError, Not, free_vars
+from .syntax import Forall, Formula, NestingError, free_vars
 
 CLAIM_SHAPES = ("membership", "set-equality", "contradiction", "sanity")
 
@@ -377,15 +375,10 @@ def run_audit(
 
 # -- claim scripts ------------------------------------------------------
 
-#: The names every claim script starts with; ``set`` directives override them.
-_BASE_BINDINGS: Mapping[str, Formula] = MappingProxyType(
-    {"delta": PSI_AXIOMS["psi1"], "alpha_prime": NAMED_FORMULAS["u27"]}
-)
-
 #: The names a ``set`` line may bind: the tokens a ``hyps`` or ``goal`` field reads.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-#: Sentence tokens that no binding depends on.
+#: The sentence constants every script can name, and no ``set`` line rebinds.
 _SENTENCES: dict[str, Formula] = {
     **PSI_AXIOMS,
     **Q_AXIOMS,
@@ -394,93 +387,76 @@ _SENTENCES: dict[str, Formula] = {
     "beta1": BETA1,
 }
 
-
-def resolve_token(
-    token: str, bindings: Mapping[str, Formula] = _BASE_BINDINGS
-) -> Formula | None:
-    """A formula for a hypothesis token, or None when it names an axiom set."""
-    if token in AXIOM_SETS:
-        return None
-    if token in bindings:
-        return bindings[token]
-    if token in _SENTENCES:
-        return _SENTENCES[token]
-    if token == "delta00":
-        return named_formula("delta00", delta=bindings["delta"])
-    if token == "not_delta00":
-        return Not(named_formula("delta00", delta=bindings["delta"]))
-    if token == "alpha_imp_psi7":
-        return Implies(bindings["alpha_prime"], PSI_AXIOMS["psi7"])
-    raise AuditError(f"unknown hypothesis token {token!r}")
+#: The fields a ``claim`` line takes, each at most once.
+_FIELDS = ("hyps", "shape", "goal", "locus")
 
 
-def _load_goal(body: str, bindings: Mapping[str, Formula]) -> Formula:
+def _load_goal(body: str, names: Mapping[str, Formula | None]) -> Formula:
     """The goal a claim's ``goal`` field names or spells out."""
     if not _NAME_RE.fullmatch(body):
         return parse_formula(body)
     if body in AXIOM_SETS:
         raise AuditError(f"goal {body!r} names an axiom set, not a formula")
-    try:
-        return resolve_token(body, bindings)
-    except AuditError:
-        raise AuditError(f"unknown goal token {body!r}") from None
+    if body not in names:
+        raise AuditError(f"unknown goal token {body!r}")
+    return names[body]
 
 
-def _load_claim(text: str, bindings: Mapping[str, Formula]) -> AuditClaim:
-    """The claim of one ``claim`` line, its directive word cut off."""
-    fields = [p.strip() for p in text.split("|")]
-    claim_id = fields[0]
-    shape: str | None = None
+def _load_claim(text: str, names: Mapping[str, Formula | None]) -> AuditClaim:
+    """The claim of one ``claim`` line, its directive word cut off; ``names``
+    maps each token to its sentence, or to None for an axiom-set name."""
+    claim_id, *parts = (p.strip() for p in text.split("|"))
+    fields: dict[str, str] = {}
+    for part in parts:
+        word, _, body = part.partition(" ")
+        if word not in _FIELDS or not body:
+            raise AuditError(f"unknown claim field {part!r}")
+        if word in fields:
+            raise AuditError(f"claim {claim_id!r} repeats the {word} field")
+        fields[word] = body.strip()
     axiom_names: list[str] = []
     hypotheses: list[tuple[str, Formula]] = []
-    goal: Formula | None = None
-    locus: str | None = None
-    for part in fields[1:]:
-        if part.startswith("hyps "):
-            for token in part[5:].replace(",", " ").split():
-                resolved = resolve_token(token, bindings)
-                if resolved is None:
-                    axiom_names.append(token)
-                else:
-                    hypotheses.append((token, resolved))
-        elif part.startswith("shape "):
-            if shape is not None:
-                raise AuditError(f"claim {claim_id!r} repeats the shape field")
-            shape = part[6:].strip()
-        elif part.startswith("goal "):
-            if goal is not None:
-                raise AuditError(f"claim {claim_id!r} repeats the goal field")
-            goal = _load_goal(part[5:].strip(), bindings)
-        elif part.startswith("locus "):
-            if locus is not None:
-                raise AuditError(f"claim {claim_id!r} repeats the locus field")
-            locus = part[6:].strip()
+    for token in fields.get("hyps", "").replace(",", " ").split():
+        if token not in names:
+            raise AuditError(f"unknown hypothesis token {token!r}")
+        f = names[token]
+        if f is None:
+            axiom_names.append(token)
         else:
-            raise AuditError(f"unknown claim field {part!r}")
+            hypotheses.append((token, f))
+    goal = _load_goal(fields["goal"], names) if "goal" in fields else None
     return AuditClaim(
-        claim_id, shape or "membership", tuple(axiom_names), tuple(hypotheses), goal, locus or ""
+        claim_id,
+        fields.get("shape", "membership"),
+        tuple(axiom_names),
+        tuple(hypotheses),
+        goal,
+        fields.get("locus", ""),
     )
 
 
 def load_script(text: str) -> list[AuditClaim]:
     """Parse a claim script.
 
-    Grammar, one directive per line (``#`` starts a comment)::
+    Grammar, one directive per line::
 
         set <name> <formula-text>
         claim <id> | shape <shape> | hyps <token>, ... | goal <formula-or-name> | locus <text>
 
-    ``set`` binds or overrides a name usable in later ``hyps``/``goal``
-    fields; the name is an identifier, and axiom-set names cannot be bound.
-    Hypothesis tokens may name axiom sets, bound names, or the built-in
-    sentence constants.  A claim takes at most one ``shape``, ``goal`` and
-    ``locus``; ``shape`` is one of :data:`CLAIM_SHAPES` and defaults to
+    A ``#`` starts a comment, unless a ``locus`` field has begun before it
+    on its line: there it is locus text.  A token names an axiom set, a
+    sentence constant, or a name an earlier ``set`` line bound; ``set``
+    binds or overrides an identifier that is neither of the first two.  A
+    claim's id is not an earlier claim's, and a claim takes each field at
+    most once; ``shape`` is one of :data:`CLAIM_SHAPES` and defaults to
     ``membership``, and the shape says whether the claim takes a ``goal``.
+    Every failure is an :class:`AuditError` that starts ``line <n>: ``.
     """
-    bindings = dict(_BASE_BINDINGS)
-    claims: list[AuditClaim] = []
+    names: dict[str, Formula | None] = {**dict.fromkeys(AXIOM_SETS), **_SENTENCES}
+    claims: dict[str, AuditClaim] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        head = raw.partition("#")[0]
+        line = (raw if re.search(r"\|\s*locus ", head) else head).strip()
         if not line:
             continue
         try:
@@ -493,14 +469,19 @@ def load_script(text: str) -> list[AuditClaim]:
                     raise AuditError(f"cannot set {name!r}, which no field can read")
                 if name in AXIOM_SETS:
                     raise AuditError(f"cannot set {name!r}, an axiom-set name")
-                bindings[name] = parse_formula(body)
+                if name in _SENTENCES:
+                    raise AuditError(f"cannot set {name!r}, a sentence constant")
+                names[name] = parse_formula(body)
             elif line.startswith("claim "):
-                claims.append(_load_claim(line[6:], bindings))
+                claim = _load_claim(line[6:], names)
+                if claim.claim_id in claims:
+                    raise AuditError(f"duplicate claim id {claim.claim_id!r}")
+                claims[claim.claim_id] = claim
             else:
                 raise AuditError(f"expected 'set' or 'claim', got {line!r}")
         except (AuditError, ParseError) as exc:
             raise AuditError(f"line {lineno}: {exc}") from exc
-    return claims
+    return list(claims.values())
 
 
 # -- report serialization ------------------------------------------------

@@ -346,26 +346,6 @@ BETA0 = And(And(And(_PSI2, _PSI1), _PSI7), _PSI12)
 BETA1 = _imp_chain(_PSI1, _PSI7, _PSI12, BETA0)
 
 
-def named_formula(name: str, *, delta: Formula | None = None) -> Formula:
-    """One of the sentence constants the audit scripts refer to.
-
-    ``delta00`` takes a ``delta`` argument; every other name is ``beta0``,
-    ``beta1`` or a key of :data:`NAMED_FORMULAS`.
-    """
-    if name == "beta0":
-        return BETA0
-    if name == "beta1":
-        return BETA1
-    if name == "delta00":
-        if delta is None:
-            raise ValueError("delta00 needs a delta")
-        return Implies(_PSI7, delta)
-    try:
-        return NAMED_FORMULAS[name]
-    except KeyError:
-        raise ValueError(f"unknown named formula {name!r}") from None
-
-
 # -- axiom sets ---------------------------------------------------------
 
 

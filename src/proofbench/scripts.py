@@ -2,7 +2,8 @@
 
 Each script is a claim-script file under ``claims/``, named by its id and
 read with :func:`~proofbench.audit.load_script`.  The files' header comments
-explain the chain shorthand they use.
+explain the chain shorthand they use, and ``set`` lines state the sentences
+it names beyond the built-in constants.
 """
 
 from __future__ import annotations

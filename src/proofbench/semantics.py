@@ -295,24 +295,6 @@ FALSE = ThreeValued.FALSE
 UNKNOWN = ThreeValued.UNKNOWN
 
 
-def eval_term(t: Term, env: dict[int, int]) -> int:
-    if isinstance(t, Var):
-        try:
-            return env[t.id]
-        except KeyError:
-            raise ValueError(f"unbound variable x{t.id}") from None
-    if isinstance(t, Const):
-        return int(t.name)
-    if isinstance(t, App):
-        if t.func == "+":
-            return eval_term(t.args[0], env) + eval_term(t.args[1], env)
-        if t.func == "*":
-            return eval_term(t.args[0], env) * eval_term(t.args[1], env)
-        if t.func == "S":
-            return eval_term(t.args[0], env) + 1
-    raise TypeError(f"not a term: {t!r}")
-
-
 # The compiled evaluator: a formula becomes a closure over a list of slots, one
 # per variable in ``env`` and one per binder, that returns True, False or None
 # (unknown).  A binder's loop overwrites its own slot, and a variable reads the

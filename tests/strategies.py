@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 from proofbench.engine import BudgetReport, ClosureState, _fresh_name, _Saturation, _Searcher
 from proofbench.parser import parse, render
 from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep
-from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
+from proofbench.schemata import NAMED_FORMULAS, PSI_AXIOMS, axiom_set
 from proofbench.syntax import (
     And,
     App,
@@ -200,7 +200,7 @@ _L12 = (axiom_set("L12"),)
 SENTENCE_POOL = (
     PSI_AXIOMS["psi1"],
     PSI_AXIOMS["psi7"],
-    named_formula("u27"),
+    NAMED_FORMULAS["u27"],
     Not(PSI_AXIOMS["psi1"]),
 )
 

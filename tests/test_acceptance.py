@@ -14,12 +14,12 @@ from proofbench.audit import recheck_report, run_audit, write_report
 from proofbench.engine import Budget, bounded_closure, prove
 from proofbench.proofs import check_proof, parse_proof_script, render_proof_script
 from proofbench.schemata import (
+    NAMED_FORMULAS,
     PSI_AXIOMS,
     Q_AXIOMS,
     SCHEMATA,
     axiom_set,
     match_schema,
-    named_formula,
 )
 from proofbench.semantics import ThreeValued, eval_arith, is_tautology
 from proofbench.scripts import builtin_claims, builtin_scripts
@@ -225,13 +225,13 @@ def test_primary_deduction_round_trip(capsys):
 
 def test_primary_closure_laws(capsys):
     t0 = time.perf_counter()
-    xi = named_formula("xi")
+    xi = NAMED_FORMULAS["xi"]
     not_d00 = Not(Implies(PSI_AXIOMS["psi7"], PSI_AXIOMS["psi1"]))
     corpus = [
         (),
         (("h1", xi),),
         (("h1", not_d00),),
-        (("h1", named_formula("gamma2p")), ("h2", named_formula("o0"))),
+        (("h1", NAMED_FORMULAS["gamma2p"]), ("h2", NAMED_FORMULAS["o0"])),
     ]
     for hyps in corpus:
         small = bounded_closure(hyps, L12, Budget(max_steps=80))

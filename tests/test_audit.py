@@ -13,6 +13,8 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proofbench import audit, engine, proofs, semantics
 from proofbench.audit import (
@@ -33,7 +35,7 @@ from proofbench.cli import main
 from proofbench.engine import Budget, prove
 from proofbench.parser import parse, render
 from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep, check_proof, parse_proof_script
-from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
+from proofbench.schemata import NAMED_FORMULAS, PSI_AXIOMS, axiom_set
 from proofbench.scripts import builtin_claims, builtin_scripts
 from proofbench.syntax import And, Implies, Not, Or, universal_closure
 
@@ -829,14 +831,18 @@ def test_load_script_basic():
     text = (
         "claim c1 | hyps L12 xi | goal psi12 | locus somewhere\n"
         "claim c2 | hyps L12 | goal ~(1 < 1)\n"
+        "claim c3 | hyps L12 | goal psi1 | locus step #3 of the chain\n"
+        "claim c4 | hyps L12 | goal psi1 # | locus a comment\n"
     )
     claims = load_script(text)
-    assert [c.claim_id for c in claims] == ["c1", "c2"]
+    assert [c.claim_id for c in claims] == ["c1", "c2", "c3", "c4"]
     assert claims[0].axiom_names == ("L12",)
-    assert dict(claims[0].hypotheses) == {"xi": named_formula("xi")}
+    assert dict(claims[0].hypotheses) == {"xi": NAMED_FORMULAS["xi"]}
     assert claims[0].goal == PSI_AXIOMS["psi12"]
     assert claims[0].locus == "somewhere"
-    assert claims[1].goal == named_formula("u27")
+    assert claims[1].goal == NAMED_FORMULAS["u27"]
+    # a # is text once a locus field has begun, and a comment before it
+    assert [c.locus for c in claims[2:]] == ["step #3 of the chain", ""]
 
 
 def test_readme_claim_script_loads_and_runs():
@@ -862,14 +868,20 @@ def test_builtin_goals_written_as_text_are_rendered():
 
 
 def test_load_script_set_override_propagates():
+    # a set line binds its formula where it stands: a later set of the name
+    # changes only the claims after it, and no token is derived from a name
     text = (
-        "set delta ~(1 < 1)\n"
-        "claim c1 | hyps L12 not_delta00 | goal delta\n"
+        "set d 0 = 0\n"
+        "claim c1 | hyps L12, d | goal d\n"
+        "set d ~(1 < 1)\n"
+        "claim c2 | hyps L12, d | goal d\n"
     )
-    (claim,) = load_script(text)
-    d00 = Implies(PSI7, named_formula("u27"))
-    assert dict(claim.hypotheses) == {"not_delta00": Not(d00)}
-    assert claim.goal == named_formula("u27")
+    c1, c2 = load_script(text)
+    assert dict(c1.hypotheses) == {"d": parse("0 = 0")} and c1.goal == parse("0 = 0")
+    u27 = NAMED_FORMULAS["u27"]
+    assert dict(c2.hypotheses) == {"d": u27} and c2.goal == u27
+    with pytest.raises(AuditError, match="^line 2: unknown hypothesis token 'not_delta00'$"):
+        load_script("set delta ~(1 < 1)\nclaim c1 | hyps L12 not_delta00 | goal delta\n")
 
 
 def test_load_script_errors_carry_line_numbers():
@@ -895,6 +907,8 @@ def test_load_script_errors_carry_line_numbers():
             load_script(f"# first line\n\n{line}\n")
         assert str(e.value).startswith("line 3: ")
         assert message in str(e.value)
+    with pytest.raises(AuditError, match="^line 3: duplicate claim id 'c1'$"):
+        load_script("claim c1 | hyps L12 | goal psi1\n\nclaim c1 | hyps L12 | goal psi2\n")
 
 
 def test_load_script_rejects_input_it_would_lose():
@@ -907,8 +921,12 @@ def test_load_script_rejects_input_it_would_lose():
         with pytest.raises(AuditError) as e:
             load_script(f"claim c0 | hyps L12 | goal psi1\nset {name} 0 = 0\n")
         assert "line 2" in str(e.value) and repr(name) in str(e.value)
-    # a second shape, goal or locus field would replace the first
-    for field in ("shape sanity", "goal (Ax1)(x1 = x1)", "locus elsewhere"):
+    # a sentence constant names one sentence in every script
+    for name in ("psi1", "q3", "u27", "beta0"):
+        with pytest.raises(AuditError, match=f"^line 1: cannot set '{name}', a sentence constant$"):
+            load_script(f"set {name} 0 = 0\nclaim c1 | hyps L12, {name} | goal {name}\n")
+    # a claim takes each field once
+    for field in ("shape sanity", "goal (Ax1)(x1 = x1)", "locus elsewhere", "hyps xi"):
         with pytest.raises(AuditError) as e:
             load_script(
                 f"\nclaim c | shape membership | hyps L12 | goal u27 | locus here | {field}\n"
@@ -917,10 +935,67 @@ def test_load_script_rejects_input_it_would_lose():
 
 
 def test_run_audit_rejects_duplicate_ids():
-    text = "claim c1 | hyps L12 | goal psi1\nclaim c1 | hyps L12 | goal psi2\n"
-    claims = load_script(text)
+    claims = [
+        AuditClaim("c1", "membership", ("L12",), (), PSI1),
+        AuditClaim("c1", "membership", ("L12",), (), PSI_AXIOMS["psi2"]),
+    ]
     with pytest.raises(AuditError):
         run_audit("t", claims, Budget(max_steps=100))
+
+
+#: The wall time within which ``load_script`` answers one generated script,
+#: of at most six lines that may hold 400-deep formulas.  Measured on one
+#: x86-64 core (py3.11.7): under 0.01 s per script.
+LOAD_SCRIPT_SECONDS = 1.0
+
+_CHAIN = " /\\ ".join(["0 = 0"] * 400)
+_FORMULA_TEXT = st.sampled_from([
+    "0 = 0", "x1 = x1", "(Ax1)(x1 = x1)", "~(1 < 1)", "(Ax1)~(1 = x1 + 1) -> (Ax1)(x1 = x1)",
+    _CHAIN, f"~({_CHAIN})", " /\\ ".join(["0 = 0"] * 401),
+    "~" * 399 + "0 = 0", "~" * 400 + "0 = 0", "(" * 401 + "0 = 0" + ")" * 401, "(((",
+])
+_TOKEN = st.sampled_from([
+    "L12", "L2r", "Xp", "NPsi3dot", "psi1", "psi7", "q3", "u27", "xi", "beta0", "beta1",
+    "delta", "delta00", "not_delta00", "alpha_imp_psi7", "d", "e", "c1", "0", "a,b", "",
+])
+_FIELD = st.one_of(
+    st.builds(lambda ts: "hyps " + ", ".join(ts), st.lists(_TOKEN, max_size=4)),
+    st.builds("shape {}".format, st.sampled_from([*CLAIM_SHAPES, "proof", ""])),
+    st.builds("goal {}".format, _TOKEN | _FORMULA_TEXT),
+    st.builds("locus {}".format, st.sampled_from(["here", "step #3", "a | b", ""])),
+    st.text(max_size=6),
+)
+_LINE = st.one_of(
+    st.builds("set {} {}".format, _TOKEN, _FORMULA_TEXT | _TOKEN),
+    st.builds("claim c{} | hyps L12, {} | goal {}".format, st.integers(0, 9), _TOKEN, _TOKEN),
+    st.builds(
+        lambda cid, fields: " | ".join([f"claim {cid}", *fields]),
+        st.sampled_from(["c1", "c2", "bad id!", ""]),
+        st.lists(_FIELD, max_size=5),
+    ),
+    st.builds(
+        "".join,
+        st.lists(st.sampled_from(["set ", "claim ", "|", ",", "#", " ", "hyps ", "goal "])
+                 | _TOKEN | _FORMULA_TEXT | st.text(max_size=4), max_size=6),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINE, max_size=6).map("\n".join))
+# loaded to a NestingError before set lines stated the derived tokens
+@example(f"set delta {_CHAIN}\nclaim c | hyps L12, not_delta00 | goal psi1")
+@example(f"set not_delta00 ~({_CHAIN})\nclaim c | hyps L12, not_delta00 | goal psi1")
+def test_load_script_is_total(text):
+    # a claim list, or an AuditError that names its line: nothing else escapes
+    start = time.perf_counter()
+    try:
+        claims = load_script(text)
+    except AuditError as e:
+        assert re.match(r"line \d+: ", str(e)), str(e)
+    else:
+        assert all(isinstance(c, AuditClaim) for c in claims)
+    assert time.perf_counter() - start < LOAD_SCRIPT_SECONDS
 
 
 def test_claim_validation():
@@ -992,7 +1067,7 @@ def _spy_check_proof(monkeypatch):
         (antecedent_chain(8), ()),  # eight discharges
         (parse("~(0 = 1 /\\ ~0 = 1)"), ()),  # reductio
         (parse("1 = 1 -> ~(0 = 1 /\\ ~0 = 1)"), ()),  # a discharge over reductio
-        (named_formula("xi"), (named_formula("xi"),)),  # a hypothesis
+        (NAMED_FORMULAS["xi"], (NAMED_FORMULAS["xi"],)),  # a hypothesis
         (PSI7, (Not(Implies(PSI7, PSI1)),)),  # the closure holds the goal
     ],
     ids=["discharges", "reductio", "discharge-and-reductio", "hypothesis", "closure"],
@@ -1056,8 +1131,8 @@ def test_derivable_outright():
     refl = parse("x1 = x1")
     omega = universal_closure(Implies(refl, Implies(PSI1, refl)))
     assert derivable_outright(omega, [axiom_set("L2r")])
-    assert not derivable_outright(named_formula("u27"), [axiom_set("L12")])
-    assert derivable_outright(named_formula("gamma2p"), [axiom_set("NPsi3dot")])
+    assert not derivable_outright(NAMED_FORMULAS["u27"], [axiom_set("L12")])
+    assert derivable_outright(NAMED_FORMULAS["gamma2p"], [axiom_set("NPsi3dot")])
 
 
 def test_a_false_sanity_claim_is_evaluated_once(monkeypatch):

@@ -326,6 +326,7 @@ def test_audit_unknown_script():
 def test_audit_script_file(tmp_path):
     script = tmp_path / "demo.audit"
     script.write_text(
+        "set not_delta00 ~((Ax1)~(1 = x1 + 1) -> (Ax1)(x1 = x1))\n"
         "claim m1 | hyps L12 not_delta00 | goal psi7 | locus demo\n"
         "claim r1 | hyps L12 | goal psi1 | locus demo\n"
     )

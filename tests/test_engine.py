@@ -25,11 +25,11 @@ from proofbench.parser import MAX_NESTING, parse, render, render_width
 from proofbench.proofs import check_proof, render_proof_script
 from proofbench.schemata import (
     AXIOM_SET_NAMES,
+    NAMED_FORMULAS,
     PSI_AXIOMS,
     SCHEMATA,
     axiom_set,
     match_schema,
-    named_formula,
 )
 from proofbench.scripts import builtin_claims, builtin_scripts
 from proofbench.syntax import And, App, Atom, Const, Forall, Implies, NestingError, Not, Or
@@ -53,15 +53,15 @@ from strategies import (
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
 PSI7 = PSI_AXIOMS["psi7"]
-U27 = named_formula("u27")
-XI = named_formula("xi")
+U27 = NAMED_FORMULAS["u27"]
+XI = NAMED_FORMULAS["xi"]
 NOT_D00 = Not(Implies(PSI7, PSI1))
 
 CORPUS = [
     (),
     ((("h1", XI),)),
     ((("h1", NOT_D00),)),
-    ((("h1", named_formula("gamma2p")), ("h2", named_formula("o0")))),
+    ((("h1", NAMED_FORMULAS["gamma2p"]), ("h2", NAMED_FORMULAS["o0"]))),
 ]
 
 

@@ -21,7 +21,7 @@ from proofbench.proofs import (
     parse_proof_script,
     render_proof_script,
 )
-from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
+from proofbench.schemata import NAMED_FORMULAS, PSI_AXIOMS, axiom_set
 from proofbench.syntax import (
     MAX_NESTING,
     And,
@@ -81,7 +81,7 @@ def test_unknown_hypothesis_rejected():
 
 
 def test_axiom_step_must_be_recognized():
-    p = Proof((), (ProofStep(1, named_formula("u27"), Ax("L12")),))
+    p = Proof((), (ProofStep(1, NAMED_FORMULAS["u27"], Ax("L12")),))
     r = check_proof(p, L12)
     assert not r.ok and r.step == 1
 

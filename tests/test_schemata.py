@@ -25,7 +25,6 @@ from proofbench.schemata import (
     axiom_set,
     is_logic_instance,
     match_schema,
-    named_formula,
     recognize_induction,
 )
 from proofbench.syntax import (
@@ -176,45 +175,36 @@ def test_named_formula_registry():
         "gamma4p",
         "xi",
     }
-    u27 = named_formula("u27")
-    o0 = named_formula("o0")
-    g0p = named_formula("gamma0p")
+    u27 = NAMED_FORMULAS["u27"]
+    o0 = NAMED_FORMULAS["o0"]
+    g0p = NAMED_FORMULAS["gamma0p"]
     assert u27 == Not(parse("1 < 1"))
     assert o0 == Iff(PSI_AXIOMS["psi7"], Not(Not(PSI_AXIOMS["psi1"])))
     assert g0p == Implies(
         Implies(PSI_AXIOMS["psi7"], PSI_AXIOMS["psi1"]), PSI_AXIOMS["psi12"]
     )
-    assert named_formula("gamma0") == Implies(u27, g0p)
-    assert named_formula("gamma2p") == Implies(o0, u27)
-    assert named_formula("gamma4p") == Implies(g0p, o0)
-    assert named_formula("o6") == Implies(
+    assert NAMED_FORMULAS["gamma0"] == Implies(u27, g0p)
+    assert NAMED_FORMULAS["gamma2p"] == Implies(o0, u27)
+    assert NAMED_FORMULAS["gamma4p"] == Implies(g0p, o0)
+    assert NAMED_FORMULAS["o6"] == Implies(
         o0, Implies(PSI_AXIOMS["psi7"], PSI_AXIOMS["psi1"])
     )
-    assert named_formula("xi") == Implies(
+    assert NAMED_FORMULAS["xi"] == Implies(
         PSI_AXIOMS["psi7"], Implies(PSI_AXIOMS["psi1"], PSI_AXIOMS["psi12"])
     )
-    assert named_formula("alpha2x") == Implies(PSI_AXIOMS["psi1"], PSI_AXIOMS["psi7"])
+    assert NAMED_FORMULAS["alpha2x"] == Implies(PSI_AXIOMS["psi1"], PSI_AXIOMS["psi7"])
 
 
 def test_parameterized_named_formulas():
-    d00 = named_formula("delta00", delta=PSI_AXIOMS["psi1"])
-    assert d00 == Implies(PSI_AXIOMS["psi7"], PSI_AXIOMS["psi1"])
-    b0 = named_formula("beta0")
     # psi2, then the three pinned axioms, conjoined left to right
-    assert b0 == And(
+    assert BETA0 == And(
         And(And(PSI_AXIOMS["psi2"], PSI_AXIOMS["psi1"]), PSI_AXIOMS["psi7"]),
         PSI_AXIOMS["psi12"],
     )
-    b1 = named_formula("beta1")
-    assert b1 == Implies(
+    assert BETA1 == Implies(
         PSI_AXIOMS["psi1"],
-        Implies(PSI_AXIOMS["psi7"], Implies(PSI_AXIOMS["psi12"], b0)),
+        Implies(PSI_AXIOMS["psi7"], Implies(PSI_AXIOMS["psi12"], BETA0)),
     )
-    assert (b0, b1) == (BETA0, BETA1)
-    with pytest.raises(Exception):
-        named_formula("delta00")
-    with pytest.raises(Exception):
-        named_formula("no-such-name")
 
 
 PHI = Atom("<", (Const("0"), Var(1)))
@@ -268,7 +258,7 @@ def test_logic_sets():
     closed = universal_closure(inst)
     assert not l12.contains(closed)  # bare instances only
     assert l2r.contains(closed)  # closures of instances as well
-    assert not l12.contains(named_formula("u27"))
+    assert not l12.contains(NAMED_FORMULAS["u27"])
     assert not l2r.contains(parse("(Ax1)(x1 = x1)"))
 
 
@@ -307,7 +297,7 @@ def test_guarded_sets():
     )
 
     lt1 = axiom_set("LT1")
-    b0 = named_formula("beta0")
+    b0 = BETA0
     assert lt1.contains(Implies(b0, target))
     assert not lt1.contains(Implies(b0, plain))
     assert not lt1.contains(target)
@@ -316,8 +306,8 @@ def test_guarded_sets():
     wrapped = Implies(
         PSI_AXIOMS["psi7"],
         Implies(
-            named_formula("o0"),
-            Implies(named_formula("u27"), Implies(Not(PSI_AXIOMS["psi1"]), target)),
+            NAMED_FORMULAS["o0"],
+            Implies(NAMED_FORMULAS["u27"], Implies(Not(PSI_AXIOMS["psi1"]), target)),
         ),
     )
     assert pre.contains(wrapped)
@@ -328,8 +318,8 @@ def test_prefixed_sets_generate_members():
     target = universal_closure(phi4_instance(parse("x1 = x1"), parse("x1 < 1")))
     bare = phi2_instance(parse("0 = 0"))
     psi1, psi7, psi12 = PSI_AXIOMS["psi1"], PSI_AXIOMS["psi7"], PSI_AXIOMS["psi12"]
-    b0 = named_formula("beta0")
-    o0, u27 = named_formula("o0"), named_formula("u27")
+    b0 = BETA0
+    o0, u27 = NAMED_FORMULAS["o0"], NAMED_FORMULAS["u27"]
     cases = {
         # name: (member built on target, whether bare instances are members)
         "L11": (Implies(psi1, Implies(psi7, Implies(psi12, target))), True),
@@ -352,10 +342,10 @@ def test_prefixed_sets_generate_members():
 def test_finite_cores():
     dot = axiom_set("NPsi3dot")
     ddot = axiom_set("NPsi3ddot")
-    o0, g0 = named_formula("o0"), named_formula("gamma0")
+    o0, g0 = NAMED_FORMULAS["o0"], NAMED_FORMULAS["gamma0"]
     assert Implies(o0, g0) in dot.finite_core
-    assert named_formula("gamma2p") in dot.finite_core
-    assert named_formula("gamma4p") in dot.finite_core
+    assert NAMED_FORMULAS["gamma2p"] in dot.finite_core
+    assert NAMED_FORMULAS["gamma4p"] in dot.finite_core
     assert len(dot.finite_core) == 3
     assert set(dot.finite_core) < set(ddot.finite_core)
     assert len(ddot.finite_core) == 4

@@ -20,7 +20,7 @@ from proofbench.proofs import (
     check_proof,
     render_proof_script,
 )
-from proofbench.schemata import PSI_AXIOMS, axiom_set, named_formula
+from proofbench.schemata import NAMED_FORMULAS, PSI_AXIOMS, axiom_set
 from proofbench.syntax import And, Forall, Implies, Not, Or
 from proofbench.transforms import (
     ProofBuilder,
@@ -62,7 +62,7 @@ from strategies import (
 L12 = (axiom_set("L12"),)
 PSI1 = PSI_AXIOMS["psi1"]
 PSI7 = PSI_AXIOMS["psi7"]
-U27 = named_formula("u27")
+U27 = NAMED_FORMULAS["u27"]
 
 
 def _fresh(hyps=()):
