@@ -59,7 +59,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .engine import MAX_DEPTH, MAX_MEMBER_WIDTH, Budget, bounded_closure, pool_for, prove
 from .parser import ParseError, render, render_width
@@ -169,19 +169,15 @@ class AuditReport:
 # -- derivability shortcuts ---------------------------------------------
 
 
-def derivable_outright(f: Formula, axioms: Iterable[AxiomSetRecognizer]) -> bool:
+@lru_cache(maxsize=CACHE_SIZE)
+def derivable_outright(f: Formula, axioms: tuple[AxiomSetRecognizer, ...]) -> bool:
     """Whether ``f`` is an axiom-set member or a universal prefix of one.
 
     Generalization turns any member into each of its universally quantified
-    prefixes, so such formulas are derivable with no hypotheses at all.
+    prefixes, so such formulas are derivable with no hypotheses at all.  Kept
+    per formula and axioms tuple: the sweeps of a run of claims over one
+    context pin the same atoms.
     """
-    return _derivable_outright(f, tuple(axioms))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _derivable_outright(f: Formula, axioms: tuple[AxiomSetRecognizer, ...]) -> bool:
-    """:func:`derivable_outright`, kept per formula and axioms tuple: the
-    sweeps of a run of claims over one context pin the same atoms."""
     g = f
     while True:
         if any(r.contains(g) for r in axioms):

@@ -269,15 +269,6 @@ def logic_diagnose(f: Formula) -> str:
     return "no-match"
 
 
-def recognize_induction(candidate: Formula, schema: Schema) -> Formula | None:
-    """Return the matrix formula when ``candidate`` instantiates an induction schema.
-
-    Any induction variable is accepted; it is read off the step's quantifier.
-    """
-    args = match_schema(candidate, schema)
-    return None if args is None else args[1]
-
-
 # -- the arithmetic axioms ----------------------------------------------
 
 #: Axioms over 1, +, *, < (base-one flavor), keyed psi1..psi12.
@@ -394,7 +385,7 @@ def _finite(
 
     def contains(f: Formula) -> bool:
         return f in member_set or (
-            induction is not None and recognize_induction(f, induction) is not None
+            induction is not None and match_schema(f, induction) is not None
         )
 
     return AxiomSetRecognizer(name, contains, finite_core=core)

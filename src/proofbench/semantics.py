@@ -282,13 +282,6 @@ class ThreeValued(enum.Enum):
     FALSE = "false"
     UNKNOWN = "unknown"
 
-    def __invert__(self) -> "ThreeValued":
-        if self is ThreeValued.TRUE:
-            return ThreeValued.FALSE
-        if self is ThreeValued.FALSE:
-            return ThreeValued.TRUE
-        return ThreeValued.UNKNOWN
-
 
 TRUE = ThreeValued.TRUE
 FALSE = ThreeValued.FALSE

@@ -6,12 +6,13 @@ binds a variable by that same id, and nothing else.  The constants
 Nodes are frozen, slotted dataclasses, hash-consed (Filliâtre & Conchon,
 *Type-Safe Modular Hash-Consing*, 2006) through a weak table: there is one
 object per distinct term or formula, so ``==`` is ``is`` and a node hashes by
-its identity, through ``object.__hash__``.  A constructor validates its fields
-where its class restricts them, on every call, then probes the table once: a
-node that is alive is one dict lookup and one weak reference call away.  On a
-miss it builds the node under a lock, in O(arity): the node stores its free
-variable ids and depth, computed from the fields' own, and its text once
-rendered.  Hashing, comparing and :func:`free_vars` or
+its identity, through ``object.__hash__``.  A constructor probes the table
+once: a node that is alive is one dict lookup and one weak reference call
+away.  Only on a miss does it validate the fields, the symbol, the arity and
+each operand's sort, so a connective or quantifier over a term raises
+``TypeError``; it then builds the node under a lock, in O(arity): the node
+stores its free variable ids and depth, computed from the fields' own, and
+its text once rendered.  Hashing, comparing and :func:`free_vars` or
 :func:`connective_depth` then cost O(1) however deep or shared the tree;
 formulas key dicts and sets throughout the rest of the package.
 :func:`find` looks a node up without building it.  A node that is not alive is
@@ -85,6 +86,29 @@ def _gone() -> None:
     """The probe's answer for a key with no entry: called as a dead reference is."""
 
 
+def _check(key: tuple) -> None:
+    """Refuse the fields of ``key``, ``(cls, *fields)``, on a miss: an unknown
+    constant or symbol, a wrong arity, or an operand of the wrong sort."""
+    cls = key[0]
+    if cls is Const:
+        if key[1] not in CONSTANTS:
+            raise ValueError(f"unknown constant {key[1]!r}")
+        return
+    if cls is App or cls is Atom:
+        kind, table = ("function", FUNCTIONS) if cls is App else ("predicate", PREDICATES)
+        symbol, operands, sort = key[1], key[2], Term
+        arity = table.get(symbol)
+        if arity is None:
+            raise ValueError(f"unknown {kind} symbol {symbol!r}")
+        if len(operands) != arity:
+            raise ValueError(f"{kind} {symbol!r} expects {arity} argument(s), got {len(operands)}")
+    else:  # a connective or a quantifier: every field but a binder variable
+        operands, sort = key[2:] if cls in _QUANT else key[1:], Formula
+    for a in operands:
+        if not isinstance(a, sort):
+            raise TypeError(f"{cls.__name__} operands must be {sort.__name__.lower()}s")
+
+
 def _store(key: tuple, free: tuple[int, ...], depth: int):
     """The node keyed ``(cls, *fields)``, built with these facts and stored on a
     miss unless another thread stored one first; refused past the cap."""
@@ -125,12 +149,12 @@ class _Node:
     """Kernel node mixin: one live object per class and fields.
 
     Each class's constructor takes its fields, the class's ``__slots__`` in
-    order, by position or by name.  Where the class restricts its fields, it
-    validates them first, on every call.  It then probes the intern table
-    once: a hit is one dict lookup and one weak reference call, and a dead
-    reference reads as a miss.  On a miss it builds the node under a lock,
-    stores its free variable ids and depth, computed from its fields' own,
-    and puts it in the table; a depth past :data:`MAX_NESTING` is refused.
+    order, by position or by name.  It probes the intern table once: a hit
+    is one dict lookup and one weak reference call, and a dead reference
+    reads as a miss.  On a miss it validates the fields with :func:`_check`,
+    builds the node under a lock, stores its free variable ids and depth,
+    computed from its fields' own, and puts it in the table; a depth past
+    :data:`MAX_NESTING` is refused.
     The renderer fills ``_text``.  A node hashes and compares by identity.
     """
 
@@ -191,11 +215,10 @@ class Const(_Node, Term):
     name: str
 
     def __new__(cls, name):
-        if name not in CONSTANTS:
-            raise ValueError(f"unknown constant {name!r}")
         key = (cls, name)
         node = _probe(key, _gone)()
         if node is None:
+            _check(key)
             node = _store(key, (), 0)
         return node
 
@@ -208,19 +231,10 @@ class App(_Node, Term):
     args: tuple[Term, ...]
 
     def __new__(cls, func, args):
-        arity = FUNCTIONS.get(func)
-        if arity is None:
-            raise ValueError(f"unknown function symbol {func!r}")
-        if len(args) != arity:
-            raise ValueError(
-                f"function {func!r} expects {arity} argument(s), got {len(args)}"
-            )
-        for a in args:
-            if not isinstance(a, Term):
-                raise TypeError("App arguments must be terms")
         key = (cls, func, args)
         node = _probe(key, _gone)()
         if node is None:
+            _check(key)
             node = _store(key, *_merge(args))  # depth: the term's height
         return node
 
@@ -233,19 +247,10 @@ class Atom(_Node, Formula):
     args: tuple[Term, ...]
 
     def __new__(cls, pred, args):
-        arity = PREDICATES.get(pred)
-        if arity is None:
-            raise ValueError(f"unknown predicate symbol {pred!r}")
-        if len(args) != arity:
-            raise ValueError(
-                f"predicate {pred!r} expects {arity} argument(s), got {len(args)}"
-            )
-        for a in args:
-            if not isinstance(a, Term):
-                raise TypeError("Atom arguments must be terms")
         key = (cls, pred, args)
         node = _probe(key, _gone)()
         if node is None:
+            _check(key)
             node = _store(key, _merge(args)[0], 0)
         return node
 
@@ -260,15 +265,17 @@ class Not(_Node, Formula):
         key = (cls, body)
         node = _probe(key, _gone)()
         if node is None:
+            _check(key)
             node = _store(key, body._free, body._depth + 1)
         return node
 
 
 def _binary(cls, left, right):
-    """The constructor of the binary connectives, which take any fields."""
+    """The constructor of the binary connectives."""
     key = (cls, left, right)
     node = _probe(key, _gone)()
     if node is None:
+        _check(key)
         depth = left._depth if left._depth > right._depth else right._depth
         node = _store(key, _union(left._free, right._free), depth + 1)
     return node
@@ -322,6 +329,7 @@ def _binder(cls, var, body):
     key = (cls, var, body)
     node = _probe(key, _gone)()
     if node is None:
+        _check(key)
         node = _store(key, tuple(v for v in body._free if v != var), body._depth + 1)
     return node
 
@@ -414,13 +422,9 @@ def _unflatten(entries: tuple):
     return built[-1]
 
 
-def term_vars(t: Term) -> frozenset[int]:
-    """The set of variable ids occurring in ``t``."""
-    return frozenset(t._free)
-
-
-def free_vars(f: Formula) -> tuple[int, ...]:
-    """Free variable ids of ``f``, deduplicated, in ascending order."""
+def free_vars(f: Term | Formula) -> tuple[int, ...]:
+    """Free variable ids of ``f``, deduplicated, in ascending order: for a
+    term, every variable id in it."""
     return f._free
 
 

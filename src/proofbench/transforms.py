@@ -47,7 +47,6 @@ from .schemata import (
     phi8_instance,
     phi9_instance,
     phi10_instance,
-    phi11_instance,  # unused here; transforms re-exports all twelve
     phi12_instance,
 )
 from .syntax import And, Forall, Formula, Implies, Not, Or, find, is_sentence
@@ -413,15 +412,6 @@ def derive_explosion(b: ProofBuilder, i: int, j: int, goal: Formula) -> int:
 # -- whole-proof transforms ---------------------------------------------
 
 
-def _replay(b: ProofBuilder, formula: Formula, just, at: dict[int, int]) -> int:
-    """Append a logged step to ``b`` as it is, its premises mapped by ``at``."""
-    if type(just) is not tuple:
-        return b.add_cited(formula, just)
-    if len(just) == 2:
-        return b.add_mp(at[just[0]], at[just[1]])
-    return b.add_gen(at[just[0]], formula.var)
-
-
 def splice(b: ProofBuilder, proof: Proof) -> int:
     """Replay ``proof``'s steps into ``b``; return the conclusion's new index.
 
@@ -440,8 +430,12 @@ def splice(b: ProofBuilder, proof: Proof) -> int:
         j = s.just
         if isinstance(j, Hyp) and by_name.get(j.name) != s.formula:
             raise TransformError(f"hypothesis {j.name!r} missing from target builder")
-        just = (j.i, j.j) if type(j) is Mp else (j.i,) if type(j) is Gen else j
-        at[s.index] = _replay(b, s.formula, just, at)
+        if type(j) is Mp:
+            at[s.index] = b.add_mp(at[j.i], at[j.j])
+        elif type(j) is Gen:
+            at[s.index] = b.add_gen(at[j.i], s.formula.var)
+        else:
+            at[s.index] = b.add_cited(s.formula, j)
     return at[s.index]
 
 

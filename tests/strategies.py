@@ -60,7 +60,6 @@ from proofbench.syntax import (
 )
 from proofbench.transforms import (
     ProofBuilder,
-    _replay,
     derive_andintro,
     derive_dnintro,
     derive_identity,
@@ -411,8 +410,13 @@ def reference_lift(hyps, records, name, alpha, axioms):
     for key, formula, just in records:
         if isinstance(just, Hyp) and just.name == name:
             imp[key] = derive_identity(b, alpha)
-        elif type(just) is not tuple or (just[0] in at and just[-1] in at):
-            at[key] = _replay(b, formula, just, at)
+        elif type(just) is not tuple:
+            at[key] = b.add_cited(formula, just)
+        elif just[0] in at and just[-1] in at:
+            if len(just) == 2:
+                at[key] = b.add_mp(at[just[0]], at[just[1]])
+            else:
+                at[key] = b.add_gen(at[just[0]], formula.var)
         elif len(just) == 2:
             i, j = just
             minor = b.formula(at[i]) if i in at else b.formula(imp[i]).right

@@ -20,6 +20,18 @@ from proofbench.schemata import (
     SCHEMATA,
     axiom_set,
     match_schema,
+    phi1_instance,
+    phi2_instance,
+    phi3_instance,
+    phi4_instance,
+    phi5_instance,
+    phi6_instance,
+    phi7_instance,
+    phi8_instance,
+    phi9_instance,
+    phi10_instance,
+    phi11_instance,
+    phi12_instance,
 )
 from proofbench.semantics import ThreeValued, eval_arith, is_tautology
 from proofbench.scripts import builtin_claims, builtin_scripts
@@ -37,21 +49,7 @@ from proofbench.syntax import (
     free_for,
     free_vars,
 )
-from proofbench.transforms import (
-    deduction_transform,
-    phi1_instance,
-    phi2_instance,
-    phi3_instance,
-    phi4_instance,
-    phi5_instance,
-    phi6_instance,
-    phi7_instance,
-    phi8_instance,
-    phi9_instance,
-    phi10_instance,
-    phi11_instance,
-    phi12_instance,
-)
+from proofbench.transforms import deduction_transform
 
 from strategies import (
     CLOSED_ATOMS,

@@ -1130,9 +1130,9 @@ def test_depth_capped_search_names_the_cap():
 def test_derivable_outright():
     refl = parse("x1 = x1")
     omega = universal_closure(Implies(refl, Implies(PSI1, refl)))
-    assert derivable_outright(omega, [axiom_set("L2r")])
-    assert not derivable_outright(NAMED_FORMULAS["u27"], [axiom_set("L12")])
-    assert derivable_outright(NAMED_FORMULAS["gamma2p"], [axiom_set("NPsi3dot")])
+    assert derivable_outright(omega, (axiom_set("L2r"),))
+    assert not derivable_outright(NAMED_FORMULAS["u27"], (axiom_set("L12"),))
+    assert derivable_outright(NAMED_FORMULAS["gamma2p"], (axiom_set("NPsi3dot"),))
 
 
 def test_a_false_sanity_claim_is_evaluated_once(monkeypatch):

@@ -25,7 +25,18 @@ from proofbench.schemata import (
     axiom_set,
     is_logic_instance,
     match_schema,
-    recognize_induction,
+    phi1_instance,
+    phi2_instance,
+    phi3_instance,
+    phi4_instance,
+    phi5_instance,
+    phi6_instance,
+    phi7_instance,
+    phi8_instance,
+    phi9_instance,
+    phi10_instance,
+    phi11_instance,
+    phi12_instance,
 )
 from proofbench.syntax import (
     And,
@@ -39,20 +50,6 @@ from proofbench.syntax import (
     Var,
     is_sentence,
     universal_closure,
-)
-from proofbench.transforms import (
-    phi1_instance,
-    phi2_instance,
-    phi3_instance,
-    phi4_instance,
-    phi5_instance,
-    phi6_instance,
-    phi7_instance,
-    phi8_instance,
-    phi9_instance,
-    phi10_instance,
-    phi11_instance,
-    phi12_instance,
 )
 
 from strategies import VAR_IDS, formulas, terms
@@ -217,11 +214,11 @@ INST_ZERO = Implies(And(BASE_ZERO, STEP_ZERO), Forall(1, PHI))
 
 
 def test_induction_recognizers_distinguish_flavors():
-    assert recognize_induction(INST_ONE, INDUCTION_ONE) is not None
-    assert recognize_induction(INST_ZERO, INDUCTION_ZERO) is not None
+    assert match_schema(INST_ONE, INDUCTION_ONE) is not None
+    assert match_schema(INST_ZERO, INDUCTION_ZERO) is not None
     # base and step of the wrong flavor are rejected
-    assert recognize_induction(INST_ZERO, INDUCTION_ONE) is None
-    assert recognize_induction(INST_ONE, INDUCTION_ZERO) is None
+    assert match_schema(INST_ZERO, INDUCTION_ONE) is None
+    assert match_schema(INST_ONE, INDUCTION_ZERO) is None
 
 
 def test_axiom_set_names():
@@ -406,7 +403,7 @@ def test_recognizer_caches_stay_bounded():
         (is_logic_instance, is_logic_instance),
         (_is_closure_of_logic_instance, _is_closure_of_logic_instance),
         (semantics._skeleton_atoms, semantics._skeleton_atoms),
-        (audit._derivable_outright, lambda f: audit._derivable_outright(f, l12)),
+        (audit.derivable_outright, lambda f: audit.derivable_outright(f, l12)),
     )
     for cached, call in caches:
         assert cached.cache_info().maxsize == CACHE_SIZE

@@ -383,6 +383,9 @@ def _and3(a, b):
     return UNKNOWN
 
 
+_NOT3 = {TRUE: FALSE, FALSE: TRUE, UNKNOWN: UNKNOWN}
+
+
 def _or3(a, b):
     if a is TRUE or b is TRUE:
         return TRUE
@@ -430,7 +433,7 @@ def reference_eval_arith(f, bound, env=None):
         b = reference_eval_term(f.args[1], env)
         return TRUE if (a == b if f.pred == "=" else a < b) else FALSE
     if isinstance(f, Not):
-        return ~reference_eval_arith(f.body, bound, env)
+        return _NOT3[reference_eval_arith(f.body, bound, env)]
     if isinstance(f, Forall):
         if _guard_prunes(f, env, bound):
             return UNKNOWN
@@ -446,7 +449,7 @@ def reference_eval_arith(f, bound, env=None):
     a = reference_eval_arith(f.left, bound, env)
     b = reference_eval_arith(f.right, bound, env)
     if isinstance(f, Implies):
-        return _or3(~a, b)
+        return _or3(_NOT3[a], b)
     if isinstance(f, And):
         return _and3(a, b)
     if isinstance(f, Or):

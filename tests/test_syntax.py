@@ -34,7 +34,6 @@ from proofbench.syntax import (
     is_sentence,
     substitute,
     substitute_term,
-    term_vars,
     universal_closure,
 )
 
@@ -57,8 +56,8 @@ def test_free_vars_respects_binders():
 
 
 def test_term_vars():
-    assert term_vars(App("+", (X1, App("S", (X3,))))) == frozenset({1, 3})
-    assert term_vars(Const("0")) == frozenset()
+    assert free_vars(App("+", (X1, App("S", (X3,))))) == (1, 3)
+    assert free_vars(Const("0")) == ()
 
 
 def test_is_sentence():
@@ -160,7 +159,7 @@ def test_stored_facts_agree_with_recursive_walks(f, t):
     assert free_vars(f) == tuple(sorted(_walk_free_vars(f)))
     assert is_sentence(f) == (not _walk_free_vars(f))
     assert connective_depth(f) == _walk_connective_depth(f)
-    assert term_vars(t) == _walk_term_vars(t)
+    assert free_vars(t) == tuple(sorted(_walk_term_vars(t)))
     for x in (1, 2, 3, 4):
         assert free_for(x, t, f) == _walk_free_for(x, t, f)
 
@@ -190,7 +189,7 @@ def test_universal_closure_always_closes(f):
 @given(formulas(), terms())
 def test_substitute_removes_the_variable_when_free_for(f, t):
     for x in free_vars(f):
-        if free_for(x, t, f) and x not in term_vars(t):
+        if free_for(x, t, f) and x not in free_vars(t):
             assert x not in free_vars(substitute(f, x, t))
 
 
@@ -201,6 +200,22 @@ def test_bad_binder_rejected():
         Forall(-2, EQ11)
     with pytest.raises(ValueError):
         Forall("x", EQ11)  # a binder is a variable id, never a name
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (Not, (X1,)),
+        (Implies, (X1, Const("0"))),  # else x1 -> (x2 -> x1) would pass as an L12 axiom
+        (And, (EQ11, X1)),
+        (Iff, (EQ11, "p")),
+        (Forall, (1, X1)),
+        (Exists, (2, App("S", (X1,)))),
+    ],
+)
+def test_a_connective_or_quantifier_over_a_term_is_refused(cls, fields):
+    with pytest.raises(TypeError):
+        cls(*fields)
 
 
 def _rebuild(node):
@@ -540,8 +555,14 @@ def _ref_check_symbol(table):
     return check
 
 
+def _ref_check_formulas(*operands):
+    if not all(isinstance(g, syntax.Formula) for g in operands):
+        raise TypeError(operands)
+
+
 def _ref_check_binder(var, body):
     _ref_check_var(var)
+    _ref_check_formulas(body)
 
 
 def _ref_check_const(name):
@@ -565,6 +586,11 @@ _REF_CHECKS = {
     Const: _ref_check_const,
     App: _ref_check_symbol(syntax.FUNCTIONS),
     Atom: _ref_check_symbol(syntax.PREDICATES),
+    Not: _ref_check_formulas,
+    Implies: _ref_check_formulas,
+    And: _ref_check_formulas,
+    Or: _ref_check_formulas,
+    Iff: _ref_check_formulas,
     Forall: _ref_check_binder,
     Exists: _ref_check_binder,
 }
@@ -584,7 +610,7 @@ def _reference_new(cls, *args, **kwargs):
         args += tuple(kwargs.pop(name) for name in names[len(args) :] if name in kwargs)
     if kwargs or len(args) != len(names):
         raise TypeError(f"{cls.__name__}() takes the fields {names}")
-    _REF_CHECKS.get(cls, lambda *fields: None)(*args)
+    _REF_CHECKS[cls](*args)
     key = (cls, *args)
     node = syntax._TABLE.get(key)
     if node is None:
@@ -629,6 +655,9 @@ _BAD_CALLS = [
     (Forall, (1.0, EQ11), {}),
     (Exists, ("x", EQ11), {}),
     (Exists, (1, [EQ11]), {}),
+    (Not, (X1,), {}),
+    (Implies, (X1, Const("0")), {}),
+    (Forall, (1, X1), {}),
     (Var, (1,), {"id": 1}),
     (Var, (), {"id": 1, "extra": 2}),
 ]
@@ -698,6 +727,15 @@ def test_a_table_hit_calls_no_weak_dictionary_method(monkeypatch):
         cls, values = type(node), [getattr(node, name) for name in type(node).__slots__]
         assert cls(*values) is node
         assert syntax.find(cls, *values) is node
+
+
+def test_a_table_hit_validates_nothing(monkeypatch):
+    def refuse(key):
+        raise AssertionError(f"a table hit validated {key!r}")
+
+    monkeypatch.setattr(syntax, "_check", refuse)
+    for node, _names, _text in NODE_CASES:
+        assert type(node)(*(getattr(node, name) for name in type(node).__slots__)) is node
 
 
 def test_a_node_that_dies_while_the_table_is_iterated_is_rebuilt_live():
