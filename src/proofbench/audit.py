@@ -55,6 +55,7 @@ although a four-step proof passes the strict checker.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -92,7 +93,8 @@ class AuditClaim:
     """One judgeable assertion about a hypothesis context.
 
     ``axiom_names`` name recognizer sets; ``hypotheses`` are (label, sentence)
-    pairs, each set and each label at most once, and the hypotheses and the
+    pairs, each set and each label at most once, a label is a word a
+    certificate can spell (no whitespace or ``#``), and the hypotheses and the
     goal are sentences.  ``goal`` is required for membership and sanity claims
     and must be absent for collapse/contradiction probes.  ``locus`` is free
     text echoed into reports so a reader can trace the claim to its source
@@ -108,7 +110,7 @@ class AuditClaim:
     eval_bound: int = 50
 
     def __post_init__(self) -> None:
-        if not _ID_RE.match(self.claim_id):
+        if not _ID_RE.fullmatch(self.claim_id):
             raise AuditError(f"claim id {self.claim_id!r} is not filesystem-safe")
         if self.shape not in CLAIM_SHAPES:
             raise AuditError(f"unknown claim shape {self.shape!r}")
@@ -125,6 +127,12 @@ class AuditClaim:
         for i, (name, f) in enumerate(self.hypotheses):
             if name in names[:i]:
                 raise AuditError(f"claim {self.claim_id}: repeated hypothesis {name!r}")
+            if type(name) is not str or "#" in name or name.split() != [name]:
+                # a certificate's hyp line could not spell it
+                raise AuditError(
+                    f"claim {self.claim_id}: hypothesis name {name!r} is empty or holds "
+                    "whitespace or '#'"
+                )
             _require_sentence(self.claim_id, f"hypothesis {name!r}", f)
         if self.goal is not None:
             _require_sentence(self.claim_id, "goal", self.goal)
@@ -548,13 +556,25 @@ def write_report(report: AuditReport, directory: str | Path) -> Path:
     """
     root = Path(directory)
     (root / "details").mkdir(parents=True, exist_ok=True)
-    (root / "report.txt").write_text(render_report_text(report))
+    _write(root / "report.txt", render_report_text(report))
 
     tsv = []
     for v in report.verdicts:
         files = _detail_files(v)
         tsv.append(f"{v.claim.claim_id}\t{v.status}\t{v.steps}\t{files[0][0]}")
         for rel, content in files:
-            (root / rel).write_text(content)
-    (root / "report.tsv").write_text("\n".join(tsv) + "\n")
+            _write(root / rel, content)
+    _write(root / "report.tsv", "\n".join(tsv) + "\n")
     return root
+
+
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, the encoding the recheck reads,
+    whatever the locale: one open, one write (resumed if short) and one close."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        data = memoryview(text.encode("utf-8"))
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)

@@ -27,6 +27,7 @@ proofs are built elsewhere (:mod:`proofbench.transforms`).
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -274,28 +275,6 @@ def _operand(word: str, sort: type, who: str, names: dict, lineno: int):
     return node
 
 
-def _let(words: list[str], names: dict, lineno: int) -> None:
-    """Bind the name of a ``let`` line, split into ``words``, to its node."""
-    name, body = words[1] if words[2:3] == ["="] else "", words[3:]
-    if not (_NAME_RE.fullmatch(name) and 2 <= len(body) <= 3):
-        raise ScriptError("expected: let d<n> = <one constructor and its operands>", lineno)
-    if name in names:
-        raise ScriptError(f"{name} is bound a second time", lineno)
-    if len(body) == 3:
-        ctor, args, rule = body[1], body[::2], _BINARY.get(body[1])
-    else:
-        ctor, args, rule = body[0], body[1:], _UNARY.get(body[0])
-        binder = rule is None and _BINDER_RE.fullmatch(ctor)
-        if binder and _number(binder[2]):  # variable ids start at 1
-            rule = (Formula, partial(_BINDERS[binder[1]], _number(binder[2])))
-    if rule is None:
-        raise ScriptError(f"not one constructor over operands: {ctor[:12]!r}", lineno)
-    try:
-        names[name] = rule[1](*[_operand(w, rule[0], ctor, names, lineno) for w in args])
-    except NestingError as e:
-        raise ScriptError(str(e), lineno) from None
-
-
 def _formula(text: str, names: dict, lineno: int) -> Formula:
     """A step or ``hyp`` line's formula field: a bound name or formula text."""
     if _NAME_RE.fullmatch(text):
@@ -308,16 +287,48 @@ def _formula(text: str, names: dict, lineno: int) -> Formula:
 
 def parse_proof_script(text: str) -> Proof:
     """Read a proof script: each ``let`` line in one step, without recursion,
-    and formula text through :func:`~proofbench.parser.parse`."""
+    and formula text through :func:`~proofbench.parser.parse`.  A ``let``
+    operand that is no bound name of its sort goes to :func:`_operand`."""
     names: dict[str, Formula | Term] = {}
+    get = names.get
+    unary = dict(_UNARY)  # plus a rule per binder word read so far
+    justs: dict[str, Justification] = {}  # each justification text read so far
     hyps: list[tuple[str, Formula]] = []
     steps: list[ProofStep] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        line = line.strip()
         if not line:
             continue
         if line.startswith("let ") or line == "let":
-            _let(line.split(), names, lineno)
+            words = line.split()
+            n = len(words)
+            name = words[1] if (n == 6 or n == 5) and words[2] == "=" else ""
+            if not _NAME_RE.fullmatch(name):
+                raise ScriptError("expected: let d<n> = <one constructor and its operands>", lineno)
+            if name in names:
+                raise ScriptError(f"{name} is bound a second time", lineno)
+            ctor = words[n - 2]
+            rule = _BINARY.get(ctor) if n == 6 else unary.get(ctor)
+            if rule is None and n == 5:
+                binder = _BINDER_RE.fullmatch(ctor)
+                if binder and _number(binder[2]):  # variable ids start at 1
+                    rule = unary[ctor] = (Formula, partial(_BINDERS[binder[1]], _number(binder[2])))
+            if rule is None:
+                raise ScriptError(f"not one constructor over operands: {ctor[:12]!r}", lineno)
+            sort, build = rule
+            if n == 6:
+                a = get(words[3])
+                if a is None or not isinstance(a, sort):
+                    a = _operand(words[3], sort, ctor, names, lineno)
+            b = get(words[n - 1])
+            if b is None or not isinstance(b, sort):
+                b = _operand(words[n - 1], sort, ctor, names, lineno)
+            try:
+                names[name] = build(a, b) if n == 6 else build(b)
+            except NestingError as e:
+                raise ScriptError(str(e), lineno) from None
             continue
         if line.startswith("hyp ") or line == "hyp":
             if steps:
@@ -335,12 +346,15 @@ def parse_proof_script(text: str) -> Proof:
         if not dot or index is None:
             raise ScriptError("step must start with '<n>.'", lineno)
         formula = _formula(ftext.strip(), names, lineno)
-        words = just_text.split()
-        if not words:
-            raise ScriptError("missing justification", lineno)
-        just = _justification(words)
+        just = justs.get(just_text)
         if just is None:
-            raise ScriptError(f"bad justification {just_text.strip()!r}", lineno)
+            words = just_text.split()
+            if not words:
+                raise ScriptError("missing justification", lineno)
+            just = _justification(words)
+            if just is None:
+                raise ScriptError(f"bad justification {just_text.strip()!r}", lineno)
+            justs[just_text] = just
         steps.append(ProofStep(index, formula, just))
     return Proof(tuple(hyps), tuple(steps))
 
@@ -389,7 +403,8 @@ VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
 UNRESOLVED = "UNRESOLVED"
 
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+#: a claim id, whole (``fullmatch``): ``$`` would also match before a final newline
+_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 #: The detail kinds a report row may name, by status: ``details/<id>.<kind>``.
 _DETAIL_KINDS = {
@@ -466,7 +481,13 @@ def recheck_report(directory: str | Path) -> list[str]:
         return [f"missing {tsv_path}"]
     # every path read is details/<one name>: only a symlink, the file's or
     # details/'s own, can lead out of the tree
-    details_linked = (root / "details").is_symlink()
+    details = root / "details"
+    details_linked = details.is_symlink()
+    try:  # one listing; each entry knows whether it is a link or a file
+        with os.scandir(details) as entries:
+            listing = {entry.name: entry for entry in entries}
+    except OSError:  # no details/ directory to list: every row's file is missing
+        listing = {}
     linked: set[str] = set()  # row details already reported as links
     pairs: list[str] = []  # the claims whose rows name a pos.proof
     for line in (_read_artifact(tsv_path, problems) or "").splitlines():
@@ -476,40 +497,43 @@ def recheck_report(directory: str | Path) -> list[str]:
             continue
         cid, status, _steps, detail = parts
         kinds = _DETAIL_KINDS.get(status)
+        entry = listing.get(detail.removeprefix("details/"))
         if kinds is None:
             problems.append(f"{cid}: unknown status {status!r}")
-        elif not (_ID_RE.match(cid) and detail in [f"details/{cid}.{k}" for k in kinds]):
+        elif not (_ID_RE.fullmatch(cid) and detail in [f"details/{cid}.{k}" for k in kinds]):
             want = f"details/{cid}.<{'|'.join(kinds)}>"
             problems.append(f"{cid}: {status} detail must be {want}, not {detail!r}")
-        elif details_linked or (root / detail).is_symlink():
+        elif details_linked or entry is not None and entry.is_symlink():
             linked.add(detail)
             problems.append(f"{cid}: detail {detail} is a symlink or resolves outside details/")
-        elif not (root / detail).is_file():
+        elif entry is None or not entry.is_file():
             problems.append(f"{cid}: missing detail file {detail}")
         elif detail.endswith(".pos.proof"):
             pairs.append(cid)
     concluded: dict[str, Formula] = {}  # certificate name -> its checked conclusion
-    for proof_path in sorted(root.glob("details/*.proof")):
-        if details_linked or proof_path.is_symlink():
-            if f"details/{proof_path.name}" not in linked:
-                problems.append(f"{proof_path.name}: is a symlink or resolves outside details/")
+    for name in sorted(name for name in listing if name.endswith(".proof")):
+        if details_linked or listing[name].is_symlink():
+            if f"details/{name}" not in linked:
+                problems.append(f"{name}: is a symlink or resolves outside details/")
             continue
-        text = _read_artifact(proof_path, problems)
+        text = _read_artifact(details / name, problems)
         if text is None:
             continue
-        conclusion = _checked_conclusion(proof_path.name, text, problems)
+        conclusion = _checked_conclusion(name, text, problems)
         if conclusion is not None:
-            concluded[proof_path.name] = conclusion
+            concluded[name] = conclusion
         head = text.partition("\n")[0]
         if head.startswith("# goal "):
             problem = _goal_problem(head[len("# goal ") :], conclusion)
         else:  # a certificate that fails is reported already
             problem = None if conclusion is None else "missing goal line"
         if problem:
-            problems.append(f"{proof_path.name}: {problem}")
+            problems.append(f"{name}: {problem}")
     for cid in pairs:
         pos, neg = (concluded.get(f"{cid}.{side}.proof") for side in ("pos", "neg"))
-        if not (root / "details" / f"{cid}.neg.proof").is_file():
+        entry = listing.get(f"{cid}.neg.proof")
+        # Path.is_file follows a link, and takes a broken or looping one as no file
+        if entry is None or not (details / entry.name if entry.is_symlink() else entry).is_file():
             problems.append(f"{cid}: missing detail file details/{cid}.neg.proof")
         elif None not in (pos, neg) and neg is not find(Not, pos):
             problems.append(f"{cid}: neg.proof does not conclude the negation of pos.proof")

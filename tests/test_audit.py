@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -34,7 +35,8 @@ from proofbench.audit import (
 from proofbench.cli import main
 from proofbench.engine import Budget, prove
 from proofbench.parser import parse, render
-from proofbench.proofs import Ax, Gen, Hyp, Mp, Proof, ProofStep, check_proof, parse_proof_script
+from proofbench.proofs import (Ax, Gen, Hyp, Mp, Proof, ProofStep, check_proof, parse_proof_script,
+                               render_proof_script)
 from proofbench.schemata import NAMED_FORMULAS, PSI_AXIOMS, axiom_set
 from proofbench.scripts import builtin_claims, builtin_scripts
 from proofbench.syntax import And, Implies, Not, Or, universal_closure
@@ -774,6 +776,73 @@ def test_reports_recheck_clean_in_a_fresh_process(tmp_path, reports):
     assert proc.stdout == "[]\n"
 
 
+def test_recheck_stats_no_path_per_row(tmp_path, reports, monkeypatch):
+    # the rows and the certificates are looked up in one listing of details/
+    d = write_report(reports["lemma-4.4"], tmp_path / "tree")
+    stats = []
+    for name in ("stat", "lstat"):
+        real = getattr(os, name)
+        monkeypatch.setattr(os, name, lambda *a, real=real, **k: stats.append(a[0]) or real(*a, **k))
+    assert recheck_report(d) == []
+    monkeypatch.undo()
+    assert len(reports["lemma-4.4"].verdicts) == 31
+    assert len(stats) <= 2, stats  # report.tsv and the details/ link check
+
+
+def test_recheck_reports_failing_dot_file_certificates_in_name_order(tmp_path, reports):
+    d = write_report(reports["lemma-4.2"], tmp_path / "tree")
+    for name in ("x.proof", ".x.proof"):
+        (d / "details" / name).write_text("1. 0 = 0 ; hyp h\n", encoding="utf-8")
+    assert recheck_report(d) == [
+        ".x.proof: fails re-check at step 1: dangling-ref",
+        "x.proof: fails re-check at step 1: dangling-ref",
+    ]
+
+
+def test_recheck_reports_a_directory_named_like_a_certificate_unreadable(tmp_path, reports):
+    d = write_report(reports["lemma-4.2"], tmp_path / "tree")
+    (d / "details" / "x.proof").mkdir()
+    [problem] = recheck_report(d)
+    assert problem.startswith("x.proof: unreadable: "), problem
+
+
+def test_recheck_without_details_reports_each_row_missing(tmp_path, reports):
+    d = write_report(reports["lemma-4.2"], tmp_path / "tree")
+    rows = [line.split("\t") for line in (d / "report.tsv").read_text().splitlines()]
+    for path in (d / "details").iterdir():
+        path.unlink()
+    (d / "details").rmdir()
+    assert recheck_report(d) == [f"{cid}: missing detail file {detail}" for cid, _, _, detail in rows]
+
+
+@pytest.mark.parametrize("locus, hyp", [("lemme \u00e9tape 3", "h"), ("", "h\u00e9")])
+def test_write_report_writes_utf8_in_an_ascii_locale(tmp_path, locus, hyp):
+    # the recheck reads UTF-8, whatever the locale the report was written in
+    code = (
+        "import codecs, locale, sys\n"
+        "from proofbench.audit import AuditClaim, recheck_report, run_audit, write_report\n"
+        "from proofbench.parser import parse\n"
+        "print(codecs.lookup(locale.getpreferredencoding(False)).name)\n"
+        "f = parse('0 = 0 -> 0 = 0')\n"
+        f"claim = AuditClaim('c1', 'membership', ('L12',), (({ascii(hyp)}, f),), f, {ascii(locus)})\n"
+        "write_report(run_audit('utf8', [claim]), sys.argv[1])\n"
+        "print(recheck_report(sys.argv[1]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=Path(__file__).resolve().parents[1] / "src",  # imports the checkout's package
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ascii\n[]\n"
+    written = (tmp_path / "report.txt").read_bytes() + (tmp_path / "details" / "c1.proof").read_bytes()
+    assert (locus or f"hyp {hyp} ").encode("utf-8") in written
+
+
 @pytest.mark.parametrize("victim", ["report.tsv", "details/s15-m01.proof"])
 def test_recheck_flags_non_utf8_file(tmp_path, reports, victim):
     d = tmp_path / "bad-bytes"
@@ -1033,6 +1102,38 @@ def test_a_claim_refuses_a_repeated_hypothesis_name():
         AuditClaim("c1", "membership", ("L12", "L12"), (), psi7)
     with pytest.raises(AuditError, match="^line 2: claim c1: repeated axiom set 'L12'$"):
         load_script("# first line\nclaim c1 | hyps L12, L12 | goal psi1\n")
+
+
+def test_a_claim_id_with_a_trailing_newline_is_not_filesystem_safe():
+    # ``$`` also matches before a final newline; the id must match whole
+    with pytest.raises(AuditError, match="claim id 'c1\\\\n' is not filesystem-safe"):
+        AuditClaim("c1\n", "membership", ("L12",), (), parse("0 = 0 -> 0 = 0"))
+
+
+@pytest.mark.parametrize("name", ["my hyp", "h#1", "", "h\t1", "h\n", "h\u3000", "\x1c"])
+def test_a_claim_refuses_a_hypothesis_name_a_certificate_cannot_spell(name):
+    f = parse("0 = 0")
+    message = f"claim c1: hypothesis name {name!r} is empty or holds whitespace or '#'"
+    with pytest.raises(AuditError, match=re.escape(message)):
+        AuditClaim("c1", "membership", ("L12",), ((name, f),), f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=6))
+@example("h;1")
+@example("\u00e9")
+@example("d1")
+@example("hyp")
+@example(";")
+def test_every_hypothesis_name_a_claim_takes_round_trips_through_a_certificate(name):
+    f = parse("0 = 0")
+    try:
+        AuditClaim("c1", "membership", ("L12",), ((name, f),), f)
+    except AuditError:
+        assert "#" in name or name.split() != [name]
+        return
+    proof = Proof(((name, f),), (ProofStep(1, f, Hyp(name)),))
+    assert parse_proof_script(render_proof_script(proof)) == proof
 
 
 def test_strict_check_failure_at_no_step_names_no_step():

@@ -1,11 +1,14 @@
 """Kernel proof objects, the step checker, and proof-script serialization."""
 
+import functools
 import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from proofbench.audit import _detail_files, run_audit
 from proofbench.parser import ParseError, parse, render
 from proofbench.proofs import (
     Ax,
@@ -22,6 +25,7 @@ from proofbench.proofs import (
     render_proof_script,
 )
 from proofbench.schemata import NAMED_FORMULAS, PSI_AXIOMS, axiom_set
+from proofbench.scripts import builtin_claims, builtin_scripts
 from proofbench.syntax import (
     MAX_NESTING,
     And,
@@ -37,6 +41,7 @@ from proofbench.syntax import (
 )
 from proofbench.transforms import ProofBuilder, phi4_instance
 
+from reference_reader import reference_parse_proof_script
 from strategies import (
     alternating,
     formulas,
@@ -466,7 +471,8 @@ def _chain(n, prefix):
     return [first] + [f"let d{k} = {prefix} d{k - 1}" for k in range(2, n + 1)]
 
 
-@pytest.mark.parametrize("lines, line, message", [
+#: hostile ``let`` lines: (script lines, the line refused, the message)
+HOSTILE_LET_LINES = [
     # an unknown name, as an operand and as a formula field
     (["let d1 = 0 = 0", "let d2 = d1 -> d3"], 2, "unknown name 'd3'"),
     (["let d1 = 0 = 0", "1. d2 ; axiom L12"], 2, "unknown name 'd2'"),
@@ -498,7 +504,10 @@ def _chain(n, prefix):
     # a node past the nesting cap, on both counts
     (_chain(MAX_NESTING + 2, "~"), MAX_NESTING + 2, "Not would nest past MAX_NESTING"),
     (_chain(MAX_NESTING + 1, "S"), MAX_NESTING + 1, "App would nest past MAX_NESTING"),
-])
+]
+
+
+@pytest.mark.parametrize("lines, line, message", HOSTILE_LET_LINES)
 def test_hostile_let_lines_are_script_errors_at_their_line(lines, line, message):
     text = "\n".join(lines) + "\n"
     with pytest.raises(ScriptError, match=re.escape(message)) as e:
@@ -511,3 +520,79 @@ def test_a_let_chain_at_the_cap_reads_near_the_recursion_limit():
     text = "\n".join(_chain(MAX_NESTING + 1, "~")) + f"\n1. d{MAX_NESTING + 1} ; axiom L12\n"
     proof = near_the_recursion_limit(lambda: parse_proof_script(text))
     assert connective_depth(proof.conclusion) == MAX_NESTING
+
+
+@functools.cache
+def _builtin_certificates() -> tuple[str, ...]:
+    """The text of every certificate the built-in reports write."""
+    reports = [run_audit(s, builtin_claims(s)) for s in builtin_scripts()]
+    return tuple(text for report in reports for v in report.verdicts
+                 for path, text in _detail_files(v) if path.endswith(".proof"))
+
+
+def _read_by(read, text: str):
+    """What ``read`` makes of ``text``: a proof, or its ScriptError's message and line."""
+    try:
+        return read(text)
+    except ScriptError as e:
+        return str(e), e.line
+
+
+@st.composite
+def mutated_scripts(draw) -> str:
+    """A built-in certificate or a hostile ``let`` script with one to three
+    mutations, each on the line before or on another: a word dropped,
+    repeated, swapped or replaced, a ``#`` inserted, a separator made other
+    whitespace, a line cut to 4 or padded to 7 words, or an earlier ``let``
+    line repeated, binding its name twice."""
+    texts = _builtin_certificates() + tuple("\n".join(lines) for lines, _, _ in HOSTILE_LET_LINES)
+    lines = draw(st.sampled_from(texts)).splitlines()
+    i = 0
+    for _ in range(draw(st.integers(1, 3))):
+        if i >= len(lines) or draw(st.booleans()):
+            i = draw(st.integers(0, len(lines) - 1))
+        line, words = lines[i], lines[i].split(" ")
+        j, k = (draw(st.integers(0, len(words) - 1)) for _ in "jk")
+        kind = draw(st.sampled_from(["drop", "repeat", "swap", "replace", "cut", "pad", "#", "space",
+                                     "rebind"]))
+        if kind == "drop":
+            del words[j]
+        elif kind == "repeat":
+            words.insert(j, words[j])
+        elif kind == "swap":
+            words[j], words[k] = words[k], words[j]
+        elif kind == "replace":
+            words[j] = draw(st.sampled_from(["d99", "x0", "x1", "0", "(0)", "(Ax1)", "~", "S", "->"]))
+        elif kind == "cut":
+            del words[4:]
+        elif kind == "pad":
+            words = (words + words[-1:] * 7)[:7]
+        if kind == "#":
+            at = draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + "#" + line[at:]
+        elif kind == "space":
+            space = draw(st.sampled_from(["\t", "\x0b", "\x1c", "\u3000"]))
+            lines[i] = " ".join(words[:j]) + space + " ".join(words[j:])
+        elif kind == "rebind":
+            lets = [m for m in range(i) if lines[m].startswith("let ")]
+            if lets:
+                lines.insert(i, lines[draw(st.sampled_from(lets))])
+        else:
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_scripts())
+@example("let d1 = x0 = (0)\n")  # two bad operands: the first is named
+@example("let d1 = x1 -> 0\n")
+@example("let d1 = 0 = 0\nlet d2 = d3 /\\ x1\n")
+def test_the_let_reader_agrees_with_the_reference_reader(text):
+    assert _read_by(parse_proof_script, text) == _read_by(reference_parse_proof_script, text)
+
+
+def test_the_readers_agree_on_every_builtin_certificate():
+    texts = _builtin_certificates()
+    assert len(texts) == 83
+    for text in texts:
+        assert parse_proof_script(text) == reference_parse_proof_script(text)
